@@ -21,6 +21,10 @@
 //!   same virtual-time latency model, but wall-clock measured, so the
 //!   sweep doubles as a benchmark of the shared-memory substrate itself.
 //!
+//! Every combination is the same loop: an `Arrivals` source (open or
+//! closed) offering procedures to a `ShardExec` engine (the analytic
+//! [`ShardSet`] or the threaded `Pool`), and one report builder.
+//!
 //! Both record per-procedure latency into `l25gc-obs` log2 histograms
 //! (`capacity_all` plus one per procedure kind), drop codes for shed /
 //! backpressured arrivals, and active-UE / shard-depth gauges. Two
@@ -46,9 +50,12 @@ use l25gc_resilience::FailoverTimeline;
 
 use crate::arrival::{ArrivalStream, EventMix, RateSegment};
 use crate::dispatch::{proc_kind, ProfileSet};
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, Outage};
+use crate::fifo::{FifoServer, Service};
 use crate::fleet::{Fleet, UeState};
-use crate::shard::{Admission, ShardConfig, ShardSet};
+use crate::shard::{ShardConfig, ShardSet};
+use crate::wait::WaitStats;
+use crate::worker::Pool;
 
 /// Histogram key for the all-kinds latency distribution.
 pub const HIST_ALL: &str = "capacity_all";
@@ -249,7 +256,8 @@ pub struct LoadConfig {
     /// Dispatcher staging depth: routed events accumulate in per-shard
     /// buffers and flush as one `push_burst` when a shard's buffer
     /// reaches this size (or on admission pressure, a barrier, or the
-    /// virtual-time flush deadline). `1` = today's per-event dispatch.
+    /// virtual-time flush deadline). `1` = per-event dispatch: a burst of
+    /// one.
     /// Threaded backend only; never affects virtual-time results.
     pub dispatch_batch: usize,
 }
@@ -345,6 +353,15 @@ impl LoadConfig {
                 .map_err(LoadError::BadFaultPlan)?;
         }
         Ok(())
+    }
+
+    /// The fault plan compiled into per-shard outage intervals (empty
+    /// when fault-free) — the same intervals every engine floors with.
+    pub(crate) fn outages(&self) -> Vec<Outage> {
+        self.fault
+            .as_ref()
+            .map(|p| p.outages(&fault_timeline(), self.duration))
+            .unwrap_or_default()
     }
 }
 
@@ -488,7 +505,7 @@ impl LoadConfigBuilder {
         self
     }
 
-    /// Dispatcher staging depth (1 = per-event dispatch); see
+    /// Dispatcher staging depth (1 = a burst of one per event); see
     /// [`LoadConfig::dispatch_batch`].
     pub fn dispatch_batch(mut self, batch: usize) -> Self {
         self.cfg.dispatch_batch = batch;
@@ -533,32 +550,32 @@ pub struct Disruption {
     pub completions_lost: u64,
 }
 
-/// Builds the [`Disruption`] block from the engine's measured counters;
-/// both backends feed their own accounting through here so the block
-/// means the same thing either way.
-pub(crate) fn disruption_from(
+/// Builds the [`Disruption`] block from the final per-shard servers;
+/// both backends hand theirs over, so the block means the same thing
+/// either way.
+fn disruption_from(
     cfg: &LoadConfig,
-    replayed: u64,
+    servers: &[FifoServer],
     completions_lost: u64,
-    measured_span: Option<SimDuration>,
 ) -> Option<Disruption> {
     let plan = cfg.fault.as_ref()?;
-    let tl = FailoverTimeline::paper(&CostModel::paper());
+    let tl = fault_timeline();
     let killed = plan.kills().next().is_some();
     let charge = |d: SimDuration| if killed { d.as_millis_f64() } else { 0.0 };
+    let measured_span = servers.iter().filter_map(FifoServer::disruption_span).max();
     Some(Disruption {
         detect_ms: charge(tl.detect),
         reroute_ms: charge(tl.reroute),
         replay_ms: charge(tl.replay * (1.0 - tl.overlap)),
         disruption_ms: measured_span.unwrap_or(SimDuration::ZERO).as_millis_f64(),
-        replayed,
+        replayed: servers.iter().map(FifoServer::replayed).sum(),
         completions_lost,
     })
 }
 
 /// The paper-constant failover timeline both backends charge faults
 /// against.
-pub(crate) fn fault_timeline() -> FailoverTimeline {
+fn fault_timeline() -> FailoverTimeline {
     FailoverTimeline::paper(&CostModel::paper())
 }
 
@@ -639,19 +656,21 @@ impl Driver {
 
     /// Runs the configured (mode × backend) combination.
     pub fn run(&self, profiles: &ProfileSet) -> LoadReport {
-        match (self.cfg.backend, self.cfg.mode) {
-            (ExecBackend::Analytic, LoadMode::Open) => analytic_open(&self.cfg, profiles),
-            (ExecBackend::Analytic, LoadMode::Closed { workers, think }) => {
-                analytic_closed(&self.cfg, profiles, workers, think)
-            }
-            (ExecBackend::Threaded, _) => crate::worker::run_threaded(&self.cfg, profiles),
+        let cfg = &self.cfg;
+        match cfg.backend {
+            ExecBackend::Analytic => run_loop(cfg, profiles, || {
+                let mut shards = ShardSet::new(cfg.shard_cfg);
+                shards.set_outages(&cfg.outages());
+                shards
+            }),
+            ExecBackend::Threaded => run_loop(cfg, profiles, || Pool::spawn(cfg, profiles)),
         }
     }
 }
 
 /// Which fleet state an event kind draws its UE from, and where the UE
 /// lands on success.
-pub(crate) fn transition(kind: UeEvent) -> (UeState, UeState) {
+fn transition(kind: UeEvent) -> (UeState, UeState) {
     match kind {
         UeEvent::Registration => (UeState::Deregistered, UeState::Registered),
         UeEvent::SessionRequest => (UeState::Registered, UeState::SessionActive),
@@ -663,7 +682,7 @@ pub(crate) fn transition(kind: UeEvent) -> (UeState, UeState) {
 }
 
 /// Applies the success transition for `kind` to `ue`.
-pub(crate) fn apply_transition(fleet: &mut Fleet, ue: u32, kind: UeEvent, to: UeState) {
+fn apply_transition(fleet: &mut Fleet, ue: u32, kind: UeEvent, to: UeState) {
     if kind == UeEvent::SessionRequest {
         fleet.establish_session(ue);
     } else {
@@ -672,9 +691,9 @@ pub(crate) fn apply_transition(fleet: &mut Fleet, ue: u32, kind: UeEvent, to: Ue
 }
 
 /// Picks the next closed-loop procedure kind: a weighted draw that is
-/// deterministic in mix order (shared by both backends).
-pub(crate) fn draw_kind(mix: &EventMix, total_w: f64, rng: &mut SimRng) -> UeEvent {
-    let mut pick = rng.f64() * total_w;
+/// deterministic in mix order.
+fn draw_kind(mix: &EventMix, rng: &mut SimRng) -> UeEvent {
+    let mut pick = rng.f64() * mix.total();
     let mut kind = mix.weights[0].0;
     for &(k, w) in &mix.weights {
         kind = k;
@@ -693,7 +712,7 @@ pub(crate) fn draw_kind(mix: &EventMix, total_w: f64, rng: &mut SimRng) -> UeEve
 /// surface is backend-agnostic — the phase string and the
 /// `l25gc_shard_outage` gauge come from the compiled fault-plan
 /// intervals, which only depend on virtual time.
-pub(crate) struct ScrapePublisher {
+struct ScrapePublisher {
     server: std::sync::Arc<l25gc_obs::serve::MetricsServer>,
     series: String,
     interval: SimDuration,
@@ -703,14 +722,14 @@ pub(crate) struct ScrapePublisher {
     /// immediately, so the `l25gc_shard_outage` flip is observable even
     /// when the outage is shorter than a window.
     last_flags: Option<Vec<bool>>,
-    outages: Vec<crate::fault::Outage>,
+    outages: Vec<Outage>,
     shards: u16,
 }
 
 impl ScrapePublisher {
     /// Builds the publisher when the config asks for one. A bind failure
     /// warns and disables the endpoint rather than failing the run.
-    pub(crate) fn from_config(cfg: &LoadConfig) -> Option<ScrapePublisher> {
+    fn from_config(cfg: &LoadConfig) -> Option<ScrapePublisher> {
         let addr = cfg.serve_metrics.as_ref()?;
         let interval = cfg.metrics_interval?;
         let server = match l25gc_obs::serve::shared(addr) {
@@ -720,18 +739,13 @@ impl ScrapePublisher {
                 return None;
             }
         };
-        let outages = cfg
-            .fault
-            .as_ref()
-            .map(|p| p.outages(&fault_timeline(), cfg.duration))
-            .unwrap_or_default();
         Some(ScrapePublisher {
             server,
             series: cfg.backend.to_string(),
             interval,
             last_window: None,
             last_flags: None,
-            outages,
+            outages: cfg.outages(),
             shards: cfg.shard_cfg.shards,
         })
     }
@@ -758,7 +772,7 @@ impl ScrapePublisher {
     /// when an outage flag transitions (so the `l25gc_shard_outage`
     /// 0→1→0 flip is observable even for outages shorter than a
     /// window); the phase reads `fault-outage` while any shard is down.
-    pub(crate) fn maybe_publish(&mut self, now: SimTime, tl: &MetricsTimeline) {
+    fn maybe_publish(&mut self, now: SimTime, tl: &MetricsTimeline) {
         let w = now.as_nanos() / self.interval.as_nanos();
         let flags = self.down_flags(now);
         if self.last_window == Some(w) && self.last_flags.as_ref() == Some(&flags) {
@@ -776,7 +790,7 @@ impl ScrapePublisher {
     }
 
     /// The final snapshot, after idle finalization: phase `drain`.
-    pub(crate) fn publish_drain(&mut self, horizon: SimTime, tl: &MetricsTimeline) {
+    fn publish_drain(&mut self, horizon: SimTime, tl: &MetricsTimeline) {
         let flags = self.down_flags(horizon);
         let body = self.render(tl, &flags);
         self.server.publish("drain", body);
@@ -785,16 +799,23 @@ impl ScrapePublisher {
 
 /// The hot-path recorder bundle: the `Obs` recorders plus the opt-in
 /// timeline, live publisher, and span-sampling stride, threaded through
-/// both backends as one value.
+/// both backends as one value, with the completion counts every engine
+/// reports the same way.
 pub(crate) struct Telemetry {
     /// Histograms, flight recorder, span log.
     pub obs: Obs,
     /// Windowed per-shard snapshots, when configured.
     pub timeline: Option<MetricsTimeline>,
     /// Live scrape-endpoint publisher, when configured.
-    pub publisher: Option<ScrapePublisher>,
+    publisher: Option<ScrapePublisher>,
     /// Span sampling stride (0 = off).
-    pub trace_sample: u64,
+    trace_sample: u64,
+    /// End of the run in virtual time.
+    pub horizon: SimTime,
+    /// Completions observed inside the horizon.
+    pub completed: u64,
+    /// Every completion observed, inside the horizon or not.
+    pub completed_total: u64,
 }
 
 impl Telemetry {
@@ -806,300 +827,360 @@ impl Telemetry {
                 .map(|iv| MetricsTimeline::new(iv, cfg.shard_cfg.shards)),
             publisher: ScrapePublisher::from_config(cfg),
             trace_sample: cfg.trace_sample,
+            horizon: SimTime::ZERO + cfg.duration,
+            completed: 0,
+            completed_total: 0,
         }
     }
 
     /// Publishes the live snapshot when `now` enters a new window.
-    pub(crate) fn maybe_publish(&mut self, now: SimTime) {
+    fn maybe_publish(&mut self, now: SimTime) {
         if let (Some(p), Some(tl)) = (self.publisher.as_mut(), self.timeline.as_ref()) {
             p.maybe_publish(now, tl);
         }
     }
 
-    /// Whether this UE's spans are kept. A pure modulus on the stride —
-    /// no RNG, no allocation — so the sampled-out path costs one branch.
-    pub(crate) fn sampled(&self, ue: u32) -> bool {
-        self.trace_sample > 0 && u64::from(ue) % self.trace_sample == 0
+    /// Records one observed completion: the per-kind and all-kinds
+    /// latency histograms, the completion counts, and a span when the
+    /// UE is on the sampling stride (a pure modulus — no RNG, no
+    /// allocation — so the sampled-out path costs one branch).
+    pub(crate) fn record_completion(
+        &mut self,
+        kind: UeEvent,
+        ue: u32,
+        at: SimTime,
+        completes_at: SimTime,
+    ) {
+        let lat = completes_at.duration_since(at).as_nanos();
+        self.obs.hists.record(proc_kind(kind).name(), lat);
+        self.obs.hists.record(HIST_ALL, lat);
+        self.completed_total += 1;
+        self.completed += u64::from(completes_at <= self.horizon);
+        if self.trace_sample > 0 && u64::from(ue) % self.trace_sample == 0 {
+            self.obs
+                .spans
+                .record_completed(proc_kind(kind), u64::from(ue), at, completes_at);
+        }
     }
 }
 
-/// Offers one event to the fleet + shard set and records the outcome.
-/// Returns the completion time when dispatched.
-#[allow(clippy::too_many_arguments)]
-fn offer_event(
-    kind: UeEvent,
+/// Records one served procedure's latency anatomy on the serving side:
+/// queue-wait (arrival → service start), service (shard occupancy) and
+/// completion transit (the off-shard wire time) tile the end-to-end
+/// latency exactly, with the same boundaries on both backends.
+pub(crate) fn record_served(
+    obs: &mut Obs,
+    timeline: Option<&mut MetricsTimeline>,
+    shard: u16,
     at: SimTime,
-    fleet: &mut Fleet,
-    shards: &mut ShardSet,
-    profiles: &ProfileSet,
-    rng: &mut SimRng,
-    tel: &mut Telemetry,
-    infeasible: &mut u64,
-) -> Option<SimTime> {
-    let (from, to) = transition(kind);
-    let Some(ue) = fleet.sample_in_state(rng, from) else {
-        *infeasible += 1;
-        return None;
-    };
-    let prof = profiles.get(kind);
-    let shard = fleet.shard_of(ue);
-    match shards.offer(shard, at, prof, u64::from(ue) + 1, &mut tel.obs) {
-        Admission::Dispatched {
-            completes_at,
-            queue_wait,
-            service,
-        } => {
-            apply_transition(fleet, ue, kind, to);
-            let lat = completes_at.duration_since(at).as_nanos();
-            // Latency anatomy: the three stages tile the end-to-end
-            // sample (transit is whatever the first two leave over).
-            let qw = queue_wait.as_nanos();
-            let svc = service.as_nanos();
-            debug_assert!(qw + svc <= lat, "stage sum exceeds end-to-end");
-            let transit = lat - qw - svc;
-            tel.obs.hists.record(proc_kind(kind).name(), lat);
-            tel.obs.hists.record(HIST_ALL, lat);
-            tel.obs.hists.record(HIST_QUEUE_WAIT, qw);
-            tel.obs.hists.record(HIST_SERVICE, svc);
-            tel.obs.hists.record(HIST_TRANSIT, transit);
-            if let Some(tl) = tel.timeline.as_mut() {
-                tl.record_dispatched(shard, at);
-                tl.record_completion(shard, completes_at, lat);
-                tl.record_stages(shard, completes_at, qw, svc, transit);
-                tl.record_depth(shard, at, shards.depth(shard) as u64);
-                // Utilization anatomy: busy is the charged service span
-                // of the FIFO recurrence, occupancy the whole sojourn —
-                // both derived from virtual time, so analytic and
-                // threaded lanes are comparable.
-                let start = at + queue_wait;
-                let done_cpu = start + service;
-                tl.record_busy(shard, start, done_cpu);
-                tl.record_occupancy(shard, at, done_cpu);
+    svc: &Service,
+) {
+    let (lat, qw, service, transit) = svc.stages(at);
+    obs.hists.record(HIST_QUEUE_WAIT, qw);
+    obs.hists.record(HIST_SERVICE, service);
+    obs.hists.record(HIST_TRANSIT, transit);
+    if let Some(tl) = timeline {
+        tl.record_completion(shard, svc.completes_at, lat);
+        tl.record_stages(shard, svc.completes_at, qw, service, transit);
+    }
+}
+
+/// Records one dispatch on the admitting side: the dispatch count, the
+/// depth gauge, and the utilization anatomy — busy is the charged
+/// service span of the FIFO recurrence, occupancy the whole sojourn,
+/// both in virtual time, so analytic and threaded lanes are comparable.
+pub(crate) fn record_admitted(
+    tl: &mut MetricsTimeline,
+    shard: u16,
+    at: SimTime,
+    depth: usize,
+    svc: &Service,
+) {
+    tl.record_dispatched(shard, at);
+    tl.record_depth(shard, at, depth as u64);
+    tl.record_busy(shard, svc.start, svc.done_cpu);
+    tl.record_occupancy(shard, at, svc.done_cpu);
+}
+
+/// What an execution engine hands the report builder when a run ends.
+#[derive(Default)]
+pub(crate) struct ExecTotals {
+    /// Arrivals shed by admission control.
+    pub shed: u64,
+    /// Arrivals rejected by ring backpressure.
+    pub backpressure: u64,
+    /// Deepest any shard's in-flight queue got.
+    pub peak_depth: usize,
+    /// Arrivals shed while their shard was inside a scripted outage.
+    pub lost_in_outage: u64,
+    /// Each shard's final FIFO server (a killed shard's primary and its
+    /// standby share one, so failover is invisible to the occupancy and
+    /// replay accounting).
+    pub servers: Vec<FifoServer>,
+    /// Engine-specific end-of-run gauges, recorded last.
+    pub gauges: Vec<(&'static str, u64)>,
+    /// Per-shard wait counters (all zero for an engine that never
+    /// deschedules): the parked share of each shard's idle time.
+    pub per_shard_wait: Vec<WaitStats>,
+    /// Wait-ladder counters merged across every wait site in the engine.
+    pub wait: WaitStats,
+    /// The dispatcher's own wait sites only — dispatcher utilization is
+    /// wall time minus this descheduled time.
+    pub dispatcher_wait: WaitStats,
+    /// Real elapsed time of the run, engine start to last join, for an
+    /// engine that runs on the wall clock (threaded backend only).
+    pub elapsed: Option<std::time::Duration>,
+}
+
+/// An execution engine the driver loop offers procedures to: the
+/// analytic [`ShardSet`] (completions known at offer time) or the
+/// threaded [`Pool`] (completions come back over the rings).
+pub(crate) trait ShardExec {
+    /// Names one dispatched procedure until its completion is known.
+    type Ticket: Copy;
+
+    /// Offers one procedure of `kind` for `ue`, arriving at `at`, to
+    /// `shard`; the engine charges `profiles.get(kind)` where it serves.
+    /// `None` when the arrival was shed or backpressured (the typed drop
+    /// is already recorded in `tel`).
+    fn offer(
+        &mut self,
+        shard: u16,
+        kind: UeEvent,
+        ue: u32,
+        at: SimTime,
+        profiles: &ProfileSet,
+        tel: &mut Telemetry,
+    ) -> Option<Self::Ticket>;
+
+    /// The virtual completion instant of a dispatched procedure — what a
+    /// closed-loop client waits for before thinking.
+    fn completion(&mut self, shard: u16, ticket: Self::Ticket, tel: &mut Telemetry) -> SimTime;
+
+    /// Per-arrival housekeeping between offers.
+    fn poll(&mut self, _tel: &mut Telemetry) {}
+
+    /// Ends the run: every dispatched procedure is completed and
+    /// recorded in `tel` when this returns.
+    fn finish(self, tel: &mut Telemetry) -> ExecTotals;
+}
+
+/// Where arrivals come from: the seeded open-loop stream, or a fixed
+/// population of closed-loop clients that each wait for their completion
+/// plus a think time before issuing again.
+enum Arrivals<'a> {
+    Open(ArrivalStream),
+    Closed {
+        /// Each queued item is a client becoming ready to issue.
+        ready: EventQueue<u32>,
+        think: SimDuration,
+        mix: &'a EventMix,
+        kind_rng: SimRng,
+    },
+}
+
+impl<'a> Arrivals<'a> {
+    /// Builds the source and the UE-sampling RNG. The fork order is part
+    /// of the seed contract: open loop forks the stream (once per active
+    /// mix kind, scripted or steady alike), then the sampler; closed loop
+    /// forks the sampler, then the kind picker.
+    fn new(cfg: &'a LoadConfig, rng: &mut SimRng) -> (Arrivals<'a>, SimRng) {
+        match cfg.mode {
+            LoadMode::Open => {
+                let stream = match &cfg.script {
+                    Some(segments) => ArrivalStream::scripted(&cfg.mix, segments, rng),
+                    None => ArrivalStream::new(&cfg.mix, cfg.offered_eps, cfg.burst, rng),
+                };
+                (Arrivals::Open(stream), rng.fork())
             }
-            if tel.sampled(ue) {
-                tel.obs
-                    .spans
-                    .record_completed(proc_kind(kind), u64::from(ue), at, completes_at);
+            LoadMode::Closed { workers, think } => {
+                let sample_rng = rng.fork();
+                let mut kind_rng = rng.fork();
+                let mut ready = EventQueue::with_capacity(workers);
+                for w in 0..workers as u32 {
+                    // Stagger starts across one mean think time.
+                    let jitter = kind_rng.exponential(think.as_secs_f64().max(1e-6));
+                    ready.push(SimTime::ZERO + SimDuration::from_secs_f64(jitter), w);
+                }
+                let mix = &cfg.mix;
+                (
+                    Arrivals::Closed {
+                        ready,
+                        think,
+                        mix,
+                        kind_rng,
+                    },
+                    sample_rng,
+                )
             }
-            Some(completes_at)
         }
-        Admission::Shed => {
-            if let Some(tl) = tel.timeline.as_mut() {
-                tl.record_shed(shard, at);
+    }
+
+    /// The next arrival before `horizon`: `(instant, kind, client)`.
+    fn next(&mut self, horizon: SimTime) -> Option<(SimTime, UeEvent, u32)> {
+        match self {
+            Arrivals::Open(stream) => {
+                let (at, kind) = stream.next();
+                (at < horizon).then_some((at, kind, 0))
             }
-            None
+            Arrivals::Closed {
+                ready,
+                mix,
+                kind_rng,
+                ..
+            } => {
+                let (at, client) = ready.pop_before(horizon)?;
+                Some((at, draw_kind(mix, kind_rng), client))
+            }
         }
-        Admission::Backpressure => {
-            if let Some(tl) = tel.timeline.as_mut() {
-                tl.record_backpressure(shard, at);
-            }
-            None
+    }
+
+    /// `client`'s procedure settled at `at` (its completion, or its
+    /// arrival when it was rejected or infeasible): a closed-loop client
+    /// thinks, then issues again. Open-loop arrivals ignore completions.
+    fn settled(&mut self, client: u32, at: SimTime) {
+        if let Arrivals::Closed { ready, think, .. } = self {
+            ready.push(at + *think, client);
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn finish(
+/// The one driver loop: every (mode × backend) combination is this loop
+/// over an [`Arrivals`] source and a [`ShardExec`] engine. `start` builds
+/// the engine once the fleet is warm, so a threaded run's wall clock
+/// covers the pool and nothing else.
+fn run_loop<E: ShardExec>(
+    cfg: &LoadConfig,
+    profiles: &ProfileSet,
+    start: impl FnOnce() -> E,
+) -> LoadReport {
+    let mut rng = SimRng::new(cfg.seed);
+    let mut fleet_rng = rng.fork();
+    let (mut arrivals, mut sample_rng) = Arrivals::new(cfg, &mut rng);
+    let closed = matches!(cfg.mode, LoadMode::Closed { .. });
+
+    let mut fleet = Fleet::new(cfg.ues, cfg.shard_cfg.shards);
+    fleet.warm_start(&mut fleet_rng, 0.2, 0.3, 0.2);
+    let mut tel = Telemetry::new(cfg);
+    let mut exec = start();
+
+    let horizon = tel.horizon;
+    let (mut offered, mut dispatched, mut infeasible) = (0u64, 0u64, 0u64);
+    while let Some((at, kind, client)) = arrivals.next(horizon) {
+        offered += 1;
+        let (from, to) = transition(kind);
+        let mut settled_at = at;
+        if let Some(ue) = fleet.sample_in_state(&mut sample_rng, from) {
+            let shard = fleet.shard_of(ue);
+            if let Some(ticket) = exec.offer(shard, kind, ue, at, profiles, &mut tel) {
+                dispatched += 1;
+                apply_transition(&mut fleet, ue, kind, to);
+                if closed {
+                    settled_at = exec.completion(shard, ticket, &mut tel);
+                }
+            }
+        } else {
+            infeasible += 1;
+        }
+        exec.poll(&mut tel);
+        tel.maybe_publish(at);
+        arrivals.settled(client, settled_at);
+    }
+    let totals = exec.finish(&mut tel);
+    report(cfg, &fleet, tel, totals, offered, dispatched, infeasible)
+}
+
+/// The one report builder: idle finalization, the drain snapshot, the
+/// end-of-run gauges and the quantiles, for either backend.
+fn report(
     cfg: &LoadConfig,
     fleet: &Fleet,
-    shards: ShardSet,
     tel: Telemetry,
+    totals: ExecTotals,
     offered: u64,
     dispatched: u64,
     infeasible: u64,
-    completed: u64,
 ) -> LoadReport {
     let Telemetry {
         mut obs,
         mut timeline,
         publisher,
+        horizon,
+        completed,
+        completed_total,
         ..
     } = tel;
-    let end = SimTime::ZERO + cfg.duration;
-    // Idle finalization: the analytic engine never deschedules, so the
-    // parked share of idle time is zero by definition.
+    // Idle finalization on the merged timeline: the parked share of each
+    // shard's idle time comes from its measured park/blocked ratio (zero
+    // for the analytic engine, which never deschedules), and dispatcher
+    // utilization is wall time not spent descheduled.
     if let Some(tl) = timeline.as_mut() {
-        for s in 0..shards.shard_count() {
-            tl.finalize_idle(s, cfg.duration, 0.0);
+        for (s, w) in totals.per_shard_wait.iter().enumerate() {
+            let ratio = w.parked_ns as f64 / w.blocked_ns.max(1) as f64;
+            tl.finalize_idle(s as u16, cfg.duration, ratio);
+        }
+        if let Some(elapsed) = totals.elapsed {
+            let wall_ns = elapsed.as_nanos() as u64;
+            tl.record_dispatcher_utilization(
+                wall_ns.saturating_sub(totals.dispatcher_wait.blocked_ns),
+                wall_ns,
+            );
         }
     }
     if let (Some(mut p), Some(tl)) = (publisher, timeline.as_ref()) {
-        p.publish_drain(end, tl);
+        p.publish_drain(horizon, tl);
     }
-    obs.event(
-        end,
-        EventKind::Gauge {
-            name: "active_ues",
-            value: fleet.active() as u64,
-        },
-    );
-    shards.record_depth_gauges(&mut obs, end);
-    let q = |p: f64| {
+    let mut gauge = |name: &'static str, value: u64| {
+        obs.event(horizon, EventKind::Gauge { name, value });
+    };
+    gauge("active_ues", fleet.active() as u64);
+    if totals.elapsed.is_some() {
+        // Wait-ladder burn, merged across every wait site in the pool:
+        // idle burn is a gauge, not a silent 100% CPU.
+        gauge("wait_spins", totals.wait.spins);
+        gauge("wait_yields", totals.wait.yields);
+        gauge("wait_parks", totals.wait.parks);
+        gauge("wait_transitions", totals.wait.transitions);
+        gauge("wait_blocked_us", totals.wait.blocked_ns / 1_000);
+        gauge("wait_parked_us", totals.wait.parked_ns / 1_000);
+    }
+    for &(name, value) in &totals.gauges {
+        gauge(name, value);
+    }
+    let quantile = |name: &str, p: f64| {
         obs.hists
-            .get(HIST_ALL)
+            .get(name)
             .map(|h| SimDuration::from_nanos(h.quantile(p)))
             .unwrap_or(SimDuration::ZERO)
     };
-    let stage_p99 = |name: &str| {
-        obs.hists
-            .get(name)
-            .map(|h| SimDuration::from_nanos(h.quantile(0.99)))
-            .unwrap_or(SimDuration::ZERO)
-    };
-    let disruption = disruption_from(
-        cfg,
-        shards.replayed(),
-        shards.lost_in_outage(),
-        shards.disruption_span(),
-    );
+    let (shard_utilization, busy_fraction) = FifoServer::busy_fractions(&totals.servers, horizon);
     LoadReport {
         offered,
         dispatched,
-        shed: shards.shed,
-        backpressure: shards.backpressure,
+        shed: totals.shed,
+        backpressure: totals.backpressure,
         infeasible,
         completed,
-        // Analytic dispatch assigns every admitted procedure a completion
-        // instant up front — nothing can be lost in flight.
-        completed_total: dispatched,
+        completed_total,
         achieved_eps: completed as f64 / cfg.duration.as_secs_f64(),
-        p50: q(0.50),
-        p95: q(0.95),
-        p99: q(0.99),
-        queue_wait_p99: stage_p99(HIST_QUEUE_WAIT),
-        service_p99: stage_p99(HIST_SERVICE),
-        transit_p99: stage_p99(HIST_TRANSIT),
+        p50: quantile(HIST_ALL, 0.50),
+        p95: quantile(HIST_ALL, 0.95),
+        p99: quantile(HIST_ALL, 0.99),
+        queue_wait_p99: quantile(HIST_QUEUE_WAIT, 0.99),
+        service_p99: quantile(HIST_SERVICE, 0.99),
+        transit_p99: quantile(HIST_TRANSIT, 0.99),
         active_ues: fleet.active(),
-        peak_depth: shards.peak_depths().into_iter().max().unwrap_or(0),
-        busy_fraction: shards.busy_fraction(end),
-        shard_utilization: shards.busy_fractions(end),
-        wall: None,
-        disruption,
+        peak_depth: totals.peak_depth,
+        busy_fraction,
+        shard_utilization,
+        wall: totals.elapsed.map(|elapsed| WallClock {
+            elapsed,
+            sustained_eps: completed_total as f64 / elapsed.as_secs_f64().max(1e-9),
+        }),
+        disruption: disruption_from(cfg, &totals.servers, totals.lost_in_outage),
         timeline,
         obs,
     }
-}
-
-/// Installs the config's fault plan (when any) into a fresh shard set.
-fn install_outages(cfg: &LoadConfig, shards: &mut ShardSet) {
-    if let Some(plan) = &cfg.fault {
-        shards.set_outages(&plan.outages(&fault_timeline(), cfg.duration));
-    }
-}
-
-/// Builds the open-loop arrival stream for `cfg` — scripted when a
-/// profile is set, steady otherwise. Both paths fork `rng` once per
-/// active mix kind, so the choice never perturbs downstream RNGs; both
-/// backends call this so their arrival sequences stay identical.
-pub(crate) fn open_stream(cfg: &LoadConfig, rng: &mut SimRng) -> ArrivalStream {
-    match &cfg.script {
-        Some(segments) => ArrivalStream::scripted(&cfg.mix, segments, rng),
-        None => ArrivalStream::new(&cfg.mix, cfg.offered_eps, cfg.burst, rng),
-    }
-}
-
-/// The analytic open-loop engine (virtual time, single-threaded).
-fn analytic_open(cfg: &LoadConfig, profiles: &ProfileSet) -> LoadReport {
-    let mut rng = SimRng::new(cfg.seed);
-    let mut fleet_rng = rng.fork();
-    let mut stream = open_stream(cfg, &mut rng);
-    let mut sample_rng = rng.fork();
-
-    let mut fleet = Fleet::new(cfg.ues, cfg.shard_cfg.shards);
-    fleet.warm_start(&mut fleet_rng, 0.2, 0.3, 0.2);
-    let mut shards = ShardSet::new(cfg.shard_cfg);
-    install_outages(cfg, &mut shards);
-    let mut tel = Telemetry::new(cfg);
-
-    let horizon = SimTime::ZERO + cfg.duration;
-    let (mut offered, mut dispatched, mut infeasible, mut completed) = (0u64, 0u64, 0u64, 0u64);
-    loop {
-        let (at, kind) = stream.next();
-        if at >= horizon {
-            break;
-        }
-        offered += 1;
-        if let Some(done) = offer_event(
-            kind,
-            at,
-            &mut fleet,
-            &mut shards,
-            profiles,
-            &mut sample_rng,
-            &mut tel,
-            &mut infeasible,
-        ) {
-            dispatched += 1;
-            if done <= horizon {
-                completed += 1;
-            }
-        }
-        tel.maybe_publish(at);
-    }
-    finish(
-        cfg, &fleet, shards, tel, offered, dispatched, infeasible, completed,
-    )
-}
-
-/// The analytic closed-loop engine (virtual time, single-threaded).
-fn analytic_closed(
-    cfg: &LoadConfig,
-    profiles: &ProfileSet,
-    workers: usize,
-    think: SimDuration,
-) -> LoadReport {
-    let mut rng = SimRng::new(cfg.seed);
-    let mut fleet_rng = rng.fork();
-    let mut sample_rng = rng.fork();
-    let mut kind_rng = rng.fork();
-
-    let mut fleet = Fleet::new(cfg.ues, cfg.shard_cfg.shards);
-    fleet.warm_start(&mut fleet_rng, 0.2, 0.3, 0.2);
-    let mut shards = ShardSet::new(cfg.shard_cfg);
-    install_outages(cfg, &mut shards);
-    let mut tel = Telemetry::new(cfg);
-
-    // Each queued item is a worker becoming ready to issue.
-    let mut q: EventQueue<u32> = EventQueue::with_capacity(workers);
-    for w in 0..workers as u32 {
-        // Stagger starts across one mean think time.
-        let jitter =
-            SimDuration::from_secs_f64(kind_rng.exponential(think.as_secs_f64().max(1e-6)));
-        q.push(SimTime::ZERO + jitter, w);
-    }
-
-    let total_w = cfg.mix.total();
-    let horizon = SimTime::ZERO + cfg.duration;
-    let (mut offered, mut dispatched, mut infeasible, mut completed) = (0u64, 0u64, 0u64, 0u64);
-    while let Some((at, worker)) = q.pop_before(horizon) {
-        let kind = draw_kind(&cfg.mix, total_w, &mut kind_rng);
-        offered += 1;
-        let next_ready = match offer_event(
-            kind,
-            at,
-            &mut fleet,
-            &mut shards,
-            profiles,
-            &mut sample_rng,
-            &mut tel,
-            &mut infeasible,
-        ) {
-            Some(done) => {
-                dispatched += 1;
-                if done <= horizon {
-                    completed += 1;
-                }
-                done + think
-            }
-            // Rejected or infeasible: back off one think time.
-            None => at + think,
-        };
-        tel.maybe_publish(at);
-        q.push(next_ready, worker);
-    }
-    finish(
-        cfg, &fleet, shards, tel, offered, dispatched, infeasible, completed,
-    )
 }
 
 #[cfg(test)]

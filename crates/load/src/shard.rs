@@ -5,9 +5,9 @@
 //! shard serialises its procedures: a dispatched procedure holds the
 //! shard's CPU for its calibrated `occupancy`, so completion time is
 //! `max(busy_until, arrival) + occupancy` — the classic single-server
-//! FIFO recurrence. End-to-end latency adds the off-shard wire time
-//! (`latency − occupancy` from the unloaded profile), which does not
-//! queue.
+//! FIFO recurrence, which lives in [`FifoServer`]. End-to-end latency
+//! adds the off-shard wire time (`latency − occupancy` from the unloaded
+//! profile), which does not queue.
 //!
 //! Two protection mechanisms, both surfaced as `l25gc-obs` drop codes:
 //!
@@ -21,12 +21,16 @@
 //!   rejects with the typed [`RingFull`](l25gc_nfv::RingFull) error,
 //!   recorded as [`DropCode::RingBackpressure`].
 
+use l25gc_core::UeEvent;
 use l25gc_nfv::ring::{ring_labeled, Consumer, Producer};
 use l25gc_obs::{DropCode, EventKind, Obs};
 use l25gc_sim::{SimDuration, SimTime};
 
-use crate::dispatch::ProcedureProfile;
+use crate::dispatch::{ProcedureProfile, ProfileSet};
+use crate::driver::{record_admitted, record_served, ExecTotals, ShardExec, Telemetry};
 use crate::fault::Outage;
+use crate::fifo::{FifoServer, Service};
+use crate::wait::WaitStats;
 
 /// What to do when a shard's queue crosses its high-water mark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,10 +83,10 @@ pub enum Admission {
     Backpressure,
 }
 
-/// One worker shard: FIFO busy-time plus its in-flight completion ring.
+/// One worker shard: its FIFO server plus its in-flight completion ring.
 struct Shard {
-    /// When the shard's CPU frees up.
-    busy_until: SimTime,
+    /// The service recurrence (virtual clock, outages, replay counts).
+    fifo: FifoServer,
     /// Completion timestamps (nanos) of in-flight procedures.
     tx: Producer<u64>,
     rx: Consumer<u64>,
@@ -90,20 +94,10 @@ struct Shard {
     /// no peek; FIFO service makes completions monotone, so one slot of
     /// lookahead is exact).
     stashed: Option<u64>,
-    /// Procedures dispatched.
-    dispatched: u64,
     /// Peak in-flight depth observed.
     peak_depth: usize,
-    /// Scripted service outages on this shard, sorted by start.
-    outages: Vec<Outage>,
-    /// Procedures whose service crossed a kill outage and restarted
-    /// after it — the log-replay count.
-    replayed: u64,
     /// Arrivals shed while an outage was in progress on this shard.
     lost_in_outage: u64,
-    /// Latest CPU-done instant among kill-replayed procedures: how long
-    /// the replayed backlog took to drain past the kill.
-    last_replay_done: Option<SimTime>,
 }
 
 impl Shard {
@@ -165,16 +159,12 @@ impl ShardSet {
                 let (mut tx, rx) = ring_labeled(cfg.ring_capacity, label);
                 tx.set_high_water(cfg.high_water);
                 Shard {
-                    busy_until: SimTime::ZERO,
+                    fifo: FifoServer::new(Vec::new()),
                     tx,
                     rx,
                     stashed: None,
-                    dispatched: 0,
                     peak_depth: 0,
-                    outages: Vec::new(),
-                    replayed: 0,
                     lost_in_outage: 0,
-                    last_replay_done: None,
                 }
             })
             .collect();
@@ -184,11 +174,6 @@ impl ShardSet {
             shed: 0,
             backpressure: 0,
         }
-    }
-
-    /// Worker shard count.
-    pub fn shard_count(&self) -> u16 {
-        self.cfg.shards
     }
 
     /// Offers one procedure arriving at `now` to `shard`. On dispatch,
@@ -210,7 +195,7 @@ impl ShardSet {
         // congestion signal, adjusted by the one-slot lookahead.
         let congested = s.tx.above_high_water() || s.depth() >= s.tx.high_water();
         if congested && self.cfg.policy == OverloadPolicy::Shed {
-            if s.outages.iter().any(|o| now >= o.start && now < o.end) {
+            if s.fifo.in_outage(now) {
                 s.lost_in_outage += 1;
             }
             self.shed += 1;
@@ -223,85 +208,37 @@ impl ShardSet {
             );
             return Admission::Shed;
         }
-        // FIFO server: the shard's CPU serialises occupancy, and service
-        // cannot overlap a scripted outage — work in flight across a
-        // kill restarts after the failover window (log replay).
-        let start = s.busy_until.max(now);
-        let (start, crossed_kill) = crate::fault::floor_service(&s.outages, start, prof.occupancy);
-        let done_cpu = start + prof.occupancy;
-        // Off-shard wire time does not hold the shard.
-        let completes_at = done_cpu + prof.latency.saturating_sub(prof.occupancy);
-        match s.tx.push(done_cpu.as_nanos()) {
-            Ok(()) => {
-                s.busy_until = done_cpu;
-                s.dispatched += 1;
-                s.peak_depth = s.peak_depth.max(s.depth());
-                if crossed_kill {
-                    s.replayed += 1;
-                    s.last_replay_done =
-                        Some(s.last_replay_done.map_or(done_cpu, |d| d.max(done_cpu)));
-                }
-                Admission::Dispatched {
-                    completes_at,
-                    queue_wait: start.duration_since(now),
-                    service: prof.occupancy,
-                }
-            }
-            Err(_full) => {
-                self.backpressure += 1;
-                obs.event(
-                    now,
-                    EventKind::PacketDrop {
-                        reason: DropCode::RingBackpressure,
-                        seid,
-                    },
-                );
-                Admission::Backpressure
-            }
+        // A full ring rejects before the server is charged.
+        if s.tx.len() == s.tx.capacity() {
+            self.backpressure += 1;
+            obs.event(
+                now,
+                EventKind::PacketDrop {
+                    reason: DropCode::RingBackpressure,
+                    seid,
+                },
+            );
+            return Admission::Backpressure;
+        }
+        let svc = s.fifo.serve(now, prof);
+        s.tx.push(svc.done_cpu.as_nanos())
+            .expect("room was checked above");
+        s.peak_depth = s.peak_depth.max(s.depth());
+        Admission::Dispatched {
+            completes_at: svc.completes_at,
+            queue_wait: svc.start.duration_since(now),
+            service: prof.occupancy,
         }
     }
 
     /// Installs scripted service outages (from
-    /// [`FaultPlan::outages`](crate::fault::FaultPlan::outages)); each
-    /// shard keeps its own intervals sorted by start.
+    /// [`FaultPlan::outages`](crate::fault::FaultPlan::outages)) into
+    /// fresh shards.
     pub fn set_outages(&mut self, outages: &[Outage]) {
-        for o in outages {
-            self.shards[o.shard as usize].outages.push(*o);
+        let servers = FifoServer::per_shard(outages, self.shards.len());
+        for (s, fifo) in self.shards.iter_mut().zip(servers) {
+            s.fifo = fifo;
         }
-        for s in &mut self.shards {
-            s.outages.sort_by_key(|o| o.start.as_nanos());
-        }
-    }
-
-    /// Procedures whose service crossed a kill outage and re-ran after
-    /// the failover window — the log-replay count.
-    pub fn replayed(&self) -> u64 {
-        self.shards.iter().map(|s| s.replayed).sum()
-    }
-
-    /// Arrivals shed while their shard was inside a scripted outage.
-    pub fn lost_in_outage(&self) -> u64 {
-        self.shards.iter().map(|s| s.lost_in_outage).sum()
-    }
-
-    /// Worst observed disruption across scripted outages: for a kill,
-    /// from the kill instant until the replayed backlog drained (the
-    /// outage span if nothing was in flight); for a freeze, the stall
-    /// span itself. `None` when no outages were installed.
-    pub fn disruption_span(&self) -> Option<SimDuration> {
-        let mut worst: Option<SimDuration> = None;
-        for s in &self.shards {
-            for o in &s.outages {
-                let until = if o.kill {
-                    s.last_replay_done.filter(|&d| d >= o.end).unwrap_or(o.end)
-                } else {
-                    o.end
-                };
-                let span = until.duration_since(o.start);
-                worst = Some(worst.map_or(span, |w| w.max(span)));
-            }
-        }
-        worst
     }
 
     /// Current in-flight depth of `shard` (ring occupancy plus the
@@ -309,61 +246,87 @@ impl ShardSet {
     pub fn depth(&self, shard: u16) -> usize {
         self.shards[shard as usize].depth()
     }
+}
 
-    /// Procedures dispatched per shard (occupancy accounting).
-    pub fn dispatched_per_shard(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.dispatched).collect()
-    }
+/// The analytic engine: every admitted procedure's completion instant is
+/// known at offer time, so the whole record — completion, stages,
+/// utilization lanes — is written on the spot and nothing can be lost in
+/// flight.
+impl ShardExec for ShardSet {
+    type Ticket = SimTime;
 
-    /// Peak in-flight depth observed per shard.
-    pub fn peak_depths(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.peak_depth).collect()
-    }
-
-    /// Samples every shard's current depth into the flight recorder as
-    /// labelled gauges.
-    pub fn record_depth_gauges(&self, obs: &mut Obs, now: SimTime) {
-        for s in &self.shards {
-            s.tx.record_depth(&mut obs.flight, now);
+    fn offer(
+        &mut self,
+        shard: u16,
+        kind: UeEvent,
+        ue: u32,
+        at: SimTime,
+        profiles: &ProfileSet,
+        tel: &mut Telemetry,
+    ) -> Option<SimTime> {
+        let prof = profiles.get(kind);
+        match ShardSet::offer(self, shard, at, prof, u64::from(ue) + 1, &mut tel.obs) {
+            Admission::Dispatched {
+                completes_at,
+                queue_wait,
+                service,
+            } => {
+                let start = at + queue_wait;
+                let svc = Service {
+                    start,
+                    done_cpu: start + service,
+                    completes_at,
+                };
+                tel.record_completion(kind, ue, at, completes_at);
+                record_served(&mut tel.obs, tel.timeline.as_mut(), shard, at, &svc);
+                if let Some(tl) = tel.timeline.as_mut() {
+                    record_admitted(tl, shard, at, self.depth(shard), &svc);
+                }
+                Some(completes_at)
+            }
+            Admission::Shed => {
+                if let Some(tl) = tel.timeline.as_mut() {
+                    tl.record_shed(shard, at);
+                }
+                None
+            }
+            Admission::Backpressure => {
+                if let Some(tl) = tel.timeline.as_mut() {
+                    tl.record_backpressure(shard, at);
+                }
+                None
+            }
         }
     }
 
-    /// Per-shard CPU-busy fraction up to `horizon`: each shard's
-    /// `min(busy_until, horizon) / horizon`. The per-worker counterpart
-    /// of [`ShardSet::busy_fraction`], feeding the utilization lanes and
-    /// `LoadReport::shard_utilization`.
-    pub fn busy_fractions(&self, horizon: SimTime) -> Vec<f64> {
-        if horizon.as_nanos() == 0 {
-            return vec![0.0; self.shards.len()];
-        }
-        self.shards
-            .iter()
-            .map(|s| {
-                s.busy_until.as_nanos().min(horizon.as_nanos()) as f64 / horizon.as_nanos() as f64
-            })
-            .collect()
+    fn completion(&mut self, _shard: u16, completes_at: SimTime, _tel: &mut Telemetry) -> SimTime {
+        completes_at
     }
 
-    /// Total CPU-busy time accumulated across shards up to `horizon`
-    /// (approximation: each shard busy until min(busy_until, horizon)).
-    pub fn busy_fraction(&self, horizon: SimTime) -> f64 {
-        if horizon.as_nanos() == 0 || self.shards.is_empty() {
-            return 0.0;
+    fn finish(self, _tel: &mut Telemetry) -> ExecTotals {
+        ExecTotals {
+            shed: self.shed,
+            backpressure: self.backpressure,
+            peak_depth: self.shards.iter().map(|s| s.peak_depth).max().unwrap_or(0),
+            lost_in_outage: self.shards.iter().map(|s| s.lost_in_outage).sum(),
+            gauges: self
+                .shards
+                .iter()
+                .map(|s| (s.tx.label(), s.tx.len() as u64))
+                .collect(),
+            // The analytic engine never deschedules: no parked idle time,
+            // and the defaults for the rest — no waits, no wall clock.
+            per_shard_wait: vec![WaitStats::default(); self.shards.len()],
+            servers: self.shards.into_iter().map(|s| s.fifo).collect(),
+            ..ExecTotals::default()
         }
-        let cap = (horizon.as_nanos() as f64) * self.shards.len() as f64;
-        let busy: f64 = self
-            .shards
-            .iter()
-            .map(|s| s.busy_until.as_nanos().min(horizon.as_nanos()) as f64)
-            .sum();
-        busy / cap
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use l25gc_sim::{SimDuration, SimTime};
+    use l25gc_sim::SimDuration;
 
     fn prof(occ_us: u64, lat_us: u64) -> ProcedureProfile {
         ProcedureProfile {

@@ -11,18 +11,25 @@
 //! policies keep their semantics, now against *real* ring occupancy),
 //! and drains completions into the shared `l25gc-obs` histograms.
 //!
-//! Latency is still computed in virtual time by the same FIFO recurrence
-//! the analytic backend uses (`max(busy_until, arrival) + occupancy`,
-//! plus off-shard wire time), so the latency tables stay comparable;
-//! what the threaded run adds is **wall-clock truth**: how many events/s
-//! the dispatcher + rings + workers actually move ([`WallClock`]), and
-//! loss accounting over a real concurrent substrate (every submission is
-//! either completed or recorded as a typed drop — nothing vanishes).
+//! Latency is still computed in virtual time by the same
+//! [`FifoServer`] the analytic backend runs (`max(busy_until, arrival) +
+//! occupancy`, plus off-shard wire time), so the latency tables stay
+//! comparable; what the threaded run adds is **wall-clock truth**: how
+//! many events/s the dispatcher + rings + workers actually move
+//! ([`WallClock`](crate::driver::WallClock)), and loss accounting over a
+//! real concurrent substrate (every submission is either completed or
+//! recorded as a typed drop — nothing vanishes).
 //!
-//! Workers record into private `Obs` bundles (a per-shard queue-delay
-//! histogram; no locks on the hot path) which the dispatcher absorbs
-//! after join — the cross-thread recorder pattern `l25gc-obs` supports
-//! via [`Obs::absorb`].
+//! There is one admission path: every routed event is staged and crosses
+//! its submit ring in a `push_burst` of up to
+//! [`LoadConfig::dispatch_batch`] events, and batch 1 is simply a burst
+//! of one. The [`Pool`] is one of the two [`ShardExec`] engines the
+//! driver loop runs over.
+//!
+//! Workers record the stage histograms into private `Obs` bundles (no
+//! locks on the hot path) which the dispatcher absorbs after join — the
+//! cross-thread recorder pattern `l25gc-obs` supports via
+//! [`Obs::absorb`].
 //!
 //! Placement and waiting reproduce the paper's testbed discipline: with
 //! pinning enabled each worker lands on its own physical core (OpenNetVM's
@@ -38,20 +45,16 @@ use std::thread;
 use std::time::Instant;
 
 use l25gc_core::UeEvent;
-use l25gc_nfv::ring::{duplex_on, DuplexHost, RingFull, RingMemory};
-use l25gc_nfv::topology::{pin_current_thread, CpuTopology, PinError, PinPlan};
+use l25gc_nfv::ring::{duplex_on, DuplexHost, DuplexWorker, RingMemory};
+use l25gc_nfv::topology::{pin_current_thread, CpuTopology, PinPlan};
 use l25gc_obs::{DropCode, EventKind, MetricsTimeline, Obs};
-use l25gc_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use l25gc_sim::SimTime;
 
-use crate::dispatch::{proc_kind, ProfileSet};
-use crate::driver::{
-    apply_transition, disruption_from, draw_kind, fault_timeline, transition, LoadConfig, LoadMode,
-    LoadReport, ScrapePublisher, WallClock, HIST_ALL, HIST_QUEUE_WAIT, HIST_SERVICE, HIST_TRANSIT,
-};
-use crate::fault::{floor_service, Outage};
-use crate::fleet::Fleet;
+use crate::dispatch::ProfileSet;
+use crate::driver::{record_admitted, record_served, ExecTotals, LoadConfig, ShardExec, Telemetry};
+use crate::fifo::FifoServer;
 use crate::shard::{OverloadPolicy, SHARD_LABELS};
-use crate::wait::{WaitStats, WaitStrategy, Waiter};
+use crate::wait::{WaitStats, Waiter};
 
 /// Submissions a worker drains per ring poll (the DPDK burst idiom).
 const BURST: usize = 64;
@@ -100,30 +103,15 @@ pub struct Completion {
     pub completes_at: SimTime,
 }
 
-/// Histogram key for per-shard queueing delay recorded by the workers.
-pub const HIST_QUEUE_DELAY: &str = "shard_queue_delay";
-
-/// The hot counters a worker updates on every serve and the dispatcher
-/// reads at join, aligned to their own cache-line pair so the move into
-/// [`WorkerStats`] never shares a line with neighbouring worker state.
-#[repr(align(128))]
-#[derive(Debug, Clone, Copy)]
-struct HotStats {
-    /// Final virtual busy-until (utilisation accounting).
-    busy_until: SimTime,
-    /// Procedures this shard served.
-    served: u64,
-    /// Deepest submit-ring occupancy the worker observed at poll time.
-    peak_depth: usize,
-}
-
-/// What one worker thread hands back at join.
+/// What one worker thread hands back at join, beside its [`FifoServer`].
 struct WorkerStats {
     /// Which shard this worker served (a killed shard yields two stats
     /// bundles: the dead primary's and its standby's).
     shard: u16,
-    /// The padded hot counters (busy-until, served, peak depth).
-    hot: HotStats,
+    /// Procedures this worker served.
+    served: u64,
+    /// Deepest submit-ring occupancy the worker observed at poll time.
+    peak_depth: usize,
     /// Whether this worker is actually pinned to its planned CPU.
     pinned: bool,
     /// Wait-ladder counters from both of the worker's wait sites.
@@ -133,20 +121,21 @@ struct WorkerStats {
     /// The worker's private timeline lane (completion counts + latency
     /// deltas for its shard), merged by the dispatcher at join.
     timeline: Option<MetricsTimeline>,
-    /// Procedures whose service crossed a kill outage (log replay).
-    replayed: u64,
-    /// Latest CPU-done instant among kill-replayed procedures.
-    last_replay_done: Option<SimTime>,
 }
 
 /// One shard's server loop: pop submissions in bursts, advance the
-/// virtual FIFO clock, push completions back in bursts. Runs until the
-/// stop sentinel.
+/// shard's [`FifoServer`], push completions back in bursts. Runs until
+/// the stop sentinel.
 struct ShardWorker {
-    port: l25gc_nfv::ring::DuplexWorker<Submit, Completion>,
+    port: DuplexWorker<Submit, Completion>,
     profiles: ProfileSet,
     shard: u16,
-    hot: HotStats,
+    /// The shard's service recurrence — the same code, over the same
+    /// arrivals and outages, as the analytic backend's, so the two
+    /// latency distributions match event-for-event when nothing is shed.
+    fifo: FifoServer,
+    served: u64,
+    peak_depth: usize,
     obs: Obs,
     timeline: Option<MetricsTimeline>,
     /// Completions accumulated while serving a burst, pushed with
@@ -160,35 +149,27 @@ struct ShardWorker {
     idle_wait: Waiter,
     /// Wait site: completion ring full.
     complete_wait: Waiter,
-    /// Scripted service outages on this shard, sorted by start — the
-    /// same intervals the analytic backend floors with.
-    outages: Vec<Outage>,
-    /// Procedures whose service crossed a kill outage (log replay).
-    replayed: u64,
-    /// Latest CPU-done instant among kill-replayed procedures.
-    last_replay_done: Option<SimTime>,
 }
 
-/// Warn exactly once per pool when affinity cannot be set; pinning is
-/// best-effort and the run continues unpinned.
-fn warn_pin_failure(latch: &AtomicBool, what: &str, cpu: u32, err: &PinError) {
-    if !latch.swap(true, Ordering::Relaxed) {
-        eprintln!("warning: pinning {what} to cpu {cpu} failed ({err}); continuing unpinned");
+/// Pins the calling thread to `cpu` when one is planned; `true` when the
+/// thread actually landed there. Pinning is best-effort: a failure warns
+/// once per pool (`latch`) and the run continues unpinned.
+fn pin_to(cpu: Option<u32>, what: &str, latch: &AtomicBool) -> bool {
+    let Some(cpu) = cpu else { return false };
+    match pin_current_thread(cpu) {
+        Ok(()) => true,
+        Err(e) => {
+            if !latch.swap(true, Ordering::Relaxed) {
+                eprintln!("warning: pinning {what} to cpu {cpu} failed ({e}); continuing unpinned");
+            }
+            false
+        }
     }
 }
 
 impl ShardWorker {
-    fn run(mut self) -> WorkerStats {
-        let pinned = match self.pin_cpu {
-            Some(cpu) => match pin_current_thread(cpu) {
-                Ok(()) => true,
-                Err(e) => {
-                    warn_pin_failure(&self.pin_warn, "shard worker", cpu, &e);
-                    false
-                }
-            },
-            None => false,
-        };
+    fn run(mut self) -> (FifoServer, WorkerStats) {
+        let pinned = pin_to(self.pin_cpu, "shard worker", &self.pin_warn);
         let mut buf: Vec<Submit> = Vec::with_capacity(BURST);
         'serve: loop {
             let n = self.port.submissions.pop_burst(&mut buf, BURST);
@@ -197,7 +178,7 @@ impl ShardWorker {
                 continue;
             }
             self.idle_wait.reset();
-            self.hot.peak_depth = self.hot.peak_depth.max(self.port.submissions.len() + n);
+            self.peak_depth = self.peak_depth.max(self.port.submissions.len() + n);
             for s in buf.drain(..) {
                 if s.seq == STOP_SEQ {
                     break 'serve;
@@ -209,68 +190,43 @@ impl ShardWorker {
         self.flush_completions();
         let mut wait = self.idle_wait.stats();
         wait.absorb(&self.complete_wait.stats());
-        WorkerStats {
+        let stats = WorkerStats {
             shard: self.shard,
-            hot: self.hot,
+            served: self.served,
+            peak_depth: self.peak_depth,
             pinned,
             wait,
             obs: self.obs,
             timeline: self.timeline,
-            replayed: self.replayed,
-            last_replay_done: self.last_replay_done,
-        }
+        };
+        (self.fifo, stats)
     }
 
-    /// The FIFO recurrence — identical arithmetic to the analytic
-    /// backend, so the two latency distributions match event-for-event
-    /// when nothing is shed. The completion is buffered, not pushed;
+    /// Serves one submission. The completion is buffered, not pushed;
     /// [`ShardWorker::flush_completions`] sends the whole burst.
     fn serve(&mut self, s: Submit) {
-        let prof = self.profiles.get(s.kind);
-        let start = self.hot.busy_until.max(s.at);
-        // Scripted outages floor the recurrence exactly as in the
-        // analytic backend — a kill-crossing procedure is the log-replay
-        // path re-running it after the failover window.
-        let (start, crossed_kill) = floor_service(&self.outages, start, prof.occupancy);
-        let done_cpu = start + prof.occupancy;
-        let completes_at = done_cpu + prof.latency.saturating_sub(prof.occupancy);
-        self.hot.busy_until = done_cpu;
-        self.hot.served += 1;
-        if crossed_kill {
-            self.replayed += 1;
-            self.last_replay_done =
-                Some(self.last_replay_done.map_or(done_cpu, |d| d.max(done_cpu)));
-        }
-        // Stage anatomy: queue-wait (arrival → service start), service
-        // (shard occupancy), and completion transit (the off-shard wire
-        // time) tile the end-to-end latency exactly — same boundaries as
-        // the analytic backend, so per-stage distributions compare
-        // across backends.
-        let lat = completes_at.duration_since(s.at).as_nanos();
-        let qw = start.duration_since(s.at).as_nanos();
-        let svc = done_cpu.duration_since(start).as_nanos();
-        debug_assert!(qw + svc <= lat, "stage sum exceeds end-to-end");
-        let transit = lat - qw - svc;
-        self.obs.hists.record(HIST_QUEUE_DELAY, qw);
-        self.obs.hists.record(HIST_QUEUE_WAIT, qw);
-        self.obs.hists.record(HIST_SERVICE, svc);
-        self.obs.hists.record(HIST_TRANSIT, transit);
-        if let Some(tl) = self.timeline.as_mut() {
-            tl.record_completion(self.shard, completes_at, lat);
-            tl.record_stages(self.shard, completes_at, qw, svc, transit);
-        }
+        let svc = self.fifo.serve(s.at, self.profiles.get(s.kind));
+        self.served += 1;
+        record_served(
+            &mut self.obs,
+            self.timeline.as_mut(),
+            self.shard,
+            s.at,
+            &svc,
+        );
         self.out_buf.push(Completion {
             seq: s.seq,
             kind: s.kind,
             ue: s.ue,
             at: s.at,
-            completes_at,
+            completes_at: svc.completes_at,
         });
     }
 
     /// Pushes the buffered completions as bursts, waiting out a full
-    /// completion ring. The dispatcher always drains completions while
-    /// waiting on a full submit ring, so this wait is deadlock-free.
+    /// completion ring. The dispatcher drains completions wherever it
+    /// waits on this worker — a full submit ring, a round trip, the stop
+    /// sentinel — so this wait is deadlock-free.
     fn flush_completions(&mut self) {
         while !self.out_buf.is_empty() {
             if self.port.complete.push_burst(&mut self.out_buf) == 0 {
@@ -289,16 +245,14 @@ struct PendingKill {
     fired: bool,
 }
 
-/// Everything needed to spawn a standby worker when a kill fires.
-struct Respawn {
-    profiles: ProfileSet,
-    wait: WaitStrategy,
-    metrics_interval: Option<SimDuration>,
-    shards_total: u16,
-    ring_capacity: usize,
-    high_water: usize,
-    /// Per-shard outage intervals, sorted by start.
-    outages: Vec<Vec<Outage>>,
+type Host = DuplexHost<Submit, Completion>;
+type Handle = thread::JoinHandle<(FifoServer, WorkerStats)>;
+
+/// Everything needed to put a worker on a shard — at pool start, and
+/// again for the standby when a kill fires.
+struct Respawn<'a> {
+    cfg: &'a LoadConfig,
+    profiles: &'a ProfileSet,
     pin_cpus: Vec<Option<u32>>,
     /// Per-shard ring placement: the memory node of the worker's planned
     /// CPU, so a standby's fresh duplex pair lands on the same node.
@@ -306,44 +260,72 @@ struct Respawn {
     pin_warn: Arc<AtomicBool>,
 }
 
+impl Respawn<'_> {
+    /// Spawns a worker for shard `i` on a fresh duplex pair, serving from
+    /// `fifo`'s clock. `role` suffixes the thread name.
+    fn spawn(&self, i: usize, fifo: FifoServer, role: &str) -> (Host, Handle) {
+        let cfg = self.cfg;
+        let label = SHARD_LABELS[i % SHARD_LABELS.len()];
+        let (mut host, port) =
+            duplex_on::<Submit, Completion>(cfg.shard_cfg.ring_capacity, label, self.ring_mem[i]);
+        host.submit.set_high_water(cfg.shard_cfg.high_water);
+        let worker = ShardWorker {
+            port,
+            profiles: self.profiles.clone(),
+            shard: i as u16,
+            fifo,
+            served: 0,
+            peak_depth: 0,
+            obs: Obs::new(),
+            // Each worker gets a full-width timeline and records only its
+            // own lane; `MetricsTimeline::absorb` then merges them into
+            // the dispatcher's — the same private-recorder discipline as
+            // `Obs`.
+            timeline: cfg
+                .metrics_interval
+                .map(|iv| MetricsTimeline::new(iv, cfg.shard_cfg.shards)),
+            out_buf: Vec::with_capacity(BURST),
+            pin_cpu: self.pin_cpus[i],
+            pin_warn: self.pin_warn.clone(),
+            idle_wait: Waiter::new(cfg.wait),
+            complete_wait: Waiter::new(cfg.wait),
+        };
+        let handle = thread::Builder::new()
+            .name(format!("l25gc-{label}{role}"))
+            .spawn(move || worker.run())
+            .expect("spawn shard worker");
+        (host, handle)
+    }
+}
+
 /// The dispatcher's side of the pool: per-shard duplex hosts plus the
-/// join handles, and the drop/completion accounting.
-struct Pool {
-    hosts: Vec<DuplexHost<Submit, Completion>>,
-    handles: Vec<thread::JoinHandle<WorkerStats>>,
+/// join handles, the staging buffers, and the drop accounting.
+pub(crate) struct Pool<'a> {
+    hosts: Vec<Host>,
+    /// `None` only while a shard's worker is being stopped and joined.
+    handles: Vec<Option<Handle>>,
     /// One `Thread` handle per worker, for wake-on-submit: a push that
     /// takes a submit ring from empty to non-empty unparks its worker so
     /// a parked shard reacts immediately instead of riding out the park
     /// timeout. `unpark` on a running thread is a cheap no-op-ish store.
     workers: Vec<thread::Thread>,
-    policy: OverloadPolicy,
+    /// The dispatcher's own copy of each shard's [`FifoServer`]: it
+    /// knows the shard's outages for the admission accounting and, when
+    /// a timeline is on, serves every dispatch at offer time — the same
+    /// recurrence over the same arrivals as the worker's copy, so the
+    /// utilization lanes are live (recorded at dispatch, not at join)
+    /// and match the analytic backend's.
+    lanes: Vec<FifoServer>,
     shed: u64,
-    backpressure: u64,
-    dispatched: u64,
-    completed: u64,
-    completed_total: u64,
     peak_depth: usize,
+    /// Sequence number of the next dispatch = procedures dispatched.
     next_seq: u64,
     comp_buf: Vec<Completion>,
-    /// Span sampling stride (0 = off); applied at completion drain.
-    trace_sample: u64,
-    /// The dispatcher's timeline lanes: dispatch/shed/backpressure
-    /// counts, submit-ring depth, and the busy/occupancy duty cycles.
-    /// Workers record completions into their own lanes; everything
-    /// merges at shutdown.
-    timeline: Option<MetricsTimeline>,
-    /// Shadow of each shard's virtual busy-until, mirrored by the
-    /// dispatcher so the busy lanes are live (recorded at dispatch, not
-    /// at join) — the same FIFO recurrence the workers run, over the
-    /// same arrivals, so the lanes match the analytic backend's.
-    shadow_busy: Vec<SimTime>,
-    /// Live scrape-endpoint publisher, when configured.
-    publisher: Option<ScrapePublisher>,
     /// Whether the dispatcher itself landed on its planned CPU.
     dispatcher_pinned: bool,
-    /// Wait site: full submit ring under the `Queue` policy.
+    /// Wait site: full submit ring.
     offer_wait: Waiter,
-    /// Wait site: pushing stop sentinels at shutdown.
+    /// Wait site: stopping a worker.
     shutdown_wait: Waiter,
     /// Wait site: closed-loop completion round trip.
     await_wait: Waiter,
@@ -351,25 +333,23 @@ struct Pool {
     kills: Vec<PendingKill>,
     /// Stats of workers already joined mid-run (killed primaries).
     retired: Vec<WorkerStats>,
-    /// Standby-spawn context for failover.
-    respawn: Respawn,
+    /// Worker-spawn context, kept for failover.
+    respawn: Respawn<'a>,
     /// Arrivals shed while their shard was inside a scripted outage.
     lost_in_outage: u64,
-    /// Per-shard staging buffers for batched dispatch: routed events
-    /// accumulate here and cross the submit ring as one `push_burst`,
-    /// amortising the admission check, the ring's release fence, and the
-    /// wake-on-submit unpark over the whole burst. Empty at batch 1.
+    /// Per-shard staging buffers: routed events accumulate here and cross
+    /// the submit ring as one `push_burst` of up to
+    /// [`LoadConfig::dispatch_batch`] events, amortising the admission
+    /// check, the ring's release fence, and the wake-on-submit unpark
+    /// over the whole burst. Batch 1 is a burst of one.
     staged: Vec<Vec<Submit>>,
-    /// Virtual arrival instant of each shard's oldest staged event —
-    /// the flush-deadline clock, and the window a flush is charged to.
-    staged_oldest: Vec<Option<SimTime>>,
-    /// Configured staging burst size; 1 = per-event dispatch (legacy
-    /// path, byte-for-byte unchanged).
-    batch: usize,
+    /// When the pool started: the run's wall clock.
+    wall_start: Instant,
 }
 
-impl Pool {
-    fn spawn(cfg: &LoadConfig, profiles: &ProfileSet) -> Pool {
+impl<'a> Pool<'a> {
+    pub(crate) fn spawn(cfg: &'a LoadConfig, profiles: &'a ProfileSet) -> Pool<'a> {
+        let wall_start = Instant::now();
         let shards = cfg.shard_cfg.shards as usize;
         let pin_warn = Arc::new(AtomicBool::new(false));
         // One worker per distinct physical core, dispatcher on a spare
@@ -390,138 +370,76 @@ impl Pool {
         } else {
             None
         };
-        let dispatcher_pinned = match plan.as_ref().and_then(|p| p.dispatcher) {
-            Some(cpu) => match pin_current_thread(cpu) {
-                Ok(()) => true,
-                Err(e) => {
-                    warn_pin_failure(&pin_warn, "dispatcher", cpu, &e);
-                    false
-                }
-            },
-            None => false,
-        };
-        // Each worker gets a full-width timeline and records only its
-        // own lane; `MetricsTimeline::absorb` then merges them into the
-        // dispatcher's — the same private-recorder discipline as `Obs`.
-        let timeline_for = |cfg: &LoadConfig| {
-            cfg.metrics_interval
-                .map(|iv| MetricsTimeline::new(iv, cfg.shard_cfg.shards))
+        let dispatcher_cpu = plan.as_ref().and_then(|p| p.dispatcher);
+        let dispatcher_pinned = pin_to(dispatcher_cpu, "dispatcher", &pin_warn);
+        let respawn = Respawn {
+            cfg,
+            profiles,
+            pin_cpus: (0..shards)
+                .map(|i| plan.as_ref().map(|p| p.worker_cpus[i]))
+                .collect(),
+            // Ring placement follows the pin plan: each worker's duplex
+            // pair is allocated from the memory node of its planned CPU
+            // (DPDK's `rte_malloc_socket` discipline). Unpinned runs —
+            // and any host where the node bind is refused — stay on
+            // first-touch heap.
+            ring_mem: (0..shards)
+                .map(|i| match plan.as_ref() {
+                    Some(p) => RingMemory::Node(p.worker_nodes[i]),
+                    None => RingMemory::Heap,
+                })
+                .collect(),
+            pin_warn,
         };
         // Outage intervals and the kill schedule from the fault plan —
         // the same compiled intervals the analytic backend floors with.
-        let mut outages_by_shard: Vec<Vec<Outage>> = vec![Vec::new(); shards];
-        let mut kills = Vec::new();
-        if let Some(fault) = &cfg.fault {
-            for o in fault.outages(&fault_timeline(), cfg.duration) {
-                outages_by_shard[o.shard as usize].push(o);
-            }
-            kills.extend(fault.kills().map(|e| PendingKill {
+        let lanes = FifoServer::per_shard(&cfg.outages(), shards);
+        let kills = cfg
+            .fault
+            .iter()
+            .flat_map(|f| f.kills())
+            .map(|e| PendingKill {
                 shard: e.shard,
                 at: SimTime::ZERO + e.at,
                 fired: false,
-            }));
-        }
-        let pin_cpus: Vec<Option<u32>> = (0..shards)
-            .map(|i| plan.as_ref().map(|p| p.worker_cpus[i]))
-            .collect();
-        // Ring placement follows the pin plan: each worker's duplex pair
-        // is allocated from the memory node of its planned CPU (DPDK's
-        // `rte_malloc_socket` discipline). Unpinned runs — and any host
-        // where the node bind is refused — stay on first-touch heap.
-        let ring_mem: Vec<RingMemory> = (0..shards)
-            .map(|i| match plan.as_ref() {
-                Some(p) => RingMemory::Node(p.worker_nodes[i]),
-                None => RingMemory::Heap,
-            })
-            .collect();
-        let mut hosts = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let label = SHARD_LABELS[i % SHARD_LABELS.len()];
-            let (mut host, port) =
-                duplex_on::<Submit, Completion>(cfg.shard_cfg.ring_capacity, label, ring_mem[i]);
-            host.submit.set_high_water(cfg.shard_cfg.high_water);
-            let worker = ShardWorker {
-                port,
-                profiles: profiles.clone(),
-                shard: i as u16,
-                hot: HotStats {
-                    busy_until: SimTime::ZERO,
-                    served: 0,
-                    peak_depth: 0,
-                },
-                obs: Obs::new(),
-                timeline: timeline_for(cfg),
-                out_buf: Vec::with_capacity(BURST),
-                pin_cpu: pin_cpus[i],
-                pin_warn: pin_warn.clone(),
-                idle_wait: Waiter::new(cfg.wait),
-                complete_wait: Waiter::new(cfg.wait),
-                outages: outages_by_shard[i].clone(),
-                replayed: 0,
-                last_replay_done: None,
-            };
-            let handle = thread::Builder::new()
-                .name(format!("l25gc-{label}"))
-                .spawn(move || worker.run())
-                .expect("spawn shard worker");
-            workers.push(handle.thread().clone());
-            handles.push(handle);
-            hosts.push(host);
-        }
+            });
+        let (hosts, handles): (Vec<Host>, Vec<Handle>) = lanes
+            .iter()
+            .enumerate()
+            .map(|(i, fifo)| respawn.spawn(i, fifo.clone(), ""))
+            .unzip();
         Pool {
             hosts,
-            handles,
-            workers,
-            policy: cfg.shard_cfg.policy,
+            workers: handles.iter().map(|h| h.thread().clone()).collect(),
+            handles: handles.into_iter().map(Some).collect(),
+            lanes,
             shed: 0,
-            backpressure: 0,
-            dispatched: 0,
-            completed: 0,
-            completed_total: 0,
             peak_depth: 0,
             next_seq: 0,
             comp_buf: Vec::with_capacity(BURST),
-            trace_sample: cfg.trace_sample,
-            timeline: timeline_for(cfg),
-            shadow_busy: vec![SimTime::ZERO; shards],
-            publisher: ScrapePublisher::from_config(cfg),
             dispatcher_pinned,
             offer_wait: Waiter::new(cfg.wait),
             shutdown_wait: Waiter::new(cfg.wait),
             await_wait: Waiter::new(cfg.wait),
-            kills,
+            kills: kills.collect(),
             retired: Vec::new(),
-            respawn: Respawn {
-                profiles: profiles.clone(),
-                wait: cfg.wait,
-                metrics_interval: cfg.metrics_interval,
-                shards_total: cfg.shard_cfg.shards,
-                ring_capacity: cfg.shard_cfg.ring_capacity,
-                high_water: cfg.shard_cfg.high_water,
-                outages: outages_by_shard,
-                pin_cpus,
-                ring_mem,
-                pin_warn,
-            },
+            respawn,
             lost_in_outage: 0,
             staged: (0..shards)
-                .map(|_| Vec::with_capacity(cfg.dispatch_batch.max(1)))
+                .map(|_| Vec::with_capacity(cfg.dispatch_batch))
                 .collect(),
-            staged_oldest: vec![None; shards],
-            batch: cfg.dispatch_batch.max(1),
+            wall_start,
         }
     }
 
     /// Delivers every scripted kill whose virtual time has been reached.
     /// Called from the dispatch loop (with the current arrival time) and
-    /// once more at shutdown (with the horizon) so trailing kills fire.
-    fn maybe_fire_kills(&mut self, now: SimTime, horizon: SimTime, obs: &mut Obs) {
+    /// once more at the end (with the horizon) so trailing kills fire.
+    fn maybe_fire_kills(&mut self, now: SimTime, tel: &mut Telemetry) {
         while let Some(idx) = self.kills.iter().position(|k| !k.fired && k.at <= now) {
             self.kills[idx].fired = true;
             let shard = self.kills[idx].shard;
-            self.fail_over(shard, horizon, obs);
+            self.fail_over(shard, tel);
         }
     }
 
@@ -530,289 +448,171 @@ impl Pool {
     /// ring as the backlog, so the primary serves everything already
     /// logged before dying — the counter-ordered log replay of §3.5 —
     /// and the standby resumes from the replica checkpoint: the
-    /// primary's final virtual clock.
-    fn fail_over(&mut self, shard: u16, horizon: SimTime, obs: &mut Obs) {
+    /// primary's [`FifoServer`], which keeps the shard's recurrence
+    /// unbroken, so threaded latencies still match the analytic backend.
+    fn fail_over(&mut self, shard: u16, tel: &mut Telemetry) {
         let i = shard as usize;
         // Staged events were logged (admitted and sequenced) before the
         // kill fired; flush them ahead of the sentinel so the dying
-        // primary serves its whole logged backlog — the counter-ordered
-        // log replay, identical to per-event dispatch.
-        self.flush_shard(i, horizon, obs);
-        // Deliver the poison pill behind the logged backlog, draining
-        // completions so the primary's flush can never wedge the pair.
-        let mut stop = Submit {
+        // primary serves its whole logged backlog.
+        self.flush_shard(i, tel);
+        let (fifo, stats) = self.stop_worker(i, tel);
+        self.retired.push(stats);
+        let (host, handle) = self.respawn.spawn(i, fifo, "-standby");
+        self.workers[i] = handle.thread().clone();
+        self.handles[i] = Some(handle);
+        self.hosts[i] = host;
+    }
+
+    /// Delivers the stop sentinel behind shard `i`'s backlog and joins
+    /// its worker, draining completions the whole time: the worker's
+    /// remaining backlog can owe more completions than the completion
+    /// ring holds, and a worker waiting for room never exits.
+    fn stop_worker(&mut self, i: usize, tel: &mut Telemetry) -> (FifoServer, WorkerStats) {
+        let stop = Submit {
             seq: STOP_SEQ,
             kind: UeEvent::Registration,
             ue: 0,
             at: SimTime::ZERO,
         };
-        loop {
-            match self.hosts[i].submit.push(stop) {
-                Ok(()) => break,
-                Err(RingFull(back)) => {
-                    stop = back;
-                    self.drain_completions(horizon, obs);
-                    self.shutdown_wait.wait();
-                }
-            }
+        while self.hosts[i].submit.push(stop).is_err() {
+            self.drain_completions(tel);
+            self.shutdown_wait.wait();
         }
+        // The worker may be idle-parked on an empty ring; wake it so it
+        // sees the sentinel without waiting out the park timeout.
         self.workers[i].unpark();
-        self.shutdown_wait.reset();
-        while !self.handles[i].is_finished() {
-            self.drain_completions(horizon, obs);
+        let handle = self.handles[i].take().expect("one live worker per shard");
+        while !handle.is_finished() {
+            self.drain_completions(tel);
             self.shutdown_wait.wait();
         }
         self.shutdown_wait.reset();
-        let stats = self
-            .handles
-            .remove(i)
-            .join()
-            .expect("killed shard worker panicked");
-        let seed_busy = stats.hot.busy_until;
-        self.retired.push(stats);
+        let joined = handle.join().expect("shard worker panicked");
         // The final flush may have landed between the last drain and
-        // thread exit; empty the old completion ring before the pair is
+        // thread exit; empty the completion ring before the pair can be
         // replaced, or those completions are lost with it.
-        self.drain_completions(horizon, obs);
-        let label = SHARD_LABELS[i % SHARD_LABELS.len()];
-        let (mut host, port) = duplex_on::<Submit, Completion>(
-            self.respawn.ring_capacity,
-            label,
-            self.respawn.ring_mem[i],
-        );
-        host.submit.set_high_water(self.respawn.high_water);
-        let worker = ShardWorker {
-            port,
-            profiles: self.respawn.profiles.clone(),
-            shard,
-            // Seeding the standby's virtual clock with the dead
-            // primary's keeps the shard's FIFO recurrence unbroken, so
-            // threaded latencies still match the analytic backend.
-            hot: HotStats {
-                busy_until: seed_busy,
-                served: 0,
-                peak_depth: 0,
-            },
-            obs: Obs::new(),
-            timeline: self
-                .respawn
-                .metrics_interval
-                .map(|iv| MetricsTimeline::new(iv, self.respawn.shards_total)),
-            out_buf: Vec::with_capacity(BURST),
-            pin_cpu: self.respawn.pin_cpus[i],
-            pin_warn: self.respawn.pin_warn.clone(),
-            idle_wait: Waiter::new(self.respawn.wait),
-            complete_wait: Waiter::new(self.respawn.wait),
-            outages: self.respawn.outages[i].clone(),
-            replayed: 0,
-            last_replay_done: None,
-        };
-        let handle = thread::Builder::new()
-            .name(format!("l25gc-{label}-standby"))
-            .spawn(move || worker.run())
-            .expect("spawn standby shard worker");
-        self.workers[i] = handle.thread().clone();
-        self.handles.insert(i, handle);
-        self.hosts[i] = host;
+        self.drain_completions(tel);
+        joined
     }
 
-    /// Records one drained completion into the shared histograms, plus a
-    /// span when the UE is on the sampling stride.
-    fn record_completion(
-        trace_sample: u64,
-        c: Completion,
-        horizon: SimTime,
-        obs: &mut Obs,
-    ) -> bool {
-        let lat = c.completes_at.duration_since(c.at).as_nanos();
-        obs.hists.record(proc_kind(c.kind).name(), lat);
-        obs.hists.record(HIST_ALL, lat);
-        if trace_sample > 0 && u64::from(c.ue) % trace_sample == 0 {
-            obs.spans
-                .record_completed(proc_kind(c.kind), u64::from(c.ue), c.at, c.completes_at);
-        }
-        c.completes_at <= horizon
-    }
-
-    /// Drains every shard's completion ring into `obs`.
-    fn drain_completions(&mut self, horizon: SimTime, obs: &mut Obs) {
-        let trace_sample = self.trace_sample;
+    /// Drains every shard's completion ring into `tel`.
+    fn drain_completions(&mut self, tel: &mut Telemetry) {
         for host in &mut self.hosts {
-            loop {
-                let n = host.completions.pop_burst(&mut self.comp_buf, BURST);
-                if n == 0 {
-                    break;
-                }
+            while host.completions.pop_burst(&mut self.comp_buf, BURST) > 0 {
                 for c in self.comp_buf.drain(..) {
-                    self.completed_total += 1;
-                    if Self::record_completion(trace_sample, c, horizon, obs) {
-                        self.completed += 1;
-                    }
+                    tel.record_completion(c.kind, c.ue, c.at, c.completes_at);
                 }
             }
         }
     }
 
-    /// Offers one procedure to `shard`: admission control against the
-    /// real submit ring, then a push. Returns the assigned `seq` on
-    /// dispatch, `None` when the arrival was shed or backpressured.
-    ///
-    /// With `--dispatch-batch N > 1` the push is deferred: the event is
-    /// staged and crosses the ring later as part of one `push_burst`
-    /// ([`Pool::offer_staged`]). Everything virtual-time — the seq
-    /// order, the FIFO recurrence, the latency anatomy — is fixed at
-    /// offer time, so batching changes wall-clock behaviour only.
-    #[allow(clippy::too_many_arguments)]
+    /// Shard `i`'s logical occupancy: submit ring plus staged.
+    fn depth(&self, i: usize) -> usize {
+        self.hosts[i].submit.len() + self.staged[i].len()
+    }
+
+    /// Pushes shard `i`'s staged burst into its submit ring as one
+    /// `push_burst`: one consumer-index refresh, one release fence, and
+    /// at most one wake-on-submit unpark for the whole burst. Residue
+    /// (ring full — `Queue` policy only, see `offer`) waits for worker
+    /// progress, draining completions so the pair cannot wedge.
+    fn flush_shard(&mut self, i: usize, tel: &mut Telemetry) {
+        // The burst's oldest arrival: the window the flush is charged to.
+        let Some(&Submit { at, .. }) = self.staged[i].first() else {
+            return;
+        };
+        let fill = self.staged[i].len() as u64;
+        loop {
+            let (submit, staged) = (&mut self.hosts[i].submit, &mut self.staged[i]);
+            // One occupancy reading per ring crossing serves both the
+            // depth peak and the wake decision.
+            let queued = submit.len();
+            self.peak_depth = self.peak_depth.max(queued + staged.len());
+            let pushed = submit.push_burst(staged);
+            // Empty → non-empty transition: the worker may be parked in
+            // its idle wait; wake it so the burst is served now, not
+            // after the park timeout. (If `unpark` lands before the park,
+            // the saved token makes the park return immediately.)
+            if pushed > 0 && queued == 0 {
+                self.workers[i].unpark();
+            }
+            if staged.is_empty() {
+                break;
+            }
+            self.drain_completions(tel);
+            self.offer_wait.wait();
+        }
+        self.offer_wait.reset();
+        // The batch lanes describe staging; per-event dispatch has none.
+        if self.respawn.cfg.dispatch_batch > 1 {
+            if let Some(tl) = tel.timeline.as_mut() {
+                tl.record_batch_flush(i as u16, at, fill);
+            }
+        }
+    }
+
+    /// Flushes every shard whose oldest staged arrival has aged past
+    /// [`FLUSH_DEADLINE_NS`] of virtual time — the deadline flush that
+    /// keeps under-full bursts from riding out long arrival gaps.
+    fn flush_expired(&mut self, now: SimTime, tel: &mut Telemetry) {
+        for i in 0..self.staged.len() {
+            if let Some(oldest) = self.staged[i].first() {
+                if now.duration_since(oldest.at).as_nanos() >= FLUSH_DEADLINE_NS {
+                    self.flush_shard(i, tel);
+                }
+            }
+        }
+    }
+}
+
+/// The threaded engine. Everything virtual-time — the seq order, the
+/// FIFO recurrence, the latency anatomy — is fixed at offer time, so
+/// when a staged burst physically crosses the ring changes wall-clock
+/// behaviour only.
+impl ShardExec for Pool<'_> {
+    type Ticket = u64;
+
+    /// The only admission path: high-water admission against *logical*
+    /// occupancy (ring plus staged), then staging. The seq is assigned
+    /// and all virtual-time accounting (depth, the utilization lanes)
+    /// happens here, at the arrival instant, so the timeline is
+    /// independent of when the burst crosses the ring. Returns the seq.
     fn offer(
         &mut self,
         shard: u16,
         kind: UeEvent,
         ue: u32,
         at: SimTime,
-        seid: u64,
-        horizon: SimTime,
-        obs: &mut Obs,
+        profiles: &ProfileSet,
+        tel: &mut Telemetry,
     ) -> Option<u64> {
-        self.maybe_fire_kills(at, horizon, obs);
-        if self.batch > 1 {
-            self.flush_expired(at, horizon, obs);
-            return self.offer_staged(shard, kind, ue, at, seid, horizon, obs);
-        }
-        let host = &mut self.hosts[shard as usize];
-        // Admission control at the high-water mark, against real ring
-        // occupancy — the substrate's own congestion signal.
-        if host.submit.above_high_water() && self.policy == OverloadPolicy::Shed {
-            if self.respawn.outages[shard as usize]
-                .iter()
-                .any(|o| at >= o.start && at < o.end)
-            {
-                self.lost_in_outage += 1;
-            }
-            self.shed += 1;
-            obs.event(
-                at,
-                EventKind::PacketDrop {
-                    reason: DropCode::AdmissionShed,
-                    seid,
-                },
-            );
-            if let Some(tl) = self.timeline.as_mut() {
-                tl.record_shed(shard, at);
-            }
-            return None;
-        }
-        let seq = self.next_seq;
-        let mut sub = Submit { seq, kind, ue, at };
-        loop {
-            // Empty → non-empty transition: the worker may be parked in
-            // its idle wait; wake it so the submission is served now, not
-            // after the park timeout. (If `unpark` lands before the park,
-            // the saved token makes the park return immediately.)
-            let was_empty = self.hosts[shard as usize].submit.is_empty();
-            match self.hosts[shard as usize].submit.push(sub) {
-                Ok(()) => {
-                    if was_empty {
-                        self.workers[shard as usize].unpark();
-                    }
-                    break;
-                }
-                Err(RingFull(back)) => match self.policy {
-                    OverloadPolicy::Shed => {
-                        self.backpressure += 1;
-                        obs.event(
-                            at,
-                            EventKind::PacketDrop {
-                                reason: DropCode::RingBackpressure,
-                                seid,
-                            },
-                        );
-                        if let Some(tl) = self.timeline.as_mut() {
-                            tl.record_backpressure(shard, at);
-                        }
-                        return None;
-                    }
-                    OverloadPolicy::Queue => {
-                        // Keep queueing: wait for the worker to make
-                        // room, draining completions so its completion
-                        // ring never wedges the pair.
-                        sub = back;
-                        self.drain_completions(horizon, obs);
-                        self.offer_wait.wait();
-                    }
-                },
-            }
-        }
-        self.offer_wait.reset();
-        self.next_seq += 1;
-        self.dispatched += 1;
-        let depth = self.hosts[shard as usize].submit.len();
-        self.peak_depth = self.peak_depth.max(depth);
-        if let Some(tl) = self.timeline.as_mut() {
-            tl.record_dispatched(shard, at);
-            tl.record_depth(shard, at, depth as u64);
-            // Mirror the worker's FIFO recurrence so the busy lanes are
-            // live: same profiles, same outage flooring, same arrivals —
-            // the worker will compute the identical span when it serves
-            // this submission.
-            let prof = self.respawn.profiles.get(kind);
-            let start = self.shadow_busy[shard as usize].max(at);
-            let (start, _) =
-                floor_service(&self.respawn.outages[shard as usize], start, prof.occupancy);
-            let done_cpu = start + prof.occupancy;
-            self.shadow_busy[shard as usize] = done_cpu;
-            tl.record_busy(shard, start, done_cpu);
-            tl.record_occupancy(shard, at, done_cpu);
-        }
-        Some(seq)
-    }
-
-    /// The batched offer path: admission control against *logical*
-    /// occupancy (ring plus staged), then staging instead of pushing.
-    /// The seq is assigned and all virtual-time accounting (dispatch
-    /// count, depth, shadow busy/occupancy lanes) happens here, at the
-    /// arrival instant — exactly where the per-event path does it — so
-    /// the timeline and the FIFO recurrence are independent of when the
-    /// burst physically crosses the ring.
-    #[allow(clippy::too_many_arguments)]
-    fn offer_staged(
-        &mut self,
-        shard: u16,
-        kind: UeEvent,
-        ue: u32,
-        at: SimTime,
-        seid: u64,
-        horizon: SimTime,
-        obs: &mut Obs,
-    ) -> Option<u64> {
+        self.maybe_fire_kills(at, tel);
+        self.flush_expired(at, tel);
         let i = shard as usize;
-        // High-water admission against logical occupancy. Under Shed the
-        // shard is first flushed (shard-switch pressure propagates the
-        // staged residue down) and the verdict comes from the real ring —
-        // the same signal the per-event path reads. Because admission
-        // caps logical occupancy at the high-water mark, a flush under
-        // Shed can never meet a full ring: backpressure drops cannot
-        // happen while batching under Shed, the overload shows up as
-        // admission shed instead.
-        if self.policy == OverloadPolicy::Shed
-            && self.hosts[i].submit.len() + self.staged[i].len() >= self.respawn.high_water
+        let cfg = self.respawn.cfg;
+        // Under Shed the shard is first flushed and the verdict comes
+        // from the real ring against its own (capacity-clamped) mark —
+        // the substrate's congestion signal. Because admission caps
+        // logical occupancy at that mark, a flush under Shed can never
+        // meet a full ring: overload shows up as admission shed, never
+        // as a backpressure drop. Under Queue a full ring blocks the
+        // flush instead.
+        if cfg.shard_cfg.policy == OverloadPolicy::Shed
+            && self.depth(i) >= self.hosts[i].submit.high_water()
         {
-            self.flush_shard(i, horizon, obs);
+            self.flush_shard(i, tel);
             if self.hosts[i].submit.above_high_water() {
-                if self.respawn.outages[i]
-                    .iter()
-                    .any(|o| at >= o.start && at < o.end)
-                {
-                    self.lost_in_outage += 1;
-                }
+                self.lost_in_outage += u64::from(self.lanes[i].in_outage(at));
                 self.shed += 1;
-                obs.event(
+                tel.obs.event(
                     at,
                     EventKind::PacketDrop {
                         reason: DropCode::AdmissionShed,
-                        seid,
+                        seid: u64::from(ue) + 1,
                     },
                 );
-                if let Some(tl) = self.timeline.as_mut() {
+                if let Some(tl) = tel.timeline.as_mut() {
                     tl.record_shed(shard, at);
                 }
                 return None;
@@ -820,389 +620,28 @@ impl Pool {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.dispatched += 1;
         self.staged[i].push(Submit { seq, kind, ue, at });
-        if self.staged_oldest[i].is_none() {
-            self.staged_oldest[i] = Some(at);
+        if let Some(tl) = tel.timeline.as_mut() {
+            let svc = self.lanes[i].serve(at, profiles.get(kind));
+            record_admitted(tl, shard, at, self.depth(i), &svc);
         }
-        let depth = self.hosts[i].submit.len() + self.staged[i].len();
-        self.peak_depth = self.peak_depth.max(depth);
-        if let Some(tl) = self.timeline.as_mut() {
-            tl.record_dispatched(shard, at);
-            tl.record_depth(shard, at, depth as u64);
-            // Same live shadow recurrence as the per-event path: the
-            // worker will compute the identical span whenever the burst
-            // reaches it.
-            let prof = self.respawn.profiles.get(kind);
-            let start = self.shadow_busy[i].max(at);
-            let (start, _) = floor_service(&self.respawn.outages[i], start, prof.occupancy);
-            let done_cpu = start + prof.occupancy;
-            self.shadow_busy[i] = done_cpu;
-            tl.record_busy(shard, start, done_cpu);
-            tl.record_occupancy(shard, at, done_cpu);
-        }
-        if self.staged[i].len() >= self.batch {
-            self.flush_shard(i, horizon, obs);
+        if self.staged[i].len() >= cfg.dispatch_batch {
+            self.flush_shard(i, tel);
         }
         Some(seq)
     }
 
-    /// Pushes shard `i`'s staged burst into its submit ring as one
-    /// `push_burst`: one consumer-index refresh, one release fence, and
-    /// at most one wake-on-submit unpark for the whole burst. Residue
-    /// (ring full, Queue policy only — see [`Pool::offer_staged`]) waits
-    /// for worker progress exactly like the per-event Queue path,
-    /// draining completions so the pair cannot wedge.
-    fn flush_shard(&mut self, i: usize, horizon: SimTime, obs: &mut Obs) {
-        if self.staged[i].is_empty() {
-            return;
-        }
-        let fill = self.staged[i].len() as u64;
-        let at = self.staged_oldest[i].take().unwrap_or(SimTime::ZERO);
-        loop {
-            let was_empty = self.hosts[i].submit.is_empty();
-            let pushed = self.hosts[i].submit.push_burst(&mut self.staged[i]);
-            if pushed > 0 && was_empty {
-                // One wake per flushed burst, not per event — the worker
-                // drains the whole burst from a single unpark.
-                self.workers[i].unpark();
-            }
-            if self.staged[i].is_empty() {
-                break;
-            }
-            self.drain_completions(horizon, obs);
-            self.offer_wait.wait();
-        }
-        self.offer_wait.reset();
-        if let Some(tl) = self.timeline.as_mut() {
-            tl.record_batch_flush(i as u16, at, fill);
-        }
-    }
-
-    /// Flushes every shard whose oldest staged arrival has aged past
-    /// [`FLUSH_DEADLINE_NS`] of virtual time — the deadline flush that
-    /// keeps under-full bursts from riding out long arrival gaps.
-    fn flush_expired(&mut self, now: SimTime, horizon: SimTime, obs: &mut Obs) {
-        for i in 0..self.staged.len() {
-            if let Some(oldest) = self.staged_oldest[i] {
-                if now.duration_since(oldest).as_nanos() >= FLUSH_DEADLINE_NS {
-                    self.flush_shard(i, horizon, obs);
-                }
-            }
-        }
-    }
-
-    /// Flushes every shard's staged residue, in shard order.
-    fn flush_all(&mut self, horizon: SimTime, obs: &mut Obs) {
-        for i in 0..self.staged.len() {
-            self.flush_shard(i, horizon, obs);
-        }
-    }
-
-    /// Publishes the live snapshot when `now` enters a new window.
-    fn maybe_publish(&mut self, now: SimTime) {
-        if let (Some(p), Some(tl)) = (self.publisher.as_mut(), self.timeline.as_ref()) {
-            p.maybe_publish(now, tl);
-        }
-    }
-
-    /// Sends the stop sentinel to every worker, joins them, drains the
-    /// final completions, and merges the per-worker recorder bundles.
-    /// Returns each worker's stats.
-    fn shutdown(mut self, horizon: SimTime, obs: &mut Obs) -> PoolStats {
-        // Kills scripted after the last arrival still fire, so the
-        // failover (and its replay accounting) happens before the join.
-        self.maybe_fire_kills(horizon, horizon, obs);
-        // Staged residue drains in FIFO order ahead of the sentinels —
-        // every sequenced submission reaches its worker before the stop.
-        self.flush_all(horizon, obs);
-        for i in 0..self.hosts.len() {
-            let mut stop = Submit {
-                seq: STOP_SEQ,
-                kind: UeEvent::Registration,
-                ue: 0,
-                at: SimTime::ZERO,
-            };
-            loop {
-                match self.hosts[i].submit.push(stop) {
-                    Ok(()) => break,
-                    Err(RingFull(back)) => {
-                        stop = back;
-                        self.drain_completions(horizon, obs);
-                        self.shutdown_wait.wait();
-                    }
-                }
-            }
-            // The worker may be idle-parked on an empty ring; wake it so
-            // it sees the sentinel without waiting out the park timeout.
-            self.workers[i].unpark();
-            self.shutdown_wait.reset();
-        }
-        // Retired (killed) primaries and their standbys report under the
-        // same shard id; `busy_until` is the per-shard max and replay
-        // counters sum, so failover is invisible to the occupancy math.
-        let shards_total = self.respawn.shards_total as usize;
-        let mut busy = vec![SimTime::ZERO; shards_total];
-        let mut last_done: Vec<Option<SimTime>> = vec![None; shards_total];
-        let mut replayed = 0u64;
-        let mut peak = self.peak_depth;
-        let mut served = 0u64;
-        let mut pinned_workers = 0usize;
-        let mut wait = self.offer_wait.stats();
-        wait.absorb(&self.shutdown_wait.stats());
-        wait.absorb(&self.await_wait.stats());
-        // The dispatcher's own wait sites, before the workers fold in —
-        // what dispatcher utilization subtracts from wall time.
-        let dispatcher_wait = wait;
-        // Per-shard wait counters *sum* a killed primary's stats with
-        // its standby's, so a shard's descheduled time survives failover
-        // instead of being flattened into the pool-wide total.
-        let mut per_shard_wait = vec![WaitStats::default(); shards_total];
-        let mut all = std::mem::take(&mut self.retired);
-        for h in std::mem::take(&mut self.handles) {
-            all.push(h.join().expect("shard worker panicked"));
-        }
-        for stats in all {
-            let i = stats.shard as usize;
-            busy[i] = busy[i].max(stats.hot.busy_until);
-            if let Some(d) = stats.last_replay_done {
-                last_done[i] = Some(last_done[i].map_or(d, |p| p.max(d)));
-            }
-            replayed += stats.replayed;
-            peak = peak.max(stats.hot.peak_depth);
-            served += stats.hot.served;
-            pinned_workers += usize::from(stats.pinned);
-            per_shard_wait[i].absorb(&stats.wait);
-            wait.absorb(&stats.wait);
-            obs.absorb(&stats.obs);
-            if let (Some(tl), Some(wtl)) = (self.timeline.as_mut(), stats.timeline.as_ref()) {
-                tl.absorb(wtl);
-            }
-        }
-        debug_assert_eq!(
-            served, self.dispatched,
-            "every dispatched submission is served exactly once"
-        );
-        // Everything the workers pushed before exiting is still in the
-        // completion rings; drain it so the loss accounting closes.
-        self.drain_completions(horizon, obs);
-        // Mirror of `ShardSet::disruption_span`: for a kill the outage
-        // lasts until the last replayed completion lands; for a freeze
-        // it is the scripted stall span.
-        let mut disruption_span: Option<SimDuration> = None;
-        for (i, outs) in self.respawn.outages.iter().enumerate() {
-            for o in outs {
-                let until = if o.kill {
-                    last_done[i].filter(|&d| d >= o.end).unwrap_or(o.end)
-                } else {
-                    o.end
-                };
-                let span = until.duration_since(o.start);
-                disruption_span = Some(disruption_span.map_or(span, |w| w.max(span)));
-            }
-        }
-        PoolStats {
-            shed: self.shed,
-            backpressure: self.backpressure,
-            dispatched: self.dispatched,
-            completed: self.completed,
-            completed_total: self.completed_total,
-            peak_depth: peak,
-            busy_until: busy,
-            pinned_workers,
-            dispatcher_pinned: self.dispatcher_pinned,
-            wait,
-            dispatcher_wait,
-            per_shard_wait,
-            timeline: self.timeline,
-            publisher: self.publisher,
-            replayed,
-            lost_in_outage: self.lost_in_outage,
-            disruption_span,
-        }
-    }
-}
-
-struct PoolStats {
-    shed: u64,
-    backpressure: u64,
-    dispatched: u64,
-    completed: u64,
-    completed_total: u64,
-    peak_depth: usize,
-    busy_until: Vec<SimTime>,
-    /// Workers that actually landed on their planned CPUs.
-    pinned_workers: usize,
-    /// Whether the dispatcher landed on its planned CPU.
-    dispatcher_pinned: bool,
-    /// Merged wait-ladder counters from every wait site in the pool.
-    wait: WaitStats,
-    /// The dispatcher's own wait sites only (offer/shutdown/await) —
-    /// dispatcher utilization is wall time minus this descheduled time.
-    dispatcher_wait: WaitStats,
-    /// Per-shard wait counters: a killed shard's primary and its standby
-    /// sum under the same index, so failover loses no accounting.
-    per_shard_wait: Vec<WaitStats>,
-    timeline: Option<MetricsTimeline>,
-    /// Live scrape-endpoint publisher, handed back for the drain
-    /// snapshot after idle finalization.
-    publisher: Option<ScrapePublisher>,
-    /// Services that crossed a kill outage and re-ran (log replay).
-    replayed: u64,
-    /// Arrivals shed while their shard was inside a scripted outage.
-    lost_in_outage: u64,
-    /// Worst observed outage span, replay drain included.
-    disruption_span: Option<SimDuration>,
-}
-
-/// Mean shard CPU utilisation from the workers' final virtual clocks.
-fn busy_fraction(busy_until: &[SimTime], horizon: SimTime) -> f64 {
-    if horizon.as_nanos() == 0 || busy_until.is_empty() {
-        return 0.0;
-    }
-    let cap = (horizon.as_nanos() as f64) * busy_until.len() as f64;
-    let busy: f64 = busy_until
-        .iter()
-        .map(|b| b.as_nanos().min(horizon.as_nanos()) as f64)
-        .sum();
-    busy / cap
-}
-
-/// Entry point from [`crate::driver::Driver`]: runs `cfg` on the worker
-/// pool, open or closed loop.
-pub(crate) fn run_threaded(cfg: &LoadConfig, profiles: &ProfileSet) -> LoadReport {
-    match cfg.mode {
-        LoadMode::Open => threaded_open(cfg, profiles),
-        LoadMode::Closed { workers, think } => threaded_closed(cfg, profiles, workers, think),
-    }
-}
-
-fn threaded_open(cfg: &LoadConfig, profiles: &ProfileSet) -> LoadReport {
-    // Same RNG fork order as the analytic backend, so the arrival
-    // sequence and UE sampling are identical — under no overload the two
-    // backends produce the same latency multiset (tested).
-    let mut rng = SimRng::new(cfg.seed);
-    let mut fleet_rng = rng.fork();
-    let mut stream = crate::driver::open_stream(cfg, &mut rng);
-    let mut sample_rng = rng.fork();
-
-    let mut fleet = Fleet::new(cfg.ues, cfg.shard_cfg.shards);
-    fleet.warm_start(&mut fleet_rng, 0.2, 0.3, 0.2);
-    let mut obs = Obs::new();
-
-    let wall_start = Instant::now();
-    let mut pool = Pool::spawn(cfg, profiles);
-
-    let horizon = SimTime::ZERO + cfg.duration;
-    let (mut offered, mut infeasible) = (0u64, 0u64);
-    loop {
-        let (at, kind) = stream.next();
-        if at >= horizon {
-            break;
-        }
-        offered += 1;
-        let (from, to) = transition(kind);
-        let Some(ue) = fleet.sample_in_state(&mut sample_rng, from) else {
-            infeasible += 1;
-            continue;
-        };
-        let shard = fleet.shard_of(ue);
-        if pool
-            .offer(shard, kind, ue, at, u64::from(ue) + 1, horizon, &mut obs)
-            .is_some()
-        {
-            apply_transition(&mut fleet, ue, kind, to);
-        }
-        // Opportunistic drain keeps completion rings shallow and spreads
-        // histogram recording across the run.
-        pool.drain_completions(horizon, &mut obs);
-        pool.maybe_publish(at);
-    }
-    finish_threaded(
-        cfg, &fleet, pool, obs, offered, infeasible, horizon, wall_start,
-    )
-}
-
-fn threaded_closed(
-    cfg: &LoadConfig,
-    profiles: &ProfileSet,
-    workers: usize,
-    think: SimDuration,
-) -> LoadReport {
-    // Same fork order as the analytic closed loop.
-    let mut rng = SimRng::new(cfg.seed);
-    let mut fleet_rng = rng.fork();
-    let mut sample_rng = rng.fork();
-    let mut kind_rng = rng.fork();
-
-    let mut fleet = Fleet::new(cfg.ues, cfg.shard_cfg.shards);
-    fleet.warm_start(&mut fleet_rng, 0.2, 0.3, 0.2);
-    let mut obs = Obs::new();
-
-    let wall_start = Instant::now();
-    let mut pool = Pool::spawn(cfg, profiles);
-
-    let mut q: EventQueue<u32> = EventQueue::with_capacity(workers);
-    for w in 0..workers as u32 {
-        let jitter =
-            SimDuration::from_secs_f64(kind_rng.exponential(think.as_secs_f64().max(1e-6)));
-        q.push(SimTime::ZERO + jitter, w);
-    }
-
-    let total_w = cfg.mix.total();
-    let horizon = SimTime::ZERO + cfg.duration;
-    let (mut offered, mut infeasible) = (0u64, 0u64);
-    while let Some((at, worker)) = q.pop_before(horizon) {
-        let kind = draw_kind(&cfg.mix, total_w, &mut kind_rng);
-        offered += 1;
-        let (from, to) = transition(kind);
-        let Some(ue) = fleet.sample_in_state(&mut sample_rng, from) else {
-            infeasible += 1;
-            q.push(at + think, worker);
-            continue;
-        };
-        let shard = fleet.shard_of(ue);
-        let next_ready = match pool.offer(shard, kind, ue, at, u64::from(ue) + 1, horizon, &mut obs)
-        {
-            Some(seq) => {
-                apply_transition(&mut fleet, ue, kind, to);
-                // Closed loop needs this procedure's completion time to
-                // schedule the worker's next issue: ping-pong through the
-                // duplex pair (a round-trip latency test of the rings).
-                let done = pool.await_completion(shard, seq, horizon, &mut obs);
-                done + think
-            }
-            None => at + think,
-        };
-        pool.maybe_publish(at);
-        q.push(next_ready, worker);
-    }
-    finish_threaded(
-        cfg, &fleet, pool, obs, offered, infeasible, horizon, wall_start,
-    )
-}
-
-impl Pool {
-    /// Spins until the completion for `seq` comes back from `shard`,
-    /// recording it (and anything drained along the way). Returns its
-    /// virtual completion instant.
-    fn await_completion(
-        &mut self,
-        shard: u16,
-        seq: u64,
-        horizon: SimTime,
-        obs: &mut Obs,
-    ) -> SimTime {
+    /// Waits until the completion for `seq` comes back from `shard`,
+    /// recording it (and anything drained along the way) — a round trip
+    /// through the duplex pair.
+    fn completion(&mut self, shard: u16, seq: u64, tel: &mut Telemetry) -> SimTime {
         // `seq` may still be staged (closed loop issues then immediately
         // awaits); flush the shard so the round trip can complete.
-        self.flush_shard(shard as usize, horizon, obs);
+        self.flush_shard(shard as usize, tel);
         loop {
             if let Some(c) = self.hosts[shard as usize].completions.pop() {
                 self.await_wait.reset();
-                self.completed_total += 1;
-                if Self::record_completion(self.trace_sample, c, horizon, obs) {
-                    self.completed += 1;
-                }
+                tel.record_completion(c.kind, c.ue, c.at, c.completes_at);
                 if c.seq == seq {
                     return c.completes_at;
                 }
@@ -1211,115 +650,75 @@ impl Pool {
             }
         }
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn finish_threaded(
-    cfg: &LoadConfig,
-    fleet: &Fleet,
-    pool: Pool,
-    mut obs: Obs,
-    offered: u64,
-    infeasible: u64,
-    horizon: SimTime,
-    wall_start: Instant,
-) -> LoadReport {
-    let mut stats = pool.shutdown(horizon, &mut obs);
-    let elapsed = wall_start.elapsed();
-    // Idle finalization on the merged timeline: the parked share of each
-    // shard's idle time comes from its measured park/blocked ratio, and
-    // dispatcher utilization is wall time not spent descheduled.
-    if let Some(tl) = stats.timeline.as_mut() {
-        for (s, w) in stats.per_shard_wait.iter().enumerate() {
-            let ratio = w.parked_ns as f64 / w.blocked_ns.max(1) as f64;
-            tl.finalize_idle(s as u16, cfg.duration, ratio);
+    /// Opportunistic drain: keeps completion rings shallow and spreads
+    /// histogram recording across the run.
+    fn poll(&mut self, tel: &mut Telemetry) {
+        self.drain_completions(tel);
+    }
+
+    /// Fires trailing kills, flushes staged residue ahead of the stop
+    /// sentinels, stops every worker and merges the per-worker recorder
+    /// bundles into `tel`.
+    fn finish(mut self, tel: &mut Telemetry) -> ExecTotals {
+        // Kills scripted after the last arrival still fire, so the
+        // failover (and its replay accounting) happens before the join.
+        self.maybe_fire_kills(tel.horizon, tel);
+        // Every sequenced submission reaches its worker before any stop.
+        for i in 0..self.hosts.len() {
+            self.flush_shard(i, tel);
         }
-        let wall_ns = elapsed.as_nanos() as u64;
-        tl.record_dispatcher_utilization(
-            wall_ns.saturating_sub(stats.dispatcher_wait.blocked_ns),
-            wall_ns,
-        );
-    }
-    if let (Some(p), Some(tl)) = (stats.publisher.as_mut(), stats.timeline.as_ref()) {
-        p.publish_drain(horizon, tl);
-    }
-    let shard_utilization: Vec<f64> = stats
-        .busy_until
-        .iter()
-        .map(|b| {
-            if horizon.as_nanos() == 0 {
-                0.0
-            } else {
-                b.as_nanos().min(horizon.as_nanos()) as f64 / horizon.as_nanos() as f64
+        let mut all = std::mem::take(&mut self.retired);
+        let mut servers = Vec::with_capacity(self.hosts.len());
+        for i in 0..self.hosts.len() {
+            let (fifo, stats) = self.stop_worker(i, tel);
+            servers.push(fifo);
+            all.push(stats);
+        }
+        // The dispatcher's own wait sites, before the workers fold in —
+        // what dispatcher utilization subtracts from wall time.
+        let mut wait = self.offer_wait.stats();
+        wait.absorb(&self.shutdown_wait.stats());
+        wait.absorb(&self.await_wait.stats());
+        let dispatcher_wait = wait;
+        // Per-shard wait counters *sum* a killed primary's stats with
+        // its standby's, so a shard's descheduled time survives failover
+        // instead of being flattened into the pool-wide total.
+        let mut per_shard_wait = vec![WaitStats::default(); servers.len()];
+        let (mut served, mut pinned_workers) = (0u64, 0u64);
+        for stats in all {
+            self.peak_depth = self.peak_depth.max(stats.peak_depth);
+            served += stats.served;
+            pinned_workers += u64::from(stats.pinned);
+            per_shard_wait[stats.shard as usize].absorb(&stats.wait);
+            wait.absorb(&stats.wait);
+            tel.obs.absorb(&stats.obs);
+            if let (Some(tl), Some(wtl)) = (tel.timeline.as_mut(), stats.timeline.as_ref()) {
+                tl.absorb(wtl);
             }
-        })
-        .collect();
-    obs.event(
-        horizon,
-        EventKind::Gauge {
-            name: "active_ues",
-            value: fleet.active() as u64,
-        },
-    );
-    // Wait-ladder burn and effective placement, merged across every wait
-    // site in the pool: idle burn is a gauge, not a silent 100% CPU.
-    let mut gauge = |name: &'static str, value: u64| {
-        obs.event(horizon, EventKind::Gauge { name, value });
-    };
-    gauge("wait_spins", stats.wait.spins);
-    gauge("wait_yields", stats.wait.yields);
-    gauge("wait_parks", stats.wait.parks);
-    gauge("wait_transitions", stats.wait.transitions);
-    gauge("wait_blocked_us", stats.wait.blocked_ns / 1_000);
-    gauge("wait_parked_us", stats.wait.parked_ns / 1_000);
-    gauge("pinned_workers", stats.pinned_workers as u64);
-    gauge("pinned_dispatcher", u64::from(stats.dispatcher_pinned));
-    let q = |p: f64| {
-        obs.hists
-            .get(HIST_ALL)
-            .map(|h| SimDuration::from_nanos(h.quantile(p)))
-            .unwrap_or(SimDuration::ZERO)
-    };
-    // The workers recorded the stage histograms into their private
-    // bundles; `shutdown` absorbed them, so the quantiles are whole-run.
-    let stage_p99 = |name: &str| {
-        obs.hists
-            .get(name)
-            .map(|h| SimDuration::from_nanos(h.quantile(0.99)))
-            .unwrap_or(SimDuration::ZERO)
-    };
-    let sustained_eps = stats.completed_total as f64 / elapsed.as_secs_f64().max(1e-9);
-    LoadReport {
-        offered,
-        dispatched: stats.dispatched,
-        shed: stats.shed,
-        backpressure: stats.backpressure,
-        infeasible,
-        completed: stats.completed,
-        completed_total: stats.completed_total,
-        achieved_eps: stats.completed as f64 / cfg.duration.as_secs_f64(),
-        p50: q(0.50),
-        p95: q(0.95),
-        p99: q(0.99),
-        queue_wait_p99: stage_p99(HIST_QUEUE_WAIT),
-        service_p99: stage_p99(HIST_SERVICE),
-        transit_p99: stage_p99(HIST_TRANSIT),
-        active_ues: fleet.active(),
-        peak_depth: stats.peak_depth,
-        busy_fraction: busy_fraction(&stats.busy_until, horizon),
-        shard_utilization,
-        wall: Some(WallClock {
-            elapsed,
-            sustained_eps,
-        }),
-        disruption: disruption_from(
-            cfg,
-            stats.replayed,
-            stats.lost_in_outage,
-            stats.disruption_span,
-        ),
-        timeline: stats.timeline,
-        obs,
+        }
+        debug_assert_eq!(
+            served, self.next_seq,
+            "every dispatched submission is served exactly once"
+        );
+        let elapsed = self.wall_start.elapsed();
+        ExecTotals {
+            shed: self.shed,
+            // A full ring blocks the flush; it never drops.
+            backpressure: 0,
+            peak_depth: self.peak_depth,
+            lost_in_outage: self.lost_in_outage,
+            servers,
+            // Effective placement: pinning is best-effort, so report it.
+            gauges: vec![
+                ("pinned_workers", pinned_workers),
+                ("pinned_dispatcher", u64::from(self.dispatcher_pinned)),
+            ],
+            per_shard_wait,
+            wait,
+            dispatcher_wait,
+            elapsed: Some(elapsed),
+        }
     }
 }
 
@@ -1327,9 +726,10 @@ fn finish_threaded(
 mod tests {
     use super::*;
     use crate::dispatch::calibrate;
-    use crate::driver::{Driver, ExecBackend};
+    use crate::driver::{Driver, ExecBackend, HIST_QUEUE_WAIT, HIST_SERVICE, HIST_TRANSIT};
     use crate::shard::ShardConfig;
     use l25gc_core::Deployment;
+    use l25gc_sim::SimDuration;
 
     #[test]
     fn descriptors_stay_compact() {
@@ -1363,7 +763,7 @@ mod tests {
             "every arrival is accounted"
         );
         assert!(
-            r.obs.hists.get(HIST_QUEUE_DELAY).is_some(),
+            r.obs.hists.get(HIST_QUEUE_WAIT).is_some(),
             "worker histograms merged at drain"
         );
     }
@@ -1422,30 +822,29 @@ mod tests {
             .wait(crate::wait::WaitStrategy::Park)
             .build()
             .unwrap();
-        let mut obs = Obs::new();
+        let mut tel = Telemetry::new(&cfg);
         let mut pool = Pool::spawn(&cfg, &profiles);
         std::thread::sleep(std::time::Duration::from_millis(5));
-        let horizon = SimTime::ZERO + cfg.duration;
         let seq = pool
             .offer(
                 0,
                 UeEvent::Registration,
                 0,
                 SimTime::from_nanos(1),
-                1,
-                horizon,
-                &mut obs,
+                &profiles,
+                &mut tel,
             )
             .expect("empty ring admits");
-        let done = pool.await_completion(0, seq, horizon, &mut obs);
+        let done = pool.completion(0, seq, &mut tel);
         assert!(done > SimTime::from_nanos(1), "completion carries latency");
-        let stats = pool.shutdown(horizon, &mut obs);
+        let stats = pool.finish(&mut tel);
         assert!(
             stats.wait.parks > 0,
             "an idle Park worker must actually park"
         );
-        assert_eq!(stats.completed_total, 1, "the woken worker served it");
+        assert_eq!(tel.completed_total, 1, "the woken worker served it");
         // The worker-side stage histograms came back through the merge.
+        let obs = &tel.obs;
         assert_eq!(obs.hists.get(HIST_QUEUE_WAIT).map(|h| h.count()), Some(1));
         assert_eq!(obs.hists.get(HIST_SERVICE).map(|h| h.count()), Some(1));
         assert_eq!(obs.hists.get(HIST_TRANSIT).map(|h| h.count()), Some(1));
@@ -1729,12 +1128,11 @@ mod tests {
             .fault(plan)
             .build()
             .unwrap();
-        let mut obs = Obs::new();
+        let mut tel = Telemetry::new(&cfg);
         let mut pool = Pool::spawn(&cfg, &profiles);
         // Let the shard-0 primary park on its empty submit ring so it
         // accumulates descheduled time before it is killed.
         std::thread::sleep(std::time::Duration::from_millis(5));
-        let horizon = SimTime::ZERO + cfg.duration;
         // This arrival is past the scripted kill instant, so the kill
         // fires first: the parked primary is retired and replaced, and
         // the submission is served by the standby.
@@ -1744,13 +1142,12 @@ mod tests {
                 UeEvent::Registration,
                 0,
                 SimTime::from_nanos(2_000_000),
-                1,
-                horizon,
-                &mut obs,
+                &profiles,
+                &mut tel,
             )
             .expect("empty ring admits");
-        pool.await_completion(0, seq, horizon, &mut obs);
-        let stats = pool.shutdown(horizon, &mut obs);
+        pool.completion(0, seq, &mut tel);
+        let stats = pool.finish(&mut tel);
         assert_eq!(stats.per_shard_wait.len(), 2);
         let s0 = &stats.per_shard_wait[0];
         assert!(s0.parks > 0, "the killed primary parked while idle");
@@ -2085,7 +1482,7 @@ mod tests {
     fn parked_worker_wakes_on_burst_of_one() {
         let profiles = calibrate(Deployment::L25gc);
         // Batch 32 with a single offered event: the event stages without
-        // flushing, then `await_completion` flushes a burst of fill 1 —
+        // flushing, then `completion` flushes a burst of fill 1 —
         // and the single unpark that burst carries must wake the parked
         // worker (satellite: coalesced wakeups still wake on tiny bursts).
         let cfg = LoadConfig::builder()
@@ -2098,19 +1495,17 @@ mod tests {
             .metrics_interval(SimDuration::from_millis(100))
             .build()
             .unwrap();
-        let mut obs = Obs::new();
+        let mut tel = Telemetry::new(&cfg);
         let mut pool = Pool::spawn(&cfg, &profiles);
         std::thread::sleep(std::time::Duration::from_millis(5));
-        let horizon = SimTime::ZERO + cfg.duration;
         let seq = pool
             .offer(
                 0,
                 UeEvent::Registration,
                 0,
                 SimTime::from_nanos(1),
-                1,
-                horizon,
-                &mut obs,
+                &profiles,
+                &mut tel,
             )
             .expect("under high water admits");
         assert_eq!(
@@ -2118,15 +1513,15 @@ mod tests {
             0,
             "a lone event stages instead of crossing the ring"
         );
-        let done = pool.await_completion(0, seq, horizon, &mut obs);
+        let done = pool.completion(0, seq, &mut tel);
         assert!(done > SimTime::from_nanos(1), "completion carries latency");
-        let stats = pool.shutdown(horizon, &mut obs);
+        let stats = pool.finish(&mut tel);
         assert!(
             stats.wait.parks > 0,
             "an idle Park worker must actually park"
         );
-        assert_eq!(stats.completed_total, 1, "the woken worker served it");
-        let tl = stats.timeline.as_ref().unwrap();
+        assert_eq!(tel.completed_total, 1, "the woken worker served it");
+        let tl = tel.timeline.as_ref().unwrap();
         assert_eq!(tl.batch_flush_total(), 1, "one burst flushed");
         assert_eq!(tl.batch_events_total(), 1, "of fill one");
     }
@@ -2145,33 +1540,121 @@ mod tests {
             .dispatch_batch(64)
             .build()
             .unwrap();
-        let mut obs = Obs::new();
+        let mut tel = Telemetry::new(&cfg);
         let mut pool = Pool::spawn(&cfg, &profiles);
-        let horizon = SimTime::ZERO + cfg.duration;
         for n in 0..10u64 {
             pool.offer(
                 (n % 2) as u16,
                 UeEvent::Registration,
                 n as u32,
                 SimTime::from_nanos(n + 1),
-                n + 1,
-                horizon,
-                &mut obs,
+                &profiles,
+                &mut tel,
             )
             .expect("under high water admits");
         }
-        assert_eq!(pool.dispatched, 10);
+        let dispatched = pool.next_seq;
+        assert_eq!(dispatched, 10);
         assert_eq!(
             pool.staged.iter().map(Vec::len).sum::<usize>(),
             10,
             "nothing crossed the rings yet"
         );
-        let stats = pool.shutdown(horizon, &mut obs);
+        pool.finish(&mut tel);
         assert_eq!(
-            stats.completed_total, stats.dispatched,
+            tel.completed_total, dispatched,
             "staged residue drained before the sentinels"
         );
-        assert_eq!(stats.completed_total, 10);
+        assert_eq!(tel.completed_total, 10);
+    }
+
+    /// Runs `f` on a helper thread and fails, instead of hanging, when it
+    /// does not finish in time.
+    fn within<T: Send + 'static>(
+        limit: std::time::Duration,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (tx, rx) = channel();
+        let helper = std::thread::spawn(move || tx.send(f()));
+        match rx.recv_timeout(limit) {
+            Ok(v) => v,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("the run wedged: a worker is waiting for completion-ring room nobody makes")
+            }
+            // The helper died before sending: surface its own panic.
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(helper.join().expect_err("helper panicked"))
+            }
+        }
+    }
+
+    #[test]
+    fn small_rings_never_wedge_shutdown() {
+        // A 128-slot ring under Queue stays full for the whole run, so at
+        // the stop sentinel the worker still owes more completions than
+        // its completion ring holds: the join must keep draining, or the
+        // worker waits for room for ever.
+        let reports = within(std::time::Duration::from_secs(120), || {
+            let profiles = calibrate(Deployment::L25gc);
+            let cfg = LoadConfig::builder()
+                .ues(50_000)
+                .shards(1)
+                .policy(OverloadPolicy::Queue)
+                .ring_capacity(1 << 7)
+                .dispatch_batch(32)
+                .offered_eps(50_000.0)
+                .duration(SimDuration::from_secs(1))
+                .seed(101)
+                .backend(ExecBackend::Threaded)
+                .build()
+                .unwrap();
+            let driver = Driver::new(cfg).unwrap();
+            (0..5).map(|_| driver.run(&profiles)).collect::<Vec<_>>()
+        });
+        for r in &reports {
+            assert!(r.dispatched > 40_000, "dispatched {}", r.dispatched);
+            assert_eq!(r.shed + r.backpressure, 0, "Queue never drops");
+            assert_eq!(
+                r.completed_total, r.dispatched,
+                "every submission completes"
+            );
+        }
+    }
+
+    #[test]
+    fn high_water_above_ring_capacity_sheds_at_every_batch_size() {
+        // The ring clamps its mark to its capacity, and admission reads
+        // the ring's mark — so an over-wide configured mark sheds at the
+        // full ring whether or not events are staged, instead of blocking
+        // the flush as if the policy were Queue.
+        for batch in [1usize, 32] {
+            let r = within(std::time::Duration::from_secs(120), move || {
+                let profiles = calibrate(Deployment::L25gc);
+                let cfg = LoadConfig::builder()
+                    .ues(5_000)
+                    .shards(2)
+                    .policy(OverloadPolicy::Shed)
+                    .high_water(64)
+                    .ring_capacity(4)
+                    .dispatch_batch(batch)
+                    .offered_eps(20_000.0)
+                    .duration(SimDuration::from_secs(1))
+                    .seed(103)
+                    .backend(ExecBackend::Threaded)
+                    .build()
+                    .unwrap();
+                Driver::new(cfg).unwrap().run(&profiles)
+            });
+            assert!(r.shed > 0, "batch {batch}: a full ring sheds");
+            assert_eq!(r.backpressure, 0, "batch {batch}");
+            assert_eq!(r.completed_total, r.dispatched, "batch {batch}: loss-free");
+            assert_eq!(
+                r.offered,
+                r.dispatched + r.shed + r.infeasible,
+                "batch {batch}: every arrival is accounted"
+            );
+        }
     }
 
     #[test]
@@ -2190,12 +1673,12 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let mut obs = Obs::new();
-        let pool = Pool::spawn(&base(false), &profiles);
+        let (unpinned, pinned) = (base(false), base(true));
+        let mut tel = Telemetry::new(&unpinned);
+        let pool = Pool::spawn(&unpinned, &profiles);
         assert!(pool.respawn.ring_mem.iter().all(|m| *m == RingMemory::Heap));
-        let horizon = SimTime::ZERO + SimDuration::from_millis(1);
-        pool.shutdown(horizon, &mut obs);
-        let pool = Pool::spawn(&base(true), &profiles);
+        pool.finish(&mut tel);
+        let pool = Pool::spawn(&pinned, &profiles);
         // Topology discovery may fail on restricted hosts, in which case
         // the plan (and the node request) degrades to heap — both shapes
         // are legal, but they must be consistent across shards.
@@ -2206,6 +1689,6 @@ mod tests {
             .filter(|m| matches!(m, RingMemory::Node(_)))
             .count();
         assert!(node_reqs == 0 || node_reqs == pool.respawn.ring_mem.len());
-        pool.shutdown(horizon, &mut obs);
+        pool.finish(&mut tel);
     }
 }
