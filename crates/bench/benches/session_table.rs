@@ -94,5 +94,31 @@ fn bench_rebind(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_lookup, bench_rebind);
+fn bench_remove(c: &mut Criterion) {
+    // Session deletion in a full table: remove one session and put it
+    // back, so the table size — the thing the cost must not depend on —
+    // stays fixed.
+    let mut g = c.benchmark_group("session_table_remove");
+    let session = |i: u32| Session {
+        _seid: u64::from(i),
+        _buffer: vec![],
+    };
+    for &n in &[100u32, 10_000] {
+        let mut t = DualKeyTable::new();
+        for i in 0..n {
+            t.insert(0x100 + i, 0x0a3c_0000 + i, session(i));
+        }
+        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
+            let mut i = 0;
+            b.iter(|| {
+                i = (i + 1) % n;
+                let s = t.remove_by_teid(0x100 + i).expect("session present");
+                t.insert(0x100 + i, 0x0a3c_0000 + i, s);
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_lookup, bench_rebind, bench_remove);
 criterion_main!(benches);

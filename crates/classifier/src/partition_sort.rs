@@ -292,6 +292,10 @@ impl Classifier for PartitionSort {
         let mut part = Partition {
             best_precedence: rule.precedence,
             order: order_for(&rule),
+            // Room for the founding rule only: `push` on an empty `Vec`
+            // reserves four 176-byte rules, and the two partitions of a
+            // default session never hold a second.
+            rules: Vec::with_capacity(1),
             ..Partition::default()
         };
         part.grow_bbox(&rule);

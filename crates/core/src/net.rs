@@ -66,10 +66,12 @@ pub struct Smf {
     /// Per-UE session contexts (one PDU session per UE in the
     /// experiments, as in the paper), partitioned across worker shards.
     pub sessions: ShardedMap<UeId, SmfSession>,
+    /// SEID → owning UE: N4 responses and downlink-data reports carry
+    /// only the SEID. Holds exactly the SEIDs of `sessions`; written
+    /// where `sessions` is (CreateSmContext, SessionDeletionResponse).
+    by_seid: HashMap<u64, UeId>,
     next_seid: u64,
     next_teid: u32,
-    /// UEs whose CreateSmContext is progressing (UDM/PCF legs pending).
-    pending_create: HashMap<UeId, ()>,
     /// N4 association state toward the UPF.
     pub n4_association: N4Association,
     /// Heartbeat transactions completed.
@@ -85,6 +87,10 @@ impl Smf {
     fn alloc_teid(&mut self) -> u32 {
         self.next_teid += 1;
         0x100 + self.next_teid
+    }
+
+    fn ue_of_seid(&self, seid: u64) -> Option<UeId> {
+        self.by_seid.get(&seid).copied()
     }
 }
 
@@ -257,17 +263,19 @@ impl CoreNetwork {
                 .record_segment(nf_name(env.to), msg_label(&env.msg), now, handler);
         }
         let mut outs = Outs { items: Vec::new() };
-        match (env.to, &env.msg) {
-            (Endpoint::Amf, Msg::Ngap(m)) => self.amf_ngap(m.clone(), now, &mut outs),
-            (Endpoint::Amf, Msg::Sbi { op, ue }) => self.amf_sbi(op.clone(), *ue, now, &mut outs),
-            (Endpoint::Ausf, Msg::Sbi { op, ue }) => self.ausf_sbi(op.clone(), *ue, &mut outs),
-            (Endpoint::Udm, Msg::Sbi { op, ue }) => self.udm_sbi(op.clone(), *ue, &mut outs),
-            (Endpoint::Pcf, Msg::Sbi { op, ue }) => self.pcf_sbi(op.clone(), *ue, &mut outs),
-            (Endpoint::Nrf, Msg::Sbi { op, ue }) => self.nrf_sbi(op.clone(), *ue, &mut outs),
-            (Endpoint::Smf, Msg::Sbi { op, ue }) => self.smf_sbi(op.clone(), *ue, &mut outs),
-            (Endpoint::Smf, Msg::N4(m)) => self.smf_n4(m.clone(), &mut outs),
-            (Endpoint::UpfC, Msg::N4(m)) => self.upfc_n4(m.clone(), &mut outs),
-            (Endpoint::UpfU, Msg::Data(p)) => return self.upfu_data(*p, handler),
+        // The message moves into its handler: NFs pass descriptors, not
+        // copies.
+        match (env.to, env.msg) {
+            (Endpoint::Amf, Msg::Ngap(m)) => self.amf_ngap(m, now, &mut outs),
+            (Endpoint::Amf, Msg::Sbi { op, ue }) => self.amf_sbi(op, ue, now, &mut outs),
+            (Endpoint::Ausf, Msg::Sbi { op, ue }) => self.ausf_sbi(op, ue, &mut outs),
+            (Endpoint::Udm, Msg::Sbi { op, ue }) => self.udm_sbi(op, ue, &mut outs),
+            (Endpoint::Pcf, Msg::Sbi { op, ue }) => self.pcf_sbi(op, ue, &mut outs),
+            (Endpoint::Nrf, Msg::Sbi { op, ue }) => self.nrf_sbi(op, ue, &mut outs),
+            (Endpoint::Smf, Msg::Sbi { op, ue }) => self.smf_sbi(op, ue, &mut outs),
+            (Endpoint::Smf, Msg::N4(m)) => self.smf_n4(m, &mut outs),
+            (Endpoint::UpfC, Msg::N4(m)) => self.upfc_n4(m, &mut outs),
+            (Endpoint::UpfU, Msg::Data(p)) => return self.upfu_data(p, handler),
             (to, msg) => panic!("core cannot handle {msg:?} at {to:?}"),
         }
         // Control outputs leave after the handler finishes; each then
@@ -1029,7 +1037,7 @@ impl CoreNetwork {
                     pfcp_seq: 0,
                 };
                 self.smf.sessions.insert(ue, session);
-                self.smf.pending_create.insert(ue, ());
+                self.smf.by_seid.insert(seid, ue);
                 outs.sbi(Endpoint::Smf, Endpoint::Amf, SbiOp::CreateSmContextResp, ue);
                 outs.sbi(Endpoint::Smf, Endpoint::Udm, SbiOp::SdmGetSmDataReq, ue);
             }
@@ -1141,14 +1149,10 @@ impl CoreNetwork {
         let seid = m.seid.expect("session-scoped N4");
         let ue = self
             .smf
-            .sessions
-            .values()
-            .find(|s| s.seid == seid)
-            .map(|s| s.ue)
+            .ue_of_seid(seid)
             .expect("SEID belongs to a session");
         match m.msg_type {
             MsgType::SessionEstablishmentResponse => {
-                debug_assert!(self.smf.pending_create.remove(&ue).is_some());
                 let ul_teid = self.smf.sessions[&ue].ul_teid;
                 outs.sbi(
                     Endpoint::Smf,
@@ -1170,6 +1174,7 @@ impl CoreNetwork {
             }
             MsgType::SessionDeletionResponse => {
                 self.smf.sessions.remove(&ue);
+                self.smf.by_seid.remove(&seid);
                 outs.sbi(
                     Endpoint::Smf,
                     Endpoint::Amf,
@@ -1337,13 +1342,7 @@ impl CoreNetwork {
         let seid = m.seid.expect("session-scoped N4");
         match m.msg_type {
             MsgType::SessionEstablishmentRequest => {
-                let ue = self
-                    .smf
-                    .sessions
-                    .values()
-                    .find(|s| s.seid == seid)
-                    .map(|s| s.ue)
-                    .expect("SMF created the session");
+                let ue = self.smf.ue_of_seid(seid).expect("SMF created the session");
                 self.upf.establish(seid, ue, &m.ies);
                 self.obs
                     .event(self.upf_now, EventKind::PfcpEstablish { seid });
@@ -1460,7 +1459,10 @@ impl CoreNetwork {
             Verdict::Buffered { report, seid } => {
                 if report {
                     // UPF-U alerts UPF-C, which sends the PFCP report.
-                    let s = self.smf.sessions.values().find(|s| s.seid == seid);
+                    let s = self
+                        .smf
+                        .ue_of_seid(seid)
+                        .and_then(|ue| self.smf.sessions.get(&ue));
                     let seq = s.map(|s| s.pfcp_seq + 1).unwrap_or(1);
                     vec![Output {
                         delay: svc,
@@ -1880,5 +1882,128 @@ mod tests {
             ),
         );
         assert_eq!(data, SimDuration::ZERO);
+    }
+
+    /// The RAN's half of registration, session set-up and
+    /// deregistration — gNB and UE collapsed into one reply function,
+    /// since `l25gc-ran` depends on this crate.
+    fn ran_replies(m: NgapMessage) -> Vec<NgapMessage> {
+        let up = |ue, nas| NgapMessage::UplinkNasTransport { ue, nas };
+        match m {
+            NgapMessage::DownlinkNasTransport { ue, nas } => match nas {
+                NasMessage::AuthenticationRequest { rand, sqn } => {
+                    let mut usim = Udr::new();
+                    let res = Udr::ue_response(usim.provision_default(100 + ue), rand, sqn);
+                    vec![up(ue, NasMessage::AuthenticationResponse { res })]
+                }
+                NasMessage::SecurityModeCommand => vec![up(ue, NasMessage::SecurityModeComplete)],
+                NasMessage::DeregistrationAccept => Vec::new(),
+                other => panic!("test UE cannot handle {other:?}"),
+            },
+            NgapMessage::InitialContextSetupRequest { ue, .. } => vec![
+                NgapMessage::InitialContextSetupResponse { ue },
+                up(ue, NasMessage::RegistrationComplete),
+            ],
+            NgapMessage::PduSessionResourceSetupRequest { ue, session_id, .. } => {
+                vec![NgapMessage::PduSessionResourceSetupResponse {
+                    ue,
+                    session_id,
+                    downlink_tunnel: TunnelInfo {
+                        teid: 0x8000_0000 | ue as u32,
+                        addr: 1,
+                    },
+                }]
+            }
+            NgapMessage::UeContextReleaseCommand { ue } => {
+                vec![NgapMessage::UeContextReleaseComplete { ue }]
+            }
+            other => panic!("test gNB cannot handle {other:?}"),
+        }
+    }
+
+    /// Sends `first` from gNB 1 at `*now` and delivers everything it
+    /// causes, in time order, until nothing is in flight.
+    fn settle(core: &mut CoreNetwork, now: &mut SimTime, first: NgapMessage) {
+        let from_gnb = |m| Envelope::new(Endpoint::Gnb(1), Endpoint::Amf, Msg::Ngap(m));
+        let mut q = l25gc_sim::EventQueue::new();
+        q.push(*now, from_gnb(first));
+        while let Some((at, env)) = q.pop() {
+            *now = at;
+            if let Endpoint::Gnb(_) = env.to {
+                let Msg::Ngap(m) = env.msg else {
+                    panic!("only NGAP reaches the test gNB")
+                };
+                for reply in ran_replies(m) {
+                    q.push(at, from_gnb(reply));
+                }
+            } else {
+                for out in core.handle(env, at) {
+                    q.push(at + out.delay, out.env);
+                }
+            }
+        }
+    }
+
+    fn assert_seid_index_exact(smf: &Smf) {
+        assert_eq!(smf.by_seid.len(), smf.sessions.len());
+        for s in smf.sessions.values() {
+            assert_eq!(smf.ue_of_seid(s.seid), Some(s.ue));
+        }
+    }
+
+    #[test]
+    fn seid_index_holds_exactly_the_live_sessions() {
+        const UES: u64 = 48;
+        // Three different walks over the UEs (multipliers coprime to 48).
+        let walk = |mult: u64| (0..UES).map(move |i| (i * mult) % UES + 1);
+        let mut core = CoreNetwork::new(Deployment::L25gc);
+        let mut now = SimTime::ZERO;
+        for ue in 1..=UES {
+            core.provision_subscriber(100 + ue);
+        }
+        for ue in walk(29) {
+            let nas = NasMessage::RegistrationRequest { supi: 100 + ue };
+            let first = NgapMessage::InitialUeMessage { ue, gnb: 1, nas };
+            settle(&mut core, &mut now, first);
+            assert_seid_index_exact(&core.smf);
+        }
+        for (done, ue) in walk(35).enumerate() {
+            let nas = NasMessage::PduSessionEstablishmentRequest { session_id: 1 };
+            settle(
+                &mut core,
+                &mut now,
+                NgapMessage::UplinkNasTransport { ue, nas },
+            );
+            assert_eq!(core.smf.sessions.len(), done + 1);
+            assert_seid_index_exact(&core.smf);
+        }
+        let dereg = |ue| NgapMessage::UplinkNasTransport {
+            ue,
+            nas: NasMessage::DeregistrationRequest {
+                guti: 0xF000_0000_0000_0000 | (100 + ue),
+            },
+        };
+
+        // A checkpoint (`Replica` clones the core) carries the index: the
+        // copy resolves the N4 deletion response of a pre-clone SEID.
+        let mut replica = core.clone();
+        let mut replica_now = now;
+        settle(&mut replica, &mut replica_now, dereg(7));
+        assert_eq!(replica.smf.sessions.len(), UES as usize - 1);
+        assert_seid_index_exact(&replica.smf);
+        assert_seid_index_exact(&core.smf);
+        assert_eq!(core.smf.sessions.len(), UES as usize);
+
+        for (done, ue) in walk(41).enumerate() {
+            settle(&mut core, &mut now, dereg(ue));
+            assert_eq!(core.smf.sessions.len(), UES as usize - done - 1);
+            assert_seid_index_exact(&core.smf);
+        }
+        assert!(core.smf.by_seid.is_empty());
+        assert!(core.upf.sessions.is_empty());
+        let done = |kind| core.events.iter().filter(|e| e.event == kind).count();
+        assert_eq!(done(UeEvent::Registration), UES as usize);
+        assert_eq!(done(UeEvent::SessionRequest), UES as usize);
+        assert_eq!(done(UeEvent::Deregistration), UES as usize);
     }
 }

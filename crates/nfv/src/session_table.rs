@@ -12,6 +12,10 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct DualKeyTable<V> {
     slots: Vec<Option<V>>,
+    /// The UE IP bound to each slot, so removal by TEID releases the
+    /// downlink key without walking `by_ue_ip`. Kept beside `slots`, not
+    /// inside them: the slot stride the lookups walk stays `Option<V>`.
+    slot_ue_ip: Vec<u32>,
     free: Vec<usize>,
     by_teid: HashMap<u32, usize>,
     by_ue_ip: HashMap<u32, usize>,
@@ -21,6 +25,7 @@ impl<V> Default for DualKeyTable<V> {
     fn default() -> Self {
         DualKeyTable {
             slots: Vec::new(),
+            slot_ue_ip: Vec::new(),
             free: Vec::new(),
             by_teid: HashMap::new(),
             by_ue_ip: HashMap::new(),
@@ -49,10 +54,12 @@ impl<V> DualKeyTable<V> {
         let idx = match self.free.pop() {
             Some(i) => {
                 self.slots[i] = Some(value);
+                self.slot_ue_ip[i] = ue_ip;
                 i
             }
             None => {
                 self.slots.push(Some(value));
+                self.slot_ue_ip.push(ue_ip);
                 self.slots.len() - 1
             }
         };
@@ -104,7 +111,7 @@ impl<V> DualKeyTable<V> {
     /// Removes a session by TEID, releasing both keys.
     pub fn remove_by_teid(&mut self, teid: u32) -> Option<V> {
         let idx = self.by_teid.remove(&teid)?;
-        self.by_ue_ip.retain(|_, &mut i| i != idx);
+        self.by_ue_ip.remove(&self.slot_ue_ip[idx]);
         self.free.push(idx);
         self.slots[idx].take()
     }
@@ -133,6 +140,60 @@ impl<V> DualKeyTable<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Random insert / rebind / remove sequences over a small key
+        /// space (so slots and keys are reused constantly) agree with a
+        /// two-`HashMap` model: both indexes hold exactly `len()` keys and
+        /// every key — live, removed or never bound — resolves as the
+        /// model says, so a reused slot never answers for its old keys.
+        #[test]
+        fn random_ops_match_a_two_hashmap_model(
+            ops in proptest::collection::vec((0u8..4, 0u32..12, 0u32..12), 1..200),
+        ) {
+            let mut table = DualKeyTable::new();
+            let mut teid_model: HashMap<u32, (u32, usize)> = HashMap::new();
+            let mut ip_model: HashMap<u32, usize> = HashMap::new();
+            for (serial, (op, a, b)) in ops.into_iter().enumerate() {
+                match op {
+                    // Inserts are twice as likely as the other two so
+                    // the table fills; duplicates are a caller bug and
+                    // panic, so the model filters them.
+                    0 | 1 => {
+                        if !teid_model.contains_key(&a) && !ip_model.contains_key(&b) {
+                            table.insert(a, b, serial);
+                            teid_model.insert(a, (b, serial));
+                            ip_model.insert(b, serial);
+                        }
+                    }
+                    2 => {
+                        let expect = teid_model.contains_key(&a) && !teid_model.contains_key(&b);
+                        prop_assert_eq!(table.rebind_teid(a, b), expect);
+                        if expect {
+                            let v = teid_model.remove(&a).expect("checked");
+                            teid_model.insert(b, v);
+                        }
+                    }
+                    _ => {
+                        let gone = teid_model.remove(&a);
+                        if let Some((ip, _)) = gone {
+                            ip_model.remove(&ip);
+                        }
+                        prop_assert_eq!(table.remove_by_teid(a), gone.map(|(_, v)| v));
+                    }
+                }
+                prop_assert_eq!(table.len(), teid_model.len());
+                prop_assert_eq!(table.by_teid.len(), table.len());
+                prop_assert_eq!(table.by_ue_ip.len(), table.len());
+                prop_assert_eq!(table.iter().count(), table.len());
+                for key in 0..12 {
+                    prop_assert_eq!(table.by_teid(key), teid_model.get(&key).map(|(_, v)| v));
+                    prop_assert_eq!(table.by_ue_ip(key), ip_model.get(&key));
+                }
+            }
+        }
+    }
 
     #[test]
     fn both_keys_reach_the_same_session() {

@@ -39,8 +39,13 @@ pub struct RanUe {
 pub struct RanGnb {
     /// UPF-side uplink TEID per UE (stamped on uplink GTP packets).
     pub ul_teid: HashMap<UeId, u32>,
-    /// Downlink tunnel id → UE.
-    pub dl_teid_to_ue: HashMap<u32, UeId>,
+    /// Downlink tunnel id → UE. A UE context holds one downlink tunnel
+    /// at a gNB: a repeated setup replaces it.
+    dl_teid_to_ue: HashMap<u32, UeId>,
+    /// UE → its downlink tunnel id here, the reverse of `dl_teid_to_ue`
+    /// (flat, one entry per UE context, so a context release is one
+    /// removal from each map).
+    dl_teid_of_ue: HashMap<UeId, u32>,
     /// Next downlink TEID to allocate.
     next_dl_teid: u32,
     /// Per-UE downlink buffer used while the UE executes a handover away
@@ -52,11 +57,26 @@ pub struct RanGnb {
 }
 
 impl RanGnb {
+    /// The downlink TEID this gNB allocated for `ue`'s context, if it
+    /// holds one.
+    pub fn dl_teid_of(&self, ue: UeId) -> Option<u32> {
+        self.dl_teid_of_ue.get(&ue).copied()
+    }
+
     fn alloc_dl_teid(&mut self, ue: UeId) -> u32 {
         self.next_dl_teid += 1;
         let teid = 0x8000_0000 | self.next_dl_teid;
         self.dl_teid_to_ue.insert(teid, ue);
+        if let Some(replaced) = self.dl_teid_of_ue.insert(ue, teid) {
+            self.dl_teid_to_ue.remove(&replaced);
+        }
         teid
+    }
+
+    fn release_dl_teid(&mut self, ue: UeId) {
+        if let Some(teid) = self.dl_teid_of_ue.remove(&ue) {
+            self.dl_teid_to_ue.remove(&teid);
+        }
     }
 }
 
@@ -65,6 +85,11 @@ impl RanGnb {
 pub struct Ran {
     /// UEs by id.
     pub ues: HashMap<UeId, RanUe>,
+    /// GUTI → UE for paging, bound when a UE first presents its SUPI
+    /// (`trigger_registration`). Not filled by `add_ue`, so populating a
+    /// fleet stays one insert per UE; a UE that was added but never
+    /// registered is found by scanning `ues`.
+    guti_to_ue: HashMap<u64, UeId>,
     /// gNBs by id.
     pub gnbs: HashMap<GnbId, RanGnb>,
     /// Shared cost model (air-interface and SCTP delays).
@@ -93,6 +118,7 @@ impl Ran {
         }
         Ran {
             ues: HashMap::new(),
+            guti_to_ue: HashMap::new(),
             gnbs,
             cost,
             scheme: HandoverScheme::SmartBuffering,
@@ -126,6 +152,7 @@ impl Ran {
         u.connected = true;
         let gnb = u.serving_gnb;
         let supi = u.supi;
+        self.guti_to_ue.insert(guti_of(supi), ue);
         Output {
             delay: self.cost.ran_attach_fixed + self.cost.sctp_hop,
             env: Envelope::new(
@@ -182,7 +209,7 @@ impl Ran {
                 Msg::Ngap(NgapMessage::UplinkNasTransport {
                     ue,
                     nas: NasMessage::DeregistrationRequest {
-                        guti: 0xF000_0000_0000_0000 | u.supi,
+                        guti: guti_of(u.supi),
                     },
                 }),
             ),
@@ -291,13 +318,18 @@ impl Ran {
                 ]
             }
             NgapMessage::Paging { guti } => {
-                // Find the idle UE by GUTI (suffix = SUPI in this model).
-                let ue = self
-                    .ues
-                    .values()
-                    .find(|u| (0xF000_0000_0000_0000 | u.supi) == guti)
-                    .map(|u| u.ue)
-                    .expect("paged UE exists");
+                // Find the idle UE by GUTI; only a UE that never sent a
+                // registration misses the index.
+                let found = self.guti_to_ue.get(&guti).copied().or_else(|| {
+                    self.ues
+                        .values()
+                        .find(|u| guti_of(u.supi) == guti)
+                        .map(|u| u.ue)
+                });
+                let Some(ue) = found else {
+                    self.counters.inc("paging_unknown_guti");
+                    return Vec::new();
+                };
                 vec![Output {
                     delay: air,
                     env: Envelope::new(
@@ -321,7 +353,7 @@ impl Ran {
                 // target (indirect forwarding).
                 let g = self.gnbs.get_mut(&gnb).expect("known gNB");
                 g.ul_teid.remove(&ue);
-                g.dl_teid_to_ue.retain(|_, u| *u != ue);
+                g.release_dl_teid(ue);
                 if let Some(buf) = g.ho_buffer.remove(&ue) {
                     let prop = self.cost.upf_gnb_prop;
                     for (i, pkt) in buf.into_iter().enumerate() {
@@ -477,7 +509,7 @@ impl Ran {
                             ue,
                             gnb,
                             nas: NasMessage::ServiceRequest {
-                                guti: 0xF000_0000_0000_0000 | u.supi,
+                                guti: guti_of(u.supi),
                             },
                         }),
                     ),
@@ -541,6 +573,11 @@ impl Ran {
             }
         }
     }
+}
+
+/// The GUTI the AMF assigns a subscriber (suffix = SUPI in this model).
+fn guti_of(supi: u64) -> u64 {
+    0xF000_0000_0000_0000 | supi
 }
 
 #[cfg(test)]
@@ -797,5 +834,104 @@ mod tests {
             }) => {}
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    fn page(r: &mut Ran, guti: u64) -> Vec<Output> {
+        r.handle(
+            Envelope::new(
+                Endpoint::Amf,
+                Endpoint::Gnb(1),
+                Msg::Ngap(NgapMessage::Paging { guti }),
+            ),
+            SimTime::ZERO,
+        )
+    }
+
+    #[test]
+    fn paging_finds_registered_ues_by_index_and_others_by_scan() {
+        let mut r = ran();
+        r.add_ue(2, 102, 1);
+        r.trigger_registration(2);
+        assert_eq!(r.guti_to_ue.get(&guti_of(102)), Some(&2));
+        assert_eq!(page(&mut r, guti_of(102))[0].env.to, Endpoint::Ue(2));
+        // UE 1 was added but never registered: not indexed, still paged.
+        assert!(!r.guti_to_ue.contains_key(&guti_of(101)));
+        assert_eq!(page(&mut r, guti_of(101))[0].env.to, Endpoint::Ue(1));
+        assert_eq!(r.counters.get("paging_unknown_guti"), 0);
+    }
+
+    #[test]
+    fn paging_an_unknown_guti_is_counted_not_fatal() {
+        let mut r = ran();
+        assert!(page(&mut r, guti_of(999)).is_empty());
+        assert_eq!(r.counters.get("paging_unknown_guti"), 1);
+    }
+
+    fn setup_tunnel(r: &mut Ran, gnb: GnbId, ue: UeId) -> u32 {
+        let outs = r.handle(
+            Envelope::new(
+                Endpoint::Amf,
+                Endpoint::Gnb(gnb),
+                Msg::Ngap(NgapMessage::HandoverRequest {
+                    ue,
+                    session_id: 1,
+                    uplink_tunnel: TunnelInfo {
+                        teid: 0x101,
+                        addr: 7,
+                    },
+                }),
+            ),
+            SimTime::ZERO,
+        );
+        let Msg::Ngap(NgapMessage::HandoverRequestAcknowledge {
+            downlink_tunnel, ..
+        }) = outs[0].env.msg
+        else {
+            panic!("expected handover acknowledge");
+        };
+        downlink_tunnel.teid
+    }
+
+    fn release(r: &mut Ran, gnb: GnbId, ue: UeId) {
+        r.handle(
+            Envelope::new(
+                Endpoint::Amf,
+                Endpoint::Gnb(gnb),
+                Msg::Ngap(NgapMessage::UeContextReleaseCommand { ue }),
+            ),
+            SimTime::ZERO,
+        );
+    }
+
+    #[test]
+    fn context_release_is_per_gnb_and_per_ue() {
+        let mut r = ran();
+        r.add_ue(2, 102, 1);
+        let at_1 = setup_tunnel(&mut r, 1, 1);
+        let at_2 = setup_tunnel(&mut r, 2, 1);
+        let other = setup_tunnel(&mut r, 1, 2);
+        release(&mut r, 1, 1);
+        assert_eq!(r.gnbs[&1].dl_teid_of(1), None);
+        assert!(!r.gnbs[&1].dl_teid_to_ue.contains_key(&at_1));
+        assert!(!r.gnbs[&1].ul_teid.contains_key(&1));
+        // The same UE's tunnel at the other gNB, and another UE's tunnel
+        // at this one, are untouched.
+        assert_eq!(r.gnbs[&2].dl_teid_of(1), Some(at_2));
+        assert_eq!(r.gnbs[&2].dl_teid_to_ue[&at_2], 1);
+        assert_eq!(r.gnbs[&1].dl_teid_of(2), Some(other));
+        assert_eq!(r.gnbs[&1].dl_teid_to_ue[&other], 2);
+    }
+
+    #[test]
+    fn a_ue_holds_one_dl_teid_per_gnb_and_release_leaves_none() {
+        let mut r = ran();
+        let first = setup_tunnel(&mut r, 1, 1);
+        let second = setup_tunnel(&mut r, 1, 1);
+        assert_ne!(first, second);
+        assert_eq!(r.gnbs[&1].dl_teid_of(1), Some(second));
+        assert_eq!(r.gnbs[&1].dl_teid_to_ue.len(), 1, "repeated setup replaces");
+        release(&mut r, 1, 1);
+        assert!(r.gnbs[&1].dl_teid_to_ue.is_empty());
+        assert!(r.gnbs[&1].dl_teid_of_ue.is_empty());
     }
 }

@@ -297,11 +297,7 @@ impl World {
             }
             // Re-point the user plane at the UE's current serving gNB.
             let gnb = self.ran.ues[&ue].serving_gnb;
-            let dl_teid = self.ran.gnbs[&gnb]
-                .dl_teid_to_ue
-                .iter()
-                .find(|(_, u)| **u == ue)
-                .map(|(t, _)| *t);
+            let dl_teid = self.ran.gnbs[&gnb].dl_teid_of(ue);
             let (seid, far_tunnel) = {
                 let s = &self.core.smf.sessions[&ue];
                 (
