@@ -3,637 +3,14 @@
 //! ```text
 //! cargo run -p l25gc-bench --bin reproduce --release -- all
 //! cargo run -p l25gc-bench --bin reproduce --release -- fig8 fig13 fig14
+//! cargo run -p l25gc-bench --bin reproduce --release -- --help
 //! ```
 //!
-//! Experiment ids: fig6 fig7 fig8 fig9 fig10 fig11 pdr-update scaling40g
-//! fig12 fig13 fig14 eq12 failover-cp fig15 fig16 fig17 capacity, plus
-//! the ablations ablate-dos, ablate-checkpoint, ablate-canary,
-//! ablate-lb. `help` (or `--help`) lists them all.
-//!
-//! `--seed <u64>` perturbs every harness RNG; the default 0 reproduces
-//! the published tables, and any fixed seed gives byte-identical output
-//! across runs.
-//!
-//! `capacity` sweeps offered load × deployment over the `l25gc-load`
-//! fleet engine and prints load-latency curves with the detected knee;
-//! `--ues <n>`, `--shards <n>` and `--duration-s <secs>` size the sweep
-//! (defaults: 1 M UEs, 4 shards, 10 s per point). `--backend threaded`
-//! runs each point on one OS thread per shard over real SPSC rings and
-//! adds a wall-clock sustained-events/s column; `--burst <ratio>` makes
-//! arrivals MMPP-2 bursty; `--workers <n>` (with `--think-ms`) appends a
-//! closed-loop worker sweep; `capacity-burst` prints the burstiness ×
-//! admission-policy table; `--scale-shards lo..hi` runs the shard-count
-//! scaling study on both backends.
-//!
-//! `scenarios` runs the incident library (flash-crowd,
-//! post-outage-reattach, diurnal, stadium-egress, amf-restart) as
-//! scripted-arrival profiles against the calibrated capacity, under
-//! both Shed and Queue admission, scoring each run with the windowed
-//! SLO engine — per cell: recovery time, time to first violation, peak
-//! per-window shed, violation-span count, and (for fault runs) the
-//! failover disruption. `--scenario <names>` picks a subset; `--fault
-//! <plan>` overrides the scripted fault plan; `--manifest-out` writes a
-//! scenario manifest the `compare` gate accepts. Not part of `all`.
-//!
-//! `--csv <dir>` additionally writes the Fig 13/14 RTT time series as
-//! CSV files (`fig13_<system>.csv`, `fig14_<system>.csv`) for plotting.
-//!
-//! `--trace-out <path>` runs the traced end-to-end scenario (bring-up,
-//! handover, failover, paging) and writes its flight-recorder trace:
-//! Chrome `trace_event` JSON by default (load in `chrome://tracing` or
-//! <https://ui.perfetto.dev>), JSON Lines when the path ends in
-//! `.jsonl`. A latency/busy-time summary prints to stdout. With no
-//! experiment ids alongside it, only the trace runs. With
-//! `--trace-sample <n>` the capacity sweep instead keeps every nth UE's
-//! procedure spans and `--trace-out` receives the L25GC knee-point
-//! trace.
-//!
-//! Telemetry and regression gating around the `capacity` sweep:
-//! `--metrics-out <path>` writes every sweep point's windowed per-shard
-//! timeline (`.csv`, Prometheus text for `.prom`/`.txt`, JSON Lines
-//! otherwise; window width `--metrics-interval-ms`, default 100);
-//! `--manifest-out <path>` writes a machine-readable run manifest; and
-//! `reproduce compare <baseline> <current>` diffs two manifests,
-//! exiting 1 when any metric moved past `--threshold-pct` (default
-//! 10%, latency thresholds widened by the log2-histogram error bound)
-//! and 2 on unreadable/unrelated inputs. `reproduce baseline` reruns
-//! the exact CI gate configuration and rewrites the committed
-//! `results/BENCH_capacity_baseline.json`.
-//!
-//! Live telemetry: `--serve-metrics <addr>` (e.g. `127.0.0.1:0`)
-//! serves `GET /metrics` (the current Prometheus exposition, refreshed
-//! each timeline window) and `GET /healthz` (the run phase) while
-//! `capacity`, `scenarios`, or `--saturate` runs — the resolved
-//! address is advertised on stderr. It implies the 100 ms metrics
-//! timeline. `reproduce report <manifest.json>` prints a human-readable
-//! digest of a finished run (knee + anatomy, per-shard utilization,
-//! SLO verdicts, disruption spans); `reproduce validate-prom <file|->`
-//! checks a Prometheus exposition (e.g. a live scrape) and exits 1 if
-//! it does not validate.
-//!
-//! Threaded-backend placement: `--pin` pins each shard worker (and the
-//! dispatcher when a core is spare) to its own physical core — a
-//! warning no-op where affinity is restricted; `--wait
-//! <spin|adaptive|park>` picks the poll-loop wait strategy;
-//! `--repeats <n>` reruns each shard-scaling point n times and reports
-//! mean ± CV of the wall-clock rate; `--saturate` binary-searches the
-//! closed-loop worker count where throughput plateaus and records it
-//! in the manifest.
+//! `--help` is the reference for every experiment id, subcommand and
+//! flag; it is generated from the registries in [`l25gc_bench::spec`],
+//! which are also the only place any of them is declared.
 
-use l25gc_bench::{
-    deployment_name, f, policy_name, render_table, MetricRow, RunManifest, SaturationRow,
-};
-use l25gc_core::Deployment;
-use l25gc_load::{ExecBackend, ScenarioSpec};
-use l25gc_nfv::CostModel;
-use l25gc_testbed::exp;
-
-/// Every experiment id the CLI accepts (besides `all` / `help`).
-const EXPERIMENTS: [&str; 24] = [
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "pdr-update",
-    "scaling40g",
-    "fig12",
-    "fig13",
-    "fig14",
-    "eq12",
-    "failover-cp",
-    "fig15",
-    "fig16",
-    "fig17",
-    "capacity",
-    "capacity-burst",
-    "scenarios",
-    "dispatch",
-    "ablate-dos",
-    "ablate-checkpoint",
-    "ablate-canary",
-    "ablate-lb",
-];
-
-/// The parsed command line: every flag typed, every id validated.
-#[derive(Debug, Clone, Default)]
-struct Args {
-    help: bool,
-    seed: u64,
-    csv: Option<String>,
-    trace_out: Option<String>,
-    /// `--metrics-out`: capacity timeline file (.csv/.prom/.jsonl).
-    metrics_out: Option<String>,
-    /// `--manifest-out`: capacity run-manifest JSON.
-    manifest_out: Option<String>,
-    /// `--threshold-pct`: regression threshold for `compare`.
-    threshold_pct: f64,
-    /// `compare <baseline> <current>`: diff two run manifests.
-    compare: Option<(String, String)>,
-    /// `baseline`: rerun the CI gate config and rewrite the committed
-    /// baseline manifest.
-    baseline: bool,
-    /// `report <manifest.json>`: print a human-readable run digest.
-    report: Option<String>,
-    /// `validate-prom <file|->`: validate a Prometheus exposition.
-    validate_prom: Option<String>,
-    /// `--saturate`: closed-loop saturation search on the capacity run.
-    saturate: bool,
-    /// `--slo p99=<N>ms,shed=<P>%[,clean=<K>]`: evaluate every capacity
-    /// sweep point's timeline against this SLO and print violation
-    /// spans, burn rate, and recovery time. Implies a metrics timeline.
-    slo: Option<l25gc_obs::SloSpec>,
-    /// `--slo-out`: write the per-point SLO reports as JSON.
-    slo_out: Option<String>,
-    cap: exp::capacity::CapacityParams,
-    /// `--scale-shards lo..hi`: run the shard-scaling study.
-    scale_shards: Option<(u16, u16)>,
-    /// `--scenario <names>`: comma-separated subset of the scenario
-    /// library for the `scenarios` matrix (empty = whole library).
-    scenario: Vec<String>,
-    /// Explicit `--ues` for the `scenarios` matrix; `None` keeps each
-    /// scenario's own default fleet size (the capacity sweep's 1 M
-    /// default must not leak into scenario runs).
-    scenario_ues: Option<usize>,
-    /// `--fault kill@3s:shard=2,recover@5s`: overrides the scripted
-    /// fault plan of every selected scenario (validated at parse time
-    /// against each scenario's horizon and the run's shard count).
-    fault: Option<l25gc_load::FaultPlan>,
-    /// Validated experiment ids, in given order (empty = everything).
-    experiments: Vec<String>,
-}
-
-impl Args {
-    /// Parses the raw argument list (after the binary name). Errors are
-    /// one-line human-readable strings; `main` prints them to stderr and
-    /// exits 2.
-    fn parse(raw: &[String]) -> Result<Args, String> {
-        fn num<T: std::str::FromStr>(flag: &str, v: &str, what: &str) -> Result<T, String> {
-            v.parse()
-                .map_err(|_| format!("{flag} needs {what}, got `{v}`"))
-        }
-
-        let mut args = Args {
-            threshold_pct: 10.0,
-            ..Args::default()
-        };
-        let mut seen: Vec<&'static str> = Vec::new();
-        let mut workers: Option<usize> = None;
-        let mut metrics_interval_ms: Option<f64> = None;
-        let mut i = 0;
-        while i < raw.len() {
-            let a = raw[i].as_str();
-            if a == "--help" || a == "-h" || a == "help" {
-                args.help = true;
-                i += 1;
-                continue;
-            }
-            if a == "compare" {
-                if args.compare.is_some() {
-                    return Err("compare given more than once".into());
-                }
-                let path = |off: usize| {
-                    raw.get(i + off)
-                        .filter(|p| !p.starts_with("--"))
-                        .cloned()
-                        .ok_or("compare needs two paths: compare <baseline> <current>")
-                };
-                args.compare = Some((path(1)?, path(2)?));
-                i += 3;
-                continue;
-            }
-            if a == "baseline" {
-                if args.baseline {
-                    return Err("baseline given more than once".into());
-                }
-                args.baseline = true;
-                i += 1;
-                continue;
-            }
-            if a == "report" {
-                if args.report.is_some() {
-                    return Err("report given more than once".into());
-                }
-                let path = raw
-                    .get(i + 1)
-                    .filter(|p| !p.starts_with("--"))
-                    .cloned()
-                    .ok_or("report needs a manifest path: report <manifest.json>")?;
-                args.report = Some(path);
-                i += 2;
-                continue;
-            }
-            if a == "validate-prom" {
-                if args.validate_prom.is_some() {
-                    return Err("validate-prom given more than once".into());
-                }
-                let path = raw
-                    .get(i + 1)
-                    .filter(|p| !p.starts_with("--"))
-                    .cloned()
-                    .ok_or("validate-prom needs a file path (or `-` for stdin)")?;
-                args.validate_prom = Some(path);
-                i += 2;
-                continue;
-            }
-            // Boolean flags take no value.
-            if a == "--pin" || a == "--saturate" {
-                let flag: &'static str = if a == "--pin" { "--pin" } else { "--saturate" };
-                if seen.contains(&flag) {
-                    return Err(format!("{flag} given more than once"));
-                }
-                seen.push(flag);
-                if flag == "--pin" {
-                    args.cap.pin = true;
-                } else {
-                    args.saturate = true;
-                }
-                i += 1;
-                continue;
-            }
-            if a.starts_with("--") {
-                const FLAGS: [&str; 24] = [
-                    "--seed",
-                    "--ues",
-                    "--shards",
-                    "--duration-s",
-                    "--csv",
-                    "--trace-out",
-                    "--backend",
-                    "--burst",
-                    "--workers",
-                    "--think-ms",
-                    "--scale-shards",
-                    "--metrics-out",
-                    "--metrics-interval-ms",
-                    "--trace-sample",
-                    "--manifest-out",
-                    "--threshold-pct",
-                    "--wait",
-                    "--repeats",
-                    "--slo",
-                    "--slo-out",
-                    "--scenario",
-                    "--fault",
-                    "--serve-metrics",
-                    "--dispatch-batch",
-                ];
-                let Some(&flag) = FLAGS.iter().find(|&&f| f == a) else {
-                    return Err(format!("unknown flag `{a}` (see --help)"));
-                };
-                if seen.contains(&flag) {
-                    return Err(format!("{flag} given more than once"));
-                }
-                seen.push(flag);
-                let v = raw
-                    .get(i + 1)
-                    .ok_or_else(|| format!("{flag} needs a value"))?
-                    .as_str();
-                match flag {
-                    "--seed" => args.seed = num(flag, v, "a u64")?,
-                    "--ues" => {
-                        args.cap.ues = num(flag, v, "a positive count")?;
-                        if args.cap.ues == 0 {
-                            return Err("--ues must be positive".into());
-                        }
-                    }
-                    "--shards" => {
-                        args.cap.shards = num(flag, v, "a positive count")?;
-                        if args.cap.shards == 0 {
-                            return Err("--shards must be positive".into());
-                        }
-                    }
-                    "--duration-s" => {
-                        args.cap.duration_s = num(flag, v, "seconds")?;
-                        if !args.cap.duration_s.is_finite() || args.cap.duration_s <= 0.0 {
-                            return Err("--duration-s must be positive".into());
-                        }
-                    }
-                    "--csv" => args.csv = Some(v.to_string()),
-                    "--trace-out" => args.trace_out = Some(v.to_string()),
-                    "--backend" => args.cap.backend = ExecBackend::parse(v)?,
-                    "--burst" => {
-                        args.cap.burst = num(flag, v, "a ratio >= 1")?;
-                        if !args.cap.burst.is_finite() || args.cap.burst < 1.0 {
-                            return Err("--burst must be finite and >= 1".into());
-                        }
-                    }
-                    "--workers" => {
-                        let w: usize = num(flag, v, "a positive count")?;
-                        if w == 0 {
-                            return Err("--workers must be positive".into());
-                        }
-                        workers = Some(w);
-                    }
-                    "--think-ms" => {
-                        args.cap.think_ms = num(flag, v, "milliseconds")?;
-                        if !args.cap.think_ms.is_finite() || args.cap.think_ms <= 0.0 {
-                            return Err("--think-ms must be positive".into());
-                        }
-                    }
-                    "--scale-shards" => {
-                        let (lo, hi) = v
-                            .split_once("..")
-                            .ok_or_else(|| format!("--scale-shards needs `lo..hi`, got `{v}`"))?;
-                        let lo: u16 = num(flag, lo, "a shard count")?;
-                        let hi: u16 = num(flag, hi, "a shard count")?;
-                        if lo == 0 || hi < lo || hi > 64 {
-                            return Err(format!(
-                                "--scale-shards needs 1 <= lo <= hi <= 64, got {lo}..{hi}"
-                            ));
-                        }
-                        args.scale_shards = Some((lo, hi));
-                    }
-                    "--metrics-out" => args.metrics_out = Some(v.to_string()),
-                    "--metrics-interval-ms" => {
-                        let ms: f64 = num(flag, v, "milliseconds")?;
-                        if !ms.is_finite() || ms <= 0.0 {
-                            return Err("--metrics-interval-ms must be positive".into());
-                        }
-                        metrics_interval_ms = Some(ms);
-                    }
-                    "--trace-sample" => {
-                        args.cap.trace_sample = num(flag, v, "a positive stride")?;
-                        if args.cap.trace_sample == 0 {
-                            return Err(
-                                "--trace-sample must be positive (omit it to disable)".into()
-                            );
-                        }
-                    }
-                    "--manifest-out" => args.manifest_out = Some(v.to_string()),
-                    "--wait" => {
-                        args.cap.wait = l25gc_load::WaitStrategy::parse(v)
-                            .ok_or_else(|| format!("--wait needs spin|adaptive|park, got `{v}`"))?;
-                    }
-                    "--repeats" => {
-                        args.cap.repeats = num(flag, v, "a positive count")?;
-                        if args.cap.repeats == 0 {
-                            return Err("--repeats must be positive".into());
-                        }
-                    }
-                    "--serve-metrics" => {
-                        if !v.contains(':') {
-                            return Err(format!(
-                                "--serve-metrics needs a socket address like 127.0.0.1:9500 \
-                                 (port 0 picks a free one), got `{v}`"
-                            ));
-                        }
-                        args.cap.serve_metrics = Some(v.to_string());
-                    }
-                    "--dispatch-batch" => {
-                        args.cap.dispatch_batch = num(flag, v, "a positive count")?;
-                        if args.cap.dispatch_batch == 0 {
-                            return Err("--dispatch-batch must be positive".into());
-                        }
-                    }
-                    "--slo" => args.slo = Some(l25gc_bench::spec::slo(v)?),
-                    "--slo-out" => args.slo_out = Some(v.to_string()),
-                    "--scenario" => args.scenario = l25gc_bench::spec::scenario_names(v)?,
-                    "--fault" => args.fault = Some(l25gc_bench::spec::fault_plan(v)?),
-                    "--threshold-pct" => {
-                        args.threshold_pct = num(flag, v, "a percentage")?;
-                        if !args.threshold_pct.is_finite() || args.threshold_pct <= 0.0 {
-                            return Err("--threshold-pct must be positive".into());
-                        }
-                    }
-                    _ => unreachable!("flag list is exhaustive"),
-                }
-                i += 2;
-                continue;
-            }
-            if a == "all" || EXPERIMENTS.contains(&a) {
-                args.experiments.push(a.to_string());
-            } else {
-                return Err(format!("unknown experiment id `{a}` (see --help)"));
-            }
-            i += 1;
-        }
-        args.cap.seed = args.seed;
-        args.cap.workers = workers;
-        // The capacity default (1 M UEs) must not leak into scenario
-        // runs: only an explicit --ues overrides the per-scenario fleet.
-        if seen.contains(&"--ues") {
-            args.scenario_ues = Some(args.cap.ues);
-        }
-        let scenarios_selected = args.experiments.iter().any(|a| a == "scenarios");
-        let capacity_selected = args
-            .experiments
-            .iter()
-            .any(|a| a == "capacity" || a == "all");
-        if args.compare.is_some() && !args.experiments.is_empty() {
-            return Err("compare is standalone; drop the experiment ids".into());
-        }
-        if args.baseline && (!args.experiments.is_empty() || args.compare.is_some()) {
-            return Err("baseline is standalone; drop the experiment ids".into());
-        }
-        if args.report.is_some()
-            && (!args.experiments.is_empty()
-                || args.compare.is_some()
-                || args.baseline
-                || args.validate_prom.is_some())
-        {
-            return Err("report is standalone; drop the other subcommands and ids".into());
-        }
-        if args.validate_prom.is_some()
-            && (!args.experiments.is_empty() || args.compare.is_some() || args.baseline)
-        {
-            return Err("validate-prom is standalone; drop the other subcommands and ids".into());
-        }
-        if !args.scenario.is_empty() && !scenarios_selected {
-            return Err("--scenario needs the `scenarios` experiment".into());
-        }
-        if let Some(fault) = &args.fault {
-            if !scenarios_selected {
-                return Err("--fault needs the `scenarios` experiment".into());
-            }
-            // Structural fit is checkable right here: the override must
-            // suit every scenario it will ride (each has its own
-            // horizon) and the run's shard count.
-            let names: Vec<&str> = if args.scenario.is_empty() {
-                l25gc_load::SCENARIO_NAMES.to_vec()
-            } else {
-                args.scenario.iter().map(String::as_str).collect()
-            };
-            for name in names {
-                let spec = ScenarioSpec::by_name(name).expect("names validated at parse");
-                fault
-                    .validate(args.cap.shards, spec.duration())
-                    .map_err(|e| format!("--fault does not fit scenario `{name}`: {e}"))?;
-            }
-        }
-        let dispatch_selected = args.experiments.iter().any(|a| a == "dispatch");
-        if args.manifest_out.is_some()
-            && [scenarios_selected, capacity_selected, dispatch_selected]
-                .iter()
-                .filter(|&&s| s)
-                .count()
-                > 1
-        {
-            return Err(
-                "--manifest-out is ambiguous with more than one of `capacity`, `scenarios`, \
-                 and `dispatch` selected; run them separately"
-                    .into(),
-            );
-        }
-        // `scenarios` always carries a timeline, so the interval flag
-        // stands on its own there; `--serve-metrics` implies one too
-        // (there is nothing to publish without windows).
-        if metrics_interval_ms.is_some()
-            && args.metrics_out.is_none()
-            && args.slo.is_none()
-            && args.cap.serve_metrics.is_none()
-            && !scenarios_selected
-        {
-            return Err(
-                "--metrics-interval-ms needs --metrics-out, --slo, --serve-metrics, or scenarios"
-                    .into(),
-            );
-        }
-        if args.slo_out.is_some() && args.slo.is_none() {
-            return Err("--slo-out needs --slo".into());
-        }
-        if args.metrics_out.is_some()
-            || args.slo.is_some()
-            || args.cap.serve_metrics.is_some()
-            || scenarios_selected
-        {
-            args.cap.metrics_interval_ms = Some(metrics_interval_ms.unwrap_or(100.0));
-        }
-        Ok(args)
-    }
-}
-
-fn print_help() {
-    println!(
-        "\
-reproduce — regenerate the paper's figures and tables
-
-usage: reproduce [flags] [experiment ids...]   (no ids, or `all`: everything)
-       reproduce compare <baseline.json> <current.json> [--threshold-pct <p>]
-       reproduce baseline    (rerun the CI gate configs, rewrite
-                              results/BENCH_capacity_baseline.json,
-                              results/BENCH_scenarios_baseline.json, and
-                              results/BENCH_dispatch_baseline.json)
-       reproduce report <manifest.json>   (human-readable run digest:
-                              knee + anatomy, per-shard utilization,
-                              SLO verdicts, disruption spans)
-       reproduce validate-prom <file|->   (validate a Prometheus
-                              exposition, e.g. a live /metrics scrape;
-                              `-` reads stdin)
-
-experiments:
-  fig6              PostSmContextsRequest serialization cost
-  fig7              single PFCP message latency, SMF<->UPF
-  fig8              UE event completion times across deployments
-  fig9              SBI exchange speedup over HTTP
-  fig10             data-plane throughput and latency vs packet size
-  fig11             PDR lookup latency/throughput per structure
-  pdr-update        PDR update latency per structure
-  scaling40g        UPF cores vs forwarding rate at MTU
-  fig12             page load time with intermittent handovers
-  fig13             paging: RTT series and Table 1
-  fig14             handover: RTT series and Table 2
-  eq12              smart-buffering drop/OWD estimate (Eq 1/2)
-  failover-cp       handover completion with mid-flight 5GC failure
-  fig15             failover during a bulk transfer
-  fig16             failover during handover + transfer
-  fig17             repeated handovers under 10 TCP flows
-  capacity          fleet-scale load-latency sweep (l25gc-load engine)
-  capacity-burst    MMPP burstiness x admission policy (not part of `all`)
-  scenarios         incident scenario x admission-policy recovery matrix
-                    over the scripted-arrival library (flash-crowd,
-                    post-outage-reattach, diurnal, stadium-egress,
-                    amf-restart); reports recovery time, time to first
-                    violation, peak shed, and failover disruption per
-                    cell (not part of `all`)
-  dispatch          staged-dispatch ladder: rerun one threaded point at
-                    batch sizes 1/8/32/128, prove the virtual-time
-                    columns are batch-invariant, and report the
-                    wall-clock sustained rate per size (not part of
-                    `all`)
-  ablate-dos        tuple-space explosion DoS
-  ablate-checkpoint checkpoint interval sweep
-  ablate-canary     canary rollout split
-  ablate-lb         UE-aware load balancing across 5GC units
-
-flags:
-  --seed <u64>        perturb every harness RNG (default 0: paper tables;
-                      any fixed seed is byte-identical across runs)
-  --ues <n>           capacity: fleet size (default 1000000)
-  --shards <n>        capacity: worker shards (default 4)
-  --duration-s <secs> capacity: horizon per sweep point (default 10)
-  --backend <b>       capacity: `analytic` (default, deterministic) or
-                      `threaded` (one OS thread per shard over SPSC
-                      rings; adds wall-clock sustained ev/s)
-  --burst <ratio>     capacity: MMPP-2 burstiness, 1 = Poisson (default)
-  --workers <n>       capacity: also sweep a closed loop up to n workers
-  --think-ms <ms>     closed-loop mean think time (default 10)
-  --pin               threaded: pin each shard worker (and the
-                      dispatcher when a core is spare) to its own
-                      physical core; warns and runs unpinned where
-                      affinity is restricted
-  --wait <w>          threaded: poll-loop wait strategy — `spin`
-                      (busy-poll, PMD-style), `adaptive` (default:
-                      spin -> yield -> park ladder) or `park`
-  --dispatch-batch <n>
-                      threaded: stage up to n routed events per shard
-                      and flush them as one ring burst (default 1 =
-                      per-event dispatch); virtual-time results are
-                      identical at every size when unshed
-  --repeats <n>       shard scaling: rerun each point n times, report
-                      mean +/- CV of the wall-clock rate (default 1)
-  --saturate          capacity: binary-search the closed-loop worker
-                      count where throughput plateaus; recorded in the
-                      manifest
-  --scale-shards l..h shard-scaling study over doubling shard counts,
-                      both backends (with no ids: only this study runs)
-  --csv <dir>         write fig13/fig14 RTT series as CSV
-  --trace-out <path>  write the traced scenario (Chrome JSON, or JSONL
-                      if the path ends in .jsonl); with --trace-sample
-                      the capacity L25GC knee-point trace instead
-  --metrics-out <p>   capacity: write every sweep point's windowed
-                      per-shard timeline (.csv, .prom/.txt Prometheus
-                      text, JSONL otherwise)
-  --metrics-interval-ms <ms>
-                      timeline window width (default 100; needs
-                      --metrics-out, --slo, --serve-metrics, or
-                      scenarios)
-  --serve-metrics <addr>
-                      serve live telemetry while capacity, scenarios,
-                      or --saturate runs: GET /metrics returns the
-                      current Prometheus exposition (refreshed every
-                      timeline window and on failover transitions),
-                      GET /healthz the run phase. Port 0 picks a free
-                      port; the resolved address is advertised on
-                      stderr. Implies --metrics-interval-ms 100.
-  --slo <spec>        capacity: evaluate every sweep point's timeline
-                      against `p99=<N>ms,shed=<P>%[,clean=<K>]` and
-                      print violation spans, burn rate, and recovery
-                      time (never changes the exit status)
-  --slo-out <path>    write the per-point SLO reports as JSON (needs
-                      --slo)
-  --scenario <names>  scenarios: comma-separated subset of the library
-                      (default: all five); --ues, --shards, --backend,
-                      --slo, --metrics-interval-ms, and --manifest-out
-                      apply to the matrix too
-  --fault <plan>      scenarios: override every selected scenario's
-                      scripted fault plan, e.g.
-                      `kill@3s:shard=2,recover@5s` (validated against
-                      each scenario's horizon and --shards)
-  --trace-sample <n>  capacity: keep every nth UE's procedure spans
-                      (strided, allocation-free when sampled out)
-  --manifest-out <p>  capacity: write the machine-readable run manifest
-                      (seed, config, per-point quantiles) as JSON
-  --threshold-pct <p> compare: regression threshold (default 10;
-                      latency thresholds additionally absorb the log2
-                      histogram error bound)
-  --help              this listing
-
-exit status: 0 ok; 1 compare found regressions or validate-prom found
-an invalid exposition; 2 bad usage or unreadable inputs"
-    );
-}
+use l25gc_bench::spec::{self, Args, EXPERIMENTS, SUBCOMMANDS};
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -645,1543 +22,29 @@ fn main() {
         }
     };
     if args.help {
-        print_help();
+        print!("{}", spec::help());
         return;
     }
-    if let Some((base, cur)) = args.compare.as_ref() {
-        std::process::exit(run_compare(base, cur, args.threshold_pct));
+    for sub in &SUBCOMMANDS {
+        if let Some(code) = (sub.run)(&args) {
+            std::process::exit(code);
+        }
     }
-    if args.baseline {
-        std::process::exit(run_baseline(
-            "results/BENCH_capacity_baseline.json",
-            "results/BENCH_scenarios_baseline.json",
-            "results/BENCH_dispatch_baseline.json",
-        ));
-    }
-    if let Some(path) = args.report.as_ref() {
-        std::process::exit(run_report(path));
-    }
-    if let Some(path) = args.validate_prom.as_ref() {
-        std::process::exit(run_validate_prom(path));
-    }
-    let seed = args.seed;
-    let csv_dir = args.csv.clone();
-    let cap_params = args.cap.clone();
-
-    // Standalone studies: with no experiment ids alongside, run only
-    // them. With --trace-sample the trace comes out of the capacity
-    // sweep, so --trace-out no longer implies the scenario study.
-    let scenario_trace = args.trace_out.is_some() && cap_params.trace_sample == 0;
-    let only_side_studies =
-        (scenario_trace || args.scale_shards.is_some()) && args.experiments.is_empty();
-    if scenario_trace {
-        write_trace(args.trace_out.as_deref().expect("checked above"), seed);
-    }
-    if let Some((lo, hi)) = args.scale_shards {
-        shard_scaling(&cap_params, lo, hi);
-    }
-    if only_side_studies {
+    if l25gc_bench::run::side_studies(&args) {
         return;
     }
-    let ids = &args.experiments;
-    let all = ids.is_empty() || ids.iter().any(|a| a == "all");
-    let want = |name: &str| all || ids.iter().any(|a| a == name);
-
-    if want("fig6") {
-        fig6();
+    for e in EXPERIMENTS.iter().filter(|e| args.selects(e)) {
+        (e.run)(&args);
     }
-    if want("fig7") {
-        fig7();
-    }
-    if want("fig8") {
-        fig8(seed);
-    }
-    if want("fig9") {
-        fig9();
-    }
-    if want("fig10") {
-        fig10();
-    }
-    if want("fig11") {
-        fig11();
-    }
-    if want("pdr-update") {
-        pdr_update();
-    }
-    if want("scaling40g") {
-        scaling40g();
-    }
-    if want("fig12") {
-        fig12(seed);
-    }
-    if want("fig13") {
-        fig13(csv_dir.as_deref(), seed);
-    }
-    if want("fig14") {
-        fig14(csv_dir.as_deref(), seed);
-    }
-    if want("eq12") {
-        eq12();
-    }
-    if want("failover-cp") {
-        failover_cp(seed);
-    }
-    if want("fig15") {
-        fig15(seed);
-    }
-    if want("fig16") {
-        fig16(seed);
-    }
-    if want("fig17") {
-        fig17(seed);
-    }
-    if want("capacity") {
-        capacity(&args);
-    }
-    // Heavy side study: only on explicit request, never under `all`.
-    if ids.iter().any(|a| a == "capacity-burst") {
-        capacity_burst(&cap_params);
-    }
-    // Recovery matrix: also explicit-only, with its own manifest shape.
-    if ids.iter().any(|a| a == "scenarios") {
-        scenarios(&args);
-    }
-    // Staged-dispatch ladder: explicit-only, threaded by construction.
-    if ids.iter().any(|a| a == "dispatch") {
-        dispatch(&args);
-    }
-    if want("ablate-dos") {
-        ablate_dos();
-    }
-    if want("ablate-checkpoint") {
-        ablate_checkpoint(seed);
-    }
-    if want("ablate-canary") {
-        ablate_canary();
-    }
-    if want("ablate-lb") {
-        ablate_lb();
-    }
-}
-
-/// Runs `compare <baseline> <current>` and returns the process exit
-/// code: 0 clean, 1 regressions found, 2 unreadable or unrelated
-/// inputs.
-fn run_compare(base_path: &str, cur_path: &str, threshold_pct: f64) -> i32 {
-    let load = |p: &str| -> Result<RunManifest, String> {
-        let text = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
-        RunManifest::from_json(&text).map_err(|e| format!("{p}: {e}"))
-    };
-    let (base, cur) = match (load(base_path), load(cur_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("reproduce: compare: {e}");
-            return 2;
-        }
-    };
-    let regs = match l25gc_bench::compare(&base, &cur, threshold_pct) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("reproduce: compare: {e}");
-            return 2;
-        }
-    };
-    println!(
-        "compare: {} baseline series (seed {}, {} UEs, {} backend) vs {} current, \
-         threshold {threshold_pct}%",
-        base.metrics.len(),
-        base.seed,
-        base.ues,
-        base.backend,
-        cur.metrics.len(),
-    );
-    if regs.is_empty() {
-        println!("no regressions");
-        return 0;
-    }
-    for r in &regs {
-        println!("REGRESSION {r}");
-    }
-    eprintln!("reproduce: compare: {} regression(s)", regs.len());
-    1
-}
-
-/// `reproduce report <manifest.json>`: prints a human-readable digest
-/// of a finished run. Returns the process exit code: 0 printed, 2
-/// unreadable input.
-fn run_report(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("reproduce: report: {path}: {e}");
-            return 2;
-        }
-    };
-    let manifest = match RunManifest::from_json(&text) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("reproduce: report: {path}: {e}");
-            return 2;
-        }
-    };
-    print!("{}", render_report(&manifest));
-    0
-}
-
-/// Renders the `report` digest: run identity, knee + anatomy per
-/// deployment (capacity manifests) or the scenario roster (scenario
-/// manifests), then per-series SLO verdicts, failover disruption, and
-/// utilization. Works on any manifest `compare` accepts — the
-/// utilization columns are optional, so pre-upgrade manifests digest
-/// cleanly, just with less detail.
-fn render_report(m: &RunManifest) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "run digest: seed {}, {} UEs, {} shards, {} backend, burst {}, {} metric series \
-         (manifest v{})",
-        m.seed,
-        m.ues,
-        m.shards,
-        m.backend,
-        m.burst,
-        m.metrics.len(),
-        m.version,
-    );
-    if m.scenarios.is_empty() {
-        // Capacity manifest: rows are named `<deployment>@<frac>x`.
-        // Re-derive each deployment's knee with the sweep's rule (last
-        // point still healthy: <1% loss and >=90% of offered achieved).
-        let mut deployments: Vec<&str> = Vec::new();
-        for r in &m.metrics {
-            if let Some((dep, _)) = r.name.split_once('@') {
-                if !deployments.contains(&dep) {
-                    deployments.push(dep);
-                }
-            }
-        }
-        for dep in deployments {
-            let prefix = format!("{dep}@");
-            let rows: Vec<&MetricRow> = m
-                .metrics
-                .iter()
-                .filter(|r| r.name.starts_with(&prefix))
-                .collect();
-            let mut knee = 0usize;
-            for (i, r) in rows.iter().enumerate() {
-                if r.loss_pct < 1.0 && r.achieved_eps >= 0.9 * r.offered_eps {
-                    knee = i;
-                }
-            }
-            let k = rows[knee];
-            let _ = writeln!(
-                out,
-                "{dep}: knee at {} — {} ev/s offered, {} achieved, p99 {} ms, loss {:.2}%",
-                k.name,
-                f(k.offered_eps),
-                f(k.achieved_eps),
-                f(k.p99_ms),
-                k.loss_pct,
-            );
-            let past = rows[(knee + 1).min(rows.len() - 1)];
-            if let (Some(qw), Some(svc)) = (past.queue_wait_p99_ms, past.service_p99_ms) {
-                let anatomy = if qw > svc {
-                    "queueing-dominated (arrivals stack up behind busy shards)"
-                } else {
-                    "service-dominated (the work itself is the cost)"
-                };
-                let _ = writeln!(
-                    out,
-                    "{dep}: anatomy past the knee: {anatomy} — queue-wait p99 {} ms vs service \
-                     p99 {} ms",
-                    f(qw),
-                    f(svc),
-                );
-            }
-            if let (Some(util), Some(ps), Some(pu)) = (k.util, k.peak_shard, k.peak_shard_util) {
-                let _ = writeln!(
-                    out,
-                    "{dep}: utilization at the knee: mean {:.0}%, peak shard {ps} at {:.0}% — \
-                     shard {ps} saturates first",
-                    util * 100.0,
-                    pu * 100.0,
-                );
-            }
-        }
-    } else {
-        for s in &m.scenarios {
-            let fault = s
-                .fault
-                .as_deref()
-                .map(|p| format!(", fault {p}"))
-                .unwrap_or_default();
-            let _ = writeln!(
-                out,
-                "scenario {}: {} ({} UEs, capacity {} ev/s, p99 budget {} ms{fault})",
-                s.name,
-                s.summary,
-                s.ues,
-                f(s.capacity_eps),
-                f(s.p99_budget_ms),
-            );
-        }
-    }
-    for r in &m.metrics {
-        let verdict = match r.recovery_ms {
-            None => "no SLO timeline".to_string(),
-            Some(rec) => match r.time_to_first_violation_ms {
-                None => "clean (no violating window)".to_string(),
-                Some(t) => format!("first violation at {} ms, recovered in {} ms", f(t), f(rec)),
-            },
-        };
-        let disruption = r
-            .disruption_ms
-            .map(|d| format!(", failover disruption {} ms", f(d)))
-            .unwrap_or_default();
-        let util = r
-            .util
-            .map(|u| format!(", mean util {:.0}%", u * 100.0))
-            .unwrap_or_default();
-        let peak = r
-            .peak_shard
-            .zip(r.peak_shard_util)
-            .map(|(s, u)| format!(" (peak shard {s} at {:.0}%)", u * 100.0))
-            .unwrap_or_default();
-        let _ = writeln!(out, "  {}: SLO {verdict}{disruption}{util}{peak}", r.name);
-    }
-    out
-}
-
-/// `reproduce validate-prom <file|->`: validates a Prometheus text
-/// exposition — typically a live `/metrics` scrape — with the same
-/// checker the exporters self-validate with. Returns the process exit
-/// code: 0 valid (sample count printed), 1 invalid, 2 unreadable.
-fn run_validate_prom(path: &str) -> i32 {
-    let text = if path == "-" {
-        use std::io::Read as _;
-        let mut buf = String::new();
-        match std::io::stdin().read_to_string(&mut buf) {
-            Ok(_) => buf,
-            Err(e) => {
-                eprintln!("reproduce: validate-prom: stdin: {e}");
-                return 2;
-            }
-        }
-    } else {
-        match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("reproduce: validate-prom: {path}: {e}");
-                return 2;
-            }
-        }
-    };
-    match l25gc_obs::validate_prometheus(&text) {
-        Ok(samples) => {
-            println!("{path}: valid Prometheus exposition, {samples} samples");
-            0
-        }
-        Err(e) => {
-            eprintln!("reproduce: validate-prom: {path}: {e}");
-            1
-        }
-    }
-}
-
-/// Reruns the exact configurations the CI regression gates use —
-/// `capacity --ues 10000 --duration-s 1 --seed 7` and the full scenario
-/// matrix at `--ues 20000 --shards 2 --seed 7`, both analytic — and
-/// rewrites the committed baseline manifests. Returns the process exit
-/// code: 0 both written, 2 unwritable path.
-fn run_baseline(cap_path: &str, scen_path: &str, dispatch_path: &str) -> i32 {
-    let params = exp::capacity::CapacityParams {
-        ues: 10_000,
-        duration_s: 1.0,
-        seed: 7,
-        // Keep a timeline so the baseline carries recovery_ms and the
-        // compare gate can watch it.
-        metrics_interval_ms: Some(100.0),
-        ..exp::capacity::CapacityParams::default()
-    };
-    let curves = exp::capacity::sweep(&params);
-    let manifest = RunManifest::from_capacity(&params, &curves);
-    if let Err(e) = std::fs::write(cap_path, manifest.to_json()) {
-        eprintln!("reproduce: baseline: {cap_path}: {e}");
-        return 2;
-    }
-    println!(
-        "wrote {cap_path}: baseline manifest (seed {}, {} UEs, {} shards, {} backend), {} metric \
-         series",
-        params.seed,
-        params.ues,
-        params.shards,
-        params.backend,
-        manifest.metrics.len()
-    );
-    let scen_params = exp::scenario::ScenarioParams {
-        ues: Some(20_000),
-        shards: 2,
-        seed: 7,
-        ..exp::scenario::ScenarioParams::default()
-    };
-    let specs = ScenarioSpec::library();
-    let outcomes = exp::scenario::run_matrix(&specs, &scen_params);
-    let scen_manifest = RunManifest::from_scenarios(&scen_params, &specs, &outcomes);
-    if let Err(e) = std::fs::write(scen_path, scen_manifest.to_json()) {
-        eprintln!("reproduce: baseline: {scen_path}: {e}");
-        return 2;
-    }
-    println!(
-        "wrote {scen_path}: scenario baseline manifest (seed {}, {} UEs, {} shards), {} metric \
-         series",
-        scen_params.seed,
-        20_000,
-        scen_params.shards,
-        scen_manifest.metrics.len()
-    );
-    // The dispatch ladder gates exact virtual-time counts and
-    // quantiles, which are host-independent even on the threaded
-    // backend; the wall-clock column rides along uncompared.
-    let dis_params = dispatch_gate_params();
-    let ladder = exp::capacity::dispatch_ladder(&dis_params);
-    print_dispatch_ladder(&dis_params, &ladder);
-    let dis_manifest = RunManifest::from_dispatch(&dis_params, &ladder);
-    if let Err(e) = std::fs::write(dispatch_path, dis_manifest.to_json()) {
-        eprintln!("reproduce: baseline: {dispatch_path}: {e}");
-        return 2;
-    }
-    println!(
-        "wrote {dispatch_path}: dispatch baseline manifest (seed {}, {} UEs, {} shards, \
-         threaded), {} metric series",
-        dis_params.seed,
-        dis_params.ues,
-        dis_params.shards,
-        dis_manifest.metrics.len()
-    );
-    0
-}
-
-/// The fixed config `reproduce baseline` and the CI dispatch gate
-/// share: the committed manifest and the fresh run must be comparable.
-fn dispatch_gate_params() -> exp::capacity::CapacityParams {
-    exp::capacity::CapacityParams {
-        ues: 5_000,
-        shards: 2,
-        duration_s: 1.0,
-        seed: 7,
-        ..exp::capacity::CapacityParams::default()
-    }
-}
-
-/// Writes every sweep point's timeline to one file, format chosen by
-/// extension, and self-validates the output by re-parsing it.
-fn write_metrics(path: &str, curves: &[exp::capacity::CapacityCurve]) {
-    let csv = path.ends_with(".csv");
-    let prom = path.ends_with(".prom") || path.ends_with(".txt");
-    let mut text = String::new();
-    if csv {
-        text.push_str(l25gc_obs::timeline_csv_header());
-    } else if prom {
-        text.push_str(&l25gc_obs::prometheus_header());
-    }
-    let mut series = 0usize;
-    for c in curves {
-        let name = deployment_name(c.deployment);
-        for (frac, tl) in exp::capacity::SWEEP_FRACTIONS.iter().zip(&c.timelines) {
-            let label = format!("{name}@{frac}x");
-            if csv {
-                text.push_str(&tl.to_csv_rows(&label));
-            } else if prom {
-                text.push_str(&tl.to_prometheus_samples(&label));
-            } else {
-                text.push_str(&tl.to_jsonl(&label));
-            }
-            series += 1;
-        }
-    }
-    if prom {
-        let samples = l25gc_obs::validate_prometheus(&text).expect("exposition self-check");
-        std::fs::write(path, &text).expect("write metrics file");
-        println!("wrote {path}: {series} timeline series, {samples} Prometheus samples");
-        return;
-    }
-    if !csv {
-        for line in text.lines() {
-            l25gc_obs::parse_timeline_jsonl_line(line).expect("timeline JSONL self-check");
-        }
-    }
-    std::fs::write(path, &text).expect("write metrics file");
-    println!(
-        "wrote {path}: {series} timeline series, {} lines",
-        text.lines().count()
-    );
-}
-
-fn capacity(args: &Args) {
-    let params = &args.cap;
-    let threaded = params.backend == ExecBackend::Threaded;
-    let curves = exp::capacity::sweep(params);
-    let mut slo_values: Vec<l25gc_codec::Value> = Vec::new();
-    for c in &curves {
-        let name = deployment_name(c.deployment);
-        let table: Vec<Vec<String>> = c
-            .points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let mut row = vec![
-                    format!(
-                        "{}{}",
-                        f(p.offered_eps),
-                        if i == c.knee { " *" } else { "" }
-                    ),
-                    f(p.achieved_eps),
-                    f(p.p50_ms),
-                    f(p.p95_ms),
-                    f(p.p99_ms),
-                    f(p.queue_wait_p99_ms),
-                    f(p.service_p99_ms),
-                    f(p.transit_p99_ms),
-                    format!("{:.2}%", p.loss_pct),
-                    p.active_ues.to_string(),
-                    format!("{:.0}%", p.utilisation * 100.0),
-                ];
-                if let Some(w) = p.wall_eps {
-                    row.push(f(w));
-                }
-                row
-            })
-            .collect();
-        let mut headers = vec![
-            "offered (ev/s)",
-            "achieved (ev/s)",
-            "p50 (ms)",
-            "p95 (ms)",
-            "p99 (ms)",
-            "qw p99 (ms)",
-            "svc p99 (ms)",
-            "tr p99 (ms)",
-            "loss",
-            "active UEs",
-            "util",
-        ];
-        if threaded {
-            headers.push("wall (ev/s)");
-        }
-        print!(
-            "{}",
-            render_table(
-                &format!(
-                    "Capacity: {name} load-latency sweep ({} UEs, {} shards, {:.0} s/point, * = knee)",
-                    params.ues, params.shards, params.duration_s
-                ),
-                &headers,
-                &table
-            )
-        );
-        println!(
-            "{name} sustainable: {} events/s at p99 {} ms (shard occupancy {} ms/event)",
-            f(c.sustainable_eps()),
-            f(c.knee_p99_ms()),
-            f(c.mean_occupancy_ms),
-        );
-        let past = &c.points[(c.knee + 1).min(c.points.len().saturating_sub(1))];
-        println!(
-            "{name} knee anatomy: {} (past the knee, queue-wait p99 {} ms vs service p99 {} ms)",
-            exp::capacity::knee_anatomy(c),
-            f(past.queue_wait_p99_ms),
-            f(past.service_p99_ms),
-        );
-        let (peak_shard, peak_util) = c.peak_shard_at_knee();
-        println!(
-            "{name} knee utilization: mean {:.0}%, peak shard {peak_shard} at {:.0}%",
-            c.points[c.knee].utilisation * 100.0,
-            peak_util * 100.0,
-        );
-        if let Some(wall) = c.points[c.knee].wall_eps {
-            println!(
-                "{name} threaded knee point moved {} events/s of wall-clock throughput \
-                 through the shard rings",
-                f(wall)
-            );
-        }
-        if let Some(tk) = exp::capacity::timeline_knee(c) {
-            println!(
-                "{name} timeline knee: {} at {:.2} s into the {}x point (window {}, {})",
-                tk.reason,
-                tk.at_s,
-                exp::capacity::SWEEP_FRACTIONS[tk.point],
-                tk.window,
-                match tk.reason {
-                    exp::capacity::KneeReason::SheddingStarted =>
-                        format!("{:.0} events shed", tk.value),
-                    exp::capacity::KneeReason::P99OverBudget =>
-                        format!("windowed p99 {} ms", f(tk.value)),
-                }
-            );
-        }
-        if let Some(spec) = args.slo.as_ref() {
-            for (i, report) in exp::capacity::slo_reports(c, spec).iter().enumerate() {
-                let label = format!("{name}/{}x", exp::capacity::SWEEP_FRACTIONS[i]);
-                let recovery = match report.recovery_ns {
-                    Some(0) => "clean (no violation)".to_string(),
-                    Some(ns) => format!("recovered in {} ms", f(ns as f64 / 1e6)),
-                    None => format!(
-                        "never recovered (clamped to {} ms horizon)",
-                        f(report.recovery_ns_or_horizon() as f64 / 1e6)
-                    ),
-                };
-                println!(
-                    "{label} SLO: {}/{} windows violating, burn rate {:.2}, {}",
-                    report.violating_windows, report.window_count, report.burn_rate, recovery,
-                );
-                slo_values.push(report.to_value(&label));
-            }
-        }
-    }
-    if let Some((budget_ms, free_eps, l25_eps)) = exp::capacity::equal_p99_comparison(&curves) {
-        println!(
-            "at equal p99 <= {} ms: free5GC {} ev/s vs L25GC {} ev/s ({:.1}x)\n",
-            f(budget_ms),
-            f(free_eps),
-            f(l25_eps),
-            l25_eps / free_eps.max(1e-9),
-        );
-    }
-    if let Some(path) = args.metrics_out.as_deref() {
-        write_metrics(path, &curves);
-    }
-    if let Some(path) = args.slo_out.as_deref() {
-        let n = slo_values.len();
-        let text = l25gc_codec::json::to_string(&l25gc_codec::Value::Array(slo_values));
-        std::fs::write(path, text).expect("write SLO report file");
-        println!("wrote {path}: {n} per-point SLO reports");
-    }
-    let saturation = args.saturate.then(|| {
-        let max_workers = params.workers.unwrap_or(256);
-        let sat = exp::capacity::saturation_search(params, max_workers);
-        println!(
-            "saturation: L25GC closed-loop throughput plateaus from {} workers \
-             ({} ev/s, p99 {} ms, {:.0}% util; {} probes, cap {max_workers})",
-            sat.workers,
-            f(sat.achieved_eps),
-            f(sat.p99_ms),
-            sat.utilisation * 100.0,
-            sat.probes,
-        );
-        sat
-    });
-    if let Some(path) = args.manifest_out.as_deref() {
-        let mut manifest = RunManifest::from_capacity(params, &curves);
-        manifest.saturation = saturation.as_ref().map(|s| SaturationRow {
-            workers: s.workers as u64,
-            achieved_eps: s.achieved_eps,
-            p99_ms: s.p99_ms,
-            probes: s.probes as u64,
-        });
-        std::fs::write(path, manifest.to_json()).expect("write manifest file");
-        println!(
-            "wrote {path}: run manifest, {} metric series{}",
-            manifest.metrics.len(),
-            if manifest.saturation.is_some() {
-                " + saturation point"
-            } else {
-                ""
-            }
-        );
-    }
-    if params.trace_sample > 0 {
-        if let Some(path) = args.trace_out.as_deref() {
-            let bundle = curves
-                .iter()
-                .find(|c| c.deployment == Deployment::L25gc)
-                .and_then(|c| c.knee_trace.as_ref())
-                .expect("trace_sample > 0 collects a knee trace");
-            let text = if path.ends_with(".jsonl") {
-                l25gc_obs::to_jsonl(bundle)
-            } else {
-                l25gc_obs::to_chrome_trace(bundle)
-            };
-            std::fs::write(path, text).expect("write trace file");
-            println!(
-                "wrote {path}: L25GC knee-point trace, {} spans (1 in {} UEs sampled)",
-                bundle.spans.len(),
-                params.trace_sample
-            );
-        }
-    }
-    if let Some(max_workers) = params.workers {
-        closed_loop(params, max_workers);
-    }
-}
-
-/// Builds the `ScenarioParams` for the matrix from the parsed command
-/// line. Shared by the `scenarios` experiment and `baseline`.
-fn scenario_params(args: &Args) -> exp::scenario::ScenarioParams {
-    exp::scenario::ScenarioParams {
-        ues: args.scenario_ues,
-        shards: args.cap.shards,
-        seed: args.seed,
-        backend: args.cap.backend,
-        metrics_interval_ms: args.cap.metrics_interval_ms.unwrap_or(100.0),
-        slo: args.slo,
-        pin: args.cap.pin,
-        wait: args.cap.wait,
-        serve_metrics: args.cap.serve_metrics.clone(),
-    }
-}
-
-/// Runs the scenario × admission-policy recovery matrix and prints one
-/// row per cell; `--manifest-out` additionally writes a scenario run
-/// manifest for the `compare` gate.
-fn scenarios(args: &Args) {
-    let mut specs: Vec<ScenarioSpec> = if args.scenario.is_empty() {
-        ScenarioSpec::library()
-    } else {
-        args.scenario
-            .iter()
-            .map(|n| ScenarioSpec::by_name(n).expect("names validated at parse"))
-            .collect()
-    };
-    // `--fault` overrides every selected scenario's scripted plan
-    // (validated against each horizon and the shard count at parse
-    // time), turning any library profile into a failover run.
-    if let Some(fault) = &args.fault {
-        for spec in &mut specs {
-            spec.fault = Some(fault.clone());
-        }
-    }
-    let params = scenario_params(args);
-    let outcomes = exp::scenario::run_matrix(&specs, &params);
-    let table: Vec<Vec<String>> = outcomes
-        .iter()
-        .map(|o| {
-            vec![
-                format!("{}/{}", o.scenario, policy_name(o.policy)),
-                f(o.capacity_eps),
-                o.offered.to_string(),
-                o.shed.to_string(),
-                o.backpressure.to_string(),
-                f(o.p99_ms),
-                f(o.p99_budget_ms),
-                o.peak_window_shed.to_string(),
-                o.violation_spans.to_string(),
-                o.time_to_first_violation_ms
-                    .map_or_else(|| "-".to_string(), f),
-                match o.recovery_ms {
-                    Some(0.0) => "clean".to_string(),
-                    Some(v) => format!("{} ms", f(v)),
-                    None => format!("never (>= {} ms)", f(o.horizon_ms)),
-                },
-                o.disruption_ms
-                    .map_or_else(|| "-".to_string(), |v| format!("{} ms", f(v))),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &format!(
-                "Scenarios: incident x admission-policy recovery matrix \
-                 (seed {}, {} shards, {} backend, {} ms windows)",
-                params.seed, params.shards, params.backend, params.metrics_interval_ms
-            ),
-            &[
-                "scenario/policy",
-                "cap (ev/s)",
-                "offered",
-                "shed",
-                "bp",
-                "p99 (ms)",
-                "budget (ms)",
-                "peak shed/win",
-                "spans",
-                "first viol (ms)",
-                "recovery",
-                "disruption",
-            ],
-            &table
-        )
-    );
-    for spec in &specs {
-        if let Some(o) = outcomes.iter().find(|o| o.scenario == spec.name) {
-            println!(
-                "{}: {} ({} UEs, {} s scripted, capacity {} ev/s, p99 budget {} ms)",
-                spec.name,
-                spec.summary,
-                o.ues,
-                f(o.duration_s),
-                f(o.capacity_eps),
-                f(o.p99_budget_ms),
-            );
-        }
-    }
-    if let Some(path) = args.manifest_out.as_deref() {
-        let manifest = RunManifest::from_scenarios(&params, &specs, &outcomes);
-        std::fs::write(path, manifest.to_json()).expect("write manifest file");
-        println!(
-            "wrote {path}: scenario run manifest, {} metric series, {} scenario specs",
-            manifest.metrics.len(),
-            manifest.scenarios.len()
-        );
-    }
-}
-
-fn closed_loop(params: &exp::capacity::CapacityParams, max_workers: usize) {
-    let rows = exp::capacity::closed_loop_table(params, max_workers);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let mut row = vec![
-                r.workers.to_string(),
-                f(r.achieved_eps),
-                f(r.p50_ms),
-                f(r.p99_ms),
-                format!("{:.0}%", r.utilisation * 100.0),
-            ];
-            if let Some(w) = r.wall_eps {
-                row.push(f(w));
-            }
-            row
-        })
-        .collect();
-    let mut headers = vec!["workers", "achieved (ev/s)", "p50 (ms)", "p99 (ms)", "util"];
-    if params.backend == ExecBackend::Threaded {
-        headers.push("wall (ev/s)");
-    }
-    print!(
-        "{}",
-        render_table(
-            &format!(
-                "Capacity: L25GC closed loop, think {} ms ({} backend)",
-                f(params.think_ms),
-                params.backend
-            ),
-            &headers,
-            &table
-        )
-    );
-}
-
-fn capacity_burst(params: &exp::capacity::CapacityParams) {
-    let rows = exp::capacity::burst_policy_table(params);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{:.0}x", r.burst),
-                format!("{:?}", r.policy),
-                f(r.achieved_eps),
-                f(r.p99_ms),
-                format!("{:.2}%", r.loss_pct),
-                r.peak_depth.to_string(),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &format!(
-                "Capacity: L25GC burstiness x admission policy at 0.9x capacity \
-                 ({} shards, {:.0} s/point, {} backend)",
-                params.shards, params.duration_s, params.backend
-            ),
-            &[
-                "burst",
-                "policy",
-                "achieved (ev/s)",
-                "p99 (ms)",
-                "loss",
-                "peak depth"
-            ],
-            &table
-        )
-    );
-}
-
-/// Prints the staged-dispatch ladder table plus the lines CI greps: the
-/// batch-invariance verdict on the virtual-time columns and the batch=32
-/// wall-clock speedup over per-event dispatch. The table itself carries
-/// only virtual-time (seed-determined) columns so the whole table is
-/// run-to-run byte-stable; the host-dependent wall-clock sustained rates
-/// print as separate `dispatch wall:` lines CI strips before diffing.
-fn print_dispatch_ladder(
-    params: &exp::capacity::CapacityParams,
-    ladder: &[(usize, exp::capacity::CapacityPoint)],
-) {
-    let table: Vec<Vec<String>> = ladder
-        .iter()
-        .map(|(batch, p)| {
-            vec![
-                batch.to_string(),
-                f(p.achieved_eps),
-                f(p.p50_ms),
-                f(p.p99_ms),
-                f(p.queue_wait_p99_ms),
-                format!("{:.2}%", p.loss_pct),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &format!(
-                "Dispatch: staged-burst ladder at {} ev/s offered ({} UEs, {} shards, \
-                 {} s/point, threaded, unshed Queue policy, dispatcher-saturating)",
-                exp::capacity::DISPATCH_OFFERED_EPS,
-                params.ues,
-                params.shards,
-                params.duration_s
-            ),
-            &[
-                "batch",
-                "achieved (ev/s)",
-                "p50 (ms)",
-                "p99 (ms)",
-                "qw p99 (ms)",
-                "loss"
-            ],
-            &table
-        )
-    );
-    for (batch, p) in ladder {
-        if let Some(w) = p.wall_eps {
-            println!("dispatch wall: batch={batch} sustained {} ev/s", f(w));
-        }
-    }
-    let base = &ladder[0].1;
-    let invariant = ladder.iter().all(|(_, p)| {
-        p.achieved_eps == base.achieved_eps
-            && p.p50_ms == base.p50_ms
-            && p.p99_ms == base.p99_ms
-            && p.queue_wait_p99_ms == base.queue_wait_p99_ms
-            && p.service_p99_ms == base.service_p99_ms
-            && p.loss_pct == 0.0
-    });
-    println!(
-        "dispatch determinism: virtual-time columns {} across batch sizes {:?}",
-        if invariant { "identical" } else { "DIVERGED" },
-        exp::capacity::DISPATCH_BATCHES,
-    );
-    let wall_at = |b: usize| {
-        ladder
-            .iter()
-            .find(|(batch, _)| *batch == b)
-            .and_then(|(_, p)| p.wall_eps)
-    };
-    if let (Some(one), Some(batched)) = (wall_at(1), wall_at(32)) {
-        println!(
-            "dispatch speedup: batch=32 sustained {} ev/s vs per-event {} ev/s ({:.2}x)",
-            f(batched),
-            f(one),
-            batched / one.max(1e-9),
-        );
-    }
-}
-
-/// The `dispatch` experiment: run the ladder at the CLI config and
-/// optionally write the gateable manifest.
-fn dispatch(args: &Args) {
-    let params = &args.cap;
-    let ladder = exp::capacity::dispatch_ladder(params);
-    print_dispatch_ladder(params, &ladder);
-    if let Some(path) = args.manifest_out.as_deref() {
-        let manifest = RunManifest::from_dispatch(params, &ladder);
-        std::fs::write(path, manifest.to_json()).expect("write manifest file");
-        println!(
-            "wrote {path}: dispatch ladder manifest, {} metric series",
-            manifest.metrics.len()
-        );
-    }
-}
-
-fn shard_scaling(params: &exp::capacity::CapacityParams, lo: u16, hi: u16) {
-    let rows = exp::capacity::shard_scaling(params, lo, hi);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.shards.to_string(),
-                f(r.offered_eps),
-                f(r.analytic_eps),
-                f(r.analytic_p99_ms),
-                f(r.threaded_eps),
-                f(r.threaded_wall_eps),
-                format!("{:.1}%", r.wall_cv_pct),
-            ]
-        })
-        .collect();
-    let repeats = rows.first().map(|r| r.repeats).unwrap_or(1);
-    print!(
-        "{}",
-        render_table(
-            &format!(
-                "Capacity: L25GC shard scaling at 0.9x capacity per count \
-                 ({} UEs, {:.0} s/point, {repeats} run(s)/point, pin={}, wait={})",
-                params.ues, params.duration_s, params.pin, params.wait
-            ),
-            &[
-                "shards",
-                "offered (ev/s)",
-                "analytic (ev/s)",
-                "analytic p99 (ms)",
-                "threaded (ev/s)",
-                "wall mean (ev/s)",
-                "wall CV"
-            ],
-            &table
-        )
-    );
-}
-
-fn write_trace(path: &str, seed: u64) {
-    let bundle = l25gc_testbed::trace::trace_scenario(seed);
-    let text = if path.ends_with(".jsonl") {
-        l25gc_obs::to_jsonl(&bundle)
-    } else {
-        l25gc_obs::to_chrome_trace(&bundle)
-    };
-    std::fs::write(path, text).expect("write trace file");
-    println!(
-        "wrote {path}: {} events, {} spans, {} segments ({} events lost to ring overwrites)\n",
-        bundle.events.len(),
-        bundle.spans.len(),
-        bundle.segments.len(),
-        bundle.dropped_events,
-    );
-    print!("{}", l25gc_obs::to_summary(&bundle));
-}
-
-fn ablate_dos() {
-    let rows = exp::ablation::tss_dos(2_000);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.structure.to_string(),
-                f(r.before_ns),
-                f(r.after_ns),
-                format!("{:.1}x", r.slowdown),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Ablation: tuple-space explosion DoS, 2000 attack rules (Sec 3.4)",
-            &["structure", "before (ns)", "after (ns)", "slowdown"],
-            &table
-        )
-    );
-}
-
-fn ablate_checkpoint(seed: u64) {
-    let rows = exp::ablation::checkpoint_sweep(&[1, 5, 10, 50, 100], seed);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.interval_ms.to_string(),
-                r.checkpoints.to_string(),
-                r.replay_backlog.to_string(),
-                f(r.max_rtt_ms),
-                r.lost.to_string(),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Ablation: checkpoint interval (paper picks periodic 10ms-scale sync)",
-            &[
-                "interval (ms)",
-                "checkpoints",
-                "replay backlog",
-                "max RTT (ms)",
-                "lost"
-            ],
-            &table
-        )
-    );
-}
-
-fn ablate_canary() {
-    let rows: Vec<Vec<String>> = [1u32, 5, 10, 50]
-        .iter()
-        .map(|&pct| {
-            let r = exp::ablation::canary_rollout(pct, 10_000);
-            vec![
-                format!("{}%", r.weight_pct),
-                r.canary_sessions.to_string(),
-                format!("{:.1}%", r.canary_sessions as f64 / r.total as f64 * 100.0),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Ablation: canary rollout split (Sec 4)",
-            &["configured", "canary sessions /10k", "observed"],
-            &rows
-        )
-    );
-}
-
-fn ablate_lb() {
-    let rows: Vec<Vec<String>> = [2u32, 4, 8]
-        .iter()
-        .map(|&units| {
-            let r = exp::ablation::lb_scaling(units, 10_000);
-            vec![
-                r.units.to_string(),
-                r.min_load.to_string(),
-                r.max_load.to_string(),
-                r.migrated_on_failure.to_string(),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Ablation: UE-aware LB across 5GC units, 10k sessions (Sec 4)",
-            &["units", "min load", "max load", "migrated on unit failure"],
-            &rows
-        )
-    );
-}
-
-fn fig6() {
-    let rows = exp::serialization::fig6_serialization();
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.codec.to_string(),
-                f(r.serialize_ns),
-                f(r.deserialize_ns),
-                r.wire_bytes.to_string(),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Fig 6: PostSmContextsRequest serialization (measured)",
-            &["codec", "serialize (ns)", "deserialize (ns)", "bytes"],
-            &table
-        )
-    );
-}
-
-fn fig7() {
-    let rows = exp::control_plane::fig7();
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.message.to_string(),
-                f(r.free5gc_ms),
-                f(r.l25gc_ms),
-                format!("{:.0}%", r.reduction_pct),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Fig 7: single PFCP message latency SMF<->UPF (paper: 21-39% reduction)",
-            &["message", "free5GC (ms)", "L25GC (ms)", "reduction"],
-            &table
-        )
-    );
-}
-
-fn fig8(seed: u64) {
-    let rows = exp::control_plane::fig8(seed);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{:?}", r.event),
-                f(r.free5gc_ms),
-                f(r.onvm_upf_ms),
-                f(r.l25gc_ms),
-                format!("{:.0}%", r.reduction_pct()),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Fig 8: UE event completion time (paper: ~50% reduction, HO 227->130ms)",
-            &[
-                "event",
-                "free5GC (ms)",
-                "ONVM-UPF (ms)",
-                "L25GC (ms)",
-                "reduction"
-            ],
-            &table
-        )
-    );
-}
-
-fn fig9() {
-    let (rows, avg) = exp::serialization::fig9_speedup(&CostModel::paper());
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.message.to_string(),
-                f(r.http_us),
-                f(r.shm_us),
-                format!("{:.1}x", r.speedup),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Fig 9: exchange speedup over HTTP (paper: 13x average)",
-            &["message", "HTTP (us)", "shm (us)", "speedup"],
-            &table
-        )
-    );
-    println!("average speedup: {avg:.1}x");
-}
-
-fn fig10() {
-    for (dep, name) in [
-        (Deployment::Free5gc, "free5GC"),
-        (Deployment::L25gc, "L25GC"),
-    ] {
-        let rows = exp::dataplane::fig10(dep, &CostModel::paper(), 10.0);
-        let table: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.size.to_string(),
-                    f(r.uni_gbps),
-                    f(r.bidir_gbps),
-                    f(r.latency_us),
-                ]
-            })
-            .collect();
-        print!(
-            "{}",
-            render_table(
-                &format!("Fig 10: {name} data plane (paper: 27x tput, 15x latency at 68B)"),
-                &["pkt size (B)", "uni (Gbps)", "bidir (Gbps)", "latency (us)"],
-                &table
-            )
-        );
-    }
-}
-
-fn fig11() {
-    let rows = exp::pdr::fig11(&exp::pdr::RULE_COUNTS);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.structure.to_string(),
-                r.rules.to_string(),
-                f(r.lookup_ns),
-                f(r.mpps),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Fig 11: PDR lookup latency & throughput (measured; paper: PS best, TSS_Worst 2.9us@100)",
-            &["structure", "rules", "lookup (ns)", "rate (Mpps)"],
-            &table
-        )
-    );
-}
-
-fn pdr_update() {
-    let rows = exp::pdr::pdr_update();
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| vec![r.structure.to_string(), f(r.update_us)])
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "PDR update latency (measured; paper: LL 0.38us, TSS 1.41us, PS 6.14us)",
-            &["structure", "update (us)"],
-            &table
-        )
-    );
-}
-
-fn scaling40g() {
-    let rows = exp::dataplane::scaling_40g(&CostModel::paper());
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| vec![r.cores.to_string(), f(r.gbps)])
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Sec 5.3: UPF cores vs forwarding rate at MTU (paper: 1->10G, 2->28G, 4->40G)",
-            &["cores", "rate (Gbps)"],
-            &table
-        )
-    );
-}
-
-fn fig12(seed: u64) {
-    let rows = exp::webpage::fig12(seed);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.system.to_string(),
-                f(r.plt_s),
-                f(r.max_stall_ms),
-                r.timeouts.to_string(),
-                r.spurious_retransmissions.to_string(),
-                r.retransmissions.to_string(),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Fig 12: page load with handovers (paper: 32s vs 28s, free5GC stalls 463ms)",
-            &[
-                "system",
-                "PLT (s)",
-                "max stall (ms)",
-                "timeouts",
-                "spurious rtx",
-                "rtx"
-            ],
-            &table
-        )
-    );
-}
-
-fn write_series_csv(dir: &str, name: &str, series: &l25gc_sim::TimeSeries) {
-    let path = format!("{dir}/{name}.csv");
-    let mut out = String::from("time_s,rtt_us\n");
-    for (t, v) in series.sorted() {
-        out.push_str(&format!("{:.6},{:.1}\n", t.as_secs_f64(), v));
-    }
-    std::fs::write(&path, out).expect("writable csv dir");
-    println!("wrote {path}");
-}
-
-fn fig13(csv: Option<&str>, seed: u64) {
-    let rows = exp::paging::table1(seed);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.system.to_string(),
-                f(r.base_rtt_us),
-                f(r.paging_time_ms),
-                f(r.rtt_after_ms),
-                r.pkts_higher_rtt.to_string(),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Fig 13/Table 1: paging (paper: 116us/59ms/63ms/608 vs 25us/28ms/30ms/294)",
-            &[
-                "system",
-                "base RTT (us)",
-                "paging (ms)",
-                "RTT after (ms)",
-                "#pkts higher RTT"
-            ],
-            &table
-        )
-    );
-    if let Some(dir) = csv {
-        for r in &rows {
-            write_series_csv(dir, &format!("fig13_{}", r.system), &r.series);
-        }
-    }
-}
-
-fn fig14(csv: Option<&str>, seed: u64) {
-    let rows = exp::handover::table2(seed);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|(label, r)| {
-            vec![
-                label.clone(),
-                f(r.base_rtt_us),
-                f(r.rtt_after_ms),
-                r.pkts_higher_rtt.to_string(),
-                r.pkts_dropped.to_string(),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Fig 14/Table 2: handover (paper expt i: 118us/242ms/2301/0 vs 24us/132ms/1437/0)",
-            &[
-                "system",
-                "base RTT (us)",
-                "RTT after (ms)",
-                "#pkts higher RTT",
-                "#dropped"
-            ],
-            &table
-        )
-    );
-    if let Some(dir) = csv {
-        for (label, r) in &rows {
-            let name = label.replace([' ', '(', ')'], "_");
-            write_series_csv(dir, &format!("fig14_{name}"), &r.series);
-        }
-    }
-}
-
-fn eq12() {
-    let rows = exp::analytic::smart_buffering_table(&CostModel::paper());
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.case.to_string(),
-                r.gnb_buffer.to_string(),
-                r.upf_buffer.to_string(),
-                r.drops_3gpp.to_string(),
-                r.drops_l25gc.to_string(),
-                f(r.extra_owd_ms),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Eq 1/2: smart buffering estimate (paper: ~800 drops case i, 0 case ii, +20ms OWD)",
-            &[
-                "case",
-                "gNB buf",
-                "UPF buf",
-                "3GPP drops",
-                "L25GC drops",
-                "3GPP extra OWD (ms)"
-            ],
-            &table
-        )
-    );
-}
-
-fn failover_cp(seed: u64) {
-    let l25 = exp::failover::failover_handover_l25gc(seed);
-    let gpp = exp::failover::failover_handover_3gpp(seed);
-    let table = vec![
-        vec![
-            l25.approach.to_string(),
-            f(l25.ho_baseline_ms),
-            f(l25.ho_with_failure_ms),
-        ],
-        vec![
-            gpp.approach.to_string(),
-            f(gpp.ho_baseline_ms),
-            f(gpp.ho_with_failure_ms),
-        ],
-    ];
-    print!(
-        "{}",
-        render_table(
-            "Sec 5.5.1: handover with mid-flight 5GC failure (paper: 134ms vs 401ms)",
-            &["approach", "HO no-failure (ms)", "HO with failure (ms)"],
-            &table
-        )
-    );
-}
-
-fn failover_data(title: &str, rows: &[exp::failover::FailoverDataRow]) {
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.approach.to_string(),
-                f(r.transferred_mb),
-                r.packets_dropped.to_string(),
-                r.timeouts.to_string(),
-                f(r.max_rtt_ms),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            title,
-            &[
-                "approach",
-                "transferred (MB)",
-                "dropped",
-                "timeouts",
-                "max RTT (ms)"
-            ],
-            &table
-        )
-    );
-}
-
-fn fig15(seed: u64) {
-    failover_data(
-        "Fig 15: failover during data transfer (paper: 3GPP drops ~121 pkts, L25GC none)",
-        &exp::failover::fig15(seed),
-    );
-}
-
-fn fig16(seed: u64) {
-    failover_data(
-        "Fig 16: failover during handover + transfer (paper: seamless for L25GC)",
-        &exp::failover::fig16(seed),
-    );
-}
-
-fn fig17(seed: u64) {
-    let rows = exp::tcp_impact::fig17(seed);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.system.to_string(),
-                f(r.transferred_mb),
-                f(r.max_rtt_ms),
-                r.timeouts.to_string(),
-                r.spurious_retransmissions.to_string(),
-                r.handovers.to_string(),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Fig 17: repeated handovers, 10 TCP flows (paper: 442MB vs 416MB, RTT 130 vs 328ms)",
-            &[
-                "system",
-                "transferred (MB)",
-                "max RTT (ms)",
-                "timeouts",
-                "spurious rtx",
-                "handovers"
-            ],
-            &table
-        )
-    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use l25gc_bench::run::{render_report, run_compare, run_report, run_validate_prom};
+    use l25gc_bench::spec::EXPERIMENT_IDS as EXPERIMENTS;
+    use l25gc_bench::RunManifest;
+    use l25gc_load::ExecBackend;
 
     fn parse(args: &[&str]) -> Result<Args, String> {
         let raw: Vec<String> = args.iter().map(|s| s.to_string()).collect();

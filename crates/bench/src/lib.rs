@@ -11,16 +11,18 @@
 //!   simulated experiments plus the measured ones) and prints them as
 //!   tables; EXPERIMENTS.md records a run next to the paper's values.
 //!
-//! This module hosts small table-formatting helpers shared by the
-//! binaries, the [`spec`] module (one parsing seam for the CLI's
-//! `--slo`/`--scenario`/`--fault` spec strings, with a uniform
-//! one-line-stderr + exit-2 error contract), plus the [`manifest`]
-//! layer: machine-readable
+//! This module hosts the small output helpers the binary shares
+//! (table formatting, exit-2-on-unwritable file writes), the [`spec`]
+//! module (the CLI declared once: flag, subcommand and experiment
+//! registries, [`spec::Args::parse`] and `--help` derived from them),
+//! the [`run`] module (what each experiment and subcommand does), plus
+//! the [`manifest`] layer: machine-readable
 //! [`manifest::RunManifest`] records of a capacity run and the
 //! histogram-error-aware [`manifest::compare`] that turns two of them
 //! into a pass/fail regression gate.
 
 pub mod manifest;
+pub mod run;
 pub mod spec;
 
 pub use manifest::{
@@ -30,34 +32,43 @@ pub use manifest::{
 
 /// Formats a table with a header row and aligned columns.
 pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+    let header: Vec<String> = header.iter().map(|h| h.to_string()).collect();
+    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
         }
     }
-    let mut out = String::new();
-    out.push_str(&format!("\n== {title} ==\n"));
-    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-        cells
-            .iter()
-            .zip(widths)
-            .map(|(c, w)| format!("{c:<w$}"))
-            .collect::<Vec<_>>()
-            .join("  ")
+    let line = |cells: &[String]| {
+        let padded = cells.iter().zip(&widths).map(|(c, w)| format!("{c:<w$}"));
+        padded.collect::<Vec<_>>().join("  ") + "\n"
     };
-    let header_cells: Vec<String> = header.iter().map(|s| s.to_string()).collect();
-    out.push_str(&fmt_row(&header_cells, &widths));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&fmt_row(row, &widths));
-        out.push('\n');
+    let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len());
+    let body: String = rows.iter().map(|row| line(row)).collect();
+    format!("\n== {title} ==\n{}{rule}\n{body}", line(&header))
+}
+
+/// One table column: its header, and how a row renders its cell.
+pub type Column<'a, T> = (&'a str, fn(&T) -> String);
+
+/// Prints one table: a row per item of `rows`, a cell per column.
+pub fn print_table<T>(title: &str, rows: impl IntoIterator<Item = T>, columns: &[Column<'_, T>]) {
+    let header: Vec<&str> = columns.iter().map(|c| c.0).collect();
+    let cells: Vec<Vec<String>> = rows
+        .into_iter()
+        .map(|row| columns.iter().map(|c| (c.1)(&row)).collect())
+        .collect();
+    print!("{}", render_table(title, &header, &cells));
+}
+
+/// Writes an output file. Every `--*-out` path goes through here: an
+/// unwritable path is a usage error — one `reproduce: <path>: <os
+/// error>` line on stderr and exit code 2 — not a panic.
+pub fn write_or_exit(path: &str, text: &str) {
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("reproduce: {path}: {e}");
+        std::process::exit(2);
     }
-    out
 }
 
 /// Formats a float with a sensible number of digits.

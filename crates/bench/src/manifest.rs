@@ -22,8 +22,10 @@ use l25gc_codec::{ObjectBuilder, Value};
 use l25gc_core::Deployment;
 use l25gc_load::{OverloadPolicy, ScenarioSpec};
 use l25gc_obs::DEFAULT_BITS;
-use l25gc_testbed::exp::capacity::{CapacityCurve, CapacityParams, CapacityPoint, SWEEP_FRACTIONS};
-use l25gc_testbed::exp::scenario::{ScenarioOutcome, ScenarioParams};
+use l25gc_testbed::exp::capacity::{
+    slo_reports, CapacityCurve, CapacityParams, CapacityPoint, SWEEP_FRACTIONS,
+};
+use l25gc_testbed::exp::scenario::{peak_shard_util, ScenarioOutcome, ScenarioParams};
 
 /// The `kind` discriminator stored in every manifest.
 pub const MANIFEST_KIND: &str = "l25gc-capacity-manifest";
@@ -47,7 +49,7 @@ pub fn policy_name(p: OverloadPolicy) -> &'static str {
 }
 
 /// One sweep point's headline metrics, named `<deployment>@<frac>x`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricRow {
     /// Series name, e.g. `L25GC@0.9x`.
     pub name: String,
@@ -189,55 +191,153 @@ pub struct RunManifest {
     pub scenarios: Vec<ScenarioEntry>,
 }
 
-impl RunManifest {
-    /// Builds a manifest from a finished capacity sweep.
-    pub fn from_capacity(params: &CapacityParams, curves: &[CapacityCurve]) -> RunManifest {
-        let mut metrics = Vec::new();
-        for c in curves {
-            let name = deployment_name(c.deployment);
-            // Per-point SLO recovery against the fixed default gate —
-            // fixed so a committed baseline and a fresh run always gate
-            // against the same budget. Only sweeps that carried
-            // timelines (one per point) can report it.
-            let gate = l25gc_obs::SloSpec::default_gate();
-            let slo_cols: Vec<(Option<f64>, Option<f64>)> = if c.timelines.len() == c.points.len() {
-                l25gc_testbed::exp::capacity::slo_reports(c, &gate)
-                    .iter()
-                    .map(|r| {
-                        (
-                            Some(r.recovery_ns_or_horizon() as f64 / 1e6),
-                            r.time_to_first_violation_ns.map(|ns| ns as f64 / 1e6),
-                        )
-                    })
-                    .collect()
-            } else {
-                vec![(None, None); c.points.len()]
-            };
-            for ((frac, p), (recovery_ms, ttfv_ms)) in
-                SWEEP_FRACTIONS.iter().zip(&c.points).zip(slo_cols)
-            {
-                let peak = l25gc_testbed::exp::scenario::peak_shard_util(&p.shard_utilization);
-                metrics.push(MetricRow {
-                    name: format!("{name}@{frac}x"),
-                    offered_eps: p.offered_eps,
-                    achieved_eps: p.achieved_eps,
-                    sustained_eps: p.wall_eps,
-                    p50_ms: p.p50_ms,
-                    p95_ms: p.p95_ms,
-                    p99_ms: p.p99_ms,
-                    loss_pct: p.loss_pct,
-                    queue_wait_p99_ms: Some(p.queue_wait_p99_ms),
-                    service_p99_ms: Some(p.service_p99_ms),
-                    transit_p99_ms: Some(p.transit_p99_ms),
-                    recovery_ms,
-                    time_to_first_violation_ms: ttfv_ms,
-                    disruption_ms: None,
-                    util: Some(p.utilisation),
-                    peak_shard: Some(peak.0),
-                    peak_shard_util: Some(peak.1),
-                });
-            }
+/// How [`compare`] judges one [`MetricRow`] column.
+#[derive(Clone, Copy)]
+enum Gate {
+    /// Informational: recorded, never a regression.
+    Info,
+    /// Regresses when it *drops* more than the threshold (exact event
+    /// counts — no measurement-error allowance).
+    HigherBetter,
+    /// Regresses when it *rises* more than the threshold **plus** both
+    /// runs' histogram error bounds, so quantisation noise alone can
+    /// never fail a run.
+    Latency,
+    /// Regresses when it rises more than the threshold relative to the
+    /// baseline floored at 1 ms: a baseline that recovered instantly
+    /// (0 ms) would otherwise turn any nonzero value into an infinite
+    /// relative delta.
+    FlooredRise,
+    /// Regresses when it rises more than the threshold in absolute
+    /// *percentage points* (relative deltas of a near-zero loss rate are
+    /// meaningless).
+    AbsolutePoints,
+}
+
+/// One numeric [`MetricRow`] column: its JSON key, whether a manifest
+/// must carry it, how [`compare`] gates it, and its accessors.
+struct Column {
+    key: &'static str,
+    required: bool,
+    gate: Gate,
+    get: fn(&MetricRow) -> Option<Value>,
+    /// Stores a JSON value; `None` when it has the wrong type.
+    set: fn(&mut MetricRow, &Value) -> Option<()>,
+}
+
+/// `col!(field, Gate)` declares a required `f64` column, `col!(field?,
+/// Gate)` an `Option<f64>` one; the JSON key is the field name.
+macro_rules! col {
+    ($f:ident, $gate:ident) => {
+        Column {
+            key: stringify!($f),
+            required: true,
+            gate: Gate::$gate,
+            get: |r| Some(Value::F64(r.$f)),
+            set: |r, v| v.as_f64().map(|x| r.$f = x),
         }
+    };
+    ($f:ident?, $gate:ident) => {
+        Column {
+            key: stringify!($f),
+            required: false,
+            gate: Gate::$gate,
+            get: |r| r.$f.map(Value::F64),
+            set: |r, v| v.as_f64().map(|x| r.$f = Some(x)),
+        }
+    };
+}
+
+/// Every [`MetricRow`] column after `name` — the one declaration
+/// [`RunManifest::to_json`], [`RunManifest::from_json`] and [`compare`]
+/// all walk. JSON carries the required columns first, then the optional
+/// ones that are present, each group in this order; [`compare`] reports
+/// a row's regressions in this order. An optional column absent from
+/// either manifest is never gated — a baseline written before the column
+/// existed cannot fail a current run on it.
+const COLUMNS: [Column; 16] = [
+    col!(offered_eps, Info),
+    col!(achieved_eps, HigherBetter),
+    col!(sustained_eps?, Info),
+    col!(p50_ms, Latency),
+    col!(p95_ms, Latency),
+    col!(p99_ms, Latency),
+    col!(queue_wait_p99_ms?, Latency),
+    col!(service_p99_ms?, Latency),
+    col!(transit_p99_ms?, Latency),
+    col!(recovery_ms?, FlooredRise),
+    col!(time_to_first_violation_ms?, Info),
+    col!(disruption_ms?, FlooredRise),
+    col!(loss_pct, AbsolutePoints),
+    col!(util?, Info),
+    Column {
+        key: "peak_shard",
+        required: false,
+        gate: Gate::Info,
+        get: |r| r.peak_shard.map(|s| Value::U64(u64::from(s))),
+        set: |r, v| {
+            let shard = v.as_u64().and_then(|s| u16::try_from(s).ok())?;
+            r.peak_shard = Some(shard);
+            Some(())
+        },
+    },
+    col!(peak_shard_util?, Info),
+];
+
+impl MetricRow {
+    /// The columns one load-engine point fills: everything but the SLO
+    /// and failover columns, which need a timeline or a fault plan.
+    fn from_point(name: String, p: &CapacityPoint) -> MetricRow {
+        let peak = peak_shard_util(&p.shard_utilization);
+        MetricRow {
+            name,
+            offered_eps: p.offered_eps,
+            achieved_eps: p.achieved_eps,
+            sustained_eps: p.wall_eps,
+            p50_ms: p.p50_ms,
+            p95_ms: p.p95_ms,
+            p99_ms: p.p99_ms,
+            loss_pct: p.loss_pct,
+            queue_wait_p99_ms: Some(p.queue_wait_p99_ms),
+            service_p99_ms: Some(p.service_p99_ms),
+            transit_p99_ms: Some(p.transit_p99_ms),
+            util: Some(p.utilisation),
+            peak_shard: Some(peak.0),
+            peak_shard_util: Some(peak.1),
+            ..MetricRow::default()
+        }
+    }
+
+    /// One scenario × admission-policy cell, named `<scenario>/<policy>`.
+    fn from_outcome(o: &ScenarioOutcome) -> MetricRow {
+        MetricRow {
+            name: format!("{}/{}", o.scenario, policy_name(o.policy)),
+            offered_eps: o.offered as f64 / o.duration_s.max(1e-9),
+            achieved_eps: o.achieved_eps,
+            sustained_eps: None,
+            p50_ms: o.p50_ms,
+            p95_ms: o.p95_ms,
+            p99_ms: o.p99_ms,
+            loss_pct: o.loss_pct,
+            queue_wait_p99_ms: Some(o.queue_wait_p99_ms),
+            service_p99_ms: Some(o.service_p99_ms),
+            transit_p99_ms: Some(o.transit_p99_ms),
+            recovery_ms: Some(o.recovery_or_horizon_ms),
+            time_to_first_violation_ms: o.time_to_first_violation_ms,
+            disruption_ms: o.disruption_ms,
+            util: Some(
+                o.shard_utilization.iter().sum::<f64>() / o.shard_utilization.len().max(1) as f64,
+            ),
+            peak_shard: Some(o.peak_shard),
+            peak_shard_util: Some(o.peak_shard_util),
+        }
+    }
+}
+
+impl RunManifest {
+    /// The manifest header of a run configured by `params`, around its
+    /// finished `metrics` rows.
+    fn new(params: &CapacityParams, metrics: Vec<MetricRow>) -> RunManifest {
         RunManifest {
             kind: MANIFEST_KIND.to_string(),
             version: env!("CARGO_PKG_VERSION").to_string(),
@@ -257,6 +357,31 @@ impl RunManifest {
         }
     }
 
+    /// Builds a manifest from a finished capacity sweep.
+    pub fn from_capacity(params: &CapacityParams, curves: &[CapacityCurve]) -> RunManifest {
+        let mut metrics = Vec::new();
+        for c in curves {
+            let name = deployment_name(c.deployment);
+            // Per-point SLO recovery against the fixed default gate —
+            // fixed so a committed baseline and a fresh run always gate
+            // against the same budget. Only sweeps that carried
+            // timelines (one per point) can report it.
+            let gate = l25gc_obs::SloSpec::default_gate();
+            let reports = (c.timelines.len() == c.points.len()).then(|| slo_reports(c, &gate));
+            for (i, (frac, p)) in SWEEP_FRACTIONS.iter().zip(&c.points).enumerate() {
+                let slo = reports.as_ref().map(|r| &r[i]);
+                metrics.push(MetricRow {
+                    recovery_ms: slo.map(|r| r.recovery_ns_or_horizon() as f64 / 1e6),
+                    time_to_first_violation_ms: slo
+                        .and_then(|r| r.time_to_first_violation_ns)
+                        .map(|ns| ns as f64 / 1e6),
+                    ..MetricRow::from_point(format!("{name}@{frac}x"), p)
+                });
+            }
+        }
+        RunManifest::new(params, metrics)
+    }
+
     /// Builds a manifest from a finished staged-dispatch ladder
     /// (`reproduce dispatch`). Rows are named `dispatch/batch=<N>`;
     /// every virtual-time column must agree across the ladder, so a
@@ -271,46 +396,12 @@ impl RunManifest {
     ) -> RunManifest {
         let metrics = ladder
             .iter()
-            .map(|(batch, p)| {
-                let peak = l25gc_testbed::exp::scenario::peak_shard_util(&p.shard_utilization);
-                MetricRow {
-                    name: format!("dispatch/batch={batch}"),
-                    offered_eps: p.offered_eps,
-                    achieved_eps: p.achieved_eps,
-                    sustained_eps: p.wall_eps,
-                    p50_ms: p.p50_ms,
-                    p95_ms: p.p95_ms,
-                    p99_ms: p.p99_ms,
-                    loss_pct: p.loss_pct,
-                    queue_wait_p99_ms: Some(p.queue_wait_p99_ms),
-                    service_p99_ms: Some(p.service_p99_ms),
-                    transit_p99_ms: Some(p.transit_p99_ms),
-                    recovery_ms: None,
-                    time_to_first_violation_ms: None,
-                    disruption_ms: None,
-                    util: Some(p.utilisation),
-                    peak_shard: Some(peak.0),
-                    peak_shard_util: Some(peak.1),
-                }
-            })
+            .map(|(batch, p)| MetricRow::from_point(format!("dispatch/batch={batch}"), p))
             .collect();
-        RunManifest {
-            kind: MANIFEST_KIND.to_string(),
-            version: env!("CARGO_PKG_VERSION").to_string(),
-            seed: params.seed,
-            ues: params.ues as u64,
-            shards: params.shards,
-            duration_s: params.duration_s,
-            backend: "threaded".to_string(),
-            burst: params.burst,
-            pin: params.pin,
-            wait: params.wait.as_str().to_string(),
-            dispatch_batch: 1,
-            hist_bits: DEFAULT_BITS,
-            metrics,
-            saturation: None,
-            scenarios: Vec::new(),
-        }
+        let mut manifest = RunManifest::new(params, metrics);
+        manifest.backend = "threaded".to_string();
+        manifest.dispatch_batch = 1;
+        manifest
     }
 
     /// Builds a manifest from a finished scenario matrix. Rows are named
@@ -324,31 +415,6 @@ impl RunManifest {
         specs: &[ScenarioSpec],
         outcomes: &[ScenarioOutcome],
     ) -> RunManifest {
-        let metrics = outcomes
-            .iter()
-            .map(|o| MetricRow {
-                name: format!("{}/{}", o.scenario, policy_name(o.policy)),
-                offered_eps: o.offered as f64 / o.duration_s.max(1e-9),
-                achieved_eps: o.achieved_eps,
-                sustained_eps: None,
-                p50_ms: o.p50_ms,
-                p95_ms: o.p95_ms,
-                p99_ms: o.p99_ms,
-                loss_pct: o.loss_pct,
-                queue_wait_p99_ms: Some(o.queue_wait_p99_ms),
-                service_p99_ms: Some(o.service_p99_ms),
-                transit_p99_ms: Some(o.transit_p99_ms),
-                recovery_ms: Some(o.recovery_or_horizon_ms),
-                time_to_first_violation_ms: o.time_to_first_violation_ms,
-                disruption_ms: o.disruption_ms,
-                util: Some(
-                    o.shard_utilization.iter().sum::<f64>()
-                        / o.shard_utilization.len().max(1) as f64,
-                ),
-                peak_shard: Some(o.peak_shard),
-                peak_shard_util: Some(o.peak_shard_util),
-            })
-            .collect();
         let scenarios = specs
             .iter()
             .map(|spec| {
@@ -377,23 +443,23 @@ impl RunManifest {
                 }
             })
             .collect();
-        RunManifest {
-            kind: MANIFEST_KIND.to_string(),
-            version: env!("CARGO_PKG_VERSION").to_string(),
-            seed: params.seed,
-            ues: params.ues.unwrap_or(0) as u64,
+        // The matrix knobs that have a capacity twin; the rest of the
+        // header (Poisson arrivals, per-event dispatch) is the capacity
+        // default, which is what the matrix runs.
+        let header = CapacityParams {
+            ues: params.ues.unwrap_or(0),
             shards: params.shards,
             duration_s: specs.iter().map(|s| s.duration().as_secs_f64()).sum(),
-            backend: params.backend.to_string(),
-            burst: 1.0,
+            seed: params.seed,
+            backend: params.backend,
             pin: params.pin,
-            wait: params.wait.as_str().to_string(),
-            dispatch_batch: 1,
-            hist_bits: DEFAULT_BITS,
-            metrics,
-            saturation: None,
-            scenarios,
-        }
+            wait: params.wait,
+            ..CapacityParams::default()
+        };
+        let metrics = outcomes.iter().map(MetricRow::from_outcome).collect();
+        let mut manifest = RunManifest::new(&header, metrics);
+        manifest.scenarios = scenarios;
+        manifest
     }
 
     /// Serializes to deterministic JSON (field order fixed, `f64`
@@ -403,28 +469,13 @@ impl RunManifest {
             .metrics
             .iter()
             .map(|m| {
-                ObjectBuilder::new()
-                    .field("name", Value::Str(m.name.clone()))
-                    .field("offered_eps", Value::F64(m.offered_eps))
-                    .field("achieved_eps", Value::F64(m.achieved_eps))
-                    .field("p50_ms", Value::F64(m.p50_ms))
-                    .field("p95_ms", Value::F64(m.p95_ms))
-                    .field("p99_ms", Value::F64(m.p99_ms))
-                    .field("loss_pct", Value::F64(m.loss_pct))
-                    .opt("sustained_eps", m.sustained_eps.map(Value::F64))
-                    .opt("queue_wait_p99_ms", m.queue_wait_p99_ms.map(Value::F64))
-                    .opt("service_p99_ms", m.service_p99_ms.map(Value::F64))
-                    .opt("transit_p99_ms", m.transit_p99_ms.map(Value::F64))
-                    .opt("recovery_ms", m.recovery_ms.map(Value::F64))
-                    .opt(
-                        "time_to_first_violation_ms",
-                        m.time_to_first_violation_ms.map(Value::F64),
-                    )
-                    .opt("disruption_ms", m.disruption_ms.map(Value::F64))
-                    .opt("util", m.util.map(Value::F64))
-                    .opt("peak_shard", m.peak_shard.map(|s| Value::U64(u64::from(s))))
-                    .opt("peak_shard_util", m.peak_shard_util.map(Value::F64))
-                    .build()
+                let mut row = ObjectBuilder::new().field("name", Value::Str(m.name.clone()));
+                for required in [true, false] {
+                    for c in COLUMNS.iter().filter(|c| c.required == required) {
+                        row = row.opt(c.key, (c.get)(m));
+                    }
+                }
+                row.build()
             })
             .collect();
         let scenarios: Vec<Value> = self
@@ -503,147 +554,94 @@ impl RunManifest {
 
     /// Parses a manifest back from [`RunManifest::to_json`] output.
     pub fn from_json(text: &str) -> Result<RunManifest, String> {
+        fn array<'a>(v: &'a Value, key: &str, of: &str) -> Result<&'a [Value], String> {
+            let items = v.get(key).and_then(Value::as_array);
+            items.ok_or_else(|| format!("{of}missing `{key}` array"))
+        }
         let v = json::parse(text).map_err(|e| format!("not valid JSON: {e:?}"))?;
-        let kind = str_field(&v, "kind")?;
+        let kind = v.str_of("kind")?;
         if kind != MANIFEST_KIND {
             return Err(format!("not a capacity manifest (kind `{kind}`)"));
         }
-        let rows = v
-            .get("metrics")
-            .and_then(Value::as_array)
-            .ok_or("missing `metrics` array")?;
-        let mut metrics = Vec::with_capacity(rows.len());
-        for row in rows {
-            metrics.push(MetricRow {
-                name: str_field(row, "name")?,
-                offered_eps: f64_field(row, "offered_eps")?,
-                achieved_eps: f64_field(row, "achieved_eps")?,
-                // Wall-clock column arrived with staged dispatch; older
-                // manifests (and analytic rows) carry none.
-                sustained_eps: row.get("sustained_eps").and_then(Value::as_f64),
-                p50_ms: f64_field(row, "p50_ms")?,
-                p95_ms: f64_field(row, "p95_ms")?,
-                p99_ms: f64_field(row, "p99_ms")?,
-                loss_pct: f64_field(row, "loss_pct")?,
-                // Pre-anatomy manifests carry none of these.
-                queue_wait_p99_ms: row.get("queue_wait_p99_ms").and_then(Value::as_f64),
-                service_p99_ms: row.get("service_p99_ms").and_then(Value::as_f64),
-                transit_p99_ms: row.get("transit_p99_ms").and_then(Value::as_f64),
-                recovery_ms: row.get("recovery_ms").and_then(Value::as_f64),
-                time_to_first_violation_ms: row
-                    .get("time_to_first_violation_ms")
-                    .and_then(Value::as_f64),
-                disruption_ms: row.get("disruption_ms").and_then(Value::as_f64),
-                util: row.get("util").and_then(Value::as_f64),
-                peak_shard: row
-                    .get("peak_shard")
-                    .and_then(Value::as_u64)
-                    .and_then(|v| u16::try_from(v).ok()),
-                peak_shard_util: row.get("peak_shard_util").and_then(Value::as_f64),
-            });
+        let mut metrics = Vec::new();
+        for row in array(&v, "metrics", "")? {
+            let mut m = MetricRow {
+                name: row.str_of("name")?,
+                ..MetricRow::default()
+            };
+            for c in &COLUMNS {
+                if c.required {
+                    row.f64_of(c.key)?;
+                }
+                // A mistyped optional column reads as absent.
+                row.get(c.key).and_then(|v| (c.set)(&mut m, v));
+            }
+            metrics.push(m);
         }
         // Capacity manifests (and all pre-scenario manifests) carry no
         // scenario spec block.
-        let scenarios = match v.get("scenarios") {
-            None | Some(Value::Null) => Vec::new(),
-            Some(s) => {
-                let entries = s.as_array().ok_or("`scenarios` is not an array")?;
-                let mut out = Vec::with_capacity(entries.len());
-                for e in entries {
-                    let seg_rows = e
-                        .get("segments")
-                        .and_then(Value::as_array)
-                        .ok_or("scenario entry missing `segments` array")?;
-                    let mut segments = Vec::with_capacity(seg_rows.len());
-                    for seg in seg_rows {
-                        segments.push((
-                            f64_field(seg, "duration_s")?,
-                            f64_field(seg, "rate_start")?,
-                            f64_field(seg, "rate_end")?,
-                            f64_field(seg, "burst")?,
-                        ));
-                    }
-                    let mix_rows = e
-                        .get("mix")
-                        .and_then(Value::as_array)
-                        .ok_or("scenario entry missing `mix` array")?;
-                    let mut mix = Vec::with_capacity(mix_rows.len());
-                    for m in mix_rows {
-                        mix.push((str_field(m, "event")?, f64_field(m, "weight")?));
-                    }
-                    out.push(ScenarioEntry {
-                        name: str_field(e, "name")?,
-                        summary: str_field(e, "summary")?,
-                        ues: u64_field(e, "ues")?,
-                        capacity_eps: f64_field(e, "capacity_eps")?,
-                        p99_budget_ms: f64_field(e, "p99_budget_ms")?,
-                        segments,
-                        mix,
-                        fault: e.get("fault").and_then(Value::as_str).map(str::to_string),
-                    });
-                }
-                out
-            }
+        let entries = match v.get("scenarios") {
+            None | Some(Value::Null) => &[][..],
+            Some(s) => s.as_array().ok_or("`scenarios` is not an array")?,
         };
-        // Pre-placement manifests carry neither field; those runs were
-        // unpinned with the default wait strategy.
-        let pin = v.get("pin").and_then(Value::as_bool).unwrap_or(false);
-        let wait = v
-            .get("wait")
-            .and_then(Value::as_str)
-            .unwrap_or("adaptive")
-            .to_string();
+        let mut scenarios = Vec::new();
+        for e in entries {
+            let mut segments = Vec::new();
+            for seg in array(e, "segments", "scenario entry ")? {
+                segments.push((
+                    seg.f64_of("duration_s")?,
+                    seg.f64_of("rate_start")?,
+                    seg.f64_of("rate_end")?,
+                    seg.f64_of("burst")?,
+                ));
+            }
+            let mut mix = Vec::new();
+            for m in array(e, "mix", "scenario entry ")? {
+                mix.push((m.str_of("event")?, m.f64_of("weight")?));
+            }
+            scenarios.push(ScenarioEntry {
+                name: e.str_of("name")?,
+                summary: e.str_of("summary")?,
+                ues: e.u64_of("ues")?,
+                capacity_eps: e.f64_of("capacity_eps")?,
+                p99_budget_ms: e.f64_of("p99_budget_ms")?,
+                segments,
+                mix,
+                fault: e.str_of("fault").ok(),
+            });
+        }
         let saturation = match v.get("saturation") {
             None | Some(Value::Null) => None,
             Some(s) => Some(SaturationRow {
-                workers: u64_field(s, "workers")?,
-                achieved_eps: f64_field(s, "achieved_eps")?,
-                p99_ms: f64_field(s, "p99_ms")?,
-                probes: u64_field(s, "probes")?,
+                workers: s.u64_of("workers")?,
+                achieved_eps: s.f64_of("achieved_eps")?,
+                p99_ms: s.f64_of("p99_ms")?,
+                probes: s.u64_of("probes")?,
             }),
         };
         Ok(RunManifest {
             kind,
-            version: str_field(&v, "version")?,
-            seed: u64_field(&v, "seed")?,
-            ues: u64_field(&v, "ues")?,
-            shards: u64_field(&v, "shards")?
-                .try_into()
+            version: v.str_of("version")?,
+            seed: v.u64_of("seed")?,
+            ues: v.u64_of("ues")?,
+            shards: u16::try_from(v.u64_of("shards")?)
                 .map_err(|_| "`shards` out of u16 range".to_string())?,
-            duration_s: f64_field(&v, "duration_s")?,
-            backend: str_field(&v, "backend")?,
-            burst: f64_field(&v, "burst")?,
-            pin,
-            wait,
+            duration_s: v.f64_of("duration_s")?,
+            backend: v.str_of("backend")?,
+            burst: v.f64_of("burst")?,
+            // Pre-placement manifests carry neither field; those runs
+            // were unpinned with the default wait strategy.
+            pin: v.get("pin").and_then(Value::as_bool).unwrap_or(false),
+            wait: v.str_of("wait").unwrap_or_else(|_| "adaptive".to_string()),
             // Pre-batching manifests were all per-event dispatch.
-            dispatch_batch: v.get("dispatch_batch").and_then(Value::as_u64).unwrap_or(1),
-            hist_bits: u64_field(&v, "hist_bits")?
-                .try_into()
+            dispatch_batch: v.u64_of("dispatch_batch").unwrap_or(1),
+            hist_bits: u32::try_from(v.u64_of("hist_bits")?)
                 .map_err(|_| "`hist_bits` out of u32 range".to_string())?,
             metrics,
             saturation,
             scenarios,
         })
     }
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing string field `{key}`"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing integer field `{key}`"))
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing numeric field `{key}`"))
 }
 
 /// One metric that moved past its threshold between two runs.
@@ -690,23 +688,16 @@ fn pct_delta(base: f64, cur: f64) -> f64 {
 /// Diffs `cur` against `base`, returning every metric whose movement
 /// exceeds `threshold_pct`.
 ///
-/// - `achieved_eps` regresses when it *drops* more than `threshold_pct`
-///   (exact event counts — no measurement-error allowance).
-/// - `p50/p95/p99` regress when they *rise* more than `threshold_pct`
-///   **plus** both runs' histogram error bounds
-///   (`100 · (2^-bits_base + 2^-bits_cur)`), so quantisation noise alone
-///   can never fail a run.
-/// - `loss_pct` regresses when it rises more than `threshold_pct`
-///   *percentage points* (absolute — relative deltas of a near-zero
-///   loss rate are meaningless).
-/// - The per-stage p99s (`queue_wait_p99_ms`, `service_p99_ms`,
-///   `transit_p99_ms`) gate exactly like the end-to-end quantiles, but
-///   only when both manifests carry them.
-/// - `recovery_ms` and `disruption_ms` regress when they rise more
-///   than `threshold_pct` relative to the baseline floored at 1 ms,
-///   again only when both runs carry them.
-/// - A series present in the baseline but missing from the current run
-///   is itself a regression (field `missing`).
+/// Each column is judged by the gate its `COLUMNS` entry declares:
+/// `achieved_eps` must not drop (exact event counts); `p50/p95/p99` and
+/// the per-stage p99s must not rise past the threshold widened by both
+/// runs' histogram error bounds (`100 · (2^-bits_base + 2^-bits_cur)`);
+/// `recovery_ms` and `disruption_ms` must not rise relative to the
+/// baseline floored at 1 ms; `loss_pct` must not rise by more than
+/// `threshold_pct` percentage points. Optional columns gate only when
+/// both manifests carry them. A series present in the baseline but
+/// missing from the current run is itself a regression (field
+/// `missing`).
 ///
 /// Errors when the manifests are not comparable (different sweep
 /// configuration).
@@ -716,136 +707,57 @@ pub fn compare(
     threshold_pct: f64,
 ) -> Result<Vec<Regression>, String> {
     let cfg = |m: &RunManifest| {
-        (
-            m.ues,
-            m.shards,
-            m.backend.clone(),
-            m.burst,
-            m.pin,
-            m.wait.clone(),
-            m.dispatch_batch,
+        format!(
+            "{} UEs/{} shards/{}/burst {}/pin={}/wait {}/batch {}",
+            m.ues, m.shards, m.backend, m.burst, m.pin, m.wait, m.dispatch_batch
         )
     };
     if cfg(base) != cfg(cur) {
         return Err(format!(
-            "manifests are not comparable: baseline {} UEs/{} shards/{}/burst {}/pin={}/wait {}\
-             /batch {} vs current {} UEs/{} shards/{}/burst {}/pin={}/wait {}/batch {}",
-            base.ues,
-            base.shards,
-            base.backend,
-            base.burst,
-            base.pin,
-            base.wait,
-            base.dispatch_batch,
-            cur.ues,
-            cur.shards,
-            cur.backend,
-            cur.burst,
-            cur.pin,
-            cur.wait,
-            cur.dispatch_batch
+            "manifests are not comparable: baseline {} vs current {}",
+            cfg(base),
+            cfg(cur)
         ));
     }
     let err_guard = 100.0 * ((-(base.hist_bits as f64)).exp2() + (-(cur.hist_bits as f64)).exp2());
     let lat_threshold = threshold_pct + err_guard;
     let mut out = Vec::new();
     for b in &base.metrics {
-        let Some(c) = cur.metrics.iter().find(|c| c.name == b.name) else {
+        let mut flag = |field, baseline, current, delta_pct, threshold_pct| {
             out.push(Regression {
                 metric: b.name.clone(),
-                field: "missing",
-                baseline: b.achieved_eps,
-                current: 0.0,
-                delta_pct: -100.0,
+                field,
+                baseline,
+                current,
+                delta_pct,
                 threshold_pct,
-            });
+            })
+        };
+        let Some(c) = cur.metrics.iter().find(|c| c.name == b.name) else {
+            flag("missing", b.achieved_eps, 0.0, -100.0, threshold_pct);
             continue;
         };
-        let d = pct_delta(b.achieved_eps, c.achieved_eps);
-        if d < -threshold_pct {
-            out.push(Regression {
-                metric: b.name.clone(),
-                field: "achieved_eps",
-                baseline: b.achieved_eps,
-                current: c.achieved_eps,
-                delta_pct: d,
-                threshold_pct,
-            });
-        }
-        // The per-stage p99s gate exactly like the end-to-end quantiles
-        // (they come from the same log2 histograms), but only when both
-        // manifests carry them — a pre-anatomy baseline never fails a
-        // current run on a column it couldn't have recorded.
-        let stage = |b: Option<f64>, c: Option<f64>| b.zip(c);
-        let latency_fields = [
-            ("p50_ms", Some(b.p50_ms), Some(c.p50_ms)),
-            ("p95_ms", Some(b.p95_ms), Some(c.p95_ms)),
-            ("p99_ms", Some(b.p99_ms), Some(c.p99_ms)),
-            (
-                "queue_wait_p99_ms",
-                b.queue_wait_p99_ms,
-                c.queue_wait_p99_ms,
-            ),
-            ("service_p99_ms", b.service_p99_ms, c.service_p99_ms),
-            ("transit_p99_ms", b.transit_p99_ms, c.transit_p99_ms),
-        ];
-        for (field, bv, cv) in latency_fields {
-            let Some((bv, cv)) = stage(bv, cv) else {
+        for col in &COLUMNS {
+            let value = |row: &MetricRow| (col.get)(row).and_then(|v| v.as_f64());
+            let Some((bv, cv)) = value(b).zip(value(c)) else {
                 continue;
             };
             let d = pct_delta(bv, cv);
-            if d > lat_threshold {
-                out.push(Regression {
-                    metric: b.name.clone(),
-                    field,
-                    baseline: bv,
-                    current: cv,
-                    delta_pct: d,
-                    threshold_pct: lat_threshold,
-                });
-            }
-        }
-        // Recovery time gates relatively against a 1 ms floor: a
-        // baseline that recovered instantly (0 ms) would otherwise turn
-        // any nonzero recovery into an infinite relative delta.
-        if let Some((bv, cv)) = b.recovery_ms.zip(c.recovery_ms) {
             let floor = bv.max(1.0);
-            if cv - bv > threshold_pct * floor / 100.0 {
-                out.push(Regression {
-                    metric: b.name.clone(),
-                    field: "recovery_ms",
-                    baseline: bv,
-                    current: cv,
-                    delta_pct: pct_delta(floor, cv),
+            let (regressed, delta_pct, threshold) = match col.gate {
+                Gate::Info => continue,
+                Gate::HigherBetter => (d < -threshold_pct, d, threshold_pct),
+                Gate::Latency => (d > lat_threshold, d, lat_threshold),
+                Gate::FlooredRise => (
+                    cv - bv > threshold_pct * floor / 100.0,
+                    pct_delta(floor, cv),
                     threshold_pct,
-                });
+                ),
+                Gate::AbsolutePoints => (cv > bv + threshold_pct, cv - bv, threshold_pct),
+            };
+            if regressed {
+                flag(col.key, bv, cv, delta_pct, threshold);
             }
-        }
-        // Failover disruption gates exactly like recovery: relative
-        // rise against the baseline floored at 1 ms, only when both
-        // runs scripted a fault.
-        if let Some((bv, cv)) = b.disruption_ms.zip(c.disruption_ms) {
-            let floor = bv.max(1.0);
-            if cv - bv > threshold_pct * floor / 100.0 {
-                out.push(Regression {
-                    metric: b.name.clone(),
-                    field: "disruption_ms",
-                    baseline: bv,
-                    current: cv,
-                    delta_pct: pct_delta(floor, cv),
-                    threshold_pct,
-                });
-            }
-        }
-        if c.loss_pct > b.loss_pct + threshold_pct {
-            out.push(Regression {
-                metric: b.name.clone(),
-                field: "loss_pct",
-                baseline: b.loss_pct,
-                current: c.loss_pct,
-                delta_pct: c.loss_pct - b.loss_pct,
-                threshold_pct,
-            });
         }
     }
     Ok(out)

@@ -29,4 +29,4 @@ pub mod value;
 
 pub use flat::{FlatBuilder, FlatError, FlatView};
 pub use messages::{SmContextCreateData, SmContextUpdateData, UeAuthenticationRequest};
-pub use value::{ObjectBuilder, Value};
+pub use value::{FieldError, ObjectBuilder, Value};

@@ -75,6 +75,55 @@ impl Value {
             _ => None,
         }
     }
+
+    fn field_of<'a, T>(
+        &'a self,
+        key: &str,
+        expected: &'static str,
+        as_t: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, FieldError> {
+        self.get(key).and_then(as_t).ok_or_else(|| FieldError {
+            key: key.to_owned(),
+            expected,
+        })
+    }
+
+    /// The string field `key` of an object value, owned.
+    pub fn str_of(&self, key: &str) -> Result<String, FieldError> {
+        self.field_of(key, "string", |v| v.as_str().map(str::to_owned))
+    }
+
+    /// The unsigned-integer field `key` of an object value.
+    pub fn u64_of(&self, key: &str) -> Result<u64, FieldError> {
+        self.field_of(key, "integer", Value::as_u64)
+    }
+
+    /// The numeric field `key` of an object value.
+    pub fn f64_of(&self, key: &str) -> Result<f64, FieldError> {
+        self.field_of(key, "numeric", Value::as_f64)
+    }
+}
+
+/// A field the typed accessors ([`Value::str_of`], [`Value::u64_of`],
+/// [`Value::f64_of`]) required but did not find with the expected type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError {
+    /// The field name looked up.
+    pub key: String,
+    /// The type it had to have (`string`, `integer`, `numeric`).
+    pub expected: &'static str,
+}
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "missing {} field `{}`", self.expected, self.key)
+    }
+}
+
+impl From<FieldError> for String {
+    fn from(e: FieldError) -> String {
+        e.to_string()
+    }
 }
 
 /// Builder shorthand for objects.
@@ -129,6 +178,24 @@ mod tests {
         assert_eq!(v.get("supi").unwrap().as_str(), Some("imsi-2089300000001"));
         assert!(v.get("missing").is_none());
         assert!(Value::Null.get("x").is_none());
+    }
+
+    #[test]
+    fn typed_accessors_name_the_missing_or_mistyped_key() {
+        let v = ObjectBuilder::new()
+            .field("supi", Value::Str("imsi-1".into()))
+            .field("pduSessionId", Value::U64(1))
+            .build();
+        assert_eq!(v.str_of("supi").unwrap(), "imsi-1");
+        assert_eq!(v.u64_of("pduSessionId"), Ok(1));
+        assert_eq!(v.f64_of("pduSessionId"), Ok(1.0), "integers widen");
+        let err = v.u64_of("supi").unwrap_err();
+        assert_eq!((err.key.as_str(), err.expected), ("supi", "integer"));
+        assert_eq!(
+            String::from(v.str_of("absent").unwrap_err()),
+            "missing string field `absent`"
+        );
+        assert!(Value::Null.f64_of("x").is_err());
     }
 
     #[test]

@@ -201,28 +201,19 @@ pub enum JsonlError {
     BadShape,
 }
 
+impl From<l25gc_codec::FieldError> for JsonlError {
+    fn from(_: l25gc_codec::FieldError) -> JsonlError {
+        JsonlError::BadShape
+    }
+}
+
 /// Parses one line of [`to_jsonl`] output.
 pub fn parse_jsonl_line(line: &str) -> Result<ParsedLine, JsonlError> {
     let v = json::parse(line.trim()).map_err(|_| JsonlError::BadJson)?;
-    let t = v
-        .get("t")
-        .and_then(Value::as_str)
-        .ok_or(JsonlError::BadShape)?;
-    let u = |key: &str| {
-        v.get(key)
-            .and_then(Value::as_u64)
-            .ok_or(JsonlError::BadShape)
-    };
-    let s = |key: &str| {
-        v.get(key)
-            .and_then(Value::as_str)
-            .map(str::to_owned)
-            .ok_or(JsonlError::BadShape)
-    };
-    match t {
+    match v.str_of("t")?.as_str() {
         "event" => {
-            let at_ns = u("at_ns")?;
-            let kind = s("kind")?;
+            let at_ns = v.u64_of("at_ns")?;
+            let kind = v.str_of("kind")?;
             let mut fields = Vec::new();
             if let Value::Object(pairs) = &v {
                 for (k, fv) in pairs {
@@ -254,19 +245,19 @@ pub fn parse_jsonl_line(line: &str) -> Result<ParsedLine, JsonlError> {
             })
         }
         "span" => Ok(ParsedLine::Span {
-            kind: s("kind")?,
-            ue: u("ue")?,
-            start_ns: u("start_ns")?,
-            end_ns: u("end_ns")?,
+            kind: v.str_of("kind")?,
+            ue: v.u64_of("ue")?,
+            start_ns: v.u64_of("start_ns")?,
+            end_ns: v.u64_of("end_ns")?,
         }),
         "segment" => Ok(ParsedLine::Segment {
-            nf: s("nf")?,
-            label: s("label")?,
-            start_ns: u("start_ns")?,
-            dur_ns: u("dur_ns")?,
+            nf: v.str_of("nf")?,
+            label: v.str_of("label")?,
+            start_ns: v.u64_of("start_ns")?,
+            dur_ns: v.u64_of("dur_ns")?,
         }),
         "meta" => Ok(ParsedLine::Meta {
-            dropped_events: u("dropped_events")?,
+            dropped_events: v.u64_of("dropped_events")?,
         }),
         _ => Err(JsonlError::BadShape),
     }

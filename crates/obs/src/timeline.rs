@@ -746,56 +746,41 @@ impl TimelineLine {
 /// Parses one line of [`MetricsTimeline::to_jsonl`] output.
 pub fn parse_timeline_jsonl_line(line: &str) -> Result<TimelineLine, JsonlError> {
     let v = json::parse(line.trim()).map_err(|_| JsonlError::BadJson)?;
-    let t = v
-        .get("t")
-        .and_then(Value::as_str)
-        .ok_or(JsonlError::BadShape)?;
-    let u = |key: &str| {
-        v.get(key)
-            .and_then(Value::as_u64)
-            .ok_or(JsonlError::BadShape)
-    };
-    let s = |key: &str| {
-        v.get(key)
-            .and_then(Value::as_str)
-            .map(str::to_owned)
-            .ok_or(JsonlError::BadShape)
-    };
-    match t {
+    match v.str_of("t")?.as_str() {
         "tl" => Ok(TimelineLine::Window {
-            series: s("series")?,
-            shard: u("shard")?,
-            window: u("window")?,
-            start_ns: u("start_ns")?,
-            dispatched: u("dispatched")?,
-            completed: u("completed")?,
-            shed: u("shed")?,
-            backpressure: u("backpressure")?,
-            peak_depth: u("peak_depth")?,
-            count: u("count")?,
-            p50_ns: u("p50_ns")?,
-            p95_ns: u("p95_ns")?,
-            p99_ns: u("p99_ns")?,
-            queue_wait_p99_ns: u("queue_wait_p99_ns")?,
-            service_p99_ns: u("service_p99_ns")?,
-            transit_p99_ns: u("transit_p99_ns")?,
-            busy_ns: u("busy_ns")?,
-            blocked_ns: u("blocked_ns")?,
-            parked_ns: u("parked_ns")?,
-            occupancy_ns: u("occupancy_ns")?,
+            series: v.str_of("series")?,
+            shard: v.u64_of("shard")?,
+            window: v.u64_of("window")?,
+            start_ns: v.u64_of("start_ns")?,
+            dispatched: v.u64_of("dispatched")?,
+            completed: v.u64_of("completed")?,
+            shed: v.u64_of("shed")?,
+            backpressure: v.u64_of("backpressure")?,
+            peak_depth: v.u64_of("peak_depth")?,
+            count: v.u64_of("count")?,
+            p50_ns: v.u64_of("p50_ns")?,
+            p95_ns: v.u64_of("p95_ns")?,
+            p99_ns: v.u64_of("p99_ns")?,
+            queue_wait_p99_ns: v.u64_of("queue_wait_p99_ns")?,
+            service_p99_ns: v.u64_of("service_p99_ns")?,
+            transit_p99_ns: v.u64_of("transit_p99_ns")?,
+            busy_ns: v.u64_of("busy_ns")?,
+            blocked_ns: v.u64_of("blocked_ns")?,
+            parked_ns: v.u64_of("parked_ns")?,
+            occupancy_ns: v.u64_of("occupancy_ns")?,
             // Absent on lines written before staged dispatch existed;
             // default 0 keeps old exports parseable.
             batch_flushes: v.get("batch_flushes").and_then(Value::as_u64).unwrap_or(0),
             batch_events: v.get("batch_events").and_then(Value::as_u64).unwrap_or(0),
         }),
         "tl_meta" => Ok(TimelineLine::Meta {
-            series: s("series")?,
-            interval_ns: u("interval_ns")?,
-            shards: u("shards")?,
-            windows: u("windows")?,
-            clamped: u("clamped")?,
-            dispatcher_busy_ns: u("dispatcher_busy_ns")?,
-            dispatcher_wall_ns: u("dispatcher_wall_ns")?,
+            series: v.str_of("series")?,
+            interval_ns: v.u64_of("interval_ns")?,
+            shards: v.u64_of("shards")?,
+            windows: v.u64_of("windows")?,
+            clamped: v.u64_of("clamped")?,
+            dispatcher_busy_ns: v.u64_of("dispatcher_busy_ns")?,
+            dispatcher_wall_ns: v.u64_of("dispatcher_wall_ns")?,
         }),
         _ => Err(JsonlError::BadShape),
     }

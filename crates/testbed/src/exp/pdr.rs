@@ -35,8 +35,12 @@ pub struct PdrRow {
     pub mpps: f64,
 }
 
-fn measure_lookups<C: Classifier>(c: &C, keys: &[PacketKey]) -> f64 {
-    let reps = (200_000 / keys.len()).max(1);
+/// Lookups each [`fig11`] point times; the tests spend a tenth of it.
+const LOOKUP_BUDGET: usize = 200_000;
+
+/// Mean latency of one lookup, over about `budget` of them.
+fn measure_lookups<C: Classifier>(c: &C, keys: &[PacketKey], budget: usize) -> f64 {
+    let reps = (budget / keys.len()).max(1);
     // Warm up.
     for key in keys.iter().take(100) {
         std::hint::black_box(c.lookup(key));
@@ -50,72 +54,77 @@ fn measure_lookups<C: Classifier>(c: &C, keys: &[PacketKey]) -> f64 {
     start.elapsed().as_nanos() as f64 / (reps * keys.len()) as f64
 }
 
-fn row(structure: &'static str, rules: usize, lookup_ns: f64) -> PdrRow {
-    // Forwarding rate when the classifier is the bottleneck stage.
-    let mpps = 1e3 / lookup_ns; // 1e9 ns/s ÷ ns ÷ 1e6
+/// Installs `rules` into `c` and measures it on `keys`.
+fn row<C: Classifier>(
+    structure: &'static str,
+    mut c: C,
+    rules: &[PdrRule],
+    keys: &[PacketKey],
+    budget: usize,
+) -> PdrRow {
+    for r in rules {
+        c.insert(r.clone());
+    }
+    let lookup_ns = measure_lookups(&c, keys, budget);
     PdrRow {
         structure,
-        rules,
+        rules: rules.len(),
         lookup_ns,
-        mpps,
+        // Forwarding rate when the classifier is the bottleneck stage:
+        // 1e9 ns/s ÷ ns ÷ 1e6.
+        mpps: 1e3 / lookup_ns,
     }
+}
+
+/// The `profile` rule set PDR-LL and PDR-PS share, with keys matching
+/// the second half of the list.
+fn second_half_set(n: usize, profile: Profile) -> (Vec<PdrRule>, Vec<PacketKey>) {
+    let mut gen = Generator::new(11, profile);
+    let rules = gen.rules(n);
+    let keys = rules[n / 2..].iter().map(|r| gen.matching_key(r)).collect();
+    (rules, keys)
+}
+
+/// PDR-TSS best case: all rules share one tuple.
+fn tss_best_row(n: usize, budget: usize) -> PdrRow {
+    let mut gen = Generator::new(12, Profile::TssBest);
+    let rules = gen.rules(n);
+    let keys: Vec<PacketKey> = rules.iter().map(|r| gen.matching_key(r)).collect();
+    row("PDR-TSS_Best", TupleSpace::new(), &rules, &keys, budget)
+}
+
+/// PDR-TSS worst case: a tuple per rule; match in the last sub-table
+/// (we probe with keys of the lowest-priority rules, forcing full
+/// traversal since pruning can't help).
+fn tss_worst_row(n: usize, budget: usize) -> PdrRow {
+    let mut gen = Generator::new(13, Profile::TssWorst);
+    let rules = gen.rules(n);
+    let keys: Vec<PacketKey> = rules[n.saturating_sub(3)..]
+        .iter()
+        .map(|r| gen.matching_key(r))
+        .collect();
+    row("PDR-TSS_Worst", TupleSpace::new(), &rules, &keys, budget)
 }
 
 /// Runs the Fig 11a/b sweep. Returns rows for PDR-LL, PDR-TSS (best and
 /// worst structure), and PDR-PS.
 pub fn fig11(rule_counts: &[usize]) -> Vec<PdrRow> {
-    fig11_with_profile(rule_counts, Profile::Pinholes)
+    fig11_rows(rule_counts, Profile::Pinholes, LOOKUP_BUDGET)
 }
 
 /// The wildcard-heavy variant (ablation; see module docs).
 pub fn fig11_mixed(rule_counts: &[usize]) -> Vec<PdrRow> {
-    fig11_with_profile(rule_counts, Profile::Mixed)
+    fig11_rows(rule_counts, Profile::Mixed, LOOKUP_BUDGET)
 }
 
-fn fig11_with_profile(rule_counts: &[usize], profile: Profile) -> Vec<PdrRow> {
+fn fig11_rows(rule_counts: &[usize], profile: Profile, budget: usize) -> Vec<PdrRow> {
     let mut rows = Vec::new();
     for &n in rule_counts {
-        // ---- PDR-LL: keys match the second half of the list. ----
-        let mut gen = Generator::new(11, profile);
-        let rules = gen.rules(n);
-        let mut ll = LinearList::new();
-        for r in &rules {
-            ll.insert(r.clone());
-        }
-        let keys: Vec<PacketKey> = rules[n / 2..].iter().map(|r| gen.matching_key(r)).collect();
-        rows.push(row("PDR-LL", n, measure_lookups(&ll, &keys)));
-
-        // ---- PDR-PS on the same mixed set. ----
-        let mut ps = PartitionSort::new();
-        for r in &rules {
-            ps.insert(r.clone());
-        }
-        rows.push(row("PDR-PS", n, measure_lookups(&ps, &keys)));
-
-        // ---- PDR-TSS best case: one tuple. ----
-        let mut gen = Generator::new(12, Profile::TssBest);
-        let best_rules = gen.rules(n);
-        let mut tss = TupleSpace::new();
-        for r in &best_rules {
-            tss.insert(r.clone());
-        }
-        let keys: Vec<PacketKey> = best_rules.iter().map(|r| gen.matching_key(r)).collect();
-        rows.push(row("PDR-TSS_Best", n, measure_lookups(&tss, &keys)));
-
-        // ---- PDR-TSS worst case: a tuple per rule; match in the last
-        // sub-table (we probe with keys of the lowest-priority rules,
-        // forcing full traversal since pruning can't help). ----
-        let mut gen = Generator::new(13, Profile::TssWorst);
-        let worst_rules = gen.rules(n);
-        let mut tss = TupleSpace::new();
-        for r in &worst_rules {
-            tss.insert(r.clone());
-        }
-        let keys: Vec<PacketKey> = worst_rules[n.saturating_sub(3)..]
-            .iter()
-            .map(|r| gen.matching_key(r))
-            .collect();
-        rows.push(row("PDR-TSS_Worst", n, measure_lookups(&tss, &keys)));
+        let (rules, keys) = second_half_set(n, profile);
+        rows.push(row("PDR-LL", LinearList::new(), &rules, &keys, budget));
+        rows.push(row("PDR-PS", PartitionSort::new(), &rules, &keys, budget));
+        rows.push(tss_best_row(n, budget));
+        rows.push(tss_worst_row(n, budget));
     }
     rows
 }
@@ -180,8 +189,9 @@ mod tests {
 
     #[test]
     fn fig11_shape_holds_at_1k_rules() {
-        // Reduced sweep to keep the test fast; the bench runs the full one.
-        let rows = fig11(&[1_000]);
+        // Reduced sweep and lookup budget to keep the test fast; the
+        // bench runs the full one.
+        let rows = fig11_rows(&[1_000], Profile::Pinholes, LOOKUP_BUDGET / 10);
         let ll = rows_for(&rows, "PDR-LL", 1_000);
         let ps = rows_for(&rows, "PDR-PS", 1_000);
         let best = rows_for(&rows, "PDR-TSS_Best", 1_000);
@@ -205,9 +215,10 @@ mod tests {
 
     #[test]
     fn tss_best_is_flat_across_scale() {
-        let rows = fig11(&[100, 5_000]);
-        let small = rows_for(&rows, "PDR-TSS_Best", 100).lookup_ns;
-        let large = rows_for(&rows, "PDR-TSS_Best", 5_000).lookup_ns;
+        // Only the TSS_Best structure is under test: the other three
+        // at 5 000 rules are minutes of unoptimised lookups.
+        let small = tss_best_row(100, LOOKUP_BUDGET / 10).lookup_ns;
+        let large = tss_best_row(5_000, LOOKUP_BUDGET / 10).lookup_ns;
         assert!(large < small * 3.0, "near-constant: {small} → {large}");
     }
 
