@@ -47,23 +47,29 @@ pub struct ProcedureProfile {
 pub struct ProfileSet {
     /// The deployment these were measured on.
     pub deployment: Deployment,
-    profiles: Vec<(UeEvent, ProcedureProfile)>,
+    /// Indexed by `UeEvent` discriminant.
+    profiles: [ProcedureProfile; 6],
 }
+
+/// Every kind, in the lifecycle order [`calibrate`] drives them.
+const CALIBRATION_ORDER: [UeEvent; 6] = [
+    UeEvent::Registration,
+    UeEvent::SessionRequest,
+    UeEvent::Handover,
+    UeEvent::IdleTransition,
+    UeEvent::Paging,
+    UeEvent::Deregistration,
+];
 
 impl ProfileSet {
     /// The profile for `kind`.
     pub fn get(&self, kind: UeEvent) -> &ProcedureProfile {
-        &self
-            .profiles
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .expect("all kinds calibrated")
-            .1
+        &self.profiles[kind as usize]
     }
 
     /// All profiles, in calibration order.
     pub fn iter(&self) -> impl Iterator<Item = (UeEvent, &ProcedureProfile)> {
-        self.profiles.iter().map(|(k, p)| (*k, p))
+        CALIBRATION_ORDER.iter().map(|&k| (k, self.get(k)))
     }
 
     /// Mean occupancy across kinds weighted by `weights` (the theoretical
@@ -237,22 +243,27 @@ pub fn calibrate(deployment: Deployment) -> ProfileSet {
     w.push(SimDuration::ZERO, assoc);
     w.run_to_quiescence();
 
-    let mut profiles = Vec::new();
+    // Every slot is measured below; the test suite checks none stays blank.
+    let mut profiles = [ProcedureProfile {
+        latency: SimDuration::ZERO,
+        occupancy: SimDuration::ZERO,
+        messages: 0,
+    }; 6];
     let reg = w.ran.trigger_registration(1);
     w.push(reg.delay, reg.env);
-    profiles.push((UeEvent::Registration, w.measure(UeEvent::Registration)));
+    profiles[UeEvent::Registration as usize] = w.measure(UeEvent::Registration);
 
     let sess = w.ran.trigger_session(1);
     w.push(sess.delay, sess.env);
-    profiles.push((UeEvent::SessionRequest, w.measure(UeEvent::SessionRequest)));
+    profiles[UeEvent::SessionRequest as usize] = w.measure(UeEvent::SessionRequest);
 
     let ho = w.ran.trigger_handover(1, 2);
     w.push(ho.delay, ho.env);
-    profiles.push((UeEvent::Handover, w.measure(UeEvent::Handover)));
+    profiles[UeEvent::Handover as usize] = w.measure(UeEvent::Handover);
 
     let idle = w.ran.trigger_idle(1);
     w.push(idle.delay, idle.env);
-    profiles.push((UeEvent::IdleTransition, w.measure(UeEvent::IdleTransition)));
+    profiles[UeEvent::IdleTransition as usize] = w.measure(UeEvent::IdleTransition);
 
     // Paging: one downlink packet arriving at the (now idle) UE's UPF.
     let now = w.now;
@@ -275,11 +286,11 @@ pub fn calibrate(deployment: Deployment) -> ProfileSet {
             }),
         ),
     );
-    profiles.push((UeEvent::Paging, w.measure(UeEvent::Paging)));
+    profiles[UeEvent::Paging as usize] = w.measure(UeEvent::Paging);
 
     let dereg = w.ran.trigger_deregistration(1);
     w.push(dereg.delay, dereg.env);
-    profiles.push((UeEvent::Deregistration, w.measure(UeEvent::Deregistration)));
+    profiles[UeEvent::Deregistration as usize] = w.measure(UeEvent::Deregistration);
 
     ProfileSet {
         deployment,

@@ -718,12 +718,11 @@ struct ScrapePublisher {
     interval: SimDuration,
     /// Window index of the last publish (one snapshot per window).
     last_window: Option<u64>,
-    /// Outage flags at the last publish: a flag transition publishes
-    /// immediately, so the `l25gc_shard_outage` flip is observable even
-    /// when the outage is shorter than a window.
-    last_flags: Option<Vec<bool>>,
+    /// Per-shard outage flags as last published: a flag transition
+    /// publishes immediately, so the `l25gc_shard_outage` flip is
+    /// observable even when the outage is shorter than a window.
+    flags: Vec<bool>,
     outages: Vec<Outage>,
-    shards: u16,
 }
 
 impl ScrapePublisher {
@@ -744,27 +743,40 @@ impl ScrapePublisher {
             series: cfg.backend.to_string(),
             interval,
             last_window: None,
-            last_flags: None,
+            flags: vec![false; cfg.shard_cfg.shards as usize],
             outages: cfg.outages(),
-            shards: cfg.shard_cfg.shards,
         })
     }
 
-    /// Which shards a scripted outage holds down at `now`.
-    fn down_flags(&self, now: SimTime) -> Vec<bool> {
-        (0..self.shards)
-            .map(|s| {
-                self.outages
-                    .iter()
-                    .any(|o| o.shard == s && now >= o.start && now < o.end)
-            })
-            .collect()
+    /// Whether a scripted outage holds `shard` down at `now`.
+    fn is_down(&self, shard: usize, now: SimTime) -> bool {
+        self.outages
+            .iter()
+            .any(|o| usize::from(o.shard) == shard && now >= o.start && now < o.end)
     }
 
-    fn render(&self, tl: &MetricsTimeline, flags: &[bool]) -> String {
+    /// Index of the timeline window containing `now`.
+    fn window(&self, now: SimTime) -> u64 {
+        now.as_nanos() / self.interval.as_nanos()
+    }
+
+    /// Whether an arrival at `now` publishes: it enters a new timeline
+    /// window, or an outage flag differs from the one last published.
+    /// Asked once per arrival, so it reads and compares in place.
+    fn due(&self, now: SimTime) -> bool {
+        self.last_window != Some(self.window(now))
+            || (0..self.flags.len()).any(|s| self.is_down(s, now) != self.flags[s])
+    }
+
+    /// The exposition body at `now`, with the outage flags brought up to
+    /// date.
+    fn snapshot(&mut self, now: SimTime, tl: &MetricsTimeline) -> String {
+        for s in 0..self.flags.len() {
+            self.flags[s] = self.is_down(s, now);
+        }
         let mut body = l25gc_obs::prometheus_header();
         body.push_str(&tl.to_prometheus_samples(&self.series));
-        body.push_str(&l25gc_obs::shard_outage_samples(&self.series, flags));
+        body.push_str(&l25gc_obs::shard_outage_samples(&self.series, &self.flags));
         body
     }
 
@@ -773,26 +785,22 @@ impl ScrapePublisher {
     /// 0→1→0 flip is observable even for outages shorter than a
     /// window); the phase reads `fault-outage` while any shard is down.
     fn maybe_publish(&mut self, now: SimTime, tl: &MetricsTimeline) {
-        let w = now.as_nanos() / self.interval.as_nanos();
-        let flags = self.down_flags(now);
-        if self.last_window == Some(w) && self.last_flags.as_ref() == Some(&flags) {
+        if !self.due(now) {
             return;
         }
-        self.last_window = Some(w);
-        let phase = if flags.contains(&true) {
+        self.last_window = Some(self.window(now));
+        let body = self.snapshot(now, tl);
+        let phase = if self.flags.contains(&true) {
             "fault-outage"
         } else {
             "steady"
         };
-        let body = self.render(tl, &flags);
         self.server.publish(phase, body);
-        self.last_flags = Some(flags);
     }
 
     /// The final snapshot, after idle finalization: phase `drain`.
     fn publish_drain(&mut self, horizon: SimTime, tl: &MetricsTimeline) {
-        let flags = self.down_flags(horizon);
-        let body = self.render(tl, &flags);
+        let body = self.snapshot(horizon, tl);
         self.server.publish("drain", body);
     }
 }
@@ -1340,6 +1348,49 @@ mod tests {
             LoadError::ZeroDispatchBatch
         );
         assert!(LoadConfig::builder().dispatch_batch(32).build().is_ok());
+    }
+
+    #[test]
+    fn publisher_is_due_on_a_new_window_or_an_outage_flip_only() {
+        let plan = crate::fault::FaultPlan::parse("kill@1s:shard=0").unwrap();
+        let cfg = LoadConfig::builder()
+            .shards(2)
+            .duration(SimDuration::from_secs(3))
+            .metrics_interval(SimDuration::from_millis(100))
+            .serve_metrics("127.0.0.1:0")
+            .fault(plan)
+            .build()
+            .unwrap();
+        // Nothing is published here: the endpoint is shared process-wide
+        // and other tests read its history.
+        let mut p = ScrapePublisher::from_config(&cfg).expect("localhost binds");
+        let tl = MetricsTimeline::new(SimDuration::from_millis(100), 2);
+        let (down, up) = (p.outages[0].start, p.outages[0].end);
+        assert_eq!(down, SimTime::ZERO + SimDuration::from_secs(1));
+        let ns = SimDuration::from_nanos;
+        // What `maybe_publish` does, short of publishing.
+        let publish = |p: &mut ScrapePublisher, at: SimTime| {
+            assert!(p.due(at), "due at {at:?}");
+            p.last_window = Some(p.window(at));
+            p.snapshot(at, &tl)
+        };
+        let at = SimTime::ZERO + SimDuration::from_millis(950);
+        assert!(publish(&mut p, at).contains("shard=\"0\"} 0"));
+        assert!(!p.due(at + ns(1)), "same window, same flags");
+        assert!(!p.due(down - ns(1)));
+        // The kill lands mid-window: due at once, then quiet again.
+        assert!(
+            publish(&mut p, down).contains("l25gc_shard_outage{series=\"analytic\",shard=\"0\"} 1")
+        );
+        assert_eq!(p.flags, [true, false]);
+        assert!(!p.due(down + ns(1)));
+        assert!(p.due(down + SimDuration::from_millis(100)), "next window");
+        // And so does the recovery, wherever it falls in its window.
+        p.last_window = Some(p.window(up));
+        assert!(p.due(up), "flag flips back");
+        publish(&mut p, up);
+        assert_eq!(p.flags, [false, false]);
+        assert!(!p.due(up + ns(1)));
     }
 
     #[test]

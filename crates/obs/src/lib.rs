@@ -5,7 +5,7 @@
 //! and the failover timeline (§5.5). This crate is the shared
 //! instrumentation substrate the other crates record into:
 //!
-//! - [`hist::Log2Histogram`] — fixed-memory latency distributions with a
+//! - [`hist::Log2Histogram`] — range-compact latency distributions with a
 //!   bounded relative error, mergeable across NFs;
 //! - [`events::FlightRecorder`] — a bounded ring of typed, timestamped
 //!   events (stalls, drops, PFCP ops, handover phases, gauges) that
@@ -51,12 +51,13 @@ pub use timeline::{
 
 use l25gc_sim::SimTime;
 
-/// Named histograms with creation-order iteration (HashMap-indexed
-/// lookup, `Vec`-ordered listing — same discipline as `sim::trace`).
+/// Named histograms with creation-order iteration. A set holds a dozen
+/// names at most, so a name resolves by a scan of the entries — first by
+/// the address of the `&'static str` (the same constant recorded under
+/// every time, the hot path), then by content.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistogramSet {
     entries: Vec<(&'static str, Log2Histogram)>,
-    index: std::collections::HashMap<&'static str, usize>,
 }
 
 impl HistogramSet {
@@ -65,18 +66,31 @@ impl HistogramSet {
         HistogramSet::default()
     }
 
-    /// Records `v` into the named histogram, creating it on first use.
-    pub fn record(&mut self, name: &'static str, v: u64) {
-        let i = *self.index.entry(name).or_insert_with(|| {
+    /// Index of the entry called `name`.
+    fn position(&self, name: &str) -> Option<usize> {
+        self.entries
+            .iter()
+            .position(|(n, _)| std::ptr::eq(*n, name))
+            .or_else(|| self.entries.iter().position(|(n, _)| *n == name))
+    }
+
+    /// The histogram called `name`, created empty on first use.
+    fn entry(&mut self, name: &'static str) -> &mut Log2Histogram {
+        let i = self.position(name).unwrap_or_else(|| {
             self.entries.push((name, Log2Histogram::new()));
             self.entries.len() - 1
         });
-        self.entries[i].1.record(v);
+        &mut self.entries[i].1
+    }
+
+    /// Records `v` into the named histogram, creating it on first use.
+    pub fn record(&mut self, name: &'static str, v: u64) {
+        self.entry(name).record(v);
     }
 
     /// The named histogram, if any value was recorded into it.
     pub fn get(&self, name: &str) -> Option<&Log2Histogram> {
-        self.index.get(name).map(|&i| &self.entries[i].1)
+        self.position(name).map(|i| &self.entries[i].1)
     }
 
     /// All histograms, in creation order.
@@ -88,11 +102,7 @@ impl HistogramSet {
     /// append).
     pub fn absorb(&mut self, other: &HistogramSet) {
         for (name, h) in other.iter() {
-            let i = *self.index.entry(name).or_insert_with(|| {
-                self.entries.push((name, Log2Histogram::new()));
-                self.entries.len() - 1
-            });
-            self.entries[i].1.merge(h);
+            self.entry(name).merge(h);
         }
     }
 }
@@ -177,6 +187,25 @@ mod tests {
         );
         assert_eq!(set.get("b_second").unwrap().count(), 2);
         assert!(set.get("missing").is_none());
+    }
+
+    #[test]
+    fn histogram_set_names_are_equal_by_content_not_address() {
+        let a: &'static str = Box::leak(String::from("lat").into_boxed_str());
+        let b: &'static str = Box::leak(String::from("lat").into_boxed_str());
+        assert!(!std::ptr::eq(a, b), "two allocations");
+        let mut set = HistogramSet::new();
+        set.record(a, 1);
+        set.record("other", 2);
+        set.record(b, 3);
+        assert_eq!(set.iter().count(), 2, "one entry per name");
+        assert_eq!(set.get("lat").unwrap().count(), 2);
+        let mut absorbed = HistogramSet::new();
+        absorbed.record(b, 4);
+        absorbed.absorb(&set);
+        assert_eq!(absorbed.get(a).unwrap().count(), 3);
+        let names: Vec<&str> = absorbed.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, vec!["lat", "other"]);
     }
 
     #[test]

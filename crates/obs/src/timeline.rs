@@ -38,9 +38,12 @@ use l25gc_sim::{SimDuration, SimTime};
 use crate::export::JsonlError;
 use crate::hist::Log2Histogram;
 
-/// Hard cap on windows per shard lane (several GiB of histograms at the
-/// default precision if every window of every lane fills — in practice
-/// a run's horizon divided by its interval, a few hundred).
+/// Hard cap on windows per shard lane. A window is 416 bytes of counters
+/// and histogram headers plus the occupied bucket ranges of its four
+/// histograms: a lane idle-finalized to the cap without a sample is
+/// 27 MB, one with every histogram stretched over the whole `u64` line
+/// 4 GB — in practice a lane holds a run's horizon divided by its
+/// interval, a few hundred windows of a few KB each.
 pub const MAX_WINDOWS: usize = 1 << 16;
 
 /// One stage of the dispatch→completion pipeline, as decomposed by the
@@ -241,17 +244,25 @@ impl MetricsTimeline {
         &self.lanes[shard as usize]
     }
 
+    /// Window `i < MAX_WINDOWS` of `shard`, materialising the lane up to
+    /// it. Counts nothing: idle finalization and absorb place no sample.
+    fn window_at(&mut self, shard: u16, i: usize) -> &mut TimelineWindow {
+        let lane = &mut self.lanes[shard as usize];
+        while lane.len() <= i {
+            lane.push(TimelineWindow::new());
+        }
+        &mut lane[i]
+    }
+
+    /// The window a sample at `at` lands in: the terminal one, counted
+    /// in `clamped`, when `at` lies past the cap.
     fn window_mut(&mut self, shard: u16, at: SimTime) -> &mut TimelineWindow {
         let mut i = (at.as_nanos() / self.interval.as_nanos()) as usize;
         if i >= MAX_WINDOWS {
             i = MAX_WINDOWS - 1;
             self.clamped += 1;
         }
-        let lane = &mut self.lanes[shard as usize];
-        while lane.len() <= i {
-            lane.push(TimelineWindow::new());
-        }
-        &mut lane[i]
+        self.window_at(shard, i)
     }
 
     /// Counts a dispatch into `shard` at `at`.
@@ -355,8 +366,7 @@ impl MetricsTimeline {
                 return;
             }
             let chunk_end = end.min((i as u64 + 1) * iv);
-            let w = self.window_mut(shard, SimTime::from_nanos(cur));
-            *pick(w) += chunk_end - cur;
+            *pick(self.window_at(shard, i)) += chunk_end - cur;
             cur = chunk_end;
         }
     }
@@ -400,7 +410,7 @@ impl MetricsTimeline {
             0.0
         };
         // Materialise every window up to the horizon, then tile.
-        self.window_mut(shard, SimTime::from_nanos(horizon_ns - 1));
+        self.window_at(shard, last);
         let lane = &mut self.lanes[shard as usize];
         for (i, w) in lane.iter_mut().enumerate().take(last + 1) {
             let start = i as u64 * iv;
@@ -530,10 +540,7 @@ impl MetricsTimeline {
         self.batch_fill.merge(&other.batch_fill);
         for (shard, lane) in other.lanes.iter().enumerate() {
             for (i, w) in lane.iter().enumerate() {
-                let at = SimTime::from_nanos(i as u64 * self.interval.as_nanos());
-                // Materialise the window, then merge (window_mut grows
-                // the lane contiguously).
-                self.window_mut(shard as u16, at).absorb(w);
+                self.window_at(shard as u16, i).absorb(w);
             }
         }
     }
@@ -1430,6 +1437,26 @@ mod tests {
         assert_eq!(tl.clamped(), 1);
         assert_eq!(tl.window_count(), MAX_WINDOWS);
         assert_eq!(tl.lane(0)[MAX_WINDOWS - 1].dispatched, 1, "not lost");
+    }
+
+    #[test]
+    fn idle_finalization_and_absorb_past_the_cap_count_no_clamp() {
+        // Horizon 70 000 windows, cap 65 536: both lanes materialise to
+        // the cap, and no sample was placed, let alone clamped.
+        let mut tl = MetricsTimeline::new(SimDuration::from_nanos(1), 2);
+        let horizon = SimDuration::from_nanos(70_000);
+        tl.finalize_idle(0, horizon, 0.0);
+        tl.finalize_idle(1, horizon, 0.0);
+        assert_eq!(tl.window_count(), MAX_WINDOWS);
+        assert_eq!(tl.clamped(), 0, "finalize_idle is not a sample");
+        let mut merged = MetricsTimeline::new(SimDuration::from_nanos(1), 2);
+        merged.absorb(&tl);
+        assert_eq!(merged.clamped(), 0, "nor is absorb");
+        assert_eq!(merged, tl);
+        // A real sample past the cap still counts, once, through absorb.
+        tl.record_shed(1, SimTime::from_nanos(69_999));
+        merged.absorb(&tl);
+        assert_eq!((tl.clamped(), merged.clamped()), (1, 1));
     }
 
     #[test]
