@@ -31,6 +31,14 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Duration;
+
+/// Longest one socket read or write call may block. Connections are
+/// served inline on the single accept thread, so a peer that sends
+/// nothing, or requests `/metrics` and never drains the response, holds
+/// up later scrapes for a few of these (`write_all` retries while the
+/// kernel still takes bytes) instead of for the rest of the run.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// One published state: the run phase and the full Prometheus body.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -136,7 +144,8 @@ fn accept_loop(listener: TcpListener, state: Arc<Mutex<ServerState>>) {
 }
 
 fn handle_conn(mut stream: TcpStream, state: &Mutex<ServerState>) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(2)))?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut buf = [0u8; 1024];
     let n = stream.read(&mut buf)?;
     let req = String::from_utf8_lossy(&buf[..n]);
@@ -221,6 +230,32 @@ mod tests {
         let mut resp = String::new();
         stream.read_to_string(&mut resp).unwrap();
         assert!(resp.starts_with("HTTP/1.1 405"), "{resp}");
+    }
+
+    #[test]
+    fn a_scraper_that_stops_reading_does_not_wedge_the_endpoint() {
+        let server = MetricsServer::bind("127.0.0.1:0").unwrap();
+        // Larger than loopback's send plus receive buffers, so the
+        // response cannot be written out unless the peer reads it.
+        server.publish("steady", "x".repeat(24 << 20));
+        let mut stalled = TcpStream::connect(server.local_addr()).unwrap();
+        stalled
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        // Queued behind the stalled peer on the one accept thread: the
+        // write timeout is what lets this request through.
+        let mut probe = TcpStream::connect(server.local_addr()).unwrap();
+        probe.set_read_timeout(Some(15 * IO_TIMEOUT)).unwrap();
+        probe
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut resp = String::new();
+        probe
+            .read_to_string(&mut resp)
+            .expect("served once the stalled write times out");
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+        assert!(resp.ends_with("steady\n"), "{resp}");
+        drop(stalled);
     }
 
     #[test]

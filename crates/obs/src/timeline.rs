@@ -28,8 +28,36 @@
 //! [`parse_timeline_jsonl_line`]) for archival, and Prometheus text
 //! exposition ([`MetricsTimeline::to_prometheus_samples`], checked by
 //! [`validate_prometheus`]) for scrape-style tooling.
+//!
+//! # The lane table
+//!
+//! What a window exports is declared once, in the private `LANES` table;
+//! the recorders above are the only other code that names a lane. A row
+//! is one of three things. A **stored lane** (`lane!`) is a `u64` field
+//! of [`TimelineWindow`]: its name (CSV header name = JSONL key), a
+//! getter and a `&mut` slot, its merge rule (sum, or max for the depth
+//! gauge), whether the JSONL reader may read the key as 0 when absent,
+//! and the Prometheus family (name, help; a sum is a counter, a max a
+//! gauge) its per-shard fold is exposed as. A **derived column** is a
+//! name and a getter over the window's histograms (`count`, `p99_ns`,
+//! ...). A **family** row is a Prometheus name, type and help whose
+//! samples are not one window field (`l25gc_latency_ns`,
+//! `l25gc_shard_outage`, ...) and are written by hand. Walking the rows
+//! in table order yields the CSV header and rows, the JSONL writer *and*
+//! reader, the `# HELP` / `# TYPE` preamble, each shard's block of lane
+//! samples, and the window-wise merge behind
+//! [`MetricsTimeline::absorb`] — one order for all three formats, which
+//! is why a row's position is part of the export contract
+//! (`tests/fixtures/timeline_golden.*` pin the bytes).
+//!
+//! Adding a lane: a `u64` field on [`TimelineWindow`] (and its zero in
+//! `new`), the `record_*` that writes it, and one `lane!` row placed
+//! after the last column — marked `?` so archived JSONL without the key
+//! still reads. No exporter, parser or merge code changes; a unit test
+//! fails if a field has no row.
 
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 use l25gc_codec::json;
 use l25gc_codec::value::Value;
@@ -164,22 +192,181 @@ impl TimelineWindow {
     }
 
     fn absorb(&mut self, other: &TimelineWindow) {
-        self.dispatched += other.dispatched;
-        self.completed += other.completed;
-        self.shed += other.shed;
-        self.backpressure += other.backpressure;
-        self.peak_depth = self.peak_depth.max(other.peak_depth);
-        self.busy_ns += other.busy_ns;
-        self.blocked_ns += other.blocked_ns;
-        self.parked_ns += other.parked_ns;
-        self.occupancy_ns += other.occupancy_ns;
-        self.batch_flushes += other.batch_flushes;
-        self.batch_events += other.batch_events;
+        for lane in stored_lanes() {
+            let mine = (lane.slot)(self);
+            *mine = lane.merge.fold(*mine, (lane.get)(other));
+        }
         self.latency.merge(&other.latency);
         self.queue_wait.merge(&other.queue_wait);
         self.service.merge(&other.service);
         self.completion_transit.merge(&other.completion_transit);
     }
+}
+
+// ---------------------------------------------------------------------------
+// The lane table
+// ---------------------------------------------------------------------------
+
+/// How a stored lane combines: across timelines in
+/// [`MetricsTimeline::absorb`], and across one shard's windows into its
+/// Prometheus sample — a sum is exposed as a counter, a max as a gauge.
+#[derive(Clone, Copy)]
+enum Merge {
+    Sum,
+    Max,
+}
+
+impl Merge {
+    fn fold(self, a: u64, b: u64) -> u64 {
+        match self {
+            Merge::Sum => a + b,
+            Merge::Max => a.max(b),
+        }
+    }
+
+    fn prom_type(self) -> &'static str {
+        match self {
+            Merge::Sum => "counter",
+            Merge::Max => "gauge",
+        }
+    }
+}
+
+/// A window's value for one CSV / JSONL column.
+type Getter = fn(&TimelineWindow) -> u64;
+
+/// A stored lane: a `u64` field of [`TimelineWindow`], exported as a
+/// column and, folded over a shard's windows, as a Prometheus family.
+struct Lane {
+    /// The field's name: CSV header name and JSONL key.
+    name: &'static str,
+    get: Getter,
+    slot: fn(&mut TimelineWindow) -> &mut u64,
+    merge: Merge,
+    /// Whether [`parse_timeline_jsonl_line`] reads an absent key as 0 —
+    /// set on lanes younger than exports already archived. A key that
+    /// is present must hold an unsigned integer either way.
+    optional: bool,
+    family: &'static str,
+    help: &'static str,
+}
+
+/// One row of [`LANES`].
+enum Row {
+    Lane(Lane),
+    /// A column computed from the window's histograms: `(name, getter)`.
+    Derived(&'static str, Getter),
+    /// A Prometheus family `(name, type, help)` that is not one window
+    /// field; its samples are written by hand in
+    /// [`MetricsTimeline::to_prometheus_samples`] / [`shard_outage_samples`].
+    Family(&'static str, &'static str, &'static str),
+}
+
+impl Row {
+    /// The row's CSV / JSONL column: `(name, getter, optional)`.
+    fn column(&self) -> Option<(&'static str, Getter, bool)> {
+        match *self {
+            Row::Lane(ref lane) => Some((lane.name, lane.get, lane.optional)),
+            Row::Derived(name, get) => Some((name, get, false)),
+            Row::Family(..) => None,
+        }
+    }
+
+    /// The row's Prometheus family: `(name, type, help)`.
+    fn family(&self) -> Option<(&'static str, &'static str, &'static str)> {
+        match *self {
+            Row::Lane(ref lane) => Some((lane.family, lane.merge.prom_type(), lane.help)),
+            Row::Family(name, kind, help) => Some((name, kind, help)),
+            Row::Derived(..) => None,
+        }
+    }
+}
+
+/// `lane!(field, Merge, family, help)` declares the stored lane behind
+/// [`TimelineWindow`]'s `field`; `lane!(field?, ..)` marks it optional
+/// for the JSONL reader.
+macro_rules! lane {
+    (@ $optional:expr, $f:ident, $merge:ident, $family:expr, $help:expr) => {
+        Row::Lane(Lane {
+            name: stringify!($f),
+            get: |w| w.$f,
+            slot: |w| &mut w.$f,
+            merge: Merge::$merge,
+            optional: $optional,
+            family: $family,
+            help: $help,
+        })
+    };
+    ($f:ident?, $($rest:tt)*) => { lane!(@ true, $f, $($rest)*) };
+    ($f:ident, $($rest:tt)*) => { lane!(@ false, $f, $($rest)*) };
+}
+
+/// Every exported lane, declared once (see the module docs). Rows with
+/// a column are, in this order, the CSV columns and JSONL keys after
+/// `start_ns`; rows with a family, the Prometheus preamble; the
+/// [`Row::Lane`]s also each shard's leading block of samples and what
+/// [`TimelineWindow::absorb`] merges. A row's position is part of the
+/// export contract: append new columns, never reorder.
+#[rustfmt::skip] // a table, kept as one: a row per entry, its help text on the line below
+static LANES: [Row; 26] = [
+    lane!(dispatched, Sum, "l25gc_dispatched_total",
+        "Procedures dispatched into a shard over the run."),
+    lane!(completed, Sum, "l25gc_completed_total",
+        "Procedures completed over the run."),
+    lane!(shed, Sum, "l25gc_shed_total",
+        "Arrivals shed by admission control."),
+    lane!(backpressure, Sum, "l25gc_backpressure_total",
+        "Arrivals rejected by ring backpressure."),
+    lane!(peak_depth, Max, "l25gc_peak_depth",
+        "Deepest in-flight shard queue observed."),
+    Row::Derived("count", |w| w.latency.count()),
+    Row::Derived("p50_ns", |w| w.latency.quantile(0.50)),
+    Row::Derived("p95_ns", |w| w.latency.quantile(0.95)),
+    Row::Derived("p99_ns", |w| w.latency.quantile(0.99)),
+    Row::Family("l25gc_latency_ns", "gauge",
+        "Whole-run latency quantile per shard, nanoseconds."),
+    Row::Derived("queue_wait_p99_ns", |w| w.queue_wait.quantile(0.99)),
+    Row::Derived("service_p99_ns", |w| w.service.quantile(0.99)),
+    Row::Derived("transit_p99_ns", |w| w.completion_transit.quantile(0.99)),
+    Row::Family("l25gc_stage_latency_ns", "histogram",
+        "Whole-run per-stage latency distribution per shard, nanoseconds."),
+    Row::Family("l25gc_timeline_windows", "gauge",
+        "Timeline windows the run touched."),
+    Row::Family("l25gc_timeline_clamped_total", "counter",
+        "Samples folded into the last window past the cap."),
+    lane!(busy_ns, Sum, "l25gc_worker_busy_ns_total",
+        "Charged service time executed by a shard worker, nanoseconds."),
+    lane!(blocked_ns, Sum, "l25gc_worker_blocked_ns_total",
+        "Idle shard time apportioned to the yield/blocked tier, nanoseconds."),
+    lane!(parked_ns, Sum, "l25gc_worker_parked_ns_total",
+        "Idle shard time apportioned to the park tier, nanoseconds."),
+    lane!(occupancy_ns, Sum, "l25gc_ring_occupancy_ns_total",
+        "Summed per-event ring-residency sojourn per shard, nanoseconds."),
+    Row::Family("l25gc_worker_utilization_ratio", "gauge",
+        "Shard busy time over its touched window span, 0..1."),
+    Row::Family("l25gc_dispatcher_utilization_ratio", "gauge",
+        "Dispatcher busy wall time over its total wall time, 0..1."),
+    Row::Family("l25gc_shard_outage", "gauge",
+        "1 while a scripted fault holds the shard down, else 0."),
+    lane!(batch_flushes?, Sum, "l25gc_dispatch_batch_flushes_total",
+        "Staged-dispatch bursts flushed into a shard's submit ring."),
+    lane!(batch_events?, Sum, "l25gc_dispatch_batch_events_total",
+        "Events carried by staged-dispatch bursts into a shard's submit ring."),
+    Row::Family("l25gc_dispatch_batch_fill", "histogram",
+        "Events per flushed staged-dispatch burst over the run."),
+];
+
+/// The CSV / JSONL columns in export order: `(name, getter, optional)`.
+fn columns() -> impl Iterator<Item = (&'static str, Getter, bool)> {
+    LANES.iter().filter_map(Row::column)
+}
+
+/// The stored lanes, in export order.
+fn stored_lanes() -> impl Iterator<Item = &'static Lane> {
+    LANES.iter().filter_map(|row| match row {
+        Row::Lane(lane) => Some(lane),
+        _ => None,
+    })
 }
 
 /// Per-shard, per-interval counter/gauge/histogram snapshots over a run.
@@ -331,16 +518,21 @@ impl MetricsTimeline {
         &self.batch_fill
     }
 
+    /// One lane summed across every shard and window.
+    fn total(&self, get: Getter) -> u64 {
+        self.lanes.iter().flatten().map(get).sum()
+    }
+
     /// Total staged-dispatch bursts flushed across every shard and
     /// window.
     pub fn batch_flush_total(&self) -> u64 {
-        self.lanes.iter().flatten().map(|w| w.batch_flushes).sum()
+        self.total(|w| w.batch_flushes)
     }
 
     /// Total events carried by flushed bursts across every shard and
     /// window.
     pub fn batch_events_total(&self) -> u64 {
-        self.lanes.iter().flatten().map(|w| w.batch_events).sum()
+        self.total(|w| w.batch_events)
     }
 
     /// Adds the virtual interval `[start, end)` into one duty-cycle
@@ -464,17 +656,17 @@ impl MetricsTimeline {
 
     /// Total dispatches across every shard and window.
     pub fn dispatched_total(&self) -> u64 {
-        self.lanes.iter().flatten().map(|w| w.dispatched).sum()
+        self.total(|w| w.dispatched)
     }
 
     /// Total completions across every shard and window.
     pub fn completed_total(&self) -> u64 {
-        self.lanes.iter().flatten().map(|w| w.completed).sum()
+        self.total(|w| w.completed)
     }
 
     /// Total sheds across every shard and window.
     pub fn shed_total(&self) -> u64 {
-        self.lanes.iter().flatten().map(|w| w.shed).sum()
+        self.total(|w| w.shed)
     }
 
     /// Sheds in window `w`, summed across every shard lane.
@@ -552,7 +744,16 @@ impl MetricsTimeline {
 
 /// The CSV header matching [`MetricsTimeline::to_csv_rows`].
 pub fn timeline_csv_header() -> &'static str {
-    "series,shard,window,start_ns,dispatched,completed,shed,backpressure,peak_depth,count,p50_ns,p95_ns,p99_ns,queue_wait_p99_ns,service_p99_ns,transit_p99_ns,busy_ns,blocked_ns,parked_ns,occupancy_ns,batch_flushes,batch_events\n"
+    static HEADER: OnceLock<String> = OnceLock::new();
+    HEADER.get_or_init(|| {
+        let mut header = String::from("series,shard,window,start_ns");
+        for (name, ..) in columns() {
+            header.push(',');
+            header.push_str(name);
+        }
+        header.push('\n');
+        header
+    })
 }
 
 impl MetricsTimeline {
@@ -563,28 +764,11 @@ impl MetricsTimeline {
         for (shard, lane) in self.lanes.iter().enumerate() {
             for (i, w) in lane.iter().enumerate() {
                 let start = i as u64 * self.interval.as_nanos();
-                let _ = writeln!(
-                    out,
-                    "{series},{shard},{i},{start},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                    w.dispatched,
-                    w.completed,
-                    w.shed,
-                    w.backpressure,
-                    w.peak_depth,
-                    w.latency.count(),
-                    w.latency.quantile(0.50),
-                    w.latency.quantile(0.95),
-                    w.latency.quantile(0.99),
-                    w.queue_wait.quantile(0.99),
-                    w.service.quantile(0.99),
-                    w.completion_transit.quantile(0.99),
-                    w.busy_ns,
-                    w.blocked_ns,
-                    w.parked_ns,
-                    w.occupancy_ns,
-                    w.batch_flushes,
-                    w.batch_events,
-                );
+                let _ = write!(out, "{series},{shard},{i},{start}");
+                for (_, get, _) in columns() {
+                    let _ = write!(out, ",{}", get(w));
+                }
+                out.push('\n');
             }
         }
         out
@@ -617,44 +801,11 @@ pub enum TimelineLine {
         window: u64,
         /// Window start, nanoseconds.
         start_ns: u64,
-        /// Dispatches in the window.
-        dispatched: u64,
-        /// Completions in the window.
-        completed: u64,
-        /// Admission sheds in the window.
-        shed: u64,
-        /// Ring-backpressure rejections in the window.
-        backpressure: u64,
-        /// Deepest queue observed.
-        peak_depth: u64,
-        /// Latency samples in the window.
-        count: u64,
-        /// Median latency of the window's completions, ns.
-        p50_ns: u64,
-        /// 95th percentile, ns.
-        p95_ns: u64,
-        /// 99th percentile, ns.
-        p99_ns: u64,
-        /// [`Stage::QueueWait`] p99 of the window's completions, ns.
-        queue_wait_p99_ns: u64,
-        /// [`Stage::Service`] p99 of the window's completions, ns.
-        service_p99_ns: u64,
-        /// [`Stage::CompletionTransit`] p99 of the window's completions,
-        /// ns.
-        transit_p99_ns: u64,
-        /// Charged service time overlapping the window, ns.
-        busy_ns: u64,
-        /// Idle time apportioned to the blocked bucket, ns.
-        blocked_ns: u64,
-        /// Idle time apportioned to the park bucket, ns.
-        parked_ns: u64,
-        /// Ring-occupancy time integral overlapping the window, ns.
-        occupancy_ns: u64,
-        /// Staged-dispatch bursts flushed in the window (0 on lines
-        /// written before batching existed — the parser defaults it).
-        batch_flushes: u64,
-        /// Events those bursts carried (0 on pre-batching lines).
-        batch_events: u64,
+        /// The window's columns — counters, latency quantiles (ns),
+        /// duty-cycle and batch lanes — one per [`timeline_csv_header`]
+        /// name after `start_ns`, in that order. Read one by name with
+        /// [`TimelineLine::column`].
+        values: Vec<u64>,
     },
     /// The per-series trailing metadata line.
     Meta {
@@ -676,6 +827,17 @@ pub enum TimelineLine {
 }
 
 impl TimelineLine {
+    /// A window line's column `name` — a [`timeline_csv_header`] name
+    /// after `start_ns`, e.g. `"dispatched"` or `"p99_ns"`. `None` on a
+    /// meta line and for a name that is not a column.
+    pub fn column(&self, name: &str) -> Option<u64> {
+        let TimelineLine::Window { values, .. } = self else {
+            return None;
+        };
+        let at = columns().position(|(column, ..)| column == name)?;
+        values.get(at).copied()
+    }
+
     /// Re-serializes to the exact [`Value`] shape
     /// [`MetricsTimeline::to_jsonl`] emits, for round-trip checks.
     pub fn to_value(&self) -> Value {
@@ -685,49 +847,19 @@ impl TimelineLine {
                 shard,
                 window,
                 start_ns,
-                dispatched,
-                completed,
-                shed,
-                backpressure,
-                peak_depth,
-                count,
-                p50_ns,
-                p95_ns,
-                p99_ns,
-                queue_wait_p99_ns,
-                service_p99_ns,
-                transit_p99_ns,
-                busy_ns,
-                blocked_ns,
-                parked_ns,
-                occupancy_ns,
-                batch_flushes,
-                batch_events,
-            } => obj()
-                .field("t", Value::Str("tl".into()))
-                .field("series", Value::Str(series.clone()))
-                .field("shard", Value::U64(*shard))
-                .field("window", Value::U64(*window))
-                .field("start_ns", Value::U64(*start_ns))
-                .field("dispatched", Value::U64(*dispatched))
-                .field("completed", Value::U64(*completed))
-                .field("shed", Value::U64(*shed))
-                .field("backpressure", Value::U64(*backpressure))
-                .field("peak_depth", Value::U64(*peak_depth))
-                .field("count", Value::U64(*count))
-                .field("p50_ns", Value::U64(*p50_ns))
-                .field("p95_ns", Value::U64(*p95_ns))
-                .field("p99_ns", Value::U64(*p99_ns))
-                .field("queue_wait_p99_ns", Value::U64(*queue_wait_p99_ns))
-                .field("service_p99_ns", Value::U64(*service_p99_ns))
-                .field("transit_p99_ns", Value::U64(*transit_p99_ns))
-                .field("busy_ns", Value::U64(*busy_ns))
-                .field("blocked_ns", Value::U64(*blocked_ns))
-                .field("parked_ns", Value::U64(*parked_ns))
-                .field("occupancy_ns", Value::U64(*occupancy_ns))
-                .field("batch_flushes", Value::U64(*batch_flushes))
-                .field("batch_events", Value::U64(*batch_events))
-                .build(),
+                values,
+            } => {
+                let mut line = obj()
+                    .field("t", Value::Str("tl".into()))
+                    .field("series", Value::Str(series.clone()))
+                    .field("shard", Value::U64(*shard))
+                    .field("window", Value::U64(*window))
+                    .field("start_ns", Value::U64(*start_ns));
+                for ((name, ..), v) in columns().zip(values) {
+                    line = line.field(name, Value::U64(*v));
+                }
+                line.build()
+            }
             TimelineLine::Meta {
                 series,
                 interval_ns,
@@ -759,26 +891,14 @@ pub fn parse_timeline_jsonl_line(line: &str) -> Result<TimelineLine, JsonlError>
             shard: v.u64_of("shard")?,
             window: v.u64_of("window")?,
             start_ns: v.u64_of("start_ns")?,
-            dispatched: v.u64_of("dispatched")?,
-            completed: v.u64_of("completed")?,
-            shed: v.u64_of("shed")?,
-            backpressure: v.u64_of("backpressure")?,
-            peak_depth: v.u64_of("peak_depth")?,
-            count: v.u64_of("count")?,
-            p50_ns: v.u64_of("p50_ns")?,
-            p95_ns: v.u64_of("p95_ns")?,
-            p99_ns: v.u64_of("p99_ns")?,
-            queue_wait_p99_ns: v.u64_of("queue_wait_p99_ns")?,
-            service_p99_ns: v.u64_of("service_p99_ns")?,
-            transit_p99_ns: v.u64_of("transit_p99_ns")?,
-            busy_ns: v.u64_of("busy_ns")?,
-            blocked_ns: v.u64_of("blocked_ns")?,
-            parked_ns: v.u64_of("parked_ns")?,
-            occupancy_ns: v.u64_of("occupancy_ns")?,
-            // Absent on lines written before staged dispatch existed;
-            // default 0 keeps old exports parseable.
-            batch_flushes: v.get("batch_flushes").and_then(Value::as_u64).unwrap_or(0),
-            batch_events: v.get("batch_events").and_then(Value::as_u64).unwrap_or(0),
+            values: columns()
+                .map(|(name, _, optional)| match v.get(name) {
+                    // Only absence defaults: a key that is present but
+                    // not an integer is a malformed line, not a zero.
+                    None if optional => Ok(0),
+                    _ => v.u64_of(name),
+                })
+                .collect::<Result<_, _>>()?,
         }),
         "tl_meta" => Ok(TimelineLine::Meta {
             series: v.str_of("series")?,
@@ -806,24 +926,7 @@ impl MetricsTimeline {
                     shard: shard as u64,
                     window: i as u64,
                     start_ns: i as u64 * self.interval.as_nanos(),
-                    dispatched: w.dispatched,
-                    completed: w.completed,
-                    shed: w.shed,
-                    backpressure: w.backpressure,
-                    peak_depth: w.peak_depth,
-                    count: w.latency.count(),
-                    p50_ns: w.latency.quantile(0.50),
-                    p95_ns: w.latency.quantile(0.95),
-                    p99_ns: w.latency.quantile(0.99),
-                    queue_wait_p99_ns: w.queue_wait.quantile(0.99),
-                    service_p99_ns: w.service.quantile(0.99),
-                    transit_p99_ns: w.completion_transit.quantile(0.99),
-                    busy_ns: w.busy_ns,
-                    blocked_ns: w.blocked_ns,
-                    parked_ns: w.parked_ns,
-                    occupancy_ns: w.occupancy_ns,
-                    batch_flushes: w.batch_flushes,
-                    batch_events: w.batch_events,
+                    values: columns().map(|(_, get, _)| get(w)).collect(),
                 };
                 out.push_str(&json::to_string(&line.to_value()));
                 out.push('\n');
@@ -848,110 +951,11 @@ impl MetricsTimeline {
 // Prometheus text exposition
 // ---------------------------------------------------------------------------
 
-/// Every metric the Prometheus writer emits: `(name, type, help)`.
-const PROM_METRICS: [(&str, &str, &str); 19] = [
-    (
-        "l25gc_dispatched_total",
-        "counter",
-        "Procedures dispatched into a shard over the run.",
-    ),
-    (
-        "l25gc_completed_total",
-        "counter",
-        "Procedures completed over the run.",
-    ),
-    (
-        "l25gc_shed_total",
-        "counter",
-        "Arrivals shed by admission control.",
-    ),
-    (
-        "l25gc_backpressure_total",
-        "counter",
-        "Arrivals rejected by ring backpressure.",
-    ),
-    (
-        "l25gc_peak_depth",
-        "gauge",
-        "Deepest in-flight shard queue observed.",
-    ),
-    (
-        "l25gc_latency_ns",
-        "gauge",
-        "Whole-run latency quantile per shard, nanoseconds.",
-    ),
-    (
-        "l25gc_stage_latency_ns",
-        "histogram",
-        "Whole-run per-stage latency distribution per shard, nanoseconds.",
-    ),
-    (
-        "l25gc_timeline_windows",
-        "gauge",
-        "Timeline windows the run touched.",
-    ),
-    (
-        "l25gc_timeline_clamped_total",
-        "counter",
-        "Samples folded into the last window past the cap.",
-    ),
-    (
-        "l25gc_worker_busy_ns_total",
-        "counter",
-        "Charged service time executed by a shard worker, nanoseconds.",
-    ),
-    (
-        "l25gc_worker_blocked_ns_total",
-        "counter",
-        "Idle shard time apportioned to the yield/blocked tier, nanoseconds.",
-    ),
-    (
-        "l25gc_worker_parked_ns_total",
-        "counter",
-        "Idle shard time apportioned to the park tier, nanoseconds.",
-    ),
-    (
-        "l25gc_ring_occupancy_ns_total",
-        "counter",
-        "Summed per-event ring-residency sojourn per shard, nanoseconds.",
-    ),
-    (
-        "l25gc_worker_utilization_ratio",
-        "gauge",
-        "Shard busy time over its touched window span, 0..1.",
-    ),
-    (
-        "l25gc_dispatcher_utilization_ratio",
-        "gauge",
-        "Dispatcher busy wall time over its total wall time, 0..1.",
-    ),
-    (
-        "l25gc_shard_outage",
-        "gauge",
-        "1 while a scripted fault holds the shard down, else 0.",
-    ),
-    (
-        "l25gc_dispatch_batch_flushes_total",
-        "counter",
-        "Staged-dispatch bursts flushed into a shard's submit ring.",
-    ),
-    (
-        "l25gc_dispatch_batch_events_total",
-        "counter",
-        "Events carried by staged-dispatch bursts into a shard's submit ring.",
-    ),
-    (
-        "l25gc_dispatch_batch_fill",
-        "histogram",
-        "Events per flushed staged-dispatch burst over the run.",
-    ),
-];
-
 /// The `# HELP` / `# TYPE` preamble for every metric the samples use.
 /// Emit once per exposition, before any [`MetricsTimeline::to_prometheus_samples`].
 pub fn prometheus_header() -> String {
     let mut out = String::new();
-    for (name, kind, help) in PROM_METRICS {
+    for (name, kind, help) in LANES.iter().filter_map(Row::family) {
         let _ = writeln!(out, "# HELP {name} {help}");
         let _ = writeln!(out, "# TYPE {name} {kind}");
     }
@@ -988,6 +992,19 @@ fn prom_escape(label: &str) -> String {
     out
 }
 
+/// Writes `h` as a conformant cumulative histogram `family{labels}`:
+/// non-empty buckets in increasing-bound order, an explicit `+Inf`
+/// terminal, then `_sum` and `_count`.
+fn write_prom_histogram(out: &mut String, family: &str, labels: &str, h: &Log2Histogram) {
+    for (bound, cum) in h.cumulative_buckets() {
+        let _ = writeln!(out, "{family}_bucket{{{labels},le=\"{bound}\"}} {cum}");
+    }
+    let count = h.count();
+    let _ = writeln!(out, "{family}_bucket{{{labels},le=\"+Inf\"}} {count}");
+    let _ = writeln!(out, "{family}_sum{{{labels}}} {}", h.sum());
+    let _ = writeln!(out, "{family}_count{{{labels}}} {count}");
+}
+
 impl MetricsTimeline {
     /// Per-shard whole-run totals, peaks, and latency quantiles as
     /// Prometheus text-exposition samples labelled with `series`.
@@ -997,59 +1014,14 @@ impl MetricsTimeline {
         let mut out = String::new();
         for shard in 0..self.shards() {
             let lane = self.lane(shard);
-            let sum = |f: fn(&TimelineWindow) -> u64| lane.iter().map(f).sum::<u64>();
             let labels = format!("series=\"{series}\",shard=\"{shard}\"");
-            let _ = writeln!(
-                out,
-                "l25gc_dispatched_total{{{labels}}} {}",
-                sum(|w| w.dispatched)
-            );
-            let _ = writeln!(
-                out,
-                "l25gc_completed_total{{{labels}}} {}",
-                sum(|w| w.completed)
-            );
-            let _ = writeln!(out, "l25gc_shed_total{{{labels}}} {}", sum(|w| w.shed));
-            let _ = writeln!(
-                out,
-                "l25gc_backpressure_total{{{labels}}} {}",
-                sum(|w| w.backpressure)
-            );
-            let _ = writeln!(
-                out,
-                "l25gc_peak_depth{{{labels}}} {}",
-                lane.iter().map(|w| w.peak_depth).max().unwrap_or(0)
-            );
-            let _ = writeln!(
-                out,
-                "l25gc_worker_busy_ns_total{{{labels}}} {}",
-                sum(|w| w.busy_ns)
-            );
-            let _ = writeln!(
-                out,
-                "l25gc_worker_blocked_ns_total{{{labels}}} {}",
-                sum(|w| w.blocked_ns)
-            );
-            let _ = writeln!(
-                out,
-                "l25gc_worker_parked_ns_total{{{labels}}} {}",
-                sum(|w| w.parked_ns)
-            );
-            let _ = writeln!(
-                out,
-                "l25gc_ring_occupancy_ns_total{{{labels}}} {}",
-                sum(|w| w.occupancy_ns)
-            );
-            let _ = writeln!(
-                out,
-                "l25gc_dispatch_batch_flushes_total{{{labels}}} {}",
-                sum(|w| w.batch_flushes)
-            );
-            let _ = writeln!(
-                out,
-                "l25gc_dispatch_batch_events_total{{{labels}}} {}",
-                sum(|w| w.batch_events)
-            );
+            // Every stored lane, folded over the shard's windows by its
+            // merge rule.
+            for stored in stored_lanes() {
+                let values = lane.iter().map(stored.get);
+                let folded = values.fold(0, |a, b| stored.merge.fold(a, b));
+                let _ = writeln!(out, "{}{{{labels}}} {folded}", stored.family);
+            }
             let _ = writeln!(
                 out,
                 "l25gc_worker_utilization_ratio{{{labels}}} {}",
@@ -1063,70 +1035,33 @@ impl MetricsTimeline {
                     h.quantile(q)
                 );
             }
-            // Per-stage latency anatomy as a conformant cumulative
-            // histogram: non-empty buckets in increasing-bound order,
-            // an explicit `+Inf` terminal, then `_sum` and `_count`.
             for stage in Stage::ALL {
                 let h = self.shard_stage_latency(shard, stage);
                 let slabels = format!("{labels},stage=\"{}\"", stage.name());
-                for (bound, cum) in h.cumulative_buckets() {
-                    let _ = writeln!(
-                        out,
-                        "l25gc_stage_latency_ns_bucket{{{slabels},le=\"{bound}\"}} {cum}"
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "l25gc_stage_latency_ns_bucket{{{slabels},le=\"+Inf\"}} {}",
-                    h.count()
-                );
-                let _ = writeln!(out, "l25gc_stage_latency_ns_sum{{{slabels}}} {}", h.sum());
-                let _ = writeln!(
-                    out,
-                    "l25gc_stage_latency_ns_count{{{slabels}}} {}",
-                    h.count()
-                );
+                write_prom_histogram(&mut out, "l25gc_stage_latency_ns", &slabels, &h);
             }
         }
-        // Burst-fill distribution is run-wide (the dispatcher stages
-        // across shards), exported with the same cumulative-histogram
-        // contract as the stage anatomy above.
-        let bh = self.batch_fill();
-        let blabels = format!("series=\"{series}\"");
-        for (bound, cum) in bh.cumulative_buckets() {
-            let _ = writeln!(
-                out,
-                "l25gc_dispatch_batch_fill_bucket{{{blabels},le=\"{bound}\"}} {cum}"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "l25gc_dispatch_batch_fill_bucket{{{blabels},le=\"+Inf\"}} {}",
-            bh.count()
+        // Burst fill is run-wide: the dispatcher stages across shards.
+        let labels = format!("series=\"{series}\"");
+        write_prom_histogram(
+            &mut out,
+            "l25gc_dispatch_batch_fill",
+            &labels,
+            self.batch_fill(),
         );
         let _ = writeln!(
             out,
-            "l25gc_dispatch_batch_fill_sum{{{blabels}}} {}",
-            bh.sum()
-        );
-        let _ = writeln!(
-            out,
-            "l25gc_dispatch_batch_fill_count{{{blabels}}} {}",
-            bh.count()
-        );
-        let _ = writeln!(
-            out,
-            "l25gc_timeline_windows{{series=\"{series}\"}} {}",
+            "l25gc_timeline_windows{{{labels}}} {}",
             self.window_count()
         );
         let _ = writeln!(
             out,
-            "l25gc_timeline_clamped_total{{series=\"{series}\"}} {}",
+            "l25gc_timeline_clamped_total{{{labels}}} {}",
             self.clamped
         );
         let _ = writeln!(
             out,
-            "l25gc_dispatcher_utilization_ratio{{series=\"{series}\"}} {}",
+            "l25gc_dispatcher_utilization_ratio{{{labels}}} {}",
             self.dispatcher_utilization()
         );
         out
@@ -1165,19 +1100,16 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
         }
     }
 
-    /// Splits the `le="..."` pair out of a label-set body, returning
+    /// Splits the `le="..."` pair out of a label set, returning
     /// `(le_value, remaining_labels)` — the remainder keys the bucket
-    /// run the sample belongs to.
-    fn split_le(labels: &str) -> Option<(String, String)> {
-        let start = labels.find("le=\"")?;
-        let after = &labels[start + 4..];
-        let end = after.find('"')?;
-        let le = after[..end].to_owned();
-        let mut rest = String::with_capacity(labels.len());
-        rest.push_str(&labels[..start]);
-        rest.push_str(&after[end + 1..]);
-        let rest = rest.replace(",,", ",");
-        Some((le, rest.trim_matches(',').to_owned()))
+    /// run the sample belongs to. `le` matches as a whole label name:
+    /// `role="..."` or `handle="..."` is not a bound.
+    fn split_le(pairs: &[&str]) -> Option<(String, String)> {
+        let mut rest = pairs.to_vec();
+        let le = rest.remove(rest.iter().position(|p| p.starts_with("le=\""))?);
+        let le = le["le=\"".len()..].strip_suffix('"')?;
+        rest.retain(|p| !p.is_empty());
+        Some((le.to_owned(), rest.join(",")))
     }
 
     /// An open cumulative-bucket run: key (family + labels minus `le`),
@@ -1204,6 +1136,7 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
     let mut histograms: Vec<&str> = Vec::new();
     let mut samples = 0usize;
     let mut run: Option<BucketRun> = None;
+    let mut labels: Vec<&str> = Vec::new();
     for (n, line) in text.lines().enumerate() {
         let lineno = n + 1;
         if line.is_empty() {
@@ -1245,14 +1178,15 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
             ));
         }
         let rest = &line[name.len()..];
-        let (labels, rest) = if let Some(r) = rest.strip_prefix('{') {
+        labels.clear();
+        let rest = if let Some(r) = rest.strip_prefix('{') {
             // Walk the label set: key="value" pairs, comma-separated,
             // with backslash escapes inside values.
-            let mut chars = r.char_indices();
             let mut in_str = false;
             let mut esc = false;
+            let mut pair_start = 0;
             let mut close = None;
-            for (i, c) in &mut chars {
+            for (i, c) in r.char_indices() {
                 if esc {
                     esc = false;
                     continue;
@@ -1260,25 +1194,28 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
                 match c {
                     '\\' if in_str => esc = true,
                     '"' => in_str = !in_str,
-                    '}' if !in_str => {
-                        close = Some(i);
-                        break;
+                    ',' | '}' if !in_str => {
+                        labels.push(&r[pair_start..i]);
+                        pair_start = i + 1;
+                        if c == '}' {
+                            close = Some(i);
+                            break;
+                        }
                     }
                     _ => {}
                 }
             }
             let close = close.ok_or(format!("line {lineno}: unterminated label set"))?;
-            (Some(&r[..close]), &r[close + 1..])
+            &r[close + 1..]
         } else {
-            (None, rest)
+            rest
         };
         let value = rest.trim();
         if value.is_empty() || value.parse::<f64>().is_err() {
             return Err(format!("line {lineno}: bad sample value `{value}`"));
         }
         if hist_suffix == Some("_bucket") {
-            let (le, key_labels) = labels
-                .and_then(split_le)
+            let (le, key_labels) = split_le(&labels)
                 .ok_or(format!("line {lineno}: histogram bucket without le label"))?;
             let cum: f64 = value.parse().unwrap_or(f64::NAN);
             let key = format!("{name}{{{key_labels}}}");
@@ -1338,6 +1275,39 @@ mod tests {
         tl.record_depth(1, ms(40), 7);
         tl.record_depth(1, ms(41), 3);
         tl
+    }
+
+    #[test]
+    fn lane_table_covers_every_window_field_exactly_once() {
+        // Mark every stored lane through its slot, then read the window
+        // back through `Debug`, which names each field whether or not a
+        // row does. (`size_of` cannot tell: the histograms' `u128` sums
+        // pad eleven lanes and twelve to the same 416 bytes.)
+        let mut w = TimelineWindow::new();
+        let stored: Vec<&Lane> = stored_lanes().collect();
+        for (mark, lane) in stored.iter().enumerate() {
+            *(lane.slot)(&mut w) = mark as u64 + 1;
+        }
+        let shown = format!("{w:#?}");
+        let fields = shown
+            .lines()
+            .filter_map(|line| line.strip_prefix("    "))
+            .filter(|line| !line.starts_with([' ', '}']));
+        let mut lanes = 0;
+        for field in fields {
+            let (name, value) = field.split_once(": ").expect("`name: value`");
+            if let Ok(value) = value.trim_end_matches(',').parse::<u64>() {
+                let at = stored.iter().position(|lane| lane.name == name);
+                let at = at.unwrap_or_else(|| panic!("field `{name}` has no LANES row"));
+                assert_eq!(value, at as u64 + 1, "two rows share field `{name}`");
+                assert_eq!((stored[at].get)(&w), value);
+                lanes += 1;
+            } else {
+                let stage = Stage::ALL.iter().any(|s| s.name() == name);
+                assert!(stage || name == "latency", "unexpected field `{name}`");
+            }
+        }
+        assert_eq!(lanes, stored.len(), "a LANES row names no field");
     }
 
     #[test]
@@ -1472,9 +1442,7 @@ mod tests {
         for line in &lines {
             let parsed = parse_timeline_jsonl_line(line).expect("line parses");
             assert_eq!(json::to_string(&parsed.to_value()), *line, "round trip");
-            if let TimelineLine::Window { dispatched: d, .. } = parsed {
-                dispatched += d;
-            }
+            dispatched += parsed.column("dispatched").unwrap_or(0);
         }
         assert_eq!(dispatched, tl.dispatched_total());
         match parse_timeline_jsonl_line(lines.last().unwrap()).unwrap() {
@@ -1665,29 +1633,33 @@ mod tests {
         // still parses, defaulting both to zero.
         let text = tl.to_jsonl("b");
         let first = text.lines().next().unwrap();
-        match parse_timeline_jsonl_line(first).unwrap() {
-            TimelineLine::Window {
-                batch_flushes,
-                batch_events,
-                ..
-            } => {
-                assert_eq!(batch_flushes, 1);
-                assert_eq!(batch_events, 32);
-            }
-            other => panic!("expected window, got {other:?}"),
-        }
+        let line = parse_timeline_jsonl_line(first).unwrap();
+        assert_eq!(line.column("batch_flushes"), Some(1));
+        assert_eq!(line.column("batch_events"), Some(32));
+        assert_eq!(line.column("no_such_column"), None);
         let legacy = first.replace(",\"batch_flushes\":1,\"batch_events\":32", "");
         assert_ne!(legacy, *first, "fields were present to strip");
-        match parse_timeline_jsonl_line(&legacy).unwrap() {
-            TimelineLine::Window {
-                batch_flushes,
-                batch_events,
-                ..
-            } => {
-                assert_eq!(batch_flushes, 0, "legacy lines default to zero");
-                assert_eq!(batch_events, 0);
-            }
-            other => panic!("expected window, got {other:?}"),
+        let line = parse_timeline_jsonl_line(&legacy).unwrap();
+        assert_eq!(
+            line.column("batch_flushes"),
+            Some(0),
+            "absent reads as zero"
+        );
+        assert_eq!(line.column("batch_events"), Some(0));
+        // Present but not an integer is a malformed line, never a zero;
+        // and only the columns younger than the format may be absent.
+        for bad in [
+            first.replace("\"batch_flushes\":1", "\"batch_flushes\":\"x\""),
+            first.replace("\"batch_events\":32", "\"batch_events\":1.5"),
+            first.replace("\"batch_events\":32", "\"batch_events\":null"),
+            first.replace("\"busy_ns\":0,", ""),
+        ] {
+            assert_ne!(bad, *first);
+            assert_eq!(
+                parse_timeline_jsonl_line(&bad),
+                Err(JsonlError::BadShape),
+                "{bad}"
+            );
         }
 
         // Prometheus: per-shard counters plus a conformant run-wide
@@ -1727,6 +1699,17 @@ mod tests {
              h_bucket{{s=\"b\",le=\"+Inf\"}} 0\n"
         );
         assert_eq!(validate_prometheus(&ok2), Ok(3));
+        // `le` is a whole label name, wherever it sits in the set: a
+        // label merely ending in "le" is not the bound.
+        for (before, after) in [("role=\"a\",", ""), ("", ",role=\"a\""), ("", ",")] {
+            let ok3 = format!(
+                "{head}h_bucket{{{before}le=\"1\"{after}}} 1\n\
+                 h_bucket{{{before}le=\"+Inf\"{after}}} 1\n"
+            );
+            assert_eq!(validate_prometheus(&ok3), Ok(2), "{ok3}");
+        }
+        let bad = format!("{head}h_bucket{{role=\"le=\"}} 1\n");
+        assert!(validate_prometheus(&bad).unwrap_err().contains("le label"));
         // Non-monotone cumulative counts are rejected.
         let bad = format!(
             "{head}h_bucket{{le=\"1\"}} 5\nh_bucket{{le=\"4\"}} 3\nh_bucket{{le=\"+Inf\"}} 5\n"
