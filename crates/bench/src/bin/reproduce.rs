@@ -344,30 +344,23 @@ mod tests {
             "--backend",
             "threaded",
             "--pin",
-            "--wait",
-            "spin",
             "--repeats",
             "5",
             "--saturate",
         ])
         .unwrap();
         assert!(args.cap.pin);
-        assert_eq!(args.cap.wait, l25gc_load::WaitStrategy::Spin);
         assert_eq!(args.cap.repeats, 5);
         assert!(args.saturate);
 
         let args = parse(&[]).unwrap();
         assert!(!args.cap.pin, "pinning is opt-in");
-        assert_eq!(args.cap.wait, l25gc_load::WaitStrategy::Adaptive);
         assert_eq!(args.cap.repeats, 1);
         assert!(!args.saturate);
 
         assert!(parse(&["--pin", "--pin"])
             .unwrap_err()
             .contains("more than once"));
-        assert!(parse(&["--wait", "busy"])
-            .unwrap_err()
-            .contains("spin|adaptive|park"));
         assert!(parse(&["--repeats", "0"]).unwrap_err().contains("positive"));
     }
 
@@ -464,7 +457,6 @@ mod tests {
             backend: "analytic".to_string(),
             burst: 1.0,
             pin: false,
-            wait: "adaptive".to_string(),
             dispatch_batch: 1,
             hist_bits: 5,
             metrics: vec![l25gc_bench::MetricRow {

@@ -169,8 +169,6 @@ pub struct RunManifest {
     /// Placement changes wall-clock numbers, so runs that differ here are
     /// not comparable.
     pub pin: bool,
-    /// Threaded-backend wait strategy (`spin` / `adaptive` / `park`).
-    pub wait: String,
     /// Staged-dispatch burst size the run used (`--dispatch-batch`;
     /// 1 = per-event). Batching changes wall-clock behaviour and shed
     /// decisions under overload, so runs that differ here are not
@@ -348,7 +346,6 @@ impl RunManifest {
             backend: params.backend.to_string(),
             burst: params.burst,
             pin: params.pin,
-            wait: params.wait.as_str().to_string(),
             dispatch_batch: params.dispatch_batch as u64,
             hist_bits: DEFAULT_BITS,
             metrics,
@@ -453,7 +450,6 @@ impl RunManifest {
             seed: params.seed,
             backend: params.backend,
             pin: params.pin,
-            wait: params.wait,
             ..CapacityParams::default()
         };
         let metrics = outcomes.iter().map(MetricRow::from_outcome).collect();
@@ -534,7 +530,6 @@ impl RunManifest {
             .field("backend", Value::Str(self.backend.clone()))
             .field("burst", Value::F64(self.burst))
             .field("pin", Value::Bool(self.pin))
-            .field("wait", Value::Str(self.wait.clone()))
             .opt(
                 "dispatch_batch",
                 (self.dispatch_batch != 1).then_some(Value::U64(self.dispatch_batch)),
@@ -629,10 +624,9 @@ impl RunManifest {
             duration_s: v.f64_of("duration_s")?,
             backend: v.str_of("backend")?,
             burst: v.f64_of("burst")?,
-            // Pre-placement manifests carry neither field; those runs
-            // were unpinned with the default wait strategy.
+            // Pre-placement manifests carry no `pin`; those runs were
+            // unpinned.
             pin: v.get("pin").and_then(Value::as_bool).unwrap_or(false),
-            wait: v.str_of("wait").unwrap_or_else(|_| "adaptive".to_string()),
             // Pre-batching manifests were all per-event dispatch.
             dispatch_batch: v.u64_of("dispatch_batch").unwrap_or(1),
             hist_bits: u32::try_from(v.u64_of("hist_bits")?)
@@ -708,8 +702,8 @@ pub fn compare(
 ) -> Result<Vec<Regression>, String> {
     let cfg = |m: &RunManifest| {
         format!(
-            "{} UEs/{} shards/{}/burst {}/pin={}/wait {}/batch {}",
-            m.ues, m.shards, m.backend, m.burst, m.pin, m.wait, m.dispatch_batch
+            "{} UEs/{} shards/{}/burst {}/pin={}/batch {}",
+            m.ues, m.shards, m.backend, m.burst, m.pin, m.dispatch_batch
         )
     };
     if cfg(base) != cfg(cur) {
@@ -798,7 +792,6 @@ mod tests {
     fn saturation_row_round_trips_and_old_manifests_get_defaults() {
         let mut m = small_manifest();
         assert!(!m.pin);
-        assert_eq!(m.wait, "adaptive");
         m.saturation = Some(SaturationRow {
             workers: 24,
             achieved_eps: 123_456.5,
@@ -806,21 +799,33 @@ mod tests {
             probes: 9,
         });
         m.pin = true;
-        m.wait = "spin".to_string();
         let back = RunManifest::from_json(&m.to_json()).unwrap();
         assert_eq!(back, m);
 
-        // A manifest written before the placement fields existed still
-        // parses, as an unpinned adaptive run without saturation data.
-        let legacy = small_manifest()
-            .to_json()
-            .replace("\"pin\":false,", "")
-            .replace("\"wait\":\"adaptive\",", "");
-        assert!(!legacy.contains("pin"), "fields really stripped");
+        // A manifest written before the placement field existed still
+        // parses, as an unpinned run without saturation data.
+        let legacy = small_manifest().to_json().replace("\"pin\":false,", "");
+        assert!(!legacy.contains("pin"), "field really stripped");
         let parsed = RunManifest::from_json(&legacy).unwrap();
         assert!(!parsed.pin);
-        assert_eq!(parsed.wait, "adaptive");
         assert_eq!(parsed.saturation, None);
+    }
+
+    #[test]
+    fn legacy_wait_key_is_ignored_whatever_its_value() {
+        // Manifests written while the wait discipline was a knob carry a
+        // `"wait"` header key; it no longer names anything, so such a
+        // manifest loads as — and gates against — the same run without it.
+        let m = small_manifest();
+        let json = m.to_json();
+        assert!(!json.contains("\"wait\""), "the writer no longer emits it");
+        for header in ["", "\"wait\":\"adaptive\",", "\"wait\":\"spin\","] {
+            let legacy = json.replace("\"pin\":false,", &format!("\"pin\":false,{header}"));
+            assert_eq!(legacy.contains("\"wait\""), !header.is_empty());
+            let parsed = RunManifest::from_json(&legacy).unwrap();
+            assert_eq!(parsed, m);
+            assert_eq!(compare(&parsed, &m, 10.0).unwrap(), vec![]);
+        }
     }
 
     #[test]
@@ -938,11 +943,6 @@ mod tests {
         let mut pinned = base.clone();
         pinned.pin = true;
         assert!(compare(&base, &pinned, 10.0)
-            .unwrap_err()
-            .contains("not comparable"));
-        let mut spun = base.clone();
-        spun.wait = "spin".to_string();
-        assert!(compare(&base, &spun, 10.0)
             .unwrap_err()
             .contains("not comparable"));
     }

@@ -563,7 +563,6 @@ pub fn scenarios(args: &Args) {
         metrics_interval_ms: args.cap.metrics_interval_ms.unwrap_or(100.0),
         slo: args.slo,
         pin: args.cap.pin,
-        wait: args.cap.wait,
         serve_metrics: args.cap.serve_metrics.clone(),
     };
     let outcomes = exp::scenario::run_matrix(&specs, &params);
@@ -740,8 +739,8 @@ fn shard_scaling(params: &CapacityParams, lo: u16, hi: u16) {
     print_table(
         &format!(
             "Capacity: L25GC shard scaling at 0.9x capacity per count \
-             ({} UEs, {:.0} s/point, {repeats} run(s)/point, pin={}, wait={})",
-            params.ues, params.duration_s, params.pin, params.wait
+             ({} UEs, {:.0} s/point, {repeats} run(s)/point, pin={})",
+            params.ues, params.duration_s, params.pin
         ),
         rows,
         &[

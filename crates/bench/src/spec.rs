@@ -22,7 +22,7 @@
 
 use std::num::TryFromIntError;
 
-use l25gc_load::{ExecBackend, FaultPlan, ScenarioSpec, WaitStrategy, SCENARIO_NAMES};
+use l25gc_load::{ExecBackend, FaultPlan, ScenarioSpec, SCENARIO_NAMES};
 use l25gc_obs::SloSpec;
 use l25gc_sim::SimDuration;
 use l25gc_testbed::exp::capacity::CapacityParams;
@@ -241,7 +241,7 @@ impl Flag {
 }
 
 /// Every flag, in `--help` order.
-pub const FLAGS: [Flag; 26] = [
+pub const FLAGS: [Flag; 25] = [
     flag(
         "--seed <u64>",
         "perturb every harness RNG (default 0: paper tables;\n\
@@ -297,17 +297,6 @@ pub const FLAGS: [Flag; 26] = [
          physical core; warns and runs unpinned where\n\
          affinity is restricted",
         Kind::Switch(|a| a.cap.pin = true),
-    ),
-    flag(
-        "--wait <w>",
-        "threaded: poll-loop wait strategy — `spin`\n\
-         (busy-poll, PMD-style), `adaptive` (default:\n\
-         spin -> yield -> park ladder) or `park`",
-        Kind::Spec(|a, v| {
-            let wait = WaitStrategy::parse(v);
-            a.cap.wait = wait.ok_or_else(|| mistyped("--wait", v, "spin|adaptive|park"))?;
-            Ok(())
-        }),
     ),
     flag(
         "--dispatch-batch <n>",

@@ -25,7 +25,6 @@ fn sample(flag: &Flag) -> Option<&'static str> {
             "--seed" => "7",
             "--threshold-pct" => "5",
             "--backend" => "threaded",
-            "--wait" => "spin",
             "--scale-shards" => "1..4",
             "--serve-metrics" => "127.0.0.1:0",
             "--slo" => "p99=5ms,shed=1%",
@@ -56,7 +55,7 @@ fn help_lists_every_registry_entry_exactly_once() {
     let ids: Vec<&str> = EXPERIMENT_IDS.to_vec();
     assert_eq!(help_labels("experiments"), ids);
     let mut flags: Vec<&str> = FLAGS.iter().map(|f| f.name()).collect();
-    assert_eq!(flags.len(), 26, "flag count is part of the CLI contract");
+    assert_eq!(flags.len(), 25, "flag count is part of the CLI contract");
     flags.push("--help");
     assert_eq!(help_labels("flags"), flags);
     let help = spec::help();
@@ -152,7 +151,6 @@ fn token() -> BoxedStrategy<String> {
         "analytic",
         "threaded",
         "gpu",
-        "spin",
         "127.0.0.1:0",
         "9500",
         "p99=5ms,shed=1%",
@@ -240,4 +238,7 @@ fn unreadable_inputs_and_bad_usage_exit_2() {
         "0.0000001",
     ]);
     assert!(stderr.contains("--metrics-interval-ms"), "{stderr}");
+    // The wait discipline was a flag once; it is an unknown one now.
+    let stderr = assert_exit_2_with_one_line(&["--wait", "adaptive"]);
+    assert!(stderr.contains("unknown flag `--wait`"), "{stderr}");
 }

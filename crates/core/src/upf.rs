@@ -413,165 +413,80 @@ impl Upf {
     // ---------------- UPF-U: per-packet forwarding ----------------
 
     /// Processes one user packet and returns the forwarding verdict.
-    pub fn forward(
+    pub fn forward(&mut self, pkt: DataPacket, tunnel_teid: Option<u32>, now: SimTime) -> Verdict {
+        self.route(pkt, tunnel_teid, now)
+            .unwrap_or_else(|(why, seid)| {
+                let (counter, reason) = why.accounting();
+                self.counters.inc(counter);
+                self.flight
+                    .record(now, EventKind::PacketDrop { reason, seid });
+                Verdict::Drop(why)
+            })
+    }
+
+    /// The pipeline behind [`Upf::forward`]: session by direction, one
+    /// classify → police → FAR sequence, then the downlink-only buffer and
+    /// tunnel. A drop is its reason and the session's SEID (0 if none matched).
+    fn route(
         &mut self,
         pkt: DataPacket,
         tunnel_teid: Option<u32>,
-        now: l25gc_sim::SimTime,
-    ) -> Verdict {
-        match pkt.dir {
-            Direction::Uplink => {
-                let teid = tunnel_teid.expect("uplink packets arrive in a GTP tunnel");
-                let Some(s) = self.sessions.by_teid_mut(teid) else {
-                    self.counters.inc("drop_no_session");
-                    self.flight.record(
-                        now,
-                        EventKind::PacketDrop {
-                            reason: DropCode::NoSession,
-                            seid: 0,
-                        },
-                    );
-                    return Verdict::Drop(DropReason::NoSession);
-                };
-                let key = packet_key(&pkt, s.ue_ip, teid);
-                let Some(rule_id) = s.pdrs.lookup(&key).map(|r| r.id) else {
-                    self.counters.inc("drop_no_pdr");
-                    self.flight.record(
-                        now,
-                        EventKind::PacketDrop {
-                            reason: DropCode::NoPdr,
-                            seid: s.seid,
-                        },
-                    );
-                    return Verdict::Drop(DropReason::NoPdr);
-                };
-                if let Some(qer_ids) = s.qer_bindings.get(&rule_id).cloned() {
-                    if !s.qers.police(&qer_ids, now, pkt.size) {
-                        self.counters.inc("drop_qer");
-                        self.flight.record(
-                            now,
-                            EventKind::PacketDrop {
-                                reason: DropCode::QerPoliced,
-                                seid: s.seid,
-                            },
-                        );
-                        return Verdict::Drop(DropReason::QerPoliced);
-                    }
-                }
-                if s.ul_far.drop {
-                    self.counters.inc("drop_far");
-                    self.flight.record(
-                        now,
-                        EventKind::PacketDrop {
-                            reason: DropCode::FarDrop,
-                            seid: s.seid,
-                        },
-                    );
-                    return Verdict::Drop(DropReason::FarDrop);
-                }
-                self.counters.inc("ul_forwarded");
-                Verdict::ToDn(pkt)
+        now: SimTime,
+    ) -> Result<Verdict, (DropReason, u64)> {
+        let uplink = pkt.dir == Direction::Uplink;
+        let (session, teid) = if uplink {
+            let teid = tunnel_teid.expect("uplink packets arrive in a GTP tunnel");
+            (self.sessions.by_teid_mut(teid), teid)
+        } else {
+            (self.sessions.by_ue_ip_mut(ue_ip_for(pkt.ue)), 0)
+        };
+        let s = session.ok_or((DropReason::NoSession, 0))?;
+        let seid = s.seid;
+        let key = packet_key(&pkt, s.ue_ip, teid);
+        let rule = s.pdrs.lookup(&key).ok_or((DropReason::NoPdr, seid))?;
+        if let Some(qer_ids) = s.qer_bindings.get(&rule.id) {
+            if !s.qers.police(qer_ids, now, pkt.size) {
+                return Err((DropReason::QerPoliced, seid));
             }
-            Direction::Downlink => {
-                let ue_ip = downlink_ue_ip(&pkt);
-                let Some(s) = self.sessions.by_ue_ip_mut(ue_ip) else {
-                    self.counters.inc("drop_no_session");
-                    self.flight.record(
-                        now,
-                        EventKind::PacketDrop {
-                            reason: DropCode::NoSession,
-                            seid: 0,
-                        },
-                    );
-                    return Verdict::Drop(DropReason::NoSession);
-                };
-                let key = packet_key(&pkt, s.ue_ip, 0);
-                let Some(rule_id) = s.pdrs.lookup(&key).map(|r| r.id) else {
-                    self.counters.inc("drop_no_pdr");
-                    self.flight.record(
-                        now,
-                        EventKind::PacketDrop {
-                            reason: DropCode::NoPdr,
-                            seid: s.seid,
-                        },
-                    );
-                    return Verdict::Drop(DropReason::NoPdr);
-                };
-                if let Some(qer_ids) = s.qer_bindings.get(&rule_id).cloned() {
-                    if !s.qers.police(&qer_ids, now, pkt.size) {
-                        self.counters.inc("drop_qer");
-                        self.flight.record(
-                            now,
-                            EventKind::PacketDrop {
-                                reason: DropCode::QerPoliced,
-                                seid: s.seid,
-                            },
-                        );
-                        return Verdict::Drop(DropReason::QerPoliced);
-                    }
-                }
-                let far = s.dl_far;
-                if far.action.drop {
-                    self.counters.inc("drop_far");
-                    self.flight.record(
-                        now,
-                        EventKind::PacketDrop {
-                            reason: DropCode::FarDrop,
-                            seid: s.seid,
-                        },
-                    );
-                    return Verdict::Drop(DropReason::FarDrop);
-                }
-                if far.action.buffer {
-                    if s.buffer.len() >= s.buffer_cap {
-                        self.counters.inc("drop_buffer_overflow");
-                        self.flight.record(
-                            now,
-                            EventKind::PacketDrop {
-                                reason: DropCode::BufferOverflow,
-                                seid: s.seid,
-                            },
-                        );
-                        return Verdict::Drop(DropReason::BufferOverflow);
-                    }
-                    if s.buffer.is_empty() {
-                        self.flight.record(
-                            now,
-                            EventKind::UpfBufferStart {
-                                seid: s.seid,
-                                depth: 1,
-                            },
-                        );
-                    }
-                    s.buffer.push_back(pkt);
-                    self.counters.inc("dl_buffered");
-                    let report = far.action.notify_cp && !s.ddn_reported;
-                    if report {
-                        s.ddn_reported = true;
-                    }
-                    return Verdict::Buffered {
-                        report,
-                        seid: s.seid,
-                    };
-                }
-                match far.tunnel {
-                    Some(tun) => {
-                        self.counters.inc("dl_forwarded");
-                        Verdict::ToGnb(tun, pkt)
-                    }
-                    None => {
-                        self.counters.inc("drop_no_tunnel");
-                        self.flight.record(
-                            now,
-                            EventKind::PacketDrop {
-                                reason: DropCode::NoTunnel,
-                                seid: s.seid,
-                            },
-                        );
-                        Verdict::Drop(DropReason::NoTunnel)
-                    }
-                }
+        }
+        let action = if uplink { s.ul_far } else { s.dl_far.action };
+        if action.drop {
+            return Err((DropReason::FarDrop, seid));
+        }
+        if uplink {
+            self.counters.inc("ul_forwarded");
+            return Ok(Verdict::ToDn(pkt));
+        }
+        if action.buffer {
+            if s.buffer.len() >= s.buffer_cap {
+                return Err((DropReason::BufferOverflow, seid));
             }
+            if s.buffer.is_empty() {
+                let start = EventKind::UpfBufferStart { seid, depth: 1 };
+                self.flight.record(now, start);
+            }
+            s.buffer.push_back(pkt);
+            self.counters.inc("dl_buffered");
+            let report = action.notify_cp && !s.ddn_reported;
+            s.ddn_reported |= report;
+            return Ok(Verdict::Buffered { report, seid });
+        }
+        let tun = s.dl_far.tunnel.ok_or((DropReason::NoTunnel, seid))?;
+        self.counters.inc("dl_forwarded");
+        Ok(Verdict::ToGnb(tun, pkt))
+    }
+}
+
+impl DropReason {
+    /// The counter a drop for this reason bumps and its `PacketDrop` code.
+    fn accounting(self) -> (&'static str, DropCode) {
+        match self {
+            DropReason::NoSession => ("drop_no_session", DropCode::NoSession),
+            DropReason::NoPdr => ("drop_no_pdr", DropCode::NoPdr),
+            DropReason::FarDrop => ("drop_far", DropCode::FarDrop),
+            DropReason::BufferOverflow => ("drop_buffer_overflow", DropCode::BufferOverflow),
+            DropReason::QerPoliced => ("drop_qer", DropCode::QerPoliced),
+            DropReason::NoTunnel => ("drop_no_tunnel", DropCode::NoTunnel),
         }
     }
 }
@@ -580,10 +495,6 @@ impl Upf {
 /// 10.60.x.y derived from the UE id.
 pub fn ue_ip_for(ue: UeId) -> u32 {
     0x0a3c_0000 | ((ue as u32) & 0xffff)
-}
-
-fn downlink_ue_ip(pkt: &DataPacket) -> u32 {
-    ue_ip_for(pkt.ue)
 }
 
 fn packet_key(pkt: &DataPacket, ue_ip: u32, teid: u32) -> PacketKey {

@@ -250,9 +250,6 @@ pub struct LoadConfig {
     /// discipline. Best-effort: a restricted host warns and runs
     /// unpinned. Threaded backend only; the analytic engine ignores it.
     pub pin: bool,
-    /// How threaded-backend loops wait on a missed ring poll. Ignored by
-    /// the analytic engine; never affects virtual-time results.
-    pub wait: crate::wait::WaitStrategy,
     /// Dispatcher staging depth: routed events accumulate in per-shard
     /// buffers and flush as one `push_burst` when a shard's buffer
     /// reaches this size (or on admission pressure, a barrier, or the
@@ -280,7 +277,6 @@ impl Default for LoadConfig {
             serve_metrics: None,
             trace_sample: 0,
             pin: false,
-            wait: crate::wait::WaitStrategy::default(),
             dispatch_batch: 1,
         }
     }
@@ -496,12 +492,6 @@ impl LoadConfigBuilder {
     /// distinct physical cores. Best-effort; see [`LoadConfig::pin`].
     pub fn pin(mut self, pin: bool) -> Self {
         self.cfg.pin = pin;
-        self
-    }
-
-    /// Wait strategy for threaded-backend poll loops.
-    pub fn wait(mut self, wait: crate::wait::WaitStrategy) -> Self {
-        self.cfg.wait = wait;
         self
     }
 

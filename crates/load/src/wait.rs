@@ -1,73 +1,22 @@
-//! Adaptive wait strategies for the threaded backend's poll loops.
+//! The wait ladder of the threaded backend's poll loops.
 //!
-//! OpenNetVM busy-polls its rings from dedicated cores; a faithful `spin`
-//! mode exists for that, but raw spinning burns 100% CPU at every wait
-//! site and — on shared or oversubscribed machines — steals cycles from
-//! the very threads being waited on, which is where most wall-clock
-//! variance in `sustained_eps` came from. The default `adaptive` ladder
-//! descends spin → `yield_now` → parked-with-timeout as a wait drags on,
-//! and every [`Waiter`] counts its ladder transitions and descheduled
-//! time so idle burn shows up in `l25gc-obs` gauges instead of being
-//! silent.
+//! OpenNetVM busy-polls its rings from dedicated cores, but raw spinning
+//! burns 100% CPU at every wait site and — on shared or oversubscribed
+//! machines — steals cycles from the very threads being waited on, which
+//! is where most wall-clock variance in `sustained_eps` came from. Every
+//! wait site therefore descends one ladder, spin → `yield_now` →
+//! parked-with-timeout, as a wait drags on, and every [`Waiter`] counts
+//! its ladder transitions and descheduled time so idle burn shows up in
+//! `l25gc-obs` gauges instead of being silent. There is one discipline,
+//! not a selectable one: always-spin and park-at-once lost to or tied
+//! with the ladder on every measured workload (DESIGN.md §12).
 
 use std::time::{Duration, Instant};
 
-/// How a threaded-backend loop waits when a ring poll misses
-/// (empty submit ring, full completion ring, closed-loop window full).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum WaitStrategy {
-    /// Busy-poll with `spin_loop` hints only: lowest wake latency, 100%
-    /// CPU — the OpenNetVM poll-mode-driver behaviour.
-    Spin,
-    /// Spin briefly, then `yield_now`, then park with a timeout. The
-    /// default: near-spin latency when work is flowing, near-zero burn
-    /// when a ring stays dry.
-    #[default]
-    Adaptive,
-    /// Yield once, then go straight to parking with a timeout: lowest
-    /// CPU, highest wake latency. Useful on oversubscribed hosts.
-    Park,
-}
-
-impl WaitStrategy {
-    /// Every strategy, for exhaustive tests and sweeps.
-    pub const ALL: [WaitStrategy; 3] = [
-        WaitStrategy::Spin,
-        WaitStrategy::Adaptive,
-        WaitStrategy::Park,
-    ];
-
-    /// Stable lowercase name (CLI value, manifest field).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            WaitStrategy::Spin => "spin",
-            WaitStrategy::Adaptive => "adaptive",
-            WaitStrategy::Park => "park",
-        }
-    }
-
-    /// Parse a CLI/manifest value produced by [`WaitStrategy::as_str`].
-    pub fn parse(s: &str) -> Option<WaitStrategy> {
-        match s {
-            "spin" => Some(WaitStrategy::Spin),
-            "adaptive" => Some(WaitStrategy::Adaptive),
-            "park" => Some(WaitStrategy::Park),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for WaitStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Consecutive misses spent in `spin_loop` before the adaptive ladder
-/// yields. Sized so a burst-to-burst gap at full load never leaves the
-/// spin tier.
+/// Consecutive misses spent in `spin_loop` before the ladder yields.
+/// Sized so a burst-to-burst gap at full load never leaves the spin tier.
 const SPIN_ROUNDS: u32 = 128;
-/// Consecutive misses spent yielding before the adaptive ladder parks.
+/// Consecutive misses spent yielding before the ladder parks.
 const YIELD_ROUNDS: u32 = 32;
 /// Park bound: long enough to stop the burn, short enough that a worker
 /// notices new submissions promptly without being unparked explicitly.
@@ -110,9 +59,8 @@ impl WaitStats {
 /// Call [`Waiter::wait`] on every missed poll and [`Waiter::reset`] after
 /// useful work; the ladder position is per-site, so a busy submit ring
 /// never pushes the completion path into parking.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Waiter {
-    strategy: WaitStrategy,
     /// Consecutive misses since the last reset.
     round: u32,
     stats: WaitStats,
@@ -120,17 +68,8 @@ pub struct Waiter {
 
 impl Waiter {
     /// A fresh waiter at the bottom of the ladder.
-    pub fn new(strategy: WaitStrategy) -> Waiter {
-        Waiter {
-            strategy,
-            round: 0,
-            stats: WaitStats::default(),
-        }
-    }
-
-    /// The strategy this waiter runs.
-    pub fn strategy(&self) -> WaitStrategy {
-        self.strategy
+    pub fn new() -> Waiter {
+        Waiter::default()
     }
 
     /// Back to the bottom of the ladder — call after a successful poll.
@@ -139,43 +78,25 @@ impl Waiter {
         self.round = 0;
     }
 
-    /// One backoff step; the tier depends on the strategy and on how many
-    /// consecutive misses this site has seen since the last reset.
+    /// One backoff step; the tier depends on how many consecutive misses
+    /// this site has seen since the last reset.
     #[inline]
     pub fn wait(&mut self) {
         let round = self.round;
         self.round = round.saturating_add(1);
-        match self.strategy {
-            WaitStrategy::Spin => {
-                self.stats.spins += 1;
-                std::hint::spin_loop();
+        if round < SPIN_ROUNDS {
+            self.stats.spins += 1;
+            std::hint::spin_loop();
+        } else if round < SPIN_ROUNDS + YIELD_ROUNDS {
+            if round == SPIN_ROUNDS {
+                self.stats.transitions += 1;
             }
-            WaitStrategy::Adaptive => {
-                if round < SPIN_ROUNDS {
-                    self.stats.spins += 1;
-                    std::hint::spin_loop();
-                } else if round < SPIN_ROUNDS + YIELD_ROUNDS {
-                    if round == SPIN_ROUNDS {
-                        self.stats.transitions += 1;
-                    }
-                    self.yield_timed();
-                } else {
-                    if round == SPIN_ROUNDS + YIELD_ROUNDS {
-                        self.stats.transitions += 1;
-                    }
-                    self.park_timed();
-                }
+            self.yield_timed();
+        } else {
+            if round == SPIN_ROUNDS + YIELD_ROUNDS {
+                self.stats.transitions += 1;
             }
-            WaitStrategy::Park => {
-                if round == 0 {
-                    self.yield_timed();
-                } else {
-                    if round == 1 {
-                        self.stats.transitions += 1;
-                    }
-                    self.park_timed();
-                }
-            }
+            self.park_timed();
         }
     }
 
@@ -206,31 +127,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_round_trips_every_strategy() {
-        for w in WaitStrategy::ALL {
-            assert_eq!(WaitStrategy::parse(w.as_str()), Some(w));
-            assert_eq!(format!("{w}"), w.as_str());
-        }
-        assert_eq!(WaitStrategy::parse("busy"), None);
-        assert_eq!(WaitStrategy::default(), WaitStrategy::Adaptive);
-    }
-
-    #[test]
-    fn spin_strategy_never_deschedules() {
-        let mut w = Waiter::new(WaitStrategy::Spin);
-        for _ in 0..10_000 {
-            w.wait();
-        }
-        let s = w.stats();
-        assert_eq!(s.spins, 10_000);
-        assert_eq!(s.yields + s.parks + s.transitions, 0);
-        assert_eq!(s.blocked_ns, 0);
-        assert_eq!(s.parked_ns, 0);
-    }
-
-    #[test]
     fn adaptive_ladder_descends_and_counts_transitions() {
-        let mut w = Waiter::new(WaitStrategy::Adaptive);
+        let mut w = Waiter::new();
         for _ in 0..(SPIN_ROUNDS + YIELD_ROUNDS + 2) {
             w.wait();
         }
@@ -246,7 +144,7 @@ mod tests {
 
     #[test]
     fn reset_returns_to_spin_tier() {
-        let mut w = Waiter::new(WaitStrategy::Adaptive);
+        let mut w = Waiter::new();
         for _ in 0..(SPIN_ROUNDS + 1) {
             w.wait();
         }
@@ -255,19 +153,6 @@ mod tests {
         w.wait();
         assert_eq!(w.stats().spins, SPIN_ROUNDS as u64 + 1, "back to spinning");
         assert_eq!(w.stats().yields, 1);
-    }
-
-    #[test]
-    fn park_strategy_parks_after_one_yield() {
-        let mut w = Waiter::new(WaitStrategy::Park);
-        w.wait();
-        w.wait();
-        w.wait();
-        let s = w.stats();
-        assert_eq!(s.spins, 0);
-        assert_eq!(s.yields, 1);
-        assert_eq!(s.parks, 2);
-        assert_eq!(s.transitions, 1);
     }
 
     #[test]

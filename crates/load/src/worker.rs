@@ -34,10 +34,9 @@
 //! Placement and waiting reproduce the paper's testbed discipline: with
 //! pinning enabled each worker lands on its own physical core (OpenNetVM's
 //! one-NF-per-core map, via [`l25gc_nfv::topology`]) and every wait site
-//! goes through a [`Waiter`] — spin for fidelity, or the adaptive
-//! spin→yield→park ladder that keeps wall-clock `sustained_eps` stable on
-//! shared machines. Pinning failures warn once and the run continues
-//! unpinned; they are never fatal.
+//! goes through a [`Waiter`] — the spin→yield→park ladder that keeps
+//! wall-clock `sustained_eps` stable on shared machines. Pinning failures
+//! warn once and the run continues unpinned; they are never fatal.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -45,7 +44,7 @@ use std::thread;
 use std::time::Instant;
 
 use l25gc_core::UeEvent;
-use l25gc_nfv::ring::{duplex_on, DuplexHost, DuplexWorker, RingMemory};
+use l25gc_nfv::ring::{duplex, DuplexHost, DuplexWorker};
 use l25gc_nfv::topology::{pin_current_thread, CpuTopology, PinPlan};
 use l25gc_obs::{DropCode, EventKind, MetricsTimeline, Obs};
 use l25gc_sim::SimTime;
@@ -254,9 +253,6 @@ struct Respawn<'a> {
     cfg: &'a LoadConfig,
     profiles: &'a ProfileSet,
     pin_cpus: Vec<Option<u32>>,
-    /// Per-shard ring placement: the memory node of the worker's planned
-    /// CPU, so a standby's fresh duplex pair lands on the same node.
-    ring_mem: Vec<RingMemory>,
     pin_warn: Arc<AtomicBool>,
 }
 
@@ -266,8 +262,7 @@ impl Respawn<'_> {
     fn spawn(&self, i: usize, fifo: FifoServer, role: &str) -> (Host, Handle) {
         let cfg = self.cfg;
         let label = SHARD_LABELS[i % SHARD_LABELS.len()];
-        let (mut host, port) =
-            duplex_on::<Submit, Completion>(cfg.shard_cfg.ring_capacity, label, self.ring_mem[i]);
+        let (mut host, port) = duplex::<Submit, Completion>(cfg.shard_cfg.ring_capacity, label);
         host.submit.set_high_water(cfg.shard_cfg.high_water);
         let worker = ShardWorker {
             port,
@@ -287,8 +282,8 @@ impl Respawn<'_> {
             out_buf: Vec::with_capacity(BURST),
             pin_cpu: self.pin_cpus[i],
             pin_warn: self.pin_warn.clone(),
-            idle_wait: Waiter::new(cfg.wait),
-            complete_wait: Waiter::new(cfg.wait),
+            idle_wait: Waiter::new(),
+            complete_wait: Waiter::new(),
         };
         let handle = thread::Builder::new()
             .name(format!("l25gc-{label}{role}"))
@@ -378,17 +373,6 @@ impl<'a> Pool<'a> {
             pin_cpus: (0..shards)
                 .map(|i| plan.as_ref().map(|p| p.worker_cpus[i]))
                 .collect(),
-            // Ring placement follows the pin plan: each worker's duplex
-            // pair is allocated from the memory node of its planned CPU
-            // (DPDK's `rte_malloc_socket` discipline). Unpinned runs —
-            // and any host where the node bind is refused — stay on
-            // first-touch heap.
-            ring_mem: (0..shards)
-                .map(|i| match plan.as_ref() {
-                    Some(p) => RingMemory::Node(p.worker_nodes[i]),
-                    None => RingMemory::Heap,
-                })
-                .collect(),
             pin_warn,
         };
         // Outage intervals and the kill schedule from the fault plan —
@@ -418,9 +402,9 @@ impl<'a> Pool<'a> {
             next_seq: 0,
             comp_buf: Vec::with_capacity(BURST),
             dispatcher_pinned,
-            offer_wait: Waiter::new(cfg.wait),
-            shutdown_wait: Waiter::new(cfg.wait),
-            await_wait: Waiter::new(cfg.wait),
+            offer_wait: Waiter::new(),
+            shutdown_wait: Waiter::new(),
+            await_wait: Waiter::new(),
             kills: kills.collect(),
             retired: Vec::new(),
             respawn,
@@ -731,6 +715,27 @@ mod tests {
     use l25gc_core::Deployment;
     use l25gc_sim::SimDuration;
 
+    /// Runs `scenario(idle)` — spawn a pool, leave its workers facing an
+    /// empty submit ring for `idle`, then drive it — until `parked` finds
+    /// the park tier in the outcome, doubling `idle` over at most six
+    /// attempts. An idle worker parks after 128 + 32 missed polls, which
+    /// is microseconds once it is scheduled; the retry covers a host too
+    /// busy to schedule it inside the gap.
+    fn until_parked<R>(
+        parked: impl Fn(&R) -> bool,
+        scenario: impl Fn(std::time::Duration) -> R,
+    ) -> R {
+        let mut idle = std::time::Duration::from_millis(5);
+        for _ in 0..6 {
+            let outcome = scenario(idle);
+            if parked(&outcome) {
+                return outcome;
+            }
+            idle *= 2;
+        }
+        panic!("an idle worker never reached the park tier of the wait ladder");
+    }
+
     #[test]
     fn descriptors_stay_compact() {
         assert!(std::mem::size_of::<Submit>() <= 24);
@@ -808,40 +813,41 @@ mod tests {
     fn wake_on_submit_unparks_idle_workers() {
         let profiles = calibrate(Deployment::L25gc);
         // Drive the pool directly with a genuine wall-clock idle gap: a
-        // Park-strategy worker facing an empty submit ring parks over
-        // and over (100 µs timeout), then a submission must round-trip
-        // via the empty→non-empty unpark. Correctness, not latency, is
-        // what the assertions pin down — a lost wakeup would still
-        // complete via the park timeout — but the worker must actually
-        // have parked for the wake path to be exercised at all.
+        // worker facing an empty submit ring descends the ladder and
+        // parks over and over (100 µs timeout), then a submission must
+        // round-trip via the empty→non-empty unpark. Correctness, not
+        // latency, is what the assertions pin down — a lost wakeup would
+        // still complete via the park timeout — but the worker must
+        // actually have parked for the wake path to be exercised at all.
         let cfg = LoadConfig::builder()
             .ues(100)
             .shards(1)
             .seed(71)
             .backend(ExecBackend::Threaded)
-            .wait(crate::wait::WaitStrategy::Park)
             .build()
             .unwrap();
-        let mut tel = Telemetry::new(&cfg);
-        let mut pool = Pool::spawn(&cfg, &profiles);
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let seq = pool
-            .offer(
-                0,
-                UeEvent::Registration,
-                0,
-                SimTime::from_nanos(1),
-                &profiles,
-                &mut tel,
-            )
-            .expect("empty ring admits");
-        let done = pool.completion(0, seq, &mut tel);
-        assert!(done > SimTime::from_nanos(1), "completion carries latency");
-        let stats = pool.finish(&mut tel);
-        assert!(
-            stats.wait.parks > 0,
-            "an idle Park worker must actually park"
+        let (stats, tel, done) = until_parked(
+            |(stats, ..): &(ExecTotals, Telemetry, SimTime)| stats.wait.parks > 0,
+            |idle| {
+                let mut tel = Telemetry::new(&cfg);
+                let mut pool = Pool::spawn(&cfg, &profiles);
+                std::thread::sleep(idle);
+                let seq = pool
+                    .offer(
+                        0,
+                        UeEvent::Registration,
+                        0,
+                        SimTime::from_nanos(1),
+                        &profiles,
+                        &mut tel,
+                    )
+                    .expect("empty ring admits");
+                let done = pool.completion(0, seq, &mut tel);
+                (pool.finish(&mut tel), tel, done)
+            },
         );
+        assert!(done > SimTime::from_nanos(1), "completion carries latency");
+        assert!(stats.wait.parks > 0, "an idle worker must actually park");
         assert_eq!(tel.completed_total, 1, "the woken worker served it");
         // The worker-side stage histograms came back through the merge.
         let obs = &tel.obs;
@@ -960,55 +966,54 @@ mod tests {
     #[test]
     fn every_wait_strategy_is_loss_free_under_overload() {
         let profiles = calibrate(Deployment::Free5gc);
-        for wait in crate::wait::WaitStrategy::ALL {
-            // Tiny rings + hot offered rate: shed, backpressure, and the
-            // full-completion-ring wait all engage under every strategy.
-            let cfg = LoadConfig::builder()
-                .ues(2_000)
-                .shards(2)
-                .high_water(4)
-                .ring_capacity(8)
-                .offered_eps(30_000.0)
-                .duration(SimDuration::from_millis(300))
-                .seed(61)
-                .backend(ExecBackend::Threaded)
-                .wait(wait)
-                .build()
-                .unwrap();
-            let r = Driver::new(cfg).unwrap().run(&profiles);
-            assert_eq!(
-                r.completed_total, r.dispatched,
-                "{wait}: every dispatched submission completes"
-            );
-            assert_eq!(
-                r.offered,
-                r.dispatched + r.shed + r.backpressure + r.infeasible,
-                "{wait}: every arrival is accounted"
-            );
-            let gauges: Vec<_> = r
-                .obs
-                .flight
+        // "Every" strategy is the one wait ladder. Tiny rings + hot
+        // offered rate: shed, backpressure, and the full-completion-ring
+        // wait all engage.
+        let cfg = LoadConfig::builder()
+            .ues(2_000)
+            .shards(2)
+            .high_water(4)
+            .ring_capacity(8)
+            .offered_eps(30_000.0)
+            .duration(SimDuration::from_millis(300))
+            .seed(61)
+            .backend(ExecBackend::Threaded)
+            .build()
+            .unwrap();
+        let r = Driver::new(cfg).unwrap().run(&profiles);
+        assert_eq!(
+            r.completed_total, r.dispatched,
+            "every dispatched submission completes"
+        );
+        assert_eq!(
+            r.offered,
+            r.dispatched + r.shed + r.backpressure + r.infeasible,
+            "every arrival is accounted"
+        );
+        let gauges: Vec<_> = r
+            .obs
+            .flight
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Gauge { name, value } => Some((name, value)),
+                _ => None,
+            })
+            .collect();
+        let g = |n: &str| {
+            gauges
                 .iter()
-                .filter_map(|e| match e.kind {
-                    EventKind::Gauge { name, value } => Some((name, value)),
-                    _ => None,
-                })
-                .collect();
-            let g = |n: &str| {
-                gauges
-                    .iter()
-                    .rev()
-                    .find(|(name, _)| *name == n)
-                    .map(|(_, v)| *v)
-            };
-            assert!(g("wait_spins").is_some(), "{wait}: wait gauges exported");
-            if wait == crate::wait::WaitStrategy::Spin {
-                assert_eq!(g("wait_parks"), Some(0), "spin never parks");
-                assert_eq!(g("wait_blocked_us"), Some(0));
-            }
-            if wait == crate::wait::WaitStrategy::Park {
-                assert_eq!(g("wait_spins"), Some(0), "park never spins");
-            }
+                .rev()
+                .find(|(name, _)| *name == n)
+                .map(|(_, v)| *v)
+        };
+        for name in [
+            "wait_spins",
+            "wait_yields",
+            "wait_parks",
+            "wait_transitions",
+            "wait_blocked_us",
+        ] {
+            assert!(g(name).is_some(), "{name}: wait gauge exported");
         }
     }
 
@@ -1124,30 +1129,34 @@ mod tests {
             .shards(2)
             .seed(73)
             .backend(ExecBackend::Threaded)
-            .wait(crate::wait::WaitStrategy::Park)
             .fault(plan)
             .build()
             .unwrap();
-        let mut tel = Telemetry::new(&cfg);
-        let mut pool = Pool::spawn(&cfg, &profiles);
-        // Let the shard-0 primary park on its empty submit ring so it
-        // accumulates descheduled time before it is killed.
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        // This arrival is past the scripted kill instant, so the kill
-        // fires first: the parked primary is retired and replaced, and
-        // the submission is served by the standby.
-        let seq = pool
-            .offer(
-                0,
-                UeEvent::Registration,
-                0,
-                SimTime::from_nanos(2_000_000),
-                &profiles,
-                &mut tel,
-            )
-            .expect("empty ring admits");
-        pool.completion(0, seq, &mut tel);
-        let stats = pool.finish(&mut tel);
+        let stats = until_parked(
+            |stats: &ExecTotals| stats.per_shard_wait[0].parks > 0,
+            |idle| {
+                let mut tel = Telemetry::new(&cfg);
+                let mut pool = Pool::spawn(&cfg, &profiles);
+                // Let the shard-0 primary park on its empty submit ring so
+                // it accumulates descheduled time before it is killed.
+                std::thread::sleep(idle);
+                // This arrival is past the scripted kill instant, so the
+                // kill fires first: the parked primary is retired and
+                // replaced, and the submission is served by the standby.
+                let seq = pool
+                    .offer(
+                        0,
+                        UeEvent::Registration,
+                        0,
+                        SimTime::from_nanos(2_000_000),
+                        &profiles,
+                        &mut tel,
+                    )
+                    .expect("empty ring admits");
+                pool.completion(0, seq, &mut tel);
+                pool.finish(&mut tel)
+            },
+        );
         assert_eq!(stats.per_shard_wait.len(), 2);
         let s0 = &stats.per_shard_wait[0];
         assert!(s0.parks > 0, "the killed primary parked while idle");
@@ -1491,35 +1500,36 @@ mod tests {
             .seed(71)
             .backend(ExecBackend::Threaded)
             .dispatch_batch(32)
-            .wait(crate::wait::WaitStrategy::Park)
             .metrics_interval(SimDuration::from_millis(100))
             .build()
             .unwrap();
-        let mut tel = Telemetry::new(&cfg);
-        let mut pool = Pool::spawn(&cfg, &profiles);
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let seq = pool
-            .offer(
-                0,
-                UeEvent::Registration,
-                0,
-                SimTime::from_nanos(1),
-                &profiles,
-                &mut tel,
-            )
-            .expect("under high water admits");
-        assert_eq!(
-            pool.hosts[0].submit.len(),
-            0,
-            "a lone event stages instead of crossing the ring"
+        let (stats, tel, done) = until_parked(
+            |(stats, ..): &(ExecTotals, Telemetry, SimTime)| stats.wait.parks > 0,
+            |idle| {
+                let mut tel = Telemetry::new(&cfg);
+                let mut pool = Pool::spawn(&cfg, &profiles);
+                std::thread::sleep(idle);
+                let seq = pool
+                    .offer(
+                        0,
+                        UeEvent::Registration,
+                        0,
+                        SimTime::from_nanos(1),
+                        &profiles,
+                        &mut tel,
+                    )
+                    .expect("under high water admits");
+                assert_eq!(
+                    pool.hosts[0].submit.len(),
+                    0,
+                    "a lone event stages instead of crossing the ring"
+                );
+                let done = pool.completion(0, seq, &mut tel);
+                (pool.finish(&mut tel), tel, done)
+            },
         );
-        let done = pool.completion(0, seq, &mut tel);
         assert!(done > SimTime::from_nanos(1), "completion carries latency");
-        let stats = pool.finish(&mut tel);
-        assert!(
-            stats.wait.parks > 0,
-            "an idle Park worker must actually park"
-        );
+        assert!(stats.wait.parks > 0, "an idle worker must actually park");
         assert_eq!(tel.completed_total, 1, "the woken worker served it");
         let tl = tel.timeline.as_ref().unwrap();
         assert_eq!(tl.batch_flush_total(), 1, "one burst flushed");
@@ -1655,40 +1665,5 @@ mod tests {
                 "batch {batch}: every arrival is accounted"
             );
         }
-    }
-
-    #[test]
-    fn node_bound_rings_requested_iff_pinned() {
-        let profiles = calibrate(Deployment::L25gc);
-        // Unpinned pools stay on the heap; pinned pools ask for the
-        // planned node (whether the bind sticks is host-dependent — the
-        // fallback is first-touch, never a failure).
-        let base = |pin: bool| {
-            LoadConfig::builder()
-                .ues(100)
-                .shards(2)
-                .seed(83)
-                .backend(ExecBackend::Threaded)
-                .pin(pin)
-                .build()
-                .unwrap()
-        };
-        let (unpinned, pinned) = (base(false), base(true));
-        let mut tel = Telemetry::new(&unpinned);
-        let pool = Pool::spawn(&unpinned, &profiles);
-        assert!(pool.respawn.ring_mem.iter().all(|m| *m == RingMemory::Heap));
-        pool.finish(&mut tel);
-        let pool = Pool::spawn(&pinned, &profiles);
-        // Topology discovery may fail on restricted hosts, in which case
-        // the plan (and the node request) degrades to heap — both shapes
-        // are legal, but they must be consistent across shards.
-        let node_reqs = pool
-            .respawn
-            .ring_mem
-            .iter()
-            .filter(|m| matches!(m, RingMemory::Node(_)))
-            .count();
-        assert!(node_reqs == 0 || node_reqs == pool.respawn.ring_mem.len());
-        pool.finish(&mut tel);
     }
 }

@@ -17,17 +17,13 @@
 //! - [`manager`] — the NF manager: service registry, canary-weighted
 //!   routing (§4), heartbeat failure detection (§3.5.2), and the
 //!   freeze/unfreeze replica lifecycle (§3.5.1).
-//! - [`topology`] — CPU topology discovery (cores, SMT siblings, NUMA
-//!   nodes) and `sched_setaffinity` pinning, reproducing OpenNetVM's
+//! - [`topology`] — CPU topology discovery (cores, SMT siblings) and
+//!   `sched_setaffinity` pinning, reproducing OpenNetVM's
 //!   one-NF-per-core placement for the threaded backend.
-//! - [`numa`] — mmap-backed, `mbind`-bound buffers so each worker's ring
-//!   pair can live on the memory node it is pinned to (DPDK's
-//!   `rte_malloc_socket` analogue), with graceful first-touch fallback.
 
 pub mod cost;
 pub mod manager;
 pub mod mempool;
-pub mod numa;
 pub mod ring;
 pub mod session_table;
 pub mod topology;
@@ -35,9 +31,6 @@ pub mod topology;
 pub use cost::{CostModel, DataPath, SerFormat, Transport};
 pub use manager::{InstanceId, Manager, NfInstance, NfState, ServiceId};
 pub use mempool::{Mempool, PktAction, PktHandle, PktMeta};
-pub use numa::{NodeBuffer, NumaError};
-pub use ring::{
-    duplex, duplex_on, ring, Consumer, DuplexHost, DuplexWorker, Producer, RingFull, RingMemory,
-};
+pub use ring::{duplex, ring, Consumer, DuplexHost, DuplexWorker, Producer, RingFull};
 pub use session_table::DualKeyTable;
 pub use topology::{pin_current_thread, CpuTopology, PinError, PinPlan};

@@ -16,7 +16,6 @@
 //! `capacity ≪ usize::MAX` items).
 
 use std::cell::UnsafeCell;
-use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -25,89 +24,22 @@ use crossbeam::utils::CachePadded;
 use l25gc_obs::{EventKind, FlightRecorder};
 use l25gc_sim::SimTime;
 
-use crate::numa::NodeBuffer;
-
-/// Where a ring's slot array lives. [`RingMemory::Node`] asks for an
-/// mmap-backed buffer bound to that NUMA node (see [`crate::numa`]);
-/// when the mapping cannot be created at all the ring silently falls
-/// back to [`RingMemory::Heap`] — same semantics, just not node-local.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RingMemory {
-    /// Ordinary heap allocation (the default, and the fallback).
-    #[default]
-    Heap,
-    /// Bind the slot array's pages to this NUMA node.
-    Node(u32),
-}
-
-/// Backing storage for the slot array. The ring's hot path never matches
-/// on this — [`RingBuf`] caches the base pointer — it only exists to own
-/// the memory and free it correctly on drop.
-enum SlotStore<T> {
-    Heap(Box<[UnsafeCell<MaybeUninit<T>>]>),
-    Node {
-        buf: NodeBuffer,
-        _marker: PhantomData<T>,
-    },
-}
-
-impl<T> SlotStore<T> {
-    /// Allocates `cap` uninitialized slots per the placement request.
-    fn alloc(cap: usize, mem: RingMemory) -> (SlotStore<T>, bool) {
-        if let RingMemory::Node(node) = mem {
-            let bytes = cap * std::mem::size_of::<T>();
-            // mmap hands back page-aligned memory; anything needing more
-            // alignment than a page (nothing we store) goes to the heap.
-            if std::mem::align_of::<T>() <= 4096 {
-                if let Ok(buf) = NodeBuffer::bind(bytes, node) {
-                    let bound = buf.bound();
-                    return (
-                        SlotStore::Node {
-                            buf,
-                            _marker: PhantomData,
-                        },
-                        bound,
-                    );
-                }
-            }
-        }
-        let slots: Box<[UnsafeCell<MaybeUninit<T>>]> = (0..cap)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect();
-        (SlotStore::Heap(slots), false)
-    }
-
-    /// Base of the slot array. Zeroed mmap bytes and
-    /// `MaybeUninit::uninit()` are both valid "uninitialized slot"
-    /// states, so the two variants are interchangeable past this point.
-    fn base(&self) -> *const UnsafeCell<MaybeUninit<T>> {
-        match self {
-            SlotStore::Heap(slots) => slots.as_ptr(),
-            SlotStore::Node { buf, .. } => buf.as_ptr().cast(),
-        }
-    }
-}
-
 struct RingBuf<T> {
-    /// Cached [`SlotStore::base`] so the hot path is one pointer chase,
-    /// identical for both storage variants.
+    /// Cached base of `_store`, so the hot path is one pointer chase with
+    /// no bounds check.
     slots: *const UnsafeCell<MaybeUninit<T>>,
     mask: usize,
     head: CachePadded<AtomicUsize>,
     tail: CachePadded<AtomicUsize>,
-    /// True when the slot array's pages are NUMA-bound ([`RingMemory::Node`]
-    /// requested *and* the kernel accepted the mbind).
-    node_bound: bool,
     /// Owns the slot memory; dropped after the item cleanup below.
-    _store: SlotStore<T>,
+    _store: Box<[UnsafeCell<MaybeUninit<T>>]>,
 }
 
 impl<T> RingBuf<T> {
     /// The slot at masked index `i`.
     ///
-    /// SAFETY contract is positional, same as before the storage became
-    /// pluggable: callers may only touch slots their head/tail ownership
-    /// entitles them to.
+    /// The SAFETY contract is positional: callers may only touch slots
+    /// their head/tail ownership entitles them to.
     fn slot(&self, i: usize) -> &UnsafeCell<MaybeUninit<T>> {
         // SAFETY: `i` is already masked by the caller; the array holds
         // `mask + 1` slots and `_store` keeps it alive as long as `self`.
@@ -190,20 +122,6 @@ pub fn ring_labeled<T>(capacity: usize, label: &'static str) -> (Producer<T>, Co
     ring_labeled_at(capacity, label, 0)
 }
 
-/// [`ring_labeled`], with a memory placement request: `Node(n)` allocates
-/// the slot array from an mmap region bound to NUMA node `n` so a worker
-/// pinned there reads and writes socket-local memory. Falls back to heap
-/// allocation when the mapping cannot be created (non-Linux, exhausted
-/// address space); a created-but-unbindable mapping is kept and warned
-/// about once, exactly like pinning failures.
-pub fn ring_labeled_on<T>(
-    capacity: usize,
-    label: &'static str,
-    mem: RingMemory,
-) -> (Producer<T>, Consumer<T>) {
-    build_ring(capacity, label, 0, mem)
-}
-
 /// [`ring_labeled`], starting both indices at `start` instead of 0.
 ///
 /// Semantically identical to a fresh ring — only the (unobservable)
@@ -216,23 +134,15 @@ pub fn ring_labeled_at<T>(
     label: &'static str,
     start: usize,
 ) -> (Producer<T>, Consumer<T>) {
-    build_ring(capacity, label, start, RingMemory::Heap)
-}
-
-fn build_ring<T>(
-    capacity: usize,
-    label: &'static str,
-    start: usize,
-    mem: RingMemory,
-) -> (Producer<T>, Consumer<T>) {
     let cap = capacity.max(2).next_power_of_two();
-    let (store, node_bound) = SlotStore::alloc(cap, mem);
+    let store: Box<[UnsafeCell<MaybeUninit<T>>]> = (0..cap)
+        .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+        .collect();
     let ring = Arc::new(RingBuf {
-        slots: store.base(),
+        slots: store.as_ptr(),
         mask: cap - 1,
         head: CachePadded::new(AtomicUsize::new(start)),
         tail: CachePadded::new(AtomicUsize::new(start)),
-        node_bound,
         _store: store,
     });
     (
@@ -358,13 +268,6 @@ impl<T> Producer<T> {
         self.label
     }
 
-    /// True when this ring's slot pages are bound to the NUMA node
-    /// requested at construction (always false for heap rings and for
-    /// bind-refused fallbacks).
-    pub fn node_bound(&self) -> bool {
-        self.ring.node_bound
-    }
-
     /// Samples the current depth into `fr` as a `Gauge` event named after
     /// the ring's label.
     pub fn record_depth(&self, fr: &mut FlightRecorder, now: SimTime) {
@@ -481,21 +384,8 @@ pub fn duplex<S, C>(
     capacity: usize,
     label: &'static str,
 ) -> (DuplexHost<S, C>, DuplexWorker<S, C>) {
-    duplex_on(capacity, label, RingMemory::Heap)
-}
-
-/// [`duplex`], with a memory placement request applied to both rings —
-/// the per-worker NUMA wiring: pass the node the worker is pinned on so
-/// its submit and completion slots live socket-local to the consumer
-/// that polls them hardest. Placement degrades exactly like
-/// [`ring_labeled_on`].
-pub fn duplex_on<S, C>(
-    capacity: usize,
-    label: &'static str,
-    mem: RingMemory,
-) -> (DuplexHost<S, C>, DuplexWorker<S, C>) {
-    let (submit_tx, submit_rx) = ring_labeled_on::<S>(capacity, label, mem);
-    let (complete_tx, complete_rx) = ring_labeled_on::<C>(capacity, label, mem);
+    let (submit_tx, submit_rx) = ring_labeled::<S>(capacity, label);
+    let (complete_tx, complete_rx) = ring_labeled::<C>(capacity, label);
     (
         DuplexHost {
             submit: submit_tx,
@@ -755,42 +645,6 @@ mod tests {
         }
         drop(rx);
         drop(tx);
-    }
-
-    #[test]
-    fn node_memory_rings_round_trip_or_fall_back() {
-        // Whatever the host supports — real NUMA, CONFIG_NUMA-less kernel,
-        // non-Linux — the ring must behave identically to a heap ring.
-        let (mut tx, mut rx) = ring_labeled_on::<u64>(8, "numa:test", RingMemory::Node(0));
-        for i in 0..8 {
-            tx.push(i).unwrap();
-        }
-        assert_eq!(tx.push(99), Err(RingFull(99)));
-        for i in 0..8 {
-            assert_eq!(rx.pop(), Some(i));
-        }
-        assert_eq!(rx.pop(), None);
-        // Heap rings never claim to be bound.
-        let (heap_tx, _heap_rx) = ring::<u64>(8);
-        assert!(!heap_tx.node_bound());
-    }
-
-    #[test]
-    fn node_memory_drop_releases_queued_items() {
-        let (mut tx, rx) = ring_labeled_on::<String>(8, "numa:drop", RingMemory::Node(0));
-        tx.push("a".to_owned()).unwrap();
-        tx.push("b".to_owned()).unwrap();
-        drop(rx);
-        drop(tx);
-    }
-
-    #[test]
-    fn duplex_on_matches_plain_duplex_semantics() {
-        let (mut host, mut worker) = duplex_on::<u32, u32>(4, "numa:duplex", RingMemory::Node(0));
-        host.submit.push(7).unwrap();
-        assert_eq!(worker.submissions.pop(), Some(7));
-        worker.complete.push(14).unwrap();
-        assert_eq!(host.completions.pop(), Some(14));
     }
 
     #[test]

@@ -12,16 +12,6 @@
 //! The sysfs root can be overridden with the `L25GC_TOPOLOGY_ROOT`
 //! environment variable; CI points it at a fixture whose CPUs do not
 //! exist on the runner to exercise the denied-affinity fallback.
-//!
-//! NUMA placement rides the same discovery: each `cpuN/` directory's
-//! `nodeM` entry names the memory node the CPU sits on (the kernel
-//! exposes it as a symlink into `/sys/devices/system/node`). A host
-//! without node entries — including every existing fixture — degrades to
-//! a single node 0, so single-socket behaviour is unchanged. The
-//! [`CpuTopology::pin_plan`] orders workers node-by-node so co-scheduled
-//! shards share a socket, and reports each worker's node so callers can
-//! allocate that worker's ring memory node-locally (see
-//! [`crate::numa`]).
 
 use std::fmt;
 use std::fs;
@@ -46,9 +36,6 @@ pub struct CpuInfo {
     /// SMT sibling logical CPUs, including this one
     /// (`topology/thread_siblings_list`; `[cpu]` if absent).
     pub siblings: Vec<u32>,
-    /// NUMA node this CPU belongs to (the `M` of the `cpuN/nodeM` sysfs
-    /// entry; 0 when the host exposes no node directories).
-    pub node_id: u32,
 }
 
 /// Discovered CPU topology: the online logical CPUs grouped by physical core.
@@ -101,8 +88,7 @@ impl CpuTopology {
         }
         let mut cpus = Vec::with_capacity(ids.len());
         for cpu in ids {
-            let cpu_dir = root.join(format!("cpu{cpu}"));
-            let topo = cpu_dir.join("topology");
+            let topo = root.join(format!("cpu{cpu}")).join("topology");
             let core_id = read_u32(&topo.join("core_id")).unwrap_or(cpu);
             let package_id = read_u32(&topo.join("physical_package_id")).unwrap_or(0);
             let siblings = fs::read_to_string(topo.join("thread_siblings_list"))
@@ -110,13 +96,11 @@ impl CpuTopology {
                 .and_then(|s| parse_cpu_list(s.trim()).ok())
                 .filter(|s| !s.is_empty())
                 .unwrap_or_else(|| vec![cpu]);
-            let node_id = node_entry(&cpu_dir).unwrap_or(0);
             cpus.push(CpuInfo {
                 cpu,
                 core_id,
                 package_id,
                 siblings,
-                node_id,
             });
         }
         Ok(CpuTopology { cpus })
@@ -143,62 +127,36 @@ impl CpuTopology {
     }
 
     /// One representative logical CPU (the lowest-numbered sibling) per
-    /// distinct physical core, ordered by `(node_id, package_id,
-    /// core_id)` first-seen — node-major, so consecutive entries share a
-    /// memory node. On a single-node host this is the ascending order it
-    /// always was. Pinning one worker per entry avoids SMT sharing.
+    /// distinct physical core, in ascending first-seen order. Pinning one
+    /// worker per entry avoids SMT sharing.
     pub fn physical_cores(&self) -> Vec<u32> {
-        let mut seen: Vec<(u32, u32, u32)> = Vec::new();
-        let mut reps: Vec<(u32, u32)> = Vec::new();
+        let mut seen: Vec<(u32, u32)> = Vec::new();
+        let mut reps = Vec::new();
         for c in &self.cpus {
-            let key = (c.node_id, c.package_id, c.core_id);
+            let key = (c.package_id, c.core_id);
             if !seen.contains(&key) {
                 seen.push(key);
-                reps.push((c.node_id, c.cpu));
+                reps.push(c.cpu);
             }
         }
-        // Stable sort by node keeps the first-seen order within a node.
-        reps.sort_by_key(|&(node, _)| node);
-        reps.into_iter().map(|(_, cpu)| cpu).collect()
-    }
-
-    /// Distinct NUMA node ids with at least one online CPU, ascending.
-    /// A host without node entries reports `[0]`.
-    pub fn nodes(&self) -> Vec<u32> {
-        let mut nodes: Vec<u32> = self.cpus.iter().map(|c| c.node_id).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes
-    }
-
-    /// The NUMA node of logical CPU `cpu`, when it is online.
-    pub fn node_of(&self, cpu: u32) -> Option<u32> {
-        self.cpus.iter().find(|c| c.cpu == cpu).map(|c| c.node_id)
+        reps
     }
 
     /// Placement plan for `workers` shard workers plus the dispatcher.
     ///
-    /// Workers round-robin over distinct physical cores in node-major
-    /// order (fill one memory node before spilling to the next, so small
-    /// pools stay socket-local); the dispatcher is only pinned when a
-    /// core is left over after the workers, otherwise it floats so it
-    /// never competes with a busy-polling worker for a core. The plan
-    /// carries each worker's node so callers can bind that worker's ring
-    /// memory node-locally.
+    /// Workers round-robin over distinct physical cores; the dispatcher
+    /// is only pinned when a core is left over after the workers,
+    /// otherwise it floats so it never competes with a polling worker
+    /// for a core.
     pub fn pin_plan(&self, workers: usize) -> PinPlan {
         let cores = self.physical_cores();
         if cores.is_empty() {
             return PinPlan {
                 worker_cpus: Vec::new(),
-                worker_nodes: Vec::new(),
                 dispatcher: None,
             };
         }
         let worker_cpus: Vec<u32> = (0..workers).map(|i| cores[i % cores.len()]).collect();
-        let worker_nodes = worker_cpus
-            .iter()
-            .map(|&cpu| self.node_of(cpu).unwrap_or(0))
-            .collect();
         let dispatcher = if cores.len() > workers {
             Some(cores[workers])
         } else {
@@ -206,7 +164,6 @@ impl CpuTopology {
         };
         PinPlan {
             worker_cpus,
-            worker_nodes,
             dispatcher,
         }
     }
@@ -217,10 +174,6 @@ impl CpuTopology {
 pub struct PinPlan {
     /// Logical CPU for each worker, in worker order.
     pub worker_cpus: Vec<u32>,
-    /// NUMA node of each worker's CPU, parallel to
-    /// [`PinPlan::worker_cpus`] — where that worker's ring memory should
-    /// be bound.
-    pub worker_nodes: Vec<u32>,
     /// Logical CPU for the dispatcher, when one is left over.
     pub dispatcher: Option<u32>,
 }
@@ -253,29 +206,6 @@ pub fn parse_cpu_list(s: &str) -> Result<Vec<u32>, TopologyError> {
 
 fn read_u32(path: &Path) -> Option<u32> {
     fs::read_to_string(path).ok()?.trim().parse().ok()
-}
-
-/// The `M` of a `cpuN/nodeM` directory entry, when one exists. The kernel
-/// exposes it as a symlink into `/sys/devices/system/node`, which shows up
-/// as a plain directory entry here; fixtures use an empty directory. The
-/// lowest-numbered entry wins if sysfs ever lists several.
-fn node_entry(cpu_dir: &Path) -> Option<u32> {
-    let mut best: Option<u32> = None;
-    for entry in fs::read_dir(cpu_dir).ok()? {
-        let Ok(entry) = entry else { continue };
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(digits) = name.strip_prefix("node") else {
-            continue;
-        };
-        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-            continue;
-        }
-        if let Ok(node) = digits.parse::<u32>() {
-            best = Some(best.map_or(node, |b: u32| b.min(node)));
-        }
-    }
-    best
 }
 
 /// Why pinning the current thread failed. Callers should treat every
@@ -436,86 +366,16 @@ mod tests {
         let _ = fs::remove_dir_all(&d);
     }
 
-    fn node_link(dir: &Path, cpu: u32, node: u32) {
-        // The kernel exposes cpuN/nodeM as a symlink to the node device;
-        // an empty directory has the same shape for read_dir purposes.
-        fs::create_dir_all(dir.join(format!("cpu{cpu}")).join(format!("node{node}"))).unwrap();
-    }
-
     #[test]
-    fn node_entries_group_cores_node_major() {
-        let d = tmpdir("numa");
-        // Two sockets: node 1's CPUs are listed first in the online order
-        // to prove grouping comes from the node entries, not CPU ids.
-        fixture(
-            &d,
-            "0-3\n",
-            &[
-                (0, 0, 1, "0"),
-                (1, 1, 1, "1"),
-                (2, 0, 0, "2"),
-                (3, 1, 0, "3"),
-            ],
-        );
-        node_link(&d, 0, 1);
-        node_link(&d, 1, 1);
-        node_link(&d, 2, 0);
-        node_link(&d, 3, 0);
-        let topo = CpuTopology::from_sysfs_root(&d).unwrap();
-        assert_eq!(topo.nodes(), vec![0, 1]);
-        assert_eq!(topo.node_of(1), Some(1));
-        assert_eq!(topo.node_of(2), Some(0));
-        assert_eq!(topo.node_of(99), None);
-        // Node 0's cores come first even though node 1's CPUs have lower ids.
-        assert_eq!(topo.physical_cores(), vec![2, 3, 0, 1]);
-        let plan = topo.pin_plan(3);
-        assert_eq!(plan.worker_cpus, vec![2, 3, 0]);
-        assert_eq!(plan.worker_nodes, vec![0, 0, 1]);
-        assert_eq!(plan.dispatcher, Some(1));
-        let _ = fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn hosts_without_node_entries_default_to_node_zero() {
-        let d = tmpdir("nonuma");
-        fixture(&d, "0-1\n", &[(0, 0, 0, "0"), (1, 1, 0, "1")]);
-        let topo = CpuTopology::from_sysfs_root(&d).unwrap();
-        assert_eq!(topo.nodes(), vec![0]);
-        assert_eq!(topo.node_of(0), Some(0));
-        let plan = topo.pin_plan(2);
-        assert_eq!(plan.worker_nodes, vec![0, 0]);
-        let _ = fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn numa_fixture_parses_two_asymmetric_nodes() {
-        let root = Path::new(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../tests/fixtures/numa-topology"
-        ));
-        let topo = CpuTopology::from_sysfs_root(root).unwrap();
-        assert_eq!(topo.len(), 6);
-        assert_eq!(topo.nodes(), vec![0, 1]);
-        // Node 0: two single-thread cores. Node 1: two SMT pairs.
-        assert_eq!(topo.node_of(0), Some(0));
-        assert_eq!(topo.node_of(4), Some(1));
-        assert!(topo.smt_enabled());
-        assert_eq!(topo.physical_cores(), vec![0, 1, 2, 3]);
-        let plan = topo.pin_plan(4);
-        assert_eq!(plan.worker_cpus, vec![0, 1, 2, 3]);
-        assert_eq!(plan.worker_nodes, vec![0, 0, 1, 1]);
-        assert_eq!(plan.dispatcher, None);
-    }
-
-    #[test]
-    fn restricted_fixture_falls_back_to_single_node() {
+    fn restricted_fixture_plans_its_two_absent_cpus() {
         let root = Path::new(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../tests/fixtures/restricted-topology"
         ));
         let topo = CpuTopology::from_sysfs_root(root).unwrap();
-        assert_eq!(topo.nodes(), vec![0]);
-        assert!(topo.pin_plan(2).worker_nodes.iter().all(|&n| n == 0));
+        let plan = topo.pin_plan(2);
+        assert_eq!(plan.worker_cpus, vec![512, 513]);
+        assert_eq!(plan.dispatcher, None);
     }
 
     #[test]

@@ -148,30 +148,7 @@ fn handle_conn(mut stream: TcpStream, state: &Mutex<ServerState>) -> std::io::Re
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut buf = [0u8; 1024];
     let n = stream.read(&mut buf)?;
-    let req = String::from_utf8_lossy(&buf[..n]);
-    let line = req.lines().next().unwrap_or("");
-    let mut parts = line.split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    let (status, body) = if method != "GET" {
-        (
-            "405 Method Not Allowed",
-            String::from("method not allowed\n"),
-        )
-    } else {
-        match path {
-            "/metrics" => ("200 OK", state.lock().unwrap().current.body.clone()),
-            "/healthz" => {
-                let phase = state.lock().unwrap().current.phase.clone();
-                let phase = if phase.is_empty() {
-                    String::from("warmup")
-                } else {
-                    phase
-                };
-                ("200 OK", format!("{phase}\n"))
-            }
-            _ => ("404 Not Found", String::from("not found\n")),
-        }
-    };
+    let (status, body) = respond(&buf[..n], &state.lock().unwrap().current);
     let resp = format!(
         "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -180,9 +157,28 @@ fn handle_conn(mut stream: TcpStream, state: &Mutex<ServerState>) -> std::io::Re
     stream.write_all(resp.as_bytes())
 }
 
+/// The status line and body for request bytes `req` against the current
+/// snapshot. Total over arbitrary bytes: only the first two
+/// whitespace-separated tokens of the first line are looked at.
+fn respond(req: &[u8], current: &Snapshot) -> (&'static str, String) {
+    let req = String::from_utf8_lossy(req);
+    let mut parts = req.lines().next().unwrap_or("").split_whitespace();
+    match (parts.next().unwrap_or(""), parts.next().unwrap_or("")) {
+        ("GET", "/metrics") => ("200 OK", current.body.clone()),
+        ("GET", "/healthz") if current.phase.is_empty() => ("200 OK", String::from("warmup\n")),
+        ("GET", "/healthz") => ("200 OK", format!("{}\n", current.phase)),
+        ("GET", _) => ("404 Not Found", String::from("not found\n")),
+        _ => (
+            "405 Method Not Allowed",
+            String::from("method not allowed\n"),
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -256,6 +252,57 @@ mod tests {
         assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
         assert!(resp.ends_with("steady\n"), "{resp}");
         drop(stalled);
+    }
+
+    /// Request bytes: raw noise, or a request line assembled from tokens
+    /// (so the 200 arms are actually reached), or 1 KiB of one token.
+    fn request() -> BoxedStrategy<Vec<u8>> {
+        let token = prop_oneof![
+            Just(&b"GET"[..]),
+            Just(&b"POST"[..]),
+            Just(&b"get"[..]),
+            Just(&b"/metrics"[..]),
+            Just(&b"/healthz"[..]),
+            Just(&b"/metrics/"[..]),
+            Just(&b"HTTP/1.1"[..]),
+            Just(&b" "[..]),
+            Just(&b"\t"[..]),
+            Just(&b"\r\n"[..]),
+            Just(&b"\n"[..]),
+            Just(&b"\xff\xfe"[..]),
+            Just(&b""[..]),
+        ];
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..1100),
+            proptest::collection::vec(token.clone(), 0..8).prop_map(|t| t.concat()),
+            token.prop_map(|t| t.iter().copied().cycle().take(1024).collect()),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn respond_is_total_over_arbitrary_request_bytes(
+            req in request(),
+            phase in prop_oneof![Just(""), Just("steady")],
+        ) {
+            let current = Snapshot { phase: phase.to_string(), body: String::from("x 1\n") };
+            let (status, body) = respond(&req, &current);
+            // The model: the first line's first two whitespace-separated
+            // tokens, found on the raw bytes rather than a decoded string.
+            let line = req.split(|&b| b == b'\n').next().unwrap_or(&[]);
+            let mut tokens = line
+                .split(|b| b.is_ascii_whitespace())
+                .filter(|t| !t.is_empty());
+            let (method, path) = (tokens.next(), tokens.next());
+            let expected = match (method, path) {
+                (Some(b"GET"), Some(b"/metrics")) => ("200 OK", "x 1\n"),
+                (Some(b"GET"), Some(b"/healthz")) if phase.is_empty() => ("200 OK", "warmup\n"),
+                (Some(b"GET"), Some(b"/healthz")) => ("200 OK", "steady\n"),
+                (Some(b"GET"), _) => ("404 Not Found", "not found\n"),
+                _ => ("405 Method Not Allowed", "method not allowed\n"),
+            };
+            prop_assert_eq!((status, body.as_str()), expected, "{:?}", req);
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 use l25gc_core::Deployment;
 use l25gc_load::{
     calibrate, Driver, EventMix, ExecBackend, LoadConfig, LoadConfigBuilder, LoadReport,
-    OverloadPolicy, ProfileSet, ShardConfig, WaitStrategy,
+    OverloadPolicy, ProfileSet, ShardConfig,
 };
 use l25gc_obs::{Log2Histogram, MetricsTimeline, TraceBundle};
 use l25gc_sim::SimDuration;
@@ -167,8 +167,6 @@ pub struct CapacityParams {
     /// to distinct physical cores. Best-effort; ignored by the analytic
     /// backend.
     pub pin: bool,
-    /// Wait strategy for threaded-backend poll loops.
-    pub wait: WaitStrategy,
     /// How many times [`shard_scaling`] reruns each threaded point to
     /// estimate the mean ± CV of wall-clock `sustained_eps` (min 1).
     pub repeats: usize,
@@ -197,7 +195,6 @@ impl Default for CapacityParams {
             metrics_interval_ms: None,
             trace_sample: 0,
             pin: false,
-            wait: WaitStrategy::default(),
             repeats: 1,
             dispatch_batch: 1,
             serve_metrics: None,
@@ -235,7 +232,6 @@ fn base_builder(params: &CapacityParams, mix: &EventMix) -> LoadConfigBuilder {
         .backend(params.backend)
         .trace_sample(params.trace_sample)
         .pin(params.pin)
-        .wait(params.wait)
         .dispatch_batch(params.dispatch_batch.max(1));
     if let Some(ms) = params.metrics_interval_ms {
         b = b.metrics_interval(SimDuration::from_secs_f64(ms / 1e3));
@@ -352,7 +348,6 @@ pub fn dispatch_ladder(params: &CapacityParams) -> Vec<(usize, CapacityPoint)> {
                 .seed(point_seed(params, deployment, 0))
                 .backend(ExecBackend::Threaded)
                 .pin(params.pin)
-                .wait(params.wait)
                 .dispatch_batch(batch)
                 .build()
                 .expect("dispatch ladder config is valid");
@@ -614,7 +609,7 @@ pub struct ShardScalingRow {
     pub threaded_wall_eps: f64,
     /// Coefficient of variation of `sustained_eps` across the reruns,
     /// percent (0 when `repeats == 1`). The stability metric pinning and
-    /// the adaptive wait ladder exist to drive down.
+    /// the wait ladder exist to drive down.
     pub wall_cv_pct: f64,
     /// Threaded reruns behind the mean ± CV.
     pub repeats: usize,

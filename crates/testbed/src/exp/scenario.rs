@@ -25,7 +25,7 @@
 use l25gc_core::Deployment;
 use l25gc_load::{
     calibrate, Driver, ExecBackend, LoadConfig, LoadReport, OverloadPolicy, ProfileSet,
-    ScenarioSpec, ShardConfig, WaitStrategy,
+    ScenarioSpec, ShardConfig,
 };
 use l25gc_obs::{slo, SloSpec};
 use l25gc_sim::SimDuration;
@@ -57,8 +57,6 @@ pub struct ScenarioParams {
     pub slo: Option<SloSpec>,
     /// Pin threaded workers to cores (ignored by the analytic backend).
     pub pin: bool,
-    /// Wait strategy for threaded-backend poll loops.
-    pub wait: WaitStrategy,
     /// Serve a live `GET /metrics` endpoint on this address while the
     /// matrix runs (e.g. `127.0.0.1:0`); `None` disables it.
     pub serve_metrics: Option<String>,
@@ -74,7 +72,6 @@ impl Default for ScenarioParams {
             metrics_interval_ms: 100.0,
             slo: None,
             pin: false,
-            wait: WaitStrategy::default(),
             serve_metrics: None,
         }
     }
@@ -267,8 +264,7 @@ fn run_cell(
         .metrics_interval(SimDuration::from_secs_f64(
             params.metrics_interval_ms.max(1.0) / 1e3,
         ))
-        .pin(params.pin)
-        .wait(params.wait);
+        .pin(params.pin);
     if let Some(addr) = &params.serve_metrics {
         builder = builder.serve_metrics(addr.clone());
     }

@@ -4,6 +4,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# `unsafe` is confined to the SPSC ring, the sched_setaffinity call and
+# the vendored shims; anywhere else it has to argue its way into this list.
+if grep -rlw --include='*.rs' unsafe crates |
+    grep -vE '^crates/(nfv/src/(ring|topology)\.rs$|shims/)'; then
+    echo "ci: the files above hold \`unsafe\` outside nfv/src/{ring,topology}.rs and shims/" >&2
+    exit 1
+fi
+# A change alters the measured code or the benchmark that measures it,
+# never both. One PR is one commit on main, so its merge-base is HEAD
+# while it is still uncommitted and HEAD^ once it is the tip.
+changed=$(git diff --name-only HEAD)
+[ -n "$changed" ] || changed=$(git diff --name-only HEAD^ HEAD 2>/dev/null || true)
+if grep -q '^crates/' <<<"$changed" &&
+    grep -E '^(benchmark/|BENCHMARK\.json$)' <<<"$changed"; then
+    echo "ci: the benchmark files above change in the same PR as crates/" >&2
+    exit 1
+fi
+
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Wall budget: the l25gc-testbed lib suite (debug profile) was the ten
