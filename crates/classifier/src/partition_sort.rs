@@ -14,6 +14,9 @@
 //! writes — matching the paper's observation that PS updates are the
 //! slowest of the three structures) and use the natural field order.
 //! Partition assignment is greedy-online exactly as in the original.
+//! Lookups read a packed copy of each partition's rules cut down to the
+//! dimensions its members constrain (see `Partition`), so a probe
+//! touches a few bytes per rule instead of a 176-byte `PdrRule`.
 //!
 //! The comparator is transitive (first-differing-dimension disjointness
 //! composes), so checking comparability against the binary-search path and
@@ -22,7 +25,7 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use crate::rule::{Classifier, PacketKey, PdrRule, RuleId, NDIMS};
+use crate::rule::{Classifier, FieldRange, PacketKey, PdrRule, RuleId, NDIMS};
 
 /// Result of comparing two rules dimension-by-dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,12 +57,12 @@ fn cmp_rules(a: &PdrRule, b: &PdrRule, order: &[u8; NDIMS]) -> RuleCmp {
     RuleCmp::Equal
 }
 
-/// Compares a packet key against a rule for binary search descent.
-fn cmp_key(key: &PacketKey, rule: &PdrRule, order: &[u8; NDIMS]) -> Ordering {
-    for &d in order {
-        let d = usize::from(d);
-        let v = key.values[d];
-        let r = &rule.fields[d];
+/// Compares a packet key against one packed row — the row's ranges over
+/// `dims`, in order — for binary search descent.
+#[inline]
+fn cmp_key(key: &PacketKey, dims: &[u8], row: &[FieldRange]) -> Ordering {
+    for (&d, r) in dims.iter().zip(row) {
+        let v = key.values[usize::from(d)];
         if v < r.lo {
             return Ordering::Less;
         }
@@ -85,65 +88,110 @@ fn order_for(rule: &PdrRule) -> [u8; NDIMS] {
     dims.try_into().expect("NDIMS entries")
 }
 
+/// The dimensions `rule` constrains, one bit per dimension.
+fn constrained(rule: &PdrRule) -> u32 {
+    const _: () = assert!(NDIMS <= 32, "one bit per dimension");
+    let mut mask = 0;
+    for (d, f) in rule.fields.iter().enumerate() {
+        mask |= u32::from(!f.is_any()) << d;
+    }
+    mask
+}
+
+/// One sortable ruleset. Its rules live here in full (lookup returns
+/// `&PdrRule`); what lookup *reads* is the partition's block in
+/// [`PartitionSort::rows`]: a bounding-box row, then one row per rule in
+/// comparator order, each row holding only the ranges of the partition's
+/// active dimensions.
 #[derive(Debug, Clone)]
 struct Partition {
     /// The field order this partition sorts by (fixed at creation).
     order: [u8; NDIMS],
+    /// The active dimensions — those some member constrains — one bit
+    /// each. Every other dimension is a wildcard in every member, so it
+    /// can neither reject a key nor separate two rules, and the packed
+    /// rows leave it out. Grows by each joining rule's dimensions; left
+    /// alone on remove (a superset stays correct).
+    active: u32,
+    /// The active dimensions in `order`'s order; the first `width`
+    /// entries are live.
+    dims: [u8; NDIMS],
+    width: u8,
     /// Rules in comparator order (duplicates adjacent, best priority first).
     rules: Vec<PdrRule>,
     /// Minimum precedence value in this partition (pruning bound).
     best_precedence: u32,
-    /// Per-dimension bounding box over all member rules: a key outside
-    /// the box in any dimension cannot match anything here, so lookup
-    /// skips the binary search entirely. Grows on insert; not shrunk on
-    /// remove (a superset stays correct).
-    bbox_lo: [u32; NDIMS],
-    bbox_hi: [u32; NDIMS],
-}
-
-impl Default for Partition {
-    fn default() -> Self {
-        Partition {
-            order: {
-                let mut o = [0u8; NDIMS];
-                for (i, v) in o.iter_mut().enumerate() {
-                    *v = i as u8;
-                }
-                o
-            },
-            rules: Vec::new(),
-            best_precedence: u32::MAX,
-            bbox_lo: [u32::MAX; NDIMS],
-            bbox_hi: [0; NDIMS],
-        }
-    }
+    /// Where this partition's block starts in [`PartitionSort::rows`].
+    start: usize,
 }
 
 impl Partition {
-    fn grow_bbox(&mut self, rule: &PdrRule) {
-        for d in 0..NDIMS {
-            self.bbox_lo[d] = self.bbox_lo[d].min(rule.fields[d].lo);
-            self.bbox_hi[d] = self.bbox_hi[d].max(rule.fields[d].hi);
-        }
+    /// A partition holding only `rule`, its block starting at `start`.
+    fn founded_by(rule: PdrRule, start: usize) -> Partition {
+        let mut part = Partition {
+            order: order_for(&rule),
+            active: constrained(&rule),
+            dims: [0; NDIMS],
+            width: 0,
+            best_precedence: rule.precedence,
+            // Room for the founding rule only (`push` on an empty `Vec`
+            // would reserve four 176-byte rules): the two partitions of a
+            // default session never hold a second.
+            rules: vec![rule],
+            start,
+        };
+        part.set_dims();
+        part
     }
 
-    #[inline]
-    fn bbox_contains(&self, key: &PacketKey) -> bool {
-        // Probe in the partition's own field order: the most specific
-        // dimensions (narrowest box sides) come first, so a non-matching
-        // key is rejected after one or two comparisons.
-        for &d in &self.order {
-            let d = usize::from(d);
-            let v = key.values[d];
-            if v < self.bbox_lo[d] || v > self.bbox_hi[d] {
-                return false;
+    /// Lists the `active` dimensions in field order.
+    fn set_dims(&mut self) {
+        let mut width = 0;
+        for d in self.order {
+            if self.active & 1 << d != 0 {
+                self.dims[width] = d;
+                width += 1;
             }
         }
-        true
+        self.width = width as u8;
+    }
+
+    fn dims(&self) -> &[u8] {
+        &self.dims[..usize::from(self.width)]
+    }
+
+    /// Length of the block in [`PartitionSort::rows`]: the bounding box
+    /// plus one row per rule.
+    fn block_len(&self) -> usize {
+        (1 + self.rules.len()) * usize::from(self.width)
+    }
+
+    /// Writes the whole block into `out` (`block_len` entries), rebuilt
+    /// from the member rules: their exact bounding box, then their rows.
+    fn pack_into(&self, out: &mut [FieldRange]) {
+        let (bbox, body) = out.split_at_mut(usize::from(self.width));
+        for (b, &d) in bbox.iter_mut().zip(self.dims()) {
+            let d = usize::from(d);
+            b.lo = self
+                .rules
+                .iter()
+                .map(|r| r.fields[d].lo)
+                .min()
+                .unwrap_or(u32::MAX);
+            b.hi = self.rules.iter().map(|r| r.fields[d].hi).max().unwrap_or(0);
+        }
+        let rows = body.chunks_exact_mut(usize::from(self.width).max(1));
+        for (row, r) in rows.zip(&self.rules) {
+            for (slot, &d) in row.iter_mut().zip(self.dims()) {
+                *slot = r.fields[usize::from(d)];
+            }
+        }
     }
 
     /// Finds the insertion index for `rule`, or `None` if the rule is
     /// incomparable with an existing member (can't join this partition).
+    /// Compares whole rules in the full field order: the new rule may
+    /// constrain dimensions the packed rows leave out.
     fn insertion_point(&self, rule: &PdrRule) -> Option<usize> {
         let mut lo = 0usize;
         let mut hi = self.rules.len();
@@ -191,26 +239,36 @@ impl Partition {
         Some(lo)
     }
 
-    /// Binary search for a rule containing `key`; scans the adjacent
-    /// equal-range run for the best precedence.
-    fn lookup(&self, key: &PacketKey) -> Option<&PdrRule> {
+    /// Rejects `key` by the bounding box, else binary-searches the packed
+    /// rows for one containing it and returns the head of that row's
+    /// equal-range run — the run is (precedence, id) ordered and shares
+    /// its match-space, so the head is the answer.
+    #[inline]
+    fn lookup(&self, rows: &[FieldRange], key: &PacketKey) -> Option<&PdrRule> {
+        let w = usize::from(self.width);
+        if w == 0 {
+            // No member constrains anything: one run of catch-alls.
+            return self.rules.first();
+        }
+        let dims = self.dims();
+        let (bbox, body) = rows[self.start..self.start + self.block_len()].split_at(w);
+        // Probe in the partition's own field order: the most specific
+        // dimensions (narrowest box sides) come first, so a non-matching
+        // key is rejected after one or two comparisons.
+        if cmp_key(key, dims, bbox) != Ordering::Equal {
+            return None;
+        }
+        let row = |i: usize| &body[i * w..(i + 1) * w];
         let mut lo = 0usize;
         let mut hi = self.rules.len();
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match cmp_key(key, &self.rules[mid], &self.order) {
+            match cmp_key(key, dims, row(mid)) {
                 Ordering::Less => hi = mid,
                 Ordering::Greater => lo = mid + 1,
                 Ordering::Equal => {
-                    // Walk the duplicate run; it is (precedence, id)
-                    // ordered, so the first member that matches wins —
-                    // but range-equal runs share match-space, so the run
-                    // head is the answer.
                     let mut best = mid;
-                    while best > 0
-                        && cmp_rules(&self.rules[best - 1], &self.rules[mid], &self.order)
-                            == RuleCmp::Equal
-                    {
+                    while best > 0 && row(best - 1) == row(mid) {
                         best -= 1;
                     }
                     return Some(&self.rules[best]);
@@ -234,6 +292,10 @@ impl Partition {
 #[derive(Debug, Default, Clone)]
 pub struct PartitionSort {
     partitions: Vec<Partition>,
+    /// Every partition's packed block, back to back in partition order,
+    /// in one allocation: inserts grow it amortized, and
+    /// [`PartitionSort::shrink_to_fit`] trims it once a table is built.
+    rows: Vec<FieldRange>,
     /// rule id → partition index.
     index: HashMap<RuleId, usize>,
     /// Partition indices sorted by ascending `best_precedence` — the
@@ -259,61 +321,121 @@ impl PartitionSort {
             .count()
     }
 
+    /// Trims the packed rows' allocation to their length. A table built
+    /// once and then read (a session's PDRs) keeps no spare capacity; a
+    /// later remove-then-reinsert of the same shape reuses what the
+    /// remove freed.
+    pub fn shrink_to_fit(&mut self) {
+        self.rows.shrink_to_fit();
+    }
+
     fn refresh_order(&mut self) {
-        self.order = (0..self.partitions.len()).collect();
+        self.order.clear();
+        self.order.extend(0..self.partitions.len());
         let parts = &self.partitions;
         self.order.sort_by_key(|&i| parts[i].best_precedence);
     }
 }
 
+/// Resizes the `old`-entry run of packed rows at `at` to `new` entries and
+/// shifts the blocks of the `later` partitions to match. Returns the run
+/// for the caller to fill.
+fn resize_run<'a>(
+    rows: &'a mut Vec<FieldRange>,
+    later: &mut [Partition],
+    at: usize,
+    old: usize,
+    new: usize,
+) -> &'a mut [FieldRange] {
+    let len = rows.len();
+    if new > old {
+        rows.resize(len + new - old, FieldRange::ANY);
+    }
+    rows.copy_within(at + old..len, at + new);
+    rows.truncate(len + new - old);
+    for p in later {
+        p.start = p.start + new - old;
+    }
+    &mut rows[at..at + new]
+}
+
 impl Classifier for PartitionSort {
     fn insert(&mut self, rule: PdrRule) {
-        assert!(
-            !self.index.contains_key(&rule.id),
-            "duplicate rule id {}",
-            rule.id
-        );
         // Greedy online assignment, biggest partition first (the ICNP
         // paper's online heuristic: large sortable rulesets absorb the
-        // most rules, keeping the partition count low).
-        let mut by_size: Vec<usize> = (0..self.partitions.len()).collect();
-        by_size.sort_by_key(|&i| core::cmp::Reverse(self.partitions[i].rules.len()));
-        for pi in by_size {
-            let part = &mut self.partitions[pi];
-            if let Some(pos) = part.insertion_point(&rule) {
-                part.best_precedence = part.best_precedence.min(rule.precedence);
-                part.grow_bbox(&rule);
-                self.index.insert(rule.id, pi);
-                part.rules.insert(pos, rule);
-                self.refresh_order();
-                return;
+        // most rules, keeping the partition count low); ties go to the
+        // lower index. A table of a few partitions sorts on the stack, so
+        // an insert allocates nothing it does not keep.
+        let n = self.partitions.len();
+        let (mut small, mut large) = ([0usize; 16], Vec::new());
+        let by_size = if n <= small.len() {
+            &mut small[..n]
+        } else {
+            large.resize(n, 0);
+            &mut large[..]
+        };
+        for (i, slot) in by_size.iter_mut().enumerate() {
+            *slot = i;
+        }
+        let parts = &self.partitions;
+        by_size.sort_unstable_by_key(|&i| (core::cmp::Reverse(parts[i].rules.len()), i));
+        let joins = by_size
+            .iter()
+            .find_map(|&pi| Some((pi, parts[pi].insertion_point(&rule)?)));
+        let pi = joins.map_or(n, |(pi, _)| pi);
+        if self.index.insert(rule.id, pi).is_some() {
+            panic!("duplicate rule id {}", rule.id);
+        }
+        let Some((pi, pos)) = joins else {
+            let part = Partition::founded_by(rule, self.rows.len());
+            let block = resize_run(&mut self.rows, &mut [], part.start, 0, part.block_len());
+            part.pack_into(block);
+            self.partitions.push(part);
+            self.refresh_order();
+            return;
+        };
+        let (part, later) = self.partitions[pi..].split_first_mut().expect("pi < n");
+        part.best_precedence = part.best_precedence.min(rule.precedence);
+        let (start, old_len) = (part.start, part.block_len());
+        let active = part.active | constrained(&rule);
+        part.rules.insert(pos, rule);
+        if active != part.active {
+            // A new active dimension: repack the whole block over the
+            // widened set.
+            part.active = active;
+            part.set_dims();
+            let block = resize_run(&mut self.rows, later, start, old_len, part.block_len());
+            part.pack_into(block);
+        } else {
+            // Only the touched rows: grow the box, add one row.
+            let (w, rule) = (usize::from(part.width), &part.rules[pos]);
+            for (b, &d) in self.rows[start..start + w].iter_mut().zip(part.dims()) {
+                let r = rule.fields[usize::from(d)];
+                b.lo = b.lo.min(r.lo);
+                b.hi = b.hi.max(r.hi);
+            }
+            let row = resize_run(&mut self.rows, later, start + (1 + pos) * w, 0, w);
+            for (slot, &d) in row.iter_mut().zip(part.dims()) {
+                *slot = rule.fields[usize::from(d)];
             }
         }
-        let mut part = Partition {
-            best_precedence: rule.precedence,
-            order: order_for(&rule),
-            // Room for the founding rule only: `push` on an empty `Vec`
-            // reserves four 176-byte rules, and the two partitions of a
-            // default session never hold a second.
-            rules: Vec::with_capacity(1),
-            ..Partition::default()
-        };
-        part.grow_bbox(&rule);
-        self.index.insert(rule.id, self.partitions.len());
-        part.rules.push(rule);
-        self.partitions.push(part);
         self.refresh_order();
     }
 
     fn remove(&mut self, id: RuleId) -> Option<PdrRule> {
         let pi = self.index.remove(&id)?;
-        let part = &mut self.partitions[pi];
+        let (part, later) = self.partitions[pi..]
+            .split_first_mut()
+            .expect("index consistent");
         let pos = part
             .rules
             .iter()
             .position(|r| r.id == id)
             .expect("index consistent");
         let rule = part.rules.remove(pos);
+        // The box is not shrunk (a superset stays correct).
+        let w = usize::from(part.width);
+        resize_run(&mut self.rows, later, part.start + (1 + pos) * w, w, 0);
         if rule.precedence == part.best_precedence {
             part.recompute_bound();
             self.refresh_order();
@@ -333,10 +455,7 @@ impl Classifier for PartitionSort {
                     break; // sorted order: no later partition can win
                 }
             }
-            if !part.bbox_contains(key) {
-                continue;
-            }
-            if let Some(rule) = part.lookup(key) {
+            if let Some(rule) = part.lookup(&self.rows, key) {
                 if best.is_none_or(|b| rule.beats(b)) {
                     best = Some(rule);
                 }

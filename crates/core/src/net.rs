@@ -280,23 +280,26 @@ impl CoreNetwork {
         }
         // Control outputs leave after the handler finishes; each then
         // pays its edge's transport cost. Fixed-delay outputs (buffer
-        // flushes) carry their own timing.
-        outs.items
-            .into_iter()
-            .map(|(fixed, env)| match fixed {
-                Some(d) => Output {
-                    delay: handler + d,
+        // flushes) carry their own timing. A fresh exact-size `Vec`, not
+        // an in-place `collect`: that would `realloc` the `Outs` buffer
+        // down to the smaller `Output`s on every message, and the freed
+        // chunks, a little too small for the next `Outs`, pile up as
+        // heap fragments (~1 KB per session).
+        let mut sends = Vec::with_capacity(outs.items.len());
+        sends.extend(outs.items.into_iter().map(|(fixed, env)| match fixed {
+            Some(d) => Output {
+                delay: handler + d,
+                env,
+            },
+            None => {
+                let hop = self.deployment.control_hop(&self.cost, &env);
+                Output {
+                    delay: handler + hop,
                     env,
-                },
-                None => {
-                    let hop = self.deployment.control_hop(&self.cost, &env);
-                    Output {
-                        delay: handler + hop,
-                        env,
-                    }
                 }
-            })
-            .collect()
+            }
+        }));
+        sends
     }
 
     // ================= AMF =================

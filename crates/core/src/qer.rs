@@ -7,8 +7,6 @@
 //! the same bucket read the other way (tokens always available ⇒ the GBR
 //! was honoured).
 
-use std::collections::HashMap;
-
 use l25gc_sim::SimTime;
 
 /// One QoS Enforcement Rule: an MBR token bucket.
@@ -84,10 +82,12 @@ impl Qer {
     }
 }
 
-/// The per-session QER table.
+/// The per-session QER table: a session holds one to a few QERs, so a
+/// flat `Vec` scanned by id beats a hash table — one allocation, no
+/// hashing, and every QER on the cache line the scan already loaded.
 #[derive(Debug, Clone, Default)]
 pub struct QerTable {
-    qers: HashMap<u32, Qer>,
+    qers: Vec<Qer>,
 }
 
 impl QerTable {
@@ -98,22 +98,27 @@ impl QerTable {
 
     /// Installs (or replaces) a QER.
     pub fn install(&mut self, qer: Qer) {
-        self.qers.insert(qer.qer_id, qer);
+        match self.qers.iter_mut().find(|q| q.qer_id == qer.qer_id) {
+            Some(slot) => *slot = qer,
+            None => self.qers.push(qer),
+        }
     }
 
     /// Polices a packet against every referenced QER; all must pass.
     /// Unknown ids pass (a PDR may reference a QER provisioned later; the
     /// permissive default mirrors free5GC).
     pub fn police(&mut self, qer_ids: &[u32], now: SimTime, size: usize) -> bool {
-        qer_ids.iter().all(|id| match self.qers.get_mut(id) {
-            Some(q) => q.police(now, size),
-            None => true,
-        })
+        qer_ids
+            .iter()
+            .all(|&id| match self.qers.iter_mut().find(|q| q.qer_id == id) {
+                Some(q) => q.police(now, size),
+                None => true,
+            })
     }
 
     /// Reads a QER.
     pub fn get(&self, id: u32) -> Option<&Qer> {
-        self.qers.get(&id)
+        self.qers.iter().find(|q| q.qer_id == id)
     }
 
     /// Number of installed QERs.
@@ -205,6 +210,7 @@ mod proptests {
     use super::*;
     use l25gc_sim::{SimDuration, SimTime};
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     proptest! {
         /// Long-run conservation: however the offered load is spaced, a
@@ -252,6 +258,44 @@ mod proptests {
                 prop_assert!(q.police(now, pkt), "conforming packet dropped");
             }
             prop_assert_eq!(q.dropped, 0);
+        }
+
+        /// The flat table behaves as a `HashMap<u32, Qer>` keyed by id:
+        /// `install` replaces, `police` is an in-order `all` in which
+        /// unknown ids pass, and `get` / `len` read the same state.
+        #[test]
+        fn table_matches_a_hash_map_model(
+            ops in proptest::collection::vec(
+                (any::<bool>(), 0u32..6, 0u32..4, proptest::collection::vec(0u32..8, 0..4), 1u64..3_000, 40usize..1500),
+                1..120,
+            ),
+        ) {
+            let mut table = QerTable::new();
+            let mut model: HashMap<u32, Qer> = HashMap::new();
+            let mut now = SimTime::ZERO;
+            for (install, id, kind, ids, gap_us, size) in ops {
+                now += SimDuration::from_micros(gap_us);
+                if install {
+                    // Ids 0..6 against references 0..8: replaced and
+                    // unknown ids both occur.
+                    let qer = match kind {
+                        0 => Qer::unlimited(id),
+                        k => Qer::with_mbr(id, f64::from(k) * 1e5, f64::from(k) * 1e4),
+                    };
+                    table.install(qer.clone());
+                    model.insert(id, qer);
+                } else {
+                    let want = ids.iter().all(|id| model.get_mut(id).is_none_or(|q| q.police(now, size)));
+                    prop_assert_eq!(table.police(&ids, now, size), want);
+                }
+                prop_assert_eq!(table.len(), model.len());
+                prop_assert_eq!(table.is_empty(), model.is_empty());
+                for id in 0..8 {
+                    let got = table.get(id).map(|q| (q.passed, q.dropped, q.tokens().to_bits()));
+                    let want = model.get(&id).map(|q| (q.passed, q.dropped, q.tokens().to_bits()));
+                    prop_assert_eq!(got, want);
+                }
+            }
         }
     }
 }

@@ -9,91 +9,58 @@
 //! first buffered packet of an idle session raises a downlink-data report
 //! toward the SMF (NOCP flag), which triggers paging.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use l25gc_classifier::{
-    Classifier, Field, FieldRange, LinearList, PacketKey, PartitionSort, PdrRule, TupleSpace,
-};
+use l25gc_classifier::{Classifier, Field, FieldRange, PacketKey, PartitionSort, PdrRule};
 use l25gc_nfv::DualKeyTable;
 use l25gc_obs::{DropCode, EventKind, FlightRecorder};
 use l25gc_pkt::ngap::TunnelInfo;
 use l25gc_pkt::pfcp::{self, ApplyAction};
-use l25gc_sim::{Counters, SimTime};
+use l25gc_sim::{Counters, FastMap, SimTime};
 
 use crate::msg::{DataPacket, Direction, UeId};
 use crate::qer::{Qer, QerTable};
 
-/// Which lookup structure the UPF-U uses for PDRs (§3.4).
+/// Which lookup structure the UPF-U uses for PDRs (§3.4). Every session
+/// uses PartitionSort; the enum keeps its one variant only because the
+/// benchmark crate names it in `Upf::new`. Fig 11 compares the three
+/// classifiers directly, not through the UPF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PdrBackend {
-    /// 3GPP's linear list.
-    Linear,
-    /// Tuple Space Search.
-    Tss,
     /// PartitionSort — L²5GC's choice.
     #[default]
     PartitionSort,
 }
 
-/// A per-session PDR classifier behind a common interface.
-#[derive(Debug, Clone)]
-pub enum PdrTable {
-    /// Linear-list backend.
-    Linear(LinearList),
-    /// Tuple-space backend.
-    Tss(TupleSpace),
-    /// PartitionSort backend.
-    Ps(PartitionSort),
-}
+/// A session's PDR classifier: PartitionSort (PDR-PS).
+#[derive(Debug, Clone, Default)]
+pub struct PdrTable(PartitionSort);
 
 impl PdrTable {
-    fn new(backend: PdrBackend) -> PdrTable {
-        match backend {
-            PdrBackend::Linear => PdrTable::Linear(LinearList::new()),
-            PdrBackend::Tss => PdrTable::Tss(TupleSpace::new()),
-            PdrBackend::PartitionSort => PdrTable::Ps(PartitionSort::new()),
-        }
-    }
-
     /// Installs a rule.
     pub fn insert(&mut self, rule: PdrRule) {
-        match self {
-            PdrTable::Linear(c) => c.insert(rule),
-            PdrTable::Tss(c) => c.insert(rule),
-            PdrTable::Ps(c) => c.insert(rule),
-        }
+        self.0.insert(rule);
     }
 
     /// Best-match lookup.
+    #[inline]
     pub fn lookup(&self, key: &PacketKey) -> Option<&PdrRule> {
-        match self {
-            PdrTable::Linear(c) => c.lookup(key),
-            PdrTable::Tss(c) => c.lookup(key),
-            PdrTable::Ps(c) => c.lookup(key),
-        }
+        self.0.lookup(key)
     }
 
     /// Removes a rule by id.
     pub fn remove(&mut self, id: l25gc_classifier::RuleId) -> Option<PdrRule> {
-        match self {
-            PdrTable::Linear(c) => c.remove(id),
-            PdrTable::Tss(c) => c.remove(id),
-            PdrTable::Ps(c) => c.remove(id),
-        }
+        self.0.remove(id)
     }
 
     /// Installed rule count.
     pub fn len(&self) -> usize {
-        match self {
-            PdrTable::Linear(c) => c.len(),
-            PdrTable::Tss(c) => c.len(),
-            PdrTable::Ps(c) => c.len(),
-        }
+        self.0.len()
     }
 
     /// True when no rules are installed.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 }
 
@@ -131,7 +98,7 @@ pub struct UpfSession {
     /// QoS enforcement rules for this session.
     pub qers: QerTable,
     /// Classifier rule id → referenced QER ids.
-    pub qer_bindings: HashMap<u64, Vec<u32>>,
+    pub qer_bindings: FastMap<u64, Vec<u32>>,
     /// Smart buffer for DL packets during paging/handover.
     pub buffer: VecDeque<DataPacket>,
     /// Buffer capacity in packets (the paper's experiments use 3 K).
@@ -184,10 +151,9 @@ pub enum DropReason {
 pub struct Upf {
     /// Sessions, addressable by TEID (UL) and UE IP (DL).
     pub sessions: DualKeyTable<UpfSession>,
-    /// seid → ul_teid, so N4 (keyed by SEID) can find sessions.
-    by_seid: HashMap<u64, u32>,
-    /// Which classifier backend new sessions get.
-    pub backend: PdrBackend,
+    /// seid → ul_teid, so N4 (keyed by SEID) can find sessions. SEIDs
+    /// come from the SMF's allocator, so the unkeyed [`FastMap`] is safe.
+    by_seid: FastMap<u64, u32>,
     /// Default buffer capacity for new sessions.
     pub default_buffer_cap: usize,
     /// Forwarding/drop counters.
@@ -202,12 +168,12 @@ pub struct Upf {
 }
 
 impl Upf {
-    /// Creates an empty UPF with the given classifier backend.
-    pub fn new(backend: PdrBackend) -> Upf {
+    /// Creates an empty UPF. Every session classifies with PartitionSort,
+    /// the only [`PdrBackend`].
+    pub fn new(_: PdrBackend) -> Upf {
         Upf {
             sessions: DualKeyTable::new(),
-            by_seid: HashMap::new(),
-            backend,
+            by_seid: FastMap::default(),
             default_buffer_cap: 3000,
             counters: Counters::new(),
             flight: FlightRecorder::with_default_capacity(),
@@ -266,9 +232,9 @@ impl Upf {
             .find(|f| f.far_id == dl_far_id)
             .expect("referenced FAR present");
 
-        let mut pdrs = PdrTable::new(self.backend);
+        let mut pdrs = PdrTable::default();
         let mut ul_rule_id = 0;
-        let mut qer_bindings = HashMap::new();
+        let mut qer_bindings = FastMap::default();
         for (i, p) in ies.create_pdrs.iter().enumerate() {
             let rule = pdr_to_rule(seid, i as u64, p);
             if p.pdi.f_teid.is_some() {
@@ -279,6 +245,7 @@ impl Upf {
             }
             pdrs.insert(rule);
         }
+        pdrs.0.shrink_to_fit();
         let mut qers = QerTable::new();
         for q in &ies.create_qers {
             if q.mbr_bps == 0 {
@@ -672,7 +639,7 @@ mod tests {
 
     #[test]
     fn unknown_teid_and_ip_drop() {
-        let mut upf = Upf::new(PdrBackend::Linear);
+        let mut upf = Upf::new(PdrBackend::PartitionSort);
         assert_eq!(
             upf.forward(ul_pkt(9, 0), Some(0x999), SimTime::ZERO),
             Verdict::Drop(DropReason::NoSession)
@@ -735,7 +702,7 @@ mod tests {
     #[test]
     fn buffer_overflow_drops() {
         let ue: UeId = 3;
-        let mut upf = Upf::new(PdrBackend::Linear);
+        let mut upf = Upf::new(PdrBackend::PartitionSort);
         upf.default_buffer_cap = 3;
         upf.establish(0x77, ue, &establishment_ies(0x102, ue_ip_for(ue)));
         for seq in 0..3 {
@@ -810,7 +777,7 @@ mod tests {
     #[test]
     fn delete_removes_session() {
         let ue: UeId = 5;
-        let mut upf = Upf::new(PdrBackend::Tss);
+        let mut upf = Upf::new(PdrBackend::PartitionSort);
         upf.establish(0x99, ue, &establishment_ies(0x105, ue_ip_for(ue)));
         assert!(upf.delete(0x99));
         assert!(!upf.delete(0x99));
@@ -823,7 +790,7 @@ mod tests {
     #[test]
     fn drops_and_buffering_land_on_flight_recorder() {
         let ue: UeId = 7;
-        let mut upf = Upf::new(PdrBackend::Linear);
+        let mut upf = Upf::new(PdrBackend::PartitionSort);
         upf.default_buffer_cap = 1;
         upf.establish(0xbb, ue, &establishment_ies(0x107, ue_ip_for(ue)));
         // Unknown TEID: no session is known, so the drop carries seid 0.
@@ -858,34 +825,9 @@ mod tests {
     }
 
     #[test]
-    fn all_backends_agree_on_forwarding() {
-        for backend in [
-            PdrBackend::Linear,
-            PdrBackend::Tss,
-            PdrBackend::PartitionSort,
-        ] {
-            let ue: UeId = 6;
-            let mut upf = Upf::new(backend);
-            upf.establish(0xaa, ue, &establishment_ies(0x106, ue_ip_for(ue)));
-            let tun = TunnelInfo {
-                teid: 0x500,
-                addr: 1,
-            };
-            upf.modify(0xaa, &far_forward_to(tun));
-            assert!(
-                matches!(
-                    upf.forward(ul_pkt(ue, 0), Some(0x106), SimTime::ZERO),
-                    Verdict::ToDn(_)
-                ),
-                "{backend:?}"
-            );
-            assert!(
-                matches!(
-                    upf.forward(dl_pkt(ue, 0), None, SimTime::ZERO),
-                    Verdict::ToGnb(..)
-                ),
-                "{backend:?}"
-            );
-        }
+    fn session_slot_stride_is_pinned() {
+        // Every session-table probe walks slots of this stride; a field
+        // or a wider map type must be a deliberate, visible change.
+        assert_eq!(std::mem::size_of::<Option<UpfSession>>(), 288);
     }
 }

@@ -5,8 +5,12 @@
 //! and by UE IP (downlink lookup) — and the UPF-U reads them with no state
 //! propagation messages. This generic dual-key table is that structure;
 //! the 5GC session context is the `V` the core crate supplies.
+//!
+//! Both indexes hash with [`FastMap`]'s multiplicative hasher, not SipHash:
+//! TEIDs and UE IPs come from the core's allocators, never from a packet,
+//! so there is no flooding surface for a keyed hash to close.
 
-use std::collections::HashMap;
+use l25gc_sim::FastMap;
 
 /// A table addressing each value by either a TEID or a UE IP key.
 #[derive(Debug, Clone)]
@@ -17,8 +21,8 @@ pub struct DualKeyTable<V> {
     /// inside them: the slot stride the lookups walk stays `Option<V>`.
     slot_ue_ip: Vec<u32>,
     free: Vec<usize>,
-    by_teid: HashMap<u32, usize>,
-    by_ue_ip: HashMap<u32, usize>,
+    by_teid: FastMap<u32, usize>,
+    by_ue_ip: FastMap<u32, usize>,
 }
 
 impl<V> Default for DualKeyTable<V> {
@@ -27,8 +31,8 @@ impl<V> Default for DualKeyTable<V> {
             slots: Vec::new(),
             slot_ue_ip: Vec::new(),
             free: Vec::new(),
-            by_teid: HashMap::new(),
-            by_ue_ip: HashMap::new(),
+            by_teid: FastMap::default(),
+            by_ue_ip: FastMap::default(),
         }
     }
 }
@@ -141,6 +145,7 @@ impl<V> DualKeyTable<V> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     proptest! {
         /// Random insert / rebind / remove sequences over a small key

@@ -13,6 +13,9 @@
 //!   and name, so failures are reproducible run-to-run.
 //! - String "regex" strategies support the subset actually used here:
 //!   a single character class (or `\PC`) followed by `{m}`/`{m,n}`.
+//! - `PROPTEST_CASES`, when set, overrides every property's case count,
+//!   including one pinned with `ProptestConfig::with_cases` (upstream
+//!   overrides only the default), so one variable deepens any suite.
 
 pub mod collection;
 pub mod option;
@@ -49,7 +52,7 @@ macro_rules! __proptest_impl {
         $(
             $(#[$meta])*
             fn $name() {
-                let __config: $crate::test_runner::ProptestConfig = $cfg;
+                let __config = $crate::test_runner::ProptestConfig::from_env($cfg);
                 let __seed = $crate::test_runner::seed_from_name(
                     concat!(module_path!(), "::", stringify!($name)),
                 );

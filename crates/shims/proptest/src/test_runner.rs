@@ -15,6 +15,18 @@ impl ProptestConfig {
     pub fn with_cases(cases: u32) -> ProptestConfig {
         ProptestConfig { cases }
     }
+
+    /// `config` with its case count replaced by `PROPTEST_CASES`, when
+    /// that is set to a number.
+    pub fn from_env(config: ProptestConfig) -> ProptestConfig {
+        match std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+        {
+            Some(cases) => ProptestConfig { cases },
+            None => config,
+        }
+    }
 }
 
 impl Default for ProptestConfig {

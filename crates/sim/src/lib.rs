@@ -29,12 +29,14 @@
 //! ```
 
 pub mod engine;
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod time;
 pub mod trace;
 
 pub use engine::{Ctx, Engine, EventFn, EventId, HasMailbox, Mailbox};
+pub use hash::{FastHasher, FastMap};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

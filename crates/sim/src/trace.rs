@@ -5,6 +5,7 @@
 //! afterwards. All statistics are computed on demand so recording stays a
 //! single `Vec::push`.
 
+use crate::hash::FastMap;
 use crate::time::{SimDuration, SimTime};
 
 /// A series of `(time, value)` samples, e.g. RTT-over-time for Fig 13/14.
@@ -152,13 +153,14 @@ impl Stats {
 
 /// A labelled monotonic counter set, e.g. packets sent/dropped/buffered.
 ///
-/// Lookup goes through a `HashMap` index so `add`/`inc` on the data path
-/// are O(1) regardless of how many distinct counters a run creates; the
+/// Lookup goes through a [`FastMap`] index so `add`/`inc` on the data path
+/// are O(1) regardless of how many distinct counters a run creates (the
+/// names are the program's own literals, so an unkeyed hash is safe); the
 /// `entries` vector preserves creation order for deterministic printing.
 #[derive(Debug, Clone, Default)]
 pub struct Counters {
     entries: Vec<(&'static str, u64)>,
-    index: std::collections::HashMap<&'static str, usize>,
+    index: FastMap<&'static str, usize>,
 }
 
 impl Counters {
