@@ -1,38 +1,88 @@
 //! A range-compact log2-bucket latency histogram.
 //!
 //! The layout follows the HdrHistogram idea specialised to power-of-two
-//! groups: values below `2^bits` land in exact unit-width buckets; above
-//! that, each doubling of magnitude gets `2^bits` buckets of equal width,
-//! so the bucket width at value `v` is at most `v >> bits`. Quantile
-//! estimates therefore carry a bounded *relative* error of `2^-bits`
-//! (3.125 % at the default `bits = 5`), regardless of the value range.
+//! groups: values below `2^DEFAULT_BITS` land in exact unit-width
+//! buckets; above that, each doubling of magnitude gets `2^DEFAULT_BITS`
+//! buckets of equal width, so the bucket width at value `v` is at most
+//! `v >> DEFAULT_BITS`. Quantile estimates therefore carry a bounded
+//! *relative* error of `2^-DEFAULT_BITS` (3.125 %), regardless of the
+//! value range.
 //!
-//! Only the occupied bucket range is stored: the counts from the bucket
-//! of the smallest recorded sample to the bucket of the largest, grown at
-//! either end when a sample falls outside it. An empty histogram owns no
-//! heap, a typical latency distribution spans a few dozen to a few hundred
-//! buckets, and the worst case (a `0` and a `u64::MAX`) is the dense
-//! `(65 - bits) << bits` array — 15 KiB at the default precision.
-//! Recording allocates only when it widens the range. The stored range
-//! is a function of the recorded multiset alone (a canonical form), so
-//! two histograms holding the same samples compare equal however they
-//! were built, and two histograms with the same precision merge by
-//! element-wise addition over the union of their ranges — which is what
-//! lets per-NF recorders be combined into a fleet-wide distribution at
-//! export time.
+//! # Canonical form
+//!
+//! Exact zeros are a count of their own, outside the stored range. A
+//! latency stage is often exactly 0 (no queue-wait behind an idle shard,
+//! no transit beyond occupancy), and a zero in the range would stretch it
+//! from bucket 0 up to the distribution's tail — several hundred empty
+//! buckets between. The stored range holds the counts of the non-zero
+//! samples only: the 64-bucket pages, aligned to 64, that cover the
+//! bucket of the smallest non-zero sample through the bucket of the
+//! largest, grown a page at a time at either end when a sample falls
+//! outside them. Whole pages keep range extensions (a reallocation plus,
+//! at the front, a shift) to a fraction of what bucket-exact ends cost.
+//!
+//! An empty or all-zero histogram owns no heap, a typical latency
+//! distribution spans a few pages, and the worst case (a `1` and a
+//! `u64::MAX`) is the dense `(65 - DEFAULT_BITS) << DEFAULT_BITS` array —
+//! exactly 30 pages, 15 KiB. Recording allocates only when it widens the
+//! range, and never for a 0. The zero count and the stored range are a
+//! function of the recorded multiset alone, so two histograms holding the
+//! same samples compare equal however they were built, and two histograms
+//! merge by adding their zero counts and element-wise addition over the
+//! union of their ranges — which is what lets per-NF recorders be
+//! combined into a fleet-wide distribution at export time. Bucket 0 holds
+//! exactly the value 0, so every read treats the zero count as bucket 0
+//! and the exports are those of the dense histogram.
 
-/// Default precision: 2^5 = 32 sub-buckets per power-of-two group.
+/// Precision: 2^5 = 32 sub-buckets per power-of-two group.
 pub const DEFAULT_BITS: u32 = 5;
+
+/// Buckets per page of the stored range; both ends are multiples of it.
+const PAGE: usize = 64;
+
+/// Bucket index for a value. Values below `2^DEFAULT_BITS` are exact.
+fn index(v: u64) -> usize {
+    let b = DEFAULT_BITS;
+    if v < (1u64 << b) {
+        v as usize
+    } else {
+        // Highest set bit m >= b; group g = m - b + 1 >= 1.
+        let m = 63 - v.leading_zeros();
+        let g = (m - b + 1) as usize;
+        let sub = ((v >> (m - b)) - (1u64 << b)) as usize;
+        (g << b) + sub
+    }
+}
+
+/// Inclusive `[low, high]` value range covered by bucket `i`.
+fn bucket_bounds(i: usize) -> (u64, u64) {
+    let b = DEFAULT_BITS;
+    let g = i >> b;
+    if g == 0 {
+        (i as u64, i as u64)
+    } else {
+        let m = b + g as u32 - 1;
+        let sub = (i & ((1 << b) - 1)) as u64;
+        let width = 1u64 << (m - b);
+        let low = ((1u64 << b) + sub) << (m - b);
+        // `width - 1` first: the top bucket's high end is exactly
+        // `u64::MAX` and `low + width` would overflow.
+        (low, low + (width - 1))
+    }
+}
 
 /// A mergeable log2-bucket histogram over `u64` samples (nanoseconds, byte
 /// counts, queue depths — any non-negative magnitude).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log2Histogram {
-    bits: u32,
-    /// Bucket index of `buckets[0]`; 0 while empty.
+    /// Samples that were exactly 0 (bucket 0, kept out of the range).
+    zeros: u64,
+    /// Bucket index of `buckets[0]`, a multiple of [`PAGE`]; 0 while no
+    /// non-zero sample is recorded.
     lo: usize,
-    /// Counts of buckets `index(min) ..= index(max)` — exactly the
-    /// occupied range, so equal sample multisets store equal vectors.
+    /// Counts of the pages covering buckets `index(smallest non-zero)
+    /// ..= index(max)` — a function of the samples, so equal multisets
+    /// store equal vectors.
     buckets: Vec<u64>,
     count: u64,
     sum: u128,
@@ -41,16 +91,13 @@ pub struct Log2Histogram {
 }
 
 impl Log2Histogram {
-    /// A histogram with `2^bits` sub-buckets per power-of-two group.
-    ///
-    /// `bits` must be in `1..=16`. Nothing is allocated until the first
-    /// record; memory is then the occupied bucket range, at worst all
-    /// `(65 - bits) << bits` buckets (1920 × 8 bytes = 15 KiB at the
-    /// default 5).
-    pub fn with_bits(bits: u32) -> Log2Histogram {
-        assert!((1..=16).contains(&bits), "bits must be in 1..=16");
+    /// An empty histogram. Nothing is allocated until the first non-zero
+    /// sample; memory is then the occupied pages, at worst all
+    /// `(65 - DEFAULT_BITS) << DEFAULT_BITS` buckets (1920 × 8 bytes =
+    /// 15 KiB).
+    pub fn new() -> Log2Histogram {
         Log2Histogram {
-            bits,
+            zeros: 0,
             lo: 0,
             buckets: Vec::new(),
             count: 0,
@@ -60,72 +107,39 @@ impl Log2Histogram {
         }
     }
 
-    /// A histogram at [`DEFAULT_BITS`] precision.
-    pub fn new() -> Log2Histogram {
-        Log2Histogram::with_bits(DEFAULT_BITS)
-    }
-
-    /// The precision this histogram was built with.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// Bucket index for a value. Values below `2^bits` are exact.
-    fn index(&self, v: u64) -> usize {
-        let b = self.bits;
-        if v < (1u64 << b) {
-            v as usize
-        } else {
-            // Highest set bit m >= b; group g = m - b + 1 >= 1.
-            let m = 63 - v.leading_zeros();
-            let g = (m - b + 1) as usize;
-            let sub = ((v >> (m - b)) - (1u64 << b)) as usize;
-            (g << b) + sub
-        }
-    }
-
-    /// Inclusive `[low, high]` value range covered by bucket `i`.
-    fn bucket_bounds(&self, i: usize) -> (u64, u64) {
-        let b = self.bits;
-        let g = i >> b;
-        if g == 0 {
-            (i as u64, i as u64)
-        } else {
-            let m = b + g as u32 - 1;
-            let sub = (i & ((1 << b) - 1)) as u64;
-            let width = 1u64 << (m - b);
-            let low = ((1u64 << b) + sub) << (m - b);
-            // `width - 1` first: the top bucket's high end is exactly
-            // `u64::MAX` and `low + width` would overflow.
-            (low, low + (width - 1))
-        }
-    }
-
-    /// Widens the stored range to include buckets `first ..= last`.
+    /// Widens the stored range to the pages covering buckets
+    /// `first ..= last`, with one exact-size reallocation.
     #[cold]
     fn cover(&mut self, first: usize, last: usize) {
+        let first = first & !(PAGE - 1);
+        let end = (last | (PAGE - 1)) + 1;
         if self.buckets.is_empty() {
             self.lo = first;
-        } else if first < self.lo {
-            let add = self.lo - first;
+        }
+        let lo = self.lo.min(first);
+        let end = end.max(self.lo + self.buckets.len());
+        self.buckets.reserve_exact(end - lo - self.buckets.len());
+        if lo < self.lo {
+            let add = self.lo - lo;
             self.buckets.splice(0..0, std::iter::repeat_n(0, add));
-            self.lo = first;
+            self.lo = lo;
         }
-        let need = last - self.lo + 1;
-        if need > self.buckets.len() {
-            self.buckets.resize(need, 0);
-        }
+        self.buckets.resize(end - lo, 0);
     }
 
-    /// Records one sample. Allocates only when `v` falls outside the
-    /// bucket range recorded so far.
+    /// Records one sample. Allocates only when a non-zero `v` falls
+    /// outside the pages recorded so far.
     pub fn record(&mut self, v: u64) {
-        let i = self.index(v);
-        // A bucket below `lo` wraps to a huge offset and widens too.
-        if i.wrapping_sub(self.lo) >= self.buckets.len() {
-            self.cover(i, i);
+        if v == 0 {
+            self.zeros += 1;
+        } else {
+            let i = index(v);
+            // A bucket below `lo` wraps to a huge offset and widens too.
+            if i.wrapping_sub(self.lo) >= self.buckets.len() {
+                self.cover(i, i);
+            }
+            self.buckets[i - self.lo] += 1;
         }
-        self.buckets[i - self.lo] += 1;
         self.count += 1;
         self.sum += u128::from(v);
         self.min = self.min.min(v);
@@ -164,8 +178,9 @@ impl Log2Histogram {
     ///
     /// The estimate `est` brackets the exact nearest-rank quantile
     /// `exact` of the recorded samples as
-    /// `exact <= est <= exact + (exact >> bits)` — i.e. relative error is
-    /// bounded by `2^-bits` from above and zero from below.
+    /// `exact <= est <= exact + (exact >> DEFAULT_BITS)` — i.e. relative
+    /// error is bounded by `2^-DEFAULT_BITS` from above and zero from
+    /// below.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -173,13 +188,17 @@ impl Log2Histogram {
         let q = q.clamp(0.0, 1.0);
         // Nearest rank: smallest rank r (1-based) with r >= q * count.
         let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
+        // The walk starts past bucket 0, whose count is `zeros`.
+        let mut seen = self.zeros;
+        if seen >= rank {
+            return 0;
+        }
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                let (_, high) = self.bucket_bounds(self.lo + i);
+                let (_, high) = bucket_bounds(self.lo + i);
                 // The bucket's high end over-estimates by at most the
-                // bucket width (<= exact >> bits); clamping to the exact
+                // bucket width (<= exact >> DEFAULT_BITS); clamping to the exact
                 // recorded max keeps the top quantiles tight.
                 return high.min(self.max);
             }
@@ -200,21 +219,24 @@ impl Log2Histogram {
     /// cumulative-histogram consumer reconstructs.
     pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        let mut cum = 0u64;
+        let mut cum = self.zeros;
+        if cum > 0 {
+            out.push((0, cum));
+        }
         for (i, &c) in self.buckets.iter().enumerate() {
             if c > 0 {
                 cum += c;
-                let (_, high) = self.bucket_bounds(self.lo + i);
+                let (_, high) = bucket_bounds(self.lo + i);
                 out.push((high, cum));
             }
         }
         out
     }
 
-    /// Merges another histogram of the same precision into this one.
-    /// Equivalent to having recorded both sample streams into one.
+    /// Merges another histogram into this one. Equivalent to having
+    /// recorded both sample streams into one.
     pub fn merge(&mut self, other: &Log2Histogram) {
-        assert_eq!(self.bits, other.bits, "precision mismatch in merge");
+        self.zeros += other.zeros;
         if !other.buckets.is_empty() {
             self.cover(other.lo, other.lo + other.buckets.len() - 1);
             let at = other.lo - self.lo;
@@ -266,10 +288,9 @@ mod tests {
 
     #[test]
     fn bucket_bounds_partition_the_u64_line() {
-        let h = Log2Histogram::with_bits(5);
         let mut next = 0u64;
         for i in 0..DENSE_LEN {
-            let (low, high) = h.bucket_bounds(i);
+            let (low, high) = bucket_bounds(i);
             assert_eq!(low, next, "bucket {i} starts where the last ended");
             assert!(high >= low);
             if high == u64::MAX {
@@ -282,7 +303,6 @@ mod tests {
 
     #[test]
     fn index_maps_into_own_bucket() {
-        let h = Log2Histogram::with_bits(5);
         for v in [
             0u64,
             31,
@@ -296,8 +316,8 @@ mod tests {
             u64::MAX / 3,
             u64::MAX,
         ] {
-            let i = h.index(v);
-            let (low, high) = h.bucket_bounds(i);
+            let i = index(v);
+            let (low, high) = bucket_bounds(i);
             assert!(low <= v && v <= high, "v={v} i={i} [{low},{high}]");
         }
     }
@@ -340,14 +360,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "precision mismatch")]
-    fn merge_rejects_mixed_precision() {
-        let mut a = Log2Histogram::with_bits(5);
-        let b = Log2Histogram::with_bits(6);
-        a.merge(&b);
-    }
-
-    #[test]
     fn cumulative_buckets_are_monotone_and_conserve_counts() {
         let mut h = Log2Histogram::new();
         assert!(h.cumulative_buckets().is_empty(), "empty hist, no buckets");
@@ -380,12 +392,20 @@ mod tests {
 
     #[test]
     fn recording_does_not_allocate() {
-        // ... once the bucket range is covered: here by the two extremes.
+        // A 0 never allocates: it is counted, not stored in the range.
+        let mut h = Log2Histogram::new();
+        for _ in 0..1000 {
+            h.record(0);
+        }
+        assert_eq!(h.buckets.capacity(), 0);
+        assert_eq!((h.count(), h.quantile(1.0)), (1000, 0));
+        // Nor does anything else once the pages are covered: here by the
+        // two non-zero extremes of the sample stream.
         let sample = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let (lo, hi) = (0..100_000)
             .map(sample)
+            .filter(|&v| v != 0)
             .fold((u64::MAX, 0), |(lo, hi), v| (lo.min(v), hi.max(v)));
-        let mut h = Log2Histogram::new();
         h.record(lo);
         h.record(hi);
         let cap = h.buckets.capacity();
@@ -394,6 +414,31 @@ mod tests {
             h.record(sample(i));
         }
         assert_eq!(h.buckets.capacity(), cap);
+        assert_eq!(h.zeros, 1001, "sample(0) is the stream's one zero");
+    }
+
+    #[test]
+    fn a_zero_does_not_stretch_the_range() {
+        // Bucket 582 (5 ms) and bucket 729 (120 ms) are pages 9 and 11:
+        // three pages, 192 buckets. Stored bucket-exact from bucket 0,
+        // as a zero used to force, the range was 730 buckets.
+        let mut h = Log2Histogram::new();
+        for v in [0, 5_000_000, 120_000_000] {
+            h.record(v);
+        }
+        assert_eq!((index(5_000_000), index(120_000_000)), (582, 729));
+        assert_eq!((h.lo, h.buckets.len()), (576, 192));
+        assert_eq!(h.buckets.capacity(), 192);
+        assert_eq!(h.cumulative_buckets()[0], (0, 1));
+    }
+
+    #[test]
+    fn header_is_80_bytes() {
+        // Every timeline window holds four of these headers. The zero
+        // count was paid for by deleting the precision field: a 96-byte
+        // header made a `TimelineWindow` 480 B and raised the 1 ms-window
+        // capacity run's VmHWM by 11-12 % (31.9 -> 35.3 MB; 32.2 -> 36.1).
+        assert_eq!(std::mem::size_of::<Log2Histogram>(), 80);
     }
 
     /// The dense `(65 - bits) << bits` layout the range form replaced:
@@ -418,7 +463,7 @@ mod tests {
         }
 
         fn record(&mut self, v: u64) {
-            self.buckets[Log2Histogram::new().index(v)] += 1;
+            self.buckets[index(v)] += 1;
             self.count += 1;
             self.sum += u128::from(v);
             self.min = self.min.min(v);
@@ -444,7 +489,7 @@ mod tests {
             for (i, &c) in self.buckets.iter().enumerate() {
                 seen += c;
                 if seen >= rank {
-                    return Log2Histogram::new().bucket_bounds(i).1.min(self.max);
+                    return bucket_bounds(i).1.min(self.max);
                 }
             }
             self.max
@@ -456,7 +501,7 @@ mod tests {
             for (i, &c) in self.buckets.iter().enumerate() {
                 if c > 0 {
                     cum += c;
-                    out.push((Log2Histogram::new().bucket_bounds(i).1, cum));
+                    out.push((bucket_bounds(i).1, cum));
                 }
             }
             out
@@ -472,24 +517,34 @@ mod tests {
             assert_eq!(h.quantile(q), d.quantile(q), "q={q}");
         }
         assert_eq!(h.cumulative_buckets(), d.cumulative_buckets());
-        // The canonical form: exactly the occupied range, nothing else.
-        if d.count == 0 {
-            assert!(h.buckets.is_empty() && h.lo == 0);
-        } else {
-            assert_eq!(h.lo, h.index(d.min));
-            assert_eq!(h.lo + h.buckets.len() - 1, h.index(d.max));
+        // The canonical form: zeros counted apart, and exactly the
+        // aligned pages covering the non-zero samples, nothing else,
+        // at exact capacity.
+        assert_eq!(h.zeros, d.buckets[0]);
+        assert_eq!(h.buckets.capacity(), h.buckets.len());
+        match d.buckets.iter().skip(1).position(|&c| c > 0) {
+            None => assert!(h.buckets.is_empty() && h.lo == 0),
+            Some(first) => {
+                assert_eq!(h.lo, (first + 1) / PAGE * PAGE);
+                assert_eq!(h.lo + h.buckets.len(), (index(d.max) / PAGE + 1) * PAGE);
+            }
         }
     }
 
     /// Samples that stretch the range every way: the exact-zero bucket,
-    /// the top bucket, anything between, and ascending / descending runs
-    /// that widen one end a bucket at a time.
+    /// the top bucket, anything between, ascending / descending runs
+    /// that widen one end a bucket at a time, and zero-heavy streams
+    /// (one sample in three is 0) like the timeline's stage histograms.
     fn samples() -> impl Strategy<Value = Vec<u64>> {
         let run = (0u64..1 << 40, 1u64..1 << 20, 1usize..40);
         prop_oneof![
             proptest::collection::vec(any::<u64>(), 0..60),
             proptest::collection::vec(0u64..5_000_000, 0..60),
             proptest::collection::vec(prop_oneof![Just(0u64), Just(u64::MAX)], 0..4),
+            proptest::collection::vec(
+                prop_oneof![Just(0u64), 1u64..5_000_000, 1u64..=1 << 40],
+                0..60
+            ),
             run.clone()
                 .prop_map(|(base, step, n)| (0..n as u64).map(|i| base + i * step).collect()),
             run.prop_map(|(base, step, n)| (0..n as u64).rev().map(|i| base + i * step).collect()),
