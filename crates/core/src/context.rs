@@ -3,6 +3,7 @@
 //! Everything here derives `Clone`: a checkpoint of an NF (for the
 //! resiliency framework of §3.5) is literally a clone of its state.
 
+use l25gc_obs::ProcKind;
 use l25gc_pkt::ngap::TunnelInfo;
 use l25gc_sim::SimTime;
 
@@ -232,6 +233,18 @@ pub enum UeEvent {
     IdleTransition,
     /// UE-initiated deregistration.
     Deregistration,
+}
+
+/// The procedure-span kind a [`UeEvent`] records under (histogram key).
+pub fn proc_kind(ev: UeEvent) -> ProcKind {
+    match ev {
+        UeEvent::Registration => ProcKind::Registration,
+        UeEvent::SessionRequest => ProcKind::SessionEstablishment,
+        UeEvent::Handover => ProcKind::Handover,
+        UeEvent::Paging => ProcKind::Paging,
+        UeEvent::IdleTransition => ProcKind::IdleTransition,
+        UeEvent::Deregistration => ProcKind::Deregistration,
+    }
 }
 
 /// A completed procedure, recorded by the AMF.

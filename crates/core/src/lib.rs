@@ -21,17 +21,15 @@ pub mod deploy;
 pub mod msg;
 pub mod net;
 pub mod qer;
-pub mod shard;
 pub mod udr;
 pub mod upf;
 
-pub use context::{EventRecord, UeEvent};
+pub use context::{proc_kind, EventRecord, UeEvent};
 pub use deploy::Deployment;
 pub use msg::{
     DataPacket, Direction, Endpoint, Envelope, GnbId, Msg, SbiOp, SmContextUpdate, UeId,
 };
 pub use net::{CoreNetwork, HandoverScheme, Output, UPF_N3_ADDR};
 pub use qer::{Qer, QerTable};
-pub use shard::ShardedMap;
 pub use udr::{AuthVector, Subscriber, Udr};
 pub use upf::{ue_ip_for, PdrBackend, Upf, Verdict};

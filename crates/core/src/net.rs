@@ -8,10 +8,8 @@
 //! flows; the module-level comments on each phase name the corresponding
 //! spec step. Per-message handler costs are listed in [`handler_cost`].
 
-use std::collections::HashMap;
-
 use l25gc_nfv::cost::CostModel;
-use l25gc_obs::{EventKind, Obs, ProcKind};
+use l25gc_obs::{EventKind, Obs};
 use l25gc_pkt::ipv4::Ipv4Addr;
 use l25gc_pkt::nas::NasMessage;
 use l25gc_pkt::ngap::{NgapMessage, TunnelInfo};
@@ -19,15 +17,14 @@ use l25gc_pkt::pfcp::{
     self, ApplyAction, CreateFar, CreatePdr, FTeid, ForwardingParameters, IeSet, Interface,
     MsgType, Pdi, UeIpAddress, UpdateFar, UpdatePdr,
 };
-use l25gc_sim::{SimDuration, SimTime};
+use l25gc_sim::{FastMap, SimDuration, SimTime};
 
 use crate::context::{
-    AmfUeCtx, CmState, DeregPhase, EventRecord, HoPhase, IdlePhase, PagingPhase, RegPhase, RmState,
-    SessPhase, SmfSession, UeEvent,
+    proc_kind, AmfUeCtx, CmState, DeregPhase, EventRecord, HoPhase, IdlePhase, PagingPhase,
+    RegPhase, RmState, SessPhase, SmfSession, UeEvent,
 };
 use crate::deploy::Deployment;
 use crate::msg::{DataPacket, Endpoint, Envelope, Msg, SbiOp, SmContextUpdate, UeId};
-use crate::shard::ShardedMap;
 use crate::udr::{AuthVector, Udr};
 use crate::upf::{ue_ip_for, PdrBackend, Upf, Verdict};
 
@@ -56,20 +53,21 @@ pub struct Output {
 /// AMF state.
 #[derive(Debug, Default, Clone)]
 pub struct Amf {
-    /// Per-UE contexts, partitioned across worker shards by UE id.
-    pub ues: ShardedMap<UeId, AmfUeCtx>,
+    /// Per-UE contexts. UE ids are handed out by the simulation, never
+    /// chosen by a peer, so the unkeyed [`FastMap`] is safe.
+    pub ues: FastMap<UeId, AmfUeCtx>,
 }
 
 /// SMF state.
 #[derive(Debug, Default, Clone)]
 pub struct Smf {
     /// Per-UE session contexts (one PDU session per UE in the
-    /// experiments, as in the paper), partitioned across worker shards.
-    pub sessions: ShardedMap<UeId, SmfSession>,
+    /// experiments, as in the paper).
+    pub sessions: FastMap<UeId, SmfSession>,
     /// SEID → owning UE: N4 responses and downlink-data reports carry
     /// only the SEID. Holds exactly the SEIDs of `sessions`; written
     /// where `sessions` is (CreateSmContext, SessionDeletionResponse).
-    by_seid: HashMap<u64, UeId>,
+    by_seid: FastMap<u64, UeId>,
     next_seid: u64,
     next_teid: u32,
     /// N4 association state toward the UPF.
@@ -143,50 +141,20 @@ pub struct CoreNetwork {
 
 impl CoreNetwork {
     /// Creates a core in the given deployment with the default
-    /// PartitionSort PDR backend and default shard count.
+    /// PartitionSort PDR backend.
     pub fn new(deployment: Deployment) -> CoreNetwork {
-        CoreNetwork::with_shards(deployment, ShardedMap::<UeId, ()>::DEFAULT_SHARDS)
-    }
-
-    /// [`CoreNetwork::new`] with an explicit shard count for the
-    /// UE-context and session tables (the load engine matches this to its
-    /// worker-shard count so a shard's contexts are co-located).
-    pub fn with_shards(deployment: Deployment, shards: usize) -> CoreNetwork {
         CoreNetwork {
             deployment,
             scheme: HandoverScheme::SmartBuffering,
             cost: CostModel::paper(),
-            amf: Amf {
-                ues: ShardedMap::new(shards),
-            },
-            smf: Smf {
-                sessions: ShardedMap::new(shards),
-                ..Smf::default()
-            },
+            amf: Amf::default(),
+            smf: Smf::default(),
             udm: Udm::default(),
             upf: Upf::new(PdrBackend::PartitionSort),
             events: Vec::new(),
             obs: Obs::new(),
             upf_now: SimTime::ZERO,
         }
-    }
-
-    /// Which shard owns `ue`'s contexts (stable across runs).
-    pub fn shard_of(&self, ue: UeId) -> usize {
-        self.amf.ues.shard_of(&ue)
-    }
-
-    /// Handles a batch of delivered envelopes in order, appending every
-    /// follow-up send to one output vector. The batched entry point the
-    /// sharded load engine dispatches through: one call per shard drain
-    /// instead of one per message, so the per-call overhead (span
-    /// bookkeeping setup, vec churn) amortises across the burst.
-    pub fn handle_batch(&mut self, envs: Vec<Envelope>, now: SimTime) -> Vec<Output> {
-        let mut all = Vec::new();
-        for env in envs {
-            all.append(&mut self.handle(env, now));
-        }
-        all
     }
 
     /// Drains everything this core recorded — its own [`Obs`] bundle plus
@@ -1676,18 +1644,6 @@ pub fn msg_label(msg: &Msg) -> &'static str {
             MsgType::SessionReportResponse => "SessionReportResponse",
         },
         Msg::Data(_) => "data",
-    }
-}
-
-/// Maps a Fig 8 UE event to its span kind.
-fn proc_kind(ev: UeEvent) -> ProcKind {
-    match ev {
-        UeEvent::Registration => ProcKind::Registration,
-        UeEvent::SessionRequest => ProcKind::SessionEstablishment,
-        UeEvent::Handover => ProcKind::Handover,
-        UeEvent::Paging => ProcKind::Paging,
-        UeEvent::IdleTransition => ProcKind::IdleTransition,
-        UeEvent::Deregistration => ProcKind::Deregistration,
     }
 }
 

@@ -6,7 +6,7 @@
 //! between a 2-second sweep and an hour-long one. The load engine
 //! instead *calibrates*: for each deployment it drives every procedure
 //! kind once through the real `l25gc-core` + `l25gc-ran` state machines
-//! (via the batched [`CoreNetwork::handle_batch`] entry point and the
+//! (one [`CoreNetwork::handle`] call per envelope, scheduled on the
 //! allocation-free [`EventQueue`]), and distils a [`ProcedureProfile`]:
 //!
 //! - **latency** — the unloaded end-to-end completion time the core
@@ -27,7 +27,6 @@
 use l25gc_core::msg::{DataPacket, Direction, Endpoint, Envelope, Msg};
 use l25gc_core::{CoreNetwork, Deployment, UeEvent};
 use l25gc_nfv::cost::Transport;
-use l25gc_obs::ProcKind;
 use l25gc_ran::Ran;
 use l25gc_sim::{EventQueue, SimDuration, SimTime};
 
@@ -81,18 +80,6 @@ impl ProfileSet {
             .map(|(k, w)| self.get(*k).occupancy.as_nanos() as f64 * w / total)
             .sum();
         SimDuration::from_nanos(ns as u64)
-    }
-}
-
-/// The procedure-span kind a [`UeEvent`] records under (histogram key).
-pub fn proc_kind(ev: UeEvent) -> ProcKind {
-    match ev {
-        UeEvent::Registration => ProcKind::Registration,
-        UeEvent::SessionRequest => ProcKind::SessionEstablishment,
-        UeEvent::Handover => ProcKind::Handover,
-        UeEvent::Paging => ProcKind::Paging,
-        UeEvent::IdleTransition => ProcKind::IdleTransition,
-        UeEvent::Deregistration => ProcKind::Deregistration,
     }
 }
 
@@ -171,9 +158,9 @@ impl CalibWorld {
         }
     }
 
-    /// Runs the queue dry. Same-instant envelopes bound for the core are
-    /// dispatched as one [`CoreNetwork::handle_batch`] call — the batched
-    /// entry point the sharded engine uses.
+    /// Runs the queue dry. Of the envelopes due at one instant, the
+    /// core-bound ones are handled first, then the RAN-bound ones, each
+    /// group in FIFO order.
     fn run_to_quiescence(&mut self) {
         while let Some((t, env)) = self.q.pop() {
             self.now = t;
@@ -184,10 +171,11 @@ impl CalibWorld {
             }
             let (core_batch, rest): (Vec<_>, Vec<_>) = due.into_iter().partition(|e| is_core(e.to));
             self.delivered += core_batch.len() as u32 + rest.len() as u32;
-            let outs = self.core.handle_batch(core_batch, t);
-            for o in outs {
-                self.charge_hop(&o.env, o.delay);
-                self.push(o.delay, o.env);
+            for env in core_batch {
+                for o in self.core.handle(env, t) {
+                    self.charge_hop(&o.env, o.delay);
+                    self.push(o.delay, o.env);
+                }
             }
             for env in rest {
                 match env.to {

@@ -41,7 +41,7 @@
 //! Construction goes through [`LoadConfig::builder`], which returns a
 //! typed [`LoadError`] instead of panicking on bad inputs.
 
-use l25gc_core::UeEvent;
+use l25gc_core::{proc_kind, UeEvent};
 use l25gc_obs::{EventKind, MetricsTimeline, Obs};
 use l25gc_sim::{EventQueue, SimDuration, SimRng, SimTime};
 
@@ -49,7 +49,7 @@ use l25gc_nfv::cost::CostModel;
 use l25gc_resilience::FailoverTimeline;
 
 use crate::arrival::{ArrivalStream, EventMix, RateSegment};
-use crate::dispatch::{proc_kind, ProfileSet};
+use crate::dispatch::ProfileSet;
 use crate::fault::{FaultPlan, Outage};
 use crate::fifo::{FifoServer, Service};
 use crate::fleet::{Fleet, UeState};

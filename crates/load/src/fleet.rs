@@ -63,9 +63,9 @@ pub struct UeRecord {
 /// convention `100 + ue`).
 pub const SUPI_BASE: u64 = 100;
 
-/// Deterministic shard assignment by SUPI — the same SipHash-with-default
-/// -keys scheme `l25gc_core::ShardedMap` uses, so a load shard's UEs land
-/// in a stable core table shard across runs.
+/// Deterministic shard assignment by SUPI: SipHash with the std default
+/// keys, reduced modulo `shards`, so a UE lands on the same load shard in
+/// every run.
 pub fn shard_for_supi(supi: u64, shards: u16) -> u16 {
     let mut h = DefaultHasher::new();
     supi.hash(&mut h);

@@ -8,17 +8,16 @@
 //!   with O(1) per-state sampling, plus seeded Poisson/MMPP-2 arrival
 //!   processes ([`ArrivalStream`]) for registrations, session
 //!   establishments, handovers, paging, idle transitions, and detaches;
-//! - a **sharded execution layer** ([`ShardSet`]): UE contexts hash to N
-//!   worker shards (the same SipHash partitioning as
-//!   `l25gc_core::ShardedMap`), each shard a FIFO server with an
+//! - a **sharded execution layer** ([`ShardSet`]): UEs hash by SUPI to N
+//!   worker shards ([`shard_for_supi`]), each shard a FIFO server with an
 //!   `l25gc_nfv::ring` in-flight queue, high-water-mark admission
 //!   control (shed vs queue), and typed `RingFull` backpressure — all
 //!   rejections surfaced as `l25gc-obs` drop codes;
 //! - **calibrated dispatch** ([`calibrate`]): per-deployment procedure
 //!   profiles (unloaded latency, shard-CPU occupancy, message count)
 //!   measured by driving the *real* `l25gc-core` + `l25gc-ran` state
-//!   machines once per procedure through the batched
-//!   `CoreNetwork::handle_batch` entry point.
+//!   machines once per procedure, one `CoreNetwork::handle` call per
+//!   envelope.
 //!
 //! A single [`Driver`] ties the layers together: a validated
 //! [`LoadConfig`] (built via [`LoadConfig::builder`]) selects open- or
@@ -79,13 +78,14 @@ pub mod wait;
 pub mod worker;
 
 pub use arrival::{ArrivalProcess, ArrivalStream, EventMix, RateSegment, ScriptedArrival};
-pub use dispatch::{calibrate, proc_kind, ProcedureProfile, ProfileSet};
+pub use dispatch::{calibrate, ProcedureProfile, ProfileSet};
 pub use driver::{
     Disruption, Driver, ExecBackend, LoadConfig, LoadConfigBuilder, LoadError, LoadMode,
     LoadReport, WallClock, HIST_ALL, HIST_QUEUE_WAIT, HIST_SERVICE, HIST_TRANSIT,
 };
 pub use fault::{FaultKind, FaultPlan, FaultSpec, Outage};
 pub use fleet::{shard_for_supi, Fleet, UeRecord, UeState, SUPI_BASE, UE_STATES};
+pub use l25gc_core::proc_kind;
 pub use scenario::{ScenarioSpec, SCENARIO_NAMES};
 pub use shard::{Admission, OverloadPolicy, ShardConfig, ShardSet};
 pub use wait::{WaitStats, Waiter};

@@ -5,11 +5,8 @@
 //! reroute, wake the replica, replay — is expressed here as typed
 //! transitions over an in-flight message multiset: [`FaultEvent`] in,
 //! [`FsmAction`]s out, with the whole protocol state carried in
-//! [`FsmState`] plus the log/committed bookkeeping. The adapters
-//! ([`crate::SbfdSession`], [`crate::Replica`], [`crate::PacketLogger`],
-//! [`crate::FailoverCoordinator`]) own the clocks and the payloads; this
-//! machine owns the *ordering rules*, which makes every interleaving of
-//! detect / reroute / replica-wake / ingress property-testable (see
+//! [`FsmState`] plus the log/committed bookkeeping. Every interleaving of
+//! detect / reroute / replica-wake / ingress is property-tested (see
 //! `tests/fsm_prop.rs`): no in-flight message is lost, none is delivered
 //! twice, and external synchrony holds — nothing is released between
 //! failure detection and replay completion.
@@ -18,6 +15,20 @@
 //! counter-ordered burst): the paper overlaps replay with rerouting, and
 //! in virtual time the burst lands at the instant both the reroute and
 //! the replica wake-up have completed.
+//!
+//! This machine is a specification, not the running path. The adapter
+//! that runs is `l25gc_testbed::World`'s `Resilience` harness, which
+//! drives [`crate::PacketLogger`], [`crate::Replica`] and
+//! [`crate::FailoverTimeline`] directly and never steps this machine.
+//! The two differ in two places:
+//!
+//! - **Suppression.** On replay `World` drops the first *N* external
+//!   outputs, where *N* counts the outputs released since the last
+//!   checkpoint. This machine suppresses by ingress id: an entry whose id
+//!   was committed replays as [`FsmAction::ReplaySuppressed`].
+//! - **The outage window.** `World` stops delivering to the core at the
+//!   failure instant and only logs. This machine keeps forwarding until
+//!   the failure is confirmed ([`FsmState::Failed`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 

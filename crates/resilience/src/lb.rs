@@ -168,6 +168,14 @@ mod tests {
     }
 
     #[test]
+    fn paper_detection_is_within_half_a_millisecond() {
+        // §3.5.2: the LB probe agent declares a silent unit dead within
+        // 0.5 ms.
+        let t = FailoverTimeline::paper(&CostModel::paper());
+        assert!(t.detect <= SimDuration::from_micros(500), "{}", t.detect);
+    }
+
+    #[test]
     fn paper_failover_adds_single_digit_milliseconds() {
         let t = FailoverTimeline::paper(&CostModel::paper());
         let total = t.total();

@@ -1,54 +1,35 @@
 //! # l25gc-resilience — the §3.5 failure-resiliency framework
 //!
-//! L²5GC avoids 3GPP's reattach-from-scratch recovery with a protocol
-//! that is **specified once, purely**, and adapted to clocks and
-//! payloads around the edges:
-//!
-//! - [`fsm`] — the failover protocol as a pure state machine over an
-//!   in-flight message multiset: typed [`FaultEvent`] transitions to
-//!   typed [`FsmAction`]s, no clocks, every detect/reroute/replay
-//!   interleaving property-tested (nothing lost, nothing duplicated,
-//!   external synchrony preserved).
-//! - [`coordinator`] — the adapter facade: [`FailoverCoordinator`] owns
-//!   the clocked components below and consults the FSM for every
-//!   ordering decision.
-//!
-//! The clocked components (usable directly, but most callers want the
-//! facade):
+//! L²5GC avoids 3GPP's reattach-from-scratch recovery with a packet
+//! logger, a frozen replica and replay under external synchrony. This
+//! crate holds the pieces; `l25gc_testbed::World`'s `Resilience` harness
+//! wires them around a live `CoreNetwork`, and that harness is what every
+//! failover figure runs.
 //!
 //! - [`logger`] — the LB-side packet logger: every inbound message gets
 //!   a counter and a copy in one of four queues (UL/DL × control/data);
 //!   replay restores the state tail lost since the last checkpoint, and
 //!   data floods cannot evict control entries.
-//! - [`replica`] — frozen local/remote replicas generic over the
-//!   replicated state (`Clone` = checkpoint), the periodic delta
-//!   checkpoint policy, and the sub-5 µs output-commit gate (external
-//!   synchrony).
-//! - [`detector`] — S-BFD-style liveness sessions detecting node/link
-//!   failure in < 0.5 ms.
+//! - [`replica`] — frozen replicas generic over the replicated state
+//!   (`Clone` = checkpoint) and the periodic checkpoint policy.
 //! - [`lb`] — the UE-aware load balancer: session affinity, failover
 //!   migration, and the detect→reroute→replay timeline.
 //! - [`reattach`] — the 3GPP restoration baseline L²5GC is compared
 //!   against in §5.5.
-//!
-//! Every entry point lives on a type; the pre-facade free functions
-//! served their one deprecated release and are gone ([`classify`] became
-//! [`QueueKind::classify`]).
-//!
-//! [`classify`]: QueueKind::classify
+//! - [`fsm`] — the failover protocol as a clock-free specification:
+//!   typed [`FaultEvent`] transitions to typed [`FsmAction`]s over an
+//!   in-flight message multiset, with nothing lost, nothing duplicated
+//!   and external synchrony property-tested. No running path steps it;
+//!   its module docs record where `World`'s harness differs.
 
-pub mod coordinator;
-pub mod detector;
 pub mod fsm;
 pub mod lb;
 pub mod logger;
 pub mod reattach;
 pub mod replica;
 
-pub use coordinator::{FailoverCoordinator, FailoverReport};
-pub use detector::SbfdSession;
 pub use fsm::{FailoverFsm, FaultEvent, FsmAction, FsmState};
 pub use lb::{FailoverTimeline, UeAwareLb, UnitId};
 pub use logger::{LoggedEntry, PacketLogger, QueueKind};
 pub use reattach::ReattachModel;
-pub use replica::{CheckpointPolicy, OutputCommit, Replica, ReplicaState};
+pub use replica::{CheckpointPolicy, Replica, ReplicaState};

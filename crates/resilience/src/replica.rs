@@ -1,14 +1,12 @@
-//! Replication: frozen local/remote replicas with periodic delta
-//! checkpoints and external synchrony (§3.5.1).
+//! Replication: a frozen replica synchronized by periodic checkpoints
+//! (§3.5.1).
 //!
 //! The replica is generic over the replicated state `S: Clone` — in the
-//! testbed `S` is the whole `CoreNetwork`. A checkpoint is a clone taken
-//! at a counter watermark; on failover the replica state is the last
-//! checkpoint, and the packet logger replays everything logged at or
-//! after that watermark to reconstruct the lost tail. The local replica
-//! synchronizes per event (sub-5 µs shared-memory copy, the "no-replay"
-//! scheme); the remote replica synchronizes periodically to amortize the
-//! transfer.
+//! testbed `S` is the whole `CoreNetwork`. A checkpoint is a full
+//! `clone()` of that state taken at a counter watermark, not a delta; on
+//! failover the replica state is the last checkpoint, and the packet
+//! logger replays everything logged at or after that watermark to
+//! reconstruct the lost tail.
 
 use l25gc_sim::{SimDuration, SimTime};
 
@@ -87,14 +85,11 @@ impl<S: Clone> Replica<S> {
     }
 }
 
-/// The periodic checkpoint schedule for the remote replica.
+/// The periodic checkpoint schedule for the replica.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointPolicy {
-    /// Interval between delta syncs.
+    /// Interval between checkpoints.
     pub interval: SimDuration,
-    /// Cost to transfer one delta (paid by the *local replica*, so the
-    /// primary's processing is never impeded — external synchrony).
-    pub transfer_cost: SimDuration,
 }
 
 impl CheckpointPolicy {
@@ -103,36 +98,7 @@ impl CheckpointPolicy {
     pub fn paper() -> CheckpointPolicy {
         CheckpointPolicy {
             interval: SimDuration::from_millis(10),
-            transfer_cost: SimDuration::from_micros(200),
         }
-    }
-
-    /// Next checkpoint instant after `last`.
-    pub fn next_after(&self, last: SimTime) -> SimTime {
-        last + self.interval
-    }
-}
-
-/// Output-commit gate for the local no-replay scheme: an NF "does not
-/// release any response unless the local replica is synchronized". With
-/// same-host shared memory the sync costs < 5 µs per event.
-#[derive(Debug, Clone, Copy)]
-pub struct OutputCommit {
-    /// Per-event local synchronization delay.
-    pub local_sync: SimDuration,
-}
-
-impl OutputCommit {
-    /// The paper's bound (§3.5.1: "less than 5µs").
-    pub fn paper() -> OutputCommit {
-        OutputCommit {
-            local_sync: SimDuration::from_micros(5),
-        }
-    }
-
-    /// The extra delay an outgoing response pays before release.
-    pub fn gate_delay(&self) -> SimDuration {
-        self.local_sync
     }
 }
 
@@ -218,14 +184,10 @@ mod tests {
 
     #[test]
     fn policy_schedules_periodically() {
-        let p = CheckpointPolicy::paper();
-        let t0 = SimTime::ZERO;
-        let t1 = p.next_after(t0);
-        assert_eq!(t1.duration_since(t0), p.interval);
-    }
-
-    #[test]
-    fn output_commit_is_sub_5us() {
-        assert!(OutputCommit::paper().gate_delay() <= SimDuration::from_micros(5));
+        // §3.5.1: the replica syncs every 10 ms, not per event.
+        assert_eq!(
+            CheckpointPolicy::paper().interval,
+            SimDuration::from_millis(10)
+        );
     }
 }
