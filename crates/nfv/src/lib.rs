@@ -14,9 +14,9 @@
 //! **Simulation-facing models:**
 //! - [`cost`] — the calibrated per-hop / per-packet cost model; the only
 //!   place the paper's measured primitives enter the reproduction.
-//! - [`manager`] — the NF manager: service registry, canary-weighted
-//!   routing (§4), heartbeat failure detection (§3.5.2), and the
-//!   freeze/unfreeze replica lifecycle (§3.5.1).
+//! - [`manager`] — the NF manager: service registry and canary-weighted
+//!   routing (§4). Failure detection and the replica lifecycle are the
+//!   testbed's failover harness.
 //! - [`topology`] — CPU topology discovery (cores, SMT siblings) and
 //!   `sched_setaffinity` pinning, reproducing OpenNetVM's
 //!   one-NF-per-core placement for the threaded backend.
@@ -29,7 +29,7 @@ pub mod session_table;
 pub mod topology;
 
 pub use cost::{CostModel, DataPath, SerFormat, Transport};
-pub use manager::{InstanceId, Manager, NfInstance, NfState, ServiceId};
+pub use manager::{InstanceId, Manager, ServiceId};
 pub use mempool::{Mempool, PktAction, PktHandle, PktMeta};
 pub use ring::{duplex, ring, Consumer, DuplexHost, DuplexWorker, Producer, RingFull};
 pub use session_table::DualKeyTable;

@@ -1,59 +1,26 @@
-//! The NF manager: service registry, liveness, canary routing, replica
-//! freeze/unfreeze.
+//! The NF manager: service registry and canary routing.
 //!
-//! In ONVM the manager owns the shared memory pool, pumps the Rx/Tx
-//! rings, and "periodically (every few milliseconds) determines the
-//! status of all the registered active NFs" (§3.5.2). Deployment-wise it
-//! also implements L²5GC's canary rollout (§4): two instances of one
-//! service id, split by a configured traffic percentage.
-//!
-//! Replica instances are registered `Frozen` — the cgroup-freezer state
-//! that consumes no CPU — and woken by [`Manager::unfreeze`] on failover.
+//! In ONVM the manager owns the shared memory pool and pumps the Rx/Tx
+//! rings. Deployment-wise it also implements L²5GC's canary rollout
+//! (§4): two instances of one service id, split by a configured traffic
+//! percentage. Failure detection and the replica lifecycle (§3.5) are
+//! the failover harness's, `l25gc_testbed::World`'s `Resilience`.
 
 use std::collections::HashMap;
-
-use l25gc_obs::{EventKind, FlightRecorder};
-use l25gc_sim::{SimDuration, SimTime};
 
 /// A service identity (e.g. "SMF" = 3). Stable across versions/replicas.
 pub type ServiceId = u32;
 /// One running process of a service.
 pub type InstanceId = u32;
 
-/// Lifecycle state of an NF instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NfState {
-    /// Scheduled and processing packets.
-    Active,
-    /// Replica kept in the cgroup freezer: consistent state, zero CPU.
-    Frozen,
-    /// Declared failed by the failure detector.
-    Failed,
-}
-
-/// Registry entry for one NF instance.
-#[derive(Debug, Clone)]
-pub struct NfInstance {
-    /// The service this instance implements.
-    pub service: ServiceId,
-    /// Unique instance id.
-    pub instance: InstanceId,
-    /// Lifecycle state.
-    pub state: NfState,
-    /// Canary weight: share of new traffic routed here, relative to the
-    /// other Active instances of the same service.
-    pub weight: u32,
-    /// Last heartbeat observed by the manager.
-    pub last_heartbeat: SimTime,
-}
-
 /// The NF manager's control-plane state.
 #[derive(Debug, Default)]
 pub struct Manager {
-    instances: HashMap<InstanceId, NfInstance>,
+    /// Instance → canary weight: its share of new traffic, relative to
+    /// the other instances of the same service.
+    weights: HashMap<InstanceId, u32>,
+    /// Each service's instances, in registration order.
     by_service: HashMap<ServiceId, Vec<InstanceId>>,
-    /// Lifecycle flight recorder: heartbeats, failures, unfreezes.
-    pub flight: FlightRecorder,
 }
 
 impl Manager {
@@ -62,153 +29,40 @@ impl Manager {
         Self::default()
     }
 
-    fn record_lifecycle(&mut self, id: InstanceId, at: SimTime, make: fn(u32, u32) -> EventKind) {
-        if let Some(nf) = self.instances.get(&id) {
-            self.flight.record(at, make(nf.service, nf.instance));
-        }
-    }
-
-    /// Registers an instance. Panics on duplicate instance id.
-    pub fn register(
-        &mut self,
-        service: ServiceId,
-        instance: InstanceId,
-        state: NfState,
-        now: SimTime,
-    ) {
+    /// Registers an instance with weight 100. Panics on duplicate
+    /// instance id.
+    pub fn register(&mut self, service: ServiceId, instance: InstanceId) {
         assert!(
-            !self.instances.contains_key(&instance),
+            self.weights.insert(instance, 100).is_none(),
             "duplicate instance id {instance}"
-        );
-        self.instances.insert(
-            instance,
-            NfInstance {
-                service,
-                instance,
-                state,
-                weight: 100,
-                last_heartbeat: now,
-            },
         );
         self.by_service.entry(service).or_default().push(instance);
     }
 
     /// Sets an instance's canary weight (share of new traffic).
     pub fn set_weight(&mut self, instance: InstanceId, weight: u32) {
-        self.instances
-            .get_mut(&instance)
-            .expect("known instance")
-            .weight = weight;
+        *self.weights.get_mut(&instance).expect("known instance") = weight;
     }
 
-    /// Looks up an instance.
-    pub fn instance(&self, id: InstanceId) -> Option<&NfInstance> {
-        self.instances.get(&id)
-    }
-
-    /// Thaws a frozen replica, making it eligible for routing. Returns
-    /// false if the instance is unknown or not frozen. Records an
-    /// `NfUnfreeze` event on success.
-    pub fn unfreeze(&mut self, id: InstanceId, now: SimTime) -> bool {
-        match self.instances.get_mut(&id) {
-            Some(nf) if nf.state == NfState::Frozen => {
-                nf.state = NfState::Active;
-                self.record_lifecycle(id, now, |service, instance| EventKind::NfUnfreeze {
-                    service,
-                    instance,
-                });
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Marks an instance failed (e.g. after a missed-heartbeat verdict).
-    /// Records an `NfFailure` event for known instances.
-    pub fn mark_failed(&mut self, id: InstanceId, now: SimTime) {
-        if let Some(nf) = self.instances.get_mut(&id) {
-            nf.state = NfState::Failed;
-            self.record_lifecycle(id, now, |service, instance| EventKind::NfFailure {
-                service,
-                instance,
-            });
-        }
-    }
-
-    /// Records a heartbeat from an instance, both in the registry and on
-    /// the lifecycle flight recorder.
-    pub fn heartbeat(&mut self, id: InstanceId, now: SimTime) {
-        if let Some(nf) = self.instances.get_mut(&id) {
-            nf.last_heartbeat = now;
-            self.record_lifecycle(id, now, |service, instance| EventKind::NfHeartbeat {
-                service,
-                instance,
-            });
-        }
-    }
-
-    /// The periodic liveness sweep: any Active instance whose last
-    /// heartbeat is older than `timeout` is marked Failed (recording an
-    /// `NfFailure` event each) and returned.
-    pub fn detect_failures(&mut self, now: SimTime, timeout: SimDuration) -> Vec<InstanceId> {
-        let mut failed = Vec::new();
-        for nf in self.instances.values_mut() {
-            if nf.state == NfState::Active && now.duration_since(nf.last_heartbeat) > timeout {
-                nf.state = NfState::Failed;
-                failed.push(nf.instance);
-            }
-        }
-        failed.sort_unstable();
-        for &id in &failed {
-            self.record_lifecycle(id, now, |service, instance| EventKind::NfFailure {
-                service,
-                instance,
-            });
-        }
-        failed
-    }
-
-    /// Routes a new flow/transaction to an Active instance of `service`,
+    /// Routes a new flow/transaction to an instance of `service`,
     /// splitting by canary weights. `roll` ∈ [0,1) supplies the
     /// randomness (drawn from the caller's deterministic RNG).
     pub fn route(&self, service: ServiceId, roll: f64) -> Option<InstanceId> {
         let ids = self.by_service.get(&service)?;
-        let active: Vec<&NfInstance> = ids
-            .iter()
-            .filter_map(|id| self.instances.get(id))
-            .filter(|nf| nf.state == NfState::Active)
-            .collect();
-        let total: u64 = active.iter().map(|nf| u64::from(nf.weight)).sum();
+        let weight = |id: &InstanceId| u64::from(self.weights[id]);
+        let total: u64 = ids.iter().map(weight).sum();
         if total == 0 {
             return None;
         }
         let mut point = (roll.clamp(0.0, 0.999_999) * total as f64) as u64;
-        for nf in &active {
-            let w = u64::from(nf.weight);
+        for id in ids {
+            let w = weight(id);
             if point < w {
-                return Some(nf.instance);
+                return Some(*id);
             }
             point -= w;
         }
-        active.last().map(|nf| nf.instance)
-    }
-
-    /// The frozen replica of a service, if any (local failover target).
-    pub fn frozen_replica(&self, service: ServiceId) -> Option<InstanceId> {
-        self.by_service.get(&service)?.iter().copied().find(|id| {
-            self.instances
-                .get(id)
-                .map(|nf| nf.state == NfState::Frozen)
-                .unwrap_or(false)
-        })
-    }
-
-    /// All registered instances of a service.
-    pub fn instances_of(&self, service: ServiceId) -> Vec<&NfInstance> {
-        self.by_service
-            .get(&service)
-            .map(|ids| ids.iter().filter_map(|id| self.instances.get(id)).collect())
-            .unwrap_or_default()
+        ids.last().copied()
     }
 }
 
@@ -217,25 +71,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn routing_prefers_active_instances() {
-        let mut m = Manager::new();
-        m.register(1, 10, NfState::Active, SimTime::ZERO);
-        m.register(1, 11, NfState::Frozen, SimTime::ZERO);
-        for roll in [0.0, 0.5, 0.99] {
-            assert_eq!(
-                m.route(1, roll),
-                Some(10),
-                "frozen replica must not receive traffic"
-            );
-        }
-        assert_eq!(m.route(2, 0.5), None, "unknown service");
-    }
-
-    #[test]
     fn canary_split_follows_weights() {
         let mut m = Manager::new();
-        m.register(1, 10, NfState::Active, SimTime::ZERO); // old version
-        m.register(1, 11, NfState::Active, SimTime::ZERO); // canary
+        m.register(1, 10); // old version
+        m.register(1, 11); // canary
         m.set_weight(10, 90);
         m.set_weight(11, 10);
         let hits_canary = (0..1000)
@@ -248,74 +87,28 @@ mod tests {
     }
 
     #[test]
-    fn failover_unfreezes_replica() {
+    fn routing_prefers_active_instances() {
         let mut m = Manager::new();
-        m.register(3, 30, NfState::Active, SimTime::ZERO);
-        m.register(3, 31, NfState::Frozen, SimTime::ZERO);
-        let t = SimTime::from_nanos(100);
-        m.mark_failed(30, t);
-        assert_eq!(m.route(3, 0.5), None, "no active instance after failure");
-        let replica = m.frozen_replica(3).unwrap();
-        assert_eq!(replica, 31);
-        assert!(m.unfreeze(replica, t));
-        assert_eq!(m.route(3, 0.5), Some(31));
-        assert!(!m.unfreeze(replica, t), "double unfreeze is a no-op");
-
-        let kinds: Vec<_> = m.flight.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                EventKind::NfFailure {
-                    service: 3,
-                    instance: 30
-                },
-                EventKind::NfUnfreeze {
-                    service: 3,
-                    instance: 31
-                },
-            ],
-            "failover timeline lands on the flight recorder"
-        );
-    }
-
-    #[test]
-    fn heartbeat_timeout_detection() {
-        let mut m = Manager::new();
-        m.register(1, 10, NfState::Active, SimTime::ZERO);
-        m.register(1, 11, NfState::Active, SimTime::ZERO);
-        m.register(1, 12, NfState::Frozen, SimTime::ZERO);
-        let t1 = SimTime::ZERO + SimDuration::from_millis(10);
-        m.heartbeat(10, t1);
-        // Sweep at t=15ms with 6ms timeout: 11 missed, 10 fresh, 12 frozen
-        // (frozen replicas don't heartbeat and must not be declared dead).
-        let now = SimTime::ZERO + SimDuration::from_millis(15);
-        let failed = m.detect_failures(now, SimDuration::from_millis(6));
-        assert_eq!(failed, vec![11]);
-        assert_eq!(m.instance(10).unwrap().state, NfState::Active);
-        assert_eq!(m.instance(12).unwrap().state, NfState::Frozen);
-        assert!(
-            m.flight.iter().any(|e| e.kind
-                == EventKind::NfFailure {
-                    service: 1,
-                    instance: 11
-                }),
-            "sweep records the failure event"
-        );
-        assert!(
-            m.flight.iter().any(|e| e.kind
-                == EventKind::NfHeartbeat {
-                    service: 1,
-                    instance: 10
-                }),
-            "heartbeats are recorded"
-        );
+        m.register(1, 10);
+        m.register(1, 11);
+        m.set_weight(11, 0); // drained
+        for roll in [0.0, 0.5, 0.99] {
+            assert_eq!(
+                m.route(1, roll),
+                Some(10),
+                "a drained instance must not receive traffic"
+            );
+        }
+        m.set_weight(10, 0);
+        assert_eq!(m.route(1, 0.5), None, "no active instance");
+        assert_eq!(m.route(2, 0.5), None, "unknown service");
     }
 
     #[test]
     #[should_panic(expected = "duplicate instance")]
     fn duplicate_registration_panics() {
         let mut m = Manager::new();
-        m.register(1, 10, NfState::Active, SimTime::ZERO);
-        m.register(2, 10, NfState::Active, SimTime::ZERO);
+        m.register(1, 10);
+        m.register(2, 10);
     }
 }

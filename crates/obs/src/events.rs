@@ -97,14 +97,7 @@ pub enum EventKind {
         /// Pool capacity.
         capacity: usize,
     },
-    /// An NF instance heartbeated the manager.
-    NfHeartbeat {
-        /// Service id.
-        service: u32,
-        /// Instance id.
-        instance: u32,
-    },
-    /// The manager marked an instance failed.
+    /// An instance (service 0: the whole 5GC unit) failed.
     NfFailure {
         /// Service id.
         service: u32,
@@ -177,7 +170,6 @@ impl EventKind {
             EventKind::RingEnqueueStall { .. } => "ring_enqueue_stall",
             EventKind::RingDequeueStall { .. } => "ring_dequeue_stall",
             EventKind::MempoolExhausted { .. } => "mempool_exhausted",
-            EventKind::NfHeartbeat { .. } => "nf_heartbeat",
             EventKind::NfFailure { .. } => "nf_failure",
             EventKind::NfUnfreeze { .. } => "nf_unfreeze",
             EventKind::PfcpEstablish { .. } => "pfcp_establish",

@@ -67,8 +67,7 @@ pub fn event_to_value(e: &Event) -> Value {
         EventKind::MempoolExhausted { in_use, capacity } => b
             .field("in_use", Value::U64(in_use as u64))
             .field("capacity", Value::U64(capacity as u64)),
-        EventKind::NfHeartbeat { service, instance }
-        | EventKind::NfFailure { service, instance }
+        EventKind::NfFailure { service, instance }
         | EventKind::NfUnfreeze { service, instance } => b
             .field("service", Value::U64(u64::from(service)))
             .field("instance", Value::U64(u64::from(instance))),

@@ -3,8 +3,10 @@
 //! L²5GC avoids 3GPP's reattach-from-scratch recovery with a packet
 //! logger, a frozen replica and replay under external synchrony. This
 //! crate holds the pieces; `l25gc_testbed::World`'s `Resilience` harness
-//! wires them around a live `CoreNetwork`, and that harness is what every
-//! failover figure runs.
+//! wires them around a live `CoreNetwork` and is the one failover
+//! implementation: every failover figure runs it, and its replay
+//! suppresses each output the dead primary had already released, matched
+//! by the output itself rather than by a count.
 //!
 //! - [`logger`] — the LB-side packet logger: every inbound message gets
 //!   a counter and a copy in one of four queues (UL/DL × control/data);
@@ -16,19 +18,12 @@
 //!   migration, and the detect→reroute→replay timeline.
 //! - [`reattach`] — the 3GPP restoration baseline L²5GC is compared
 //!   against in §5.5.
-//! - [`fsm`] — the failover protocol as a clock-free specification:
-//!   typed [`FaultEvent`] transitions to typed [`FsmAction`]s over an
-//!   in-flight message multiset, with nothing lost, nothing duplicated
-//!   and external synchrony property-tested. No running path steps it;
-//!   its module docs record where `World`'s harness differs.
 
-pub mod fsm;
 pub mod lb;
 pub mod logger;
 pub mod reattach;
 pub mod replica;
 
-pub use fsm::{FailoverFsm, FaultEvent, FsmAction, FsmState};
 pub use lb::{FailoverTimeline, UeAwareLb, UnitId};
 pub use logger::{LoggedEntry, PacketLogger, QueueKind};
 pub use reattach::ReattachModel;

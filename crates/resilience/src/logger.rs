@@ -115,23 +115,32 @@ impl PacketLogger {
         }
     }
 
-    /// Drains every logged entry in counter order — the replay stream fed
-    /// to the replica on failover.
+    /// The queue whose head has the lowest counter.
+    fn head(&self) -> Option<usize> {
+        let (_, i) = self
+            .queues
+            .iter()
+            .enumerate()
+            .filter_map(|(i, q)| q.front().map(|e| (e.counter, i)))
+            .min()?;
+        Some(i)
+    }
+
+    /// The entry with the lowest counter: the next one the replay feeds
+    /// the replica on failover.
+    pub fn peek(&self) -> Option<&LoggedEntry> {
+        self.queues[self.head()?].front()
+    }
+
+    /// Removes the entry with the lowest counter.
+    pub fn pop(&mut self) -> Option<LoggedEntry> {
+        let i = self.head()?;
+        self.queues[i].pop_front()
+    }
+
+    /// Drains every logged entry in counter order.
     pub fn replay(&mut self) -> Vec<LoggedEntry> {
-        let mut out = Vec::new();
-        loop {
-            // Pick the queue whose head has the lowest counter.
-            let next = self
-                .queues
-                .iter()
-                .enumerate()
-                .filter_map(|(i, q)| q.front().map(|e| (e.counter, i)))
-                .min();
-            match next {
-                Some((_, i)) => out.push(self.queues[i].pop_front().expect("head present")),
-                None => return out,
-            }
-        }
+        std::iter::from_fn(|| self.pop()).collect()
     }
 
     /// Entries currently held.

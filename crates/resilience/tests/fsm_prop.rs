@@ -1,196 +1,179 @@
-//! Interleaving exploration of the pure failover FSM (ISSUE 8
-//! tentpole): across arbitrary schedules of ingress / commit /
-//! checkpoint / heartbeat / reroute / replica-wake events, no in-flight
-//! message is lost, none is delivered twice, replay is counter-ordered,
-//! and external synchrony holds (nothing is forwarded between failure
-//! confirmation and replay completion).
+//! Interleaving exploration of the failover state this crate keeps for
+//! `l25gc_testbed::World`'s harness: the packet logger and the frozen
+//! replica. Across arbitrary schedules of ingress / processing /
+//! checkpoint / failover steps, the woken replica plus the replay burst
+//! holds every ingress exactly once, in counter order, except the data
+//! entries the logger counted as shed. The end-to-end half (duplicate
+//! outputs suppressed, nothing overtaking the replay) is checked on the
+//! running core by `tests/proptest_world.rs`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::VecDeque;
 
-use l25gc_resilience::{FailoverFsm, FaultEvent, FsmAction, FsmState};
+use l25gc_core::msg::{DataPacket, Direction, Endpoint, Envelope, Msg, SbiOp, UeId};
+use l25gc_resilience::{PacketLogger, Replica};
+use l25gc_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
-/// Mirror of the machine's externally visible bookkeeping, rebuilt
-/// purely from the emitted actions — so the test also proves the
-/// actions faithfully describe the state evolution.
-#[derive(Default)]
-struct Shadow {
-    /// counter → id, rebuilt from LogPacket / ReleaseLog / Replay*.
-    log: BTreeMap<u64, u64>,
-    last_logged: Option<u64>,
-    /// True between StartReroute and ResumeForwarding.
-    outage: bool,
-    replayed: BTreeSet<u64>,
-    suppressed: BTreeSet<u64>,
+fn data_env(dir: Direction, seq: u64) -> Envelope {
+    let (from, to) = match dir {
+        Direction::Uplink => (Endpoint::Gnb(1), Endpoint::UpfU),
+        Direction::Downlink => (Endpoint::Dn, Endpoint::UpfU),
+    };
+    Envelope::new(
+        from,
+        to,
+        Msg::Data(DataPacket {
+            ue: 1,
+            flow: 0,
+            dir,
+            seq,
+            size: 100,
+            sent_at: SimTime::ZERO,
+            dst_port: 80,
+            protocol: 6,
+            tunnel_teid: None,
+            ack_seq: None,
+        }),
+    )
 }
 
-impl Shadow {
-    fn apply(&mut self, acts: &[FsmAction]) -> Result<(), TestCaseError> {
-        let mut last_replay: Option<u64> = None;
-        for a in acts {
-            match *a {
-                FsmAction::LogPacket { counter, id } => {
-                    prop_assert!(
-                        self.last_logged.is_none_or(|l| counter > l),
-                        "log counters must be strictly increasing"
-                    );
-                    self.last_logged = Some(counter);
-                    self.log.insert(counter, id);
-                }
-                FsmAction::Forward { .. } => {
-                    prop_assert!(!self.outage, "external synchrony: no forward mid-failover");
-                }
-                FsmAction::ReleaseLog { upto } => {
-                    self.log.retain(|&c, _| c >= upto);
-                }
-                FsmAction::StartReroute => self.outage = true,
-                FsmAction::WakeReplica => {}
-                FsmAction::ReplayPacket { counter, id } => {
-                    prop_assert!(
-                        last_replay.is_none_or(|l| counter > l),
-                        "replay must drain in counter order"
-                    );
-                    last_replay = Some(counter);
-                    self.log.remove(&counter);
-                    prop_assert!(self.replayed.insert(id), "id replayed twice");
-                }
-                FsmAction::ReplaySuppressed { counter, id } => {
-                    prop_assert!(
-                        last_replay.is_none_or(|l| counter > l),
-                        "suppressed replays keep counter order too"
-                    );
-                    last_replay = Some(counter);
-                    self.log.remove(&counter);
-                    self.suppressed.insert(id);
-                }
-                FsmAction::ResumeForwarding => self.outage = false,
-            }
-        }
-        Ok(())
+/// Decodes a drawn byte into a data or control ingress.
+fn env_for(code: u8, seq: u64) -> Envelope {
+    match code % 3 {
+        0 => data_env(Direction::Uplink, seq),
+        1 => data_env(Direction::Downlink, seq),
+        _ => Envelope::new(
+            Endpoint::Gnb(1),
+            Endpoint::Amf,
+            Msg::Sbi {
+                op: SbiOp::SmContextRetrieveReq,
+                ue: seq as UeId,
+            },
+        ),
     }
 }
+
+/// The replicated state: the counters the core has processed, in order.
+type Applied = Vec<u64>;
 
 proptest! {
-    /// The headline invariant: for every interleaving, after the
-    /// failover completes, every ingress id is accounted for exactly
-    /// once — committed pre-failure, delivered by replay, or still held
-    /// in the log (arrived post-recovery) — with the committed and
-    /// replayed sets disjoint.
+    /// The headline invariant: for every interleaving, each failover
+    /// wakes the replica at its watermark and replays exactly the
+    /// logged tail, so the recovered core has processed every ingress
+    /// once — none lost unless the logger counted it as shed data, none
+    /// applied twice — and replay drains in counter order.
     #[test]
     fn no_event_lost_or_duplicated_across_interleavings(
-        ops in proptest::collection::vec((0u8..7, 0u64..1_000_000), 1..250),
-        multiplier in 1u32..4,
+        ops in proptest::collection::vec((0u8..6, any::<u8>()), 1..250),
+        shed in any::<bool>(),
     ) {
-        let mut fsm = FailoverFsm::new(multiplier);
-        let mut shadow = Shadow::default();
-        let mut next_id = 0u64;
-        let mut forwarded: Vec<u64> = Vec::new();
-        let step = |fsm: &mut FailoverFsm, shadow: &mut Shadow, ev: FaultEvent|
-            -> Result<(), TestCaseError> {
-            let acts = fsm.step(ev);
-            shadow.apply(&acts)?;
-            prop_assert_eq!(
-                shadow.log.len(),
-                fsm.in_flight(),
-                "actions must faithfully describe the in-flight log"
-            );
-            Ok(())
-        };
-        for (op, pick) in ops {
-            let ev = match op {
+        let mut logger = PacketLogger::new(if shed { 4 } else { 10_000 });
+        let mut primary: Applied = Vec::new();
+        let mut replica = Replica::new(primary.clone(), SimTime::ZERO);
+        // Logged but not yet processed by the primary.
+        let mut pending: VecDeque<u64> = VecDeque::new();
+        let mut data_counters: Vec<u64> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut failovers = 0u32;
+        for (op, code) in ops {
+            now += SimDuration::from_millis(1);
+            match op {
                 0 | 1 => {
-                    let id = next_id;
-                    next_id += 1;
-                    forwarded.push(id);
-                    FaultEvent::Ingress(id)
-                }
-                2 => {
-                    // Commit a random previously seen id (the machine
-                    // ignores stale/unknown ones — that is part of what
-                    // we are testing).
-                    if forwarded.is_empty() {
-                        continue;
+                    let counter = logger.log(&env_for(code, u64::from(code)));
+                    if matches!(code % 3, 0 | 1) {
+                        data_counters.push(counter);
                     }
-                    FaultEvent::Commit(forwarded[(pick as usize) % forwarded.len()])
+                    pending.push_back(counter);
                 }
-                3 => FaultEvent::CheckpointAck(pick % (fsm.next_counter() + 1)),
+                2 | 3 => {
+                    if let Some(c) = pending.pop_front() {
+                        primary.push(c);
+                    }
+                }
                 4 => {
-                    if pick % 2 == 0 {
-                        FaultEvent::HeartbeatMiss
-                    } else {
-                        FaultEvent::HeartbeatOk
+                    // A checkpoint is taken only at a quiescent point:
+                    // everything below the watermark is processed.
+                    if pending.is_empty() {
+                        let watermark = logger.next_counter();
+                        replica.checkpoint(&primary, watermark, now);
+                        logger.release_upto(watermark);
                     }
                 }
-                5 => FaultEvent::RerouteDone,
-                _ => FaultEvent::ReplicaAwake,
-            };
-            step(&mut fsm, &mut shadow, ev)?;
-        }
-        // Force the failover to completion so the accounting can close.
-        if !matches!(fsm.state(), FsmState::Recovered) {
-            for _ in 0..multiplier {
-                step(&mut fsm, &mut shadow, FaultEvent::HeartbeatMiss)?;
+                _ => {
+                    let mut woken = replica.unfreeze(now);
+                    let burst = logger.replay();
+                    prop_assert!(
+                        burst.windows(2).all(|w| w[0].counter < w[1].counter),
+                        "replay must drain in counter order"
+                    );
+                    prop_assert!(
+                        burst.iter().all(|e| e.counter >= replica.synced_upto()),
+                        "replay holds only the unreleased tail"
+                    );
+                    woken.extend(burst.iter().map(|e| e.counter));
+                    // The dead primary's in-flight ingress was logged, so
+                    // the replay covers it.
+                    pending.clear();
+                    primary = woken;
+                    replica = Replica::new(primary.clone(), now);
+                    failovers += 1;
+                }
             }
-            step(&mut fsm, &mut shadow, FaultEvent::RerouteDone)?;
-            step(&mut fsm, &mut shadow, FaultEvent::ReplicaAwake)?;
         }
-        prop_assert_eq!(fsm.state(), FsmState::Recovered);
+        primary.extend(pending.drain(..));
 
-        let committed = fsm.committed();
-        let replayed = fsm.replayed();
         prop_assert!(
-            committed.is_disjoint(replayed),
-            "an id must never be delivered both pre-failure and by replay"
+            primary.windows(2).all(|w| w[0] < w[1]),
+            "no ingress applied twice, and processing keeps counter order"
         );
-        prop_assert_eq!(
-            replayed, &shadow.replayed,
-            "machine and action-derived replay sets agree"
+        let lost: Vec<u64> = (0..logger.next_counter())
+            .filter(|c| primary.binary_search(c).is_err())
+            .collect();
+        prop_assert!(
+            lost.iter().all(|c| data_counters.contains(c)),
+            "control is never lost: {:?}", lost
         );
-        // Nothing lost: every ingress id is committed, replayed, or
-        // still in the (post-recovery) log awaiting the next cycle.
-        let in_log: BTreeSet<u64> = shadow.log.values().copied().collect();
-        for id in 0..next_id {
-            prop_assert!(
-                committed.contains(&id) || replayed.contains(&id) || in_log.contains(&id),
-                "ingress id {} vanished", id
-            );
+        prop_assert!(
+            lost.len() as u64 <= logger.overflow_drops,
+            "every lost ingress was counted as shed"
+        );
+        if !shed {
+            prop_assert!(lost.is_empty(), "nothing lost without shedding");
         }
-        // Suppressed replays are exactly re-executions of committed ids.
-        prop_assert!(shadow.suppressed.is_subset(committed));
+        if failovers == 0 {
+            prop_assert!(lost.is_empty(), "nothing lost without a failover");
+        }
     }
 
-    /// Focused replay shape: ingress N, commit a prefix, checkpoint at a
-    /// watermark, fail — the replay burst is exactly the unreleased
-    /// entries, counter-ordered, and only uncommitted ids deliver.
+    /// Focused replay shape: log N, process a prefix, checkpoint at a
+    /// watermark inside it, fail — the replay burst is exactly the
+    /// unreleased entries, counter-ordered, and the woken replica plus
+    /// the burst equals the primary's processed state plus its
+    /// unprocessed tail.
     #[test]
     fn replay_burst_is_exactly_the_unreleased_tail(
-        n in 1u64..60,
-        committed_prefix in 0u64..60,
-        watermark in 0u64..60,
+        mix in proptest::collection::vec(any::<u8>(), 1..60),
+        processed in 0usize..60,
+        watermark in 0usize..60,
     ) {
-        let committed_prefix = committed_prefix.min(n);
-        let watermark = watermark.min(committed_prefix);
-        let mut fsm = FailoverFsm::new(1);
-        for id in 0..n {
-            fsm.step(FaultEvent::Ingress(id));
+        let n = mix.len();
+        let processed = processed.min(n);
+        let watermark = watermark.min(processed) as u64;
+        let mut logger = PacketLogger::new(10_000);
+        for (i, &code) in mix.iter().enumerate() {
+            prop_assert_eq!(logger.log(&env_for(code, i as u64)), i as u64);
         }
-        for id in 0..committed_prefix {
-            fsm.step(FaultEvent::Commit(id));
-        }
-        fsm.step(FaultEvent::CheckpointAck(watermark));
-        fsm.step(FaultEvent::HeartbeatMiss);
-        fsm.step(FaultEvent::RerouteDone);
-        let acts = fsm.step(FaultEvent::ReplicaAwake);
-        let mut expect = Vec::new();
-        for id in watermark..n {
-            // Ids double as counters here: ingress order.
-            if id < committed_prefix {
-                expect.push(FsmAction::ReplaySuppressed { counter: id, id });
-            } else {
-                expect.push(FsmAction::ReplayPacket { counter: id, id });
-            }
-        }
-        expect.push(FsmAction::ResumeForwarding);
-        prop_assert_eq!(acts, expect);
+        let mut replica = Replica::new(Applied::new(), SimTime::ZERO);
+        let checkpointed: Applied = (0..watermark).collect();
+        replica.checkpoint(&checkpointed, watermark, SimTime::ZERO);
+        logger.release_upto(watermark);
+
+        let woken = replica.unfreeze(SimTime::ZERO);
+        prop_assert_eq!(&woken, &checkpointed);
+        let burst: Vec<u64> = logger.replay().iter().map(|e| e.counter).collect();
+        prop_assert_eq!(&burst, &(watermark..n as u64).collect::<Vec<_>>());
+        let recovered: Applied = woken.into_iter().chain(burst).collect();
+        prop_assert_eq!(recovered, (0..n as u64).collect::<Vec<_>>());
+        prop_assert!(logger.is_empty(), "replay drains the log");
     }
 }

@@ -7,9 +7,9 @@ use l25gc_classifier::{
     TupleSpace,
 };
 use l25gc_core::Deployment;
-use l25gc_nfv::{Manager, NfState};
+use l25gc_nfv::Manager;
 use l25gc_resilience::UeAwareLb;
-use l25gc_sim::{Engine, SimDuration, SimTime};
+use l25gc_sim::{Engine, SimDuration};
 
 use crate::world::World;
 
@@ -185,8 +185,8 @@ pub struct CanaryRow {
 pub fn canary_rollout(weight_pct: u32, total: usize) -> CanaryRow {
     const SMF: u32 = 3;
     let mut m = Manager::new();
-    m.register(SMF, 30, NfState::Active, SimTime::ZERO); // stable version
-    m.register(SMF, 31, NfState::Active, SimTime::ZERO); // canary
+    m.register(SMF, 30); // stable version
+    m.register(SMF, 31); // canary
     m.set_weight(30, 100 - weight_pct);
     m.set_weight(31, weight_pct);
     let mut rng = l25gc_sim::SimRng::new(4);

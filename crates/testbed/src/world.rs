@@ -7,15 +7,21 @@
 //! applications (CBR echo, TCP sender/receiver, page loads). Delays come
 //! back from the handlers; the world just schedules.
 //!
-//! With resiliency enabled the world plays the Fig 5 topology: every
-//! message entering the 5GC unit from outside is counted and logged at
-//! the LB; a frozen remote replica is checkpointed at quiescent instants;
-//! on primary failure the replica wakes, the log replays, and duplicate
-//! outputs are suppressed by the output counter (REINFORCE-style).
+//! With resiliency enabled the world plays the Fig 5 topology. Every
+//! message entering the 5GC unit from outside gets a counter and a copy
+//! in the LB's packet logger. A frozen remote replica is checkpointed at
+//! quiescent instants. On primary failure the replica wakes and the log
+//! replays in counter order; ingress arriving before the log drains is
+//! logged and joins its tail, so nothing overtakes the replay.
+//! Suppression is per output, not by count: the harness keeps the
+//! external outputs the primary released since the checkpoint, and the
+//! replay suppresses each regenerated one once. Every delivery carries
+//! the core incarnation that scheduled it, so the dead primary's
+//! in-flight internal messages never reach the replica.
 
 use std::collections::HashMap;
 
-use l25gc_core::msg::{DataPacket, Endpoint, Envelope, Msg, UeId};
+use l25gc_core::msg::{DataPacket, Direction, Endpoint, Envelope, Msg, UeId};
 use l25gc_core::net::{CoreNetwork, HandoverScheme};
 use l25gc_core::Deployment;
 use l25gc_obs::{EventKind, ProcKind};
@@ -56,13 +62,17 @@ pub struct Resilience {
     pub policy: CheckpointPolicy,
     /// Failover timing components.
     pub timeline: FailoverTimeline,
-    /// Core → outside envelopes released so far.
-    pub outputs_released: u64,
-    /// Value of `outputs_released` at the last checkpoint.
-    pub outputs_at_checkpoint: u64,
-    /// Outputs to suppress during replay (already emitted by the dead
-    /// primary).
-    suppress_remaining: u64,
+    /// External outputs, a multiset. While the replica is frozen: those
+    /// the primary released since the last checkpoint. Once it is active:
+    /// the duplicates replay has yet to suppress.
+    released: Vec<OutputId>,
+    /// Where the replay into the woken replica stands.
+    replay: Replay,
+    /// Counter of the first ingress the primary never handled: everything
+    /// logged from the failure instant on.
+    unseen_from: u64,
+    /// Logger counters delivered to the woken replica, in order.
+    pub replayed: Vec<u64>,
     /// Checkpoints skipped because the core was mid-procedure.
     pub checkpoints_deferred: u64,
 }
@@ -75,13 +85,64 @@ impl Resilience {
             replica: Replica::new(core.clone(), now),
             policy: CheckpointPolicy::paper(),
             timeline: FailoverTimeline::paper(&core.cost),
-            outputs_released: 0,
-            outputs_at_checkpoint: 0,
-            suppress_remaining: 0,
+            released: Vec::new(),
+            replay: Replay::Idle,
+            unseen_from: 0,
+            replayed: Vec::new(),
             checkpoints_deferred: 0,
         }
     }
 }
+
+/// Where the replay into the woken replica stands.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Replay {
+    /// No failover yet, or the log has drained and every replayed chain
+    /// has finished.
+    Idle,
+    /// The next admission is scheduled.
+    Running,
+    /// The next entry, or the replay's end, waits for the replica's
+    /// internal messages to drain.
+    Parked,
+}
+
+/// What makes a replica's external output the same as one the primary
+/// released. Not the ingress that caused it: the smart buffer releases a
+/// packet from whichever chain flushes it, the first buffered packet's
+/// chain reports downlink data and pages, and which chain that is depends
+/// on how live traffic interleaved with a procedure, which a replay does
+/// not reproduce. A data packet is itself, whichever tunnel it leaves
+/// by; a control message is its destination and content.
+#[derive(PartialEq)]
+enum OutputId {
+    Packet {
+        ue: UeId,
+        flow: u32,
+        uplink: bool,
+        seq: u64,
+        sent_at: SimTime,
+    },
+    Control(Endpoint, Msg),
+}
+
+impl OutputId {
+    fn of(env: &Envelope) -> OutputId {
+        match &env.msg {
+            Msg::Data(p) => OutputId::Packet {
+                ue: p.ue,
+                flow: p.flow,
+                uplink: p.dir == Direction::Uplink,
+                seq: p.seq,
+                sent_at: p.sent_at,
+            },
+            msg => OutputId::Control(env.to, msg.clone()),
+        }
+    }
+}
+
+/// Spacing of replay admissions into the woken replica.
+const REPLAY_GAP: SimDuration = SimDuration::from_micros(2);
 
 /// The complete simulated system.
 pub struct World {
@@ -102,10 +163,9 @@ pub struct World {
     /// Internal (core→core) messages currently in flight — checkpoints
     /// only fire at zero (quiescence → consistent snapshots).
     in_flight_internal: u32,
-    /// True while a replayed log entry is being processed: output
-    /// suppression applies only to outputs regenerated from the replay,
-    /// never to interleaved live traffic.
-    in_replay: bool,
+    /// Bumped at failover: internal messages the dead primary scheduled
+    /// carry the old value and are dropped on arrival.
+    incarnation: u32,
     /// DL packets dropped because the core was dead (3GPP baseline).
     pub outage_drops: u64,
 }
@@ -149,7 +209,7 @@ impl World {
             res: None,
             primary_alive: true,
             in_flight_internal: 0,
-            in_replay: false,
+            incarnation: 0,
             outage_drops: 0,
         }
     }
@@ -186,7 +246,7 @@ impl World {
             let watermark = res.logger.next_counter();
             res.replica.checkpoint(&self.core, watermark, ctx.now());
             res.logger.release_upto(watermark);
-            res.outputs_at_checkpoint = res.outputs_released;
+            res.released.clear();
         } else {
             res.checkpoints_deferred += 1;
         }
@@ -201,7 +261,8 @@ impl World {
     /// performs the 3GPP reattach.
     pub fn fail_primary(&mut self, ctx: &mut Ctx) {
         self.primary_alive = false;
-        if let Some(res) = self.res.as_ref() {
+        if let Some(res) = self.res.as_mut() {
+            res.unseen_from = res.logger.next_counter();
             let delay = res.timeline.total();
             let failed_at = ctx.now();
             self.mailbox
@@ -214,9 +275,9 @@ impl World {
         let timeline = res.timeline;
         // Wake the replica with the checkpointed state.
         self.core = res.replica.unfreeze(ctx.now());
-        res.suppress_remaining = res
-            .outputs_released
-            .saturating_sub(res.outputs_at_checkpoint);
+        res.replay = Replay::Running;
+        self.incarnation += 1;
+        self.in_flight_internal = 0;
         self.primary_alive = true;
         // Record the failover timeline on the *live* (replica) core, which
         // is the one whose trace gets drained afterwards. Unit-level ids:
@@ -263,18 +324,59 @@ impl World {
             .obs
             .spans
             .record_segment("lb", "replay", replay_start, timeline.replay);
-        // Replay the log in counter order. Each entry re-enters the core
-        // back-to-back (replay already accounted in the timeline).
-        let entries = res.logger.replay();
-        let per_entry = SimDuration::from_micros(2);
-        for (i, e) in entries.into_iter().enumerate() {
-            let env = e.env;
+        // Replay the log in counter order (its duration is already
+        // accounted in the timeline).
+        self.mailbox
+            .send_in(ctx, REPLAY_GAP, |w, ctx| w.replay_next(ctx));
+    }
+
+    /// Admits the lowest-counter log entry into the replica and schedules
+    /// the next admission; an empty log on a quiescent replica ends the
+    /// replay. The entries the primary handled rebuild its state
+    /// one chain at a time: each waits until the replica has no internal
+    /// message in flight. The primary's interleaving of traffic with
+    /// procedures cannot be reproduced at replay speed, and serial order
+    /// keeps every procedure step in place, so a peer's answer never beats
+    /// the step it answers. Data the primary never saw is new traffic and
+    /// keeps the pace beside a running procedure, as it would live; new
+    /// control still waits.
+    fn replay_next(&mut self, ctx: &mut Ctx) {
+        let res = self.res.as_mut().expect("replay runs under the harness");
+        let quiescent = self.in_flight_internal == 0;
+        let Some(next) = res.logger.peek() else {
+            if quiescent {
+                // Every replayed chain has finished: a control message
+                // sent from now on is new, even if one like it was
+                // released before. A packet is never sent twice, so the
+                // packets stay until their flush comes.
+                res.replay = Replay::Idle;
+                res.released
+                    .retain(|r| matches!(r, OutputId::Packet { .. }));
+            } else {
+                res.replay = Replay::Parked;
+            }
+            return;
+        };
+        let new_data = next.counter >= res.unseen_from && matches!(next.env.msg, Msg::Data(_));
+        if !quiescent && !new_data {
+            res.replay = Replay::Parked;
+            return;
+        }
+        let e = res.logger.pop().expect("peeked entry");
+        res.replayed.push(e.counter);
+        self.deliver_to_core(e.env, ctx);
+        self.mailbox
+            .send_in(ctx, REPLAY_GAP, |w, ctx| w.replay_next(ctx));
+    }
+
+    /// Schedules the next replay admission `after` from now if the replay
+    /// is parked: the replica has just gone quiescent, or new ingress
+    /// joined the log.
+    fn wake_replay(&mut self, ctx: &Ctx, after: SimDuration) {
+        if let Some(res) = self.res.as_mut().filter(|r| r.replay == Replay::Parked) {
+            res.replay = Replay::Running;
             self.mailbox
-                .send_in(ctx, per_entry * (i as u64 + 1), move |w, ctx| {
-                    w.in_replay = true;
-                    w.deliver_to_core(env, ctx);
-                    w.in_replay = false;
-                });
+                .send_in(ctx, after, |w, ctx| w.replay_next(ctx));
         }
     }
 
@@ -337,39 +439,57 @@ impl World {
         }
     }
 
-    /// Sends `env` after `delay` (the universal scheduling helper).
+    /// Sends `env` after `delay` (the universal scheduling helper),
+    /// stamped with the current core incarnation.
     pub fn send_after(&mut self, ctx: &Ctx, delay: SimDuration, env: Envelope) {
         if is_core(env.to) && is_core(env.from) {
             self.in_flight_internal += 1;
         }
+        let incarnation = self.incarnation;
         self.mailbox
-            .send_in(ctx, delay, move |w, ctx| w.deliver(env, ctx));
+            .send_in(ctx, delay, move |w, ctx| w.route(env, incarnation, ctx));
     }
 
     /// Routes one delivered envelope.
     pub fn deliver(&mut self, env: Envelope, ctx: &mut Ctx) {
+        self.route(env, self.incarnation, ctx);
+    }
+
+    /// Routes `env`, sent while the core was in `incarnation`.
+    fn route(&mut self, env: Envelope, incarnation: u32, ctx: &mut Ctx) {
         if is_core(env.to) {
             if is_core(env.from) {
+                if incarnation != self.incarnation {
+                    return; // scheduled by the dead primary
+                }
                 self.in_flight_internal -= 1;
-            } else {
-                // External ingress: the LB logs it (until the replica is
-                // the active copy — there is no further standby to replay
-                // into, so post-failover logging would only shed).
-                if let Some(res) = self.res.as_mut() {
-                    if res.replica.state == ReplicaState::Frozen || !self.primary_alive {
-                        res.logger.log(&env);
-                    }
+            } else if let Some(res) = self.res.as_mut() {
+                // External ingress: the LB logs it until the replica is
+                // the active copy and its replay has drained. While the
+                // core is dead or replaying, the logged copy waits its
+                // turn in the log.
+                let held = !self.primary_alive || res.replay != Replay::Idle;
+                if held || res.replica.state == ReplicaState::Frozen {
+                    res.logger.log(&env);
+                }
+                if held {
+                    // New ingress waits for nothing the log does not hold.
+                    self.wake_replay(ctx, SimDuration::ZERO);
+                    return;
                 }
             }
             if !self.primary_alive {
-                // Dead core. Resilient: the logged copy replays later.
-                // 3GPP baseline: the packet is simply lost.
+                // Dead core without resilience (3GPP baseline): the
+                // packet is simply lost.
                 if self.res.is_none() {
                     self.outage_drops += 1;
                 }
                 return;
             }
             self.deliver_to_core(env, ctx);
+            if self.in_flight_internal == 0 {
+                self.wake_replay(ctx, REPLAY_GAP);
+            }
             return;
         }
         match env.to {
@@ -401,16 +521,15 @@ impl World {
     fn deliver_to_core(&mut self, env: Envelope, ctx: &mut Ctx) {
         let outs = self.core.handle(env, ctx.now());
         for o in outs {
-            let external = !is_core(o.env.to);
-            if external {
-                if let Some(res) = self.res.as_mut() {
-                    if self.in_replay && res.suppress_remaining > 0 {
-                        // Duplicate of an output the primary already
-                        // released before dying.
-                        res.suppress_remaining -= 1;
-                        continue;
-                    }
-                    res.outputs_released += 1;
+            if let Some(res) = self.res.as_mut().filter(|_| !is_core(o.env.to)) {
+                let id = OutputId::of(&o.env);
+                if res.replica.state == ReplicaState::Frozen {
+                    res.released.push(id);
+                } else if let Some(i) = res.released.iter().position(|r| *r == id) {
+                    // Duplicate of an output the primary released before
+                    // dying.
+                    res.released.swap_remove(i);
+                    continue;
                 }
             }
             let mut delay = o.delay;

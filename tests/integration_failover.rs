@@ -213,3 +213,90 @@ fn reattach_baseline_drops_and_recovers() {
         .count();
     assert!(after > 500, "post-recovery traffic flows: {after}");
 }
+
+/// Fails the primary `fail_after` into a handover that starts 50 ms into
+/// a 10 kpps CBR stream (the UE echoes every packet).
+fn fail_during_handover(fail_after: SimDuration) -> Engine<World> {
+    let mut eng = Engine::new(56, World::new(Deployment::L25gc, 2, 1));
+    World::bring_up_ue(&mut eng, 1);
+    World::enable_resilience(&mut eng);
+    eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
+        w.start_cbr(1, 0, 10_000, 200, SimDuration::from_millis(400), ctx);
+    });
+    eng.run_for_with_mailbox(SimDuration::from_millis(50));
+    eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
+        let out = w.ran.trigger_handover(1, 2);
+        w.send_after(ctx, out.delay, out.env);
+    });
+    eng.schedule_in(fail_after, |w: &mut World, ctx| w.fail_primary(ctx));
+    eng.run_with_mailbox();
+    eng
+}
+
+/// A failure anywhere in a handover: replay re-runs each logged ingress
+/// only once the replica has finished the previous one's internal chain
+/// (so a target gNB's acknowledge cannot beat the preparation it
+/// answers), a buffer flush the primary released is suppressed rather
+/// than re-sent, and the dead primary's in-flight internal messages never
+/// reach the replica.
+#[test]
+fn failover_anywhere_in_a_handover_delivers_each_packet_once() {
+    for step in 0..=100 {
+        let fail_after = SimDuration::from_millis(2 * step);
+        let eng = fail_during_handover(fail_after);
+        let w = eng.world();
+        assert!(
+            w.core.events.iter().any(|e| e.event == UeEvent::Handover),
+            "fail at +{fail_after}: the handover completes"
+        );
+        assert_eq!(w.ran.ues[&1].serving_gnb, 2, "fail at +{fail_after}");
+        let flow = &w.apps.cbr[0];
+        assert_eq!(
+            w.apps.ue_received, flow.sent,
+            "fail at +{fail_after}: every DL packet reaches the UE exactly once"
+        );
+        assert_eq!(flow.lost(), 0, "fail at +{fail_after}");
+    }
+}
+
+/// An overflowing log: a shed entry costs its own output, and only when
+/// the primary had not released it. Suppression is per ingress, so the
+/// outputs the primary released for shed entries never count against
+/// the entries that survive.
+#[test]
+fn a_shed_log_entry_costs_only_its_own_unreleased_output() {
+    let mut eng = Engine::new(3, World::new(Deployment::L25gc, 2, 1));
+    World::bring_up_ue(&mut eng, 1);
+    World::enable_resilience(&mut eng);
+    eng.world_mut()
+        .res
+        .as_mut()
+        .expect("harness")
+        .logger
+        .data_capacity = 4;
+    eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
+        w.start_cbr(1, 0, 10_000, 200, SimDuration::from_millis(300), ctx);
+        // Downlink only: the log's data entries are all DL packets.
+        w.apps.echo_at_ue = false;
+    });
+    // 5 ms after a checkpoint: the log holds 4 of the ~50 DL packets the
+    // primary forwarded since, and the ~40 arriving during the outage
+    // evict those 4 first.
+    eng.run_for_with_mailbox(SimDuration::from_millis(105));
+    let (held, shed_before) = {
+        let logger = &eng.world().res.as_ref().expect("harness").logger;
+        (logger.len() as u64, logger.overflow_drops)
+    };
+    assert_eq!(held, 4, "the log is full of released DL entries");
+    eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| w.fail_primary(ctx));
+    eng.run_with_mailbox();
+    let w = eng.world();
+    let shed_after = w.res.as_ref().expect("harness").logger.overflow_drops - shed_before;
+    assert!(shed_after > held, "the outage overflowed the log");
+    let sent = w.apps.cbr[0].sent;
+    assert_eq!(
+        sent - w.apps.ue_received,
+        shed_after - held,
+        "only the unreleased shed entries are lost"
+    );
+}
