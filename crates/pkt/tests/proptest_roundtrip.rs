@@ -1,11 +1,25 @@
 //! Property tests: every wire format must roundtrip arbitrary field values,
 //! and parsers must never panic on arbitrary bytes.
 
-use l25gc_pkt::{gtpu, ipv4, pfcp, tcp, udp, Ipv4Addr};
+use l25gc_pkt::{gtpu, ipv4, nas, ngap, pfcp, tcp, udp, Ipv4Addr};
 use proptest::prelude::*;
 
 fn arb_addr() -> impl Strategy<Value = Ipv4Addr> {
     any::<[u8; 4]>().prop_map(Ipv4Addr)
+}
+
+/// NAS message type octets `nas::NasMessage::decode` knows.
+const NAS_TYPES: [u8; 13] = [
+    0x41, 0x42, 0x43, 0x45, 0x46, 0x4c, 0x4e, 0x56, 0x57, 0x5d, 0x5e, 0xc1, 0xc2,
+];
+
+/// Arbitrary bytes, half of them behind a known type octet so the
+/// decoder gets past its type dispatch.
+fn arb_message(known: impl Strategy<Value = u8> + 'static, max: usize) -> BoxedStrategy<Vec<u8>> {
+    let tag = prop_oneof![any::<u8>(), known];
+    (tag, proptest::collection::vec(any::<u8>(), 0..max))
+        .prop_map(|(t, rest)| [vec![t], rest].concat())
+        .boxed()
 }
 
 proptest! {
@@ -159,6 +173,16 @@ proptest! {
         if let Ok(p) = gtpu::Packet::new_checked(&bytes[..]) {
             let _ = gtpu::Repr::parse(&p);
         }
+    }
+
+    #[test]
+    fn nas_decode_never_panics(bytes in arb_message((0..NAS_TYPES.len()).prop_map(|i| NAS_TYPES[i]), 48)) {
+        let _ = nas::NasMessage::decode(&bytes);
+    }
+
+    #[test]
+    fn ngap_decode_never_panics(bytes in arb_message(1u8..17, 96)) {
+        let _ = ngap::NgapMessage::decode(&bytes);
     }
 
     #[test]
