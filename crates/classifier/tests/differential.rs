@@ -1,10 +1,13 @@
 //! Differential tests: PDR-TSS and PDR-PS must return exactly the same
 //! best-match as the reference PDR-LL for any rule set and any key —
-//! including after arbitrary interleaved removals and reinsertions.
+//! including after arbitrary interleaved removals and reinsertions. PDR-PS
+//! answers twice from one search: the rule (`lookup`) and, from its image
+//! alone, the rule's id and the word it was inserted with
+//! (`lookup_word`); both must match the linear list's best rule.
 
 use l25gc_classifier::{
     Classifier, Field, FieldRange, Generator, LinearList, PacketKey, PartitionSort, PdrRule,
-    Profile, TupleSpace, NDIMS,
+    Profile, RuleId, TupleSpace, NDIMS,
 };
 use proptest::prelude::*;
 
@@ -98,16 +101,25 @@ fn op_keys() -> Vec<PacketKey> {
     keys
 }
 
-/// PartitionSort agrees with the linear list on every key in `keys`.
-fn ps_agrees(ll: &LinearList, ps: &PartitionSort, keys: &[PacketKey]) -> Result<(), String> {
+/// PartitionSort agrees with the linear list on every key in `keys`: its
+/// rule is the list's best, and its image's hit is that rule's id with
+/// `word(id)`, the word the rule was inserted with.
+fn ps_agrees(
+    ll: &LinearList,
+    ps: &PartitionSort,
+    keys: &[PacketKey],
+    word: impl Fn(RuleId) -> u32,
+) -> Result<(), String> {
     if ll.len() != ps.len() {
         return Err(format!("len: ll {} ps {}", ll.len(), ps.len()));
     }
     for key in keys {
-        let (want, got) = (ll.lookup(key).map(|r| r.id), ps.lookup(key).map(|r| r.id));
-        if want != got {
+        let want = ll.lookup(key).map(|r| r.id);
+        let got = ps.lookup(key).map(|r| r.id);
+        let image = ps.lookup_word(key);
+        if want != got || image != want.map(|id| (id, word(id))) {
             return Err(format!(
-                "key {:?}: ll {want:?} ps {got:?}",
+                "key {:?}: ll {want:?} ps {got:?} image {image:?}",
                 &key.values[..4]
             ));
         }
@@ -134,10 +146,14 @@ proptest! {
     #[test]
     fn classifiers_agree(rules in arb_ruleset(40), keys in proptest::collection::vec(arb_key(), 1..30)) {
         let (ll, tss, ps) = build_all(&rules);
+        // The same rules in one pass, each word its id's complement.
+        let collected: PartitionSort = rules.iter().map(|r| (r.clone(), !(r.id as u32))).collect();
         for key in &keys {
             let expect = ll.lookup(key).map(|r| r.id);
             prop_assert_eq!(tss.lookup(key).map(|r| r.id), expect, "TSS disagrees with LL");
             prop_assert_eq!(ps.lookup(key).map(|r| r.id), expect, "PS disagrees with LL");
+            let image = collected.lookup_word(key);
+            prop_assert_eq!(image, expect.map(|id| (id, !(id as u32))), "collected PS disagrees");
         }
     }
 
@@ -171,33 +187,42 @@ proptest! {
     /// ids: a slot re-filled with a differently shaped rule widens the
     /// active dimensions of whichever partition takes it, after earlier
     /// removals left that partition's rows and bounding box behind.
-    /// PartitionSort must agree with the linear list after every step.
+    /// Precedences come from `0..4`, so rules in different partitions tie
+    /// on precedence and the id decides. Every rule carries a random word.
+    /// PartitionSort — its rule and its image's `(id, word)` — must agree
+    /// with the linear list after every step, and a remove must hand back
+    /// the word the rule went in with.
     #[test]
     fn partition_sort_tracks_linear_list_through_updates(
-        ops in proptest::collection::vec((0u64..10, any::<bool>(), arb_op_rule()), 1..40),
+        ops in proptest::collection::vec(
+            (0u64..10, any::<bool>(), arb_op_rule(), any::<u32>()),
+            1..40,
+        ),
     ) {
         let keys = op_keys();
         let mut ll = LinearList::new();
         let mut ps = PartitionSort::new();
-        let mut live: Vec<Option<PdrRule>> = vec![None; 10];
-        for (step, (id, reinsert, shape)) in ops.into_iter().enumerate() {
+        let mut live: Vec<Option<(PdrRule, u32)>> = vec![None; 10];
+        for (step, (id, reinsert, shape, word)) in ops.into_iter().enumerate() {
             let slot = &mut live[id as usize];
-            if let Some(old) = slot.take() {
-                prop_assert_eq!(ps.remove(old.id), ll.remove(old.id));
+            if let Some((old, old_word)) = slot.take() {
+                let want = ll.remove(old.id).map(|rule| (rule, old_word));
+                prop_assert_eq!(ps.remove_with_word(old.id), want);
                 if reinsert {
                     // The same id, possibly another shape: a PDR update.
                     let rule = op_rule(old.id, shape);
                     ll.insert(rule.clone());
-                    ps.insert(rule.clone());
-                    *slot = Some(rule);
+                    ps.insert_with_word(rule.clone(), word);
+                    *slot = Some((rule, word));
                 }
             } else {
                 let rule = op_rule(id, shape);
                 ll.insert(rule.clone());
-                ps.insert(rule.clone());
-                *slot = Some(rule);
+                ps.insert_with_word(rule.clone(), word);
+                *slot = Some((rule, word));
             }
-            if let Err(e) = ps_agrees(&ll, &ps, &keys) {
+            let word_of = |id: RuleId| live[id as usize].as_ref().map_or(0, |(_, w)| *w);
+            if let Err(e) = ps_agrees(&ll, &ps, &keys, word_of) {
                 prop_assert!(false, "step {}: {}", step, e);
             }
         }
@@ -256,7 +281,7 @@ fn step(
 ) {
     op(ll);
     op(ps);
-    ps_agrees(ll, ps, keys).unwrap();
+    ps_agrees(ll, ps, keys, |_| 0).unwrap();
 }
 
 #[test]
@@ -288,4 +313,30 @@ fn partition_widens_after_removals_and_keeps_duplicate_runs() {
     // An overlapping-but-unequal rule opens a second partition.
     step(ll, ps, &keys, |c| c.insert(op_rule(8, (0, [6, 7, 7, 7]))));
     assert_eq!(ps.partition_count(), 2);
+}
+
+#[test]
+fn precedence_ties_across_partitions_answer_the_lower_id_and_its_word() {
+    let keys = op_keys();
+    let (mut ll, mut ps) = (LinearList::new(), PartitionSort::new());
+    // Overlapping-but-unequal SrcIp ranges at one precedence: two
+    // partitions, each holding a candidate for the keys at SrcIp 0..=1.
+    let words = |id: RuleId| 0xA000 + id as u32;
+    for (id, r) in [(5, 0), (3, 4), (4, 1), (2, 3)] {
+        let rule = op_rule(id, (1, [r, 7, 7, 7]));
+        ll.insert(rule.clone());
+        ps.insert_with_word(rule, words(id));
+    }
+    assert_eq!(ps.partition_count(), 2);
+    let at_zero = PacketKey::default().with(Field::SrcIp, 0);
+    assert_eq!(ps.lookup_word(&at_zero), Some((3, words(3))));
+    ps_agrees(&ll, &ps, &keys, words).unwrap();
+    // The lower id leaves: the other partition's rule answers.
+    assert_eq!(
+        ps.remove_with_word(3).map(|(r, w)| (r.id, w)),
+        Some((3, words(3)))
+    );
+    ll.remove(3);
+    assert_eq!(ps.lookup_word(&at_zero), Some((5, words(5))));
+    ps_agrees(&ll, &ps, &keys, words).unwrap();
 }

@@ -108,11 +108,6 @@ impl Udr {
         })
     }
 
-    /// Inserts or replaces a full record.
-    pub fn upsert(&mut self, sub: Subscriber) {
-        self.subscribers.insert(sub.supi, sub);
-    }
-
     /// Reads a record.
     pub fn get(&self, supi: u64) -> Option<&Subscriber> {
         self.subscribers.get(&supi)

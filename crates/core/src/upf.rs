@@ -10,8 +10,9 @@
 //! toward the SMF (NOCP flag), which triggers paging.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
-use l25gc_classifier::{Classifier, Field, FieldRange, PacketKey, PartitionSort, PdrRule};
+use l25gc_classifier::{Classifier, Field, FieldRange, PacketKey, PartitionSort, PdrRule, RuleId};
 use l25gc_nfv::DualKeyTable;
 use l25gc_obs::{DropCode, EventKind, FlightRecorder};
 use l25gc_pkt::ngap::TunnelInfo;
@@ -32,25 +33,66 @@ pub enum PdrBackend {
     PartitionSort,
 }
 
-/// A session's PDR classifier: PartitionSort (PDR-PS).
+/// A session's PDR classifier: PartitionSort (PDR-PS). Each rule's
+/// classifier word is the span of the session's QER-id array it binds, so
+/// a lookup answers the rule and the span of its QER ids from one
+/// allocation.
 #[derive(Debug, Clone, Default)]
 pub struct PdrTable(PartitionSort);
 
+/// What a session's PDR lookup found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PdrMatch {
+    /// The winning rule's classifier id.
+    pub id: RuleId,
+    /// The QER ids the rule binds, as a range of the session's QER-id
+    /// array (empty when it binds none).
+    pub qers: Range<usize>,
+}
+
+/// A QER-id span as a classifier word: offset in the high half, length in
+/// the low half.
+fn span_word(span: Range<usize>) -> u32 {
+    let at = u16::try_from(span.start).expect("QER-id array under 64 Ki ids");
+    let len = u16::try_from(span.len()).expect("under 64 Ki QER ids per PDR");
+    u32::from(at) << 16 | u32::from(len)
+}
+
+/// The span [`span_word`] encoded.
+fn word_span(word: u32) -> Range<usize> {
+    let at = (word >> 16) as usize;
+    at..at + (word & 0xffff) as usize
+}
+
+/// A table built in one pass (see [`PartitionSort`]'s `FromIterator`).
+impl FromIterator<(PdrRule, Range<usize>)> for PdrTable {
+    fn from_iter<I: IntoIterator<Item = (PdrRule, Range<usize>)>>(rules: I) -> PdrTable {
+        let rules = rules.into_iter();
+        PdrTable(rules.map(|(rule, qers)| (rule, span_word(qers))).collect())
+    }
+}
+
 impl PdrTable {
-    /// Installs a rule.
-    pub fn insert(&mut self, rule: PdrRule) {
-        self.0.insert(rule);
+    /// Installs a rule binding the QER ids at `qers` of the session's
+    /// QER-id array.
+    pub(crate) fn insert(&mut self, rule: PdrRule, qers: Range<usize>) {
+        self.0.insert_with_word(rule, span_word(qers));
     }
 
     /// Best-match lookup.
     #[inline]
-    pub fn lookup(&self, key: &PacketKey) -> Option<&PdrRule> {
-        self.0.lookup(key)
+    pub fn lookup(&self, key: &PacketKey) -> Option<PdrMatch> {
+        let (id, word) = self.0.lookup_word(key)?;
+        Some(PdrMatch {
+            id,
+            qers: word_span(word),
+        })
     }
 
-    /// Removes a rule by id.
-    pub fn remove(&mut self, id: l25gc_classifier::RuleId) -> Option<PdrRule> {
-        self.0.remove(id)
+    /// Removes a rule by id, returning it and the QER-id span it bound.
+    pub(crate) fn remove(&mut self, id: RuleId) -> Option<(PdrRule, Range<usize>)> {
+        let (rule, word) = self.0.remove_with_word(id)?;
+        Some((rule, word_span(word)))
     }
 
     /// Installed rule count.
@@ -97,7 +139,12 @@ pub struct UpfSession {
     pub pdrs: PdrTable,
     /// QoS enforcement rules for this session.
     pub qers: QerTable,
-    /// Classifier rule id → referenced QER ids.
+    /// The QER ids of every PDR, as runs; PDRs that bind the same ids
+    /// share one run. A [`PdrMatch`]'s span indexes it.
+    qer_ids: Box<[u32]>,
+    /// Classifier rule id → referenced QER ids: the bindings `qer_ids`
+    /// spans, keyed for readers outside this crate. Written only by
+    /// [`Upf::establish`]; the packet path never reads it.
     pub qer_bindings: FastMap<u64, Vec<u32>>,
     /// Smart buffer for DL packets during paging/handover.
     pub buffer: VecDeque<DataPacket>,
@@ -232,10 +279,10 @@ impl Upf {
             .find(|f| f.far_id == dl_far_id)
             .expect("referenced FAR present");
 
-        let mut pdrs = PdrTable::default();
         let mut ul_rule_id = 0;
+        let mut qer_ids = Vec::new();
         let mut qer_bindings = FastMap::default();
-        for (i, p) in ies.create_pdrs.iter().enumerate() {
+        let rules = ies.create_pdrs.iter().enumerate().map(|(i, p)| {
             let rule = pdr_to_rule(seid, i as u64, p);
             if p.pdi.f_teid.is_some() {
                 ul_rule_id = rule.id;
@@ -243,8 +290,9 @@ impl Upf {
             if !p.qer_ids.is_empty() {
                 qer_bindings.insert(rule.id, p.qer_ids.clone());
             }
-            pdrs.insert(rule);
-        }
+            (rule, intern(&mut qer_ids, &p.qer_ids))
+        });
+        let mut pdrs: PdrTable = rules.collect();
         pdrs.0.shrink_to_fit();
         let mut qers = QerTable::new();
         for q in &ies.create_qers {
@@ -268,6 +316,7 @@ impl Upf {
             ul_rule_id,
             pending_ul_teid: None,
             qers,
+            qer_ids: qer_ids.into_boxed_slice(),
             qer_bindings,
             dl_far: FarState {
                 action: dl_far.apply_action,
@@ -292,34 +341,39 @@ impl Upf {
 
     /// Applies a Session Modification (Update FAR / Update PDR). Returns
     /// any packets released from the smart buffer (in order) when the FAR
-    /// switches to FORW with a bound tunnel.
+    /// switches to FORW with a bound tunnel. A modification that would
+    /// move the session onto an uplink TEID another session holds changes
+    /// nothing and counts `n4_teid_collision`.
     pub fn modify(&mut self, seid: u64, ies: &pfcp::IeSet) -> Vec<(TunnelInfo, DataPacket)> {
         let Some(teid) = self.by_seid.get(&seid).copied() else {
             self.counters.inc("n4_unknown_seid");
             return Vec::new();
         };
         // Pre-allocate a handover TEID if an Update PDR carries a new
-        // F-TEID (the paper's piggybacked IE).
-        let mut new_ul_teid = None;
+        // F-TEID (the paper's piggybacked IE); the last one wins.
+        let new_ul_teid = ies
+            .update_pdrs
+            .iter()
+            .rev()
+            .filter_map(|upd| upd.pdi.as_ref()?.f_teid)
+            .map(|ft| ft.teid)
+            .find(|&t| t != teid);
+        if new_ul_teid.is_some_and(|new| self.sessions.by_teid(new).is_some()) {
+            self.counters.inc("n4_teid_collision");
+            return Vec::new();
+        }
         {
             let s = self
                 .sessions
                 .by_teid_mut(teid)
                 .expect("seid index consistent");
-            for upd in &ies.update_pdrs {
-                if let Some(pdi) = &upd.pdi {
-                    if let Some(ft) = pdi.f_teid {
-                        if ft.teid != s.ul_teid {
-                            s.pending_ul_teid = Some(ft.teid);
-                            new_ul_teid = Some(ft.teid);
-                            // Re-point the uplink PDR's TEID dimension.
-                            let mut rule =
-                                s.pdrs.remove(s.ul_rule_id).expect("uplink rule installed");
-                            rule.fields[Field::Teid as usize] = FieldRange::exact(ft.teid);
-                            s.pdrs.insert(rule);
-                        }
-                    }
-                }
+            if let Some(new) = new_ul_teid {
+                s.pending_ul_teid = Some(new);
+                // Re-point the uplink PDR's TEID dimension; the rule keeps
+                // its QER span.
+                let (mut rule, qers) = s.pdrs.remove(s.ul_rule_id).expect("uplink rule installed");
+                rule.fields[Field::Teid as usize] = FieldRange::exact(new);
+                s.pdrs.insert(rule, qers);
             }
             for upd in &ies.update_fars {
                 if let Some(action) = upd.apply_action {
@@ -342,7 +396,7 @@ impl Upf {
         // gNB arrive on the new tunnel).
         if let Some(new) = new_ul_teid {
             let rebound = self.sessions.rebind_teid(teid, new);
-            debug_assert!(rebound, "pending TEID must be fresh");
+            debug_assert!(rebound, "checked free above");
             self.by_seid.insert(seid, new);
             let s = self.sessions.by_teid_mut(new).expect("just rebound");
             s.ul_teid = new;
@@ -410,11 +464,9 @@ impl Upf {
         let s = session.ok_or((DropReason::NoSession, 0))?;
         let seid = s.seid;
         let key = packet_key(&pkt, s.ue_ip, teid);
-        let rule = s.pdrs.lookup(&key).ok_or((DropReason::NoPdr, seid))?;
-        if let Some(qer_ids) = s.qer_bindings.get(&rule.id) {
-            if !s.qers.police(qer_ids, now, pkt.size) {
-                return Err((DropReason::QerPoliced, seid));
-            }
+        let matched = s.pdrs.lookup(&key).ok_or((DropReason::NoPdr, seid))?;
+        if !s.qers.police(&s.qer_ids[matched.qers], now, pkt.size) {
+            return Err((DropReason::QerPoliced, seid));
         }
         let action = if uplink { s.ul_far } else { s.dl_far.action };
         if action.drop {
@@ -475,6 +527,22 @@ fn packet_key(pkt: &DataPacket, ue_ip: u32, teid: u32) -> PacketKey {
         .with(Field::DstPort, u32::from(pkt.dst_port))
         .with(Field::Protocol, u32::from(pkt.protocol))
         .with(Field::Teid, teid)
+}
+
+/// The span of `ids` in `all`, appending them unless `all` already holds
+/// them as one run.
+fn intern(all: &mut Vec<u32>, ids: &[u32]) -> Range<usize> {
+    if ids.is_empty() {
+        return 0..0;
+    }
+    let at = match all.windows(ids.len()).position(|run| run == ids) {
+        Some(at) => at,
+        None => {
+            all.extend_from_slice(ids);
+            all.len() - ids.len()
+        }
+    };
+    at..at + ids.len()
 }
 
 fn pdr_to_rule(seid: u64, ordinal: u64, p: &pfcp::CreatePdr) -> PdrRule {
@@ -587,6 +655,22 @@ mod tests {
         DataPacket {
             dir: Direction::Uplink,
             ..dl_pkt(ue, seq)
+        }
+    }
+
+    /// An Update PDR moving the uplink PDR onto `teid`.
+    fn repoint_ul(teid: u32) -> pfcp::UpdatePdr {
+        pfcp::UpdatePdr {
+            pdr_id: 1,
+            precedence: None,
+            pdi: Some(Pdi {
+                f_teid: Some(FTeid {
+                    teid,
+                    addr: Ipv4Addr::new(10, 200, 200, 102),
+                }),
+                ..Pdi::default()
+            }),
+            far_id: None,
         }
     }
 
@@ -730,18 +814,7 @@ mod tests {
         upf.modify(0x88, &far_forward_to(tun));
         // Handover prep: new UL TEID piggybacked with BUFF action.
         let prep = IeSet {
-            update_pdrs: vec![pfcp::UpdatePdr {
-                pdr_id: 1,
-                precedence: None,
-                pdi: Some(Pdi {
-                    f_teid: Some(FTeid {
-                        teid: 0x104,
-                        addr: Ipv4Addr::new(10, 200, 200, 102),
-                    }),
-                    ..Pdi::default()
-                }),
-                far_id: None,
-            }],
+            update_pdrs: vec![repoint_ul(0x104)],
             update_fars: vec![UpdateFar {
                 far_id: 2,
                 apply_action: Some(ApplyAction::BUFF),
@@ -772,6 +845,33 @@ mod tests {
             upf.forward(ul_pkt(ue, 1), Some(0x104), SimTime::ZERO),
             Verdict::ToDn(_)
         ));
+    }
+
+    #[test]
+    fn repoint_onto_a_bound_teid_changes_nothing() {
+        let (a, b): (UeId, UeId) = (10, 11);
+        let mut upf = Upf::new(PdrBackend::PartitionSort);
+        upf.establish(0xA, a, &establishment_ies(0x110, ue_ip_for(a)));
+        upf.establish(0xB, b, &establishment_ies(0x111, ue_ip_for(b)));
+        // Session 0xA asked onto 0xB's TEID, with a FAR update riding along.
+        let onto_b = IeSet {
+            update_pdrs: vec![repoint_ul(0x111)],
+            ..far_forward_to(TunnelInfo {
+                teid: 0x500,
+                addr: 1,
+            })
+        };
+        assert!(upf.modify(0xA, &onto_b).is_empty());
+        assert_eq!(upf.counters.get("n4_teid_collision"), 1);
+        for (seid, ue, teid) in [(0xA, a, 0x110), (0xB, b, 0x111)] {
+            let s = upf.session_by_seid_ref(seid).expect("still established");
+            assert_eq!((s.seid, s.ul_teid, s.pending_ul_teid), (seid, teid, None));
+            assert_eq!(s.dl_far.action, ApplyAction::BUFF, "FAR untouched");
+            assert!(matches!(
+                upf.forward(ul_pkt(ue, 0), Some(teid), SimTime::ZERO),
+                Verdict::ToDn(_)
+            ));
+        }
     }
 
     #[test]
@@ -828,6 +928,317 @@ mod tests {
     fn session_slot_stride_is_pinned() {
         // Every session-table probe walks slots of this stride; a field
         // or a wider map type must be a deliberate, visible change.
-        assert_eq!(std::mem::size_of::<Option<UpfSession>>(), 288);
+        assert_eq!(std::mem::size_of::<Option<UpfSession>>(), 280);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use l25gc_pkt::ipv4::Ipv4Addr;
+    use l25gc_pkt::pfcp::{
+        CreateFar, CreatePdr, CreateQer, FTeid, ForwardingParameters, IeSet, Interface,
+        OuterHeaderCreation, Pdi, PortRange, SdfFilter, UeIpAddress, UpdateFar, UpdatePdr,
+    };
+    use l25gc_sim::SimDuration;
+    use proptest::prelude::*;
+
+    /// `Upf::forward` as it was while a match carried only its rule: the
+    /// QER ids come from `qer_bindings`, keyed by the matched rule's id.
+    fn model_forward(
+        upf: &mut Upf,
+        pkt: DataPacket,
+        tunnel_teid: Option<u32>,
+        now: SimTime,
+    ) -> Verdict {
+        model_route(upf, pkt, tunnel_teid, now).unwrap_or_else(|(why, seid)| {
+            let (counter, reason) = why.accounting();
+            upf.counters.inc(counter);
+            upf.flight
+                .record(now, EventKind::PacketDrop { reason, seid });
+            Verdict::Drop(why)
+        })
+    }
+
+    fn model_route(
+        upf: &mut Upf,
+        pkt: DataPacket,
+        tunnel_teid: Option<u32>,
+        now: SimTime,
+    ) -> Result<Verdict, (DropReason, u64)> {
+        let uplink = pkt.dir == Direction::Uplink;
+        let (session, teid) = if uplink {
+            let teid = tunnel_teid.expect("uplink packets arrive in a GTP tunnel");
+            (upf.sessions.by_teid_mut(teid), teid)
+        } else {
+            (upf.sessions.by_ue_ip_mut(ue_ip_for(pkt.ue)), 0)
+        };
+        let s = session.ok_or((DropReason::NoSession, 0))?;
+        let seid = s.seid;
+        let key = packet_key(&pkt, s.ue_ip, teid);
+        let rule = s.pdrs.0.lookup(&key).ok_or((DropReason::NoPdr, seid))?;
+        if let Some(qer_ids) = s.qer_bindings.get(&rule.id) {
+            if !s.qers.police(qer_ids, now, pkt.size) {
+                return Err((DropReason::QerPoliced, seid));
+            }
+        }
+        let action = if uplink { s.ul_far } else { s.dl_far.action };
+        if action.drop {
+            return Err((DropReason::FarDrop, seid));
+        }
+        if uplink {
+            upf.counters.inc("ul_forwarded");
+            return Ok(Verdict::ToDn(pkt));
+        }
+        if action.buffer {
+            if s.buffer.len() >= s.buffer_cap {
+                return Err((DropReason::BufferOverflow, seid));
+            }
+            if s.buffer.is_empty() {
+                let start = EventKind::UpfBufferStart { seid, depth: 1 };
+                upf.flight.record(now, start);
+            }
+            s.buffer.push_back(pkt);
+            upf.counters.inc("dl_buffered");
+            let report = action.notify_cp && !s.ddn_reported;
+            s.ddn_reported |= report;
+            return Ok(Verdict::Buffered { report, seid });
+        }
+        let tun = s.dl_far.tunnel.ok_or((DropReason::NoTunnel, seid))?;
+        upf.counters.inc("dl_forwarded");
+        Ok(Verdict::ToGnb(tun, pkt))
+    }
+
+    /// QER ids 1..=3 are installed; 0 and 4 are referenced but unknown.
+    const QER_IDS: u32 = 5;
+    /// Uplink TEIDs: session `i` starts on `TEID_BASE + i`; re-points draw
+    /// from the next few, so some collide with another session's.
+    const TEID_BASE: u32 = 0x100;
+    const PORT_BASE: u16 = 5000;
+    const ACTIONS: [ApplyAction; 4] = [
+        ApplyAction::FORW,
+        ApplyAction::BUFF,
+        ApplyAction::BUFF_NOCP,
+        ApplyAction::DROP,
+    ];
+
+    /// A session: each PDR's QER ids (UL base, DL base, then pinholes),
+    /// the MBR choice of QERs 1..=3, and the initial downlink action.
+    type SessionSpec = (Vec<Vec<u32>>, Vec<usize>, usize);
+
+    fn arb_session() -> impl Strategy<Value = SessionSpec> {
+        (
+            proptest::collection::vec(proptest::collection::vec(0..QER_IDS, 0..4), 2..6),
+            proptest::collection::vec(0usize..3, 3),
+            0usize..ACTIONS.len(),
+        )
+    }
+
+    fn seid_of(i: usize) -> u64 {
+        0x10 + i as u64
+    }
+
+    fn ue_of(i: usize) -> UeId {
+        i as UeId + 1
+    }
+
+    fn tunnel(teid: u32) -> OuterHeaderCreation {
+        OuterHeaderCreation {
+            teid,
+            addr: Ipv4Addr::new(10, 200, 200, 1),
+        }
+    }
+
+    fn session_ies(i: usize, (qer_ids, mbrs, action): &SessionSpec) -> IeSet {
+        let create_pdrs = qer_ids
+            .iter()
+            .enumerate()
+            .map(|(k, ids)| {
+                let mut pdi = Pdi::default();
+                match k {
+                    0 => {
+                        pdi.f_teid = Some(FTeid {
+                            teid: TEID_BASE + i as u32,
+                            addr: Ipv4Addr::new(10, 200, 200, 102),
+                        })
+                    }
+                    1 => {
+                        pdi.ue_ip = Some(UeIpAddress {
+                            addr: Ipv4Addr::from_u32(ue_ip_for(ue_of(i))),
+                            is_destination: true,
+                        })
+                    }
+                    _ => {
+                        let port = PORT_BASE + k as u16;
+                        pdi.sdf_filters = vec![SdfFilter {
+                            dst_port: PortRange {
+                                min: port,
+                                max: port,
+                            },
+                            protocol: Some(17),
+                            ..SdfFilter::default()
+                        }]
+                    }
+                }
+                CreatePdr {
+                    pdr_id: k as u16 + 1,
+                    precedence: if k < 2 { 255 } else { 10 + k as u32 },
+                    pdi,
+                    outer_header_removal: k == 0,
+                    far_id: if k == 1 { 2 } else { 1 },
+                    qer_ids: ids.clone(),
+                }
+            })
+            .collect();
+        let create_qers = mbrs
+            .iter()
+            .zip(1..)
+            .map(|(&m, qer_id)| CreateQer {
+                qer_id,
+                mbr_bps: [0, 100_000, 400_000][m],
+            })
+            .collect();
+        let dl = ACTIONS[*action];
+        IeSet {
+            create_pdrs,
+            create_fars: vec![
+                CreateFar {
+                    far_id: 1,
+                    apply_action: ApplyAction::FORW,
+                    forwarding: None,
+                },
+                CreateFar {
+                    far_id: 2,
+                    apply_action: dl,
+                    forwarding: (dl == ApplyAction::FORW).then(|| ForwardingParameters {
+                        dest_interface: Interface::Access,
+                        outer_header_creation: Some(tunnel(0x8000 + i as u32)),
+                    }),
+                },
+            ],
+            create_qers,
+            ..IeSet::default()
+        }
+    }
+
+    /// Every installed rule's QER span in the image holds exactly the ids
+    /// `qer_bindings` lists for it (none when it has no entry).
+    fn spans_match_bindings(upf: &Upf) -> Result<(), TestCaseError> {
+        for s in upf.sessions.iter() {
+            for ordinal in 0..s.pdrs.len() as u64 {
+                let id = s.seid * 1_000 + ordinal;
+                let (_, span) = s.pdrs.clone().remove(id).expect("rule installed");
+                let bound = s.qer_bindings.get(&id).map_or(&[][..], Vec::as_slice);
+                prop_assert_eq!(&s.qer_ids[span], bound, "rule {}", id);
+            }
+        }
+        Ok(())
+    }
+
+    /// Every session's QER state, policer by policer.
+    fn qer_states(upf: &Upf) -> Vec<Option<(u64, u64, u64)>> {
+        let mut seids: Vec<u64> = upf.sessions.iter().map(|s| s.seid).collect();
+        seids.sort_unstable();
+        let qers = seids.into_iter().flat_map(|seid| {
+            let s = upf.session_by_seid_ref(seid).expect("listed");
+            (0..QER_IDS).map(|id| s.qers.get(id))
+        });
+        let state = |q: &Qer| (q.passed, q.dropped, q.tokens().to_bits());
+        qers.map(|q| q.map(state)).collect()
+    }
+
+    proptest! {
+        /// The UPF agrees with the bindings-map model on every verdict,
+        /// every buffer release, every counter and every QER's state,
+        /// through packets both ways (on live, stale and unknown TEIDs),
+        /// uplink re-points (some onto another session's TEID) and
+        /// downlink FAR flips; and every rule's span keeps matching its
+        /// `qer_bindings` entry.
+        #[test]
+        fn forward_matches_the_bindings_model(
+            sessions in proptest::collection::vec(arb_session(), 1..4),
+            ops in proptest::collection::vec(
+                (0u8..8, 0usize..4, 0u32..8, 40usize..1500, 0u64..2_000),
+                1..80,
+            ),
+        ) {
+            let mut upf = Upf::new(PdrBackend::PartitionSort);
+            upf.default_buffer_cap = 4;
+            for (i, spec) in sessions.iter().enumerate() {
+                upf.establish(seid_of(i), ue_of(i), &session_ies(i, spec));
+            }
+            let mut model = upf.clone();
+            spans_match_bindings(&upf)?;
+            let mut now = SimTime::ZERO;
+            for (step, (kind, i, pick, size, gap_us)) in ops.into_iter().enumerate() {
+                now += SimDuration::from_micros(gap_us);
+                match kind {
+                    // Mostly packets: session `i` (3 is never established)
+                    // on pinhole port `pick` (ports past the pinholes
+                    // reach the base PDRs).
+                    0..=5 => {
+                        let pkt = DataPacket {
+                            ue: ue_of(i),
+                            flow: 0,
+                            dir: if kind < 3 { Direction::Uplink } else { Direction::Downlink },
+                            seq: step as u64,
+                            size,
+                            sent_at: now,
+                            dst_port: PORT_BASE + pick as u16,
+                            protocol: 17,
+                            tunnel_teid: None,
+                            ack_seq: None,
+                        };
+                        // Uplink on the session's current TEID, or on
+                        // whichever TEID `pick` names.
+                        let current = upf.session_by_seid_ref(seid_of(i)).map(|s| s.ul_teid);
+                        let teid = (pkt.dir == Direction::Uplink).then(|| match kind {
+                            0 | 1 => current.unwrap_or(TEID_BASE + pick),
+                            _ => TEID_BASE + pick,
+                        });
+                        let got = upf.forward(pkt, teid, now);
+                        let want = model_forward(&mut model, pkt, teid, now);
+                        prop_assert_eq!(got, want, "step {}", step);
+                    }
+                    6 => {
+                        let ies = IeSet {
+                            update_pdrs: vec![UpdatePdr {
+                                pdr_id: 1,
+                                precedence: None,
+                                pdi: Some(Pdi {
+                                    f_teid: Some(FTeid {
+                                        teid: TEID_BASE + pick,
+                                        addr: Ipv4Addr::new(10, 200, 200, 102),
+                                    }),
+                                    ..Pdi::default()
+                                }),
+                                far_id: None,
+                            }],
+                            ..IeSet::default()
+                        };
+                        prop_assert_eq!(upf.modify(seid_of(i), &ies), model.modify(seid_of(i), &ies));
+                    }
+                    _ => {
+                        let action = ACTIONS[pick as usize % ACTIONS.len()];
+                        let ies = IeSet {
+                            update_fars: vec![UpdateFar {
+                                far_id: 2,
+                                apply_action: Some(action),
+                                forwarding: (pick < 4).then(|| ForwardingParameters {
+                                    dest_interface: Interface::Access,
+                                    outer_header_creation: Some(tunnel(0x9000 + pick)),
+                                }),
+                            }],
+                            ..IeSet::default()
+                        };
+                        prop_assert_eq!(upf.modify(seid_of(i), &ies), model.modify(seid_of(i), &ies));
+                    }
+                }
+                let counters = |u: &Upf| u.counters.iter().collect::<Vec<_>>();
+                prop_assert_eq!(counters(&upf), counters(&model), "step {}", step);
+                prop_assert_eq!(qer_states(&upf), qer_states(&model), "step {}", step);
+                spans_match_bindings(&upf)?;
+            }
+        }
     }
 }

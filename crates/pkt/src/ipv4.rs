@@ -104,11 +104,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         usize::from(u16::from_be_bytes([b[2], b[3]]))
     }
 
-    /// DSCP (upper six bits of the ToS byte).
-    pub fn dscp(&self) -> u8 {
-        self.buffer.as_ref()[1] >> 2
-    }
-
     /// The full ToS / traffic-class byte.
     pub fn tos(&self) -> u8 {
         self.buffer.as_ref()[1]
@@ -122,12 +117,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
     /// Payload protocol number.
     pub fn protocol(&self) -> u8 {
         self.buffer.as_ref()[9]
-    }
-
-    /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[10], b[11]])
     }
 
     /// Source address.
