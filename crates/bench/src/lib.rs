@@ -25,13 +25,11 @@ pub mod manifest;
 pub mod run;
 pub mod spec;
 
-pub use manifest::{
-    compare, deployment_name, policy_name, MetricRow, Regression, RunManifest, SaturationRow,
-    ScenarioEntry,
-};
+pub use manifest::{compare, MetricRow, RunManifest};
+pub(crate) use manifest::{deployment_name, policy_name, SaturationRow};
 
 /// Formats a table with a header row and aligned columns.
-pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let header: Vec<String> = header.iter().map(|h| h.to_string()).collect();
     let mut widths: Vec<usize> = header.iter().map(String::len).collect();
     for row in rows {
@@ -49,10 +47,14 @@ pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> Strin
 }
 
 /// One table column: its header, and how a row renders its cell.
-pub type Column<'a, T> = (&'a str, fn(&T) -> String);
+pub(crate) type Column<'a, T> = (&'a str, fn(&T) -> String);
 
 /// Prints one table: a row per item of `rows`, a cell per column.
-pub fn print_table<T>(title: &str, rows: impl IntoIterator<Item = T>, columns: &[Column<'_, T>]) {
+pub(crate) fn print_table<T>(
+    title: &str,
+    rows: impl IntoIterator<Item = T>,
+    columns: &[Column<'_, T>],
+) {
     let header: Vec<&str> = columns.iter().map(|c| c.0).collect();
     let cells: Vec<Vec<String>> = rows
         .into_iter()
@@ -64,7 +66,7 @@ pub fn print_table<T>(title: &str, rows: impl IntoIterator<Item = T>, columns: &
 /// Writes an output file. Every `--*-out` path goes through here: an
 /// unwritable path is a usage error — one `reproduce: <path>: <os
 /// error>` line on stderr and exit code 2 — not a panic.
-pub fn write_or_exit(path: &str, text: &str) {
+pub(crate) fn write_or_exit(path: &str, text: &str) {
     if let Err(e) = std::fs::write(path, text) {
         eprintln!("reproduce: {path}: {e}");
         std::process::exit(2);
@@ -72,7 +74,7 @@ pub fn write_or_exit(path: &str, text: &str) {
 }
 
 /// Formats a float with a sensible number of digits.
-pub fn f(v: f64) -> String {
+pub(crate) fn f(v: f64) -> String {
     if v >= 100.0 {
         format!("{v:.0}")
     } else if v >= 1.0 {

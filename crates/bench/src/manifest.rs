@@ -31,7 +31,7 @@ use l25gc_testbed::exp::scenario::{peak_shard_util, ScenarioOutcome, ScenarioPar
 pub const MANIFEST_KIND: &str = "l25gc-capacity-manifest";
 
 /// Human-readable deployment label used in tables and metric names.
-pub fn deployment_name(d: Deployment) -> &'static str {
+pub(crate) fn deployment_name(d: Deployment) -> &'static str {
     match d {
         Deployment::Free5gc => "free5GC",
         Deployment::OnvmUpf => "ONVM-UPF",
@@ -41,7 +41,7 @@ pub fn deployment_name(d: Deployment) -> &'static str {
 
 /// Lowercase admission-policy label used in scenario metric names
 /// (`flash-crowd/shed`).
-pub fn policy_name(p: OverloadPolicy) -> &'static str {
+pub(crate) fn policy_name(p: OverloadPolicy) -> &'static str {
     match p {
         OverloadPolicy::Shed => "shed",
         OverloadPolicy::Queue => "queue",
@@ -111,24 +111,24 @@ pub struct MetricRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioEntry {
     /// Library name (`flash-crowd`, ...).
-    pub name: String,
+    pub(crate) name: String,
     /// One-line incident description.
-    pub summary: String,
+    pub(crate) summary: String,
     /// Fleet size the run used.
-    pub ues: u64,
+    pub(crate) ues: u64,
     /// Calibrated sustainable capacity the profile was scaled to,
     /// events/s.
-    pub capacity_eps: f64,
+    pub(crate) capacity_eps: f64,
     /// The p99 budget the scenario was scored against, ms.
-    pub p99_budget_ms: f64,
+    pub(crate) p99_budget_ms: f64,
     /// Per segment: `(duration_s, rate_start, rate_end, burst)`, rates
     /// as capacity fractions.
-    pub segments: Vec<(f64, f64, f64, f64)>,
+    pub(crate) segments: Vec<(f64, f64, f64, f64)>,
     /// Procedure-mix weights as `(event, weight)` pairs.
-    pub mix: Vec<(String, f64)>,
+    pub(crate) mix: Vec<(String, f64)>,
     /// The scripted fault plan the run rode, in `FaultPlan` spec-string
     /// form (`kill@2500ms:shard=0`); `None` for pure load profiles.
-    pub fault: Option<String>,
+    pub(crate) fault: Option<String>,
 }
 
 /// The saturation-search result carried on a manifest when the run was
@@ -137,13 +137,13 @@ pub struct ScenarioEntry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SaturationRow {
     /// Plateau-start worker count.
-    pub workers: u64,
+    pub(crate) workers: u64,
     /// Completed events/s at that count.
-    pub achieved_eps: f64,
+    pub(crate) achieved_eps: f64,
     /// 99th percentile latency, ms, at that count.
-    pub p99_ms: f64,
+    pub(crate) p99_ms: f64,
     /// Closed-loop probes the search spent converging.
-    pub probes: u64,
+    pub(crate) probes: u64,
 }
 
 /// The machine-readable record of one capacity run.
@@ -355,7 +355,7 @@ impl RunManifest {
     }
 
     /// Builds a manifest from a finished capacity sweep.
-    pub fn from_capacity(params: &CapacityParams, curves: &[CapacityCurve]) -> RunManifest {
+    pub(crate) fn from_capacity(params: &CapacityParams, curves: &[CapacityCurve]) -> RunManifest {
         let mut metrics = Vec::new();
         for c in curves {
             let name = deployment_name(c.deployment);
@@ -387,7 +387,7 @@ impl RunManifest {
     /// column batching exists to move. The manifest-level
     /// `dispatch_batch` stays 1 because the ladder itself spans batch
     /// sizes — the per-row batch lives in the row name.
-    pub fn from_dispatch(
+    pub(crate) fn from_dispatch(
         params: &CapacityParams,
         ladder: &[(usize, CapacityPoint)],
     ) -> RunManifest {
@@ -407,7 +407,7 @@ impl RunManifest {
     /// it measured, not just the numbers. `ues` is the CLI override
     /// (0 = every scenario used its own default fleet) and `duration_s`
     /// is the summed scripted horizon.
-    pub fn from_scenarios(
+    pub(crate) fn from_scenarios(
         params: &ScenarioParams,
         specs: &[ScenarioSpec],
         outcomes: &[ScenarioOutcome],
@@ -642,20 +642,20 @@ impl RunManifest {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
     /// Series name (`L25GC@0.9x`).
-    pub metric: String,
+    pub(crate) metric: String,
     /// Which field regressed (`achieved_eps`, `p50_ms`, ...).
-    pub field: &'static str,
+    pub(crate) field: &'static str,
     /// Baseline value.
-    pub baseline: f64,
+    pub(crate) baseline: f64,
     /// Current value.
-    pub current: f64,
+    pub(crate) current: f64,
     /// Signed percent change from baseline (positive = worse for
     /// latency/loss, negative = worse for throughput).
-    pub delta_pct: f64,
+    pub(crate) delta_pct: f64,
     /// The effective threshold the delta was judged against, percent
     /// (user threshold plus the histogram error guard for latency
     /// fields).
-    pub threshold_pct: f64,
+    pub(crate) threshold_pct: f64,
 }
 
 impl std::fmt::Display for Regression {

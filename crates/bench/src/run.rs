@@ -229,7 +229,7 @@ pub fn run_validate_prom(path: &str) -> i32 {
 /// --duration-s 1 --seed 7` ladder — and rewrites the three committed
 /// baseline manifests under `results/`. Returns exit code 0; an
 /// unwritable path exits 2 on the spot.
-pub fn run_baseline() -> i32 {
+pub(crate) fn run_baseline() -> i32 {
     let write = |path: &str, what: &str, backend: &str, m: RunManifest| {
         write_or_exit(path, &m.to_json());
         println!(
@@ -385,7 +385,7 @@ fn write_metrics(path: &str, curves: &[exp::capacity::CapacityCurve]) {
 
 /// `capacity`: the load-latency sweep per deployment, with the knee,
 /// its anatomy, and whichever outputs the flags ask for.
-pub fn capacity(args: &Args) {
+pub(crate) fn capacity(args: &Args) {
     let params = &args.cap;
     let threaded = params.backend == ExecBackend::Threaded;
     let curves = exp::capacity::sweep(params);
@@ -545,7 +545,7 @@ pub fn capacity(args: &Args) {
 /// `scenarios`: runs the scenario × admission-policy recovery matrix
 /// and prints one row per cell; `--manifest-out` additionally writes a
 /// scenario run manifest for the `compare` gate.
-pub fn scenarios(args: &Args) {
+pub(crate) fn scenarios(args: &Args) {
     let mut specs = args.scenario_specs();
     // `--fault` overrides every selected scenario's scripted plan
     // (validated against each horizon and the shard count at parse
@@ -641,7 +641,7 @@ fn closed_loop(params: &CapacityParams, max_workers: usize) {
 }
 
 /// `capacity-burst`: burstiness × admission policy at 0.9x capacity.
-pub fn capacity_burst(args: &Args) {
+pub(crate) fn capacity_burst(args: &Args) {
     let params = &args.cap;
     print_table(
         &format!(
@@ -724,7 +724,7 @@ fn print_dispatch_ladder(params: &CapacityParams, ladder: &[(usize, CapacityPoin
 
 /// `dispatch`: run the ladder at the CLI config and optionally write
 /// the gateable manifest.
-pub fn dispatch(args: &Args) {
+pub(crate) fn dispatch(args: &Args) {
     let params = &args.cap;
     let ladder = exp::capacity::dispatch_ladder(params);
     print_dispatch_ladder(params, &ladder);
@@ -756,7 +756,7 @@ fn shard_scaling(params: &CapacityParams, lo: u16, hi: u16) {
 }
 
 /// The `ablate-dos` experiment.
-pub fn ablate_dos(_: &Args) {
+pub(crate) fn ablate_dos(_: &Args) {
     print_table(
         "Ablation: tuple-space explosion DoS, 2000 attack rules (Sec 3.4)",
         exp::ablation::tss_dos(2_000),
@@ -770,7 +770,7 @@ pub fn ablate_dos(_: &Args) {
 }
 
 /// The `ablate-checkpoint` experiment.
-pub fn ablate_checkpoint(args: &Args) {
+pub(crate) fn ablate_checkpoint(args: &Args) {
     print_table(
         "Ablation: checkpoint interval (paper picks periodic 10ms-scale sync)",
         exp::ablation::checkpoint_sweep(&[1, 5, 10, 50, 100], args.seed),
@@ -785,7 +785,7 @@ pub fn ablate_checkpoint(args: &Args) {
 }
 
 /// The `ablate-canary` experiment.
-pub fn ablate_canary(_: &Args) {
+pub(crate) fn ablate_canary(_: &Args) {
     print_table(
         "Ablation: canary rollout split (Sec 4)",
         [1u32, 5, 10, 50].map(|pct| exp::ablation::canary_rollout(pct, 10_000)),
@@ -800,7 +800,7 @@ pub fn ablate_canary(_: &Args) {
 }
 
 /// The `ablate-lb` experiment.
-pub fn ablate_lb(_: &Args) {
+pub(crate) fn ablate_lb(_: &Args) {
     print_table(
         "Ablation: UE-aware LB across 5GC units, 10k sessions (Sec 4)",
         [2u32, 4, 8].map(|units| exp::ablation::lb_scaling(units, 10_000)),
@@ -816,7 +816,7 @@ pub fn ablate_lb(_: &Args) {
 }
 
 /// The `fig6` experiment.
-pub fn fig6(_: &Args) {
+pub(crate) fn fig6(_: &Args) {
     print_table(
         "Fig 6: PostSmContextsRequest serialization (measured)",
         exp::serialization::fig6_serialization(),
@@ -830,7 +830,7 @@ pub fn fig6(_: &Args) {
 }
 
 /// The `fig7` experiment.
-pub fn fig7(_: &Args) {
+pub(crate) fn fig7(_: &Args) {
     print_table(
         "Fig 7: single PFCP message latency SMF<->UPF (paper: 21-39% reduction)",
         exp::control_plane::fig7(),
@@ -844,7 +844,7 @@ pub fn fig7(_: &Args) {
 }
 
 /// The `fig8` experiment.
-pub fn fig8(args: &Args) {
+pub(crate) fn fig8(args: &Args) {
     print_table(
         "Fig 8: UE event completion time (paper: ~50% reduction, HO 227->130ms)",
         exp::control_plane::fig8(args.seed),
@@ -859,7 +859,7 @@ pub fn fig8(args: &Args) {
 }
 
 /// The `fig9` experiment.
-pub fn fig9(_: &Args) {
+pub(crate) fn fig9(_: &Args) {
     let (rows, avg) = exp::serialization::fig9_speedup(&CostModel::paper());
     print_table(
         "Fig 9: exchange speedup over HTTP (paper: 13x average)",
@@ -875,7 +875,7 @@ pub fn fig9(_: &Args) {
 }
 
 /// The `fig10` experiment.
-pub fn fig10(_: &Args) {
+pub(crate) fn fig10(_: &Args) {
     for dep in [Deployment::Free5gc, Deployment::L25gc] {
         print_table(
             &format!(
@@ -894,7 +894,7 @@ pub fn fig10(_: &Args) {
 }
 
 /// The `fig11` experiment.
-pub fn fig11(_: &Args) {
+pub(crate) fn fig11(_: &Args) {
     print_table(
         "Fig 11: PDR lookup latency & throughput (measured; paper: PS best, TSS_Worst 2.9us@100)",
         exp::pdr::fig11(&exp::pdr::RULE_COUNTS),
@@ -908,7 +908,7 @@ pub fn fig11(_: &Args) {
 }
 
 /// The `pdr-update` experiment.
-pub fn pdr_update(_: &Args) {
+pub(crate) fn pdr_update(_: &Args) {
     print_table(
         "PDR update latency (measured; paper: LL 0.38us, TSS 1.41us, PS 6.14us)",
         exp::pdr::pdr_update(),
@@ -920,7 +920,7 @@ pub fn pdr_update(_: &Args) {
 }
 
 /// The `scaling40g` experiment.
-pub fn scaling40g(_: &Args) {
+pub(crate) fn scaling40g(_: &Args) {
     print_table(
         "Sec 5.3: UPF cores vs forwarding rate at MTU (paper: 1->10G, 2->28G, 4->40G)",
         exp::dataplane::scaling_40g(&CostModel::paper()),
@@ -932,7 +932,7 @@ pub fn scaling40g(_: &Args) {
 }
 
 /// The `fig12` experiment.
-pub fn fig12(args: &Args) {
+pub(crate) fn fig12(args: &Args) {
     print_table(
         "Fig 12: page load with handovers (paper: 32s vs 28s, free5GC stalls 463ms)",
         exp::webpage::fig12(args.seed),
@@ -962,7 +962,7 @@ fn write_series_csv(args: &Args, name: &str, series: &l25gc_sim::TimeSeries) {
 }
 
 /// The `fig13` experiment.
-pub fn fig13(args: &Args) {
+pub(crate) fn fig13(args: &Args) {
     let rows = exp::paging::table1(args.seed);
     print_table(
         "Fig 13/Table 1: paging (paper: 116us/59ms/63ms/608 vs 25us/28ms/30ms/294)",
@@ -981,7 +981,7 @@ pub fn fig13(args: &Args) {
 }
 
 /// The `fig14` experiment.
-pub fn fig14(args: &Args) {
+pub(crate) fn fig14(args: &Args) {
     let rows = exp::handover::table2(args.seed);
     print_table(
         "Fig 14/Table 2: handover (paper expt i: 118us/242ms/2301/0 vs 24us/132ms/1437/0)",
@@ -1001,7 +1001,7 @@ pub fn fig14(args: &Args) {
 }
 
 /// The `eq12` experiment.
-pub fn eq12(_: &Args) {
+pub(crate) fn eq12(_: &Args) {
     print_table(
         "Eq 1/2: smart buffering estimate (paper: ~800 drops case i, 0 case ii, +20ms OWD)",
         exp::analytic::smart_buffering_table(&CostModel::paper()),
@@ -1017,7 +1017,7 @@ pub fn eq12(_: &Args) {
 }
 
 /// The `failover-cp` experiment.
-pub fn failover_cp(args: &Args) {
+pub(crate) fn failover_cp(args: &Args) {
     print_table(
         "Sec 5.5.1: handover with mid-flight 5GC failure (paper: 134ms vs 401ms)",
         [
@@ -1047,7 +1047,7 @@ fn failover_data(title: &str, rows: Vec<exp::failover::FailoverDataRow>) {
 }
 
 /// The `fig15` experiment.
-pub fn fig15(args: &Args) {
+pub(crate) fn fig15(args: &Args) {
     failover_data(
         "Fig 15: failover during data transfer (paper: 3GPP drops ~121 pkts, L25GC none)",
         exp::failover::fig15(args.seed),
@@ -1055,7 +1055,7 @@ pub fn fig15(args: &Args) {
 }
 
 /// The `fig16` experiment.
-pub fn fig16(args: &Args) {
+pub(crate) fn fig16(args: &Args) {
     failover_data(
         "Fig 16: failover during handover + transfer (paper: seamless for L25GC)",
         exp::failover::fig16(args.seed),
@@ -1063,7 +1063,7 @@ pub fn fig16(args: &Args) {
 }
 
 /// The `fig17` experiment.
-pub fn fig17(args: &Args) {
+pub(crate) fn fig17(args: &Args) {
     print_table(
         "Fig 17: repeated handovers, 10 TCP flows (paper: 442MB vs 416MB, RTT 130 vs 328ms)",
         exp::tcp_impact::fig17(args.seed),

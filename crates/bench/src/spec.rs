@@ -30,13 +30,13 @@ use l25gc_testbed::exp::capacity::CapacityParams;
 use crate::run;
 
 /// Parses an `--slo` spec (`p99=<N>ms,shed=<P>%[,clean=<K>]`).
-pub fn slo(s: &str) -> Result<SloSpec, String> {
+pub(crate) fn slo(s: &str) -> Result<SloSpec, String> {
     SloSpec::parse(s).map_err(|e| format!("--slo: {e}"))
 }
 
 /// Parses a `--scenario` list: comma-separated, trimmed, every name
 /// validated against the scenario library's vocabulary.
-pub fn scenario_names(s: &str) -> Result<Vec<String>, String> {
+pub(crate) fn scenario_names(s: &str) -> Result<Vec<String>, String> {
     let mut names = Vec::new();
     for name in s.split(',').map(str::trim) {
         if !SCENARIO_NAMES.contains(&name) {
@@ -53,12 +53,12 @@ pub fn scenario_names(s: &str) -> Result<Vec<String>, String> {
 /// Parses a `--fault` plan (`kill@3s:shard=2,recover@5s`). Structural
 /// validation against the run's shard count and horizon happens later,
 /// once both are known; this rejects only grammar errors.
-pub fn fault_plan(s: &str) -> Result<FaultPlan, String> {
+pub(crate) fn fault_plan(s: &str) -> Result<FaultPlan, String> {
     FaultPlan::parse(s).map_err(|e| format!("--fault: {e}"))
 }
 
 /// Parses a `--scale-shards` range (`lo..hi`, 1 <= lo <= hi <= 64).
-pub fn scale_shards(s: &str) -> Result<(u16, u16), String> {
+pub(crate) fn scale_shards(s: &str) -> Result<(u16, u16), String> {
     let range = s.split_once("..");
     let (lo, hi) = range.ok_or_else(|| mistyped("--scale-shards", s, "`lo..hi`"))?;
     let lo: u16 = num("--scale-shards", lo, "a shard count")?;
@@ -96,9 +96,9 @@ pub struct Args {
     /// `--seed`: perturbs every harness RNG.
     pub seed: u64,
     /// `--csv`: directory for the Fig 13/14 RTT series.
-    pub csv: Option<String>,
+    pub(crate) csv: Option<String>,
     /// `--trace-out`: flight-recorder trace file.
-    pub trace_out: Option<String>,
+    pub(crate) trace_out: Option<String>,
     /// `--metrics-out`: capacity timeline file (.csv/.prom/.jsonl).
     pub metrics_out: Option<String>,
     /// `--manifest-out`: capacity run-manifest JSON.
@@ -178,7 +178,7 @@ pub struct Flag {
     /// (`--ues <n>`; switches have no placeholder).
     pub label: &'static str,
     /// `--help` text, one `\n` per line break.
-    pub help: &'static str,
+    pub(crate) help: &'static str,
     /// Value check and setter.
     pub kind: Kind,
     /// Flags or experiment ids of which at least one must accompany
@@ -442,9 +442,9 @@ pub struct Subcommand {
     /// The word as typed.
     pub name: &'static str,
     /// Path operands that must follow it.
-    pub operands: usize,
+    pub(crate) operands: usize,
     /// Usage after `reproduce `, as `--help` prints it.
-    pub usage: &'static str,
+    pub(crate) usage: &'static str,
     /// The error when an operand is missing.
     missing: &'static str,
     /// What the "is standalone" error says to drop.
@@ -507,12 +507,12 @@ pub const SUBCOMMANDS: [Subcommand; 4] = [
 /// One experiment: a figure, table or study `reproduce` can regenerate.
 pub struct Experiment {
     /// The id as typed.
-    pub id: &'static str,
+    pub(crate) id: &'static str,
     /// `--help` text, one `\n` per line break.
-    pub help: &'static str,
+    pub(crate) help: &'static str,
     /// Whether `all` (or no ids at all) runs it; the heavy side studies
     /// run only on explicit request.
-    pub in_all: bool,
+    pub(crate) in_all: bool,
     /// Runs it and prints its tables.
     pub run: fn(&Args),
 }
@@ -741,7 +741,7 @@ impl Args {
 
     /// The scenarios the `scenarios` matrix runs: the `--scenario`
     /// subset, or the whole library.
-    pub fn scenario_specs(&self) -> Vec<ScenarioSpec> {
+    pub(crate) fn scenario_specs(&self) -> Vec<ScenarioSpec> {
         if self.scenario.is_empty() {
             return ScenarioSpec::library();
         }

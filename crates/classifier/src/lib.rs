@@ -37,11 +37,11 @@
 //! assert_eq!(ps.lookup(&https).unwrap().id, 2);
 //! ```
 
-pub mod generator;
-pub mod linear;
-pub mod partition_sort;
-pub mod rule;
-pub mod tss;
+mod generator;
+mod linear;
+mod partition_sort;
+mod rule;
+mod tss;
 
 pub use generator::{Generator, Profile};
 pub use linear::LinearList;

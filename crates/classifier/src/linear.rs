@@ -18,11 +18,6 @@ impl LinearList {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Iterates rules in priority order.
-    pub fn iter(&self) -> impl Iterator<Item = &PdrRule> {
-        self.rules.iter()
-    }
 }
 
 impl Classifier for LinearList {

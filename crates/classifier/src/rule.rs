@@ -98,24 +98,25 @@ impl FieldRange {
 
     /// True if `v` falls within the range.
     #[inline]
-    pub fn contains(&self, v: u32) -> bool {
+    pub(crate) fn contains(&self, v: u32) -> bool {
         self.lo <= v && v <= self.hi
     }
 
     /// True if this is the full wildcard.
-    pub fn is_any(&self) -> bool {
+    pub(crate) fn is_any(&self) -> bool {
         *self == FieldRange::ANY
     }
 
     /// True if the ranges share at least one value.
     #[inline]
-    pub fn overlaps(&self, other: &FieldRange) -> bool {
+    #[cfg(test)]
+    pub(crate) fn overlaps(&self, other: &FieldRange) -> bool {
         self.lo <= other.hi && other.lo <= self.hi
     }
 
     /// Length of the longest prefix whose span contains this range — the
     /// "effective mask length" used to assign a rule to a TSS tuple.
-    pub fn effective_prefix_len(&self) -> u8 {
+    pub(crate) fn effective_prefix_len(&self) -> u8 {
         // Common leading bits of lo and hi.
         let diff = self.lo ^ self.hi;
         diff.leading_zeros() as u8
@@ -172,7 +173,7 @@ impl PdrRule {
 
     /// True if the key matches every dimension.
     #[inline]
-    pub fn matches(&self, key: &PacketKey) -> bool {
+    pub(crate) fn matches(&self, key: &PacketKey) -> bool {
         self.fields
             .iter()
             .zip(key.values.iter())
@@ -181,7 +182,7 @@ impl PdrRule {
 
     /// True if `self` beats `other` under (precedence, id) ordering.
     #[inline]
-    pub fn beats(&self, other: &PdrRule) -> bool {
+    pub(crate) fn beats(&self, other: &PdrRule) -> bool {
         (self.precedence, self.id) < (other.precedence, other.id)
     }
 }
@@ -199,11 +200,6 @@ impl PacketKey {
     pub fn with(mut self, field: Field, v: u32) -> PacketKey {
         self.values[field as usize] = v;
         self
-    }
-
-    /// Reads one dimension.
-    pub fn get(&self, field: Field) -> u32 {
-        self.values[field as usize]
     }
 }
 

@@ -93,7 +93,8 @@ impl TupleSpace {
 
     /// Number of non-empty sub-tables — the quantity that decides whether
     /// this instance behaves like TSS_Best (1) or TSS_Worst (= #rules).
-    pub fn subtable_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn subtable_count(&self) -> usize {
         self.tables.iter().filter(|t| t.len > 0).count()
     }
 }

@@ -9,14 +9,14 @@
 
 /// Build-side: writes a fixed region + heap.
 #[derive(Debug)]
-pub struct FlatBuilder {
+pub(crate) struct FlatBuilder {
     fixed: Vec<u8>,
     heap: Vec<u8>,
 }
 
 impl FlatBuilder {
     /// Creates a builder whose fixed region holds `fixed_size` bytes.
-    pub fn new(fixed_size: usize) -> FlatBuilder {
+    pub(crate) fn new(fixed_size: usize) -> FlatBuilder {
         FlatBuilder {
             fixed: vec![0u8; fixed_size],
             heap: Vec::new(),
@@ -24,28 +24,29 @@ impl FlatBuilder {
     }
 
     /// Writes a `u64` at a fixed offset.
-    pub fn put_u64(&mut self, off: usize, v: u64) {
+    #[cfg(test)]
+    pub(crate) fn put_u64(&mut self, off: usize, v: u64) {
         self.fixed[off..off + 8].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u32` at a fixed offset.
-    pub fn put_u32(&mut self, off: usize, v: u32) {
+    pub(crate) fn put_u32(&mut self, off: usize, v: u32) {
         self.fixed[off..off + 4].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a single byte at a fixed offset.
-    pub fn put_u8(&mut self, off: usize, v: u8) {
+    pub(crate) fn put_u8(&mut self, off: usize, v: u8) {
         self.fixed[off] = v;
     }
 
     /// Writes a bool at a fixed offset.
-    pub fn put_bool(&mut self, off: usize, v: bool) {
+    pub(crate) fn put_bool(&mut self, off: usize, v: bool) {
         self.put_u8(off, v as u8);
     }
 
     /// Stores `bytes` in the heap and writes an `(absolute offset, len)`
     /// reference pair at the fixed offset (8 bytes).
-    pub fn put_bytes(&mut self, off: usize, bytes: &[u8]) {
+    pub(crate) fn put_bytes(&mut self, off: usize, bytes: &[u8]) {
         let abs = (self.fixed.len() + self.heap.len()) as u32;
         self.heap.extend_from_slice(bytes);
         self.put_u32(off, abs);
@@ -53,12 +54,12 @@ impl FlatBuilder {
     }
 
     /// Stores a string in the heap (see [`FlatBuilder::put_bytes`]).
-    pub fn put_str(&mut self, off: usize, s: &str) {
+    pub(crate) fn put_str(&mut self, off: usize, s: &str) {
         self.put_bytes(off, s.as_bytes());
     }
 
     /// Finishes, concatenating fixed region and heap.
-    pub fn finish(mut self) -> Vec<u8> {
+    pub(crate) fn finish(mut self) -> Vec<u8> {
         self.fixed.extend_from_slice(&self.heap);
         self.fixed
     }
@@ -75,13 +76,13 @@ pub enum FlatError {
 
 /// Read-side: zero-parse field access into the raw buffer.
 #[derive(Debug, Clone, Copy)]
-pub struct FlatView<'a> {
+pub(crate) struct FlatView<'a> {
     buf: &'a [u8],
 }
 
 impl<'a> FlatView<'a> {
     /// Wraps a buffer.
-    pub fn new(buf: &'a [u8]) -> FlatView<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> FlatView<'a> {
         FlatView { buf }
     }
 
@@ -90,38 +91,39 @@ impl<'a> FlatView<'a> {
     }
 
     /// Reads a `u64` at a fixed offset.
-    pub fn u64(&self, off: usize) -> Result<u64, FlatError> {
+    #[cfg(test)]
+    pub(crate) fn u64(&self, off: usize) -> Result<u64, FlatError> {
         Ok(u64::from_le_bytes(
             self.slice(off, 8)?.try_into().expect("8"),
         ))
     }
 
     /// Reads a `u32` at a fixed offset.
-    pub fn u32(&self, off: usize) -> Result<u32, FlatError> {
+    pub(crate) fn u32(&self, off: usize) -> Result<u32, FlatError> {
         Ok(u32::from_le_bytes(
             self.slice(off, 4)?.try_into().expect("4"),
         ))
     }
 
     /// Reads one byte at a fixed offset.
-    pub fn u8(&self, off: usize) -> Result<u8, FlatError> {
+    pub(crate) fn u8(&self, off: usize) -> Result<u8, FlatError> {
         Ok(self.slice(off, 1)?[0])
     }
 
     /// Reads a bool at a fixed offset.
-    pub fn bool(&self, off: usize) -> Result<bool, FlatError> {
+    pub(crate) fn bool(&self, off: usize) -> Result<bool, FlatError> {
         Ok(self.u8(off)? != 0)
     }
 
     /// Follows an `(offset, len)` reference to heap bytes.
-    pub fn bytes(&self, off: usize) -> Result<&'a [u8], FlatError> {
+    pub(crate) fn bytes(&self, off: usize) -> Result<&'a [u8], FlatError> {
         let abs = self.u32(off)? as usize;
         let len = self.u32(off + 4)? as usize;
         self.slice(abs, len)
     }
 
     /// Follows a reference to a heap string.
-    pub fn str(&self, off: usize) -> Result<&'a str, FlatError> {
+    pub(crate) fn str(&self, off: usize) -> Result<&'a str, FlatError> {
         core::str::from_utf8(self.bytes(off)?).map_err(|_| FlatError::BadUtf8)
     }
 }

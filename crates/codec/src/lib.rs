@@ -21,12 +21,11 @@
 //! code) for three real SBI bodies spanning the size spectrum, headed by
 //! `PostSmContextsRequest` — the exact message Fig 6 exchanges.
 
-pub mod flat;
+mod flat;
 pub mod json;
-pub mod messages;
-pub mod proto;
+mod messages;
+mod proto;
 pub mod value;
 
-pub use flat::{FlatBuilder, FlatError, FlatView};
 pub use messages::{SmContextCreateData, SmContextUpdateData, UeAuthenticationRequest};
 pub use value::{FieldError, ObjectBuilder, Value};

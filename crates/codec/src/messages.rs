@@ -31,25 +31,25 @@ pub struct SNssai {
     /// Slice/service type.
     pub sst: u8,
     /// Slice differentiator (hex string).
-    pub sd: String,
+    pub(crate) sd: String,
 }
 
 /// Globally Unique AMF Identifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Guami {
+pub(crate) struct Guami {
     /// PLMN id (MCC+MNC).
-    pub plmn_id: String,
+    pub(crate) plmn_id: String,
     /// AMF identifier.
-    pub amf_id: String,
+    pub(crate) amf_id: String,
 }
 
 /// User location (NR).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UserLocation {
+pub(crate) struct UserLocation {
     /// NR cell identity.
-    pub nr_cell_id: String,
+    pub(crate) nr_cell_id: String,
     /// Tracking area identity.
-    pub tai: String,
+    pub(crate) tai: String,
 }
 
 /// The `PostSmContextsRequest` body (TS 29.502 SmContextCreateData),
@@ -62,7 +62,7 @@ pub struct SmContextCreateData {
     /// Whether the SUPI is unauthenticated.
     pub unauthenticated_supi: bool,
     /// Permanent equipment identifier.
-    pub pei: String,
+    pub(crate) pei: String,
     /// PDU session id.
     pub pdu_session_id: u8,
     /// Data network name.
@@ -70,19 +70,19 @@ pub struct SmContextCreateData {
     /// Requested slice.
     pub s_nssai: SNssai,
     /// Serving AMF instance id.
-    pub serving_nf_id: String,
+    pub(crate) serving_nf_id: String,
     /// Serving AMF GUAMI.
-    pub guami: Guami,
+    pub(crate) guami: Guami,
     /// Request type (initial/existing).
-    pub request_type: String,
+    pub(crate) request_type: String,
     /// Access network type (3GPP / non-3GPP).
-    pub an_type: String,
+    pub(crate) an_type: String,
     /// Radio access technology.
-    pub rat_type: String,
+    pub(crate) rat_type: String,
     /// Current UE location.
-    pub ue_location: UserLocation,
+    pub(crate) ue_location: UserLocation,
     /// Callback URI for SM context status notifications.
-    pub sm_context_status_uri: String,
+    pub(crate) sm_context_status_uri: String,
     /// Embedded N1 SM message (the NAS PDU), opaque bytes.
     pub n1_sm_msg: Vec<u8>,
 }
@@ -124,7 +124,7 @@ impl SmContextCreateData {
     // ---------------- JSON ----------------
 
     /// Converts to the dynamic value tree (then `json::to_string`).
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         ObjectBuilder::new()
             .field("supi", Value::Str(self.supi.clone()))
             .field(
@@ -178,7 +178,7 @@ impl SmContextCreateData {
     }
 
     /// Parses back from a value tree.
-    pub fn from_value(v: &Value) -> Result<SmContextCreateData, String> {
+    pub(crate) fn from_value(v: &Value) -> Result<SmContextCreateData, String> {
         let s_nssai = v.get("sNssai").ok_or("missing sNssai")?;
         let guami = v.get("guami").ok_or("missing guami")?;
         let loc = v.get("ueLocation").ok_or("missing ueLocation")?;
@@ -421,17 +421,17 @@ impl SmContextCreateData {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SmContextUpdateData {
     /// User-plane connection state.
-    pub up_cnx_state: String,
+    pub(crate) up_cnx_state: String,
     /// Handover state (PREPARING / PREPARED / COMPLETED).
-    pub ho_state: String,
+    pub(crate) ho_state: String,
     /// Target RAN node id.
-    pub target_ran_id: String,
+    pub(crate) target_ran_id: String,
     /// Target tracking area.
-    pub target_tai: String,
+    pub(crate) target_tai: String,
     /// Embedded N2 SM information (NGAP payload).
-    pub n2_sm_info: Vec<u8>,
+    pub(crate) n2_sm_info: Vec<u8>,
     /// Whether indirect data forwarding is requested.
-    pub data_forwarding: bool,
+    pub(crate) data_forwarding: bool,
 }
 
 impl SmContextUpdateData {
@@ -448,7 +448,7 @@ impl SmContextUpdateData {
     }
 
     /// Converts to the dynamic value tree.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         ObjectBuilder::new()
             .field("upCnxState", Value::Str(self.up_cnx_state.clone()))
             .field("hoState", Value::Str(self.ho_state.clone()))
@@ -473,7 +473,8 @@ impl SmContextUpdateData {
     }
 
     /// Parses back from a value tree.
-    pub fn from_value(v: &Value) -> Result<SmContextUpdateData, String> {
+    #[cfg(test)]
+    pub(crate) fn from_value(v: &Value) -> Result<SmContextUpdateData, String> {
         let target = v.get("targetId").ok_or("missing targetId")?;
         let hex = req_str(v, "n2SmInfo")?;
         let n2_sm_info = (0..hex.len())
@@ -494,7 +495,8 @@ impl SmContextUpdateData {
     }
 
     /// Encodes in protobuf wire format.
-    pub fn to_proto(&self) -> Vec<u8> {
+    #[cfg(test)]
+    pub(crate) fn to_proto(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.str(1, &self.up_cnx_state);
         w.str(2, &self.ho_state);
@@ -508,7 +510,8 @@ impl SmContextUpdateData {
     }
 
     /// Decodes from protobuf wire format.
-    pub fn from_proto(bytes: &[u8]) -> Result<SmContextUpdateData, DecodeError> {
+    #[cfg(test)]
+    pub(crate) fn from_proto(bytes: &[u8]) -> Result<SmContextUpdateData, DecodeError> {
         let mut out = SmContextUpdateData {
             up_cnx_state: String::new(),
             ho_state: String::new(),
@@ -540,10 +543,12 @@ impl SmContextUpdateData {
         Ok(out)
     }
 
+    #[cfg(test)]
     const FIXED_SIZE: usize = 1 + 5 * 8;
 
     /// Encodes in the flat zero-parse layout.
-    pub fn to_flat(&self) -> Vec<u8> {
+    #[cfg(test)]
+    pub(crate) fn to_flat(&self) -> Vec<u8> {
         let mut b = FlatBuilder::new(Self::FIXED_SIZE);
         b.put_bool(0, self.data_forwarding);
         b.put_str(1, &self.up_cnx_state);
@@ -555,7 +560,8 @@ impl SmContextUpdateData {
     }
 
     /// Full materialization from the flat layout.
-    pub fn from_flat(buf: &[u8]) -> Result<SmContextUpdateData, FlatError> {
+    #[cfg(test)]
+    pub(crate) fn from_flat(buf: &[u8]) -> Result<SmContextUpdateData, FlatError> {
         let v = FlatView::new(buf);
         Ok(SmContextUpdateData {
             data_forwarding: v.bool(0)?,
@@ -587,7 +593,7 @@ impl UeAuthenticationRequest {
     }
 
     /// Converts to the dynamic value tree.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         ObjectBuilder::new()
             .field("supiOrSuci", Value::Str(self.supi_or_suci.clone()))
             .field(
@@ -603,7 +609,8 @@ impl UeAuthenticationRequest {
     }
 
     /// Parses back from a value tree.
-    pub fn from_value(v: &Value) -> Result<UeAuthenticationRequest, String> {
+    #[cfg(test)]
+    pub(crate) fn from_value(v: &Value) -> Result<UeAuthenticationRequest, String> {
         Ok(UeAuthenticationRequest {
             supi_or_suci: req_str(v, "supiOrSuci")?,
             serving_network_name: req_str(v, "servingNetworkName")?,

@@ -10,7 +10,7 @@
 
 /// Wire types from the protobuf encoding spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireType {
+pub(crate) enum WireType {
     /// Varint-encoded integer.
     Varint,
     /// Length-delimited bytes (strings, nested messages, packed fields).
@@ -52,18 +52,18 @@ pub enum DecodeError {
 
 /// Appends messages field by field.
 #[derive(Debug, Default)]
-pub struct Writer {
+pub(crate) struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
     /// Creates an empty writer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Finishes, returning the wire bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
@@ -84,30 +84,30 @@ impl Writer {
     }
 
     /// Writes a varint field.
-    pub fn u64(&mut self, field: u32, v: u64) {
+    pub(crate) fn u64(&mut self, field: u32, v: u64) {
         self.tag(field, WireType::Varint);
         self.varint(v);
     }
 
     /// Writes a bool field as varint 0/1.
-    pub fn bool(&mut self, field: u32, v: bool) {
+    pub(crate) fn bool(&mut self, field: u32, v: bool) {
         self.u64(field, v as u64);
     }
 
     /// Writes a string field.
-    pub fn str(&mut self, field: u32, v: &str) {
+    pub(crate) fn str(&mut self, field: u32, v: &str) {
         self.bytes(field, v.as_bytes());
     }
 
     /// Writes a bytes field.
-    pub fn bytes(&mut self, field: u32, v: &[u8]) {
+    pub(crate) fn bytes(&mut self, field: u32, v: &[u8]) {
         self.tag(field, WireType::LengthDelimited);
         self.varint(v.len() as u64);
         self.buf.extend_from_slice(v);
     }
 
     /// Writes a nested message built by `f`.
-    pub fn nested(&mut self, field: u32, f: impl FnOnce(&mut Writer)) {
+    pub(crate) fn nested(&mut self, field: u32, f: impl FnOnce(&mut Writer)) {
         let mut inner = Writer::new();
         f(&mut inner);
         self.bytes(field, &inner.buf);
@@ -116,14 +116,14 @@ impl Writer {
 
 /// Streams `(field, value)` pairs back out of wire bytes.
 #[derive(Debug)]
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 /// One decoded field.
 #[derive(Debug, PartialEq, Eq)]
-pub enum FieldValue<'a> {
+pub(crate) enum FieldValue<'a> {
     /// A varint field.
     Varint(u64),
     /// A length-delimited field.
@@ -132,7 +132,7 @@ pub enum FieldValue<'a> {
 
 impl<'a> FieldValue<'a> {
     /// Interprets as u64, erroring on wrong wire type.
-    pub fn u64(&self) -> Result<u64, DecodeError> {
+    pub(crate) fn u64(&self) -> Result<u64, DecodeError> {
         match self {
             FieldValue::Varint(v) => Ok(*v),
             _ => Err(DecodeError::BadWireType),
@@ -140,7 +140,7 @@ impl<'a> FieldValue<'a> {
     }
 
     /// Interprets as UTF-8 string.
-    pub fn str(&self) -> Result<&'a str, DecodeError> {
+    pub(crate) fn str(&self) -> Result<&'a str, DecodeError> {
         match self {
             FieldValue::Bytes(b) => core::str::from_utf8(b).map_err(|_| DecodeError::BadUtf8),
             _ => Err(DecodeError::BadWireType),
@@ -148,7 +148,7 @@ impl<'a> FieldValue<'a> {
     }
 
     /// Interprets as raw bytes (also used for nested messages).
-    pub fn bytes(&self) -> Result<&'a [u8], DecodeError> {
+    pub(crate) fn bytes(&self) -> Result<&'a [u8], DecodeError> {
         match self {
             FieldValue::Bytes(b) => Ok(b),
             _ => Err(DecodeError::BadWireType),
@@ -158,7 +158,7 @@ impl<'a> FieldValue<'a> {
 
 impl<'a> Reader<'a> {
     /// Creates a reader over wire bytes.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
@@ -176,7 +176,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads the next `(field_number, value)` pair, or `None` at the end.
-    pub fn next_field(&mut self) -> Result<Option<(u32, FieldValue<'a>)>, DecodeError> {
+    pub(crate) fn next_field(&mut self) -> Result<Option<(u32, FieldValue<'a>)>, DecodeError> {
         if self.pos >= self.buf.len() {
             return Ok(None);
         }

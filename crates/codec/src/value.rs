@@ -109,9 +109,9 @@ impl Value {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldError {
     /// The field name looked up.
-    pub key: String,
+    pub(crate) key: String,
     /// The type it had to have (`string`, `integer`, `numeric`).
-    pub expected: &'static str,
+    pub(crate) expected: &'static str,
 }
 
 impl fmt::Display for FieldError {

@@ -11,7 +11,7 @@ use crate::msg::{GnbId, UeId};
 
 /// 3GPP registration management state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RmState {
+pub(crate) enum RmState {
     /// Not registered with the network.
     #[default]
     Deregistered,
@@ -21,7 +21,7 @@ pub enum RmState {
 
 /// 3GPP connection management state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CmState {
+pub(crate) enum CmState {
     /// No NAS signalling connection (radio released; paged on DL data).
     #[default]
     Idle,
@@ -126,23 +126,21 @@ pub enum IdlePhase {
 /// The AMF's per-UE context.
 #[derive(Debug, Clone)]
 pub struct AmfUeCtx {
-    /// UE identity.
-    pub ue: UeId,
     /// Subscription identity learned at registration.
-    pub supi: u64,
+    pub(crate) supi: u64,
     /// Assigned temporary identity.
-    pub guti: u64,
+    pub(crate) guti: u64,
     /// The gNB currently serving this UE.
-    pub serving_gnb: GnbId,
+    pub(crate) serving_gnb: GnbId,
     /// Handover target while one is in progress.
     pub target_gnb: Option<GnbId>,
     /// The gNB the UE just left (context released after the mobility
     /// update completes).
-    pub prev_gnb: Option<GnbId>,
+    pub(crate) prev_gnb: Option<GnbId>,
     /// Registration management state.
-    pub rm: RmState,
+    pub(crate) rm: RmState,
     /// Connection management state.
-    pub cm: CmState,
+    pub(crate) cm: CmState,
     /// Registration procedure progress.
     pub reg: RegPhase,
     /// Session establishment progress.
@@ -156,16 +154,15 @@ pub struct AmfUeCtx {
     /// Deregistration progress.
     pub dereg: DeregPhase,
     /// When the in-flight procedure started (for completion metrics).
-    pub proc_start: SimTime,
+    pub(crate) proc_start: SimTime,
     /// Expected 5G-AKA response while authentication is in flight.
-    pub expected_res: Option<[u8; 16]>,
+    pub(crate) expected_res: Option<[u8; 16]>,
 }
 
 impl AmfUeCtx {
     /// Fresh context for a UE first seen at `gnb`.
-    pub fn new(ue: UeId, supi: u64, gnb: GnbId, now: SimTime) -> AmfUeCtx {
+    pub(crate) fn new(supi: u64, gnb: GnbId, now: SimTime) -> AmfUeCtx {
         AmfUeCtx {
-            ue,
             supi,
             guti: 0xF000_0000_0000_0000 | supi,
             serving_gnb: gnb,
@@ -188,22 +185,18 @@ impl AmfUeCtx {
 /// The SMF's per-session context.
 #[derive(Debug, Clone)]
 pub struct SmfSession {
-    /// Owning UE.
-    pub ue: UeId,
-    /// PDU session id (UE-scoped).
-    pub session_id: u8,
     /// PFCP session endpoint id shared with the UPF.
     pub seid: u64,
     /// UE IP address allocated for the session (u32 form).
-    pub ue_ip: u32,
+    pub(crate) ue_ip: u32,
     /// UPF-side uplink TEID.
-    pub ul_teid: u32,
+    pub(crate) ul_teid: u32,
     /// UL TEID pre-allocated for a handover target, if any.
-    pub pending_ul_teid: Option<u32>,
+    pub(crate) pending_ul_teid: Option<u32>,
     /// Current AN-side (gNB) downlink tunnel.
     pub an_tunnel: Option<TunnelInfo>,
     /// Next PFCP sequence number for this session's transactions.
-    pub pfcp_seq: u32,
+    pub(crate) pfcp_seq: u32,
 }
 
 /// Progress of deregistration at the AMF.

@@ -27,7 +27,7 @@ pub enum Deployment {
 
 impl Deployment {
     /// The SBI transport and format for this deployment.
-    pub fn sbi(self) -> (Transport, SerFormat) {
+    pub(crate) fn sbi(self) -> (Transport, SerFormat) {
         match self {
             Deployment::Free5gc | Deployment::OnvmUpf => (Transport::HttpRest, SerFormat::Json),
             Deployment::L25gc => (Transport::SharedMemory, SerFormat::None),

@@ -17,19 +17,16 @@
 //! framework) own the event loop; the core owns the 3GPP logic.
 
 pub mod context;
-pub mod deploy;
+mod deploy;
 pub mod msg;
 pub mod net;
-pub mod qer;
-pub mod udr;
+mod qer;
+mod udr;
 pub mod upf;
 
 pub use context::{proc_kind, EventRecord, UeEvent};
 pub use deploy::Deployment;
-pub use msg::{
-    DataPacket, Direction, Endpoint, Envelope, GnbId, Msg, SbiOp, SmContextUpdate, UeId,
-};
-pub use net::{CoreNetwork, HandoverScheme, Output, UPF_N3_ADDR};
-pub use qer::{Qer, QerTable};
-pub use udr::{AuthVector, Subscriber, Udr};
+pub use net::{CoreNetwork, Output};
+pub use qer::QerTable;
+pub use udr::Udr;
 pub use upf::{ue_ip_for, PdrBackend, Upf, Verdict};

@@ -45,7 +45,7 @@ pub enum Endpoint {
 
 impl Endpoint {
     /// True for the control-plane NFs that speak SBI.
-    pub fn is_control_nf(self) -> bool {
+    pub(crate) fn is_control_nf(self) -> bool {
         matches!(
             self,
             Endpoint::Amf
@@ -196,7 +196,7 @@ pub enum SmContextUpdate {
 impl SbiOp {
     /// Estimated JSON body size in bytes (shapes the serialization cost
     /// component; based on free5GC's OpenAPI bodies).
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         match self {
             SbiOp::UeAuthCtxCreateReq => 320,
             SbiOp::UeAuthCtxCreateResp { .. } => 540,
@@ -232,7 +232,8 @@ impl SbiOp {
     }
 
     /// True for request legs (responses return to the requester).
-    pub fn is_request(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_request(&self) -> bool {
         matches!(
             self,
             SbiOp::UeAuthCtxCreateReq

@@ -73,7 +73,7 @@ pub struct Smf {
     /// N4 association state toward the UPF.
     pub n4_association: N4Association,
     /// Heartbeat transactions completed.
-    pub heartbeats_answered: u64,
+    pub(crate) heartbeats_answered: u64,
 }
 
 impl Smf {
@@ -106,9 +106,9 @@ pub enum N4Association {
 
 /// UDM state: fronts the UDR subscriber repository.
 #[derive(Debug, Default, Clone)]
-pub struct Udm {
+pub(crate) struct Udm {
     /// The subscriber repository (MongoDB in free5GC).
-    pub udr: Udr,
+    pub(crate) udr: Udr,
 }
 
 /// The consolidated core network.
@@ -117,7 +117,7 @@ pub struct CoreNetwork {
     /// Which of the three Fig 8 systems this instance is.
     pub deployment: Deployment,
     /// Handover routing scheme.
-    pub scheme: HandoverScheme,
+    pub(crate) scheme: HandoverScheme,
     /// The calibrated cost model.
     pub cost: CostModel,
     /// AMF state.
@@ -125,7 +125,7 @@ pub struct CoreNetwork {
     /// SMF state.
     pub smf: Smf,
     /// UDM/UDR state.
-    pub udm: Udm,
+    pub(crate) udm: Udm,
     /// UPF (C+U) state.
     pub upf: Upf,
     /// Completed UE events (Fig 8 accounting).
@@ -199,7 +199,8 @@ impl CoreNetwork {
 
     /// Builds a PFCP heartbeat request (the SMF probes the UPF's
     /// liveness; drivers send it periodically).
-    pub fn n4_heartbeat(&self) -> Envelope {
+    #[cfg(test)]
+    pub(crate) fn n4_heartbeat(&self) -> Envelope {
         Envelope::new(
             Endpoint::Smf,
             Endpoint::UpfC,
@@ -280,7 +281,7 @@ impl CoreNetwork {
                 gnb,
                 nas: NasMessage::RegistrationRequest { supi },
             } => {
-                let mut ctx = AmfUeCtx::new(ue, supi, gnb, now);
+                let mut ctx = AmfUeCtx::new(supi, gnb, now);
                 ctx.reg = RegPhase::AwaitAuthCtx;
                 self.amf.ues.insert(ue, ctx);
                 outs.sbi(Endpoint::Amf, Endpoint::Ausf, SbiOp::UeAuthCtxCreateReq, ue);
@@ -998,8 +999,6 @@ impl CoreNetwork {
                 let seid = self.smf.alloc_seid();
                 let ul_teid = self.smf.alloc_teid();
                 let session = SmfSession {
-                    ue,
-                    session_id: 1,
                     seid,
                     ue_ip: ue_ip_for(ue),
                     ul_teid,
@@ -1582,7 +1581,7 @@ pub fn nf_name(ep: Endpoint) -> &'static str {
 
 /// A short static label for a message, used as the segment name in
 /// traces (SBI operations by name, NGAP/N4 by message type).
-pub fn msg_label(msg: &Msg) -> &'static str {
+pub(crate) fn msg_label(msg: &Msg) -> &'static str {
     match msg {
         Msg::Sbi { op, .. } => match op {
             SbiOp::UeAuthCtxCreateReq => "UeAuthCtxCreateReq",
@@ -1756,15 +1755,6 @@ impl Outs {
     }
 }
 
-/// One gNB's view of a handover, used by the RAN driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GnbRole {
-    /// The gNB the UE is leaving.
-    Source,
-    /// The gNB the UE is joining.
-    Target,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1905,8 +1895,8 @@ mod tests {
 
     fn assert_seid_index_exact(smf: &Smf) {
         assert_eq!(smf.by_seid.len(), smf.sessions.len());
-        for s in smf.sessions.values() {
-            assert_eq!(smf.ue_of_seid(s.seid), Some(s.ue));
+        for (&ue, s) in smf.sessions.iter() {
+            assert_eq!(smf.ue_of_seid(s.seid), Some(ue));
         }
     }
 

@@ -13,11 +13,11 @@ use l25gc_sim::SimTime;
 #[derive(Debug, Clone)]
 pub struct Qer {
     /// Rule id (session-scoped, referenced by PDRs).
-    pub qer_id: u32,
+    pub(crate) qer_id: u32,
     /// Maximum bit rate, bits per second. `None` = unlimited.
-    pub mbr_bps: Option<f64>,
+    pub(crate) mbr_bps: Option<f64>,
     /// Bucket depth in bits (burst tolerance).
-    pub burst_bits: f64,
+    pub(crate) burst_bits: f64,
     tokens: f64,
     last_refill: SimTime,
     /// Packets passed.
@@ -28,7 +28,7 @@ pub struct Qer {
 
 impl Qer {
     /// An unlimited QER (the default QFI-9 best-effort flow).
-    pub fn unlimited(qer_id: u32) -> Qer {
+    pub(crate) fn unlimited(qer_id: u32) -> Qer {
         Qer {
             qer_id,
             mbr_bps: None,
@@ -41,7 +41,7 @@ impl Qer {
     }
 
     /// A rate-limited QER with the given MBR and burst (in bits).
-    pub fn with_mbr(qer_id: u32, mbr_bps: f64, burst_bits: f64) -> Qer {
+    pub(crate) fn with_mbr(qer_id: u32, mbr_bps: f64, burst_bits: f64) -> Qer {
         assert!(mbr_bps > 0.0 && burst_bits > 0.0);
         Qer {
             qer_id,
@@ -56,7 +56,7 @@ impl Qer {
 
     /// Polices one packet of `size` bytes at virtual time `now`.
     /// Returns true if the packet conforms (forward) or false (drop).
-    pub fn police(&mut self, now: SimTime, size: usize) -> bool {
+    pub(crate) fn police(&mut self, now: SimTime, size: usize) -> bool {
         let Some(rate) = self.mbr_bps else {
             self.passed += 1;
             return true;
@@ -77,7 +77,8 @@ impl Qer {
     }
 
     /// Current bucket level in bits (for tests/diagnostics).
-    pub fn tokens(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn tokens(&self) -> f64 {
         self.tokens
     }
 }
@@ -92,12 +93,12 @@ pub struct QerTable {
 
 impl QerTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Installs (or replaces) a QER.
-    pub fn install(&mut self, qer: Qer) {
+    pub(crate) fn install(&mut self, qer: Qer) {
         match self.qers.iter_mut().find(|q| q.qer_id == qer.qer_id) {
             Some(slot) => *slot = qer,
             None => self.qers.push(qer),
@@ -122,12 +123,14 @@ impl QerTable {
     }
 
     /// Number of installed QERs.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.qers.len()
     }
 
     /// True if no QERs are installed.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.qers.is_empty()
     }
 }

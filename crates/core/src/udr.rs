@@ -13,48 +13,48 @@ use std::collections::HashMap;
 
 /// Subscribed QoS profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ambr {
+pub(crate) struct Ambr {
     /// Downlink aggregate maximum bit rate (bits/s); 0 = unlimited.
-    pub dl_bps: u64,
+    pub(crate) dl_bps: u64,
     /// Uplink aggregate maximum bit rate (bits/s); 0 = unlimited.
-    pub ul_bps: u64,
+    pub(crate) ul_bps: u64,
 }
 
 /// One subscriber record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Subscriber {
     /// Subscription permanent identifier.
-    pub supi: u64,
+    pub(crate) supi: u64,
     /// Permanent key K (USIM secret).
-    pub k: [u8; 16],
+    pub(crate) k: [u8; 16],
     /// Operator code OPc.
-    pub opc: [u8; 16],
+    pub(crate) opc: [u8; 16],
     /// Sequence number for AKA freshness.
-    pub sqn: u64,
+    pub(crate) sqn: u64,
     /// Subscribed data network name.
-    pub dnn: String,
+    pub(crate) dnn: String,
     /// Subscribed S-NSSAI (slice/service type).
-    pub sst: u8,
+    pub(crate) sst: u8,
     /// Subscribed AMBR.
-    pub ambr: Ambr,
+    pub(crate) ambr: Ambr,
 }
 
 /// A 5G-AKA authentication vector as the UDM hands it to the AUSF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AuthVector {
+pub(crate) struct AuthVector {
     /// Challenge nonce.
-    pub rand: [u8; 16],
+    pub(crate) rand: [u8; 16],
     /// Network authentication token.
-    pub autn: [u8; 16],
+    pub(crate) autn: [u8; 16],
     /// Expected UE response.
-    pub xres: [u8; 16],
+    pub(crate) xres: [u8; 16],
 }
 
 /// Derives a 16-byte digest from key material and inputs — the stand-in
 /// for the Milenage f2 function (deterministic, key-dependent,
 /// input-dependent; not cryptographically strong, which none of the
 /// experiments need).
-pub fn prf(k: &[u8; 16], opc: &[u8; 16], input: &[u8]) -> [u8; 16] {
+pub(crate) fn prf(k: &[u8; 16], opc: &[u8; 16], input: &[u8]) -> [u8; 16] {
     let mut state: u64 = 0x6a09_e667_f3bc_c908;
     let mut mix = |b: u8| {
         state ^= u64::from(b);
@@ -109,13 +109,13 @@ impl Udr {
     }
 
     /// Reads a record.
-    pub fn get(&self, supi: u64) -> Option<&Subscriber> {
+    pub(crate) fn get(&self, supi: u64) -> Option<&Subscriber> {
         self.subscribers.get(&supi)
     }
 
     /// Generates a fresh authentication vector for `supi`, advancing its
     /// SQN (each challenge is unique). `None` for unknown subscribers.
-    pub fn generate_auth_vector(&mut self, supi: u64, rand: [u8; 16]) -> Option<AuthVector> {
+    pub(crate) fn generate_auth_vector(&mut self, supi: u64, rand: [u8; 16]) -> Option<AuthVector> {
         let sub = self.subscribers.get_mut(&supi)?;
         sub.sqn += 1;
         let mut input = [0u8; 24];
@@ -136,13 +136,9 @@ impl Udr {
     }
 
     /// Number of provisioned subscribers.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.subscribers.len()
-    }
-
-    /// True if no subscribers are provisioned.
-    pub fn is_empty(&self) -> bool {
-        self.subscribers.is_empty()
     }
 }
 

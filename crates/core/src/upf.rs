@@ -12,7 +12,7 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use l25gc_classifier::{Classifier, Field, FieldRange, PacketKey, PartitionSort, PdrRule, RuleId};
+use l25gc_classifier::{Field, FieldRange, PacketKey, PartitionSort, PdrRule, RuleId};
 use l25gc_nfv::DualKeyTable;
 use l25gc_obs::{DropCode, EventKind, FlightRecorder};
 use l25gc_pkt::ngap::TunnelInfo;
@@ -47,7 +47,7 @@ pub struct PdrMatch {
     pub id: RuleId,
     /// The QER ids the rule binds, as a range of the session's QER-id
     /// array (empty when it binds none).
-    pub qers: Range<usize>,
+    pub(crate) qers: Range<usize>,
 }
 
 /// A QER-id span as a classifier word: offset in the high half, length in
@@ -96,13 +96,9 @@ impl PdrTable {
     }
 
     /// Installed rule count.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when no rules are installed.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        l25gc_classifier::Classifier::len(&self.0)
     }
 }
 
@@ -113,7 +109,7 @@ pub struct FarState {
     pub action: ApplyAction,
     /// Downlink tunnel toward the serving gNB (absent while idle or
     /// before AN setup).
-    pub tunnel: Option<TunnelInfo>,
+    pub(crate) tunnel: Option<TunnelInfo>,
 }
 
 /// One PFCP session at the UPF.
@@ -121,20 +117,18 @@ pub struct FarState {
 pub struct UpfSession {
     /// PFCP session endpoint id.
     pub seid: u64,
-    /// Owning UE.
-    pub ue: UeId,
     /// The UE's IP address (downlink lookup key).
-    pub ue_ip: u32,
+    pub(crate) ue_ip: u32,
     /// Uplink TEID (uplink lookup key).
     pub ul_teid: u32,
     /// Classifier rule id of the uplink (TEID-matching) PDR.
-    pub ul_rule_id: u64,
+    pub(crate) ul_rule_id: u64,
     /// Pre-allocated TEID for a handover target gNB.
-    pub pending_ul_teid: Option<u32>,
+    pub(crate) pending_ul_teid: Option<u32>,
     /// Downlink FAR.
     pub dl_far: FarState,
     /// Uplink FAR action (normally FORW toward the DN).
-    pub ul_far: ApplyAction,
+    pub(crate) ul_far: ApplyAction,
     /// PDR classifier for this session.
     pub pdrs: PdrTable,
     /// QoS enforcement rules for this session.
@@ -149,7 +143,7 @@ pub struct UpfSession {
     /// Smart buffer for DL packets during paging/handover.
     pub buffer: VecDeque<DataPacket>,
     /// Buffer capacity in packets (the paper's experiments use 3 K).
-    pub buffer_cap: usize,
+    pub(crate) buffer_cap: usize,
     /// Whether a downlink-data report was already raised for the current
     /// buffering episode.
     pub ddn_reported: bool,
@@ -211,7 +205,7 @@ pub struct Upf {
     /// The forwarding core's run-to-completion server state: packets
     /// arriving while a previous packet is in service queue behind it
     /// (the contention that separates experiment (ii) from (i)).
-    pub busy_until: SimTime,
+    pub(crate) busy_until: SimTime,
 }
 
 impl Upf {
@@ -255,8 +249,9 @@ impl Upf {
 
     // ---------------- UPF-C: N4 handling ----------------
 
-    /// Applies a Session Establishment (Create PDR/FAR groups).
-    pub fn establish(&mut self, seid: u64, ue: UeId, ies: &pfcp::IeSet) {
+    /// Applies a Session Establishment (Create PDR/FAR groups). The
+    /// session is keyed by its TEID and UE IP; `_ue` is not stored.
+    pub fn establish(&mut self, seid: u64, _ue: UeId, ies: &pfcp::IeSet) {
         let ul_teid = ies
             .create_pdrs
             .iter()
@@ -310,7 +305,6 @@ impl Upf {
 
         let session = UpfSession {
             seid,
-            ue,
             ue_ip,
             ul_teid,
             ul_rule_id,
@@ -421,7 +415,7 @@ impl Upf {
     }
 
     /// Removes a session (Session Deletion).
-    pub fn delete(&mut self, seid: u64) -> bool {
+    pub(crate) fn delete(&mut self, seid: u64) -> bool {
         match self.by_seid.remove(&seid) {
             Some(teid) => {
                 self.sessions.remove_by_teid(teid);
@@ -928,13 +922,14 @@ mod tests {
     fn session_slot_stride_is_pinned() {
         // Every session-table probe walks slots of this stride; a field
         // or a wider map type must be a deliberate, visible change.
-        assert_eq!(std::mem::size_of::<Option<UpfSession>>(), 280);
+        assert_eq!(std::mem::size_of::<Option<UpfSession>>(), 272);
     }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use l25gc_classifier::Classifier;
     use l25gc_pkt::ipv4::Ipv4Addr;
     use l25gc_pkt::pfcp::{
         CreateFar, CreatePdr, CreateQer, FTeid, ForwardingParameters, IeSet, Interface,

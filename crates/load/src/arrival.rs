@@ -83,7 +83,7 @@ impl RateSegment {
     /// how the merged stream splits a total profile across the event
     /// mix, and how scenario specs written in capacity fractions become
     /// absolute rates.
-    pub fn scaled(&self, factor: f64) -> RateSegment {
+    pub(crate) fn scaled(&self, factor: f64) -> RateSegment {
         RateSegment {
             rate_start: self.rate_start * factor,
             rate_end: self.rate_end * factor,
@@ -100,7 +100,7 @@ impl RateSegment {
     /// segment's end rate must be positive because the profile holds it
     /// forever past the scripted horizon — an infinite arrival stream
     /// with a zero tail rate would never produce another event.
-    pub fn validate(segments: &[RateSegment]) -> Result<(), &'static str> {
+    pub(crate) fn validate(segments: &[RateSegment]) -> Result<(), &'static str> {
         if segments.is_empty() {
             return Err("a scripted profile needs at least one segment");
         }
@@ -154,7 +154,7 @@ pub struct ScriptedArrival {
 impl ScriptedArrival {
     /// Builds the process; panics if [`RateSegment::validate`] rejects
     /// the profile (drivers validate first and return a typed error).
-    pub fn new(segments: Vec<RateSegment>) -> ScriptedArrival {
+    pub(crate) fn new(segments: Vec<RateSegment>) -> ScriptedArrival {
         if let Err(e) = RateSegment::validate(&segments) {
             panic!("invalid scripted profile: {e}");
         }
@@ -174,14 +174,10 @@ impl ScriptedArrival {
         }
     }
 
-    /// Total scripted length (excluding the held tail).
-    pub fn scripted_span(&self) -> SimDuration {
-        self.starts[self.segments.len()].duration_since(SimTime::ZERO)
-    }
-
     /// Time-weighted mean rate over the scripted span (the held tail is
     /// excluded — it is infinite).
-    pub fn mean_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_rate(&self) -> f64 {
         let span: f64 = self.segments.iter().map(|s| s.duration_s).sum();
         let weighted: f64 = self
             .segments
@@ -248,7 +244,7 @@ impl ScriptedArrival {
     /// Advances the process past `now`, returning the absolute time of
     /// the next arrival. `now` must be non-decreasing across calls (the
     /// merged stream always satisfies this).
-    pub fn next_after(&mut self, now: SimTime, rng: &mut SimRng) -> SimTime {
+    pub(crate) fn next_after(&mut self, now: SimTime, rng: &mut SimRng) -> SimTime {
         let mut t = now;
         loop {
             let (lam_max, seg_end) = self.envelope(t);
@@ -336,7 +332,8 @@ impl ArrivalProcess {
     /// The long-run mean rate in events/s (used by the property tests
     /// and by capacity accounting). For scripted profiles this is the
     /// time-weighted mean over the scripted span.
-    pub fn mean_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_rate(&self) -> f64 {
         match self {
             ArrivalProcess::Poisson { rate } => *rate,
             ArrivalProcess::Scripted(s) => s.mean_rate(),
@@ -418,7 +415,7 @@ impl Default for EventMix {
 
 impl EventMix {
     /// Sum of the weights.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.weights.iter().map(|(_, w)| w).sum()
     }
 }
@@ -462,7 +459,11 @@ impl ArrivalStream {
     /// exactly. RNG forking order matches [`ArrivalStream::new`] (one
     /// fork per active kind, in mix order), so swapping a steady stream
     /// for a scripted one leaves every downstream RNG untouched.
-    pub fn scripted(mix: &EventMix, segments: &[RateSegment], rng: &mut SimRng) -> ArrivalStream {
+    pub(crate) fn scripted(
+        mix: &EventMix,
+        segments: &[RateSegment],
+        rng: &mut SimRng,
+    ) -> ArrivalStream {
         let total = mix.total();
         assert!(total > 0.0, "event mix must have positive weight");
         let mut procs = Vec::new();

@@ -44,8 +44,6 @@ pub struct ProcedureProfile {
 /// Profiles for every [`UeEvent`] kind on one deployment.
 #[derive(Debug, Clone)]
 pub struct ProfileSet {
-    /// The deployment these were measured on.
-    pub deployment: Deployment,
     /// Indexed by `UeEvent` discriminant.
     profiles: [ProcedureProfile; 6],
 }
@@ -280,10 +278,7 @@ pub fn calibrate(deployment: Deployment) -> ProfileSet {
     w.push(dereg.delay, dereg.env);
     profiles[UeEvent::Deregistration as usize] = w.measure(UeEvent::Deregistration);
 
-    ProfileSet {
-        deployment,
-        profiles,
-    }
+    ProfileSet { profiles }
 }
 
 #[cfg(test)]

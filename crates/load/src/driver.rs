@@ -106,7 +106,7 @@ impl std::fmt::Display for ExecBackend {
 
 /// How arrivals are generated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LoadMode {
+pub(crate) enum LoadMode {
     /// Open loop at [`LoadConfig::offered_eps`], independent of
     /// completions.
     #[default]
@@ -221,7 +221,7 @@ pub struct LoadConfig {
     /// When set, open-loop arrivals follow this scripted piecewise rate
     /// profile instead of the steady `offered_eps`/`burst` process (the
     /// steady fields are ignored). `None` = steady arrivals.
-    pub script: Option<Vec<RateSegment>>,
+    pub(crate) script: Option<Vec<RateSegment>>,
     /// When set, shards suffer this scripted plan of kill / freeze /
     /// recover faults mid-run; the report carries a [`Disruption`]
     /// block. `None` = fault-free.
@@ -231,9 +231,9 @@ pub struct LoadConfig {
     /// Master seed; every RNG in the run forks from it.
     pub seed: u64,
     /// Execution engine.
-    pub backend: ExecBackend,
+    pub(crate) backend: ExecBackend,
     /// Arrival generation discipline.
-    pub mode: LoadMode,
+    pub(crate) mode: LoadMode,
     /// When set, the run carries a per-shard [`MetricsTimeline`]
     /// snapshotting at this interval (virtual time). `None` = off.
     pub metrics_interval: Option<SimDuration>,
@@ -241,15 +241,15 @@ pub struct LoadConfig {
     /// [`l25gc_obs::serve::MetricsServer`] bound on this address, one
     /// snapshot per closed timeline window (requires
     /// [`LoadConfig::metrics_interval`]). `None` = no live endpoint.
-    pub serve_metrics: Option<String>,
+    pub(crate) serve_metrics: Option<String>,
     /// Span sampling stride: keep every Nth UE's procedure spans
     /// (`ue % N == 0`). `0` = tracing off.
-    pub trace_sample: u64,
+    pub(crate) trace_sample: u64,
     /// Pin each shard worker (and the dispatcher, when a core is spare)
     /// to distinct physical cores — the paper's one-NF-per-core testbed
     /// discipline. Best-effort: a restricted host warns and runs
     /// unpinned. Threaded backend only; the analytic engine ignores it.
-    pub pin: bool,
+    pub(crate) pin: bool,
     /// Dispatcher staging depth: routed events accumulate in per-shard
     /// buffers and flush as one `push_burst` when a shard's buffer
     /// reaches this size (or on admission pressure, a barrier, or the
@@ -292,7 +292,7 @@ impl LoadConfig {
 
     /// Checks every invariant the drivers rely on; [`Driver::new`] and
     /// [`LoadConfigBuilder::build`] both call this.
-    pub fn validate(&self) -> Result<(), LoadError> {
+    pub(crate) fn validate(&self) -> Result<(), LoadError> {
         if self.ues == 0 {
             return Err(LoadError::ZeroUes);
         }
@@ -455,12 +455,6 @@ impl LoadConfigBuilder {
         self
     }
 
-    /// Open-loop arrivals (the default).
-    pub fn open_loop(mut self) -> Self {
-        self.cfg.mode = LoadMode::Open;
-        self
-    }
-
     /// Closed-loop arrivals: `workers` clients with `think` pauses.
     pub fn closed_loop(mut self, workers: usize, think: SimDuration) -> Self {
         self.cfg.mode = LoadMode::Closed { workers, think };
@@ -524,11 +518,11 @@ pub struct WallClock {
 pub struct Disruption {
     /// S-BFD detection window charged per kill (ms). Zero when the plan
     /// held only freezes (no failover fires for a stall).
-    pub detect_ms: f64,
+    pub(crate) detect_ms: f64,
     /// Route-migration cost charged per kill (ms).
-    pub reroute_ms: f64,
+    pub(crate) reroute_ms: f64,
     /// Non-overlapped log-replay cost charged per kill (ms).
-    pub replay_ms: f64,
+    pub(crate) replay_ms: f64,
     /// Worst measured disruption across outages (ms): for a kill, kill
     /// instant → replayed backlog drained; for a freeze, the stall span.
     pub disruption_ms: f64,
@@ -637,11 +631,6 @@ impl Driver {
     pub fn new(cfg: LoadConfig) -> Result<Driver, LoadError> {
         cfg.validate()?;
         Ok(Driver { cfg })
-    }
-
-    /// The validated configuration.
-    pub fn config(&self) -> &LoadConfig {
-        &self.cfg
     }
 
     /// Runs the configured (mode × backend) combination.
@@ -801,19 +790,19 @@ impl ScrapePublisher {
 /// reports the same way.
 pub(crate) struct Telemetry {
     /// Histograms, flight recorder, span log.
-    pub obs: Obs,
+    pub(crate) obs: Obs,
     /// Windowed per-shard snapshots, when configured.
-    pub timeline: Option<MetricsTimeline>,
+    pub(crate) timeline: Option<MetricsTimeline>,
     /// Live scrape-endpoint publisher, when configured.
     publisher: Option<ScrapePublisher>,
     /// Span sampling stride (0 = off).
     trace_sample: u64,
     /// End of the run in virtual time.
-    pub horizon: SimTime,
+    pub(crate) horizon: SimTime,
     /// Completions observed inside the horizon.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Every completion observed, inside the horizon or not.
-    pub completed_total: u64,
+    pub(crate) completed_total: u64,
 }
 
 impl Telemetry {
@@ -904,30 +893,30 @@ pub(crate) fn record_admitted(
 #[derive(Default)]
 pub(crate) struct ExecTotals {
     /// Arrivals shed by admission control.
-    pub shed: u64,
+    pub(crate) shed: u64,
     /// Arrivals rejected by ring backpressure.
-    pub backpressure: u64,
+    pub(crate) backpressure: u64,
     /// Deepest any shard's in-flight queue got.
-    pub peak_depth: usize,
+    pub(crate) peak_depth: usize,
     /// Arrivals shed while their shard was inside a scripted outage.
-    pub lost_in_outage: u64,
+    pub(crate) lost_in_outage: u64,
     /// Each shard's final FIFO server (a killed shard's primary and its
     /// standby share one, so failover is invisible to the occupancy and
     /// replay accounting).
-    pub servers: Vec<FifoServer>,
+    pub(crate) servers: Vec<FifoServer>,
     /// Engine-specific end-of-run gauges, recorded last.
-    pub gauges: Vec<(&'static str, u64)>,
+    pub(crate) gauges: Vec<(&'static str, u64)>,
     /// Per-shard wait counters (all zero for an engine that never
     /// deschedules): the parked share of each shard's idle time.
-    pub per_shard_wait: Vec<WaitStats>,
+    pub(crate) per_shard_wait: Vec<WaitStats>,
     /// Wait-ladder counters merged across every wait site in the engine.
-    pub wait: WaitStats,
+    pub(crate) wait: WaitStats,
     /// The dispatcher's own wait sites only — dispatcher utilization is
     /// wall time minus this descheduled time.
-    pub dispatcher_wait: WaitStats,
+    pub(crate) dispatcher_wait: WaitStats,
     /// Real elapsed time of the run, engine start to last join, for an
     /// engine that runs on the wall clock (threaded backend only).
-    pub elapsed: Option<std::time::Duration>,
+    pub(crate) elapsed: Option<std::time::Duration>,
 }
 
 /// An execution engine the driver loop offers procedures to: the

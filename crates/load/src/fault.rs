@@ -30,7 +30,7 @@ use l25gc_sim::{SimDuration, SimTime};
 
 /// What a scripted fault event does to its shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// The shard's primary dies; the failover machinery recovers it.
     Kill,
     /// The shard stalls without dying; no failover fires.
@@ -53,32 +53,32 @@ impl FaultKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// What happens.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
     /// When it happens (virtual time from run start).
-    pub at: SimDuration,
+    pub(crate) at: SimDuration,
     /// Which shard it happens to.
-    pub shard: u16,
+    pub(crate) shard: u16,
 }
 
 /// A declarative script of fault events, ordered by time.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// The events, non-decreasing in `at`.
-    pub events: Vec<FaultSpec>,
+    pub(crate) events: Vec<FaultSpec>,
 }
 
 /// One closed service interval a fault carves out of a shard's schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Outage {
+pub(crate) struct Outage {
     /// The afflicted shard.
-    pub shard: u16,
+    pub(crate) shard: u16,
     /// When service stops.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// When service resumes (exclusive).
-    pub end: SimTime,
+    pub(crate) end: SimTime,
     /// True when the outage is a kill (failover + replay), false for a
     /// freeze (plain stall).
-    pub kill: bool,
+    pub(crate) kill: bool,
 }
 
 /// Floors a FIFO service start past every outage its service interval
@@ -88,7 +88,7 @@ pub struct Outage {
 /// log replay). Both execution backends call this with identical
 /// intervals, which is what keeps analytic runs byte-deterministic and
 /// the two backends in agreement on completion counts.
-pub fn floor_service(
+pub(crate) fn floor_service(
     outages: &[Outage],
     mut start: SimTime,
     occupancy: SimDuration,
@@ -260,7 +260,11 @@ impl FaultPlan {
     /// Compiles the plan into per-shard service outages, sorted by
     /// (shard, start). Kill outages end at the failover timeline's
     /// recovery instant; unmatched freezes run to the horizon.
-    pub fn outages(&self, timeline: &FailoverTimeline, duration: SimDuration) -> Vec<Outage> {
+    pub(crate) fn outages(
+        &self,
+        timeline: &FailoverTimeline,
+        duration: SimDuration,
+    ) -> Vec<Outage> {
         let horizon = SimTime::ZERO + duration;
         let mut open: Vec<(u16, SimTime)> = Vec::new();
         let mut out = Vec::new();

@@ -20,19 +20,19 @@ use crate::fault::{floor_service, Outage};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Service {
     /// When service started (arrival plus queue wait).
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// When the shard's CPU was done (`start + occupancy`).
-    pub done_cpu: SimTime,
+    pub(crate) done_cpu: SimTime,
     /// End-to-end completion: CPU done plus the off-shard wire time,
     /// which does not hold the shard.
-    pub completes_at: SimTime,
+    pub(crate) completes_at: SimTime,
 }
 
 impl Service {
     /// The latency anatomy of a procedure that arrived at `at`:
     /// `(end_to_end, queue_wait, service, transit)` in nanoseconds. The
     /// three stages tile the end-to-end latency exactly.
-    pub fn stages(&self, at: SimTime) -> (u64, u64, u64, u64) {
+    pub(crate) fn stages(&self, at: SimTime) -> (u64, u64, u64, u64) {
         let lat = self.completes_at.duration_since(at).as_nanos();
         let qw = self.start.duration_since(at).as_nanos();
         let svc = self.done_cpu.duration_since(self.start).as_nanos();
@@ -59,7 +59,7 @@ pub(crate) struct FifoServer {
 
 impl FifoServer {
     /// An idle server suffering `outages` (any order).
-    pub fn new(mut outages: Vec<Outage>) -> FifoServer {
+    pub(crate) fn new(mut outages: Vec<Outage>) -> FifoServer {
         outages.sort_by_key(|o| o.start.as_nanos());
         FifoServer {
             busy_until: SimTime::ZERO,
@@ -71,7 +71,7 @@ impl FifoServer {
 
     /// One idle server per shard, each suffering its own share of
     /// `outages`.
-    pub fn per_shard(outages: &[Outage], shards: usize) -> Vec<FifoServer> {
+    pub(crate) fn per_shard(outages: &[Outage], shards: usize) -> Vec<FifoServer> {
         (0..shards)
             .map(|i| {
                 let own = outages.iter().filter(|o| o.shard as usize == i);
@@ -83,7 +83,7 @@ impl FifoServer {
     /// Serves one procedure arriving at `at`. Service cannot overlap a
     /// scripted outage — work in flight across a kill restarts after the
     /// failover window, which is the log-replay path.
-    pub fn serve(&mut self, at: SimTime, prof: &ProcedureProfile) -> Service {
+    pub(crate) fn serve(&mut self, at: SimTime, prof: &ProcedureProfile) -> Service {
         let (start, crossed_kill) =
             floor_service(&self.outages, self.busy_until.max(at), prof.occupancy);
         let done_cpu = start + prof.occupancy;
@@ -100,12 +100,12 @@ impl FifoServer {
     }
 
     /// Whether a scripted outage holds the shard down at `now`.
-    pub fn in_outage(&self, now: SimTime) -> bool {
+    pub(crate) fn in_outage(&self, now: SimTime) -> bool {
         self.outages.iter().any(|o| now >= o.start && now < o.end)
     }
 
     /// Procedures re-run from the packet log after a kill.
-    pub fn replayed(&self) -> u64 {
+    pub(crate) fn replayed(&self) -> u64 {
         self.replayed
     }
 
@@ -113,7 +113,7 @@ impl FifoServer {
     /// kill, from the kill instant until the replayed backlog drained
     /// (the outage span if nothing was in flight); for a freeze, the
     /// stall span itself. `None` without outages.
-    pub fn disruption_span(&self) -> Option<SimDuration> {
+    pub(crate) fn disruption_span(&self) -> Option<SimDuration> {
         self.outages
             .iter()
             .map(|o| {
@@ -133,7 +133,7 @@ impl FifoServer {
     /// `min(busy_until, horizon) / horizon`, and their mean. (The mean
     /// divides the summed busy time once, so it is not the mean of the
     /// rounded per-server values.)
-    pub fn busy_fractions(servers: &[FifoServer], horizon: SimTime) -> (Vec<f64>, f64) {
+    pub(crate) fn busy_fractions(servers: &[FifoServer], horizon: SimTime) -> (Vec<f64>, f64) {
         let h = horizon.as_nanos();
         if h == 0 || servers.is_empty() {
             return (vec![0.0; servers.len()], 0.0);

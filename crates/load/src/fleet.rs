@@ -19,7 +19,6 @@
 //! that record is a cache miss the draw no longer waits on, and the
 //! record is only written.
 
-use l25gc_core::UeId;
 use l25gc_sim::SimRng;
 
 use std::collections::hash_map::DefaultHasher;
@@ -43,7 +42,8 @@ pub enum UeState {
 }
 
 /// All lifecycle states, in discriminant order.
-pub const UE_STATES: [UeState; 4] = [
+#[cfg(test)]
+pub(crate) const UE_STATES: [UeState; 4] = [
     UeState::Deregistered,
     UeState::Registered,
     UeState::SessionActive,
@@ -53,25 +53,25 @@ pub const UE_STATES: [UeState; 4] = [
 /// One UE's compact record: 16 bytes (13 used). The owning shard is not
 /// here: [`Fleet::shard_of`] hashes it from the SUPI.
 #[derive(Debug, Clone, Copy)]
-pub struct UeRecord {
+pub(crate) struct UeRecord {
     /// Current lifecycle state (discriminant of [`UeState`]).
-    pub state: u8,
+    pub(crate) state: u8,
     /// Uplink TEID while a session exists, else 0.
-    pub teid: u32,
+    pub(crate) teid: u32,
     /// UE IPv4 address (as u32) while a session exists, else 0.
-    pub ip: u32,
+    pub(crate) ip: u32,
     /// This UE's position inside its state's index set.
     pos: u32,
 }
 
 /// SUPIs start here; UE index `i` has SUPI `SUPI_BASE + i` (the testbed
 /// convention `100 + ue`).
-pub const SUPI_BASE: u64 = 100;
+pub(crate) const SUPI_BASE: u64 = 100;
 
 /// Deterministic shard assignment by SUPI: SipHash with the std default
 /// keys, reduced modulo `shards`, so a UE lands on the same load shard in
 /// every run.
-pub fn shard_for_supi(supi: u64, shards: u16) -> u16 {
+pub(crate) fn shard_for_supi(supi: u64, shards: u16) -> u16 {
     let mut h = DefaultHasher::new();
     supi.hash(&mut h);
     (h.finish() % u64::from(shards.max(1))) as u16
@@ -117,22 +117,12 @@ impl Fleet {
     }
 
     /// Fleet size.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.recs.len()
     }
 
-    /// True when the fleet has no UEs.
-    pub fn is_empty(&self) -> bool {
-        self.recs.is_empty()
-    }
-
-    /// Worker shard count this fleet is partitioned over.
-    pub fn shards(&self) -> u16 {
-        self.shards
-    }
-
     /// The SUPI of UE index `ue`.
-    pub fn supi(&self, ue: u32) -> u64 {
+    pub(crate) fn supi(&self, ue: u32) -> u64 {
         SUPI_BASE + u64::from(ue)
     }
 
@@ -142,17 +132,19 @@ impl Fleet {
     }
 
     /// The UE's current lifecycle state.
-    pub fn state(&self, ue: u32) -> UeState {
+    #[cfg(test)]
+    pub(crate) fn state(&self, ue: u32) -> UeState {
         UE_STATES[self.recs[ue as usize].state as usize]
     }
 
     /// The UE's record.
-    pub fn record(&self, ue: u32) -> &UeRecord {
+    #[cfg(test)]
+    pub(crate) fn record(&self, ue: u32) -> &UeRecord {
         &self.recs[ue as usize]
     }
 
     /// UEs currently in `state`.
-    pub fn count(&self, state: UeState) -> usize {
+    pub(crate) fn count(&self, state: UeState) -> usize {
         self.by_state[state as usize].len()
     }
 
@@ -271,11 +263,6 @@ impl Fleet {
         for (p, &ue) in dereg.iter().enumerate() {
             self.recs[ue as usize].pos = p as u32;
         }
-    }
-
-    /// The UE id (as used by `l25gc-core`) of fleet index `ue`.
-    pub fn ue_id(&self, ue: u32) -> UeId {
-        1 + UeId::from(ue)
     }
 }
 

@@ -66,27 +66,25 @@
 
 #![warn(missing_docs)]
 
-pub mod arrival;
-pub mod dispatch;
-pub mod driver;
-pub mod fault;
+mod arrival;
+mod dispatch;
+mod driver;
+mod fault;
 mod fifo;
-pub mod fleet;
-pub mod scenario;
-pub mod shard;
-pub mod wait;
-pub mod worker;
+mod fleet;
+mod scenario;
+mod shard;
+mod wait;
+mod worker;
 
-pub use arrival::{ArrivalProcess, ArrivalStream, EventMix, RateSegment, ScriptedArrival};
+pub use arrival::{ArrivalProcess, ArrivalStream, EventMix, RateSegment};
 pub use dispatch::{calibrate, ProcedureProfile, ProfileSet};
 pub use driver::{
-    Disruption, Driver, ExecBackend, LoadConfig, LoadConfigBuilder, LoadError, LoadMode,
-    LoadReport, WallClock, HIST_ALL, HIST_QUEUE_WAIT, HIST_SERVICE, HIST_TRANSIT,
+    Driver, ExecBackend, LoadConfig, LoadConfigBuilder, LoadError, LoadReport, HIST_ALL,
+    HIST_QUEUE_WAIT, HIST_SERVICE, HIST_TRANSIT,
 };
-pub use fault::{FaultKind, FaultPlan, FaultSpec, Outage};
-pub use fleet::{shard_for_supi, Fleet, UeRecord, UeState, SUPI_BASE, UE_STATES};
+pub use fault::FaultPlan;
+pub use fleet::{Fleet, UeState};
 pub use l25gc_core::proc_kind;
 pub use scenario::{ScenarioSpec, SCENARIO_NAMES};
 pub use shard::{Admission, OverloadPolicy, ShardConfig, ShardSet};
-pub use wait::{WaitStats, Waiter};
-pub use worker::{Completion, Submit};

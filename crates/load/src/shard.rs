@@ -234,7 +234,7 @@ impl ShardSet {
     /// Installs scripted service outages (from
     /// [`FaultPlan::outages`](crate::fault::FaultPlan::outages)) into
     /// fresh shards.
-    pub fn set_outages(&mut self, outages: &[Outage]) {
+    pub(crate) fn set_outages(&mut self, outages: &[Outage]) {
         let servers = FifoServer::per_shard(outages, self.shards.len());
         for (s, fifo) in self.shards.iter_mut().zip(servers) {
             s.fifo = fifo;

@@ -24,27 +24,27 @@ const PARK_TIMEOUT: Duration = Duration::from_micros(100);
 
 /// Counters exported (per wait site) as `l25gc-obs` gauges at run end.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WaitStats {
+pub(crate) struct WaitStats {
     /// `spin_loop` rounds executed.
-    pub spins: u64,
+    pub(crate) spins: u64,
     /// `yield_now` calls executed.
-    pub yields: u64,
+    pub(crate) yields: u64,
     /// `park_timeout` calls executed.
-    pub parks: u64,
+    pub(crate) parks: u64,
     /// Ladder tier transitions (spin→yield and yield→park).
-    pub transitions: u64,
+    pub(crate) transitions: u64,
     /// Wall time spent descheduled (yield + park tiers), in nanoseconds.
-    pub blocked_ns: u64,
+    pub(crate) blocked_ns: u64,
     /// Wall time spent in the park tier only, in nanoseconds — a subset
     /// of [`WaitStats::blocked_ns`]. The utilization lanes use the
     /// parked/blocked ratio to apportion idle time between the
     /// blocked and parked duty-cycle buckets.
-    pub parked_ns: u64,
+    pub(crate) parked_ns: u64,
 }
 
 impl WaitStats {
     /// Merge another site's counters into this one.
-    pub fn absorb(&mut self, other: &WaitStats) {
+    pub(crate) fn absorb(&mut self, other: &WaitStats) {
         self.spins += other.spins;
         self.yields += other.yields;
         self.parks += other.parks;
@@ -60,7 +60,7 @@ impl WaitStats {
 /// useful work; the ladder position is per-site, so a busy submit ring
 /// never pushes the completion path into parking.
 #[derive(Debug, Default)]
-pub struct Waiter {
+pub(crate) struct Waiter {
     /// Consecutive misses since the last reset.
     round: u32,
     stats: WaitStats,
@@ -68,20 +68,20 @@ pub struct Waiter {
 
 impl Waiter {
     /// A fresh waiter at the bottom of the ladder.
-    pub fn new() -> Waiter {
+    pub(crate) fn new() -> Waiter {
         Waiter::default()
     }
 
     /// Back to the bottom of the ladder — call after a successful poll.
     #[inline]
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.round = 0;
     }
 
     /// One backoff step; the tier depends on how many consecutive misses
     /// this site has seen since the last reset.
     #[inline]
-    pub fn wait(&mut self) {
+    pub(crate) fn wait(&mut self) {
         let round = self.round;
         self.round = round.saturating_add(1);
         if round < SPIN_ROUNDS {
@@ -101,7 +101,7 @@ impl Waiter {
     }
 
     /// Counters accumulated so far.
-    pub fn stats(&self) -> WaitStats {
+    pub(crate) fn stats(&self) -> WaitStats {
         self.stats
     }
 

@@ -76,30 +76,30 @@ const STOP_SEQ: u64 = u64::MAX;
 
 /// One procedure crossing the submit ring, 24 bytes.
 #[derive(Debug, Clone, Copy)]
-pub struct Submit {
+pub(crate) struct Submit {
     /// Monotone per-run sequence number (closed loop matches on it).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Procedure kind.
-    pub kind: UeEvent,
+    pub(crate) kind: UeEvent,
     /// The UE issuing the procedure (span sampling).
-    pub ue: u32,
+    pub(crate) ue: u32,
     /// Virtual arrival instant.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
 }
 
 /// One completed procedure crossing the completion ring back.
 #[derive(Debug, Clone, Copy)]
-pub struct Completion {
+pub(crate) struct Completion {
     /// Sequence number of the originating [`Submit`].
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Procedure kind (histogram routing).
-    pub kind: UeEvent,
+    pub(crate) kind: UeEvent,
     /// The UE it belongs to (span sampling).
-    pub ue: u32,
+    pub(crate) ue: u32,
     /// Virtual arrival instant (latency = `completes_at - at`).
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Virtual end-to-end completion instant.
-    pub completes_at: SimTime,
+    pub(crate) completes_at: SimTime,
 }
 
 /// What one worker thread hands back at join, beside its [`FifoServer`].

@@ -86,34 +86,34 @@ pub enum DataPath {
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// One-way shared-memory hop (descriptor enqueue→dispatch).
-    pub shm_hop: SimDuration,
+    pub(crate) shm_hop: SimDuration,
     /// One-way kernel UDP hop (PFCP).
-    pub udp_hop: SimDuration,
+    pub(crate) udp_hop: SimDuration,
     /// One-way HTTP/REST hop (SBI), excluding serialization below.
-    pub http_hop: SimDuration,
+    pub(crate) http_hop: SimDuration,
     /// One-way SCTP hop (N1/N2), gNB ↔ AMF.
     pub sctp_hop: SimDuration,
     /// Serialize+deserialize cost per KiB of JSON.
-    pub json_per_kib: SimDuration,
+    pub(crate) json_per_kib: SimDuration,
     /// Serialize+deserialize cost per KiB of protobuf.
-    pub proto_per_kib: SimDuration,
+    pub(crate) proto_per_kib: SimDuration,
     /// Serialize (write-side only; reads are zero-parse) per KiB of
     /// flatbuffers.
-    pub flat_per_kib: SimDuration,
+    pub(crate) flat_per_kib: SimDuration,
     /// Encode+decode cost per KiB of PFCP TLV.
-    pub pfcp_per_kib: SimDuration,
+    pub(crate) pfcp_per_kib: SimDuration,
 
     /// Kernel datapath per-packet service time (CPU occupancy).
-    pub kernel_svc: SimDuration,
+    pub(crate) kernel_svc: SimDuration,
     /// Kernel datapath extra one-way latency (interrupt path).
-    pub kernel_lat: SimDuration,
+    pub(crate) kernel_lat: SimDuration,
     /// DPDK datapath fixed per-packet service time.
-    pub dpdk_svc_base: SimDuration,
+    pub(crate) dpdk_svc_base: SimDuration,
     /// DPDK datapath per-byte service time, in nanoseconds per byte
     /// (an `f64` because it is sub-nanosecond).
-    pub dpdk_svc_per_byte_ns: f64,
+    pub(crate) dpdk_svc_per_byte_ns: f64,
     /// DPDK datapath extra one-way latency (poll pipeline).
-    pub dpdk_lat: SimDuration,
+    pub(crate) dpdk_lat: SimDuration,
     /// Wire + stack latency of one N3/N6 hop (generator↔UPF or
     /// gNB↔UPF), identical for both systems. Each direction of the
     /// end-to-end path crosses two such hops.
@@ -137,17 +137,12 @@ pub struct CostModel {
     /// signalling radio bearer), excluding the SCTP leg.
     pub ran_nas_rtt: SimDuration,
 
-    /// Local replica synchronization (same-host shared memory, §3.5.1:
-    /// "less than 5 µs").
-    pub local_sync: SimDuration,
     /// Failure detection by the LB probe agent (§5.5.1: < 0.5 ms).
     pub failure_detect: SimDuration,
     /// Re-routing to the remote replica after detection (§5.5.1: 2 ms).
     pub reroute: SimDuration,
     /// State reconstruction by packet replay (§5.5.1: 3 ms).
     pub replay: SimDuration,
-    /// Checkpoint delta transfer to the remote replica, per event batch.
-    pub checkpoint_send: SimDuration,
 }
 
 impl CostModel {
@@ -178,11 +173,9 @@ impl CostModel {
             ran_attach_fixed: SimDuration::from_millis(20),
             ran_nas_rtt: SimDuration::from_millis(8),
 
-            local_sync: SimDuration::from_micros(5),
             failure_detect: SimDuration::from_micros(500),
             reroute: SimDuration::from_millis(2),
             replay: SimDuration::from_millis(3),
-            checkpoint_send: SimDuration::from_micros(200),
         }
     }
 

@@ -14,23 +14,17 @@
 //! **Simulation-facing models:**
 //! - [`cost`] — the calibrated per-hop / per-packet cost model; the only
 //!   place the paper's measured primitives enter the reproduction.
-//! - [`manager`] — the NF manager: service registry and canary-weighted
-//!   routing (§4). Failure detection and the replica lifecycle are the
-//!   testbed's failover harness.
 //! - [`topology`] — CPU topology discovery (cores, SMT siblings) and
 //!   `sched_setaffinity` pinning, reproducing OpenNetVM's
 //!   one-NF-per-core placement for the threaded backend.
 
 pub mod cost;
-pub mod manager;
-pub mod mempool;
+mod mempool;
 pub mod ring;
-pub mod session_table;
+mod session_table;
 pub mod topology;
 
-pub use cost::{CostModel, DataPath, SerFormat, Transport};
-pub use manager::{InstanceId, Manager, ServiceId};
-pub use mempool::{Mempool, PktAction, PktHandle, PktMeta};
-pub use ring::{duplex, ring, Consumer, DuplexHost, DuplexWorker, Producer, RingFull};
+pub use cost::{CostModel, DataPath};
+pub use mempool::Mempool;
+pub use ring::ring;
 pub use session_table::DualKeyTable;
-pub use topology::{pin_current_thread, CpuTopology, PinError, PinPlan};

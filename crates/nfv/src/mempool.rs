@@ -14,29 +14,6 @@ use parking_lot::Mutex;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PktHandle(u32);
 
-/// Per-packet metadata carried in descriptors (the ONVM `onvm_pkt_meta`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PktMeta {
-    /// Target: service id for NF-to-NF, or output port.
-    pub dest: u32,
-    /// Action the manager should take.
-    pub action: PktAction,
-    /// Length of valid data in the buffer.
-    pub data_len: u32,
-}
-
-/// The action an NF stamps on a processed packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PktAction {
-    /// Hand the descriptor to another NF (`dest` = service id).
-    #[default]
-    ToNf,
-    /// Transmit on a NIC port (`dest` = port id).
-    Out,
-    /// Drop and return the buffer to the pool.
-    Drop,
-}
-
 /// A fixed-size pool of packet buffers.
 pub struct Mempool {
     /// One contiguous arena, `buf_size` bytes per slot.
@@ -120,7 +97,8 @@ impl Mempool {
     }
 
     /// Reads `len` bytes from the buffer into a fresh `Vec`.
-    pub fn read(&self, h: PktHandle, len: usize) -> Vec<u8> {
+    #[cfg(test)]
+    pub(crate) fn read(&self, h: PktHandle, len: usize) -> Vec<u8> {
         assert!(len <= self.buf_size);
         let a = self.arena.lock();
         let off = h.0 as usize * self.buf_size;
@@ -128,7 +106,8 @@ impl Mempool {
     }
 
     /// Applies `f` to the buffer contents in place (zero-copy access).
-    pub fn with<R>(&self, h: PktHandle, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    #[cfg(test)]
+    pub(crate) fn with<R>(&self, h: PktHandle, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let mut a = self.arena.lock();
         let off = h.0 as usize * self.buf_size;
         let size = self.buf_size;
@@ -136,21 +115,16 @@ impl Mempool {
     }
 
     /// Buffers currently allocated.
-    pub fn in_use(&self) -> usize {
+    pub(crate) fn in_use(&self) -> usize {
         self.arena.lock().allocated
     }
 
     /// Total buffer count.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         // One lock for both reads: two `.lock()` temporaries in a single
         // expression both live to the end of it, which self-deadlocks.
         let a = self.arena.lock();
         a.free.len() + a.allocated
-    }
-
-    /// Slot size in bytes.
-    pub fn buf_size(&self) -> usize {
-        self.buf_size
     }
 }
 

@@ -129,7 +129,7 @@ pub fn ring_labeled<T>(capacity: usize, label: &'static str) -> (Producer<T>, Co
 /// `usize` indices just below `usize::MAX` and prove that push/pop/burst
 /// survive counter wraparound.
 #[doc(hidden)]
-pub fn ring_labeled_at<T>(
+pub(crate) fn ring_labeled_at<T>(
     capacity: usize,
     label: &'static str,
     start: usize,
@@ -337,23 +337,6 @@ impl<T> Consumer<T> {
     /// True when no descriptors are queued (approximate under concurrency).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The label given at construction.
-    pub fn label(&self) -> &'static str {
-        self.label
-    }
-
-    /// Samples the current depth into `fr` as a `Gauge` event named after
-    /// the ring's label.
-    pub fn record_depth(&self, fr: &mut FlightRecorder, now: SimTime) {
-        fr.record(
-            now,
-            EventKind::Gauge {
-                name: self.label,
-                value: self.len() as u64,
-            },
-        );
     }
 }
 

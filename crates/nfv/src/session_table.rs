@@ -134,11 +134,6 @@ impl<V> DualKeyTable<V> {
     pub fn iter(&self) -> impl Iterator<Item = &V> {
         self.slots.iter().filter_map(Option::as_ref)
     }
-
-    /// Iterates live sessions mutably.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.slots.iter_mut().filter_map(Option::as_mut)
-    }
 }
 
 #[cfg(test)]

@@ -20,22 +20,22 @@ use std::path::{Path, PathBuf};
 /// Environment variable overriding the sysfs CPU root (default
 /// `/sys/devices/system/cpu`). Used by tests and CI to inject fake
 /// topologies, including ones whose CPUs the kernel will refuse to pin.
-pub const TOPOLOGY_ROOT_ENV: &str = "L25GC_TOPOLOGY_ROOT";
+pub(crate) const TOPOLOGY_ROOT_ENV: &str = "L25GC_TOPOLOGY_ROOT";
 
 const DEFAULT_ROOT: &str = "/sys/devices/system/cpu";
 
 /// One online logical CPU and where it sits in the machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CpuInfo {
+pub(crate) struct CpuInfo {
     /// Logical CPU id (the `N` in `cpuN`).
-    pub cpu: u32,
+    pub(crate) cpu: u32,
     /// Physical core id within the package (`topology/core_id`).
-    pub core_id: u32,
+    pub(crate) core_id: u32,
     /// Package/socket id (`topology/physical_package_id`; 0 if absent).
-    pub package_id: u32,
+    pub(crate) package_id: u32,
     /// SMT sibling logical CPUs, including this one
     /// (`topology/thread_siblings_list`; `[cpu]` if absent).
-    pub siblings: Vec<u32>,
+    pub(crate) siblings: Vec<u32>,
 }
 
 /// Discovered CPU topology: the online logical CPUs grouped by physical core.
@@ -78,7 +78,7 @@ impl CpuTopology {
     /// `<root>/cpuN/topology/{core_id,physical_package_id,thread_siblings_list}`.
     /// Missing per-CPU topology files degrade to "every CPU is its own core",
     /// which is the safe assumption for pinning.
-    pub fn from_sysfs_root(root: &Path) -> Result<CpuTopology, TopologyError> {
+    pub(crate) fn from_sysfs_root(root: &Path) -> Result<CpuTopology, TopologyError> {
         let online_path = root.join("online");
         let online =
             fs::read_to_string(&online_path).map_err(|e| TopologyError::Io(online_path, e))?;
@@ -107,29 +107,27 @@ impl CpuTopology {
     }
 
     /// All online logical CPUs, ascending.
-    pub fn online(&self) -> &[CpuInfo] {
+    #[cfg(test)]
+    pub(crate) fn online(&self) -> &[CpuInfo] {
         &self.cpus
     }
 
     /// Number of online logical CPUs.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.cpus.len()
     }
 
-    /// True when no CPUs were discovered.
-    pub fn is_empty(&self) -> bool {
-        self.cpus.is_empty()
-    }
-
     /// True when any physical core exposes more than one hardware thread.
-    pub fn smt_enabled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn smt_enabled(&self) -> bool {
         self.cpus.iter().any(|c| c.siblings.len() > 1)
     }
 
     /// One representative logical CPU (the lowest-numbered sibling) per
     /// distinct physical core, in ascending first-seen order. Pinning one
     /// worker per entry avoids SMT sharing.
-    pub fn physical_cores(&self) -> Vec<u32> {
+    pub(crate) fn physical_cores(&self) -> Vec<u32> {
         let mut seen: Vec<(u32, u32)> = Vec::new();
         let mut reps = Vec::new();
         for c in &self.cpus {
@@ -179,7 +177,7 @@ pub struct PinPlan {
 }
 
 /// Parse a sysfs CPU list (`"0-3,8,10-11"`) into ascending logical ids.
-pub fn parse_cpu_list(s: &str) -> Result<Vec<u32>, TopologyError> {
+pub(crate) fn parse_cpu_list(s: &str) -> Result<Vec<u32>, TopologyError> {
     let mut out = Vec::new();
     for part in s.split(',') {
         let part = part.trim();
@@ -255,7 +253,7 @@ mod imp {
         fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const usize) -> i32;
     }
 
-    pub fn pin_current_thread(cpu: u32) -> Result<(), PinError> {
+    pub(crate) fn pin_current_thread(cpu: u32) -> Result<(), PinError> {
         let bit = cpu as usize;
         if bit >= SET_BITS {
             return Err(PinError::Os(
@@ -284,7 +282,7 @@ mod imp {
 mod imp {
     use super::PinError;
 
-    pub fn pin_current_thread(_cpu: u32) -> Result<(), PinError> {
+    pub(crate) fn pin_current_thread(_cpu: u32) -> Result<(), PinError> {
         Err(PinError::Unsupported)
     }
 }

@@ -40,7 +40,7 @@ pub enum DropCode {
 
 impl DropCode {
     /// Stable lowercase name used by the exporters.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             DropCode::NoSession => "no_session",
             DropCode::NoPdr => "no_pdr",
@@ -57,7 +57,7 @@ impl DropCode {
     }
 
     /// Inverse of [`DropCode::name`], for the JSONL parser.
-    pub fn from_name(name: &str) -> Option<DropCode> {
+    pub(crate) fn from_name(name: &str) -> Option<DropCode> {
         Some(match name {
             "no_session" => DropCode::NoSession,
             "no_pdr" => DropCode::NoPdr,
@@ -165,7 +165,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Stable snake_case name used by the exporters.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             EventKind::RingEnqueueStall { .. } => "ring_enqueue_stall",
             EventKind::RingDequeueStall { .. } => "ring_dequeue_stall",
@@ -188,7 +188,7 @@ impl EventKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// When it happened.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// What happened.
     pub kind: EventKind,
 }
@@ -245,11 +245,6 @@ impl FlightRecorder {
         self.buf.is_empty()
     }
 
-    /// Maximum events held before overwriting begins.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Events overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -266,7 +261,7 @@ impl FlightRecorder {
     /// when full, counted as usual), and the other ring's overwrite
     /// count carries over — absorbing loses no accounting, so summed
     /// `len() + dropped()` is conserved across a merge.
-    pub fn absorb(&mut self, other: &FlightRecorder) {
+    pub(crate) fn absorb(&mut self, other: &FlightRecorder) {
         for ev in other.iter() {
             self.record(ev.at, ev.kind);
         }

@@ -54,7 +54,7 @@ fn obj() -> l25gc_codec::value::ObjectBuilder {
 }
 
 /// One event as a self-describing JSON value.
-pub fn event_to_value(e: &Event) -> Value {
+pub(crate) fn event_to_value(e: &Event) -> Value {
     let b = obj()
         .field("t", Value::Str("event".into()))
         .field("at_ns", Value::U64(e.at.as_nanos()))
@@ -94,7 +94,7 @@ pub fn event_to_value(e: &Event) -> Value {
 }
 
 /// One span as a self-describing JSON value.
-pub fn span_to_value(s: &Span) -> Value {
+pub(crate) fn span_to_value(s: &Span) -> Value {
     obj()
         .field("t", Value::Str("span".into()))
         .field("kind", Value::Str(s.kind.name().into()))
@@ -105,7 +105,7 @@ pub fn span_to_value(s: &Span) -> Value {
 }
 
 /// One segment as a self-describing JSON value.
-pub fn segment_to_value(s: &Segment) -> Value {
+pub(crate) fn segment_to_value(s: &Segment) -> Value {
     obj()
         .field("t", Value::Str("segment".into()))
         .field("nf", Value::Str(s.nf.into()))
@@ -265,7 +265,8 @@ pub fn parse_jsonl_line(line: &str) -> Result<ParsedLine, JsonlError> {
 impl ParsedLine {
     /// Re-serializes to the same [`Value`] shape [`to_jsonl`] emits, so a
     /// round-trip can be checked value-for-value.
-    pub fn to_value(&self) -> Value {
+    #[cfg(test)]
+    pub(crate) fn to_value(&self) -> Value {
         match self {
             ParsedLine::Event {
                 at_ns,

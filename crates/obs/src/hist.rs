@@ -152,7 +152,8 @@ impl Log2Histogram {
     }
 
     /// Exact smallest recorded sample, or 0 when empty.
-    pub fn min(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -166,7 +167,7 @@ impl Log2Histogram {
     }
 
     /// Exact arithmetic mean, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -217,7 +218,7 @@ impl Log2Histogram {
     /// (whose cumulative count is [`Log2Histogram::count`]); skipping
     /// empty buckets keeps the series compact without changing what a
     /// cumulative-histogram consumer reconstructs.
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut cum = self.zeros;
         if cum > 0 {

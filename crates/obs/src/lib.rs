@@ -25,28 +25,23 @@
 
 #![warn(missing_docs)]
 
-pub mod disruption;
-pub mod events;
-pub mod export;
+mod events;
+mod export;
 pub mod hist;
 pub mod serve;
 pub mod slo;
-pub mod span;
+mod span;
 pub mod timeline;
 
-pub use disruption::{completion_dip, CompletionDip};
-pub use events::{DropCode, Event, EventKind, FlightRecorder};
-pub use export::{
-    parse_jsonl_line, to_chrome_trace, to_jsonl, to_summary, JsonlError, ParsedField, ParsedLine,
-    TraceBundle,
-};
+pub use events::{DropCode, EventKind, FlightRecorder};
+pub use export::{parse_jsonl_line, to_chrome_trace, to_jsonl, to_summary, TraceBundle};
 pub use hist::{Log2Histogram, DEFAULT_BITS};
-pub use serve::{MetricsServer, Snapshot};
-pub use slo::{SloReport, SloSpec, ViolationSpan, WindowVerdict};
+pub use serve::Snapshot;
+pub use slo::{SloReport, SloSpec};
 pub use span::{ProcKind, SpanLog};
 pub use timeline::{
     parse_timeline_jsonl_line, prometheus_header, shard_outage_samples, timeline_csv_header,
-    validate_prometheus, MetricsTimeline, Stage, TimelineLine, TimelineWindow,
+    validate_prometheus, MetricsTimeline, Stage,
 };
 
 use l25gc_sim::SimTime;

@@ -73,7 +73,7 @@ impl MetricsServer {
     /// Binds `addr` (e.g. `127.0.0.1:0`), spawns the accept loop, and
     /// advertises the resolved address on stderr as
     /// `l25gc metrics endpoint: http://<addr>/metrics`.
-    pub fn bind(addr: &str) -> std::io::Result<MetricsServer> {
+    pub(crate) fn bind(addr: &str) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         eprintln!("l25gc metrics endpoint: http://{local_addr}/metrics");
@@ -102,7 +102,8 @@ impl MetricsServer {
     }
 
     /// The latest published snapshot (empty before the first publish).
-    pub fn snapshot(&self) -> Snapshot {
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> Snapshot {
         self.state.lock().unwrap().current.clone()
     }
 

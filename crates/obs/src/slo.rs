@@ -112,12 +112,12 @@ pub struct WindowVerdict {
     /// Window index (start = `window × interval`).
     pub window: usize,
     /// Window start, nanoseconds.
-    pub start_ns: u64,
+    pub(crate) start_ns: u64,
     /// The window's p99 across all shard lanes, nanoseconds (0 when the
     /// window completed nothing).
-    pub p99_ns: u64,
+    pub(crate) p99_ns: u64,
     /// Percent of the window's arrivals shed by admission control.
-    pub shed_pct: f64,
+    pub(crate) shed_pct: f64,
     /// Budget multiples this window consumed:
     /// `max(p99/p99_budget, shed/shed_budget)` (infinite when any shed
     /// occurs against a zero shed budget).
@@ -139,7 +139,7 @@ pub struct ViolationSpan {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloReport {
     /// The spec evaluated.
-    pub spec: SloSpec,
+    pub(crate) spec: SloSpec,
     /// Snapshot interval of the evaluated timeline, nanoseconds.
     pub interval_ns: u64,
     /// Windows the timeline touched.

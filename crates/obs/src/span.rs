@@ -64,7 +64,7 @@ pub struct Span {
 
 impl Span {
     /// Wall time the procedure took.
-    pub fn duration(&self) -> SimDuration {
+    pub(crate) fn duration(&self) -> SimDuration {
         self.end.duration_since(self.start)
     }
 }
@@ -75,9 +75,9 @@ pub struct Segment {
     /// Which NF did the work ("amf", "smf", "udm", "upf-c", ...).
     pub nf: &'static str,
     /// Short message label ("registration_req", "pfcp_establish", ...).
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// When the NF picked the message up.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Handler cost.
     pub dur: SimDuration,
 }
@@ -110,7 +110,7 @@ impl SpanLog {
     }
 
     /// Default bounds: 4096 spans, 65536 segments.
-    pub fn new() -> SpanLog {
+    pub(crate) fn new() -> SpanLog {
         SpanLog::with_capacity(4096, 65536)
     }
 
@@ -169,7 +169,8 @@ impl SpanLog {
     }
 
     /// Distinct NF names seen on the segment track, in first-seen order.
-    pub fn nfs(&self) -> Vec<&'static str> {
+    #[cfg(test)]
+    pub(crate) fn nfs(&self) -> Vec<&'static str> {
         let mut out: Vec<&'static str> = Vec::new();
         for s in &self.segments {
             if !out.contains(&s.nf) {
@@ -181,7 +182,8 @@ impl SpanLog {
 
     /// Total handler time attributed to `nf` inside `[start, end]` — the
     /// per-NF decomposition of a span's wall time.
-    pub fn nf_busy_within(&self, nf: &str, start: SimTime, end: SimTime) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn nf_busy_within(&self, nf: &str, start: SimTime, end: SimTime) -> SimDuration {
         let mut total = SimDuration::ZERO;
         for s in &self.segments {
             if s.nf == nf && s.start >= start && s.start <= end {
@@ -192,7 +194,7 @@ impl SpanLog {
     }
 
     /// Appends everything from `other` (subject to this log's bounds).
-    pub fn absorb(&mut self, other: &SpanLog) {
+    pub(crate) fn absorb(&mut self, other: &SpanLog) {
         for s in &other.spans {
             self.record_completed(s.kind, s.ue, s.start, s.end);
         }

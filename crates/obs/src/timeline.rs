@@ -73,7 +73,7 @@ use crate::hist::Log2Histogram;
 /// one with every histogram stretched over the whole `u64` line 4 GB; in
 /// practice a lane holds a run's horizon divided by its interval, a few
 /// hundred windows of a few pages per histogram.
-pub const MAX_WINDOWS: usize = 1 << 16;
+pub(crate) const MAX_WINDOWS: usize = 1 << 16;
 
 /// One stage of the dispatch→completion pipeline, as decomposed by the
 /// latency anatomy. The three stages tile the end-to-end latency of a
@@ -103,7 +103,7 @@ impl Stage {
     pub const ALL: [Stage; 3] = [Stage::QueueWait, Stage::Service, Stage::CompletionTransit];
 
     /// The stable label used in exports (`stage="..."`, CSV columns).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Stage::QueueWait => "queue_wait",
             Stage::Service => "service",
@@ -122,9 +122,9 @@ pub struct TimelineWindow {
     /// Arrivals shed by admission control.
     pub shed: u64,
     /// Arrivals rejected by ring backpressure.
-    pub backpressure: u64,
+    pub(crate) backpressure: u64,
     /// Deepest in-flight queue observed during the window.
-    pub peak_depth: u64,
+    pub(crate) peak_depth: u64,
     /// Virtual time the shard server spent executing charged service
     /// time inside this window, nanoseconds
     /// ([`MetricsTimeline::record_busy`], overlap-split across window
@@ -147,19 +147,19 @@ pub struct TimelineWindow {
     /// Staged-dispatch bursts flushed into the shard's submit ring
     /// during the window ([`MetricsTimeline::record_batch_flush`]).
     /// Zero under per-event dispatch.
-    pub batch_flushes: u64,
+    pub(crate) batch_flushes: u64,
     /// Events those flushed bursts carried; `batch_events /
     /// batch_flushes` is the window's mean burst fill.
-    pub batch_events: u64,
+    pub(crate) batch_events: u64,
     /// Latency distribution of this window's completions only.
     pub latency: Log2Histogram,
     /// [`Stage::QueueWait`] distribution of this window's completions.
-    pub queue_wait: Log2Histogram,
+    pub(crate) queue_wait: Log2Histogram,
     /// [`Stage::Service`] distribution of this window's completions.
-    pub service: Log2Histogram,
+    pub(crate) service: Log2Histogram,
     /// [`Stage::CompletionTransit`] distribution of this window's
     /// completions.
-    pub completion_transit: Log2Histogram,
+    pub(crate) completion_transit: Log2Histogram,
 }
 
 impl TimelineWindow {
@@ -184,7 +184,7 @@ impl TimelineWindow {
     }
 
     /// The per-stage histogram for `stage`.
-    pub fn stage(&self, stage: Stage) -> &Log2Histogram {
+    pub(crate) fn stage(&self, stage: Stage) -> &Log2Histogram {
         match stage {
             Stage::QueueWait => &self.queue_wait,
             Stage::Service => &self.service,
@@ -418,7 +418,8 @@ impl MetricsTimeline {
 
     /// Samples recorded past the [`MAX_WINDOWS`] cap (folded into the
     /// last window rather than lost).
-    pub fn clamped(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn clamped(&self) -> u64 {
         self.clamped
     }
 
@@ -618,7 +619,7 @@ impl MetricsTimeline {
     /// lane's window span, clamped to `(0, 1]`. Usable mid-run (before
     /// [`MetricsTimeline::finalize_idle`]) because the denominator is
     /// the windows the lane has touched, not the idle buckets.
-    pub fn shard_utilization(&self, shard: u16) -> f64 {
+    pub(crate) fn shard_utilization(&self, shard: u16) -> f64 {
         let lane = self.lane(shard);
         let span = lane.len() as u64 * self.interval.as_nanos();
         if span == 0 {
@@ -636,19 +637,21 @@ impl MetricsTimeline {
     }
 
     /// Dispatcher busy wall time, nanoseconds.
-    pub fn dispatcher_busy_ns(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn dispatcher_busy_ns(&self) -> u64 {
         self.dispatcher_busy_ns
     }
 
     /// Dispatcher total wall time, nanoseconds (zero when no dispatcher
     /// thread exists — the analytic backend).
-    pub fn dispatcher_wall_ns(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn dispatcher_wall_ns(&self) -> u64 {
         self.dispatcher_wall_ns
     }
 
     /// Dispatcher utilization ratio in `[0, 1]`; `0.0` when no
     /// dispatcher wall time was recorded.
-    pub fn dispatcher_utilization(&self) -> f64 {
+    pub(crate) fn dispatcher_utilization(&self) -> f64 {
         if self.dispatcher_wall_ns == 0 {
             return 0.0;
         }
@@ -671,7 +674,7 @@ impl MetricsTimeline {
     }
 
     /// Sheds in window `w`, summed across every shard lane.
-    pub fn window_shed(&self, w: usize) -> u64 {
+    pub(crate) fn window_shed(&self, w: usize) -> u64 {
         self.lanes
             .iter()
             .filter_map(|lane| lane.get(w))
@@ -690,7 +693,7 @@ impl MetricsTimeline {
     }
 
     /// One shard's whole-run latency distribution (window deltas merged).
-    pub fn shard_latency(&self, shard: u16) -> Log2Histogram {
+    pub(crate) fn shard_latency(&self, shard: u16) -> Log2Histogram {
         let mut h = Log2Histogram::new();
         for w in self.lane(shard) {
             h.merge(&w.latency);
@@ -699,7 +702,7 @@ impl MetricsTimeline {
     }
 
     /// One shard's whole-run distribution for a pipeline `stage`.
-    pub fn shard_stage_latency(&self, shard: u16, stage: Stage) -> Log2Histogram {
+    pub(crate) fn shard_stage_latency(&self, shard: u16, stage: Stage) -> Log2Histogram {
         let mut h = Log2Histogram::new();
         for w in self.lane(shard) {
             h.merge(w.stage(stage));

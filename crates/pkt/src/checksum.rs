@@ -2,7 +2,7 @@
 
 /// One's-complement sum over `data`, folded to 16 bits, starting from
 /// `initial` (an already-folded partial sum, e.g. over a pseudo-header).
-pub fn sum(initial: u32, data: &[u8]) -> u32 {
+pub(crate) fn sum(initial: u32, data: &[u8]) -> u32 {
     let mut acc = initial;
     let mut chunks = data.chunks_exact(2);
     for chunk in &mut chunks {
@@ -15,7 +15,7 @@ pub fn sum(initial: u32, data: &[u8]) -> u32 {
 }
 
 /// Folds a 32-bit accumulator into a final 16-bit checksum value.
-pub fn finish(mut acc: u32) -> u16 {
+pub(crate) fn finish(mut acc: u32) -> u16 {
     while acc > 0xffff {
         acc = (acc & 0xffff) + (acc >> 16);
     }
@@ -23,12 +23,12 @@ pub fn finish(mut acc: u32) -> u16 {
 }
 
 /// Computes the checksum of `data` directly.
-pub fn checksum(data: &[u8]) -> u16 {
+pub(crate) fn checksum(data: &[u8]) -> u16 {
     finish(sum(0, data))
 }
 
 /// Partial sum of the IPv4 pseudo-header used by UDP and TCP.
-pub fn pseudo_header_v4(src: [u8; 4], dst: [u8; 4], protocol: u8, length: u16) -> u32 {
+pub(crate) fn pseudo_header_v4(src: [u8; 4], dst: [u8; 4], protocol: u8, length: u16) -> u32 {
     let mut acc = 0u32;
     acc += u32::from(u16::from_be_bytes([src[0], src[1]]));
     acc += u32::from(u16::from_be_bytes([src[2], src[3]]));

@@ -38,4 +38,4 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {}
 
 /// Crate-wide result alias.
-pub type Result<T> = core::result::Result<T, Error>;
+pub(crate) type Result<T> = core::result::Result<T, Error>;

@@ -10,21 +10,6 @@ use core::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MacAddr(pub [u8; 6]);
 
-impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
-    /// True for the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// True if the group bit (LSB of first octet) is set.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-}
-
 impl fmt::Display for MacAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let b = self.0;
@@ -38,7 +23,7 @@ impl fmt::Display for MacAddr {
 
 /// EtherType values this workspace uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EtherType {
+pub(crate) enum EtherType {
     /// IPv4 (`0x0800`).
     Ipv4,
     /// ARP (`0x0806`).
@@ -68,7 +53,7 @@ impl From<EtherType> for u16 {
 }
 
 /// Length of the Ethernet II header.
-pub const HEADER_LEN: usize = 14;
+pub(crate) const HEADER_LEN: usize = 14;
 
 /// A zero-copy view of an Ethernet II frame.
 #[derive(Debug, Clone)]
@@ -78,7 +63,7 @@ pub struct Frame<T: AsRef<[u8]>> {
 
 impl<T: AsRef<[u8]>> Frame<T> {
     /// Wraps a buffer without length validation.
-    pub fn new_unchecked(buffer: T) -> Frame<T> {
+    pub(crate) fn new_unchecked(buffer: T) -> Frame<T> {
         Frame { buffer }
     }
 
@@ -90,25 +75,23 @@ impl<T: AsRef<[u8]>> Frame<T> {
         Ok(Frame { buffer })
     }
 
-    /// Consumes the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Destination MAC address.
-    pub fn dst(&self) -> MacAddr {
+    #[cfg(test)]
+    pub(crate) fn dst(&self) -> MacAddr {
         let b = self.buffer.as_ref();
         MacAddr([b[0], b[1], b[2], b[3], b[4], b[5]])
     }
 
     /// Source MAC address.
-    pub fn src(&self) -> MacAddr {
+    #[cfg(test)]
+    pub(crate) fn src(&self) -> MacAddr {
         let b = self.buffer.as_ref();
         MacAddr([b[6], b[7], b[8], b[9], b[10], b[11]])
     }
 
     /// EtherType of the payload.
-    pub fn ethertype(&self) -> EtherType {
+    #[cfg(test)]
+    pub(crate) fn ethertype(&self) -> EtherType {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[12], b[13]]).into()
     }
@@ -121,40 +104,41 @@ impl<T: AsRef<[u8]>> Frame<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Frame<T> {
     /// Sets the destination MAC address.
-    pub fn set_dst(&mut self, addr: MacAddr) {
+    pub(crate) fn set_dst(&mut self, addr: MacAddr) {
         self.buffer.as_mut()[0..6].copy_from_slice(&addr.0);
     }
 
     /// Sets the source MAC address.
-    pub fn set_src(&mut self, addr: MacAddr) {
+    pub(crate) fn set_src(&mut self, addr: MacAddr) {
         self.buffer.as_mut()[6..12].copy_from_slice(&addr.0);
     }
 
     /// Sets the EtherType.
-    pub fn set_ethertype(&mut self, ty: EtherType) {
+    pub(crate) fn set_ethertype(&mut self, ty: EtherType) {
         self.buffer.as_mut()[12..14].copy_from_slice(&u16::from(ty).to_be_bytes());
     }
 
     /// Mutable access to the payload.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
+    pub(crate) fn payload_mut(&mut self) -> &mut [u8] {
         &mut self.buffer.as_mut()[HEADER_LEN..]
     }
 }
 
 /// A parsed, owned representation of the header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Repr {
+pub(crate) struct Repr {
     /// Destination MAC.
-    pub dst: MacAddr,
+    pub(crate) dst: MacAddr,
     /// Source MAC.
-    pub src: MacAddr,
+    pub(crate) src: MacAddr,
     /// Payload EtherType.
-    pub ethertype: EtherType,
+    pub(crate) ethertype: EtherType,
 }
 
 impl Repr {
     /// Parses the header of `frame`.
-    pub fn parse<T: AsRef<[u8]>>(frame: &Frame<T>) -> Repr {
+    #[cfg(test)]
+    pub(crate) fn parse<T: AsRef<[u8]>>(frame: &Frame<T>) -> Repr {
         Repr {
             dst: frame.dst(),
             src: frame.src(),
@@ -162,13 +146,8 @@ impl Repr {
         }
     }
 
-    /// Bytes this header occupies.
-    pub const fn header_len(&self) -> usize {
-        HEADER_LEN
-    }
-
     /// Writes the header into `frame`.
-    pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, frame: &mut Frame<T>) {
+    pub(crate) fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, frame: &mut Frame<T>) {
         frame.set_dst(self.dst);
         frame.set_src(self.src);
         frame.set_ethertype(self.ethertype);
@@ -212,9 +191,6 @@ mod tests {
 
     #[test]
     fn mac_predicates() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr([0x01, 0, 0x5e, 0, 0, 1]).is_multicast());
-        assert!(!MacAddr([0x02, 0, 0, 0, 0, 1]).is_broadcast());
         assert_eq!(
             format!("{}", MacAddr([0xde, 0xad, 0xbe, 0xef, 0, 1])),
             "de:ad:be:ef:00:01"

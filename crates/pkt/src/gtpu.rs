@@ -7,9 +7,9 @@
 use crate::error::{Error, Result};
 
 /// Mandatory GTP-U header length (no optional fields).
-pub const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
 /// Header length when any of E/S/PN is set.
-pub const HEADER_LEN_WITH_OPT: usize = 12;
+pub(crate) const HEADER_LEN_WITH_OPT: usize = 12;
 
 /// GTP-U message types used by the 5GC datapath.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,23 +85,18 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Ok(p)
     }
 
-    /// Consumes the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// True if any optional field (E/S/PN) is present.
-    pub fn has_options(&self) -> bool {
+    pub(crate) fn has_options(&self) -> bool {
         self.buffer.as_ref()[0] & 0x07 != 0
     }
 
     /// True if the sequence-number flag (S) is set.
-    pub fn has_seq(&self) -> bool {
+    pub(crate) fn has_seq(&self) -> bool {
         self.buffer.as_ref()[0] & 0x02 != 0
     }
 
     /// Actual header length given the option bits.
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         if self.has_options() {
             HEADER_LEN_WITH_OPT
         } else {
@@ -110,12 +105,12 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 
     /// Message type.
-    pub fn msg_type(&self) -> Result<MessageType> {
+    pub(crate) fn msg_type(&self) -> Result<MessageType> {
         MessageType::from_byte(self.buffer.as_ref()[1])
     }
 
     /// The length field: bytes after the mandatory 8-byte header.
-    pub fn len_field(&self) -> u16 {
+    pub(crate) fn len_field(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[2], b[3]])
     }
@@ -127,7 +122,7 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 
     /// Sequence number, if the S flag is set.
-    pub fn seq(&self) -> Option<u16> {
+    pub(crate) fn seq(&self) -> Option<u16> {
         if self.has_seq() {
             let b = self.buffer.as_ref();
             Some(u16::from_be_bytes([b[8], b[9]]))
@@ -177,7 +172,7 @@ impl Repr {
     }
 
     /// Bytes the emitted header occupies.
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         if self.seq.is_some() {
             HEADER_LEN_WITH_OPT
         } else {

@@ -36,19 +36,15 @@ impl fmt::Display for Ipv4Addr {
 }
 
 /// IP protocol numbers used in this workspace.
-pub mod protocol {
-    /// ICMP.
-    pub const ICMP: u8 = 1;
+pub(crate) mod protocol {
     /// TCP.
-    pub const TCP: u8 = 6;
+    pub(crate) const TCP: u8 = 6;
     /// UDP.
-    pub const UDP: u8 = 17;
-    /// SCTP (N1/N2 transport).
-    pub const SCTP: u8 = 132;
+    pub(crate) const UDP: u8 = 17;
 }
 
 /// Length of an IPv4 header without options.
-pub const HEADER_LEN: usize = 20;
+pub(crate) const HEADER_LEN: usize = 20;
 
 /// A zero-copy view of an IPv4 packet.
 #[derive(Debug, Clone)]
@@ -88,39 +84,34 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Ok(())
     }
 
-    /// Consumes the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Header length in bytes (IHL × 4).
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         usize::from(self.buffer.as_ref()[0] & 0x0f) * 4
     }
 
     /// Total packet length from the header.
-    pub fn total_len(&self) -> usize {
+    pub(crate) fn total_len(&self) -> usize {
         let b = self.buffer.as_ref();
         usize::from(u16::from_be_bytes([b[2], b[3]]))
     }
 
     /// The full ToS / traffic-class byte.
-    pub fn tos(&self) -> u8 {
+    pub(crate) fn tos(&self) -> u8 {
         self.buffer.as_ref()[1]
     }
 
     /// Time-to-live.
-    pub fn ttl(&self) -> u8 {
+    pub(crate) fn ttl(&self) -> u8 {
         self.buffer.as_ref()[8]
     }
 
     /// Payload protocol number.
-    pub fn protocol(&self) -> u8 {
+    pub(crate) fn protocol(&self) -> u8 {
         self.buffer.as_ref()[9]
     }
 
     /// Source address.
-    pub fn src(&self) -> Ipv4Addr {
+    pub(crate) fn src(&self) -> Ipv4Addr {
         let b = self.buffer.as_ref();
         Ipv4Addr([b[12], b[13], b[14], b[15]])
     }
@@ -146,42 +137,42 @@ impl<T: AsRef<[u8]>> Packet<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     /// Sets version=4 and IHL=5 (no options).
-    pub fn set_version_ihl(&mut self) {
+    pub(crate) fn set_version_ihl(&mut self) {
         self.buffer.as_mut()[0] = 0x45;
     }
 
     /// Sets the ToS byte.
-    pub fn set_tos(&mut self, tos: u8) {
+    pub(crate) fn set_tos(&mut self, tos: u8) {
         self.buffer.as_mut()[1] = tos;
     }
 
     /// Sets the total length field.
-    pub fn set_total_len(&mut self, len: u16) {
+    pub(crate) fn set_total_len(&mut self, len: u16) {
         self.buffer.as_mut()[2..4].copy_from_slice(&len.to_be_bytes());
     }
 
     /// Sets identification, flags and fragment offset to zero (DF clear).
-    pub fn clear_frag(&mut self) {
+    pub(crate) fn clear_frag(&mut self) {
         self.buffer.as_mut()[4..8].fill(0);
     }
 
     /// Sets the TTL.
-    pub fn set_ttl(&mut self, ttl: u8) {
+    pub(crate) fn set_ttl(&mut self, ttl: u8) {
         self.buffer.as_mut()[8] = ttl;
     }
 
     /// Sets the payload protocol.
-    pub fn set_protocol(&mut self, proto: u8) {
+    pub(crate) fn set_protocol(&mut self, proto: u8) {
         self.buffer.as_mut()[9] = proto;
     }
 
     /// Sets the source address.
-    pub fn set_src(&mut self, a: Ipv4Addr) {
+    pub(crate) fn set_src(&mut self, a: Ipv4Addr) {
         self.buffer.as_mut()[12..16].copy_from_slice(&a.0);
     }
 
     /// Sets the destination address.
-    pub fn set_dst(&mut self, a: Ipv4Addr) {
+    pub(crate) fn set_dst(&mut self, a: Ipv4Addr) {
         self.buffer.as_mut()[16..20].copy_from_slice(&a.0);
     }
 
@@ -233,11 +224,6 @@ impl Repr {
             ttl: packet.ttl(),
             payload_len: packet.total_len() - packet.header_len(),
         })
-    }
-
-    /// Bytes the emitted header occupies.
-    pub const fn header_len(&self) -> usize {
-        HEADER_LEN
     }
 
     /// Total length of header plus payload.

@@ -34,8 +34,8 @@
 //! assert_eq!(parsed.payload(), b"user");
 //! ```
 
-pub mod checksum;
-pub mod error;
+mod checksum;
+mod error;
 pub mod ether;
 pub mod gtpu;
 pub mod ipv4;
@@ -46,5 +46,4 @@ pub mod pfcp;
 pub mod tcp;
 pub mod udp;
 
-pub use error::{Error, Result};
 pub use ipv4::Ipv4Addr;

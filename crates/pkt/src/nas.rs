@@ -90,7 +90,7 @@ impl NasMessage {
     }
 
     /// Encodes to bytes: `[type, fields...]`.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = vec![self.discriminant()];
         match self {
             NasMessage::RegistrationRequest { supi } => out.extend_from_slice(&supi.to_be_bytes()),
@@ -168,7 +168,8 @@ impl NasMessage {
     }
 
     /// Encoded size in bytes, used by channel cost models.
-    pub fn wire_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn wire_len(&self) -> usize {
         self.encode().len()
     }
 }

@@ -12,9 +12,9 @@ use crate::nas::NasMessage;
 
 /// Identifies a UE within NGAP signalling (RAN/AMF UE NGAP id pair,
 /// collapsed to one id in this model).
-pub type UeNgapId = u64;
+pub(crate) type UeNgapId = u64;
 /// Identifies a gNB.
-pub type GnbId = u32;
+pub(crate) type GnbId = u32;
 
 /// Tunnel info handed around during session setup and handover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,7 +168,7 @@ impl NgapMessage {
     }
 
     /// Encodes to bytes: `[type, fields..., nas?]`.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         use NgapMessage::*;
         let mut out = vec![self.discriminant()];
         let put_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_be_bytes());

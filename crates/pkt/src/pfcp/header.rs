@@ -7,9 +7,9 @@
 use crate::error::{Error, Result};
 
 /// Header length without SEID.
-pub const NODE_HEADER_LEN: usize = 8;
+pub(crate) const NODE_HEADER_LEN: usize = 8;
 /// Header length with SEID (S flag set).
-pub const SESSION_HEADER_LEN: usize = 16;
+pub(crate) const SESSION_HEADER_LEN: usize = 16;
 
 /// PFCP message types used by the 5GC (subset of TS 29.244 §7.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,7 +42,7 @@ pub enum MsgType {
 
 impl MsgType {
     /// The wire value.
-    pub fn to_byte(self) -> u8 {
+    pub(crate) fn to_byte(self) -> u8 {
         match self {
             MsgType::HeartbeatRequest => 1,
             MsgType::HeartbeatResponse => 2,
@@ -60,7 +60,7 @@ impl MsgType {
     }
 
     /// Parses the wire value.
-    pub fn from_byte(b: u8) -> Result<MsgType> {
+    pub(crate) fn from_byte(b: u8) -> Result<MsgType> {
         Ok(match b {
             1 => MsgType::HeartbeatRequest,
             2 => MsgType::HeartbeatResponse,
@@ -79,27 +79,27 @@ impl MsgType {
     }
 
     /// True for session-scoped messages, which carry a SEID.
-    pub fn is_session(self) -> bool {
+    pub(crate) fn is_session(self) -> bool {
         self.to_byte() >= 50
     }
 }
 
 /// A parsed PFCP header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Header {
+pub(crate) struct Header {
     /// Message type; decides whether `seid` is present on the wire.
-    pub msg_type: MsgType,
+    pub(crate) msg_type: MsgType,
     /// Session endpoint identifier (session messages only).
-    pub seid: Option<u64>,
+    pub(crate) seid: Option<u64>,
     /// 24-bit transaction sequence number.
-    pub seq: u32,
+    pub(crate) seq: u32,
     /// Body length in bytes (everything after the header).
-    pub body_len: usize,
+    pub(crate) body_len: usize,
 }
 
 impl Header {
     /// Length of this header on the wire.
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         if self.seid.is_some() {
             SESSION_HEADER_LEN
         } else {
@@ -109,7 +109,7 @@ impl Header {
 
     /// Parses a header from the front of `buf`; returns it and the offset
     /// at which the body begins.
-    pub fn parse(buf: &[u8]) -> Result<(Header, usize)> {
+    pub(crate) fn parse(buf: &[u8]) -> Result<(Header, usize)> {
         if buf.len() < NODE_HEADER_LEN {
             return Err(Error::Truncated);
         }
@@ -152,7 +152,7 @@ impl Header {
     /// Emits the header into the front of `buf`, which must hold at least
     /// `header_len()` bytes. Panics if `seid.is_some()` disagrees with the
     /// message type's session-ness (a programming error, not input error).
-    pub fn emit(&self, buf: &mut [u8]) -> Result<usize> {
+    pub(crate) fn emit(&self, buf: &mut [u8]) -> Result<usize> {
         let hlen = self.header_len();
         assert_eq!(
             self.seid.is_some(),

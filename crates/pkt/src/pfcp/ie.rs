@@ -185,18 +185,20 @@ pub struct PortRange {
 
 impl PortRange {
     /// The wildcard range matching every port.
-    pub const ANY: PortRange = PortRange {
+    pub(crate) const ANY: PortRange = PortRange {
         min: 0,
         max: u16::MAX,
     };
 
     /// A range matching exactly one port.
-    pub const fn exact(p: u16) -> PortRange {
+    #[cfg(test)]
+    pub(crate) const fn exact(p: u16) -> PortRange {
         PortRange { min: p, max: p }
     }
 
     /// True if `p` falls within the range.
-    pub fn contains(&self, p: u16) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, p: u16) -> bool {
         self.min <= p && p <= self.max
     }
 }
@@ -386,7 +388,7 @@ pub struct ApplyAction {
     /// Notify the CP function (triggers a Session Report → paging).
     pub notify_cp: bool,
     /// Duplicate the packet.
-    pub duplicate: bool,
+    pub(crate) duplicate: bool,
 }
 
 impl ApplyAction {
@@ -551,7 +553,7 @@ impl CreatePdr {
     }
 
     /// Encodes as a Create PDR IE.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         self.encode_grouped(out, IE_CREATE_PDR);
     }
 
@@ -622,7 +624,7 @@ impl CreateFar {
     }
 
     /// Encodes as a Create FAR IE.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         self.encode_grouped(out, IE_CREATE_FAR, IE_FORWARDING_PARAMETERS);
     }
 
@@ -669,7 +671,7 @@ pub struct UpdateFar {
 
 impl UpdateFar {
     /// Encodes as an Update FAR IE.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         put_tlv(out, IE_UPDATE_FAR, |b| {
             put_tlv(b, IE_FAR_ID, |b| {
                 b.extend_from_slice(&self.far_id.to_be_bytes())
@@ -725,7 +727,7 @@ pub struct UpdatePdr {
 
 impl UpdatePdr {
     /// Encodes as an Update PDR IE.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         put_tlv(out, IE_UPDATE_PDR, |b| {
             put_tlv(b, IE_PDR_ID, |b| {
                 b.extend_from_slice(&self.pdr_id.to_be_bytes())
@@ -787,7 +789,7 @@ pub struct CreateQer {
 
 impl CreateQer {
     /// Encodes as a Create QER IE.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         put_tlv(out, IE_CREATE_QER, |b| {
             put_tlv(b, IE_QER_ID, |b| {
                 b.extend_from_slice(&self.qer_id.to_be_bytes())
@@ -856,13 +858,6 @@ impl Cause {
     }
 }
 
-/// What a Session Report announces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReportType {
-    /// Downlink data arrived for a buffering session (paging trigger).
-    pub downlink_data: bool,
-}
-
 /// The body IEs a PFCP message may carry, in decoded form.
 ///
 /// A flat container keeps encode/decode simple; which fields are meaningful
@@ -893,7 +888,7 @@ pub struct IeSet {
 
 impl IeSet {
     /// Encodes all present IEs into `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         if let Some(nid) = self.node_id {
             put_tlv(out, IE_NODE_ID, |b| {
                 b.push(0); // IPv4 node id type
@@ -937,7 +932,7 @@ impl IeSet {
 
     /// Decodes a message body into an `IeSet`. Unknown IEs are skipped
     /// (forward compatibility, like real PFCP stacks).
-    pub fn decode(body: &[u8]) -> Result<IeSet> {
+    pub(crate) fn decode(body: &[u8]) -> Result<IeSet> {
         let mut set = IeSet::default();
         let mut r = IeReader::new(body);
         while let Some((ty, v)) = r.next_ie()? {

@@ -5,10 +5,11 @@
 //! underneath changes from a kernel UDP socket to shared memory — so the
 //! same encoder/decoder serves both the free5GC baseline and L²5GC.
 
-pub mod header;
-pub mod ie;
+pub(crate) mod header;
+pub(crate) mod ie;
 
-pub use header::{Header, MsgType};
+pub(crate) use header::Header;
+pub use header::MsgType;
 pub use ie::{
     ApplyAction, Cause, CreateFar, CreatePdr, CreateQer, FTeid, ForwardingParameters, IeSet,
     Interface, OuterHeaderCreation, Pdi, PortRange, SdfFilter, UeIpAddress, UpdateFar, UpdatePdr,

@@ -73,53 +73,49 @@ impl<T: AsRef<[u8]>> Segment<T> {
         Ok(s)
     }
 
-    /// Consumes the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Source port.
-    pub fn src_port(&self) -> u16 {
+    pub(crate) fn src_port(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[0], b[1]])
     }
 
     /// Destination port.
-    pub fn dst_port(&self) -> u16 {
+    pub(crate) fn dst_port(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[2], b[3]])
     }
 
     /// Sequence number.
-    pub fn seq(&self) -> u32 {
+    pub(crate) fn seq(&self) -> u32 {
         let b = self.buffer.as_ref();
         u32::from_be_bytes([b[4], b[5], b[6], b[7]])
     }
 
     /// Acknowledgment number.
-    pub fn ack_num(&self) -> u32 {
+    pub(crate) fn ack_num(&self) -> u32 {
         let b = self.buffer.as_ref();
         u32::from_be_bytes([b[8], b[9], b[10], b[11]])
     }
 
     /// Header length from the data-offset field, in bytes.
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         usize::from(self.buffer.as_ref()[12] >> 4) * 4
     }
 
     /// Flag bits.
-    pub fn flags(&self) -> Flags {
+    pub(crate) fn flags(&self) -> Flags {
         Flags::from_byte(self.buffer.as_ref()[13])
     }
 
     /// Advertised receive window.
-    pub fn window(&self) -> u16 {
+    pub(crate) fn window(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[14], b[15]])
     }
 
     /// Payload after the header.
-    pub fn payload(&self) -> &[u8] {
+    #[cfg(test)]
+    pub(crate) fn payload(&self) -> &[u8] {
         &self.buffer.as_ref()[self.header_len()..]
     }
 
@@ -134,37 +130,37 @@ impl<T: AsRef<[u8]>> Segment<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Segment<T> {
     /// Sets the source port.
-    pub fn set_src_port(&mut self, p: u16) {
+    pub(crate) fn set_src_port(&mut self, p: u16) {
         self.buffer.as_mut()[0..2].copy_from_slice(&p.to_be_bytes());
     }
 
     /// Sets the destination port.
-    pub fn set_dst_port(&mut self, p: u16) {
+    pub(crate) fn set_dst_port(&mut self, p: u16) {
         self.buffer.as_mut()[2..4].copy_from_slice(&p.to_be_bytes());
     }
 
     /// Sets the sequence number.
-    pub fn set_seq(&mut self, v: u32) {
+    pub(crate) fn set_seq(&mut self, v: u32) {
         self.buffer.as_mut()[4..8].copy_from_slice(&v.to_be_bytes());
     }
 
     /// Sets the acknowledgment number.
-    pub fn set_ack_num(&mut self, v: u32) {
+    pub(crate) fn set_ack_num(&mut self, v: u32) {
         self.buffer.as_mut()[8..12].copy_from_slice(&v.to_be_bytes());
     }
 
     /// Sets data offset to 5 words (no options).
-    pub fn set_header_len_no_options(&mut self) {
+    pub(crate) fn set_header_len_no_options(&mut self) {
         self.buffer.as_mut()[12] = 5 << 4;
     }
 
     /// Sets the flag bits.
-    pub fn set_flags(&mut self, f: Flags) {
+    pub(crate) fn set_flags(&mut self, f: Flags) {
         self.buffer.as_mut()[13] = f.to_byte();
     }
 
     /// Sets the advertised window.
-    pub fn set_window(&mut self, w: u16) {
+    pub(crate) fn set_window(&mut self, w: u16) {
         self.buffer.as_mut()[14..16].copy_from_slice(&w.to_be_bytes());
     }
 
@@ -213,11 +209,6 @@ impl Repr {
             flags: seg.flags(),
             window: seg.window(),
         }
-    }
-
-    /// Bytes the emitted header occupies.
-    pub const fn header_len(&self) -> usize {
-        HEADER_LEN
     }
 
     /// Writes the header into `seg` (checksum left zero; call

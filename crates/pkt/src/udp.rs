@@ -5,12 +5,10 @@ use crate::error::{Error, Result};
 use crate::ipv4::Ipv4Addr;
 
 /// UDP header length.
-pub const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
 
 /// The well-known GTP-U port (outer tunnel header).
 pub const GTPU_PORT: u16 = 2152;
-/// The well-known PFCP port (N4 interface).
-pub const PFCP_PORT: u16 = 8805;
 
 /// A zero-copy view of a UDP datagram.
 #[derive(Debug, Clone)]
@@ -38,13 +36,8 @@ impl<T: AsRef<[u8]>> Datagram<T> {
         Ok(d)
     }
 
-    /// Consumes the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Source port.
-    pub fn src_port(&self) -> u16 {
+    pub(crate) fn src_port(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[0], b[1]])
     }
@@ -56,13 +49,13 @@ impl<T: AsRef<[u8]>> Datagram<T> {
     }
 
     /// The header length field value.
-    pub fn len_field(&self) -> u16 {
+    pub(crate) fn len_field(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[4], b[5]])
     }
 
     /// The checksum field value (0 = not computed).
-    pub fn checksum_field(&self) -> u16 {
+    pub(crate) fn checksum_field(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[6], b[7]])
     }
@@ -88,17 +81,17 @@ impl<T: AsRef<[u8]>> Datagram<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Datagram<T> {
     /// Sets the source port.
-    pub fn set_src_port(&mut self, p: u16) {
+    pub(crate) fn set_src_port(&mut self, p: u16) {
         self.buffer.as_mut()[0..2].copy_from_slice(&p.to_be_bytes());
     }
 
     /// Sets the destination port.
-    pub fn set_dst_port(&mut self, p: u16) {
+    pub(crate) fn set_dst_port(&mut self, p: u16) {
         self.buffer.as_mut()[2..4].copy_from_slice(&p.to_be_bytes());
     }
 
     /// Sets the length field.
-    pub fn set_len_field(&mut self, len: u16) {
+    pub(crate) fn set_len_field(&mut self, len: u16) {
         self.buffer.as_mut()[4..6].copy_from_slice(&len.to_be_bytes());
     }
 
@@ -142,11 +135,6 @@ impl Repr {
             dst_port: dgram.dst_port(),
             payload_len: usize::from(dgram.len_field()) - HEADER_LEN,
         }
-    }
-
-    /// Bytes the emitted header occupies.
-    pub const fn header_len(&self) -> usize {
-        HEADER_LEN
     }
 
     /// Header + payload length.

@@ -15,12 +15,12 @@
 //! - [`webpage`] — the §5.4.1 page-load-time harness (six parallel
 //!   connections fetching ~15 MB images).
 
-pub mod ran;
-pub mod tcp;
+mod ran;
+mod tcp;
 pub mod traffic;
-pub mod webpage;
+mod webpage;
 
-pub use ran::{Ran, RanGnb, RanUe};
-pub use tcp::{TcpReceiver, TcpSender, ACK_SIZE, MIN_RTO, MSS};
+pub use ran::Ran;
+pub use tcp::{TcpReceiver, TcpSender, MSS};
 pub use traffic::{echo, CbrFlow};
-pub use webpage::{paper_page, PageLoad, WebObject};
+pub use webpage::{paper_page, PageLoad};

@@ -21,9 +21,9 @@ use l25gc_sim::{Counters, SimDuration, SimTime};
 #[derive(Debug, Clone)]
 pub struct RanUe {
     /// Identity.
-    pub ue: UeId,
+    pub(crate) ue: UeId,
     /// Subscription id used at registration.
-    pub supi: u64,
+    pub(crate) supi: u64,
     /// The gNB currently serving (or about to serve) this UE.
     pub serving_gnb: GnbId,
     /// True once registered.
@@ -51,9 +51,9 @@ pub struct RanGnb {
     /// Per-UE downlink buffer used while the UE executes a handover away
     /// from this gNB (the 3GPP hairpin baseline buffers here; §2.3
     /// Challenge 2 sizes this at ~2 MB per UE).
-    pub ho_buffer: HashMap<UeId, VecDeque<DataPacket>>,
+    pub(crate) ho_buffer: HashMap<UeId, VecDeque<DataPacket>>,
     /// Buffer capacity in packets (paper: ~1300 full-MTU packets).
-    pub buffer_cap: usize,
+    pub(crate) buffer_cap: usize,
 }
 
 impl RanGnb {
@@ -93,9 +93,9 @@ pub struct Ran {
     /// gNBs by id.
     pub gnbs: HashMap<GnbId, RanGnb>,
     /// Shared cost model (air-interface and SCTP delays).
-    pub cost: CostModel,
+    pub(crate) cost: CostModel,
     /// Handover data-routing scheme (mirrors the core's).
-    pub scheme: HandoverScheme,
+    pub(crate) scheme: HandoverScheme,
     /// Drop/delivery counters.
     pub counters: Counters,
     /// Data-plane delay gNB ↔ UE (the paper's "UE" is the traffic

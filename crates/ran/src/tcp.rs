@@ -24,23 +24,23 @@ use l25gc_core::msg::{DataPacket, Direction, UeId};
 use l25gc_sim::{SimDuration, SimTime, TimeSeries};
 
 /// Linux's default minimum retransmission timeout.
-pub const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+pub(crate) const MIN_RTO: SimDuration = SimDuration::from_millis(200);
 /// Maximum segment size used by the experiments (MTU-sized frames).
 pub const MSS: usize = 1400;
 /// ACK segment size on the wire.
-pub const ACK_SIZE: usize = 40;
+pub(crate) const ACK_SIZE: usize = 40;
 
 /// The sending side of one TCP connection (lives at the data network,
 /// streaming downlink toward a UE — the paper's DL-dominant workloads).
 #[derive(Debug)]
 pub struct TcpSender {
     /// UE this connection serves.
-    pub ue: UeId,
+    pub(crate) ue: UeId,
     /// Flow id distinguishing parallel connections.
     pub flow: u32,
     /// Total segments the application wants to send; `u64::MAX` for an
     /// unbounded (flent-style) stream.
-    pub total_segments: u64,
+    pub(crate) total_segments: u64,
 
     next_seq: u64,
     /// Highest sequence ever sent (for marking rewound sends as
@@ -71,11 +71,11 @@ pub struct TcpSender {
     /// RTO expirations.
     pub timeouts: u64,
     /// cwnd samples over time (segments).
-    pub cwnd_trace: TimeSeries,
+    pub(crate) cwnd_trace: TimeSeries,
     /// RTT samples over time (µs).
     pub rtt_trace: TimeSeries,
     /// Cumulative acked segments over time (for goodput).
-    pub acked_trace: TimeSeries,
+    pub(crate) acked_trace: TimeSeries,
 }
 
 impl TcpSender {
@@ -118,7 +118,8 @@ impl TcpSender {
     }
 
     /// Bytes acknowledged so far.
-    pub fn acked_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn acked_bytes(&self) -> u64 {
         self.highest_acked * MSS as u64
     }
 
@@ -128,12 +129,14 @@ impl TcpSender {
     }
 
     /// Current congestion window in segments.
-    pub fn cwnd(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn cwnd(&self) -> f64 {
         self.cwnd
     }
 
     /// Current RTO value.
-    pub fn rto(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn rto(&self) -> SimDuration {
         self.rto
     }
 
@@ -360,9 +363,9 @@ pub struct TcpReceiver {
     /// Out-of-order segments held for reassembly.
     ooo: Vec<u64>,
     /// Segments delivered in order to the application.
-    pub delivered: u64,
+    pub(crate) delivered: u64,
     /// Duplicated segments received (already-delivered data).
-    pub duplicates: u64,
+    pub(crate) duplicates: u64,
 }
 
 impl TcpReceiver {

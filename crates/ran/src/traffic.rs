@@ -17,11 +17,11 @@ pub struct CbrFlow {
     /// Flow id.
     pub flow: u32,
     /// Packet payload size.
-    pub size: usize,
+    pub(crate) size: usize,
     /// Inter-packet gap (1/rate).
     pub interval: SimDuration,
     /// Direction of the data stream.
-    pub dir: Direction,
+    pub(crate) dir: Direction,
     next_seq: u64,
     /// Send time per outstanding sequence number.
     outstanding: Vec<(u64, SimTime)>,

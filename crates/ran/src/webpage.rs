@@ -19,7 +19,7 @@ use crate::tcp::TcpSender;
 #[derive(Debug, Clone, Copy)]
 pub struct WebObject {
     /// Size in bytes.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 /// The paper's page: high-resolution images + JS + CSS.
@@ -43,7 +43,7 @@ pub fn paper_page() -> Vec<WebObject> {
 #[derive(Debug)]
 pub struct PageLoad {
     /// Flow ids of the participating connections.
-    pub flows: Vec<u32>,
+    pub(crate) flows: Vec<u32>,
     started: SimTime,
     finished: Option<SimTime>,
 }

@@ -8,7 +8,7 @@ use l25gc_nfv::cost::CostModel;
 use l25gc_sim::{SimDuration, SimTime};
 
 /// Identifies one 5GC unit (a consolidated core instance).
-pub type UnitId = u32;
+pub(crate) type UnitId = u32;
 
 /// The LB's routing state.
 #[derive(Debug, Default)]
@@ -73,7 +73,8 @@ impl UeAwareLb {
     }
 
     /// The unit currently serving a UE.
-    pub fn unit_of(&self, ue: UeId) -> Option<UnitId> {
+    #[cfg(test)]
+    pub(crate) fn unit_of(&self, ue: UeId) -> Option<UnitId> {
         self.affinity.get(&ue).copied()
     }
 

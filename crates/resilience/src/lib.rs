@@ -19,12 +19,12 @@
 //! - [`reattach`] — the 3GPP restoration baseline L²5GC is compared
 //!   against in §5.5.
 
-pub mod lb;
-pub mod logger;
-pub mod reattach;
-pub mod replica;
+mod lb;
+mod logger;
+mod reattach;
+mod replica;
 
-pub use lb::{FailoverTimeline, UeAwareLb, UnitId};
-pub use logger::{LoggedEntry, PacketLogger, QueueKind};
+pub use lb::{FailoverTimeline, UeAwareLb};
+pub use logger::{PacketLogger, QueueKind};
 pub use reattach::ReattachModel;
 pub use replica::{CheckpointPolicy, Replica, ReplicaState};

@@ -28,7 +28,7 @@ pub enum QueueKind {
 
 impl QueueKind {
     /// Classifies an envelope entering the 5GC unit.
-    pub fn classify(env: &Envelope) -> QueueKind {
+    pub(crate) fn classify(env: &Envelope) -> QueueKind {
         match &env.msg {
             Msg::Data(p) => match p.dir {
                 Direction::Uplink => QueueKind::UlData,

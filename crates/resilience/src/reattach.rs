@@ -6,7 +6,7 @@
 //! flight) redoing that procedure. During the whole window every
 //! in-flight and newly arriving packet is dropped — there is no logger.
 
-use l25gc_sim::{SimDuration, SimTime};
+use l25gc_sim::SimDuration;
 
 /// Durations of the re-attach phases, measured from the respective
 /// event-completion harnesses so the baseline is self-consistent with
@@ -34,12 +34,13 @@ impl ReattachModel {
     /// Completion time of a procedure that was `progress` (0..=1) done
     /// when the core failed: everything restarts after the outage, and
     /// the procedure reruns from scratch (`proc_duration`).
-    pub fn interrupted_procedure(
+    #[cfg(test)]
+    pub(crate) fn interrupted_procedure(
         &self,
-        started_at: SimTime,
+        started_at: l25gc_sim::SimTime,
         progress: f64,
         proc_duration: SimDuration,
-    ) -> SimTime {
+    ) -> l25gc_sim::SimTime {
         let before_failure = proc_duration * progress.clamp(0.0, 1.0);
         started_at + before_failure + self.outage() + proc_duration
     }
@@ -53,6 +54,7 @@ impl ReattachModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use l25gc_sim::SimTime;
 
     fn model() -> ReattachModel {
         ReattachModel {

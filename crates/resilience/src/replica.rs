@@ -30,7 +30,7 @@ pub struct Replica<S: Clone> {
     /// Lifecycle.
     pub state: ReplicaState,
     /// When the last checkpoint was taken.
-    pub last_checkpoint_at: SimTime,
+    pub(crate) last_checkpoint_at: SimTime,
     /// Checkpoints taken.
     pub checkpoints: u64,
 }

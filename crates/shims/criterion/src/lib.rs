@@ -43,11 +43,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Upper bound on measurement wall time (accepted, ignored).
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
     /// Benchmarks `f` under `id` within this group.
     pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
     where
@@ -256,9 +251,6 @@ macro_rules! criterion_main {
         }
     };
 }
-
-/// Re-export for code written against `criterion::black_box`.
-pub use std::hint::black_box;
 
 #[cfg(test)]
 mod tests {

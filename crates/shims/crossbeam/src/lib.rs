@@ -19,11 +19,6 @@ pub mod utils {
         pub const fn new(value: T) -> CachePadded<T> {
             CachePadded { value }
         }
-
-        /// Unwraps the inner value.
-        pub fn into_inner(self) -> T {
-            self.value
-        }
     }
 
     impl<T> Deref for CachePadded<T> {

@@ -12,7 +12,7 @@ pub struct Mutex<T: ?Sized> {
 }
 
 /// RAII guard; the lock is released on drop.
-pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
+pub(crate) type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 
 impl<T> Mutex<T> {
     /// Creates a new mutex protecting `value`.
@@ -21,31 +21,12 @@ impl<T> Mutex<T> {
             inner: std::sync::Mutex::new(value),
         }
     }
-
-    /// Consumes the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Attempts to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -64,15 +45,5 @@ mod tests {
         let m = Mutex::new(1u32);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn try_lock_contended() {
-        let m = Mutex::new(0u8);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
     }
 }

@@ -23,7 +23,7 @@ pub mod prelude;
 #[doc(hidden)]
 pub mod rng;
 pub mod strategy;
-pub mod string;
+mod string;
 pub mod test_runner;
 
 /// Declares property tests. Each function runs `config.cases` times with

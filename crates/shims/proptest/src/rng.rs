@@ -29,7 +29,7 @@ impl TestRng {
     }
 
     /// The next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
@@ -43,13 +43,13 @@ impl TestRng {
     }
 
     /// Uniform `usize` in `[0, n)`. Panics if `n == 0`.
-    pub fn below(&mut self, n: usize) -> usize {
+    pub(crate) fn below(&mut self, n: usize) -> usize {
         assert!(n > 0, "below(0)");
         (self.next_u64() % n as u64) as usize
     }
 
     /// Uniform `u128`-widened draw in `[lo, hi]` (inclusive), as `u128`.
-    pub fn in_range_u128(&mut self, lo: u128, hi: u128) -> u128 {
+    pub(crate) fn in_range_u128(&mut self, lo: u128, hi: u128) -> u128 {
         debug_assert!(lo <= hi);
         let span = hi - lo + 1;
         if span == 0 {
@@ -60,12 +60,12 @@ impl TestRng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
+    pub(crate) fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Bernoulli draw.
-    pub fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         self.unit_f64() < p
     }
 }

@@ -102,7 +102,7 @@ impl<T> Clone for BoxedStrategy<T> {
 
 impl<T> BoxedStrategy<T> {
     /// Wraps a generation closure.
-    pub fn new(f: impl Fn(&mut TestRng) -> T + 'static) -> BoxedStrategy<T> {
+    pub(crate) fn new(f: impl Fn(&mut TestRng) -> T + 'static) -> BoxedStrategy<T> {
         BoxedStrategy { gen: Arc::new(f) }
     }
 }

@@ -125,7 +125,7 @@ fn parse(pattern: &str) -> Option<(Class, usize, usize)> {
 }
 
 /// Generates one string matching `pattern`.
-pub fn gen_string(pattern: &str, rng: &mut TestRng) -> String {
+pub(crate) fn gen_string(pattern: &str, rng: &mut TestRng) -> String {
     let (class, min, max) = parse(pattern)
         .unwrap_or_else(|| panic!("unsupported string strategy pattern: {pattern:?}"));
     let len = min + rng.below(max - min + 1);

@@ -3,7 +3,7 @@
 //! An [`Engine`] owns a priority queue of scheduled events and a user-defined
 //! *world* `W` — the mutable state of the whole simulated system. Each event
 //! is a boxed closure that receives `&mut W` and a [`Ctx`] through which it
-//! can read the clock, draw random numbers, cancel timers, and stop the run.
+//! reads the clock. Timers are cancelled through [`Engine::cancel`].
 //!
 //! Handlers schedule *new* events through a [`Mailbox`] embedded in the
 //! world (see [`HasMailbox`]): closures are staged in the mailbox and the
@@ -22,7 +22,7 @@ use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
 /// An event handler: runs against the world at its scheduled instant.
-pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Ctx)>;
+pub(crate) type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Ctx)>;
 
 /// Identifies a scheduled event so it can be cancelled before it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,10 +53,10 @@ impl<W> Ord for Scheduled<W> {
     }
 }
 
-/// Handle passed to running events: clock, RNG, cancellation, stop.
+/// Handle passed to running events: the clock (and, in tests, the RNG and
+/// a stop request).
 pub struct Ctx {
     now: SimTime,
-    cancelled: Vec<EventId>,
     rng: SimRng,
     stop: bool,
 }
@@ -68,20 +68,16 @@ impl Ctx {
     }
 
     /// The engine's deterministic random number generator.
-    pub fn rng(&mut self) -> &mut SimRng {
+    #[cfg(test)]
+    pub(crate) fn rng(&mut self) -> &mut SimRng {
         &mut self.rng
     }
 
     /// Requests that the engine stop after this handler returns, leaving any
     /// remaining events in the queue.
-    pub fn stop(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn stop(&mut self) {
         self.stop = true;
-    }
-
-    /// Cancels a previously scheduled event. Cancelling an event that has
-    /// already run (or was already cancelled) is a no-op.
-    pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.push(id);
     }
 }
 
@@ -92,9 +88,7 @@ pub struct Engine<W> {
     cancelled: HashSet<u64>,
     now: SimTime,
     next_seq: u64,
-    rng_seed: u64,
     rng: Option<SimRng>,
-    events_run: u64,
 }
 
 impl<W> Engine<W> {
@@ -106,25 +100,13 @@ impl<W> Engine<W> {
             cancelled: HashSet::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            rng_seed: seed,
             rng: Some(SimRng::new(seed)),
-            events_run: 0,
         }
     }
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The seed this engine was created with.
-    pub fn seed(&self) -> u64 {
-        self.rng_seed
-    }
-
-    /// How many events have executed so far.
-    pub fn events_run(&self) -> u64 {
-        self.events_run
     }
 
     /// Shared access to the world.
@@ -178,7 +160,7 @@ impl<W> Engine<W> {
     /// Runs a single event if one is queued. Returns `false` when the queue
     /// is empty. Does not pump the mailbox; prefer the `*_with_mailbox`
     /// runners for worlds that stage events.
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         self.step_bounded(SimTime::MAX).is_ran()
     }
 
@@ -196,19 +178,14 @@ impl<W> Engine<W> {
             }
             debug_assert!(ev.at >= self.now, "event queue went backwards");
             self.now = ev.at;
-            self.events_run += 1;
 
             let mut ctx = Ctx {
                 now: self.now,
-                cancelled: Vec::new(),
                 rng: self.rng.take().expect("rng present"),
                 stop: false,
             };
             (ev.f)(&mut self.world, &mut ctx);
 
-            for id in ctx.cancelled.drain(..) {
-                self.cancelled.insert(id.0);
-            }
             self.rng = Some(ctx.rng);
             if ctx.stop {
                 return StepOutcome::Stopped;
@@ -272,7 +249,7 @@ impl<W> Mailbox<W> {
     }
 
     /// Schedules `f` at absolute virtual time `at`.
-    pub fn send_at(&mut self, at: SimTime, f: impl FnOnce(&mut W, &mut Ctx) + 'static) {
+    pub(crate) fn send_at(&mut self, at: SimTime, f: impl FnOnce(&mut W, &mut Ctx) + 'static) {
         self.items.push((at, Box::new(f)));
     }
 
@@ -284,22 +261,6 @@ impl<W> Mailbox<W> {
         f: impl FnOnce(&mut W, &mut Ctx) + 'static,
     ) {
         self.send_at(ctx.now() + d, f);
-    }
-
-    /// Schedules `f` to run at the current instant, after already-queued
-    /// events for this instant.
-    pub fn send_now(&mut self, ctx: &Ctx, f: impl FnOnce(&mut W, &mut Ctx) + 'static) {
-        self.send_at(ctx.now(), f);
-    }
-
-    /// Number of staged events not yet pumped into the engine.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True if no events are staged.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     fn drain(&mut self) -> Vec<(SimTime, EventFn<W>)> {
@@ -315,7 +276,7 @@ pub trait HasMailbox: Sized {
 
 impl<W: HasMailbox + 'static> Engine<W> {
     /// Moves events staged in the world's mailbox into the engine queue.
-    pub fn pump(&mut self) {
+    pub(crate) fn pump(&mut self) {
         for (at, f) in self.world.mailbox().drain() {
             self.push(at, f);
         }
@@ -328,7 +289,7 @@ impl<W: HasMailbox + 'static> Engine<W> {
 
     /// Runs until `deadline`, pumping the mailbox between steps, then
     /// advances the clock to `deadline`.
-    pub fn run_until_with_mailbox(&mut self, deadline: SimTime) -> SimTime {
+    pub(crate) fn run_until_with_mailbox(&mut self, deadline: SimTime) -> SimTime {
         loop {
             self.pump();
             match self.step_bounded(deadline) {

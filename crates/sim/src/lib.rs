@@ -28,15 +28,15 @@
 //! assert_eq!(eng.now(), SimTime::from_nanos(1_000_000));
 //! ```
 
-pub mod engine;
-pub mod hash;
-pub mod queue;
-pub mod rng;
-pub mod time;
-pub mod trace;
+mod engine;
+mod hash;
+mod queue;
+mod rng;
+mod time;
+mod trace;
 
-pub use engine::{Ctx, Engine, EventFn, EventId, HasMailbox, Mailbox};
-pub use hash::{FastHasher, FastMap};
+pub use engine::{Ctx, Engine, HasMailbox, Mailbox};
+pub use hash::FastMap;
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -11,7 +11,7 @@
 //! `(SimTime, seq, T)` triples with the same deterministic FIFO
 //! tie-breaking discipline as the engine (ties in time pop in push
 //! order), no allocation per push beyond the heap's amortised growth,
-//! and a [`EventQueue::reserve`] to pre-size for a known population.
+//! and [`EventQueue::with_capacity`] to pre-size for a known population.
 //! `l25gc-load` drives its capacity sweeps through this queue; the boxed
 //! engine remains the right tool for the figure-reproduction scripts.
 
@@ -78,11 +78,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Reserves room for at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
     /// Schedules `item` at absolute time `at`.
     pub fn push(&mut self, at: SimTime, item: T) {
         let seq = self.next_seq;
@@ -109,18 +104,9 @@ impl<T> EventQueue<T> {
     }
 
     /// Pending events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops every pending event.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 

@@ -39,11 +39,6 @@ impl SimRng {
         self.inner.gen_range(0..n)
     }
 
-    /// Uniform `u32` over the full range.
-    pub fn next_u32(&mut self) -> u32 {
-        self.inner.gen()
-    }
-
     /// Uniform `u64` over the full range.
     pub fn next_u64(&mut self) -> u64 {
         self.inner.gen()
@@ -75,7 +70,8 @@ impl SimRng {
     }
 
     /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+    #[cfg(test)]
+    pub(crate) fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.inner.gen_range(0..=i);
             items.swap(i, j);
@@ -83,7 +79,8 @@ impl SimRng {
     }
 
     /// Picks a uniformly random element, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
+    #[cfg(test)]
+    pub(crate) fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
         if items.is_empty() {
             None
         } else {

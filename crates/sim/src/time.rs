@@ -177,11 +177,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Fractional milliseconds since the epoch.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Time elapsed since `earlier`; saturates to zero if `earlier` is later.
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))

@@ -44,7 +44,8 @@ impl TimeSeries {
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.samples.len()
     }
 
@@ -94,26 +95,26 @@ impl TimeSeries {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stats {
     /// Number of observations.
-    pub count: usize,
+    pub(crate) count: usize,
     /// Smallest observation (0 if empty).
-    pub min: f64,
+    pub(crate) min: f64,
     /// Largest observation (0 if empty).
     pub max: f64,
     /// Arithmetic mean (0 if empty).
     pub mean: f64,
     /// Median (0 if empty).
-    pub p50: f64,
+    pub(crate) p50: f64,
     /// 95th percentile (0 if empty).
-    pub p95: f64,
+    pub(crate) p95: f64,
     /// 99th percentile (0 if empty).
-    pub p99: f64,
+    pub(crate) p99: f64,
 }
 
 impl Stats {
     /// Computes statistics from an iterator of values. NaN observations
     /// (e.g. a rate computed over an empty window) are skipped rather
     /// than poisoning the whole summary.
-    pub fn from_values(values: impl IntoIterator<Item = f64>) -> Stats {
+    pub(crate) fn from_values(values: impl IntoIterator<Item = f64>) -> Stats {
         let mut v: Vec<f64> = values.into_iter().filter(|x| !x.is_nan()).collect();
         if v.is_empty() {
             return Stats {
@@ -143,11 +144,6 @@ impl Stats {
             p95: pct(95.0),
             p99: pct(99.0),
         }
-    }
-
-    /// Computes statistics from durations, in microseconds.
-    pub fn from_durations<'a>(durs: impl IntoIterator<Item = &'a SimDuration>) -> Stats {
-        Stats::from_values(durs.into_iter().map(|d| d.as_micros_f64()))
     }
 }
 

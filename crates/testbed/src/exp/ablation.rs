@@ -7,7 +7,6 @@ use l25gc_classifier::{
     TupleSpace,
 };
 use l25gc_core::Deployment;
-use l25gc_nfv::Manager;
 use l25gc_resilience::UeAwareLb;
 use l25gc_sim::{Engine, SimDuration};
 
@@ -180,18 +179,26 @@ pub struct CanaryRow {
     pub total: usize,
 }
 
-/// Routes `total` new sessions through the NF manager with a canary SMF
-/// at `weight_pct` percent.
+/// L²5GC's canary split (§4) between a stable and a canary instance of
+/// one service: whether a new session with `roll` ∈ [0,1) lands on the
+/// canary, splitting by the two weights, or `None` when both are
+/// drained. The roll becomes an integer point in `[0, total)`, so a
+/// drained instance never receives a session.
+fn routes_to_canary(stable_weight: u32, canary_weight: u32, roll: f64) -> Option<bool> {
+    let total = u64::from(stable_weight) + u64::from(canary_weight);
+    if total == 0 {
+        return None;
+    }
+    let point = (roll.clamp(0.0, 0.999_999) * total as f64) as u64;
+    Some(point >= u64::from(stable_weight))
+}
+
+/// Routes `total` new sessions through the canary split with a canary
+/// SMF at `weight_pct` percent.
 pub fn canary_rollout(weight_pct: u32, total: usize) -> CanaryRow {
-    const SMF: u32 = 3;
-    let mut m = Manager::new();
-    m.register(SMF, 30); // stable version
-    m.register(SMF, 31); // canary
-    m.set_weight(30, 100 - weight_pct);
-    m.set_weight(31, weight_pct);
     let mut rng = l25gc_sim::SimRng::new(4);
     let canary_sessions = (0..total)
-        .filter(|_| m.route(SMF, rng.f64()) == Some(31))
+        .filter(|_| routes_to_canary(100 - weight_pct, weight_pct, rng.f64()) == Some(true))
         .count();
     CanaryRow {
         weight_pct,
@@ -284,6 +291,29 @@ mod tests {
                 "configured {pct}%, observed {got:.1}%"
             );
         }
+    }
+
+    #[test]
+    fn canary_split_follows_weights() {
+        let hits_canary = (0..1000)
+            .filter(|i| routes_to_canary(90, 10, *i as f64 / 1000.0) == Some(true))
+            .count();
+        assert!(
+            (80..120).contains(&hits_canary),
+            "canary got {hits_canary}/1000"
+        );
+    }
+
+    #[test]
+    fn routing_prefers_active_instances() {
+        for roll in [0.0, 0.5, 0.99] {
+            assert_eq!(
+                routes_to_canary(100, 0, roll),
+                Some(false),
+                "a drained instance must not receive traffic"
+            );
+        }
+        assert_eq!(routes_to_canary(0, 0, 0.5), None, "no active instance");
     }
 
     #[test]

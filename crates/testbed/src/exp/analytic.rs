@@ -7,22 +7,22 @@ use l25gc_sim::SimDuration;
 
 /// Inputs to the Eq 1 / Eq 2 estimate.
 #[derive(Debug, Clone, Copy)]
-pub struct BufferingScenario {
+pub(crate) struct BufferingScenario {
     /// Handover duration `t_HO` (the paper uses the measured 130 ms).
-    pub t_ho: SimDuration,
+    pub(crate) t_ho: SimDuration,
     /// Downlink rate in packets per second.
-    pub dl_pps: f64,
+    pub(crate) dl_pps: f64,
     /// Buffer available at the buffering point (packets): gNB for 3GPP,
     /// UPF for L²5GC.
-    pub buffer_pkts: u64,
+    pub(crate) buffer_pkts: u64,
     /// Propagation delay between UPF and each gNB.
-    pub prop: SimDuration,
+    pub(crate) prop: SimDuration,
 }
 
 /// Eq 1: packets dropped during the handover.
 ///
 /// `N_drop = DL_rate × t_HO − Q_length` (clamped at zero).
-pub fn eq1_drops(s: &BufferingScenario) -> u64 {
+pub(crate) fn eq1_drops(s: &BufferingScenario) -> u64 {
     let arriving = (s.dl_pps * s.t_ho.as_secs_f64()).round() as u64;
     arriving.saturating_sub(s.buffer_pkts)
 }
@@ -32,15 +32,15 @@ pub fn eq1_drops(s: &BufferingScenario) -> u64 {
 /// L²5GC: `t_HO + t_{UPF,GNB_t}`.
 /// 3GPP:  `t_HO + t_{UPF,GNB_s} + t_{GNB_s,UPF} + t_{UPF,GNB_t}`.
 #[derive(Debug, Clone, Copy)]
-pub struct OwdEstimate {
+pub(crate) struct OwdEstimate {
     /// L²5GC's direct delivery delay.
-    pub l25gc: SimDuration,
+    pub(crate) l25gc: SimDuration,
     /// 3GPP's hairpin delivery delay.
-    pub threegpp: SimDuration,
+    pub(crate) threegpp: SimDuration,
 }
 
 /// Computes Eq 2 for a scenario.
-pub fn eq2_owd(s: &BufferingScenario) -> OwdEstimate {
+pub(crate) fn eq2_owd(s: &BufferingScenario) -> OwdEstimate {
     OwdEstimate {
         l25gc: s.t_ho + s.prop,
         threegpp: s.t_ho + s.prop * 3,

@@ -40,7 +40,7 @@ use l25gc_sim::SimDuration;
 pub const SWEEP_FRACTIONS: [f64; 6] = [0.25, 0.5, 0.75, 0.9, 1.0, 1.2];
 
 /// Burstiness ratios the MMPP study crosses with the admission policy.
-pub const BURST_LEVELS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
+pub(crate) const BURST_LEVELS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
 
 /// One sweep point.
 #[derive(Debug, Clone)]
@@ -71,8 +71,6 @@ pub struct CapacityPoint {
     /// utilization anatomy behind the mean above, comparable across
     /// backends.
     pub shard_utilization: Vec<f64>,
-    /// Deepest shard queue observed.
-    pub peak_depth: usize,
     /// Wall-clock sustained events/s (threaded backend only).
     pub wall_eps: Option<f64>,
 }
@@ -93,7 +91,6 @@ impl CapacityPoint {
             active_ues: r.active_ues,
             utilisation: r.busy_fraction,
             shard_utilization: r.shard_utilization.clone(),
-            peak_depth: r.peak_depth,
             wall_eps: r.wall.map(|w| w.sustained_eps),
         }
     }
@@ -104,8 +101,6 @@ impl CapacityPoint {
 pub struct CapacityCurve {
     /// The deployment swept.
     pub deployment: Deployment,
-    /// Theoretical shard-limited capacity, events/s.
-    pub capacity_eps: f64,
     /// Mean per-procedure shard occupancy, ms (from calibration).
     pub mean_occupancy_ms: f64,
     /// The sweep points, in [`SWEEP_FRACTIONS`] order.
@@ -287,7 +282,6 @@ pub fn sweep_deployment(deployment: Deployment, params: &CapacityParams) -> Capa
     };
     CapacityCurve {
         deployment,
-        capacity_eps,
         mean_occupancy_ms: occ.as_millis_f64(),
         points,
         knee,
@@ -359,7 +353,7 @@ pub fn dispatch_ladder(params: &CapacityParams) -> Vec<(usize, CapacityPoint)> {
 
 /// The last point that still behaves: low loss, near-offered throughput,
 /// p99 within 3× the lightest point's.
-pub fn detect_knee(points: &[CapacityPoint]) -> usize {
+pub(crate) fn detect_knee(points: &[CapacityPoint]) -> usize {
     let base_p99 = points.first().map(|p| p.p99_ms).unwrap_or(0.0).max(1e-6);
     let mut knee = 0;
     for (i, p) in points.iter().enumerate() {
@@ -847,7 +841,6 @@ mod tests {
         assert_eq!(curves.len(), 2);
         for c in &curves {
             assert_eq!(c.points.len(), SWEEP_FRACTIONS.len());
-            assert!(c.capacity_eps > 0.0);
             assert!(c.knee < c.points.len());
             // The lightest point must be healthy; the knee can't be 0
             // unless everything past it overloaded.

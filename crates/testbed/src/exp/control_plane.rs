@@ -122,7 +122,7 @@ impl EventRow {
 /// Runs one full UE lifecycle on `deployment` and returns the completion
 /// time of each event (ms). `seed` offsets the engine RNG; 0 keeps the
 /// published configuration.
-pub fn run_events(deployment: Deployment, seed: u64) -> Vec<(UeEvent, f64)> {
+pub(crate) fn run_events(deployment: Deployment, seed: u64) -> Vec<(UeEvent, f64)> {
     let mut eng = Engine::new(1 ^ seed, World::new(deployment, 2, 2));
     World::bring_up_ue(&mut eng, 1);
 

@@ -11,7 +11,7 @@ use l25gc_nfv::cost::CostModel;
 use l25gc_sim::SimDuration;
 
 /// The packet sizes MoonGen sweeps in Fig 10.
-pub const PACKET_SIZES: [usize; 6] = [68, 128, 256, 512, 1024, 1500];
+pub(crate) const PACKET_SIZES: [usize; 6] = [68, 128, 256, 512, 1024, 1500];
 
 /// One Fig 10 point.
 #[derive(Debug, Clone)]

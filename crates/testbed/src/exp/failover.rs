@@ -21,7 +21,7 @@ use crate::netem::NetEm;
 use crate::world::World;
 
 /// Builds the 3GPP reattach baseline from measured free5GC event times.
-pub fn measured_reattach_model(seed: u64) -> ReattachModel {
+pub(crate) fn measured_reattach_model(seed: u64) -> ReattachModel {
     let events = run_events(Deployment::Free5gc, seed);
     let get = |ev: UeEvent| {
         events
@@ -139,7 +139,7 @@ pub struct FailoverDataRow {
 /// `fail_at`. `resilient` selects L²5GC failover vs the 3GPP baseline
 /// (which restores service only after the measured reattach outage).
 /// `ho_at` optionally triggers a handover before the failure (Fig 16).
-pub fn run_failover_data(
+pub(crate) fn run_failover_data(
     resilient: bool,
     fail_at: SimDuration,
     ho_at: Option<SimDuration>,
@@ -187,72 +187,6 @@ pub fn run_failover_data(
         timeouts: tx.timeouts,
         max_rtt_ms: tx.rtt_trace.max().unwrap_or(0.0) / 1000.0,
     }
-}
-
-/// Fleet-scale recovery comparison: the load engine's measured
-/// disruption under a scripted mid-run shard kill, against what the
-/// same incident costs when the shard's UEs re-attach from scratch
-/// (the 3GPP baseline composed from measured free5GC durations).
-#[derive(Debug, Clone)]
-pub struct DisruptionRow {
-    /// Recovery approach.
-    pub approach: &'static str,
-    /// Service interruption: kill instant until the backlog drained
-    /// (L²5GC replay) or until re-attach completed (3GPP), ms.
-    pub outage_ms: f64,
-    /// Procedures re-run from the packet log (replay path only).
-    pub replayed: u64,
-    /// Arrivals lost to the outage.
-    pub completions_lost: u64,
-}
-
-/// Runs a 1-second fleet workload with a kill at 500 ms under the Queue
-/// policy (wide rings, so admission control never confuses the loss
-/// accounting), and prices the same kill under the measured re-attach
-/// model: its outage is detection + notification + a fresh registration
-/// and session establishment, during which every arrival to the dead
-/// shard is lost.
-pub fn disruption_vs_reattach(seed: u64) -> Vec<DisruptionRow> {
-    use l25gc_load::{calibrate, Driver, FaultPlan, LoadConfig, OverloadPolicy, ShardConfig};
-
-    let profiles = calibrate(Deployment::L25gc);
-    let cfg = LoadConfig::builder()
-        .ues(20_000)
-        .shard_cfg(ShardConfig {
-            shards: 2,
-            high_water: 1 << 14,
-            policy: OverloadPolicy::Queue,
-            ring_capacity: 1 << 15,
-        })
-        .offered_eps(2_000.0)
-        .duration(SimDuration::from_secs(1))
-        .seed(seed.wrapping_add(59))
-        .fault(FaultPlan::parse("kill@500ms:shard=0").expect("static plan parses"))
-        .build()
-        .expect("disruption comparison config is valid");
-    let r = Driver::new(cfg).expect("valid config").run(&profiles);
-    let d = r.disruption.expect("kill plan yields a disruption block");
-
-    // 3GPP alternative for the identical incident: the shard is dark for
-    // the full re-attach outage, and arrivals hashing to it in that
-    // window (half the offered stream) are dropped, not replayed.
-    let model = measured_reattach_model(seed);
-    let outage = model.outage();
-    let lost = model.packets_lost(2_000.0 / 2.0);
-    vec![
-        DisruptionRow {
-            approach: "L25GC failover",
-            outage_ms: d.disruption_ms,
-            replayed: d.replayed,
-            completions_lost: d.completions_lost,
-        },
-        DisruptionRow {
-            approach: "3GPP reattach",
-            outage_ms: outage.as_millis_f64(),
-            replayed: 0,
-            completions_lost: lost,
-        },
-    ]
 }
 
 /// Fig 15: failure during a plain transfer at 4.5 s, 10 s run.
@@ -311,28 +245,55 @@ mod tests {
         );
     }
 
+    /// Fleet-scale recovery: a 1-second load run with a kill at 500 ms
+    /// under the Queue policy (wide rings, so admission control never
+    /// confuses the loss accounting), against the same kill priced under
+    /// the measured re-attach model, whose outage is detection +
+    /// notification + a fresh registration and session establishment.
     #[test]
     fn fleet_replay_beats_reattach_on_recovery() {
-        let rows = disruption_vs_reattach(0);
-        let (l25, gpp) = (&rows[0], &rows[1]);
+        use l25gc_load::{calibrate, Driver, FaultPlan, LoadConfig, OverloadPolicy, ShardConfig};
+
+        let seed = 0;
+        let profiles = calibrate(Deployment::L25gc);
+        let cfg = LoadConfig::builder()
+            .ues(20_000)
+            .shard_cfg(ShardConfig {
+                shards: 2,
+                high_water: 1 << 14,
+                policy: OverloadPolicy::Queue,
+                ring_capacity: 1 << 15,
+            })
+            .offered_eps(2_000.0)
+            .duration(SimDuration::from_secs(1))
+            .seed(seed + 59)
+            .fault(FaultPlan::parse("kill@500ms:shard=0").expect("static plan parses"))
+            .build()
+            .expect("disruption comparison config is valid");
+        let r = Driver::new(cfg).expect("valid config").run(&profiles);
+        let l25 = r.disruption.expect("kill plan yields a disruption block");
+        // 3GPP alternative for the identical incident: the shard is dark
+        // for the full re-attach outage, and arrivals hashing to it in
+        // that window (half the offered stream) are dropped, not replayed.
+        let model = measured_reattach_model(seed);
+        let gpp_outage_ms = model.outage().as_millis_f64();
+        let gpp_lost = model.packets_lost(2_000.0 / 2.0);
         // The replay path recovers in single-digit-to-low-tens of ms;
         // re-attach costs the measured hundreds of ms — and loses every
         // arrival that hit the dead shard meanwhile.
-        assert!(l25.outage_ms > 0.0, "the kill must be visible");
+        assert!(l25.disruption_ms > 0.0, "the kill must be visible");
         assert!(
-            (250.0..650.0).contains(&gpp.outage_ms),
-            "reattach outage {} ms (paper ~401)",
-            gpp.outage_ms
+            (250.0..650.0).contains(&gpp_outage_ms),
+            "reattach outage {gpp_outage_ms} ms (paper ~401)"
         );
         assert!(
-            l25.outage_ms * 5.0 < gpp.outage_ms,
-            "replay {} ms must beat reattach {} ms decisively",
-            l25.outage_ms,
-            gpp.outage_ms
+            l25.disruption_ms * 5.0 < gpp_outage_ms,
+            "replay {} ms must beat reattach {gpp_outage_ms} ms decisively",
+            l25.disruption_ms
         );
         assert!(l25.replayed > 0, "the backlog replays, not re-attaches");
         assert_eq!(l25.completions_lost, 0, "Queue failover is loss-free");
-        assert!(gpp.completions_lost > 0, "reattach drops the outage window");
+        assert!(gpp_lost > 0, "reattach drops the outage window");
     }
 
     #[test]

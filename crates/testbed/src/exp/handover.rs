@@ -16,12 +16,9 @@ use crate::world::World;
 #[derive(Debug, Clone)]
 pub struct HandoverRow {
     /// System + experiment label.
-    pub system: &'static str,
+    pub(crate) system: &'static str,
     /// Base RTT before the handover (µs).
     pub base_rtt_us: f64,
-    /// Handover completion as seen by the data plane: time from trigger
-    /// until downlink delivery resumes (ms).
-    pub ho_time_ms: f64,
     /// RTT right after the handover (ms).
     pub rtt_after_ms: f64,
     /// Packets that saw an elevated RTT.
@@ -33,7 +30,7 @@ pub struct HandoverRow {
 }
 
 /// Runs the handover experiment. `concurrent_ues > 1` is experiment (ii).
-pub fn run_handover(deployment: Deployment, concurrent_ues: u64, seed: u64) -> HandoverRow {
+pub(crate) fn run_handover(deployment: Deployment, concurrent_ues: u64, seed: u64) -> HandoverRow {
     let mut eng = Engine::new(5 ^ seed, World::new(deployment, 2, concurrent_ues.max(1)));
     for ue in 1..=concurrent_ues {
         World::bring_up_ue(&mut eng, ue);
@@ -60,12 +57,10 @@ pub fn run_handover(deployment: Deployment, concurrent_ues: u64, seed: u64) -> H
     eng.run_with_mailbox();
 
     let w = eng.world();
-    let ho = w
-        .core
-        .events
-        .iter()
-        .find(|e| e.event == UeEvent::Handover)
-        .expect("handover completed");
+    assert!(
+        w.core.events.iter().any(|e| e.event == UeEvent::Handover),
+        "handover completed"
+    );
     let flow = &w.apps.cbr[0]; // UE 1's flow
     let warmup_end = traffic_start + SimDuration::from_millis(900);
     let base_rtt_us = flow
@@ -87,7 +82,6 @@ pub fn run_handover(deployment: Deployment, concurrent_ues: u64, seed: u64) -> H
             Deployment::L25gc => "L25GC",
         },
         base_rtt_us,
-        ho_time_ms: ho.duration().as_millis_f64(),
         rtt_after_ms,
         pkts_higher_rtt,
         pkts_dropped,

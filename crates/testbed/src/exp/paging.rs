@@ -30,7 +30,7 @@ pub struct PagingRow {
 }
 
 /// Runs the paging experiment on one deployment.
-pub fn run_paging(deployment: Deployment, seed: u64) -> PagingRow {
+pub(crate) fn run_paging(deployment: Deployment, seed: u64) -> PagingRow {
     let mut eng = Engine::new(3 ^ seed, World::new(deployment, 2, 2));
     World::bring_up_ue(&mut eng, 1);
 

@@ -9,9 +9,8 @@
 //! The headline sweep uses the `Pinholes` profile — pairwise-disjoint
 //! per-flow rules, the growth driver §2.3 describes — because the
 //! paper's PDR-LL premise (a match landing mid-list) requires rules that
-//! don't shadow each other. The wildcard-heavy `Mixed` profile is
-//! reported separately by `fig11_mixed` as an ablation: there, catch-all
-//! rules cap the linear scan early and fragment PartitionSort.
+//! don't shadow each other. The wildcard-heavy `Mixed` profile drives
+//! the §5.3 update comparison only.
 
 use std::time::Instant;
 
@@ -110,11 +109,6 @@ fn tss_worst_row(n: usize, budget: usize) -> PdrRow {
 /// worst structure), and PDR-PS.
 pub fn fig11(rule_counts: &[usize]) -> Vec<PdrRow> {
     fig11_rows(rule_counts, Profile::Pinholes, LOOKUP_BUDGET)
-}
-
-/// The wildcard-heavy variant (ablation; see module docs).
-pub fn fig11_mixed(rule_counts: &[usize]) -> Vec<PdrRow> {
-    fig11_rows(rule_counts, Profile::Mixed, LOOKUP_BUDGET)
 }
 
 fn fig11_rows(rule_counts: &[usize], profile: Profile, budget: usize) -> Vec<PdrRow> {

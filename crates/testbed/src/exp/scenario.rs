@@ -33,10 +33,10 @@ use l25gc_sim::SimDuration;
 /// Per-window shed budget (percent of window arrivals) for derived SLO
 /// specs — tighter than the regression gate's 1% so scenario sheds are
 /// actually visible as violations.
-pub const SLO_SHED_BUDGET_PCT: f64 = 0.5;
+pub(crate) const SLO_SHED_BUDGET_PCT: f64 = 0.5;
 
 /// Derived p99 budget = this multiple of the baseline probe's p99.
-pub const SLO_P99_MULTIPLE: f64 = 4.0;
+pub(crate) const SLO_P99_MULTIPLE: f64 = 4.0;
 
 /// Matrix parameters (CLI-settable).
 #[derive(Debug, Clone)]
@@ -94,7 +94,8 @@ pub struct ScenarioOutcome {
     /// Arrivals the generator produced.
     pub offered: u64,
     /// Procedures completed within the horizon.
-    pub completed: u64,
+    #[cfg(test)]
+    pub(crate) completed: u64,
     /// Arrivals shed by admission control.
     pub shed: u64,
     /// Arrivals rejected by ring backpressure.
@@ -115,15 +116,14 @@ pub struct ScenarioOutcome {
     pub service_p99_ms: f64,
     /// Completion-transit stage p99, ms.
     pub transit_p99_ms: f64,
-    /// Deepest shard queue observed.
-    pub peak_depth: usize,
     /// Worst single-window shed count (lanes merged) — the incident's
     /// sharpest edge.
     pub peak_window_shed: u64,
     /// Maximal contiguous violating runs of windows.
     pub violation_spans: usize,
     /// Total violating windows.
-    pub violating_windows: usize,
+    #[cfg(test)]
+    pub(crate) violating_windows: usize,
     /// Start of the first violating window, ms from the run origin;
     /// `None` when the run never violated.
     pub time_to_first_violation_ms: Option<f64>,
@@ -139,17 +139,12 @@ pub struct ScenarioOutcome {
     pub horizon_ms: f64,
     /// The p99 budget the run was scored against, ms.
     pub p99_budget_ms: f64,
-    /// The shed budget the run was scored against, percent.
-    pub shed_budget_pct: f64,
-    /// Mean per-window burn rate (1.0 = exactly on budget).
-    pub burn_rate: f64,
     /// Engine-measured worst outage span (kill instant → replayed
     /// backlog drained), ms; `None` when the scenario scripts no fault.
     pub disruption_ms: Option<f64>,
     /// Procedures re-run from the packet log after a scripted kill.
-    pub replayed: u64,
-    /// Arrivals shed while their shard was inside a scripted outage.
-    pub completions_lost: u64,
+    #[cfg(test)]
+    pub(crate) replayed: u64,
     /// Per-shard CPU-busy fraction over the horizon (0..1), comparable
     /// across backends.
     pub shard_utilization: Vec<f64>,
@@ -174,7 +169,7 @@ pub fn peak_shard_util(util: &[f64]) -> (u16, f64) {
 /// incident can fill it, and Shed would degenerate into Queue. Sizing
 /// the mark in time (the queueing delay admission control is willing to
 /// impose) keeps the policies distinct at any calibrated capacity.
-pub const HIGH_WATER_DRAIN_S: f64 = 0.25;
+pub(crate) const HIGH_WATER_DRAIN_S: f64 = 0.25;
 
 fn scenario_shard_cfg(shards: u16, policy: OverloadPolicy, capacity_eps: f64) -> ShardConfig {
     let hw = ((HIGH_WATER_DRAIN_S * capacity_eps / f64::from(shards)).ceil() as usize).max(4);
@@ -219,7 +214,7 @@ fn run(cfg: LoadConfig, profiles: &ProfileSet) -> LoadReport {
 /// scenario's pre-disturbance baseline rate, whose whole-run p99 ×
 /// [`SLO_P99_MULTIPLE`] becomes the per-window budget. The probe uses
 /// its own seed salt so it never perturbs the main run's stream.
-pub fn derive_slo(
+pub(crate) fn derive_slo(
     spec: &ScenarioSpec,
     params: &ScenarioParams,
     profiles: &ProfileSet,
@@ -286,6 +281,7 @@ fn run_cell(
         duration_s: spec.duration().as_secs_f64(),
         ues,
         offered: r.offered,
+        #[cfg(test)]
         completed: r.completed,
         shed: r.shed,
         backpressure: r.backpressure,
@@ -297,20 +293,18 @@ fn run_cell(
         queue_wait_p99_ms: r.queue_wait_p99.as_millis_f64(),
         service_p99_ms: r.service_p99.as_millis_f64(),
         transit_p99_ms: r.transit_p99.as_millis_f64(),
-        peak_depth: r.peak_depth,
         peak_window_shed: tl.peak_window_shed(),
         violation_spans: report.spans.len(),
+        #[cfg(test)]
         violating_windows: report.violating_windows,
         time_to_first_violation_ms: report.time_to_first_violation_ns.map(|ns| ns as f64 / 1e6),
         recovery_ms: report.recovery_ns.map(|ns| ns as f64 / 1e6),
         recovery_or_horizon_ms: report.recovery_ns_or_horizon() as f64 / 1e6,
         horizon_ms: (report.window_count as u64 * report.interval_ns) as f64 / 1e6,
         p99_budget_ms: slo_spec.p99_budget_ns as f64 / 1e6,
-        shed_budget_pct: slo_spec.shed_budget_pct,
-        burn_rate: report.burn_rate,
         disruption_ms: r.disruption.map(|d| d.disruption_ms),
+        #[cfg(test)]
         replayed: r.disruption.map_or(0, |d| d.replayed),
-        completions_lost: r.disruption.map_or(0, |d| d.completions_lost),
         peak_shard: peak_shard_util(&r.shard_utilization).0,
         peak_shard_util: peak_shard_util(&r.shard_utilization).1,
         shard_utilization: r.shard_utilization,
@@ -319,7 +313,8 @@ fn run_cell(
 
 /// Runs one scenario under one policy (calibrating L²5GC and deriving
 /// the SLO budget itself) — the single-cell entry point.
-pub fn run_scenario(
+#[cfg(test)]
+pub(crate) fn run_scenario(
     spec: &ScenarioSpec,
     params: &ScenarioParams,
     policy: OverloadPolicy,

@@ -33,7 +33,7 @@ pub struct TcpImpactRow {
 
 /// Runs Fig 17: `flows` bulk TCP connections for `duration`, handing
 /// over every `ho_interval`.
-pub fn run_tcp_impact(
+pub(crate) fn run_tcp_impact(
     deployment: Deployment,
     flows: u32,
     duration: SimDuration,

@@ -31,7 +31,7 @@ pub struct PltRow {
 }
 
 /// Runs the page-load experiment with handovers every `ho_interval`.
-pub fn run_plt(deployment: Deployment, ho_interval: SimDuration, seed: u64) -> PltRow {
+pub(crate) fn run_plt(deployment: Deployment, ho_interval: SimDuration, seed: u64) -> PltRow {
     let mut eng = Engine::new(9 ^ seed, World::new(deployment, 2, 1));
     World::bring_up_ue(&mut eng, 1);
     eng.world_mut().netem = NetEm::web_30mbps_20ms();

@@ -5,9 +5,9 @@
 //! evaluation. See DESIGN.md §4 for the experiment index.
 
 pub mod exp;
-pub mod netem;
+mod netem;
 pub mod trace;
-pub mod world;
+mod world;
 
-pub use netem::{NetEm, Shaper};
-pub use world::{Apps, Resilience, World};
+pub use netem::NetEm;
+pub use world::World;

@@ -7,20 +7,20 @@ use l25gc_sim::{SimDuration, SimTime};
 
 /// A rate-limited, delay-added link direction.
 #[derive(Debug, Clone)]
-pub struct Shaper {
+pub(crate) struct Shaper {
     /// Link rate in bits per second (`None` = unshaped).
-    pub rate_bps: Option<f64>,
+    pub(crate) rate_bps: Option<f64>,
     /// One-way propagation delay.
-    pub prop: SimDuration,
+    pub(crate) prop: SimDuration,
     /// Queue limit in packets; beyond this, packets drop (`None` =
     /// unbounded).
-    pub queue_pkts: Option<usize>,
+    pub(crate) queue_pkts: Option<usize>,
     busy_until: SimTime,
 }
 
 impl Shaper {
     /// An unshaped direction (zero delay, infinite rate).
-    pub fn unshaped() -> Shaper {
+    pub(crate) fn unshaped() -> Shaper {
         Shaper {
             rate_bps: None,
             prop: SimDuration::ZERO,
@@ -30,7 +30,7 @@ impl Shaper {
     }
 
     /// A shaped direction.
-    pub fn new(rate_bps: f64, prop: SimDuration, queue_pkts: Option<usize>) -> Shaper {
+    pub(crate) fn new(rate_bps: f64, prop: SimDuration, queue_pkts: Option<usize>) -> Shaper {
         Shaper {
             rate_bps: Some(rate_bps),
             prop,
@@ -42,7 +42,7 @@ impl Shaper {
     /// Computes the transit delay for a packet of `size` bytes arriving
     /// now, updating the queue state. `None` means the queue overflowed
     /// and the packet drops.
-    pub fn transit(&mut self, now: SimTime, size: usize) -> Option<SimDuration> {
+    pub(crate) fn transit(&mut self, now: SimTime, size: usize) -> Option<SimDuration> {
         match self.rate_bps {
             None => Some(self.prop),
             Some(rate) => {
@@ -68,16 +68,16 @@ impl Shaper {
 #[derive(Debug, Clone)]
 pub struct NetEm {
     /// DN → UPF (downlink toward UEs).
-    pub dl: Shaper,
+    pub(crate) dl: Shaper,
     /// UPF → DN (uplink/acks).
-    pub ul: Shaper,
+    pub(crate) ul: Shaper,
     /// Downlink packets dropped at the shaper queue.
-    pub dl_drops: u64,
+    pub(crate) dl_drops: u64,
 }
 
 impl NetEm {
     /// No shaping at all (the data-plane microbenchmarks).
-    pub fn off() -> NetEm {
+    pub(crate) fn off() -> NetEm {
         NetEm {
             dl: Shaper::unshaped(),
             ul: Shaper::unshaped(),
@@ -89,7 +89,7 @@ impl NetEm {
     /// queue is sized like a shaped operator link (~240 ms worth), so
     /// six parallel connections can ramp without a synchronized loss
     /// collapse at startup.
-    pub fn web_30mbps_20ms() -> NetEm {
+    pub(crate) fn web_30mbps_20ms() -> NetEm {
         let prop = SimDuration::from_millis(10);
         NetEm {
             dl: Shaper::new(30e6, prop, Some(600)),
@@ -99,7 +99,7 @@ impl NetEm {
     }
 
     /// The Appendix C experiment: 100 Mbps bottleneck, 50 ms RTT.
-    pub fn appendix_100mbps_50ms() -> NetEm {
+    pub(crate) fn appendix_100mbps_50ms() -> NetEm {
         let prop = SimDuration::from_millis(25);
         NetEm {
             dl: Shaper::new(100e6, prop, Some(1000)),

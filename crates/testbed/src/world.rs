@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 
 use l25gc_core::msg::{DataPacket, Direction, Endpoint, Envelope, Msg, UeId};
-use l25gc_core::net::{CoreNetwork, HandoverScheme};
+use l25gc_core::net::CoreNetwork;
 use l25gc_core::Deployment;
 use l25gc_obs::{EventKind, ProcKind};
 use l25gc_ran::{echo, CbrFlow, PageLoad, Ran, TcpReceiver, TcpSender};
@@ -39,15 +39,15 @@ pub struct Apps {
     /// TCP senders at the DN, keyed by flow id.
     pub tcp: HashMap<u32, TcpSender>,
     /// TCP receivers at the UE, keyed by flow id.
-    pub tcp_rx: HashMap<u32, TcpReceiver>,
+    pub(crate) tcp_rx: HashMap<u32, TcpReceiver>,
     /// Page-load harness, when the experiment is §5.4.1.
-    pub page: Option<PageLoad>,
+    pub(crate) page: Option<PageLoad>,
     /// UE echoes every delivered CBR packet back (RTT measurement).
     pub echo_at_ue: bool,
     /// Pending RTO tick per TCP flow.
     tcp_tick: HashMap<u32, SimTime>,
     /// UL packets that reached the DN.
-    pub dn_received: u64,
+    pub(crate) dn_received: u64,
     /// DL packets delivered to UEs.
     pub ue_received: u64,
 }
@@ -59,9 +59,9 @@ pub struct Resilience {
     /// The frozen remote replica of the whole core.
     pub replica: Replica<CoreNetwork>,
     /// Checkpoint schedule.
-    pub policy: CheckpointPolicy,
+    pub(crate) policy: CheckpointPolicy,
     /// Failover timing components.
-    pub timeline: FailoverTimeline,
+    pub(crate) timeline: FailoverTimeline,
     /// External outputs, a multiset. While the replica is frozen: those
     /// the primary released since the last checkpoint. Once it is active:
     /// the duplicates replay has yet to suppress.
@@ -79,7 +79,7 @@ pub struct Resilience {
 
 impl Resilience {
     /// A fresh harness mirroring `core`.
-    pub fn new(core: &CoreNetwork, now: SimTime) -> Resilience {
+    pub(crate) fn new(core: &CoreNetwork, now: SimTime) -> Resilience {
         Resilience {
             logger: PacketLogger::new(10_000),
             replica: Replica::new(core.clone(), now),
@@ -212,12 +212,6 @@ impl World {
             incarnation: 0,
             outage_drops: 0,
         }
-    }
-
-    /// Sets the handover scheme on both core and RAN.
-    pub fn set_scheme(&mut self, scheme: HandoverScheme) {
-        self.core.scheme = scheme;
-        self.ran.scheme = scheme;
     }
 
     /// Enables the resiliency harness and starts periodic checkpoints.
@@ -450,11 +444,6 @@ impl World {
             .send_in(ctx, delay, move |w, ctx| w.route(env, incarnation, ctx));
     }
 
-    /// Routes one delivered envelope.
-    pub fn deliver(&mut self, env: Envelope, ctx: &mut Ctx) {
-        self.route(env, self.incarnation, ctx);
-    }
-
     /// Routes `env`, sent while the core was in `incarnation`.
     fn route(&mut self, env: Envelope, incarnation: u32, ctx: &mut Ctx) {
         if is_core(env.to) {
@@ -659,7 +648,7 @@ impl World {
     }
 
     /// Installs and starts a pre-built sender (page loads build theirs).
-    pub fn start_tcp_sender(&mut self, mut sender: TcpSender, ctx: &mut Ctx) {
+    pub(crate) fn start_tcp_sender(&mut self, mut sender: TcpSender, ctx: &mut Ctx) {
         let flow = sender.flow;
         let segs = sender.pump(ctx.now());
         let deadline = sender.next_timeout();

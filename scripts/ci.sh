@@ -24,6 +24,10 @@ fi
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
+# benchmark/ is its own workspace over crates/: a narrowed API that breaks
+# it must fail here, not only in the GitHub job. --locked fails on a stale
+# lock instead of rewriting it (which would trip the guard above).
+cargo check --locked --manifest-path benchmark/Cargo.toml --all-targets
 # Wall budget: the l25gc-testbed lib suite (debug profile) was the ten
 # minutes of tier-1 until one pdr test stopped measuring 5 000-rule
 # structures it never read. Build first so the budget times tests only.
