@@ -294,7 +294,7 @@ pub fn side_studies(args: &Args) -> bool {
         .as_deref()
         .filter(|_| args.cap.trace_sample == 0);
     if let Some(path) = trace {
-        let bundle = l25gc_testbed::trace::trace_scenario(args.seed);
+        let bundle = l25gc_testbed::trace::trace_scenario();
         write_bundle(path, &bundle);
         println!(
             "wrote {path}: {} events, {} spans, {} segments ({} events lost to ring overwrites)\n",
@@ -770,10 +770,10 @@ pub(crate) fn ablate_dos(_: &Args) {
 }
 
 /// The `ablate-checkpoint` experiment.
-pub(crate) fn ablate_checkpoint(args: &Args) {
+pub(crate) fn ablate_checkpoint(_: &Args) {
     print_table(
         "Ablation: checkpoint interval (paper picks periodic 10ms-scale sync)",
-        exp::ablation::checkpoint_sweep(&[1, 5, 10, 50, 100], args.seed),
+        exp::ablation::checkpoint_sweep(&[1, 5, 10, 50, 100]),
         &[
             ("interval (ms)", |r| r.interval_ms.to_string()),
             ("checkpoints", |r| r.checkpoints.to_string()),
@@ -844,10 +844,10 @@ pub(crate) fn fig7(_: &Args) {
 }
 
 /// The `fig8` experiment.
-pub(crate) fn fig8(args: &Args) {
+pub(crate) fn fig8(_: &Args) {
     print_table(
         "Fig 8: UE event completion time (paper: ~50% reduction, HO 227->130ms)",
-        exp::control_plane::fig8(args.seed),
+        exp::control_plane::fig8(),
         &[
             ("event", |r| format!("{:?}", r.event)),
             ("free5GC (ms)", |r| f(r.free5gc_ms)),
@@ -932,10 +932,10 @@ pub(crate) fn scaling40g(_: &Args) {
 }
 
 /// The `fig12` experiment.
-pub(crate) fn fig12(args: &Args) {
+pub(crate) fn fig12(_: &Args) {
     print_table(
         "Fig 12: page load with handovers (paper: 32s vs 28s, free5GC stalls 463ms)",
-        exp::webpage::fig12(args.seed),
+        exp::webpage::fig12(),
         &[
             ("system", |r| r.system.to_string()),
             ("PLT (s)", |r| f(r.plt_s)),
@@ -963,7 +963,7 @@ fn write_series_csv(args: &Args, name: &str, series: &l25gc_sim::TimeSeries) {
 
 /// The `fig13` experiment.
 pub(crate) fn fig13(args: &Args) {
-    let rows = exp::paging::table1(args.seed);
+    let rows = exp::paging::table1();
     print_table(
         "Fig 13/Table 1: paging (paper: 116us/59ms/63ms/608 vs 25us/28ms/30ms/294)",
         &rows,
@@ -982,7 +982,7 @@ pub(crate) fn fig13(args: &Args) {
 
 /// The `fig14` experiment.
 pub(crate) fn fig14(args: &Args) {
-    let rows = exp::handover::table2(args.seed);
+    let rows = exp::handover::table2();
     print_table(
         "Fig 14/Table 2: handover (paper expt i: 118us/242ms/2301/0 vs 24us/132ms/1437/0)",
         &rows,
@@ -1017,12 +1017,12 @@ pub(crate) fn eq12(_: &Args) {
 }
 
 /// The `failover-cp` experiment.
-pub(crate) fn failover_cp(args: &Args) {
+pub(crate) fn failover_cp(_: &Args) {
     print_table(
         "Sec 5.5.1: handover with mid-flight 5GC failure (paper: 134ms vs 401ms)",
         [
-            exp::failover::failover_handover_l25gc(args.seed),
-            exp::failover::failover_handover_3gpp(args.seed),
+            exp::failover::failover_handover_l25gc(),
+            exp::failover::failover_handover_3gpp(),
         ],
         &[
             ("approach", |r| r.approach.to_string()),
@@ -1047,26 +1047,26 @@ fn failover_data(title: &str, rows: Vec<exp::failover::FailoverDataRow>) {
 }
 
 /// The `fig15` experiment.
-pub(crate) fn fig15(args: &Args) {
+pub(crate) fn fig15(_: &Args) {
     failover_data(
         "Fig 15: failover during data transfer (paper: 3GPP drops ~121 pkts, L25GC none)",
-        exp::failover::fig15(args.seed),
+        exp::failover::fig15(),
     );
 }
 
 /// The `fig16` experiment.
-pub(crate) fn fig16(args: &Args) {
+pub(crate) fn fig16(_: &Args) {
     failover_data(
         "Fig 16: failover during handover + transfer (paper: seamless for L25GC)",
-        exp::failover::fig16(args.seed),
+        exp::failover::fig16(),
     );
 }
 
 /// The `fig17` experiment.
-pub(crate) fn fig17(args: &Args) {
+pub(crate) fn fig17(_: &Args) {
     print_table(
         "Fig 17: repeated handovers, 10 TCP flows (paper: 442MB vs 416MB, RTT 130 vs 328ms)",
-        exp::tcp_impact::fig17(args.seed),
+        exp::tcp_impact::fig17(),
         &[
             ("system", |r| r.system.to_string()),
             ("transferred (MB)", |r| f(r.transferred_mb)),

@@ -3,27 +3,26 @@
 //! The time substrate for the L²5GC reproduction. Every latency figure in
 //! the paper's evaluation is a function of *event ordering* plus *path
 //! costs*; this crate provides the ordering half: a virtual clock
-//! ([`SimTime`]/[`SimDuration`]), a binary-heap scheduler ([`Engine`]) with
-//! deterministic tie-breaking, a seeded RNG ([`SimRng`]), and metric
+//! ([`SimTime`]/[`SimDuration`]), a deterministic priority queue
+//! ([`EventQueue`]) and the event engine built on it ([`Engine`]: handlers
+//! get `&mut` the world and a [`Ctx`] to schedule follow-ups through), a
+//! seeded RNG ([`SimRng`]) for the workloads that draw, and metric
 //! recorders ([`TimeSeries`], [`Stats`], [`Counters`]).
 //!
 //! Design follows the smoltcp school: event-driven, no background threads,
 //! no interior mutability, simulations are pure functions of their inputs.
 //!
 //! ```
-//! use l25gc_sim::{Engine, Mailbox, HasMailbox, SimTime, SimDuration};
+//! use l25gc_sim::{Engine, SimDuration, SimTime};
 //!
-//! struct World { mailbox: Mailbox<World>, pings: u32 }
-//! impl HasMailbox for World {
-//!     fn mailbox(&mut self) -> &mut Mailbox<Self> { &mut self.mailbox }
-//! }
+//! struct World { pings: u32 }
 //!
-//! let mut eng = Engine::new(42, World { mailbox: Mailbox::new(), pings: 0 });
+//! let mut eng = Engine::new(0, World { pings: 0 });
 //! eng.schedule_at(SimTime::ZERO, |w: &mut World, ctx| {
 //!     w.pings += 1;
-//!     w.mailbox.send_in(ctx, SimDuration::from_millis(1), |w, _| w.pings += 1);
+//!     ctx.schedule_in(SimDuration::from_millis(1), |w, _| w.pings += 1);
 //! });
-//! eng.run_with_mailbox();
+//! eng.run();
 //! assert_eq!(eng.world().pings, 2);
 //! assert_eq!(eng.now(), SimTime::from_nanos(1_000_000));
 //! ```
@@ -35,7 +34,7 @@ mod rng;
 mod time;
 mod trace;
 
-pub use engine::{Ctx, Engine, HasMailbox, Mailbox};
+pub use engine::{Ctx, Engine};
 pub use hash::FastMap;
 pub use queue::EventQueue;
 pub use rng::SimRng;

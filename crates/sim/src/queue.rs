@@ -1,19 +1,16 @@
-//! A value-typed event queue for workloads with millions of pending
-//! events.
+//! A value-typed, deterministic event queue.
 //!
-//! [`Engine`](crate::Engine) stores every scheduled event as a
-//! `Box<dyn FnOnce>` — perfect for heterogeneous experiment scripts, but
-//! one heap allocation plus a vtable per event. A fleet-scale load
-//! generator schedules millions of *homogeneous* events (arrivals,
-//! completions, think-time expiries); boxing each one dominates the run.
+//! [`EventQueue<T>`] is a binary heap of `(SimTime, seq, T)` triples: the
+//! earliest time pops first, and ties in time pop in push order, so a run
+//! is a pure function of the push sequence. There is no allocation per push
+//! beyond the heap's amortised growth, and [`EventQueue::with_capacity`]
+//! pre-sizes it for a known population.
 //!
-//! [`EventQueue<T>`] is the flat alternative: a binary heap of
-//! `(SimTime, seq, T)` triples with the same deterministic FIFO
-//! tie-breaking discipline as the engine (ties in time pop in push
-//! order), no allocation per push beyond the heap's amortised growth,
-//! and [`EventQueue::with_capacity`] to pre-size for a known population.
-//! `l25gc-load` drives its capacity sweeps through this queue; the boxed
-//! engine remains the right tool for the figure-reproduction scripts.
+//! It is the one scheduler in this crate. [`Engine`](crate::Engine) is
+//! built on an `EventQueue` of boxed handlers; `l25gc-load` drives its
+//! fleet-scale capacity sweeps through an `EventQueue` of plain values
+//! (arrivals, completions, think-time expiries), where a box per event
+//! would dominate the run.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -44,11 +41,10 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// A deterministic min-time priority queue over plain values.
+/// A deterministic min-time priority queue.
 ///
 /// Events scheduled for the same instant pop in the order they were
-/// pushed, so a run is a pure function of the push sequence — the same
-/// guarantee [`Engine`](crate::Engine) gives, without per-event boxing.
+/// pushed, so a run is a pure function of the push sequence.
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
     next_seq: u64,

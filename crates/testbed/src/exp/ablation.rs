@@ -126,11 +126,11 @@ pub struct CheckpointRow {
 }
 
 /// Runs a CBR + failover scenario at each checkpoint interval.
-pub fn checkpoint_sweep(intervals_ms: &[u64], seed: u64) -> Vec<CheckpointRow> {
+pub fn checkpoint_sweep(intervals_ms: &[u64]) -> Vec<CheckpointRow> {
     intervals_ms
         .iter()
         .map(|&ms| {
-            let mut eng = Engine::new(61 ^ seed, World::new(Deployment::L25gc, 2, 1));
+            let mut eng = Engine::new(0, World::new(Deployment::L25gc, 2, 1));
             World::bring_up_ue(&mut eng, 1);
             World::enable_resilience(&mut eng);
             eng.world_mut()
@@ -150,7 +150,7 @@ pub fn checkpoint_sweep(intervals_ms: &[u64], seed: u64) -> Vec<CheckpointRow> {
                 // read it after the run.
                 w.ran.counters.add("ablate_backlog", backlog as u64);
             });
-            eng.run_with_mailbox();
+            eng.run();
             let w = eng.world();
             let flow = &w.apps.cbr[0];
             CheckpointRow {
@@ -268,7 +268,7 @@ mod tests {
 
     #[test]
     fn shorter_checkpoints_mean_less_replay() {
-        let rows = checkpoint_sweep(&[1, 10, 100], 0);
+        let rows = checkpoint_sweep(&[1, 10, 100]);
         assert!(rows[0].checkpoints > rows[2].checkpoints * 5);
         assert!(
             rows[0].replay_backlog < rows[2].replay_backlog,

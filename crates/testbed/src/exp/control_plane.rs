@@ -120,10 +120,9 @@ impl EventRow {
 }
 
 /// Runs one full UE lifecycle on `deployment` and returns the completion
-/// time of each event (ms). `seed` offsets the engine RNG; 0 keeps the
-/// published configuration.
-pub(crate) fn run_events(deployment: Deployment, seed: u64) -> Vec<(UeEvent, f64)> {
-    let mut eng = Engine::new(1 ^ seed, World::new(deployment, 2, 2));
+/// time of each event (ms).
+pub(crate) fn run_events(deployment: Deployment) -> Vec<(UeEvent, f64)> {
+    let mut eng = Engine::new(0, World::new(deployment, 2, 2));
     World::bring_up_ue(&mut eng, 1);
 
     // Handover to gNB 2.
@@ -131,18 +130,18 @@ pub(crate) fn run_events(deployment: Deployment, seed: u64) -> Vec<(UeEvent, f64
     eng.schedule_in(SimDuration::ZERO, move |w: &mut World, ctx| {
         w.send_after(ctx, out.delay, out.env);
     });
-    eng.run_with_mailbox();
+    eng.run();
 
     // Idle transition, then paging via one downlink packet.
     let out = eng.world().ran.trigger_idle(1);
     eng.schedule_in(SimDuration::ZERO, move |w: &mut World, ctx| {
         w.send_after(ctx, out.delay, out.env);
     });
-    eng.run_with_mailbox();
+    eng.run();
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
         w.start_cbr(1, 0, 1_000, 200, SimDuration::from_millis(5), ctx);
     });
-    eng.run_with_mailbox();
+    eng.run();
 
     eng.world()
         .core
@@ -153,10 +152,10 @@ pub(crate) fn run_events(deployment: Deployment, seed: u64) -> Vec<(UeEvent, f64
 }
 
 /// Computes the Fig 8 table for the four UE events.
-pub fn fig8(seed: u64) -> Vec<EventRow> {
-    let free = run_events(Deployment::Free5gc, seed);
-    let onvm = run_events(Deployment::OnvmUpf, seed);
-    let l25 = run_events(Deployment::L25gc, seed);
+pub fn fig8() -> Vec<EventRow> {
+    let free = run_events(Deployment::Free5gc);
+    let onvm = run_events(Deployment::OnvmUpf);
+    let l25 = run_events(Deployment::L25gc);
     let get = |set: &[(UeEvent, f64)], ev: UeEvent| {
         set.iter()
             .find(|(e, _)| *e == ev)
@@ -198,7 +197,7 @@ mod tests {
 
     #[test]
     fn fig8_l25gc_halves_event_times() {
-        let rows = fig8(0);
+        let rows = fig8();
         assert_eq!(rows.len(), 4);
         for row in &rows {
             assert!(
@@ -223,7 +222,7 @@ mod tests {
 
     #[test]
     fn fig8_handover_near_paper_values() {
-        let rows = fig8(0);
+        let rows = fig8();
         let ho = rows
             .iter()
             .find(|r| r.event == UeEvent::Handover)
@@ -245,7 +244,7 @@ mod tests {
 
     #[test]
     fn fig8_paging_near_paper_values() {
-        let rows = fig8(0);
+        let rows = fig8();
         let pg = rows
             .iter()
             .find(|r| r.event == UeEvent::Paging)

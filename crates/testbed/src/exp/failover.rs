@@ -21,8 +21,8 @@ use crate::netem::NetEm;
 use crate::world::World;
 
 /// Builds the 3GPP reattach baseline from measured free5GC event times.
-pub(crate) fn measured_reattach_model(seed: u64) -> ReattachModel {
-    let events = run_events(Deployment::Free5gc, seed);
+pub(crate) fn measured_reattach_model() -> ReattachModel {
+    let events = run_events(Deployment::Free5gc);
     let get = |ev: UeEvent| {
         events
             .iter()
@@ -53,17 +53,17 @@ pub struct FailoverCpRow {
 /// the path-switch signalling is in flight); the replica + replay finish
 /// it. Durations are measured from the trigger instant at the testbed
 /// level, so replayed-message re-stamping cannot skew them.
-pub fn failover_handover_l25gc(seed: u64) -> FailoverCpRow {
+pub fn failover_handover_l25gc() -> FailoverCpRow {
     // Baseline HO (no failure).
     let baseline = {
-        let mut eng = Engine::new(55 ^ seed, World::new(Deployment::L25gc, 2, 1));
+        let mut eng = Engine::new(0, World::new(Deployment::L25gc, 2, 1));
         World::bring_up_ue(&mut eng, 1);
         let t0 = eng.now();
         let out = eng.world().ran.trigger_handover(1, 2);
         eng.schedule_in(SimDuration::ZERO, move |w: &mut World, ctx| {
             w.send_after(ctx, out.delay, out.env);
         });
-        eng.run_with_mailbox();
+        eng.run();
         let end = eng
             .world()
             .core
@@ -77,18 +77,18 @@ pub fn failover_handover_l25gc(seed: u64) -> FailoverCpRow {
 
     // With a failure hitting the execution phase (85% in: right around
     // the HandoverNotify / path-switch signalling).
-    let mut eng = Engine::new(56 ^ seed, World::new(Deployment::L25gc, 2, 1));
+    let mut eng = Engine::new(0, World::new(Deployment::L25gc, 2, 1));
     World::bring_up_ue(&mut eng, 1);
     World::enable_resilience(&mut eng);
     // Let a checkpoint pass so the session state is replicated.
-    eng.run_for_with_mailbox(SimDuration::from_millis(50));
+    eng.run_for(SimDuration::from_millis(50));
     let t0 = eng.now();
     let out = eng.world().ran.trigger_handover(1, 2);
     eng.schedule_in(SimDuration::ZERO, move |w: &mut World, ctx| {
         w.send_after(ctx, out.delay, out.env);
     });
     eng.schedule_in(baseline * 0.85, |w: &mut World, ctx| w.fail_primary(ctx));
-    eng.run_with_mailbox();
+    eng.run();
     let end = eng
         .world()
         .core
@@ -106,8 +106,8 @@ pub fn failover_handover_l25gc(seed: u64) -> FailoverCpRow {
 }
 
 /// The 3GPP reattach number for the same scenario.
-pub fn failover_handover_3gpp(seed: u64) -> FailoverCpRow {
-    let model = measured_reattach_model(seed);
+pub fn failover_handover_3gpp() -> FailoverCpRow {
+    let model = measured_reattach_model();
     let baseline = SimDuration::from_millis(130); // L25GC's no-failure HO
     let spent = baseline * 0.5;
     // The interrupted handover is abandoned; after the outage the UE is
@@ -144,9 +144,8 @@ pub(crate) fn run_failover_data(
     fail_at: SimDuration,
     ho_at: Option<SimDuration>,
     duration: SimDuration,
-    seed: u64,
 ) -> FailoverDataRow {
-    let mut eng = Engine::new(58 ^ seed, World::new(Deployment::L25gc, 2, 1));
+    let mut eng = Engine::new(0, World::new(Deployment::L25gc, 2, 1));
     World::bring_up_ue(&mut eng, 1);
     eng.world_mut().netem = NetEm::failover_30mbps();
     if resilient {
@@ -167,12 +166,12 @@ pub(crate) fn run_failover_data(
         // restored core is the backup with the re-established session
         // (state-wise identical here; the *time* and the dropped packets
         // are the penalty).
-        let outage = measured_reattach_model(seed).outage();
+        let outage = measured_reattach_model().outage();
         eng.schedule_in(fail_at + outage, |w: &mut World, _ctx| {
             w.reattach_recover();
         });
     }
-    eng.run_for_with_mailbox(duration);
+    eng.run_for(duration);
 
     let w = eng.world();
     let tx = &w.apps.tcp[&0];
@@ -190,23 +189,23 @@ pub(crate) fn run_failover_data(
 }
 
 /// Fig 15: failure during a plain transfer at 4.5 s, 10 s run.
-pub fn fig15(seed: u64) -> Vec<FailoverDataRow> {
+pub fn fig15() -> Vec<FailoverDataRow> {
     let fail = SimDuration::from_millis(4_500);
     let dur = SimDuration::from_secs(10);
     vec![
-        run_failover_data(true, fail, None, dur, seed),
-        run_failover_data(false, fail, None, dur, seed),
+        run_failover_data(true, fail, None, dur),
+        run_failover_data(false, fail, None, dur),
     ]
 }
 
 /// Fig 16: handover at 4.4 s, failure at 4.5 s (mid-handover), 10 s run.
-pub fn fig16(seed: u64) -> Vec<FailoverDataRow> {
+pub fn fig16() -> Vec<FailoverDataRow> {
     let ho = SimDuration::from_millis(4_400);
     let fail = SimDuration::from_millis(4_500);
     let dur = SimDuration::from_secs(10);
     vec![
-        run_failover_data(true, fail, Some(ho), dur, seed),
-        run_failover_data(false, fail, Some(ho), dur, seed),
+        run_failover_data(true, fail, Some(ho), dur),
+        run_failover_data(false, fail, Some(ho), dur),
     ]
 }
 
@@ -216,7 +215,7 @@ mod tests {
 
     #[test]
     fn failover_cp_matches_551() {
-        let l25 = failover_handover_l25gc(0);
+        let l25 = failover_handover_l25gc();
         // Paper: 130 ms without failure → 134 ms with; a few ms overhead.
         assert!(
             (110.0..175.0).contains(&l25.ho_baseline_ms),
@@ -229,7 +228,7 @@ mod tests {
             "failover adds a few ms, got {overhead:.1} (paper: ~4 ms)"
         );
 
-        let gpp = failover_handover_3gpp(0);
+        let gpp = failover_handover_3gpp();
         // Paper: 401 ms. Composition from measured free5GC events lands
         // in the hundreds of ms and far above L25GC.
         assert!(
@@ -254,7 +253,6 @@ mod tests {
     fn fleet_replay_beats_reattach_on_recovery() {
         use l25gc_load::{calibrate, Driver, FaultPlan, LoadConfig, OverloadPolicy, ShardConfig};
 
-        let seed = 0;
         let profiles = calibrate(Deployment::L25gc);
         let cfg = LoadConfig::builder()
             .ues(20_000)
@@ -266,7 +264,7 @@ mod tests {
             })
             .offered_eps(2_000.0)
             .duration(SimDuration::from_secs(1))
-            .seed(seed + 59)
+            .seed(59)
             .fault(FaultPlan::parse("kill@500ms:shard=0").expect("static plan parses"))
             .build()
             .expect("disruption comparison config is valid");
@@ -275,7 +273,7 @@ mod tests {
         // 3GPP alternative for the identical incident: the shard is dark
         // for the full re-attach outage, and arrivals hashing to it in
         // that window (half the offered stream) are dropped, not replayed.
-        let model = measured_reattach_model(seed);
+        let model = measured_reattach_model();
         let gpp_outage_ms = model.outage().as_millis_f64();
         let gpp_lost = model.packets_lost(2_000.0 / 2.0);
         // The replay path recovers in single-digit-to-low-tens of ms;
@@ -298,7 +296,7 @@ mod tests {
 
     #[test]
     fn fig15_l25gc_keeps_goodput() {
-        let rows = fig15(0);
+        let rows = fig15();
         let l25 = &rows[0];
         let gpp = &rows[1];
         assert_eq!(l25.packets_dropped, 0, "the logger loses nothing");
@@ -318,7 +316,7 @@ mod tests {
 
     #[test]
     fn fig16_failure_during_handover() {
-        let rows = fig16(0);
+        let rows = fig16();
         let l25 = &rows[0];
         let gpp = &rows[1];
         assert_eq!(l25.packets_dropped, 0);

@@ -30,8 +30,8 @@ pub struct HandoverRow {
 }
 
 /// Runs the handover experiment. `concurrent_ues > 1` is experiment (ii).
-pub(crate) fn run_handover(deployment: Deployment, concurrent_ues: u64, seed: u64) -> HandoverRow {
-    let mut eng = Engine::new(5 ^ seed, World::new(deployment, 2, concurrent_ues.max(1)));
+pub(crate) fn run_handover(deployment: Deployment, concurrent_ues: u64) -> HandoverRow {
+    let mut eng = Engine::new(0, World::new(deployment, 2, concurrent_ues.max(1)));
     for ue in 1..=concurrent_ues {
         World::bring_up_ue(&mut eng, ue);
     }
@@ -54,7 +54,7 @@ pub(crate) fn run_handover(deployment: Deployment, concurrent_ues: u64, seed: u6
         let out = w.ran.trigger_handover(1, 2);
         w.send_after(ctx, out.delay, out.env);
     });
-    eng.run_with_mailbox();
+    eng.run();
 
     let w = eng.world();
     assert!(
@@ -90,11 +90,11 @@ pub(crate) fn run_handover(deployment: Deployment, concurrent_ues: u64, seed: u6
 }
 
 /// Table 2: both systems × experiments (i) and (ii).
-pub fn table2(seed: u64) -> Vec<(String, HandoverRow)> {
+pub fn table2() -> Vec<(String, HandoverRow)> {
     let mut out = Vec::new();
     for (label, ues) in [("expt i", 1u64), ("expt ii", 3)] {
         for dep in [Deployment::Free5gc, Deployment::L25gc] {
-            let row = run_handover(dep, ues, seed);
+            let row = run_handover(dep, ues);
             out.push((format!("{} ({label})", row.system), row));
         }
     }
@@ -107,8 +107,8 @@ mod tests {
 
     #[test]
     fn expt_i_shape_matches_table2() {
-        let free = run_handover(Deployment::Free5gc, 1, 0);
-        let l25 = run_handover(Deployment::L25gc, 1, 0);
+        let free = run_handover(Deployment::Free5gc, 1);
+        let l25 = run_handover(Deployment::L25gc, 1);
 
         // Base RTT 118 µs vs 24 µs.
         assert!(
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn expt_ii_keeps_l25gc_lossless() {
-        let l25 = run_handover(Deployment::L25gc, 3, 0);
+        let l25 = run_handover(Deployment::L25gc, 3);
         assert_eq!(l25.pkts_dropped, 0, "paper: 0 drops for L25GC in expt ii");
         // Concurrent sessions leave the handover time roughly unchanged
         // (132 vs 130 ms in the paper).
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn fig14_series_spikes_at_handover() {
-        let row = run_handover(Deployment::L25gc, 1, 0);
+        let row = run_handover(Deployment::L25gc, 1);
         // Before the handover: flat base RTT; around it: the spike.
         let before = row.base_rtt_us;
         let spike = row.series.max().unwrap();

@@ -30,15 +30,15 @@ pub struct PagingRow {
 }
 
 /// Runs the paging experiment on one deployment.
-pub(crate) fn run_paging(deployment: Deployment, seed: u64) -> PagingRow {
-    let mut eng = Engine::new(3 ^ seed, World::new(deployment, 2, 2));
+pub(crate) fn run_paging(deployment: Deployment) -> PagingRow {
+    let mut eng = Engine::new(0, World::new(deployment, 2, 2));
     World::bring_up_ue(&mut eng, 1);
 
     // Warm-up traffic to measure the base RTT while connected.
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
         w.start_cbr(1, 0, 10_000, 200, SimDuration::from_millis(50), ctx);
     });
-    eng.run_with_mailbox();
+    eng.run();
     let warm_end = eng.now();
     let base_rtt_us = eng.world().apps.cbr[0]
         .mean_rtt_in(SimTime::ZERO, warm_end)
@@ -49,13 +49,13 @@ pub(crate) fn run_paging(deployment: Deployment, seed: u64) -> PagingRow {
     eng.schedule_in(SimDuration::ZERO, move |w: &mut World, ctx| {
         w.send_after(ctx, out.delay, out.env);
     });
-    eng.run_with_mailbox();
+    eng.run();
 
     // Downlink burst at 10 Kpps for 2 s: triggers paging, then drains.
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
         w.start_cbr(1, 1, 10_000, 200, SimDuration::from_secs(2), ctx);
     });
-    eng.run_with_mailbox();
+    eng.run();
 
     let w = eng.world();
     let paging = w
@@ -81,10 +81,10 @@ pub(crate) fn run_paging(deployment: Deployment, seed: u64) -> PagingRow {
 }
 
 /// Table 1: free5GC vs L²5GC.
-pub fn table1(seed: u64) -> Vec<PagingRow> {
+pub fn table1() -> Vec<PagingRow> {
     vec![
-        run_paging(Deployment::Free5gc, seed),
-        run_paging(Deployment::L25gc, seed),
+        run_paging(Deployment::Free5gc),
+        run_paging(Deployment::L25gc),
     ]
 }
 
@@ -94,7 +94,7 @@ mod tests {
 
     #[test]
     fn table1_shape_matches_paper() {
-        let rows = table1(0);
+        let rows = table1();
         let free = &rows[0];
         let l25 = &rows[1];
 
@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn fig13_series_has_spike_then_decay() {
-        let row = run_paging(Deployment::L25gc, 0);
+        let row = run_paging(Deployment::L25gc);
         let sorted = row.series.sorted();
         let peak = row.series.max().unwrap();
         // The spike is the paging stall; afterwards RTT returns to base.

@@ -38,9 +38,8 @@ pub(crate) fn run_tcp_impact(
     flows: u32,
     duration: SimDuration,
     ho_interval: SimDuration,
-    seed: u64,
 ) -> TcpImpactRow {
-    let mut eng = Engine::new(17 ^ seed, World::new(deployment, 2, 1));
+    let mut eng = Engine::new(0, World::new(deployment, 2, 1));
     World::bring_up_ue(&mut eng, 1);
     eng.world_mut().netem = NetEm::appendix_100mbps_50ms();
 
@@ -62,7 +61,7 @@ pub(crate) fn run_tcp_impact(
         at += ho_interval;
     }
 
-    eng.run_for_with_mailbox(duration);
+    eng.run_for(duration);
 
     let w = eng.world();
     let senders = &w.apps.tcp;
@@ -96,12 +95,12 @@ pub(crate) fn run_tcp_impact(
 
 /// Fig 17 with the paper's parameters (scaled to a 40 s run: the paper
 /// plots ~35 s of the experiment).
-pub fn fig17(seed: u64) -> Vec<TcpImpactRow> {
+pub fn fig17() -> Vec<TcpImpactRow> {
     let duration = SimDuration::from_secs(40);
     let interval = SimDuration::from_secs(5);
     vec![
-        run_tcp_impact(Deployment::Free5gc, 10, duration, interval, seed),
-        run_tcp_impact(Deployment::L25gc, 10, duration, interval, seed),
+        run_tcp_impact(Deployment::Free5gc, 10, duration, interval),
+        run_tcp_impact(Deployment::L25gc, 10, duration, interval),
     ]
 }
 
@@ -111,7 +110,7 @@ mod tests {
 
     #[test]
     fn fig17_l25gc_sustains_goodput() {
-        let rows = fig17(0);
+        let rows = fig17();
         let free = &rows[0];
         let l25 = &rows[1];
         assert!(

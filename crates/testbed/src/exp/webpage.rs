@@ -8,7 +8,7 @@
 
 use l25gc_core::Deployment;
 use l25gc_ran::{paper_page, PageLoad};
-use l25gc_sim::{Engine, SimDuration};
+use l25gc_sim::{Ctx, Engine, SimDuration};
 
 use crate::netem::NetEm;
 use crate::world::World;
@@ -31,8 +31,8 @@ pub struct PltRow {
 }
 
 /// Runs the page-load experiment with handovers every `ho_interval`.
-pub(crate) fn run_plt(deployment: Deployment, ho_interval: SimDuration, seed: u64) -> PltRow {
-    let mut eng = Engine::new(9 ^ seed, World::new(deployment, 2, 1));
+pub(crate) fn run_plt(deployment: Deployment, ho_interval: SimDuration) -> PltRow {
+    let mut eng = Engine::new(0, World::new(deployment, 2, 1));
     World::bring_up_ue(&mut eng, 1);
     eng.world_mut().netem = NetEm::web_30mbps_20ms();
 
@@ -44,10 +44,10 @@ pub(crate) fn run_plt(deployment: Deployment, ho_interval: SimDuration, seed: u6
         for s in senders {
             w.start_tcp_sender(s, ctx);
         }
-        w.arm_next_handover(ctx, ho_interval);
+        arm_next_handover(ctx, ho_interval);
     });
 
-    eng.run_for_with_mailbox(SimDuration::from_secs(120));
+    eng.run_for(SimDuration::from_secs(120));
 
     let w = eng.world();
     let page = w.apps.page.as_ref().expect("page experiment");
@@ -74,33 +74,32 @@ pub(crate) fn run_plt(deployment: Deployment, ho_interval: SimDuration, seed: u6
     }
 }
 
-impl World {
-    /// Arms the next ping-pong handover (used by the Fig 12 harness).
-    pub fn arm_next_handover(&mut self, ctx: &mut l25gc_sim::Ctx, interval: SimDuration) {
-        self.mailbox.send_in(ctx, interval, move |w, ctx| {
-            if w.apps
-                .page
-                .as_ref()
-                .map(|p| p.is_complete())
-                .unwrap_or(true)
-            {
-                return;
-            }
-            let current = w.ran.ues[&1].serving_gnb;
-            let target = if current == 1 { 2 } else { 1 };
-            let out = w.ran.trigger_handover(1, target);
-            w.send_after(ctx, out.delay, out.env);
-            w.arm_next_handover(ctx, interval);
-        });
-    }
+/// Arms the next ping-pong handover of UE 1 between gNB 1 and 2, `interval`
+/// from now, until the page load completes.
+fn arm_next_handover(ctx: &mut Ctx<'_, World>, interval: SimDuration) {
+    ctx.schedule_in(interval, move |w, ctx| {
+        if w.apps
+            .page
+            .as_ref()
+            .map(|p| p.is_complete())
+            .unwrap_or(true)
+        {
+            return;
+        }
+        let current = w.ran.ues[&1].serving_gnb;
+        let target = if current == 1 { 2 } else { 1 };
+        let out = w.ran.trigger_handover(1, target);
+        w.send_after(ctx, out.delay, out.env);
+        arm_next_handover(ctx, interval);
+    });
 }
 
 /// Fig 12: free5GC vs L²5GC with intermittent handovers (every 5 s).
-pub fn fig12(seed: u64) -> Vec<PltRow> {
+pub fn fig12() -> Vec<PltRow> {
     let interval = SimDuration::from_secs(5);
     vec![
-        run_plt(Deployment::Free5gc, interval, seed),
-        run_plt(Deployment::L25gc, interval, seed),
+        run_plt(Deployment::Free5gc, interval),
+        run_plt(Deployment::L25gc, interval),
     ]
 }
 
@@ -110,7 +109,7 @@ mod tests {
 
     #[test]
     fn fig12_l25gc_improves_plt() {
-        let rows = fig12(0);
+        let rows = fig12();
         let free = &rows[0];
         let l25 = &rows[1];
         // Paper: 32 s vs 28 s, a 12.5% QoE improvement. Our TCP model

@@ -19,8 +19,8 @@ use crate::World;
 
 /// Runs the traced scenario and returns the merged trace, sorted by
 /// timestamp.
-pub fn trace_scenario(seed: u64) -> TraceBundle {
-    let mut eng = Engine::new(7 ^ seed, World::new(Deployment::L25gc, 2, 1));
+pub fn trace_scenario() -> TraceBundle {
+    let mut eng = Engine::new(0, World::new(Deployment::L25gc, 2, 1));
     World::bring_up_ue(&mut eng, 1);
     World::enable_resilience(&mut eng);
 
@@ -40,21 +40,21 @@ pub fn trace_scenario(seed: u64) -> TraceBundle {
     eng.schedule_in(SimDuration::from_millis(300), |w: &mut World, ctx| {
         w.fail_primary(ctx);
     });
-    eng.run_with_mailbox();
+    eng.run();
 
     // Idle, then DL data pages the UE back.
     let out = eng.world().ran.trigger_idle(1);
     eng.schedule_in(SimDuration::ZERO, move |w: &mut World, ctx| {
         w.send_after(ctx, out.delay, out.env);
     });
-    eng.run_with_mailbox();
+    eng.run();
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
         w.start_cbr(1, 1, 1_000, 200, SimDuration::from_millis(100), ctx);
     });
     eng.schedule_in(SimDuration::from_millis(5), |w: &mut World, ctx| {
         w.core.upf.record_buffer_occupancy(ctx.now());
     });
-    eng.run_with_mailbox();
+    eng.run();
 
     let mut bundle = TraceBundle::new();
     eng.world_mut().core.drain_trace(&mut bundle);
@@ -99,7 +99,7 @@ mod tests {
 
     #[test]
     fn scenario_covers_nfs_gauges_and_exports() {
-        let b = trace_scenario(0);
+        let b = trace_scenario();
 
         // Segments from at least three distinct NFs (acceptance bar).
         let mut nfs: Vec<&str> = Vec::new();

@@ -27,7 +27,7 @@ use l25gc_core::Deployment;
 use l25gc_obs::{EventKind, ProcKind};
 use l25gc_ran::{echo, CbrFlow, PageLoad, Ran, TcpReceiver, TcpSender};
 use l25gc_resilience::{CheckpointPolicy, FailoverTimeline, PacketLogger, Replica, ReplicaState};
-use l25gc_sim::{Ctx, Engine, HasMailbox, Mailbox, SimDuration, SimTime};
+use l25gc_sim::{Ctx, Engine, SimDuration, SimTime};
 
 use crate::netem::NetEm;
 
@@ -146,8 +146,6 @@ const REPLAY_GAP: SimDuration = SimDuration::from_micros(2);
 
 /// The complete simulated system.
 pub struct World {
-    /// Deferred-event mailbox (see `l25gc-sim`).
-    pub mailbox: Mailbox<World>,
     /// The (primary) 5GC unit.
     pub core: CoreNetwork,
     /// The RAN: gNBs + UEs.
@@ -168,12 +166,6 @@ pub struct World {
     incarnation: u32,
     /// DL packets dropped because the core was dead (3GPP baseline).
     pub outage_drops: u64,
-}
-
-impl HasMailbox for World {
-    fn mailbox(&mut self) -> &mut Mailbox<Self> {
-        &mut self.mailbox
-    }
 }
 
 fn is_core(ep: Endpoint) -> bool {
@@ -201,7 +193,6 @@ impl World {
             core.provision_subscriber(100 + ue);
         }
         World {
-            mailbox: Mailbox::new(),
             core,
             ran,
             apps: Apps::default(),
@@ -230,7 +221,7 @@ impl World {
         });
     }
 
-    fn take_checkpoint(&mut self, ctx: &mut Ctx) {
+    fn take_checkpoint(&mut self, ctx: &mut Ctx<'_, World>) {
         let Some(res) = self.res.as_mut() else { return };
         if !self.primary_alive || res.replica.state == ReplicaState::Active {
             return; // stop checkpointing after failover
@@ -245,26 +236,24 @@ impl World {
             res.checkpoints_deferred += 1;
         }
         let interval = res.policy.interval;
-        self.mailbox
-            .send_in(ctx, interval, |w, ctx| w.take_checkpoint(ctx));
+        ctx.schedule_in(interval, |w, ctx| w.take_checkpoint(ctx));
     }
 
     /// Kills the primary at the current instant. With resiliency on, the
     /// failover sequence (detect → unfreeze → reroute ∥ replay) runs
     /// automatically; without it, inbound traffic drops until the caller
     /// performs the 3GPP reattach.
-    pub fn fail_primary(&mut self, ctx: &mut Ctx) {
+    pub fn fail_primary(&mut self, ctx: &mut Ctx<'_, World>) {
         self.primary_alive = false;
         if let Some(res) = self.res.as_mut() {
             res.unseen_from = res.logger.next_counter();
             let delay = res.timeline.total();
             let failed_at = ctx.now();
-            self.mailbox
-                .send_in(ctx, delay, move |w, ctx| w.failover(failed_at, ctx));
+            ctx.schedule_in(delay, move |w, ctx| w.failover(failed_at, ctx));
         }
     }
 
-    fn failover(&mut self, failed_at: SimTime, ctx: &mut Ctx) {
+    fn failover(&mut self, failed_at: SimTime, ctx: &mut Ctx<'_, World>) {
         let res = self.res.as_mut().expect("resilience enabled");
         let timeline = res.timeline;
         // Wake the replica with the checkpointed state.
@@ -320,8 +309,7 @@ impl World {
             .record_segment("lb", "replay", replay_start, timeline.replay);
         // Replay the log in counter order (its duration is already
         // accounted in the timeline).
-        self.mailbox
-            .send_in(ctx, REPLAY_GAP, |w, ctx| w.replay_next(ctx));
+        ctx.schedule_in(REPLAY_GAP, |w, ctx| w.replay_next(ctx));
     }
 
     /// Admits the lowest-counter log entry into the replica and schedules
@@ -334,7 +322,7 @@ impl World {
     /// the step it answers. Data the primary never saw is new traffic and
     /// keeps the pace beside a running procedure, as it would live; new
     /// control still waits.
-    fn replay_next(&mut self, ctx: &mut Ctx) {
+    fn replay_next(&mut self, ctx: &mut Ctx<'_, World>) {
         let res = self.res.as_mut().expect("replay runs under the harness");
         let quiescent = self.in_flight_internal == 0;
         let Some(next) = res.logger.peek() else {
@@ -359,18 +347,16 @@ impl World {
         let e = res.logger.pop().expect("peeked entry");
         res.replayed.push(e.counter);
         self.deliver_to_core(e.env, ctx);
-        self.mailbox
-            .send_in(ctx, REPLAY_GAP, |w, ctx| w.replay_next(ctx));
+        ctx.schedule_in(REPLAY_GAP, |w, ctx| w.replay_next(ctx));
     }
 
     /// Schedules the next replay admission `after` from now if the replay
     /// is parked: the replica has just gone quiescent, or new ingress
     /// joined the log.
-    fn wake_replay(&mut self, ctx: &Ctx, after: SimDuration) {
+    fn wake_replay(&mut self, ctx: &mut Ctx<'_, World>, after: SimDuration) {
         if let Some(res) = self.res.as_mut().filter(|r| r.replay == Replay::Parked) {
             res.replay = Replay::Running;
-            self.mailbox
-                .send_in(ctx, after, |w, ctx| w.replay_next(ctx));
+            ctx.schedule_in(after, |w, ctx| w.replay_next(ctx));
         }
     }
 
@@ -435,17 +421,16 @@ impl World {
 
     /// Sends `env` after `delay` (the universal scheduling helper),
     /// stamped with the current core incarnation.
-    pub fn send_after(&mut self, ctx: &Ctx, delay: SimDuration, env: Envelope) {
+    pub fn send_after(&mut self, ctx: &mut Ctx<'_, World>, delay: SimDuration, env: Envelope) {
         if is_core(env.to) && is_core(env.from) {
             self.in_flight_internal += 1;
         }
         let incarnation = self.incarnation;
-        self.mailbox
-            .send_in(ctx, delay, move |w, ctx| w.route(env, incarnation, ctx));
+        ctx.schedule_in(delay, move |w, ctx| w.route(env, incarnation, ctx));
     }
 
     /// Routes `env`, sent while the core was in `incarnation`.
-    fn route(&mut self, env: Envelope, incarnation: u32, ctx: &mut Ctx) {
+    fn route(&mut self, env: Envelope, incarnation: u32, ctx: &mut Ctx<'_, World>) {
         if is_core(env.to) {
             if is_core(env.from) {
                 if incarnation != self.incarnation {
@@ -507,7 +492,7 @@ impl World {
         }
     }
 
-    fn deliver_to_core(&mut self, env: Envelope, ctx: &mut Ctx) {
+    fn deliver_to_core(&mut self, env: Envelope, ctx: &mut Ctx<'_, World>) {
         let outs = self.core.handle(env, ctx.now());
         for o in outs {
             if let Some(res) = self.res.as_mut().filter(|_| !is_core(o.env.to)) {
@@ -537,7 +522,7 @@ impl World {
 
     // ---------------- traffic endpoints ----------------
 
-    fn ue_data(&mut self, ue: UeId, pkt: DataPacket, ctx: &mut Ctx) {
+    fn ue_data(&mut self, ue: UeId, pkt: DataPacket, ctx: &mut Ctx<'_, World>) {
         self.apps.ue_received += 1;
         if self.apps.echo_at_ue {
             let reply = echo(&pkt, ctx.now());
@@ -562,7 +547,7 @@ impl World {
         }
     }
 
-    fn dn_data(&mut self, pkt: DataPacket, ctx: &mut Ctx) {
+    fn dn_data(&mut self, pkt: DataPacket, ctx: &mut Ctx<'_, World>) {
         self.apps.dn_received += 1;
         if let Some(ack) = pkt.ack_seq {
             // An ack for a CBR probe or a TCP segment.
@@ -582,7 +567,7 @@ impl World {
         // Plain UL data landing at the DN: nothing further.
     }
 
-    fn tcp_input(&mut self, flow: u32, ack: u64, ctx: &mut Ctx) {
+    fn tcp_input(&mut self, flow: u32, ack: u64, ctx: &mut Ctx<'_, World>) {
         let now = ctx.now();
         let sender = self.apps.tcp.get_mut(&flow).expect("sender exists");
         let mut to_send = sender.on_ack(ack, now);
@@ -597,7 +582,7 @@ impl World {
     }
 
     /// Sends DL TCP segments through the shaped N6 link into the core.
-    fn emit_tcp(&mut self, _flow: u32, segs: Vec<DataPacket>, ctx: &mut Ctx) {
+    fn emit_tcp(&mut self, _flow: u32, segs: Vec<DataPacket>, ctx: &mut Ctx<'_, World>) {
         let path = self.core.cost.path_lat;
         for seg in segs {
             match self.netem.dl.transit(ctx.now(), seg.size) {
@@ -613,7 +598,7 @@ impl World {
         }
     }
 
-    fn arm_tcp_tick(&mut self, flow: u32, deadline: Option<SimTime>, ctx: &mut Ctx) {
+    fn arm_tcp_tick(&mut self, flow: u32, deadline: Option<SimTime>, ctx: &mut Ctx<'_, World>) {
         let Some(deadline) = deadline else { return };
         let already = self.apps.tcp_tick.get(&flow).copied();
         if already.is_some_and(|t| t <= deadline && t > ctx.now()) {
@@ -621,11 +606,10 @@ impl World {
         }
         self.apps.tcp_tick.insert(flow, deadline);
         let wait = deadline.duration_since(ctx.now());
-        self.mailbox
-            .send_in(ctx, wait, move |w, ctx| w.tcp_tick(flow, ctx));
+        ctx.schedule_in(wait, move |w, ctx| w.tcp_tick(flow, ctx));
     }
 
-    fn tcp_tick(&mut self, flow: u32, ctx: &mut Ctx) {
+    fn tcp_tick(&mut self, flow: u32, ctx: &mut Ctx<'_, World>) {
         let now = ctx.now();
         match self.apps.tcp_tick.get(&flow) {
             Some(&t) if t == now => {
@@ -642,13 +626,13 @@ impl World {
     }
 
     /// Starts a DL TCP transfer to `ue` (flow id must be unique).
-    pub fn start_tcp(&mut self, ue: UeId, flow: u32, bytes: Option<u64>, ctx: &mut Ctx) {
+    pub fn start_tcp(&mut self, ue: UeId, flow: u32, bytes: Option<u64>, ctx: &mut Ctx<'_, World>) {
         let sender = TcpSender::new(ue, flow, bytes);
         self.start_tcp_sender(sender, ctx);
     }
 
     /// Installs and starts a pre-built sender (page loads build theirs).
-    pub(crate) fn start_tcp_sender(&mut self, mut sender: TcpSender, ctx: &mut Ctx) {
+    pub(crate) fn start_tcp_sender(&mut self, mut sender: TcpSender, ctx: &mut Ctx<'_, World>) {
         let flow = sender.flow;
         let segs = sender.pump(ctx.now());
         let deadline = sender.next_timeout();
@@ -666,7 +650,7 @@ impl World {
         pps: u64,
         size: usize,
         duration: SimDuration,
-        ctx: &mut Ctx,
+        ctx: &mut Ctx<'_, World>,
     ) {
         let flow = CbrFlow::downlink(ue, flow_id, pps, size);
         let interval = flow.interval;
@@ -677,7 +661,13 @@ impl World {
         self.cbr_emit(idx, interval, end, ctx);
     }
 
-    fn cbr_emit(&mut self, idx: usize, interval: SimDuration, end: SimTime, ctx: &mut Ctx) {
+    fn cbr_emit(
+        &mut self,
+        idx: usize,
+        interval: SimDuration,
+        end: SimTime,
+        ctx: &mut Ctx<'_, World>,
+    ) {
         if ctx.now() >= end {
             return;
         }
@@ -693,9 +683,7 @@ impl World {
             }
             None => self.netem.dl_drops += 1,
         }
-        self.mailbox.send_in(ctx, interval, move |w, ctx| {
-            w.cbr_emit(idx, interval, end, ctx)
-        });
+        ctx.schedule_in(interval, move |w, ctx| w.cbr_emit(idx, interval, end, ctx));
     }
 
     // ---------------- convenience: full UE bring-up ----------------
@@ -710,7 +698,7 @@ impl World {
             eng.schedule_in(SimDuration::ZERO, move |w: &mut World, ctx| {
                 w.send_after(ctx, SimDuration::ZERO, env);
             });
-            eng.run_with_mailbox();
+            eng.run();
             assert_eq!(
                 eng.world().core.smf.n4_association,
                 N4Association::Established,
@@ -721,7 +709,7 @@ impl World {
         eng.schedule_in(SimDuration::ZERO, move |w: &mut World, ctx| {
             w.send_after(ctx, out.delay, out.env);
         });
-        eng.run_with_mailbox();
+        eng.run();
         assert!(
             eng.world().ran.ues[&ue].registered,
             "registration must complete for UE {ue}"
@@ -730,7 +718,7 @@ impl World {
         eng.schedule_in(SimDuration::ZERO, move |w: &mut World, ctx| {
             w.send_after(ctx, out.delay, out.env);
         });
-        eng.run_with_mailbox();
+        eng.run();
         assert!(
             eng.world().ran.ues[&ue].session_up,
             "session must come up for UE {ue}"
@@ -744,7 +732,7 @@ mod tests {
     use l25gc_core::context::UeEvent;
 
     fn engine(dep: Deployment) -> Engine<World> {
-        Engine::new(7, World::new(dep, 2, 2))
+        Engine::new(0, World::new(dep, 2, 2))
     }
 
     #[test]
@@ -796,7 +784,7 @@ mod tests {
         eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
             w.start_cbr(1, 0, 10_000, 100, SimDuration::from_millis(100), ctx);
         });
-        eng.run_with_mailbox();
+        eng.run();
         let flow = &eng.world().apps.cbr[0];
         assert!(flow.acked > 900, "most probes acked: {}", flow.acked);
         let stats = flow.rtt_stats();
@@ -815,7 +803,7 @@ mod tests {
         eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
             w.start_cbr(1, 0, 10_000, 100, SimDuration::from_millis(100), ctx);
         });
-        eng.run_with_mailbox();
+        eng.run();
         let stats = eng.world().apps.cbr[0].rtt_stats();
         assert!(
             (95.0..140.0).contains(&stats.mean),
@@ -833,7 +821,7 @@ mod tests {
         eng.schedule_in(SimDuration::ZERO, move |w: &mut World, ctx| {
             w.send_after(ctx, out.delay, out.env);
         });
-        eng.run_with_mailbox();
+        eng.run();
         assert!(eng
             .world()
             .core
@@ -844,7 +832,7 @@ mod tests {
         eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
             w.start_cbr(1, 0, 1_000, 100, SimDuration::from_millis(200), ctx);
         });
-        eng.run_with_mailbox();
+        eng.run();
         let w = eng.world();
         assert!(
             w.core.events.iter().any(|e| e.event == UeEvent::Paging),
@@ -870,7 +858,7 @@ mod tests {
             let out = w.ran.trigger_handover(1, 2);
             w.send_after(ctx, out.delay, out.env);
         });
-        eng.run_with_mailbox();
+        eng.run();
         let w = eng.world();
         let ho = w
             .core
@@ -900,7 +888,7 @@ mod tests {
         eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
             w.start_tcp(1, 1, Some(3_000_000), ctx);
         });
-        eng.run_with_mailbox();
+        eng.run();
         let w = eng.world();
         let tx = &w.apps.tcp[&1];
         assert!(tx.is_complete(), "3 MB transfer finishes");

@@ -10,7 +10,7 @@ use l25gc_sim::{Engine, SimDuration};
 use l25gc_testbed::{NetEm, World};
 
 fn run(resilient: bool) {
-    let mut eng = Engine::new(99, World::new(l25gc_core::Deployment::L25gc, 2, 1));
+    let mut eng = Engine::new(0, World::new(l25gc_core::Deployment::L25gc, 2, 1));
     World::bring_up_ue(&mut eng, 1);
     eng.world_mut().netem = NetEm::failover_30mbps();
     if resilient {
@@ -32,7 +32,7 @@ fn run(resilient: bool) {
             w.reattach_recover();
         });
     }
-    eng.run_for_with_mailbox(SimDuration::from_secs(6));
+    eng.run_for(SimDuration::from_secs(6));
 
     let w = eng.world();
     let tx = &w.apps.tcp[&0];

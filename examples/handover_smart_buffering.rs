@@ -14,7 +14,7 @@ use l25gc_testbed::exp::analytic::smart_buffering_table;
 use l25gc_testbed::World;
 
 fn run(dep: Deployment) -> (f64, f64, u64) {
-    let mut eng = Engine::new(7, World::new(dep, 2, 1));
+    let mut eng = Engine::new(0, World::new(dep, 2, 1));
     World::bring_up_ue(&mut eng, 1);
 
     // Stream 10 kpps downlink; hand over from gNB 1 to gNB 2 at 1 s.
@@ -25,7 +25,7 @@ fn run(dep: Deployment) -> (f64, f64, u64) {
         let out = w.ran.trigger_handover(1, 2);
         w.send_after(ctx, out.delay, out.env);
     });
-    eng.run_with_mailbox();
+    eng.run();
 
     let w = eng.world();
     let ho = w

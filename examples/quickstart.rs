@@ -15,7 +15,7 @@ use l25gc_testbed::World;
 
 fn main() {
     // One L25GC unit, two gNBs, one UE camped on gNB 1.
-    let mut eng = Engine::new(42, World::new(Deployment::L25gc, 2, 1));
+    let mut eng = Engine::new(0, World::new(Deployment::L25gc, 2, 1));
 
     // Registration + PDU session establishment (TS 23.502 call flows).
     World::bring_up_ue(&mut eng, 1);
@@ -43,7 +43,7 @@ fn main() {
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
         w.start_cbr(1, 0, 10_000, 200, SimDuration::from_millis(100), ctx);
     });
-    eng.run_with_mailbox();
+    eng.run();
 
     let flow = &eng.world().apps.cbr[0];
     let stats = flow.rtt_stats();

@@ -9,7 +9,7 @@ use l25gc_sim::{Engine, SimDuration};
 use l25gc_testbed::{NetEm, World};
 
 fn resilient_world() -> Engine<World> {
-    let mut eng = Engine::new(4242, World::new(Deployment::L25gc, 2, 1));
+    let mut eng = Engine::new(0, World::new(Deployment::L25gc, 2, 1));
     World::bring_up_ue(&mut eng, 1);
     World::enable_resilience(&mut eng);
     eng
@@ -24,7 +24,7 @@ fn failover_under_cbr_loses_nothing() {
     eng.schedule_in(SimDuration::from_millis(500), |w: &mut World, ctx| {
         w.fail_primary(ctx);
     });
-    eng.run_with_mailbox();
+    eng.run();
     let w = eng.world();
     let flow = &w.apps.cbr[0];
     assert_eq!(flow.lost(), 0, "logger + replay recover every packet");
@@ -41,7 +41,7 @@ fn failover_under_cbr_loses_nothing() {
 #[test]
 fn failover_mid_handover_completes_the_handover() {
     let mut eng = resilient_world();
-    eng.run_for_with_mailbox(SimDuration::from_millis(50));
+    eng.run_for(SimDuration::from_millis(50));
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
         let out = w.ran.trigger_handover(1, 2);
         w.send_after(ctx, out.delay, out.env);
@@ -50,7 +50,7 @@ fn failover_mid_handover_completes_the_handover() {
     eng.schedule_in(SimDuration::from_millis(120), |w: &mut World, ctx| {
         w.fail_primary(ctx);
     });
-    eng.run_with_mailbox();
+    eng.run();
     let w = eng.world();
     assert!(
         w.core.events.iter().any(|e| e.event == UeEvent::Handover),
@@ -76,7 +76,7 @@ fn checkpoints_defer_while_procedures_run() {
     });
     // Bounded run: the checkpoint chain keeps the event queue non-empty
     // for as long as the harness is armed.
-    eng.run_for_with_mailbox(SimDuration::from_millis(400));
+    eng.run_for(SimDuration::from_millis(400));
     let res = eng.world().res.as_ref().expect("harness");
     assert!(
         res.checkpoints_deferred > 0,
@@ -91,14 +91,14 @@ fn checkpoints_defer_while_procedures_run() {
 #[test]
 fn failover_after_checkpoint_without_traffic_is_clean() {
     let mut eng = resilient_world();
-    eng.run_for_with_mailbox(SimDuration::from_millis(100));
+    eng.run_for(SimDuration::from_millis(100));
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| w.fail_primary(ctx));
-    eng.run_for_with_mailbox(SimDuration::from_millis(100));
+    eng.run_for(SimDuration::from_millis(100));
     // The replica core serves traffic afterwards.
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
         w.start_cbr(1, 0, 5_000, 200, SimDuration::from_millis(100), ctx);
     });
-    eng.run_with_mailbox();
+    eng.run();
     let flow = &eng.world().apps.cbr[0];
     assert_eq!(flow.lost(), 0);
     assert!(flow.acked > 0);
@@ -110,7 +110,7 @@ fn healthy_run_never_fails_over() {
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
         w.start_cbr(1, 0, 10_000, 200, SimDuration::from_millis(200), ctx);
     });
-    eng.run_for_with_mailbox(SimDuration::from_millis(300));
+    eng.run_for(SimDuration::from_millis(300));
     let w = eng.world();
     let res = w.res.as_ref().expect("harness");
     assert_eq!(res.replica.state, ReplicaState::Frozen);
@@ -130,7 +130,7 @@ fn checkpoint_releases_log_and_failover_replays_the_tail() {
         w.start_cbr(1, 0, 10_000, 200, SimDuration::from_millis(300), ctx);
     });
     // Fail 5 ms after a checkpoint instant, so the tail is non-empty.
-    eng.run_for_with_mailbox(SimDuration::from_millis(105));
+    eng.run_for(SimDuration::from_millis(105));
     let tail = {
         let res = eng.world().res.as_ref().expect("harness");
         assert!(res.replica.checkpoints > 0);
@@ -142,7 +142,7 @@ fn checkpoint_releases_log_and_failover_replays_the_tail() {
     };
     assert!(tail > 0, "ingress since the last checkpoint is logged");
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| w.fail_primary(ctx));
-    eng.run_with_mailbox();
+    eng.run();
     let w = eng.world();
     let res = w.res.as_ref().expect("harness");
     assert_eq!(res.replica.state, ReplicaState::Active);
@@ -156,12 +156,12 @@ fn ingress_during_outage_is_buffered_until_replay() {
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
         w.start_cbr(1, 0, 10_000, 200, SimDuration::from_millis(300), ctx);
     });
-    eng.run_for_with_mailbox(SimDuration::from_millis(105));
+    eng.run_for(SimDuration::from_millis(105));
     let logged = eng.world().res.as_ref().expect("harness").logger.len();
     let forwarded = eng.world().core.upf.counters.get("dl_forwarded");
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| w.fail_primary(ctx));
     // Still inside the outage: detection + reroute + replay take ~4 ms.
-    eng.run_for_with_mailbox(SimDuration::from_millis(2));
+    eng.run_for(SimDuration::from_millis(2));
     {
         let w = eng.world();
         let res = w.res.as_ref().expect("harness");
@@ -174,7 +174,7 @@ fn ingress_during_outage_is_buffered_until_replay() {
             "nothing reaches the dead core"
         );
     }
-    eng.run_with_mailbox();
+    eng.run();
     let w = eng.world();
     assert!(w.res.as_ref().expect("harness").logger.is_empty());
     assert_eq!(w.outage_drops, 0);
@@ -183,7 +183,7 @@ fn ingress_during_outage_is_buffered_until_replay() {
 
 #[test]
 fn reattach_baseline_drops_and_recovers() {
-    let mut eng = Engine::new(9, World::new(Deployment::L25gc, 2, 1));
+    let mut eng = Engine::new(0, World::new(Deployment::L25gc, 2, 1));
     World::bring_up_ue(&mut eng, 1);
     eng.world_mut().netem = NetEm::failover_30mbps();
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
@@ -195,7 +195,7 @@ fn reattach_baseline_drops_and_recovers() {
     eng.schedule_in(SimDuration::from_millis(900), |w: &mut World, _| {
         w.reattach_recover();
     });
-    eng.run_with_mailbox();
+    eng.run();
     let w = eng.world();
     let flow = &w.apps.cbr[0];
     assert!(
@@ -217,19 +217,19 @@ fn reattach_baseline_drops_and_recovers() {
 /// Fails the primary `fail_after` into a handover that starts 50 ms into
 /// a 10 kpps CBR stream (the UE echoes every packet).
 fn fail_during_handover(fail_after: SimDuration) -> Engine<World> {
-    let mut eng = Engine::new(56, World::new(Deployment::L25gc, 2, 1));
+    let mut eng = Engine::new(0, World::new(Deployment::L25gc, 2, 1));
     World::bring_up_ue(&mut eng, 1);
     World::enable_resilience(&mut eng);
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
         w.start_cbr(1, 0, 10_000, 200, SimDuration::from_millis(400), ctx);
     });
-    eng.run_for_with_mailbox(SimDuration::from_millis(50));
+    eng.run_for(SimDuration::from_millis(50));
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
         let out = w.ran.trigger_handover(1, 2);
         w.send_after(ctx, out.delay, out.env);
     });
     eng.schedule_in(fail_after, |w: &mut World, ctx| w.fail_primary(ctx));
-    eng.run_with_mailbox();
+    eng.run();
     eng
 }
 
@@ -265,7 +265,7 @@ fn failover_anywhere_in_a_handover_delivers_each_packet_once() {
 /// the entries that survive.
 #[test]
 fn a_shed_log_entry_costs_only_its_own_unreleased_output() {
-    let mut eng = Engine::new(3, World::new(Deployment::L25gc, 2, 1));
+    let mut eng = Engine::new(0, World::new(Deployment::L25gc, 2, 1));
     World::bring_up_ue(&mut eng, 1);
     World::enable_resilience(&mut eng);
     eng.world_mut()
@@ -282,14 +282,14 @@ fn a_shed_log_entry_costs_only_its_own_unreleased_output() {
     // 5 ms after a checkpoint: the log holds 4 of the ~50 DL packets the
     // primary forwarded since, and the ~40 arriving during the outage
     // evict those 4 first.
-    eng.run_for_with_mailbox(SimDuration::from_millis(105));
+    eng.run_for(SimDuration::from_millis(105));
     let (held, shed_before) = {
         let logger = &eng.world().res.as_ref().expect("harness").logger;
         (logger.len() as u64, logger.overflow_drops)
     };
     assert_eq!(held, 4, "the log is full of released DL entries");
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| w.fail_primary(ctx));
-    eng.run_with_mailbox();
+    eng.run();
     let w = eng.world();
     let shed_after = w.res.as_ref().expect("harness").logger.overflow_drops - shed_before;
     assert!(shed_after > held, "the outage overflowed the log");

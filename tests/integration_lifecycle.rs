@@ -8,43 +8,42 @@ use l25gc_sim::{Engine, SimDuration};
 use l25gc_testbed::World;
 
 fn lifecycle(dep: Deployment) -> Engine<World> {
-    let mut eng = Engine::new(1234, World::new(dep, 2, 2));
+    let mut eng = Engine::new(0, World::new(dep, 2, 2));
     World::bring_up_ue(&mut eng, 1);
 
     // Data flows both ways.
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
         w.start_cbr(1, 0, 5_000, 200, SimDuration::from_millis(200), ctx);
     });
-    eng.run_with_mailbox();
+    eng.run();
 
     // Idle, then paging via new downlink data.
     let out = eng.world().ran.trigger_idle(1);
     eng.schedule_in(SimDuration::ZERO, move |w: &mut World, ctx| {
         w.send_after(ctx, out.delay, out.env);
     });
-    eng.run_with_mailbox();
+    eng.run();
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
         w.start_cbr(1, 1, 5_000, 200, SimDuration::from_millis(200), ctx);
     });
-    eng.run_with_mailbox();
+    eng.run();
 
     // Handover to gNB 2 while traffic continues.
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
         w.start_cbr(1, 2, 5_000, 200, SimDuration::from_millis(600), ctx);
-        w.mailbox
-            .send_in(ctx, SimDuration::from_millis(100), |w, ctx| {
-                let out = w.ran.trigger_handover(1, 2);
-                w.send_after(ctx, out.delay, out.env);
-            });
+        ctx.schedule_in(SimDuration::from_millis(100), |w, ctx| {
+            let out = w.ran.trigger_handover(1, 2);
+            w.send_after(ctx, out.delay, out.env);
+        });
     });
-    eng.run_with_mailbox();
+    eng.run();
 
     // Finally, deregister.
     let out = eng.world().ran.trigger_deregistration(1);
     eng.schedule_in(SimDuration::ZERO, move |w: &mut World, ctx| {
         w.send_after(ctx, out.delay, out.env);
     });
-    eng.run_with_mailbox();
+    eng.run();
     eng
 }
 
@@ -121,7 +120,7 @@ fn deployments_order_consistently() {
 
 #[test]
 fn two_ues_are_isolated() {
-    let mut eng = Engine::new(77, World::new(Deployment::L25gc, 2, 2));
+    let mut eng = Engine::new(0, World::new(Deployment::L25gc, 2, 2));
     World::bring_up_ue(&mut eng, 1);
     World::bring_up_ue(&mut eng, 2);
     assert_eq!(eng.world().core.upf.sessions.len(), 2);
@@ -132,11 +131,11 @@ fn two_ues_are_isolated() {
     eng.schedule_in(SimDuration::ZERO, move |w: &mut World, ctx| {
         w.send_after(ctx, out.delay, out.env);
     });
-    eng.run_with_mailbox();
+    eng.run();
     eng.schedule_in(SimDuration::ZERO, |w: &mut World, ctx| {
         w.start_cbr(2, 0, 10_000, 200, SimDuration::from_millis(100), ctx);
     });
-    eng.run_with_mailbox();
+    eng.run();
     let w = eng.world();
     let flow = &w.apps.cbr[0];
     assert_eq!(flow.lost(), 0);
@@ -165,7 +164,7 @@ fn determinism_same_seed_same_world() {
     assert_eq!(
         evs(&a),
         evs(&b),
-        "identical seeds reproduce identical histories"
+        "the same event program reproduces the same history"
     );
     assert_eq!(a.now(), b.now());
 }

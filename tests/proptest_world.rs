@@ -83,8 +83,8 @@ fn schedule_step(
     });
 }
 
-fn run_scenario(dep: Deployment, actions: &[(UeAction, u64)], seed: u64) -> Engine<World> {
-    let mut eng = Engine::new(seed, World::new(dep, 2, 1));
+fn run_scenario(dep: Deployment, actions: &[(UeAction, u64)]) -> Engine<World> {
+    let mut eng = Engine::new(0, World::new(dep, 2, 1));
     World::bring_up_ue(&mut eng, 1);
 
     let mut at = SimDuration::from_millis(10);
@@ -93,7 +93,7 @@ fn run_scenario(dep: Deployment, actions: &[(UeAction, u64)], seed: u64) -> Engi
         schedule_step(&mut eng, at, 1, action, wave_at, flow_id as u32);
         at += SimDuration::from_millis(gap_ms);
     }
-    eng.run_with_mailbox();
+    eng.run();
     eng
 }
 
@@ -113,7 +113,7 @@ fn run_failover(
     fail_after: SimDuration,
     data_capacity: usize,
 ) -> Engine<World> {
-    let mut eng = Engine::new(31, World::new(Deployment::L25gc, 2, 2));
+    let mut eng = Engine::new(0, World::new(Deployment::L25gc, 2, 2));
     World::bring_up_ue(&mut eng, 1);
     World::bring_up_ue(&mut eng, 2);
     World::enable_resilience(&mut eng);
@@ -136,7 +136,7 @@ fn run_failover(
         }
         at += SimDuration::from_millis(gap_ms);
     }
-    eng.run_with_mailbox();
+    eng.run();
     eng
 }
 
@@ -154,7 +154,7 @@ proptest! {
             1 => Deployment::OnvmUpf,
             _ => Deployment::L25gc,
         };
-        let eng = run_scenario(dep, &actions, 999);
+        let eng = run_scenario(dep, &actions);
         let w = eng.world();
         for flow in &w.apps.cbr {
             prop_assert_eq!(
@@ -181,8 +181,8 @@ proptest! {
     /// determinism, the property checkpoint/replay relies on).
     #[test]
     fn world_is_deterministic(actions in arb_actions()) {
-        let a = run_scenario(Deployment::L25gc, &actions, 5);
-        let b = run_scenario(Deployment::L25gc, &actions, 5);
+        let a = run_scenario(Deployment::L25gc, &actions);
+        let b = run_scenario(Deployment::L25gc, &actions);
         let evs = |e: &Engine<World>| {
             e.world().core.events.iter().map(|r| (r.event, r.start, r.end)).collect::<Vec<_>>()
         };
