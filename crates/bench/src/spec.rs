@@ -93,7 +93,9 @@ fn positive(flag: &str, v: &str, what: &str) -> Result<f64, String> {
 pub struct Args {
     /// `--help` / `-h` / `help`.
     pub help: bool,
-    /// `--seed`: perturbs every harness RNG.
+    /// `--seed`: seeds the load-engine runs (capacity, capacity-burst,
+    /// dispatch, scenarios, `--scale-shards`); the other experiments
+    /// draw nothing or use a fixed seed.
     pub seed: u64,
     /// `--csv`: directory for the Fig 13/14 RTT series.
     pub(crate) csv: Option<String>,
@@ -244,8 +246,10 @@ impl Flag {
 pub const FLAGS: [Flag; 25] = [
     flag(
         "--seed <u64>",
-        "perturb every harness RNG (default 0: paper tables;\n\
-         any fixed seed is byte-identical across runs)",
+        "seed the load-engine runs: capacity, capacity-burst,\n\
+         dispatch, scenarios, --scale-shards (default 0: paper\n\
+         tables; any fixed seed is byte-identical across runs);\n\
+         the other experiments draw nothing or a fixed seed",
         Kind::Spec(|a, v| num("--seed", v, "a u64").map(|seed| a.seed = seed)),
     ),
     flag(

@@ -7,17 +7,7 @@ use l25gc_obs::ProcKind;
 use l25gc_pkt::ngap::TunnelInfo;
 use l25gc_sim::SimTime;
 
-use crate::msg::{GnbId, UeId};
-
-/// 3GPP registration management state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum RmState {
-    /// Not registered with the network.
-    #[default]
-    Deregistered,
-    /// Registered.
-    Registered,
-}
+use crate::msg::{GnbId, SmContextUpdate, UeId};
 
 /// 3GPP connection management state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,8 +37,6 @@ pub enum RegPhase {
     AwaitUecm,
     /// Waiting for UDM subscription data.
     AwaitSdmData,
-    /// Waiting for UDM change-subscription.
-    AwaitSdmSubscribe,
     /// Waiting for the PCF AM policy.
     AwaitAmPolicy,
     /// Initial context setup sent to the gNB; waiting for completion.
@@ -126,9 +114,8 @@ pub enum IdlePhase {
 /// The AMF's per-UE context.
 #[derive(Debug, Clone)]
 pub struct AmfUeCtx {
-    /// Subscription identity learned at registration.
-    pub(crate) supi: u64,
-    /// Assigned temporary identity.
+    /// Assigned temporary identity (derived from the SUPI learned at
+    /// registration).
     pub(crate) guti: u64,
     /// The gNB currently serving this UE.
     pub(crate) serving_gnb: GnbId,
@@ -137,8 +124,6 @@ pub struct AmfUeCtx {
     /// The gNB the UE just left (context released after the mobility
     /// update completes).
     pub(crate) prev_gnb: Option<GnbId>,
-    /// Registration management state.
-    pub(crate) rm: RmState,
     /// Connection management state.
     pub(crate) cm: CmState,
     /// Registration procedure progress.
@@ -157,18 +142,19 @@ pub struct AmfUeCtx {
     pub(crate) proc_start: SimTime,
     /// Expected 5G-AKA response while authentication is in flight.
     pub(crate) expected_res: Option<[u8; 16]>,
+    /// An N1N2 transfer that arrived during the AN release, held until
+    /// the release ends (TS 23.502 §4.2.3.3).
+    pub(crate) n1n2_held: bool,
 }
 
 impl AmfUeCtx {
     /// Fresh context for a UE first seen at `gnb`.
     pub(crate) fn new(supi: u64, gnb: GnbId, now: SimTime) -> AmfUeCtx {
         AmfUeCtx {
-            supi,
             guti: 0xF000_0000_0000_0000 | supi,
             serving_gnb: gnb,
             target_gnb: None,
             prev_gnb: None,
-            rm: RmState::Deregistered,
             cm: CmState::Connected,
             reg: RegPhase::None,
             sess: SessPhase::None,
@@ -178,6 +164,7 @@ impl AmfUeCtx {
             dereg: DeregPhase::None,
             proc_start: now,
             expected_res: None,
+            n1n2_held: false,
         }
     }
 }
@@ -197,6 +184,9 @@ pub struct SmfSession {
     pub an_tunnel: Option<TunnelInfo>,
     /// Next PFCP sequence number for this session's transactions.
     pub(crate) pfcp_seq: u32,
+    /// The answer to the SM-context update whose N4 modification is in
+    /// flight, sent when the UPF acknowledges it.
+    pub(crate) pending_ack: Option<SmContextUpdate>,
 }
 
 /// Progress of deregistration at the AMF.

@@ -61,12 +61,18 @@ impl Endpoint {
 /// An SBI operation (service-based interface request or response).
 ///
 /// Each variant is one HTTP exchange leg in free5GC or one descriptor in
-/// L²5GC. `wire_len` estimates follow the JSON bodies free5GC produces.
+/// L²5GC. What is fixed about an operation (its receiver, body size,
+/// handler weight, trace label and any hand-off) is its row in
+/// [`SbiOp::row`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SbiOp {
     // ---- Authentication (AMF → AUSF → UDM), TS 29.509/29.503 ----
-    /// AMF → AUSF: create UE authentication context.
-    UeAuthCtxCreateReq,
+    /// AMF → AUSF: create UE authentication context. Carries the
+    /// subscription identity (SUPI/SUCI, TS 33.501 §6.1.2).
+    UeAuthCtxCreateReq {
+        /// The UE's subscription identity.
+        supi: u64,
+    },
     /// AUSF → AMF: authentication context (5G-AKA challenge + expected
     /// response for the SEAF-side check).
     UeAuthCtxCreateResp {
@@ -77,8 +83,11 @@ pub enum SbiOp {
         /// Expected UE response (HXRES*, simplified).
         xres: [u8; 16],
     },
-    /// AUSF → UDM: generate authentication data.
-    GenerateAuthDataReq,
+    /// AUSF → UDM: generate authentication data for a subscriber.
+    GenerateAuthDataReq {
+        /// The UE's subscription identity.
+        supi: u64,
+    },
     /// UDM → AUSF: authentication vector.
     GenerateAuthDataResp {
         /// Challenge nonce.
@@ -102,10 +111,6 @@ pub enum SbiOp {
     SdmGetAmDataReq,
     /// UDM → AMF: subscription data.
     SdmGetAmDataResp,
-    /// AMF → UDM: subscribe to data changes.
-    SdmSubscribeReq,
-    /// UDM → AMF: subscription created.
-    SdmSubscribeResp,
     /// AMF → PCF: create AM policy association.
     AmPolicyCreateReq,
     /// PCF → AMF: policy decision.
@@ -133,11 +138,11 @@ pub enum SbiOp {
     },
     /// AMF → SMF: transfer acknowledged.
     N1N2MessageTransferResp,
-    /// Any NF → NRF: discover/validate a peer NF instance (free5GC hits
-    /// the NRF on the handover path; L²5GC sends the same messages over
+    /// AMF → NRF: discover/validate a peer NF instance (free5GC hits the
+    /// NRF on the handover path; L²5GC sends the same messages over
     /// shared memory).
     NfDiscoveryReq,
-    /// NRF → requester: matching NF profiles (fat JSON bodies).
+    /// NRF → AMF: matching NF profiles (fat JSON bodies).
     NfDiscoveryResp,
     /// AMF → SMF: retrieve the SM context (free5GC queries it during
     /// handover preparation).
@@ -186,6 +191,12 @@ pub enum SmContextUpdate {
     /// of the TS 23.502 §4.2.3.2 service-request flow; the AN tunnel
     /// follows in a second update).
     ActivateUp,
+    /// SMF's answer to `ActivateUp`, carrying the CN N3 tunnel's UL TEID
+    /// the gNB must target (TS 23.502 §4.2.3.2).
+    ActivateUpAck {
+        /// The session's UPF-side uplink TEID.
+        ul_teid: u32,
+    },
     /// UE woke up (service request): reactivate with a new AN tunnel.
     Active {
         /// The fresh AN-side downlink tunnel.
@@ -193,65 +204,103 @@ pub enum SmContextUpdate {
     },
 }
 
-impl SbiOp {
-    /// Estimated JSON body size in bytes (shapes the serialization cost
-    /// component; based on free5GC's OpenAPI bodies).
-    pub(crate) fn wire_len(&self) -> usize {
-        match self {
-            SbiOp::UeAuthCtxCreateReq => 320,
-            SbiOp::UeAuthCtxCreateResp { .. } => 540,
-            SbiOp::GenerateAuthDataReq => 280,
-            SbiOp::GenerateAuthDataResp { .. } => 620,
-            SbiOp::Auth5gAkaConfirmReq => 180,
-            SbiOp::Auth5gAkaConfirmResp => 160,
-            SbiOp::UecmRegistrationReq => 380,
-            SbiOp::UecmRegistrationResp => 120,
-            SbiOp::SdmGetAmDataReq => 150,
-            SbiOp::SdmGetAmDataResp => 900,
-            SbiOp::SdmSubscribeReq => 260,
-            SbiOp::SdmSubscribeResp => 140,
-            SbiOp::AmPolicyCreateReq => 420,
-            SbiOp::AmPolicyCreateResp => 680,
-            SbiOp::CreateSmContextReq => 1100, // PostSmContextsRequest
-            SbiOp::CreateSmContextResp => 260,
-            SbiOp::SdmGetSmDataReq => 150,
-            SbiOp::SdmGetSmDataResp => 760,
-            SbiOp::SmPolicyCreateReq => 520,
-            SbiOp::SmPolicyCreateResp => 940,
-            SbiOp::N1N2MessageTransferReq { .. } => 720,
-            SbiOp::N1N2MessageTransferResp => 110,
-            SbiOp::NfDiscoveryReq => 250,
-            SbiOp::NfDiscoveryResp => 1500,
-            SbiOp::SmContextRetrieveReq => 180,
-            SbiOp::SmContextRetrieveResp => 820,
-            SbiOp::ReleaseSmContextReq => 200,
-            SbiOp::ReleaseSmContextResp => 110,
-            SbiOp::UpdateSmContextReq(_) => 640,
-            SbiOp::UpdateSmContextResp(_) => 280,
-        }
-    }
+/// What is fixed about one SBI operation: its row in [`SbiOp::row`].
+pub(crate) struct OpRow {
+    /// Trace label (the operation's name).
+    pub(crate) label: &'static str,
+    /// Estimated JSON body size in bytes (shapes the serialization cost;
+    /// based on free5GC's OpenAPI bodies).
+    pub(crate) wire_len: usize,
+    /// The NF that receives and handles it.
+    pub(crate) to: Endpoint,
+    /// Handler cost in units of `CostModel::handler` (DESIGN.md §5):
+    /// heavy for AKA vectors, SM contexts, policies and subscription
+    /// fetches, 1 for AMF procedure steps, 0.5 for acks and relays.
+    pub(crate) weight: f64,
+    /// When the receiver only hands off: the operation it sends next.
+    pub(crate) next: Option<SbiOp>,
+}
 
-    /// True for request legs (responses return to the requester).
-    #[cfg(test)]
-    pub(crate) fn is_request(&self) -> bool {
-        matches!(
-            self,
-            SbiOp::UeAuthCtxCreateReq
-                | SbiOp::GenerateAuthDataReq
-                | SbiOp::Auth5gAkaConfirmReq
-                | SbiOp::UecmRegistrationReq
-                | SbiOp::SdmGetAmDataReq
-                | SbiOp::SdmSubscribeReq
-                | SbiOp::AmPolicyCreateReq
-                | SbiOp::CreateSmContextReq
-                | SbiOp::SdmGetSmDataReq
-                | SbiOp::SmPolicyCreateReq
-                | SbiOp::N1N2MessageTransferReq { .. }
-                | SbiOp::NfDiscoveryReq
-                | SbiOp::SmContextRetrieveReq
-                | SbiOp::ReleaseSmContextReq
-                | SbiOp::UpdateSmContextReq(_)
-        )
+impl SbiOp {
+    /// The operation table: one row per operation. Inlined so that each
+    /// caller, which reads one field, compiles to a lookup of that field.
+    #[inline]
+    pub(crate) fn row(&self) -> OpRow {
+        use Endpoint::*;
+        use SbiOp::*;
+        let (label, wire_len, to, weight, next) = match *self {
+            UeAuthCtxCreateReq { supi } => (
+                "UeAuthCtxCreateReq",
+                320,
+                Ausf,
+                4.0,
+                Some(GenerateAuthDataReq { supi }),
+            ),
+            UeAuthCtxCreateResp { .. } => ("UeAuthCtxCreateResp", 540, Amf, 1.0, None),
+            GenerateAuthDataReq { .. } => ("GenerateAuthDataReq", 280, Udm, 8.0, None),
+            GenerateAuthDataResp { rand, sqn, xres } => (
+                "GenerateAuthDataResp",
+                620,
+                Ausf,
+                0.5,
+                Some(UeAuthCtxCreateResp { rand, sqn, xres }),
+            ),
+            Auth5gAkaConfirmReq => (
+                "Auth5gAkaConfirmReq",
+                180,
+                Ausf,
+                3.0,
+                Some(Auth5gAkaConfirmResp),
+            ),
+            Auth5gAkaConfirmResp => ("Auth5gAkaConfirmResp", 160, Amf, 1.0, None),
+            UecmRegistrationReq => (
+                "UecmRegistrationReq",
+                380,
+                Udm,
+                4.0,
+                Some(UecmRegistrationResp),
+            ),
+            UecmRegistrationResp => ("UecmRegistrationResp", 120, Amf, 1.0, None),
+            SdmGetAmDataReq => ("SdmGetAmDataReq", 150, Udm, 5.0, Some(SdmGetAmDataResp)),
+            SdmGetAmDataResp => ("SdmGetAmDataResp", 900, Amf, 1.0, None),
+            AmPolicyCreateReq => ("AmPolicyCreateReq", 420, Pcf, 6.0, Some(AmPolicyCreateResp)),
+            AmPolicyCreateResp => ("AmPolicyCreateResp", 680, Amf, 1.0, None),
+            CreateSmContextReq => ("CreateSmContextReq", 1100, Smf, 20.0, None),
+            CreateSmContextResp => ("CreateSmContextResp", 260, Amf, 1.0, None),
+            SdmGetSmDataReq => ("SdmGetSmDataReq", 150, Udm, 10.0, Some(SdmGetSmDataResp)),
+            SdmGetSmDataResp => ("SdmGetSmDataResp", 760, Smf, 0.5, Some(SmPolicyCreateReq)),
+            SmPolicyCreateReq => (
+                "SmPolicyCreateReq",
+                520,
+                Pcf,
+                15.0,
+                Some(SmPolicyCreateResp),
+            ),
+            SmPolicyCreateResp => ("SmPolicyCreateResp", 940, Smf, 0.5, None),
+            N1N2MessageTransferReq { .. } => ("N1N2MessageTransferReq", 720, Amf, 1.0, None),
+            N1N2MessageTransferResp => ("N1N2MessageTransferResp", 110, Smf, 0.5, None),
+            NfDiscoveryReq => ("NfDiscoveryReq", 250, Nrf, 0.5, Some(NfDiscoveryResp)),
+            NfDiscoveryResp => ("NfDiscoveryResp", 1500, Amf, 1.0, None),
+            SmContextRetrieveReq => (
+                "SmContextRetrieveReq",
+                180,
+                Smf,
+                2.0,
+                Some(SmContextRetrieveResp),
+            ),
+            SmContextRetrieveResp => ("SmContextRetrieveResp", 820, Amf, 1.0, None),
+            ReleaseSmContextReq => ("ReleaseSmContextReq", 200, Smf, 0.5, None),
+            ReleaseSmContextResp => ("ReleaseSmContextResp", 110, Amf, 1.0, None),
+            UpdateSmContextReq(_) => ("UpdateSmContextReq", 640, Smf, 2.0, None),
+            UpdateSmContextResp(_) => ("UpdateSmContextResp", 280, Amf, 1.0, None),
+        };
+        OpRow {
+            label,
+            wire_len,
+            to,
+            weight,
+            next,
+        }
     }
 }
 
@@ -326,7 +375,7 @@ impl Envelope {
     pub fn wire_len(&self) -> usize {
         match &self.msg {
             Msg::Ngap(m) => m.wire_len(),
-            Msg::Sbi { op, .. } => op.wire_len(),
+            Msg::Sbi { op, .. } => op.row().wire_len,
             Msg::N4(m) => m.encode().len(),
             Msg::Data(p) => p.size,
         }
@@ -347,24 +396,82 @@ mod tests {
 
     #[test]
     fn request_response_pairing() {
-        assert!(SbiOp::CreateSmContextReq.is_request());
-        assert!(!SbiOp::CreateSmContextResp.is_request());
-        assert!(
-            SbiOp::UpdateSmContextReq(SmContextUpdate::HoPrepare { target_gnb: 2 }).is_request()
-        );
-        assert!(!SbiOp::UpdateSmContextResp(SmContextUpdate::HoComplete).is_request());
+        use Endpoint::*;
+        let update = SmContextUpdate::HoComplete;
+        let auth = ([1; 16], 2, [3; 16]);
+        // (requester, request, response)
+        for (requester, req, resp) in [
+            (
+                Amf,
+                SbiOp::UeAuthCtxCreateReq { supi: 1 },
+                SbiOp::UeAuthCtxCreateResp {
+                    rand: auth.0,
+                    sqn: auth.1,
+                    xres: auth.2,
+                },
+            ),
+            (
+                Ausf,
+                SbiOp::GenerateAuthDataReq { supi: 1 },
+                SbiOp::GenerateAuthDataResp {
+                    rand: auth.0,
+                    sqn: auth.1,
+                    xres: auth.2,
+                },
+            ),
+            (Amf, SbiOp::Auth5gAkaConfirmReq, SbiOp::Auth5gAkaConfirmResp),
+            (Amf, SbiOp::UecmRegistrationReq, SbiOp::UecmRegistrationResp),
+            (Amf, SbiOp::SdmGetAmDataReq, SbiOp::SdmGetAmDataResp),
+            (Amf, SbiOp::AmPolicyCreateReq, SbiOp::AmPolicyCreateResp),
+            (Amf, SbiOp::CreateSmContextReq, SbiOp::CreateSmContextResp),
+            (Smf, SbiOp::SdmGetSmDataReq, SbiOp::SdmGetSmDataResp),
+            (Smf, SbiOp::SmPolicyCreateReq, SbiOp::SmPolicyCreateResp),
+            (
+                Smf,
+                SbiOp::N1N2MessageTransferReq { ul_teid: 1 },
+                SbiOp::N1N2MessageTransferResp,
+            ),
+            (Amf, SbiOp::NfDiscoveryReq, SbiOp::NfDiscoveryResp),
+            (
+                Amf,
+                SbiOp::SmContextRetrieveReq,
+                SbiOp::SmContextRetrieveResp,
+            ),
+            (Amf, SbiOp::ReleaseSmContextReq, SbiOp::ReleaseSmContextResp),
+            (
+                Amf,
+                SbiOp::UpdateSmContextReq(update),
+                SbiOp::UpdateSmContextResp(update),
+            ),
+        ] {
+            let (q, p) = (req.row(), resp.row());
+            assert_eq!(q.label.strip_suffix("Req"), p.label.strip_suffix("Resp"));
+            // The request goes to the NF that answers it, the answer back
+            // to the requester.
+            assert!(q.to != requester && q.to.is_control_nf(), "{}", q.label);
+            assert_eq!(p.to, requester, "{}", p.label);
+            if let Some(next) = q.next {
+                // A hand-off answers directly, or asks the next NF first.
+                let n = next.row();
+                assert!(
+                    n.label == p.label || n.label.ends_with("Req"),
+                    "{}",
+                    q.label
+                );
+            }
+        }
     }
 
     #[test]
     fn wire_lengths_are_plausible_json_sizes() {
         // The Fig 6 message is the biggest; everything is 100 B – 2 KiB.
-        assert!(SbiOp::CreateSmContextReq.wire_len() >= 1000);
+        assert!(SbiOp::CreateSmContextReq.row().wire_len >= 1000);
         for op in [
-            SbiOp::UeAuthCtxCreateReq,
+            SbiOp::UeAuthCtxCreateReq { supi: 1 },
             SbiOp::SdmGetAmDataResp,
             SbiOp::N1N2MessageTransferReq { ul_teid: 1 },
         ] {
-            let len = op.wire_len();
+            let len = op.row().wire_len;
             assert!((100..2048).contains(&len), "{op:?} = {len}");
         }
     }

@@ -7,6 +7,12 @@
 //! transport cost for that edge). Procedures follow the TS 23.502 call
 //! flows; the module-level comments on each phase name the corresponding
 //! spec step. Per-message handler costs are listed in [`handler_cost`].
+//!
+//! Each NF reads only its own table and the message in hand. What is
+//! fixed about an SBI operation is its row in `SbiOp::row`; an NF that
+//! only answers an operation with a fixed one (the NRF, the PCF, the
+//! AUSF, most of the UDM) has no handler: `handle` sends the row's next
+//! operation.
 
 use l25gc_nfv::cost::CostModel;
 use l25gc_obs::{EventKind, Obs};
@@ -21,10 +27,10 @@ use l25gc_sim::{FastMap, SimDuration, SimTime};
 
 use crate::context::{
     proc_kind, AmfUeCtx, CmState, DeregPhase, EventRecord, HoPhase, IdlePhase, PagingPhase,
-    RegPhase, RmState, SessPhase, SmfSession, UeEvent,
+    RegPhase, SessPhase, SmfSession, UeEvent,
 };
 use crate::deploy::Deployment;
-use crate::msg::{DataPacket, Endpoint, Envelope, Msg, SbiOp, SmContextUpdate, UeId};
+use crate::msg::{DataPacket, Endpoint, Envelope, GnbId, Msg, SbiOp, SmContextUpdate, UeId};
 use crate::udr::{AuthVector, Udr};
 use crate::upf::{ue_ip_for, PdrBackend, Upf, Verdict};
 
@@ -72,8 +78,6 @@ pub struct Smf {
     next_teid: u32,
     /// N4 association state toward the UPF.
     pub n4_association: N4Association,
-    /// Heartbeat transactions completed.
-    pub(crate) heartbeats_answered: u64,
 }
 
 impl Smf {
@@ -100,7 +104,7 @@ pub enum N4Association {
     Idle,
     /// Setup request sent, awaiting the UPF's response.
     Pending,
-    /// Association established; heartbeats maintain liveness.
+    /// Association established.
     Established,
 }
 
@@ -165,10 +169,17 @@ impl CoreNetwork {
         self.upf.flight.drain_into(&mut out.events);
     }
 
-    /// Records a completed UE event both in the Fig 8 accounting and as a
+    /// Records that `ue`'s procedure, started at its AMF context's
+    /// `proc_start`, completed at `now`: in the Fig 8 accounting and as a
     /// procedure span (with a per-procedure latency histogram sample).
-    fn push_event(&mut self, rec: EventRecord) {
-        let kind = proc_kind(rec.event);
+    fn complete(&mut self, ue: UeId, event: UeEvent, now: SimTime) {
+        let rec = EventRecord {
+            ue,
+            event,
+            start: self.amf.ues[&ue].proc_start,
+            end: now,
+        };
+        let kind = proc_kind(event);
         self.obs
             .spans
             .record_completed(kind, rec.ue, rec.start, rec.end);
@@ -197,21 +208,6 @@ impl CoreNetwork {
         )
     }
 
-    /// Builds a PFCP heartbeat request (the SMF probes the UPF's
-    /// liveness; drivers send it periodically).
-    #[cfg(test)]
-    pub(crate) fn n4_heartbeat(&self) -> Envelope {
-        Envelope::new(
-            Endpoint::Smf,
-            Endpoint::UpfC,
-            Msg::N4(pfcp::Message::node(
-                MsgType::HeartbeatRequest,
-                0,
-                IeSet::default(),
-            )),
-        )
-    }
-
     /// Provisions a subscriber in the UDR (the testbed does this for
     /// every UE before attach, like filling the HSS/UDM database).
     pub fn provision_subscriber(&mut self, supi: u64) {
@@ -231,20 +227,28 @@ impl CoreNetwork {
                 .spans
                 .record_segment(nf_name(env.to), msg_label(&env.msg), now, handler);
         }
-        let mut outs = Outs { items: Vec::new() };
+        let mut outs = Outs {
+            from: env.to,
+            items: Vec::new(),
+        };
         // The message moves into its handler: NFs pass descriptors, not
         // copies.
         match (env.to, env.msg) {
+            (to, Msg::Sbi { op, ue }) => match (to, op.row().next, op) {
+                // The receiver only hands off: its table row names the
+                // operation it sends next.
+                (_, Some(next), _) => outs.sbi(next, ue),
+                (Endpoint::Amf, None, op) => self.amf_sbi(op, ue, now, &mut outs),
+                (Endpoint::Smf, None, op) => self.smf_sbi(op, ue, &mut outs),
+                (Endpoint::Udm, None, SbiOp::GenerateAuthDataReq { supi }) => {
+                    self.udm_auth_vector(supi, ue, &mut outs)
+                }
+                (to, None, op) => panic!("core cannot handle {op:?} at {to:?}"),
+            },
             (Endpoint::Amf, Msg::Ngap(m)) => self.amf_ngap(m, now, &mut outs),
-            (Endpoint::Amf, Msg::Sbi { op, ue }) => self.amf_sbi(op, ue, now, &mut outs),
-            (Endpoint::Ausf, Msg::Sbi { op, ue }) => self.ausf_sbi(op, ue, &mut outs),
-            (Endpoint::Udm, Msg::Sbi { op, ue }) => self.udm_sbi(op, ue, &mut outs),
-            (Endpoint::Pcf, Msg::Sbi { op, ue }) => self.pcf_sbi(op, ue, &mut outs),
-            (Endpoint::Nrf, Msg::Sbi { op, ue }) => self.nrf_sbi(op, ue, &mut outs),
-            (Endpoint::Smf, Msg::Sbi { op, ue }) => self.smf_sbi(op, ue, &mut outs),
             (Endpoint::Smf, Msg::N4(m)) => self.smf_n4(m, &mut outs),
             (Endpoint::UpfC, Msg::N4(m)) => self.upfc_n4(m, &mut outs),
-            (Endpoint::UpfU, Msg::Data(p)) => return self.upfu_data(p, handler),
+            (Endpoint::UpfU, Msg::Data(p)) => return self.upfu_data(p),
             (to, msg) => panic!("core cannot handle {msg:?} at {to:?}"),
         }
         // Control outputs leave after the handler finishes; each then
@@ -284,7 +288,7 @@ impl CoreNetwork {
                 let mut ctx = AmfUeCtx::new(supi, gnb, now);
                 ctx.reg = RegPhase::AwaitAuthCtx;
                 self.amf.ues.insert(ue, ctx);
-                outs.sbi(Endpoint::Amf, Endpoint::Ausf, SbiOp::UeAuthCtxCreateReq, ue);
+                outs.sbi(SbiOp::UeAuthCtxCreateReq { supi }, ue);
             }
             NgapMessage::UplinkNasTransport {
                 ue,
@@ -301,12 +305,7 @@ impl CoreNetwork {
                     return;
                 }
                 ctx.reg = RegPhase::AwaitAkaConfirm;
-                outs.sbi(
-                    Endpoint::Amf,
-                    Endpoint::Ausf,
-                    SbiOp::Auth5gAkaConfirmReq,
-                    ue,
-                );
+                outs.sbi(SbiOp::Auth5gAkaConfirmReq, ue);
             }
             NgapMessage::UplinkNasTransport {
                 ue,
@@ -315,7 +314,7 @@ impl CoreNetwork {
                 let ctx = self.ue_ctx(ue);
                 debug_assert_eq!(ctx.reg, RegPhase::AwaitSecurityMode);
                 ctx.reg = RegPhase::AwaitUecm;
-                outs.sbi(Endpoint::Amf, Endpoint::Udm, SbiOp::UecmRegistrationReq, ue);
+                outs.sbi(SbiOp::UecmRegistrationReq, ue);
             }
             NgapMessage::InitialContextSetupResponse { ue } => {
                 // Either registration finishing or a paging/service
@@ -330,16 +329,8 @@ impl CoreNetwork {
                 ue,
                 nas: NasMessage::RegistrationComplete,
             } => {
-                let ctx = self.ue_ctx(ue);
-                ctx.rm = RmState::Registered;
-                ctx.reg = RegPhase::None;
-                let rec = EventRecord {
-                    ue,
-                    event: UeEvent::Registration,
-                    start: ctx.proc_start,
-                    end: now,
-                };
-                self.push_event(rec);
+                self.ue_ctx(ue).reg = RegPhase::None;
+                self.complete(ue, UeEvent::Registration, now);
             }
 
             // ---- PDU session establishment (TS 23.502 §4.3.2.2) ----
@@ -350,7 +341,7 @@ impl CoreNetwork {
                 let ctx = self.ue_ctx(ue);
                 ctx.proc_start = now;
                 ctx.sess = SessPhase::AwaitSmContext;
-                outs.sbi(Endpoint::Amf, Endpoint::Smf, SbiOp::CreateSmContextReq, ue);
+                outs.sbi(SbiOp::CreateSmContextReq, ue);
             }
             NgapMessage::PduSessionResourceSetupResponse {
                 ue,
@@ -358,26 +349,17 @@ impl CoreNetwork {
                 ..
             } => {
                 let ctx = self.ue_ctx(ue);
-                if ctx.paging == PagingPhase::AwaitAnSetup {
+                let update = if ctx.paging == PagingPhase::AwaitAnSetup {
                     ctx.paging = PagingPhase::AwaitTunnelBind;
-                    outs.sbi(
-                        Endpoint::Amf,
-                        Endpoint::Smf,
-                        SbiOp::UpdateSmContextReq(SmContextUpdate::Active {
-                            an_tunnel: downlink_tunnel,
-                        }),
-                        ue,
-                    );
+                    SmContextUpdate::Active {
+                        an_tunnel: downlink_tunnel,
+                    }
                 } else {
                     debug_assert_eq!(ctx.sess, SessPhase::AwaitAnSetup);
                     ctx.sess = SessPhase::AwaitTunnelBind;
-                    outs.sbi(
-                        Endpoint::Amf,
-                        Endpoint::Smf,
-                        SbiOp::UpdateSmContextReq(SmContextUpdate::AnTunnelInfo(downlink_tunnel)),
-                        ue,
-                    );
-                }
+                    SmContextUpdate::AnTunnelInfo(downlink_tunnel)
+                };
+                outs.sbi(SbiOp::UpdateSmContextReq(update), ue);
             }
 
             // ---- Idle transition (AN release, TS 23.502 §4.2.6) ----
@@ -385,36 +367,24 @@ impl CoreNetwork {
                 let ctx = self.ue_ctx(ue);
                 ctx.proc_start = now;
                 ctx.idle = IdlePhase::AwaitSmIdle;
-                outs.sbi(
-                    Endpoint::Amf,
-                    Endpoint::Smf,
-                    SbiOp::UpdateSmContextReq(SmContextUpdate::Idle),
-                    ue,
-                );
+                outs.sbi(SbiOp::UpdateSmContextReq(SmContextUpdate::Idle), ue);
             }
             NgapMessage::UeContextReleaseComplete { ue } => {
                 let ctx = self.ue_ctx(ue);
                 if ctx.dereg == DeregPhase::AwaitAnRelease {
                     ctx.dereg = DeregPhase::None;
-                    ctx.rm = RmState::Deregistered;
                     ctx.cm = CmState::Idle;
-                    let rec = EventRecord {
-                        ue,
-                        event: UeEvent::Deregistration,
-                        start: ctx.proc_start,
-                        end: now,
-                    };
-                    self.push_event(rec);
+                    self.complete(ue, UeEvent::Deregistration, now);
                 } else if ctx.idle == IdlePhase::AwaitReleaseComplete {
                     ctx.idle = IdlePhase::None;
                     ctx.cm = CmState::Idle;
-                    let rec = EventRecord {
-                        ue,
-                        event: UeEvent::IdleTransition,
-                        start: ctx.proc_start,
-                        end: now,
-                    };
-                    self.push_event(rec);
+                    let held = std::mem::take(&mut ctx.n1n2_held);
+                    self.complete(ue, UeEvent::IdleTransition, now);
+                    if held {
+                        // The release has ended: page for the transfer
+                        // held meanwhile (TS 23.502 §4.2.3.3).
+                        page(self.ue_ctx(ue), now, outs);
+                    }
                 }
                 // After a handover, the source gNB's release completion
                 // needs no further action.
@@ -433,12 +403,7 @@ impl CoreNetwork {
                 ctx.paging = PagingPhase::AwaitSmActivate;
                 // TS 23.502 §4.2.3.2 step 4: activate the UP connection at
                 // the SMF before setting up the AN resources.
-                outs.sbi(
-                    Endpoint::Amf,
-                    Endpoint::Smf,
-                    SbiOp::UpdateSmContextReq(SmContextUpdate::ActivateUp),
-                    ue,
-                );
+                outs.sbi(SbiOp::UpdateSmContextReq(SmContextUpdate::ActivateUp), ue);
             }
 
             // ---- Deregistration (TS 23.502 §4.2.2.3) ----
@@ -449,7 +414,7 @@ impl CoreNetwork {
                 let ctx = self.ue_ctx(ue);
                 ctx.proc_start = now;
                 ctx.dereg = DeregPhase::AwaitSmRelease;
-                outs.sbi(Endpoint::Amf, Endpoint::Smf, SbiOp::ReleaseSmContextReq, ue);
+                outs.sbi(SbiOp::ReleaseSmContextReq, ue);
             }
 
             // ---- N2 handover (TS 23.502 §4.9.1.3) ----
@@ -458,16 +423,10 @@ impl CoreNetwork {
                 ctx.proc_start = now;
                 ctx.target_gnb = Some(target_gnb);
                 ctx.ho = HoPhase::AwaitPrepDiscovery;
-                self.obs.event(
-                    now,
-                    EventKind::HandoverPhase {
-                        ue,
-                        phase: "prepare",
-                    },
-                );
+                self.ho_event(ue, "prepare", now);
                 // free5GC (re)discovers the target-side serving NFs at the
                 // NRF before touching the SM context.
-                outs.sbi(Endpoint::Amf, Endpoint::Nrf, SbiOp::NfDiscoveryReq, ue);
+                outs.sbi(SbiOp::NfDiscoveryReq, ue);
             }
             NgapMessage::HandoverRequestAcknowledge {
                 ue,
@@ -477,21 +436,11 @@ impl CoreNetwork {
                 let ctx = self.ue_ctx(ue);
                 debug_assert_eq!(ctx.ho, HoPhase::AwaitTargetAck);
                 ctx.ho = HoPhase::AwaitSmPrepared;
-                self.obs.event(
-                    now,
-                    EventKind::HandoverPhase {
-                        ue,
-                        phase: "target_ack",
-                    },
-                );
-                outs.sbi(
-                    Endpoint::Amf,
-                    Endpoint::Smf,
-                    SbiOp::UpdateSmContextReq(SmContextUpdate::HoPrepared {
-                        target_dl: downlink_tunnel,
-                    }),
-                    ue,
-                );
+                self.ho_event(ue, "target_ack", now);
+                let update = SmContextUpdate::HoPrepared {
+                    target_dl: downlink_tunnel,
+                };
+                outs.sbi(SbiOp::UpdateSmContextReq(update), ue);
             }
             NgapMessage::HandoverNotify { ue, gnb } => {
                 let ctx = self.ue_ctx(ue);
@@ -499,16 +448,10 @@ impl CoreNetwork {
                 ctx.prev_gnb = Some(ctx.serving_gnb);
                 ctx.serving_gnb = gnb;
                 ctx.ho = HoPhase::AwaitCompleteDiscovery;
-                self.obs.event(
-                    now,
-                    EventKind::HandoverPhase {
-                        ue,
-                        phase: "path_switch",
-                    },
-                );
+                self.ho_event(ue, "path_switch", now);
                 // Path-switch: re-validate the UPF/SMF selection at the NRF
                 // before updating the SM context (free5GC behaviour).
-                outs.sbi(Endpoint::Amf, Endpoint::Nrf, SbiOp::NfDiscoveryReq, ue);
+                outs.sbi(SbiOp::NfDiscoveryReq, ue);
             }
 
             other => panic!("AMF cannot handle {other:?}"),
@@ -516,147 +459,93 @@ impl CoreNetwork {
     }
 
     fn amf_sbi(&mut self, op: SbiOp, ue: UeId, now: SimTime, outs: &mut Outs) {
+        let ctx = self.ue_ctx(ue);
         match op {
             // ---- Registration responses ----
             SbiOp::UeAuthCtxCreateResp { rand, sqn, xres } => {
-                let gnb = {
-                    let ctx = self.ue_ctx(ue);
-                    debug_assert_eq!(ctx.reg, RegPhase::AwaitAuthCtx);
-                    ctx.reg = RegPhase::AwaitUeAuthResponse;
-                    ctx.expected_res = Some(xres);
-                    ctx.serving_gnb
-                };
+                debug_assert_eq!(ctx.reg, RegPhase::AwaitAuthCtx);
+                ctx.reg = RegPhase::AwaitUeAuthResponse;
+                ctx.expected_res = Some(xres);
+                let nas = NasMessage::AuthenticationRequest { rand, sqn };
                 outs.ngap(
-                    Endpoint::Amf,
-                    Endpoint::Gnb(gnb),
-                    NgapMessage::DownlinkNasTransport {
-                        ue,
-                        nas: NasMessage::AuthenticationRequest { rand, sqn },
-                    },
+                    ctx.serving_gnb,
+                    NgapMessage::DownlinkNasTransport { ue, nas },
                 );
             }
             SbiOp::Auth5gAkaConfirmResp => {
-                let gnb = {
-                    let ctx = self.ue_ctx(ue);
-                    debug_assert_eq!(ctx.reg, RegPhase::AwaitAkaConfirm);
-                    ctx.reg = RegPhase::AwaitSecurityMode;
-                    ctx.serving_gnb
-                };
+                debug_assert_eq!(ctx.reg, RegPhase::AwaitAkaConfirm);
+                ctx.reg = RegPhase::AwaitSecurityMode;
+                let nas = NasMessage::SecurityModeCommand;
                 outs.ngap(
-                    Endpoint::Amf,
-                    Endpoint::Gnb(gnb),
-                    NgapMessage::DownlinkNasTransport {
-                        ue,
-                        nas: NasMessage::SecurityModeCommand,
-                    },
+                    ctx.serving_gnb,
+                    NgapMessage::DownlinkNasTransport { ue, nas },
                 );
             }
             SbiOp::UecmRegistrationResp => {
-                let ctx = self.ue_ctx(ue);
                 if ctx.ho == HoPhase::AwaitMobilityUpdate(0) {
                     // Handover's mobility registration update, step 2.
                     ctx.ho = HoPhase::AwaitMobilityUpdate(1);
-                    outs.sbi(Endpoint::Amf, Endpoint::Pcf, SbiOp::AmPolicyCreateReq, ue);
+                    outs.sbi(SbiOp::AmPolicyCreateReq, ue);
                 } else {
                     debug_assert_eq!(ctx.reg, RegPhase::AwaitUecm);
                     ctx.reg = RegPhase::AwaitSdmData;
-                    outs.sbi(Endpoint::Amf, Endpoint::Udm, SbiOp::SdmGetAmDataReq, ue);
+                    outs.sbi(SbiOp::SdmGetAmDataReq, ue);
                 }
             }
             SbiOp::SdmGetAmDataResp => {
-                let ctx = self.ue_ctx(ue);
                 debug_assert_eq!(ctx.reg, RegPhase::AwaitSdmData);
                 ctx.reg = RegPhase::AwaitAmPolicy;
-                outs.sbi(Endpoint::Amf, Endpoint::Pcf, SbiOp::AmPolicyCreateReq, ue);
+                outs.sbi(SbiOp::AmPolicyCreateReq, ue);
             }
             SbiOp::AmPolicyCreateResp => {
-                let ctx = self.ue_ctx(ue);
                 if let HoPhase::AwaitMobilityUpdate(1) = ctx.ho {
                     // Mobility update done: the handover event completes,
                     // and the source gNB's UE context is released.
                     ctx.ho = HoPhase::None;
                     ctx.target_gnb = None;
                     let prev = ctx.prev_gnb.take();
-                    let rec = EventRecord {
-                        ue,
-                        event: UeEvent::Handover,
-                        start: ctx.proc_start,
-                        end: now,
-                    };
-                    self.obs.event(
-                        now,
-                        EventKind::HandoverPhase {
-                            ue,
-                            phase: "complete",
-                        },
-                    );
-                    self.push_event(rec);
+                    self.ho_event(ue, "complete", now);
+                    self.complete(ue, UeEvent::Handover, now);
                     if let Some(src) = prev {
-                        outs.ngap(
-                            Endpoint::Amf,
-                            Endpoint::Gnb(src),
-                            NgapMessage::UeContextReleaseCommand { ue },
-                        );
+                        outs.ngap(src, NgapMessage::UeContextReleaseCommand { ue });
                     }
                 } else {
-                    let (gnb, guti) = {
-                        let ctx = self.ue_ctx(ue);
-                        debug_assert_eq!(ctx.reg, RegPhase::AwaitAmPolicy);
-                        ctx.reg = RegPhase::AwaitContextSetup;
-                        (ctx.serving_gnb, ctx.guti)
-                    };
+                    debug_assert_eq!(ctx.reg, RegPhase::AwaitAmPolicy);
+                    ctx.reg = RegPhase::AwaitContextSetup;
+                    let nas = NasMessage::RegistrationAccept { guti: ctx.guti };
                     outs.ngap(
-                        Endpoint::Amf,
-                        Endpoint::Gnb(gnb),
-                        NgapMessage::InitialContextSetupRequest {
-                            ue,
-                            nas: NasMessage::RegistrationAccept { guti },
-                        },
+                        ctx.serving_gnb,
+                        NgapMessage::InitialContextSetupRequest { ue, nas },
                     );
                 }
             }
 
             // ---- Session establishment responses ----
             SbiOp::CreateSmContextResp => {
-                let ctx = self.ue_ctx(ue);
                 debug_assert_eq!(ctx.sess, SessPhase::AwaitSmContext);
                 ctx.sess = SessPhase::AwaitN1N2;
                 // Nothing to send: the SMF continues (UDM, PCF, UPF) and
                 // calls back with N1N2MessageTransfer.
             }
             SbiOp::N1N2MessageTransferReq { ul_teid } => {
-                outs.sbi(
-                    Endpoint::Amf,
-                    Endpoint::Smf,
-                    SbiOp::N1N2MessageTransferResp,
-                    ue,
-                );
-                let ctx = self.amf.ues.get_mut(&ue).expect("known UE");
-                if ctx.cm == CmState::Idle {
+                outs.sbi(SbiOp::N1N2MessageTransferResp, ue);
+                if ctx.idle != IdlePhase::None {
+                    // TS 23.502 §4.2.3.3: the AN release, an N2 procedure,
+                    // is still running. Keep the transfer pending and page
+                    // once the release ends.
+                    ctx.n1n2_held = true;
+                } else if ctx.cm == CmState::Idle {
                     // Downlink-data notification for an idle UE: page it.
-                    ctx.proc_start = now;
-                    ctx.paging = PagingPhase::AwaitServiceRequest;
-                    let gnb = ctx.serving_gnb;
-                    let guti = ctx.guti;
-                    outs.ngap(
-                        Endpoint::Amf,
-                        Endpoint::Gnb(gnb),
-                        NgapMessage::Paging { guti },
-                    );
+                    page(ctx, now, outs);
                 } else {
                     debug_assert_eq!(ctx.sess, SessPhase::AwaitN1N2);
                     ctx.sess = SessPhase::AwaitAnSetup;
-                    let gnb = ctx.serving_gnb;
                     outs.ngap(
-                        Endpoint::Amf,
-                        Endpoint::Gnb(gnb),
+                        ctx.serving_gnb,
                         NgapMessage::PduSessionResourceSetupRequest {
                             ue,
                             session_id: 1,
-                            uplink_tunnel: TunnelInfo {
-                                teid: ul_teid,
-                                addr: UPF_N3_ADDR.to_u32(),
-                            },
+                            uplink_tunnel: n3_tunnel(ul_teid),
                             nas: NasMessage::PduSessionEstablishmentAccept {
                                 session_id: 1,
                                 ue_ip: ue_ip_for(ue),
@@ -666,65 +555,33 @@ impl CoreNetwork {
                 }
             }
             SbiOp::ReleaseSmContextResp => {
-                let gnb = {
-                    let ctx = self.ue_ctx(ue);
-                    debug_assert_eq!(ctx.dereg, DeregPhase::AwaitSmRelease);
-                    ctx.dereg = DeregPhase::AwaitAnRelease;
-                    ctx.serving_gnb
-                };
-                outs.ngap(
-                    Endpoint::Amf,
-                    Endpoint::Gnb(gnb),
-                    NgapMessage::DownlinkNasTransport {
-                        ue,
-                        nas: NasMessage::DeregistrationAccept,
-                    },
-                );
-                outs.ngap(
-                    Endpoint::Amf,
-                    Endpoint::Gnb(gnb),
-                    NgapMessage::UeContextReleaseCommand { ue },
-                );
+                debug_assert_eq!(ctx.dereg, DeregPhase::AwaitSmRelease);
+                ctx.dereg = DeregPhase::AwaitAnRelease;
+                let gnb = ctx.serving_gnb;
+                let nas = NasMessage::DeregistrationAccept;
+                outs.ngap(gnb, NgapMessage::DownlinkNasTransport { ue, nas });
+                outs.ngap(gnb, NgapMessage::UeContextReleaseCommand { ue });
             }
             SbiOp::UpdateSmContextResp(update) => self.amf_sm_update_done(ue, update, now, outs),
 
             // ---- Handover responses ----
-            SbiOp::NfDiscoveryResp => {
-                let ctx = self.ue_ctx(ue);
-                match ctx.ho {
-                    HoPhase::AwaitPrepDiscovery => {
-                        ctx.ho = HoPhase::AwaitSmPrepare;
-                        outs.sbi(
-                            Endpoint::Amf,
-                            Endpoint::Smf,
-                            SbiOp::SmContextRetrieveReq,
-                            ue,
-                        );
-                    }
-                    HoPhase::AwaitCompleteDiscovery => {
-                        ctx.ho = HoPhase::AwaitSmComplete;
-                        outs.sbi(
-                            Endpoint::Amf,
-                            Endpoint::Smf,
-                            SbiOp::UpdateSmContextReq(SmContextUpdate::HoComplete),
-                            ue,
-                        );
-                    }
-                    other => panic!("unexpected discovery response in {other:?}"),
+            SbiOp::NfDiscoveryResp => match ctx.ho {
+                HoPhase::AwaitPrepDiscovery => {
+                    ctx.ho = HoPhase::AwaitSmPrepare;
+                    outs.sbi(SbiOp::SmContextRetrieveReq, ue);
                 }
-            }
+                HoPhase::AwaitCompleteDiscovery => {
+                    ctx.ho = HoPhase::AwaitSmComplete;
+                    let update = SmContextUpdate::HoComplete;
+                    outs.sbi(SbiOp::UpdateSmContextReq(update), ue);
+                }
+                other => panic!("unexpected discovery response in {other:?}"),
+            },
             SbiOp::SmContextRetrieveResp => {
-                let target = {
-                    let ctx = self.ue_ctx(ue);
-                    debug_assert_eq!(ctx.ho, HoPhase::AwaitSmPrepare);
-                    ctx.target_gnb.expect("handover target chosen")
-                };
-                outs.sbi(
-                    Endpoint::Amf,
-                    Endpoint::Smf,
-                    SbiOp::UpdateSmContextReq(SmContextUpdate::HoPrepare { target_gnb: target }),
-                    ue,
-                );
+                debug_assert_eq!(ctx.ho, HoPhase::AwaitSmPrepare);
+                let target_gnb = ctx.target_gnb.expect("handover target chosen");
+                let update = SmContextUpdate::HoPrepare { target_gnb };
+                outs.sbi(SbiOp::UpdateSmContextReq(update), ue);
             }
 
             other => panic!("AMF cannot handle SBI {other:?}"),
@@ -738,133 +595,72 @@ impl CoreNetwork {
         now: SimTime,
         outs: &mut Outs,
     ) {
+        let ctx = self.ue_ctx(ue);
         match update {
             SmContextUpdate::AnTunnelInfo(_) => {
-                let (gnb, rec) = {
-                    let ctx = self.ue_ctx(ue);
-                    debug_assert_eq!(ctx.sess, SessPhase::AwaitTunnelBind);
-                    ctx.sess = SessPhase::None;
-                    (
-                        ctx.serving_gnb,
-                        EventRecord {
-                            ue,
-                            event: UeEvent::SessionRequest,
-                            start: ctx.proc_start,
-                            end: now,
-                        },
-                    )
-                };
-                self.push_event(rec);
-                // Deliver the NAS accept (already carried in the resource
-                // setup request; this is the completion indication to the
-                // RAN driver).
-                let _ = gnb;
+                debug_assert_eq!(ctx.sess, SessPhase::AwaitTunnelBind);
+                ctx.sess = SessPhase::None;
+                // The NAS accept already rode in the resource setup
+                // request; the session is up.
+                self.complete(ue, UeEvent::SessionRequest, now);
             }
             SmContextUpdate::HoPrepareAck { new_ul_teid } => {
-                let (target, ue_id) = {
-                    let ctx = self.ue_ctx(ue);
-                    debug_assert_eq!(ctx.ho, HoPhase::AwaitSmPrepare);
-                    ctx.ho = HoPhase::AwaitTargetAck;
-                    (ctx.target_gnb.expect("target chosen"), ue)
-                };
+                debug_assert_eq!(ctx.ho, HoPhase::AwaitSmPrepare);
+                ctx.ho = HoPhase::AwaitTargetAck;
                 outs.ngap(
-                    Endpoint::Amf,
-                    Endpoint::Gnb(target),
+                    ctx.target_gnb.expect("target chosen"),
                     NgapMessage::HandoverRequest {
-                        ue: ue_id,
+                        ue,
                         session_id: 1,
-                        uplink_tunnel: TunnelInfo {
-                            teid: new_ul_teid,
-                            addr: UPF_N3_ADDR.to_u32(),
-                        },
+                        uplink_tunnel: n3_tunnel(new_ul_teid),
                     },
                 );
             }
             SmContextUpdate::HoPrepared { .. } => {
-                let (src, target) = {
-                    let ctx = self.ue_ctx(ue);
-                    debug_assert_eq!(ctx.ho, HoPhase::AwaitSmPrepared);
-                    ctx.ho = HoPhase::Executing;
-                    (ctx.serving_gnb, ctx.target_gnb.expect("target chosen"))
-                };
-                self.obs.event(
-                    now,
-                    EventKind::HandoverPhase {
-                        ue,
-                        phase: "execute",
-                    },
-                );
-                outs.ngap(
-                    Endpoint::Amf,
-                    Endpoint::Gnb(src),
-                    NgapMessage::HandoverCommand {
-                        ue,
-                        target_gnb: target,
-                    },
-                );
+                debug_assert_eq!(ctx.ho, HoPhase::AwaitSmPrepared);
+                ctx.ho = HoPhase::Executing;
+                let (src, target_gnb) = (ctx.serving_gnb, ctx.target_gnb.expect("target chosen"));
+                self.ho_event(ue, "execute", now);
+                outs.ngap(src, NgapMessage::HandoverCommand { ue, target_gnb });
             }
             SmContextUpdate::HoComplete => {
                 // DL path switched; start the mobility registration update.
-                let ctx = self.ue_ctx(ue);
                 debug_assert_eq!(ctx.ho, HoPhase::AwaitSmComplete);
                 ctx.ho = HoPhase::AwaitMobilityUpdate(0);
-                outs.sbi(Endpoint::Amf, Endpoint::Udm, SbiOp::UecmRegistrationReq, ue);
+                outs.sbi(SbiOp::UecmRegistrationReq, ue);
             }
             SmContextUpdate::Idle => {
-                let gnb = {
-                    let ctx = self.ue_ctx(ue);
-                    debug_assert_eq!(ctx.idle, IdlePhase::AwaitSmIdle);
-                    ctx.idle = IdlePhase::AwaitReleaseComplete;
-                    ctx.serving_gnb
-                };
-                outs.ngap(
-                    Endpoint::Amf,
-                    Endpoint::Gnb(gnb),
-                    NgapMessage::UeContextReleaseCommand { ue },
-                );
+                debug_assert_eq!(ctx.idle, IdlePhase::AwaitSmIdle);
+                ctx.idle = IdlePhase::AwaitReleaseComplete;
+                outs.ngap(ctx.serving_gnb, NgapMessage::UeContextReleaseCommand { ue });
             }
-            SmContextUpdate::ActivateUp => {
-                let (gnb, ul_teid) = {
-                    let ctx = self.ue_ctx(ue);
-                    debug_assert_eq!(ctx.paging, PagingPhase::AwaitSmActivate);
-                    ctx.paging = PagingPhase::AwaitAnSetup;
-                    (
-                        ctx.serving_gnb,
-                        self.smf.sessions.get(&ue).map(|s| s.ul_teid).unwrap_or(0),
-                    )
-                };
+            SmContextUpdate::ActivateUpAck { ul_teid } => {
+                debug_assert_eq!(ctx.paging, PagingPhase::AwaitSmActivate);
+                ctx.paging = PagingPhase::AwaitAnSetup;
                 outs.ngap(
-                    Endpoint::Amf,
-                    Endpoint::Gnb(gnb),
+                    ctx.serving_gnb,
                     NgapMessage::PduSessionResourceSetupRequest {
                         ue,
                         session_id: 1,
-                        uplink_tunnel: TunnelInfo {
-                            teid: ul_teid,
-                            addr: UPF_N3_ADDR.to_u32(),
-                        },
+                        uplink_tunnel: n3_tunnel(ul_teid),
                         nas: NasMessage::ServiceAccept,
                     },
                 );
             }
             SmContextUpdate::Active { .. } => {
-                let rec = {
-                    let ctx = self.ue_ctx(ue);
-                    debug_assert_eq!(ctx.paging, PagingPhase::AwaitTunnelBind);
-                    ctx.paging = PagingPhase::None;
-                    EventRecord {
-                        ue,
-                        event: UeEvent::Paging,
-                        start: ctx.proc_start,
-                        end: now,
-                    }
-                };
-                self.push_event(rec);
+                debug_assert_eq!(ctx.paging, PagingPhase::AwaitTunnelBind);
+                ctx.paging = PagingPhase::None;
+                self.complete(ue, UeEvent::Paging, now);
             }
-            SmContextUpdate::HoPrepare { .. } => {
-                unreachable!("SMF acks HoPrepare with HoPrepareAck")
+            SmContextUpdate::HoPrepare { .. } | SmContextUpdate::ActivateUp => {
+                unreachable!("the SMF answers {update:?} with its ack")
             }
         }
+    }
+
+    /// Records a handover phase in the flight recorder.
+    fn ho_event(&mut self, ue: UeId, phase: &'static str, now: SimTime) {
+        self.obs.event(now, EventKind::HandoverPhase { ue, phase });
     }
 
     /// Queueing delay at the UPF-U's forwarding core, and advance of the
@@ -881,114 +677,33 @@ impl CoreNetwork {
         self.amf.ues.get_mut(&ue).expect("UE context exists")
     }
 
-    fn nrf_sbi(&mut self, op: SbiOp, ue: UeId, outs: &mut Outs) {
-        match op {
-            SbiOp::NfDiscoveryReq => {
-                outs.sbi(Endpoint::Nrf, Endpoint::Amf, SbiOp::NfDiscoveryResp, ue)
-            }
-            other => panic!("NRF cannot handle {other:?}"),
-        }
-    }
+    // ================= UDM =================
 
-    // ================= AUSF / UDM / PCF =================
-
-    fn ausf_sbi(&mut self, op: SbiOp, ue: UeId, outs: &mut Outs) {
-        match op {
-            SbiOp::UeAuthCtxCreateReq => {
-                // Fetch an authentication vector from the UDM first.
-                outs.sbi(
-                    Endpoint::Ausf,
-                    Endpoint::Udm,
-                    SbiOp::GenerateAuthDataReq,
-                    ue,
-                );
-            }
-            SbiOp::GenerateAuthDataResp { rand, sqn, xres } => {
-                outs.sbi(
-                    Endpoint::Ausf,
-                    Endpoint::Amf,
-                    SbiOp::UeAuthCtxCreateResp { rand, sqn, xres },
-                    ue,
-                );
-            }
-            SbiOp::Auth5gAkaConfirmReq => {
-                outs.sbi(
-                    Endpoint::Ausf,
-                    Endpoint::Amf,
-                    SbiOp::Auth5gAkaConfirmResp,
-                    ue,
-                );
-            }
-            other => panic!("AUSF cannot handle {other:?}"),
-        }
-    }
-
-    fn udm_sbi(&mut self, op: SbiOp, ue: UeId, outs: &mut Outs) {
-        match op {
-            SbiOp::GenerateAuthDataReq => {
-                let supi = self
-                    .amf
-                    .ues
-                    .get(&ue)
-                    .map(|c| c.supi)
-                    .expect("UE known to AMF");
-                // RAND derived deterministically per challenge; a real UDM
-                // draws it from a CSPRNG.
-                let seed = self
-                    .udm
-                    .udr
-                    .get(supi)
-                    .map(|sub| sub.sqn + 1)
-                    .expect("subscriber provisioned in the UDR");
-                let mut rand = [0u8; 16];
-                rand[..8].copy_from_slice(&supi.to_be_bytes());
-                rand[8..].copy_from_slice(&seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_be_bytes());
-                let AuthVector {
-                    rand,
-                    autn: _,
-                    xres,
-                } = self
-                    .udm
-                    .udr
-                    .generate_auth_vector(supi, rand)
-                    .expect("subscriber provisioned");
-                let sqn = self.udm.udr.get(supi).expect("present").sqn;
-                outs.sbi(
-                    Endpoint::Udm,
-                    Endpoint::Ausf,
-                    SbiOp::GenerateAuthDataResp { rand, sqn, xres },
-                    ue,
-                )
-            }
-            SbiOp::UecmRegistrationReq => outs.sbi(
-                Endpoint::Udm,
-                Endpoint::Amf,
-                SbiOp::UecmRegistrationResp,
-                ue,
-            ),
-            SbiOp::SdmGetAmDataReq => {
-                outs.sbi(Endpoint::Udm, Endpoint::Amf, SbiOp::SdmGetAmDataResp, ue)
-            }
-            SbiOp::SdmSubscribeReq => {
-                outs.sbi(Endpoint::Udm, Endpoint::Amf, SbiOp::SdmSubscribeResp, ue)
-            }
-            SbiOp::SdmGetSmDataReq => {
-                outs.sbi(Endpoint::Udm, Endpoint::Smf, SbiOp::SdmGetSmDataResp, ue)
-            }
-            other => panic!("UDM cannot handle {other:?}"),
-        }
-    }
-
-    fn pcf_sbi(&mut self, op: SbiOp, ue: UeId, outs: &mut Outs) {
-        match op {
-            SbiOp::AmPolicyCreateReq => {
-                outs.sbi(Endpoint::Pcf, Endpoint::Amf, SbiOp::AmPolicyCreateResp, ue)
-            }
-            SbiOp::SmPolicyCreateReq => {
-                outs.sbi(Endpoint::Pcf, Endpoint::Smf, SbiOp::SmPolicyCreateResp, ue)
-            }
-            other => panic!("PCF cannot handle {other:?}"),
-        }
+    /// An authentication vector for `supi` (the UDM's one handler; its
+    /// other operations are hand-offs).
+    fn udm_auth_vector(&mut self, supi: u64, ue: UeId, outs: &mut Outs) {
+        // RAND derived deterministically per challenge; a real UDM draws
+        // it from a CSPRNG.
+        let seed = self
+            .udm
+            .udr
+            .get(supi)
+            .map(|sub| sub.sqn + 1)
+            .expect("subscriber provisioned in the UDR");
+        let mut rand = [0u8; 16];
+        rand[..8].copy_from_slice(&supi.to_be_bytes());
+        rand[8..].copy_from_slice(&seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_be_bytes());
+        let AuthVector {
+            rand,
+            autn: _,
+            xres,
+        } = self
+            .udm
+            .udr
+            .generate_auth_vector(supi, rand)
+            .expect("subscriber provisioned");
+        let sqn = self.udm.udr.get(supi).expect("present").sqn;
+        outs.sbi(SbiOp::GenerateAuthDataResp { rand, sqn, xres }, ue);
     }
 
     // ================= SMF =================
@@ -1005,30 +720,20 @@ impl CoreNetwork {
                     pending_ul_teid: None,
                     an_tunnel: None,
                     pfcp_seq: 0,
+                    pending_ack: None,
                 };
                 self.smf.sessions.insert(ue, session);
                 self.smf.by_seid.insert(seid, ue);
-                outs.sbi(Endpoint::Smf, Endpoint::Amf, SbiOp::CreateSmContextResp, ue);
-                outs.sbi(Endpoint::Smf, Endpoint::Udm, SbiOp::SdmGetSmDataReq, ue);
-            }
-            SbiOp::SdmGetSmDataResp => {
-                outs.sbi(Endpoint::Smf, Endpoint::Pcf, SbiOp::SmPolicyCreateReq, ue);
+                outs.sbi(SbiOp::CreateSmContextResp, ue);
+                outs.sbi(SbiOp::SdmGetSmDataReq, ue);
             }
             SbiOp::SmPolicyCreateResp => {
                 // Provision the UPF: Session Establishment with UL/DL PDRs.
                 let msg = self.build_establishment(ue);
-                outs.n4(Endpoint::Smf, Endpoint::UpfC, msg);
+                outs.n4(msg);
             }
             SbiOp::N1N2MessageTransferResp => {
                 // AMF acknowledged the N1/N2 transfer; nothing further.
-            }
-            SbiOp::SmContextRetrieveReq => {
-                outs.sbi(
-                    Endpoint::Smf,
-                    Endpoint::Amf,
-                    SbiOp::SmContextRetrieveResp,
-                    ue,
-                );
             }
             SbiOp::ReleaseSmContextReq => {
                 let s = self.smf.sessions.get_mut(&ue).expect("session exists");
@@ -1039,31 +744,40 @@ impl CoreNetwork {
                     s.pfcp_seq,
                     IeSet::default(),
                 );
-                outs.n4(Endpoint::Smf, Endpoint::UpfC, msg);
+                outs.n4(msg);
             }
             SbiOp::UpdateSmContextReq(update) => self.smf_update(ue, update, outs),
             other => panic!("SMF cannot handle SBI {other:?}"),
         }
     }
 
+    /// Applies an SM-context update: each one but `ActivateUp` modifies
+    /// the UPF, and the answer waits in `pending_ack` for its response.
     fn smf_update(&mut self, ue: UeId, update: SmContextUpdate, outs: &mut Outs) {
-        match update {
+        if update == SmContextUpdate::ActivateUp {
+            // Pure SM-context state change: ack without touching the UPF
+            // (the FAR flips when the AN tunnel arrives). The ack carries
+            // the CN N3 tunnel (TS 23.502 §4.2.3.2).
+            let ul_teid = self.smf.sessions.get(&ue).map_or(0, |s| s.ul_teid);
+            let ack = SmContextUpdate::ActivateUpAck { ul_teid };
+            outs.sbi(SbiOp::UpdateSmContextResp(ack), ue);
+            return;
+        }
+        let new_teid =
+            matches!(update, SmContextUpdate::HoPrepare { .. }).then(|| self.smf.alloc_teid());
+        let scheme = self.scheme;
+        let s = self.smf.sessions.get_mut(&ue).expect("session exists");
+        let (kind, ack) = match update {
             SmContextUpdate::AnTunnelInfo(tun) | SmContextUpdate::Active { an_tunnel: tun } => {
-                let s = self.smf.sessions.get_mut(&ue).expect("session exists");
                 s.an_tunnel = Some(tun);
-                let msg = build_modification(s, ModKind::ForwardTo(tun));
-                outs.n4(Endpoint::Smf, Endpoint::UpfC, msg);
+                (ModKind::ForwardTo(tun), update)
             }
             SmContextUpdate::Idle => {
-                let s = self.smf.sessions.get_mut(&ue).expect("session exists");
                 s.an_tunnel = None;
-                let msg = build_modification(s, ModKind::IdleBuffer);
-                outs.n4(Endpoint::Smf, Endpoint::UpfC, msg);
+                (ModKind::IdleBuffer, update)
             }
             SmContextUpdate::HoPrepare { .. } => {
-                let scheme = self.scheme;
-                let new_teid = self.smf.alloc_teid();
-                let s = self.smf.sessions.get_mut(&ue).expect("session exists");
+                let new_teid = new_teid.expect("allocated above");
                 s.pending_ul_teid = Some(new_teid);
                 let kind = match scheme {
                     // §3.3: piggyback the BUFF action on the TEID
@@ -1071,50 +785,38 @@ impl CoreNetwork {
                     HandoverScheme::SmartBuffering => ModKind::HoPrepareSmart { new_teid },
                     HandoverScheme::Hairpin3gpp => ModKind::HoPrepareHairpin { new_teid },
                 };
-                let msg = build_modification(s, kind);
-                outs.n4(Endpoint::Smf, Endpoint::UpfC, msg);
+                let ack = SmContextUpdate::HoPrepareAck {
+                    new_ul_teid: new_teid,
+                };
+                (kind, ack)
             }
             SmContextUpdate::HoPrepared { target_dl } => {
-                let s = self.smf.sessions.get_mut(&ue).expect("session exists");
                 s.an_tunnel = Some(target_dl);
-                let msg = build_modification(s, ModKind::HoPrepared { target_dl });
-                outs.n4(Endpoint::Smf, Endpoint::UpfC, msg);
+                (ModKind::HoPrepared { target_dl }, update)
             }
             SmContextUpdate::HoComplete => {
-                let s = self.smf.sessions.get_mut(&ue).expect("session exists");
                 if let Some(t) = s.pending_ul_teid.take() {
                     s.ul_teid = t;
                 }
                 let tun = s.an_tunnel.expect("target tunnel recorded at HoPrepared");
-                let msg = build_modification(s, ModKind::ForwardTo(tun));
-                outs.n4(Endpoint::Smf, Endpoint::UpfC, msg);
+                (ModKind::ForwardTo(tun), update)
             }
-            SmContextUpdate::ActivateUp => {
-                // Pure SM-context state change: ack without touching the
-                // UPF (the FAR flips when the AN tunnel arrives).
-                outs.sbi(
-                    Endpoint::Smf,
-                    Endpoint::Amf,
-                    SbiOp::UpdateSmContextResp(SmContextUpdate::ActivateUp),
-                    ue,
-                );
+            SmContextUpdate::ActivateUp
+            | SmContextUpdate::HoPrepareAck { .. }
+            | SmContextUpdate::ActivateUpAck { .. } => {
+                unreachable!("{update:?} is not a modifying request")
             }
-            SmContextUpdate::HoPrepareAck { .. } => unreachable!("ack flows SMF → AMF"),
-        }
+        };
+        debug_assert!(s.pending_ack.is_none(), "one modification in flight");
+        s.pending_ack = Some(ack);
+        outs.n4(build_modification(s, kind));
     }
 
     fn smf_n4(&mut self, m: pfcp::Message, outs: &mut Outs) {
-        match m.msg_type {
-            MsgType::AssociationSetupResponse => {
-                debug_assert_eq!(self.smf.n4_association, N4Association::Pending);
-                self.smf.n4_association = N4Association::Established;
-                return;
-            }
-            MsgType::HeartbeatResponse => {
-                self.smf.heartbeats_answered += 1;
-                return;
-            }
-            _ => {}
+        if m.msg_type == MsgType::AssociationSetupResponse {
+            debug_assert_eq!(self.smf.n4_association, N4Association::Pending);
+            self.smf.n4_association = N4Association::Established;
+            return;
         }
         let seid = m.seid.expect("session-scoped N4");
         let ue = self
@@ -1124,89 +826,30 @@ impl CoreNetwork {
         match m.msg_type {
             MsgType::SessionEstablishmentResponse => {
                 let ul_teid = self.smf.sessions[&ue].ul_teid;
-                outs.sbi(
-                    Endpoint::Smf,
-                    Endpoint::Amf,
-                    SbiOp::N1N2MessageTransferReq { ul_teid },
-                    ue,
-                );
+                outs.sbi(SbiOp::N1N2MessageTransferReq { ul_teid }, ue);
             }
             MsgType::SessionModificationResponse => {
-                // Correlate with the pending AMF transaction via the UE's
-                // AMF phase; the SMF echoes the matching update kind.
-                let update = self.classify_mod_ack(ue);
-                outs.sbi(
-                    Endpoint::Smf,
-                    Endpoint::Amf,
-                    SbiOp::UpdateSmContextResp(update),
-                    ue,
-                );
+                // Answer the update this modification was made for.
+                let s = self.smf.sessions.get_mut(&ue).expect("session exists");
+                let ack = s.pending_ack.take().expect("a modification is pending");
+                outs.sbi(SbiOp::UpdateSmContextResp(ack), ue);
             }
             MsgType::SessionDeletionResponse => {
                 self.smf.sessions.remove(&ue);
                 self.smf.by_seid.remove(&seid);
-                outs.sbi(
-                    Endpoint::Smf,
-                    Endpoint::Amf,
-                    SbiOp::ReleaseSmContextResp,
-                    ue,
-                );
+                outs.sbi(SbiOp::ReleaseSmContextResp, ue);
             }
             MsgType::SessionReportRequest => {
                 // Downlink data notification: ack to the UPF and alert the
                 // AMF so it pages the UE.
-                let ul_teid = self.smf.sessions[&ue].ul_teid;
                 let s = self.smf.sessions.get_mut(&ue).expect("session exists");
                 let seq = m.seq;
                 s.pfcp_seq = s.pfcp_seq.max(seq);
-                outs.n4(
-                    Endpoint::Smf,
-                    Endpoint::UpfC,
-                    pfcp::Message::session(
-                        MsgType::SessionReportResponse,
-                        seid,
-                        seq,
-                        IeSet {
-                            cause: Some(pfcp::Cause::Accepted),
-                            ..IeSet::default()
-                        },
-                    ),
-                );
-                outs.sbi(
-                    Endpoint::Smf,
-                    Endpoint::Amf,
-                    SbiOp::N1N2MessageTransferReq { ul_teid },
-                    ue,
-                );
+                let ul_teid = s.ul_teid;
+                outs.n4(accepted(MsgType::SessionReportResponse, seid, seq));
+                outs.sbi(SbiOp::N1N2MessageTransferReq { ul_teid }, ue);
             }
             other => panic!("SMF cannot handle N4 {other:?}"),
-        }
-    }
-
-    /// Maps a modification ack back to the SM-update kind the AMF is
-    /// waiting for, using the AMF-side phase (single outstanding
-    /// transaction per UE, as in the paper's two-user configuration).
-    fn classify_mod_ack(&self, ue: UeId) -> SmContextUpdate {
-        let ctx = self.amf.ues.get(&ue).expect("UE context exists");
-        let s = &self.smf.sessions[&ue];
-        if ctx.idle == IdlePhase::AwaitSmIdle {
-            SmContextUpdate::Idle
-        } else if ctx.paging == PagingPhase::AwaitTunnelBind {
-            SmContextUpdate::Active {
-                an_tunnel: s.an_tunnel.expect("tunnel bound"),
-            }
-        } else if ctx.ho == HoPhase::AwaitSmPrepare {
-            SmContextUpdate::HoPrepareAck {
-                new_ul_teid: s.pending_ul_teid.expect("teid pre-allocated"),
-            }
-        } else if ctx.ho == HoPhase::AwaitSmPrepared {
-            SmContextUpdate::HoPrepared {
-                target_dl: s.an_tunnel.expect("target recorded"),
-            }
-        } else if ctx.ho == HoPhase::AwaitSmComplete {
-            SmContextUpdate::HoComplete
-        } else {
-            SmContextUpdate::AnTunnelInfo(s.an_tunnel.expect("tunnel bound"))
         }
     }
 
@@ -1282,32 +925,17 @@ impl CoreNetwork {
     // ================= UPF =================
 
     fn upfc_n4(&mut self, m: pfcp::Message, outs: &mut Outs) {
-        match m.msg_type {
-            MsgType::AssociationSetupRequest => {
-                outs.n4(
-                    Endpoint::UpfC,
-                    Endpoint::Smf,
-                    pfcp::Message::node(
-                        MsgType::AssociationSetupResponse,
-                        m.seq,
-                        IeSet {
-                            node_id: Some(UPF_N3_ADDR),
-                            cause: Some(pfcp::Cause::Accepted),
-                            ..IeSet::default()
-                        },
-                    ),
-                );
-                return;
-            }
-            MsgType::HeartbeatRequest => {
-                outs.n4(
-                    Endpoint::UpfC,
-                    Endpoint::Smf,
-                    pfcp::Message::node(MsgType::HeartbeatResponse, m.seq, IeSet::default()),
-                );
-                return;
-            }
-            _ => {}
+        if m.msg_type == MsgType::AssociationSetupRequest {
+            outs.n4(pfcp::Message::node(
+                MsgType::AssociationSetupResponse,
+                m.seq,
+                IeSet {
+                    node_id: Some(UPF_N3_ADDR),
+                    cause: Some(pfcp::Cause::Accepted),
+                    ..IeSet::default()
+                },
+            ));
+            return;
         }
         let seid = m.seid.expect("session-scoped N4");
         match m.msg_type {
@@ -1316,19 +944,7 @@ impl CoreNetwork {
                 self.upf.establish(seid, ue, &m.ies);
                 self.obs
                     .event(self.upf_now, EventKind::PfcpEstablish { seid });
-                outs.n4(
-                    Endpoint::UpfC,
-                    Endpoint::Smf,
-                    pfcp::Message::session(
-                        MsgType::SessionEstablishmentResponse,
-                        seid,
-                        m.seq,
-                        IeSet {
-                            cause: Some(pfcp::Cause::Accepted),
-                            ..IeSet::default()
-                        },
-                    ),
-                );
+                outs.n4(accepted(MsgType::SessionEstablishmentResponse, seid, m.seq));
             }
             MsgType::SessionModificationRequest => {
                 let released = self.upf.modify(seid, &m.ies);
@@ -1342,19 +958,7 @@ impl CoreNetwork {
                         },
                     );
                 }
-                outs.n4(
-                    Endpoint::UpfC,
-                    Endpoint::Smf,
-                    pfcp::Message::session(
-                        MsgType::SessionModificationResponse,
-                        seid,
-                        m.seq,
-                        IeSet {
-                            cause: Some(pfcp::Cause::Accepted),
-                            ..IeSet::default()
-                        },
-                    ),
-                );
+                outs.n4(accepted(MsgType::SessionModificationResponse, seid, m.seq));
                 // Flushed buffer: deliver in order, paced at the datapath
                 // service rate.
                 let svc = self.cost.datapath_service(self.deployment.datapath(), 1400);
@@ -1378,23 +982,11 @@ impl CoreNetwork {
                 let deleted = self.upf.delete(seid);
                 debug_assert!(deleted, "deletion targets a live session");
                 self.obs.event(self.upf_now, EventKind::PfcpDelete { seid });
-                outs.n4(
-                    Endpoint::UpfC,
-                    Endpoint::Smf,
-                    pfcp::Message::session(
-                        MsgType::SessionDeletionResponse,
-                        seid,
-                        m.seq,
-                        IeSet {
-                            cause: Some(pfcp::Cause::Accepted),
-                            ..IeSet::default()
-                        },
-                    ),
-                );
+                outs.n4(accepted(MsgType::SessionDeletionResponse, seid, m.seq));
             }
             MsgType::SessionReportRequest => {
                 // Raised by UPF-U; forward over N4 to the SMF.
-                outs.n4(Endpoint::UpfC, Endpoint::Smf, m);
+                outs.n4(m);
             }
             MsgType::SessionReportResponse => {
                 // SMF acknowledged the downlink-data report.
@@ -1403,7 +995,7 @@ impl CoreNetwork {
         }
     }
 
-    fn upfu_data(&mut self, pkt: DataPacket, _handler: SimDuration) -> Vec<Output> {
+    fn upfu_data(&mut self, pkt: DataPacket) -> Vec<Output> {
         let path = self.deployment.datapath();
         let svc = self.cost.datapath_service(path, pkt.size);
         // Run-to-completion server: queue behind whatever is in service.
@@ -1460,104 +1052,50 @@ impl CoreNetwork {
     }
 }
 
+/// Pages an idle UE for downlink data (TS 23.502 §4.2.3.3): the paging
+/// procedure starts now.
+fn page(ctx: &mut AmfUeCtx, now: SimTime, outs: &mut Outs) {
+    ctx.proc_start = now;
+    ctx.paging = PagingPhase::AwaitServiceRequest;
+    outs.ngap(ctx.serving_gnb, NgapMessage::Paging { guti: ctx.guti });
+}
+
+/// The UPF's N3 tunnel endpoint for an uplink TEID.
+fn n3_tunnel(teid: u32) -> TunnelInfo {
+    TunnelInfo {
+        teid,
+        addr: UPF_N3_ADDR.to_u32(),
+    }
+}
+
+/// A session-scoped PFCP response with cause "accepted".
+fn accepted(msg_type: MsgType, seid: u64, seq: u32) -> pfcp::Message {
+    let ies = IeSet {
+        cause: Some(pfcp::Cause::Accepted),
+        ..IeSet::default()
+    };
+    pfcp::Message::session(msg_type, seid, seq, ies)
+}
+
 /// Per-message handler processing costs (the "common" component of Fig 8;
-/// see DESIGN.md §5). Classes: heavy session-management and
-/// authentication-vector work, medium context bookkeeping, light relays.
+/// see DESIGN.md §5). An SBI operation's weight is in its table row; the
+/// NGAP and N4 classes are below.
 pub fn handler_cost(cost: &CostModel, env: &Envelope) -> SimDuration {
     let unit = cost.handler; // 1 ms
     let scale = |x: f64| SimDuration::from_secs_f64(unit.as_secs_f64() * x);
     match (&env.to, &env.msg) {
         // Data plane never pays control handler costs.
         (_, Msg::Data(_)) => SimDuration::ZERO,
-        // Heavy: AKA vector generation, SM context creation (IP
-        // allocation, context setup), policy decisions, subscription
-        // fetches, UPF rule install.
-        (
-            Endpoint::Udm,
-            Msg::Sbi {
-                op: SbiOp::GenerateAuthDataReq,
-                ..
-            },
-        ) => scale(8.0),
-        (
-            Endpoint::Smf,
-            Msg::Sbi {
-                op: SbiOp::CreateSmContextReq,
-                ..
-            },
-        ) => scale(20.0),
-        (
-            Endpoint::Pcf,
-            Msg::Sbi {
-                op: SbiOp::SmPolicyCreateReq,
-                ..
-            },
-        ) => scale(15.0),
-        (
-            Endpoint::Udm,
-            Msg::Sbi {
-                op: SbiOp::SdmGetSmDataReq,
-                ..
-            },
-        ) => scale(10.0),
-        (
-            Endpoint::Pcf,
-            Msg::Sbi {
-                op: SbiOp::AmPolicyCreateReq,
-                ..
-            },
-        ) => scale(6.0),
-        (
-            Endpoint::Udm,
-            Msg::Sbi {
-                op: SbiOp::SdmGetAmDataReq,
-                ..
-            },
-        ) => scale(5.0),
-        (
-            Endpoint::Udm,
-            Msg::Sbi {
-                op: SbiOp::UecmRegistrationReq,
-                ..
-            },
-        ) => scale(4.0),
-        (
-            Endpoint::Ausf,
-            Msg::Sbi {
-                op: SbiOp::UeAuthCtxCreateReq,
-                ..
-            },
-        ) => scale(4.0),
-        (
-            Endpoint::Ausf,
-            Msg::Sbi {
-                op: SbiOp::Auth5gAkaConfirmReq,
-                ..
-            },
-        ) => scale(3.0),
+        (_, Msg::Sbi { op, .. }) => scale(op.row().weight),
+        // Heavy: UPF rule install.
         (Endpoint::UpfC, Msg::N4(m)) if m.msg_type == MsgType::SessionEstablishmentRequest => {
             scale(2.0)
         }
-        // Medium: SMF updates and AMF procedure steps.
-        (
-            Endpoint::Smf,
-            Msg::Sbi {
-                op: SbiOp::UpdateSmContextReq(_),
-                ..
-            },
-        ) => scale(2.0),
-        (
-            Endpoint::Smf,
-            Msg::Sbi {
-                op: SbiOp::SmContextRetrieveReq,
-                ..
-            },
-        ) => scale(2.0),
+        // Medium: downlink-data reports and AMF procedure steps.
         (Endpoint::Smf, Msg::N4(m)) if m.msg_type == MsgType::SessionReportRequest => scale(2.0),
         (Endpoint::Amf, Msg::Ngap(NgapMessage::InitialUeMessage { .. })) => scale(2.0),
         (Endpoint::Amf, Msg::Ngap(_)) => scale(1.0),
-        (Endpoint::Amf, Msg::Sbi { .. }) => scale(1.0),
-        // Light: everything else (acks, relays, UPF modifications).
+        // Light: everything else (N4 acks, UPF modifications).
         _ => scale(0.5),
     }
 }
@@ -1583,38 +1121,7 @@ pub fn nf_name(ep: Endpoint) -> &'static str {
 /// traces (SBI operations by name, NGAP/N4 by message type).
 pub(crate) fn msg_label(msg: &Msg) -> &'static str {
     match msg {
-        Msg::Sbi { op, .. } => match op {
-            SbiOp::UeAuthCtxCreateReq => "UeAuthCtxCreateReq",
-            SbiOp::UeAuthCtxCreateResp { .. } => "UeAuthCtxCreateResp",
-            SbiOp::GenerateAuthDataReq => "GenerateAuthDataReq",
-            SbiOp::GenerateAuthDataResp { .. } => "GenerateAuthDataResp",
-            SbiOp::Auth5gAkaConfirmReq => "Auth5gAkaConfirmReq",
-            SbiOp::Auth5gAkaConfirmResp => "Auth5gAkaConfirmResp",
-            SbiOp::UecmRegistrationReq => "UecmRegistrationReq",
-            SbiOp::UecmRegistrationResp => "UecmRegistrationResp",
-            SbiOp::SdmGetAmDataReq => "SdmGetAmDataReq",
-            SbiOp::SdmGetAmDataResp => "SdmGetAmDataResp",
-            SbiOp::SdmSubscribeReq => "SdmSubscribeReq",
-            SbiOp::SdmSubscribeResp => "SdmSubscribeResp",
-            SbiOp::AmPolicyCreateReq => "AmPolicyCreateReq",
-            SbiOp::AmPolicyCreateResp => "AmPolicyCreateResp",
-            SbiOp::CreateSmContextReq => "CreateSmContextReq",
-            SbiOp::CreateSmContextResp => "CreateSmContextResp",
-            SbiOp::SdmGetSmDataReq => "SdmGetSmDataReq",
-            SbiOp::SdmGetSmDataResp => "SdmGetSmDataResp",
-            SbiOp::SmPolicyCreateReq => "SmPolicyCreateReq",
-            SbiOp::SmPolicyCreateResp => "SmPolicyCreateResp",
-            SbiOp::N1N2MessageTransferReq { .. } => "N1N2MessageTransferReq",
-            SbiOp::N1N2MessageTransferResp => "N1N2MessageTransferResp",
-            SbiOp::NfDiscoveryReq => "NfDiscoveryReq",
-            SbiOp::NfDiscoveryResp => "NfDiscoveryResp",
-            SbiOp::SmContextRetrieveReq => "SmContextRetrieveReq",
-            SbiOp::SmContextRetrieveResp => "SmContextRetrieveResp",
-            SbiOp::ReleaseSmContextReq => "ReleaseSmContextReq",
-            SbiOp::ReleaseSmContextResp => "ReleaseSmContextResp",
-            SbiOp::UpdateSmContextReq(_) => "UpdateSmContextReq",
-            SbiOp::UpdateSmContextResp(_) => "UpdateSmContextResp",
-        },
+        Msg::Sbi { op, .. } => op.row().label,
         Msg::Ngap(m) => match m {
             NgapMessage::InitialUeMessage { .. } => "InitialUeMessage",
             NgapMessage::DownlinkNasTransport { .. } => "DownlinkNasTransport",
@@ -1729,29 +1236,43 @@ fn build_modification(s: &mut SmfSession, kind: ModKind) -> pfcp::Message {
     pfcp::Message::session(MsgType::SessionModificationRequest, s.seid, s.pfcp_seq, ies)
 }
 
-/// Helper accumulating an NF's outgoing envelopes. `None` delay means
-/// "compute the control-hop cost"; `Some` is a fixed datapath delay.
+/// The envelopes one NF emits while handling one message; every send
+/// leaves from that NF. `None` delay means "compute the control-hop
+/// cost"; `Some` is a fixed datapath delay.
 struct Outs {
+    from: Endpoint,
     items: Vec<(Option<SimDuration>, Envelope)>,
 }
 
 impl Outs {
-    fn sbi(&mut self, from: Endpoint, to: Endpoint, op: SbiOp, ue: UeId) {
-        self.items
-            .push((None, Envelope::new(from, to, Msg::Sbi { op, ue })));
+    /// An SBI operation about `ue`, to the NF its table row names.
+    fn sbi(&mut self, op: SbiOp, ue: UeId) {
+        let to = op.row().to;
+        self.push(to, Msg::Sbi { op, ue });
     }
 
-    fn ngap(&mut self, from: Endpoint, to: Endpoint, m: NgapMessage) {
-        self.items
-            .push((None, Envelope::new(from, to, Msg::Ngap(m))));
+    /// An NGAP message from the AMF to a gNB.
+    fn ngap(&mut self, gnb: GnbId, m: NgapMessage) {
+        self.push(Endpoint::Gnb(gnb), Msg::Ngap(m));
     }
 
-    fn n4(&mut self, from: Endpoint, to: Endpoint, m: pfcp::Message) {
-        self.items.push((None, Envelope::new(from, to, Msg::N4(m))));
+    /// A PFCP message to the N4 peer: UPF-C for the SMF, the SMF for
+    /// UPF-C.
+    fn n4(&mut self, m: pfcp::Message) {
+        let to = if self.from == Endpoint::Smf {
+            Endpoint::UpfC
+        } else {
+            Endpoint::Smf
+        };
+        self.push(to, Msg::N4(m));
     }
 
     fn raw(&mut self, delay: SimDuration, env: Envelope) {
         self.items.push((Some(delay), env));
+    }
+
+    fn push(&mut self, to: Endpoint, msg: Msg) {
+        self.items.push((None, Envelope::new(self.from, to, msg)));
     }
 }
 
@@ -1773,18 +1294,6 @@ mod tests {
     }
 
     #[test]
-    fn n4_heartbeat_roundtrip() {
-        let mut core = CoreNetwork::new(Deployment::L25gc);
-        for i in 1..=3 {
-            let hb = core.n4_heartbeat();
-            let outs = core.handle(hb, SimTime::ZERO);
-            let resp = outs.into_iter().next().expect("UPF answers").env;
-            core.handle(resp, SimTime::ZERO);
-            assert_eq!(core.smf.heartbeats_answered, i);
-        }
-    }
-
-    #[test]
     fn handler_costs_scale_by_class() {
         let cost = CostModel::paper();
         let heavy = handler_cost(
@@ -1793,7 +1302,7 @@ mod tests {
                 Endpoint::Ausf,
                 Endpoint::Udm,
                 Msg::Sbi {
-                    op: SbiOp::GenerateAuthDataReq,
+                    op: SbiOp::GenerateAuthDataReq { supi: 101 },
                     ue: 1,
                 },
             ),

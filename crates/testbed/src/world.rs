@@ -847,6 +847,42 @@ mod tests {
         );
     }
 
+    /// Downlink data that reaches the AMF while the UE's AN release is
+    /// still running (TS 23.502 §4.2.3.3) is held, and the UE is paged
+    /// once the release ends: one DL packet every 50 µs from the idle
+    /// trigger until well past the release, on every deployment.
+    #[test]
+    fn dl_data_during_an_release_pages_after_it() {
+        for dep in [Deployment::L25gc, Deployment::OnvmUpf, Deployment::Free5gc] {
+            let mut eng = engine(dep);
+            World::bring_up_ue(&mut eng, 1);
+            let out = eng.world().ran.trigger_idle(1);
+            eng.schedule_in(SimDuration::ZERO, move |w: &mut World, ctx| {
+                w.send_after(ctx, out.delay, out.env);
+                w.start_cbr(1, 0, 20_000, 100, SimDuration::from_millis(60), ctx);
+            });
+            eng.run();
+            let w = eng.world();
+            let done = |kind| w.core.events.iter().filter(|e| e.event == kind).count();
+            assert_eq!(done(UeEvent::IdleTransition), 1, "{dep:?}");
+            assert_eq!(done(UeEvent::Paging), 1, "{dep:?}: the held data pages");
+            assert_eq!(done(UeEvent::SessionRequest), 1, "{dep:?}: no second setup");
+            let ctx = &w.core.amf.ues[&1];
+            assert_eq!(
+                (ctx.reg, ctx.sess, ctx.ho, ctx.paging, ctx.idle, ctx.dereg),
+                Default::default(),
+                "{dep:?}: every AMF phase is back to None"
+            );
+            assert!(w.ran.ues[&1].connected, "{dep:?}: the paged UE is awake");
+            let flow = &w.apps.cbr[0];
+            assert_eq!(flow.sent, 1_200);
+            assert_eq!(
+                w.apps.ue_received, flow.sent,
+                "{dep:?}: each DL packet reaches the UE exactly once"
+            );
+        }
+    }
+
     #[test]
     fn handover_completes_and_traffic_continues() {
         let mut eng = engine(Deployment::L25gc);

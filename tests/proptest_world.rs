@@ -99,9 +99,8 @@ fn run_scenario(dep: Deployment, actions: &[(UeAction, u64)]) -> Engine<World> {
 
 /// One step of the failover property: an action, the UE it hits, the gap
 /// before the next step, and how long after the step's downlink wave
-/// starts a handover fires, ms. An idle step's wave starts midway through
-/// the gap instead: data reaching the AMF mid-way through the release
-/// trips its phase checks with no failover at all.
+/// starts the action fires, ms. The wave runs 100 ms, so an idle step's
+/// data reaches the AMF while the AN release runs (TS 23.502 §4.2.3.3).
 type Step = (UeAction, u64, u64, u64);
 
 /// Two UEs under random steps with the resiliency harness on: the
@@ -125,11 +124,8 @@ fn run_failover(
         .data_capacity = data_capacity;
     let mut at = SimDuration::from_millis(10);
     for (i, &(action, ue, gap_ms, lead_ms)) in steps.iter().enumerate() {
-        let (action_at, wave_at) = match action {
-            UeAction::Idle => (at, at + SimDuration::from_millis(gap_ms / 2)),
-            _ => (at + SimDuration::from_millis(lead_ms), at),
-        };
-        schedule_step(&mut eng, action_at, ue, action, wave_at, i as u32);
+        let action_at = at + SimDuration::from_millis(lead_ms);
+        schedule_step(&mut eng, action_at, ue, action, at, i as u32);
         if i == fail_step {
             let fail_at = action_at + fail_after;
             eng.schedule_in(fail_at, |w: &mut World, ctx| w.fail_primary(ctx));
@@ -199,7 +195,7 @@ proptest! {
     /// every procedure still completes, no DL packet reaches a UE twice,
     /// the replay runs in counter order, and every ingress stamped since
     /// the checkpoint (what arrived while the replay ran included) goes
-    /// through it rather than around it. A handover fires while its
+    /// through it rather than around it. Every action fires while its
     /// step's downlink wave runs, and the failure lands within 200 ms of a
     /// random step's action, where procedure and traffic overlap. With
     /// the data queues sized to overflow, a shed entry the primary never
