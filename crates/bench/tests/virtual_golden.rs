@@ -31,6 +31,9 @@ const WORLD_IDS: [&str; 12] = [
     "ablate-canary",
 ];
 
+/// Closed-form and cost-model tables: no World, no draws, so one seed.
+const CLOSED_FORM_IDS: [&str; 4] = ["eq12", "fig7", "fig10", "scaling40g"];
+
 /// Seeds for the load-engine commands, which do draw.
 const SEEDS: [u64; 2] = [7, 23];
 
@@ -83,6 +86,7 @@ fn commands() -> Vec<(Vec<&'static str>, &'static [u64])> {
             ],
             &SEEDS,
         ),
+        (CLOSED_FORM_IDS.to_vec(), &[7]),
     ]
 }
 

@@ -165,8 +165,7 @@ pub enum SmContextUpdate {
     /// Carry the gNB's downlink tunnel endpoint after session setup.
     AnTunnelInfo(TunnelInfo),
     /// Handover preparation: target chosen; the SMF pre-allocates the
-    /// target-side UL TEID and — in L²5GC's smart scheme — piggybacks
-    /// the BUFF action (§3.3).
+    /// target-side UL TEID and piggybacks the BUFF action (§3.3).
     HoPrepare {
         /// The gNB the UE is moving to.
         target_gnb: GnbId,

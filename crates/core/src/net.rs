@@ -37,16 +37,6 @@ use crate::upf::{ue_ip_for, PdrBackend, Upf, Verdict};
 /// The UPF's N3 address (free5GC's default data-plane address).
 pub const UPF_N3_ADDR: Ipv4Addr = Ipv4Addr::new(10, 200, 200, 102);
 
-/// How the handover routes in-flight downlink data (§3.3, Fig 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HandoverScheme {
-    /// L²5GC: buffer at the UPF, deliver directly to the target gNB.
-    SmartBuffering,
-    /// 3GPP baseline: source gNB buffers (limited) and hairpins the
-    /// packets back through the UPF after the UE moves.
-    Hairpin3gpp,
-}
-
 /// An envelope the core wants delivered after `delay`.
 #[derive(Debug)]
 pub struct Output {
@@ -120,8 +110,6 @@ pub(crate) struct Udm {
 pub struct CoreNetwork {
     /// Which of the three Fig 8 systems this instance is.
     pub deployment: Deployment,
-    /// Handover routing scheme.
-    pub(crate) scheme: HandoverScheme,
     /// The calibrated cost model.
     pub cost: CostModel,
     /// AMF state.
@@ -149,7 +137,6 @@ impl CoreNetwork {
     pub fn new(deployment: Deployment) -> CoreNetwork {
         CoreNetwork {
             deployment,
-            scheme: HandoverScheme::SmartBuffering,
             cost: CostModel::paper(),
             amf: Amf::default(),
             smf: Smf::default(),
@@ -765,7 +752,6 @@ impl CoreNetwork {
         }
         let new_teid =
             matches!(update, SmContextUpdate::HoPrepare { .. }).then(|| self.smf.alloc_teid());
-        let scheme = self.scheme;
         let s = self.smf.sessions.get_mut(&ue).expect("session exists");
         let (kind, ack) = match update {
             SmContextUpdate::AnTunnelInfo(tun) | SmContextUpdate::Active { an_tunnel: tun } => {
@@ -779,16 +765,10 @@ impl CoreNetwork {
             SmContextUpdate::HoPrepare { .. } => {
                 let new_teid = new_teid.expect("allocated above");
                 s.pending_ul_teid = Some(new_teid);
-                let kind = match scheme {
-                    // §3.3: piggyback the BUFF action on the TEID
-                    // allocation — no extra control message.
-                    HandoverScheme::SmartBuffering => ModKind::HoPrepareSmart { new_teid },
-                    HandoverScheme::Hairpin3gpp => ModKind::HoPrepareHairpin { new_teid },
-                };
                 let ack = SmContextUpdate::HoPrepareAck {
                     new_ul_teid: new_teid,
                 };
-                (kind, ack)
+                (ModKind::HoPrepare { new_teid }, ack)
             }
             SmContextUpdate::HoPrepared { target_dl } => {
                 s.an_tunnel = Some(target_dl);
@@ -1157,8 +1137,7 @@ pub(crate) fn msg_label(msg: &Msg) -> &'static str {
 enum ModKind {
     ForwardTo(TunnelInfo),
     IdleBuffer,
-    HoPrepareSmart { new_teid: u32 },
-    HoPrepareHairpin { new_teid: u32 },
+    HoPrepare { new_teid: u32 },
     HoPrepared { target_dl: TunnelInfo },
 }
 
@@ -1175,19 +1154,6 @@ fn build_modification(s: &mut SmfSession, kind: ModKind) -> pfcp::Message {
             }),
         }),
     };
-    let new_teid_pdr = |teid: u32| UpdatePdr {
-        pdr_id: 1,
-        precedence: None,
-        pdi: Some(Pdi {
-            source_interface: Some(Interface::Access),
-            f_teid: Some(FTeid {
-                teid,
-                addr: UPF_N3_ADDR,
-            }),
-            ..Pdi::default()
-        }),
-        far_id: None,
-    };
     let ies = match kind {
         ModKind::ForwardTo(tun) => IeSet {
             update_fars: vec![far_forward(tun)],
@@ -1201,9 +1167,22 @@ fn build_modification(s: &mut SmfSession, kind: ModKind) -> pfcp::Message {
             }],
             ..IeSet::default()
         },
-        // The §3.3 piggyback: TEID allocation + BUFF in one message.
-        ModKind::HoPrepareSmart { new_teid } => IeSet {
-            update_pdrs: vec![new_teid_pdr(new_teid)],
+        // The §3.3 piggyback: TEID allocation + BUFF in one message, so
+        // smart buffering costs no extra control message.
+        ModKind::HoPrepare { new_teid } => IeSet {
+            update_pdrs: vec![UpdatePdr {
+                pdr_id: 1,
+                precedence: None,
+                pdi: Some(Pdi {
+                    source_interface: Some(Interface::Access),
+                    f_teid: Some(FTeid {
+                        teid: new_teid,
+                        addr: UPF_N3_ADDR,
+                    }),
+                    ..Pdi::default()
+                }),
+                far_id: None,
+            }],
             update_fars: vec![UpdateFar {
                 far_id: 2,
                 apply_action: Some(ApplyAction::BUFF),
@@ -1211,24 +1190,11 @@ fn build_modification(s: &mut SmfSession, kind: ModKind) -> pfcp::Message {
             }],
             ..IeSet::default()
         },
-        // 3GPP baseline: TEID only; DL keeps flowing to the source gNB.
-        ModKind::HoPrepareHairpin { new_teid } => IeSet {
-            update_pdrs: vec![new_teid_pdr(new_teid)],
-            ..IeSet::default()
-        },
-        // Record the target tunnel but keep buffering (smart) / keep
-        // forwarding to the source (hairpin handled by FAR state).
+        // Record the target tunnel but keep buffering.
         ModKind::HoPrepared { target_dl } => IeSet {
             update_fars: vec![UpdateFar {
-                far_id: 2,
                 apply_action: None,
-                forwarding: Some(ForwardingParameters {
-                    dest_interface: Interface::Access,
-                    outer_header_creation: Some(pfcp::OuterHeaderCreation {
-                        teid: target_dl.teid,
-                        addr: Ipv4Addr::from_u32(target_dl.addr),
-                    }),
-                }),
+                ..far_forward(target_dl)
             }],
             ..IeSet::default()
         },
@@ -1350,8 +1316,7 @@ mod tests {
         match m {
             NgapMessage::DownlinkNasTransport { ue, nas } => match nas {
                 NasMessage::AuthenticationRequest { rand, sqn } => {
-                    let mut usim = Udr::new();
-                    let res = Udr::ue_response(usim.provision_default(100 + ue), rand, sqn);
+                    let res = Udr::ue_response(100 + ue, rand, sqn);
                     vec![up(ue, NasMessage::AuthenticationResponse { res })]
                 }
                 NasMessage::SecurityModeCommand => vec![up(ue, NasMessage::SecurityModeComplete)],

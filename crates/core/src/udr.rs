@@ -2,41 +2,57 @@
 //! (free5GC stores this in MongoDB; §B "Subscriber information is stored
 //! in a MongoDB database, and accessed through the UDR NF").
 //!
-//! Holds per-SUPI subscription records: the permanent key material used
-//! to derive 5G-AKA authentication vectors, the subscribed slice and
-//! DNN, and AMBR limits that seed the session's QER. The AKA derivation
-//! is a simplified deterministic PRF — the experiment-visible property
-//! is that challenge and response agree end to end, not the exact
-//! Milenage algebra.
+//! Holds per-SUPI subscription records: the USIM's permanent key
+//! material and the SQN, from which 5G-AKA authentication vectors are
+//! derived. The AKA derivation is a simplified deterministic PRF — the
+//! experiment-visible property is that challenge and response agree end
+//! to end, not the exact Milenage algebra.
 
 use std::collections::HashMap;
 
-/// Subscribed QoS profile.
+/// A USIM's permanent key material; the UDR holds the same copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Ambr {
-    /// Downlink aggregate maximum bit rate (bits/s); 0 = unlimited.
-    pub(crate) dl_bps: u64,
-    /// Uplink aggregate maximum bit rate (bits/s); 0 = unlimited.
-    pub(crate) ul_bps: u64,
+struct Usim {
+    /// Permanent key K.
+    k: [u8; 16],
+    /// Operator code OPc.
+    opc: [u8; 16],
+}
+
+impl Usim {
+    /// The key material derived from `supi`, which both the testbed's
+    /// "fill the HSS" provisioning and the simulated UE's USIM hold.
+    fn of(supi: u64) -> Usim {
+        let mut k = [0u8; 16];
+        let mut opc = [0u8; 16];
+        k[..8].copy_from_slice(&supi.to_be_bytes());
+        k[8..].copy_from_slice(&supi.wrapping_mul(0x5851_f42d_4c95_7f2d).to_be_bytes());
+        opc[..8].copy_from_slice(&supi.rotate_left(17).to_be_bytes());
+        opc[8..].copy_from_slice(&supi.wrapping_add(0x1234_5678_9abc_def0).to_be_bytes());
+        Usim { k, opc }
+    }
+
+    /// RES for the challenge `rand` at `sqn` (the UDM's XRES).
+    fn res(&self, rand: [u8; 16], sqn: u64) -> [u8; 16] {
+        prf(&self.k, &self.opc, &challenge(rand, sqn))
+    }
+}
+
+/// The PRF input of a challenge: RAND followed by the SQN.
+fn challenge(rand: [u8; 16], sqn: u64) -> [u8; 24] {
+    let mut input = [0u8; 24];
+    input[..16].copy_from_slice(&rand);
+    input[16..].copy_from_slice(&sqn.to_be_bytes());
+    input
 }
 
 /// One subscriber record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Subscriber {
-    /// Subscription permanent identifier.
-    pub(crate) supi: u64,
-    /// Permanent key K (USIM secret).
-    pub(crate) k: [u8; 16],
-    /// Operator code OPc.
-    pub(crate) opc: [u8; 16],
+pub(crate) struct Subscriber {
+    /// The subscriber's USIM key material.
+    usim: Usim,
     /// Sequence number for AKA freshness.
     pub(crate) sqn: u64,
-    /// Subscribed data network name.
-    pub(crate) dnn: String,
-    /// Subscribed S-NSSAI (slice/service type).
-    pub(crate) sst: u8,
-    /// Subscribed AMBR.
-    pub(crate) ambr: Ambr,
 }
 
 /// A 5G-AKA authentication vector as the UDM hands it to the AUSF.
@@ -80,32 +96,12 @@ pub struct Udr {
 }
 
 impl Udr {
-    /// An empty repository.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Provisions a subscriber with deterministic key material derived
-    /// from the SUPI (what the testbed's "fill the HSS" scripts do).
-    pub fn provision_default(&mut self, supi: u64) -> &Subscriber {
-        let mut k = [0u8; 16];
-        let mut opc = [0u8; 16];
-        k[..8].copy_from_slice(&supi.to_be_bytes());
-        k[8..].copy_from_slice(&supi.wrapping_mul(0x5851_f42d_4c95_7f2d).to_be_bytes());
-        opc[..8].copy_from_slice(&supi.rotate_left(17).to_be_bytes());
-        opc[8..].copy_from_slice(&supi.wrapping_add(0x1234_5678_9abc_def0).to_be_bytes());
+    /// Provisions `supi` with the key material its USIM holds.
+    pub(crate) fn provision_default(&mut self, supi: u64) {
         self.subscribers.entry(supi).or_insert(Subscriber {
-            supi,
-            k,
-            opc,
+            usim: Usim::of(supi),
             sqn: 0,
-            dnn: "internet".into(),
-            sst: 1,
-            ambr: Ambr {
-                dl_bps: 0,
-                ul_bps: 0,
-            },
-        })
+        });
     }
 
     /// Reads a record.
@@ -118,21 +114,17 @@ impl Udr {
     pub(crate) fn generate_auth_vector(&mut self, supi: u64, rand: [u8; 16]) -> Option<AuthVector> {
         let sub = self.subscribers.get_mut(&supi)?;
         sub.sqn += 1;
-        let mut input = [0u8; 24];
-        input[..16].copy_from_slice(&rand);
-        input[16..].copy_from_slice(&sub.sqn.to_be_bytes());
-        let xres = prf(&sub.k, &sub.opc, &input);
-        let autn = prf(&sub.opc, &sub.k, &input);
+        let Usim { k, opc } = sub.usim;
+        let input = challenge(rand, sub.sqn);
+        let xres = prf(&k, &opc, &input);
+        let autn = prf(&opc, &k, &input);
         Some(AuthVector { rand, autn, xres })
     }
 
-    /// The UE side of the same computation (the USIM holds the same K,
-    /// OPc and tracks the SQN): produces RES for a challenge.
-    pub fn ue_response(sub: &Subscriber, rand: [u8; 16], sqn: u64) -> [u8; 16] {
-        let mut input = [0u8; 24];
-        input[..16].copy_from_slice(&rand);
-        input[16..].copy_from_slice(&sqn.to_be_bytes());
-        prf(&sub.k, &sub.opc, &input)
+    /// The UE side of the same computation: `supi`'s USIM answers the
+    /// challenge `rand` at `sqn` with RES.
+    pub fn ue_response(supi: u64, rand: [u8; 16], sqn: u64) -> [u8; 16] {
+        Usim::of(supi).res(rand, sqn)
     }
 
     /// Number of provisioned subscribers.
@@ -148,32 +140,32 @@ mod tests {
 
     #[test]
     fn provisioning_is_deterministic_and_distinct() {
-        let mut a = Udr::new();
-        let mut b = Udr::new();
-        let s1 = a.provision_default(101).clone();
-        let s1b = b.provision_default(101).clone();
-        assert_eq!(s1, s1b, "same SUPI, same material");
-        let s2 = a.provision_default(102).clone();
-        assert_ne!(s1.k, s2.k, "distinct subscribers get distinct keys");
+        let mut a = Udr::default();
+        let mut b = Udr::default();
+        a.provision_default(101);
+        b.provision_default(101);
+        assert_eq!(a.get(101), b.get(101), "same SUPI, same material");
+        a.provision_default(102);
+        let (k1, k2) = (a.get(101).unwrap().usim.k, a.get(102).unwrap().usim.k);
+        assert_ne!(k1, k2, "distinct subscribers get distinct keys");
         assert_eq!(a.len(), 2);
     }
 
     #[test]
     fn auth_vector_matches_ue_side() {
-        let mut udr = Udr::new();
+        let mut udr = Udr::default();
         udr.provision_default(101);
         let rand = [0x5a; 16];
         let av = udr
             .generate_auth_vector(101, rand)
             .expect("known subscriber");
-        let sub = udr.get(101).unwrap();
-        let res = Udr::ue_response(sub, rand, sub.sqn);
+        let res = Udr::ue_response(101, rand, udr.get(101).unwrap().sqn);
         assert_eq!(res, av.xres, "USIM and UDM agree");
     }
 
     #[test]
     fn challenges_are_fresh() {
-        let mut udr = Udr::new();
+        let mut udr = Udr::default();
         udr.provision_default(101);
         let av1 = udr.generate_auth_vector(101, [1; 16]).unwrap();
         let av2 = udr.generate_auth_vector(101, [1; 16]).unwrap();
@@ -182,20 +174,20 @@ mod tests {
 
     #[test]
     fn unknown_subscriber_is_refused() {
-        let mut udr = Udr::new();
+        let mut udr = Udr::default();
         assert!(udr.generate_auth_vector(999, [0; 16]).is_none());
         assert!(udr.get(999).is_none());
     }
 
     #[test]
     fn wrong_key_fails_verification() {
-        let mut udr = Udr::new();
+        let mut udr = Udr::default();
         udr.provision_default(101);
         let rand = [7; 16];
         let av = udr.generate_auth_vector(101, rand).unwrap();
-        let mut impostor = udr.get(101).unwrap().clone();
+        let mut impostor = Usim::of(101);
         impostor.k[0] ^= 0xff;
-        let res = Udr::ue_response(&impostor, rand, impostor.sqn);
+        let res = impostor.res(rand, udr.get(101).unwrap().sqn);
         assert_ne!(res, av.xres, "a wrong K cannot answer the challenge");
     }
 

@@ -123,8 +123,6 @@ pub struct UpfSession {
     pub ul_teid: u32,
     /// Classifier rule id of the uplink (TEID-matching) PDR.
     pub(crate) ul_rule_id: u64,
-    /// Pre-allocated TEID for a handover target gNB.
-    pub(crate) pending_ul_teid: Option<u32>,
     /// Downlink FAR.
     pub dl_far: FarState,
     /// Uplink FAR action (normally FORW toward the DN).
@@ -142,8 +140,6 @@ pub struct UpfSession {
     pub qer_bindings: FastMap<u64, Vec<u32>>,
     /// Smart buffer for DL packets during paging/handover.
     pub buffer: VecDeque<DataPacket>,
-    /// Buffer capacity in packets (the paper's experiments use 3 K).
-    pub(crate) buffer_cap: usize,
     /// Whether a downlink-data report was already raised for the current
     /// buffering episode.
     pub ddn_reported: bool,
@@ -195,8 +191,9 @@ pub struct Upf {
     /// seid → ul_teid, so N4 (keyed by SEID) can find sessions. SEIDs
     /// come from the SMF's allocator, so the unkeyed [`FastMap`] is safe.
     by_seid: FastMap<u64, u32>,
-    /// Default buffer capacity for new sessions.
-    pub default_buffer_cap: usize,
+    /// Smart-buffer capacity of every session, in packets (the paper's
+    /// experiments use 3 K).
+    pub buffer_cap: usize,
     /// Forwarding/drop counters.
     pub counters: Counters,
     /// Per-packet flight recorder: drops (with reason), buffering
@@ -215,7 +212,7 @@ impl Upf {
         Upf {
             sessions: DualKeyTable::new(),
             by_seid: FastMap::default(),
-            default_buffer_cap: 3000,
+            buffer_cap: 3000,
             counters: Counters::new(),
             flight: FlightRecorder::with_default_capacity(),
             busy_until: SimTime::ZERO,
@@ -308,7 +305,6 @@ impl Upf {
             ue_ip,
             ul_teid,
             ul_rule_id,
-            pending_ul_teid: None,
             qers,
             qer_ids: qer_ids.into_boxed_slice(),
             qer_bindings,
@@ -325,7 +321,6 @@ impl Upf {
             ul_far: ApplyAction::FORW,
             pdrs,
             buffer: VecDeque::new(),
-            buffer_cap: self.default_buffer_cap,
             ddn_reported: false,
         };
         self.sessions.insert(ul_teid, ue_ip, session);
@@ -362,7 +357,6 @@ impl Upf {
                 .by_teid_mut(teid)
                 .expect("seid index consistent");
             if let Some(new) = new_ul_teid {
-                s.pending_ul_teid = Some(new);
                 // Re-point the uplink PDR's TEID dimension; the rule keeps
                 // its QER span.
                 let (mut rule, qers) = s.pdrs.remove(s.ul_rule_id).expect("uplink rule installed");
@@ -394,7 +388,6 @@ impl Upf {
             self.by_seid.insert(seid, new);
             let s = self.sessions.by_teid_mut(new).expect("just rebound");
             s.ul_teid = new;
-            s.pending_ul_teid = None;
         }
 
         // Flush the buffer if we are now forwarding.
@@ -471,7 +464,7 @@ impl Upf {
             return Ok(Verdict::ToDn(pkt));
         }
         if action.buffer {
-            if s.buffer.len() >= s.buffer_cap {
+            if s.buffer.len() >= self.buffer_cap {
                 return Err((DropReason::BufferOverflow, seid));
             }
             if s.buffer.is_empty() {
@@ -781,7 +774,7 @@ mod tests {
     fn buffer_overflow_drops() {
         let ue: UeId = 3;
         let mut upf = Upf::new(PdrBackend::PartitionSort);
-        upf.default_buffer_cap = 3;
+        upf.buffer_cap = 3;
         upf.establish(0x77, ue, &establishment_ies(0x102, ue_ip_for(ue)));
         for seq in 0..3 {
             assert!(matches!(
@@ -859,7 +852,7 @@ mod tests {
         assert_eq!(upf.counters.get("n4_teid_collision"), 1);
         for (seid, ue, teid) in [(0xA, a, 0x110), (0xB, b, 0x111)] {
             let s = upf.session_by_seid_ref(seid).expect("still established");
-            assert_eq!((s.seid, s.ul_teid, s.pending_ul_teid), (seid, teid, None));
+            assert_eq!((s.seid, s.ul_teid), (seid, teid));
             assert_eq!(s.dl_far.action, ApplyAction::BUFF, "FAR untouched");
             assert!(matches!(
                 upf.forward(ul_pkt(ue, 0), Some(teid), SimTime::ZERO),
@@ -885,7 +878,7 @@ mod tests {
     fn drops_and_buffering_land_on_flight_recorder() {
         let ue: UeId = 7;
         let mut upf = Upf::new(PdrBackend::PartitionSort);
-        upf.default_buffer_cap = 1;
+        upf.buffer_cap = 1;
         upf.establish(0xbb, ue, &establishment_ies(0x107, ue_ip_for(ue)));
         // Unknown TEID: no session is known, so the drop carries seid 0.
         upf.forward(ul_pkt(9, 0), Some(0x999), SimTime::ZERO);
@@ -922,7 +915,7 @@ mod tests {
     fn session_slot_stride_is_pinned() {
         // Every session-table probe walks slots of this stride; a field
         // or a wider map type must be a deliberate, visible change.
-        assert_eq!(std::mem::size_of::<Option<UpfSession>>(), 272);
+        assert_eq!(std::mem::size_of::<Option<UpfSession>>(), 256);
     }
 }
 
@@ -986,7 +979,7 @@ mod proptests {
             return Ok(Verdict::ToDn(pkt));
         }
         if action.buffer {
-            if s.buffer.len() >= s.buffer_cap {
+            if s.buffer.len() >= upf.buffer_cap {
                 return Err((DropReason::BufferOverflow, seid));
             }
             if s.buffer.is_empty() {
@@ -1158,7 +1151,7 @@ mod proptests {
             ),
         ) {
             let mut upf = Upf::new(PdrBackend::PartitionSort);
-            upf.default_buffer_cap = 4;
+            upf.buffer_cap = 4;
             for (i, spec) in sessions.iter().enumerate() {
                 upf.establish(seid_of(i), ue_of(i), &session_ies(i, spec));
             }

@@ -200,7 +200,7 @@ impl Digest {
 /// Runs the scenario; returns the digest and the UPF it left behind.
 fn transcript() -> (u64, Upf) {
     let mut upf = Upf::new(PdrBackend::PartitionSort);
-    upf.default_buffer_cap = 48;
+    upf.buffer_cap = 48;
     for s in 0..SESSIONS {
         upf.establish(seid_of(s), ue_of(s), &establishment(s));
     }

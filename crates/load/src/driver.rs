@@ -512,17 +512,10 @@ pub struct WallClock {
     pub sustained_eps: f64,
 }
 
-/// How a scripted fault disturbed the run: the resilience timeline's
-/// cost parts plus what the execution engine actually measured.
+/// How a scripted fault disturbed the run, as the execution engine
+/// measured it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Disruption {
-    /// S-BFD detection window charged per kill (ms). Zero when the plan
-    /// held only freezes (no failover fires for a stall).
-    pub(crate) detect_ms: f64,
-    /// Route-migration cost charged per kill (ms).
-    pub(crate) reroute_ms: f64,
-    /// Non-overlapped log-replay cost charged per kill (ms).
-    pub(crate) replay_ms: f64,
     /// Worst measured disruption across outages (ms): for a kill, kill
     /// instant → replayed backlog drained; for a freeze, the stall span.
     pub disruption_ms: f64,
@@ -534,23 +527,16 @@ pub struct Disruption {
     pub completions_lost: u64,
 }
 
-/// Builds the [`Disruption`] block from the final per-shard servers;
-/// both backends hand theirs over, so the block means the same thing
-/// either way.
+/// Builds the [`Disruption`] block of a faulted run from the final
+/// per-shard servers; both backends hand theirs over, so the block means
+/// the same thing either way.
 fn disruption_from(
     cfg: &LoadConfig,
     servers: &[FifoServer],
     completions_lost: u64,
 ) -> Option<Disruption> {
-    let plan = cfg.fault.as_ref()?;
-    let tl = fault_timeline();
-    let killed = plan.kills().next().is_some();
-    let charge = |d: SimDuration| if killed { d.as_millis_f64() } else { 0.0 };
     let measured_span = servers.iter().filter_map(FifoServer::disruption_span).max();
-    Some(Disruption {
-        detect_ms: charge(tl.detect),
-        reroute_ms: charge(tl.reroute),
-        replay_ms: charge(tl.replay * (1.0 - tl.overlap)),
+    cfg.fault.as_ref().map(|_| Disruption {
         disruption_ms: measured_span.unwrap_or(SimDuration::ZERO).as_millis_f64(),
         replayed: servers.iter().map(FifoServer::replayed).sum(),
         completions_lost,
@@ -1551,7 +1537,6 @@ mod tests {
         let r = Driver::new(cfg).unwrap().run(&profiles);
         let d = r.disruption.expect("kill plan yields a disruption block");
         assert!(d.replayed > 0, "backlog crossed the kill and re-ran");
-        assert!(d.detect_ms > 0.0 && d.reroute_ms > 0.0 && d.replay_ms > 0.0);
         // The measured span covers at least the charged failover window.
         let tl = fault_timeline();
         let charged = tl.total().as_millis_f64();
@@ -1605,9 +1590,6 @@ mod tests {
             .unwrap();
         let r = Driver::new(cfg).unwrap().run(&profiles);
         let d = r.disruption.expect("freeze plan yields a disruption block");
-        assert_eq!(d.detect_ms, 0.0, "no failover fires for a stall");
-        assert_eq!(d.reroute_ms, 0.0);
-        assert_eq!(d.replay_ms, 0.0);
         assert_eq!(d.replayed, 0, "freeze floors, it does not replay");
         assert!(
             (d.disruption_ms - 500.0).abs() < 1e-6,

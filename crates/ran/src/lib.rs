@@ -6,8 +6,7 @@
 //! experiments need:
 //!
 //! - [`ran`] — gNB and UE state machines: NAS auth/security answers,
-//!   PDU-session tunnel allocation, paging wake-up, handover execution,
-//!   and the source-gNB limited buffer of the 3GPP hairpin baseline.
+//!   PDU-session tunnel allocation, paging wake-up and handover execution.
 //! - [`traffic`] — CBR flows with per-packet RTT accounting (Figs 13/14,
 //!   Tables 1/2).
 //! - [`tcp`] — a Reno-style TCP model with Linux's 200 ms minimum RTO:

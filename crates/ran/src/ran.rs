@@ -1,17 +1,16 @@
 //! The UE & RAN simulator (paper §5.1.1): gNB and UE state machines
 //! speaking NGAP/NAS toward the AMF over SCTP, plus the gNB data path
-//! (GTP encapsulation toward the UPF, limited downlink buffering during
-//! handover for the 3GPP hairpin baseline).
+//! (GTP encapsulation toward the UPF).
 //!
 //! Like the paper's simulator, the PHY is not modeled; air-interface
 //! latencies are fixed delays from the shared cost model. NAS exchanges
 //! between UE and gNB reuse the `Msg::Ngap` NAS-transport variants with
 //! `Ue(_)` endpoints.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use l25gc_core::msg::{DataPacket, Direction, Endpoint, Envelope, GnbId, Msg, UeId};
-use l25gc_core::net::{HandoverScheme, Output};
+use l25gc_core::net::Output;
 use l25gc_nfv::cost::CostModel;
 use l25gc_pkt::nas::NasMessage;
 use l25gc_pkt::ngap::{NgapMessage, TunnelInfo};
@@ -48,12 +47,6 @@ pub struct RanGnb {
     dl_teid_of_ue: HashMap<UeId, u32>,
     /// Next downlink TEID to allocate.
     next_dl_teid: u32,
-    /// Per-UE downlink buffer used while the UE executes a handover away
-    /// from this gNB (the 3GPP hairpin baseline buffers here; §2.3
-    /// Challenge 2 sizes this at ~2 MB per UE).
-    pub(crate) ho_buffer: HashMap<UeId, VecDeque<DataPacket>>,
-    /// Buffer capacity in packets (paper: ~1300 full-MTU packets).
-    pub(crate) buffer_cap: usize,
 }
 
 impl RanGnb {
@@ -94,10 +87,8 @@ pub struct Ran {
     pub gnbs: HashMap<GnbId, RanGnb>,
     /// Shared cost model (air-interface and SCTP delays).
     pub(crate) cost: CostModel,
-    /// Handover data-routing scheme (mirrors the core's).
-    pub(crate) scheme: HandoverScheme,
     /// Drop/delivery counters.
-    pub counters: Counters,
+    pub(crate) counters: Counters,
     /// Data-plane delay gNB ↔ UE (the paper's "UE" is the traffic
     /// generator on the RAN server, so this is intra-host).
     pub ue_data_hop: SimDuration,
@@ -106,22 +97,11 @@ pub struct Ran {
 impl Ran {
     /// A RAN with `gnb_count` gNBs (ids `1..=gnb_count`).
     pub fn new(gnb_count: u32, cost: CostModel) -> Ran {
-        let mut gnbs = HashMap::new();
-        for id in 1..=gnb_count {
-            gnbs.insert(
-                id,
-                RanGnb {
-                    buffer_cap: 1300,
-                    ..RanGnb::default()
-                },
-            );
-        }
         Ran {
             ues: HashMap::new(),
             guti_to_ue: HashMap::new(),
-            gnbs,
+            gnbs: (1..=gnb_count).map(|id| (id, RanGnb::default())).collect(),
             cost,
-            scheme: HandoverScheme::SmartBuffering,
             counters: Counters::new(),
             ue_data_hop: SimDuration::from_micros(1),
         }
@@ -236,17 +216,18 @@ impl Ran {
 
     // ---------------- Envelope handling ----------------
 
-    /// Handles a message delivered to a gNB or UE.
-    pub fn handle(&mut self, env: Envelope, now: SimTime) -> Vec<Output> {
+    /// Handles a message delivered to a gNB or UE. No RAN handler reads
+    /// the clock; the instant is ignored.
+    pub fn handle(&mut self, env: Envelope, _now: SimTime) -> Vec<Output> {
         match (env.to, env.msg) {
-            (Endpoint::Gnb(gnb), Msg::Ngap(m)) => self.gnb_ngap(gnb, m, now),
+            (Endpoint::Gnb(gnb), Msg::Ngap(m)) => self.gnb_ngap(gnb, m),
             (Endpoint::Ue(ue), Msg::Ngap(m)) => self.ue_ngap(ue, m),
             (Endpoint::Gnb(gnb), Msg::Data(p)) => self.gnb_data(gnb, p),
             (to, msg) => panic!("RAN cannot handle {msg:?} at {to:?}"),
         }
     }
 
-    fn gnb_ngap(&mut self, gnb: GnbId, m: NgapMessage, _now: SimTime) -> Vec<Output> {
+    fn gnb_ngap(&mut self, gnb: GnbId, m: NgapMessage) -> Vec<Output> {
         let air = self.cost.ran_nas_rtt / 2;
         let sctp = self.cost.sctp_hop;
         match m {
@@ -340,43 +321,22 @@ impl Ran {
                 }]
             }
             NgapMessage::UeContextReleaseCommand { ue } => {
-                let mut outs = vec![Output {
+                let g = self.gnbs.get_mut(&gnb).expect("known gNB");
+                g.ul_teid.remove(&ue);
+                g.release_dl_teid(ue);
+                if let Some(u) = self.ues.get_mut(&ue) {
+                    if u.serving_gnb == gnb {
+                        u.connected = false;
+                    }
+                }
+                vec![Output {
                     delay: sctp,
                     env: Envelope::new(
                         Endpoint::Gnb(gnb),
                         Endpoint::Amf,
                         Msg::Ngap(NgapMessage::UeContextReleaseComplete { ue }),
                     ),
-                }];
-                // Hairpin baseline: the source gNB now re-injects its
-                // buffered downlink packets through the UPF toward the
-                // target (indirect forwarding).
-                let g = self.gnbs.get_mut(&gnb).expect("known gNB");
-                g.ul_teid.remove(&ue);
-                g.release_dl_teid(ue);
-                if let Some(buf) = g.ho_buffer.remove(&ue) {
-                    let prop = self.cost.upf_gnb_prop;
-                    for (i, pkt) in buf.into_iter().enumerate() {
-                        self.counters.inc("hairpin_reinjected");
-                        outs.push(Output {
-                            delay: prop + SimDuration::from_micros(i as u64),
-                            env: Envelope::new(
-                                Endpoint::Gnb(gnb),
-                                Endpoint::UpfU,
-                                Msg::Data(DataPacket {
-                                    tunnel_teid: None,
-                                    ..pkt
-                                }),
-                            ),
-                        });
-                    }
-                }
-                if let Some(u) = self.ues.get_mut(&ue) {
-                    if u.serving_gnb == gnb {
-                        u.connected = false;
-                    }
-                }
-                outs
+                }]
             }
             NgapMessage::HandoverRequest {
                 ue,
@@ -404,13 +364,8 @@ impl Ran {
                 }]
             }
             NgapMessage::HandoverCommand { ue, target_gnb } => {
-                // Source gNB: tell the UE; in the hairpin scheme start
-                // buffering DL data; the UE detaches, synchronizes with
-                // the target, and the target notifies the AMF.
-                if self.scheme == HandoverScheme::Hairpin3gpp {
-                    let g = self.gnbs.get_mut(&gnb).expect("known gNB");
-                    g.ho_buffer.entry(ue).or_default();
-                }
+                // Source gNB: tell the UE; the UE detaches, synchronizes
+                // with the target, and the target notifies the AMF.
                 let u = self.ues.get_mut(&ue).expect("known UE");
                 u.serving_gnb = target_gnb;
                 let radio = self.cost.ran_nas_rtt / 2 + self.cost.ran_handover_fixed;
@@ -466,11 +421,7 @@ impl Ran {
         match m {
             NgapMessage::DownlinkNasTransport { nas, .. } => match nas {
                 NasMessage::AuthenticationRequest { rand, sqn } => {
-                    // The USIM holds the same deterministic key material
-                    // the UDR provisioned for this SUPI.
-                    let mut usim = l25gc_core::Udr::new();
-                    let sub = usim.provision_default(u.supi).clone();
-                    let res = l25gc_core::Udr::ue_response(&sub, rand, sqn);
+                    let res = l25gc_core::Udr::ue_response(u.supi, rand, sqn);
                     vec![reply(NasMessage::AuthenticationResponse { res }, air)]
                 }
                 NasMessage::SecurityModeCommand => {
@@ -529,16 +480,6 @@ impl Ran {
                     self.counters.inc("gnb_drop_unknown_teid");
                     return Vec::new();
                 };
-                if let Some(buf) = g.ho_buffer.get_mut(&ue) {
-                    // Handover in progress (hairpin scheme): limited buffer.
-                    if buf.len() >= g.buffer_cap {
-                        self.counters.inc("gnb_drop_buffer_overflow");
-                    } else {
-                        buf.push_back(pkt);
-                        self.counters.inc("gnb_buffered");
-                    }
-                    return Vec::new();
-                }
                 self.counters.inc("gnb_dl_delivered");
                 vec![Output {
                     delay: self.ue_data_hop,
@@ -714,101 +655,6 @@ mod tests {
         );
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].env.to, Endpoint::Ue(1));
-    }
-
-    #[test]
-    fn hairpin_source_buffers_then_reinjects() {
-        let mut r = ran();
-        r.scheme = HandoverScheme::Hairpin3gpp;
-        let teid = r.gnbs.get_mut(&1).unwrap().alloc_dl_teid(1);
-        // Handover command: UE moves to gNB 2; source (1) starts buffering.
-        let outs = r.handle(
-            Envelope::new(
-                Endpoint::Amf,
-                Endpoint::Gnb(1),
-                Msg::Ngap(NgapMessage::HandoverCommand {
-                    ue: 1,
-                    target_gnb: 2,
-                }),
-            ),
-            SimTime::ZERO,
-        );
-        assert_eq!(outs.len(), 1, "target notifies AMF after radio sync");
-        assert!(outs[0].delay >= r.cost.ran_handover_fixed);
-        // DL packets now buffer at the source.
-        let pkt = DataPacket {
-            ue: 1,
-            flow: 0,
-            dir: Direction::Downlink,
-            seq: 0,
-            size: 100,
-            sent_at: SimTime::ZERO,
-            dst_port: 80,
-            protocol: 6,
-            tunnel_teid: Some(teid),
-            ack_seq: None,
-        };
-        let outs = r.handle(
-            Envelope::new(Endpoint::UpfU, Endpoint::Gnb(1), Msg::Data(pkt)),
-            SimTime::ZERO,
-        );
-        assert!(outs.is_empty());
-        assert_eq!(r.counters.get("gnb_buffered"), 1);
-        // Context release at the source re-injects toward the UPF.
-        let outs = r.handle(
-            Envelope::new(
-                Endpoint::Amf,
-                Endpoint::Gnb(1),
-                Msg::Ngap(NgapMessage::UeContextReleaseCommand { ue: 1 }),
-            ),
-            SimTime::ZERO,
-        );
-        let reinjected: Vec<_> = outs.iter().filter(|o| o.env.to == Endpoint::UpfU).collect();
-        assert_eq!(reinjected.len(), 1);
-        assert!(
-            reinjected[0].delay >= r.cost.upf_gnb_prop,
-            "hairpin pays propagation"
-        );
-        assert_eq!(r.counters.get("hairpin_reinjected"), 1);
-    }
-
-    #[test]
-    fn gnb_buffer_overflow_drops() {
-        let mut r = ran();
-        r.scheme = HandoverScheme::Hairpin3gpp;
-        r.gnbs.get_mut(&1).unwrap().buffer_cap = 2;
-        let teid = r.gnbs.get_mut(&1).unwrap().alloc_dl_teid(1);
-        r.handle(
-            Envelope::new(
-                Endpoint::Amf,
-                Endpoint::Gnb(1),
-                Msg::Ngap(NgapMessage::HandoverCommand {
-                    ue: 1,
-                    target_gnb: 2,
-                }),
-            ),
-            SimTime::ZERO,
-        );
-        for seq in 0..4 {
-            let pkt = DataPacket {
-                ue: 1,
-                flow: 0,
-                dir: Direction::Downlink,
-                seq,
-                size: 100,
-                sent_at: SimTime::ZERO,
-                dst_port: 80,
-                protocol: 6,
-                tunnel_teid: Some(teid),
-                ack_seq: None,
-            };
-            r.handle(
-                Envelope::new(Endpoint::UpfU, Endpoint::Gnb(1), Msg::Data(pkt)),
-                SimTime::ZERO,
-            );
-        }
-        assert_eq!(r.counters.get("gnb_buffered"), 2);
-        assert_eq!(r.counters.get("gnb_drop_buffer_overflow"), 2);
     }
 
     #[test]

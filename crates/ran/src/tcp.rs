@@ -70,12 +70,8 @@ pub struct TcpSender {
     pub spurious_retransmissions: u64,
     /// RTO expirations.
     pub timeouts: u64,
-    /// cwnd samples over time (segments).
-    pub(crate) cwnd_trace: TimeSeries,
     /// RTT samples over time (µs).
     pub rtt_trace: TimeSeries,
-    /// Cumulative acked segments over time (for goodput).
-    pub(crate) acked_trace: TimeSeries,
 }
 
 impl TcpSender {
@@ -106,9 +102,7 @@ impl TcpSender {
             retransmissions: 0,
             spurious_retransmissions: 0,
             timeouts: 0,
-            cwnd_trace: TimeSeries::new(),
             rtt_trace: TimeSeries::new(),
-            acked_trace: TimeSeries::new(),
         }
     }
 
@@ -269,8 +263,6 @@ impl TcpSender {
                 self.cwnd += 1.0; // window inflation per extra dup-ack
             }
         }
-        self.cwnd_trace.record(now, self.cwnd);
-        self.acked_trace.record(now, self.highest_acked as f64);
         out
     }
 
@@ -307,7 +299,6 @@ impl TcpSender {
             (self.rto * 2u64).min(max_rto)
         };
         self.rto_deadline = Some(now + self.rto);
-        self.cwnd_trace.record(now, self.cwnd);
         vec![self.retransmit(self.highest_acked, now)]
     }
 
@@ -571,6 +562,5 @@ mod tests {
         assert_eq!(tx.acked_segments(), 500_000u64.div_ceil(MSS as u64));
         assert!(tx.acked_bytes() >= 500_000);
         assert!(!tx.rtt_trace.is_empty());
-        assert!(!tx.cwnd_trace.is_empty());
     }
 }

@@ -29,20 +29,18 @@ pub struct Replica<S: Clone> {
     synced_upto: u64,
     /// Lifecycle.
     pub state: ReplicaState,
-    /// When the last checkpoint was taken.
-    pub(crate) last_checkpoint_at: SimTime,
     /// Checkpoints taken.
     pub checkpoints: u64,
 }
 
 impl<S: Clone> Replica<S> {
-    /// A frozen replica initialized from the primary's state.
-    pub fn new(initial: S, now: SimTime) -> Replica<S> {
+    /// A frozen replica initialized from the primary's state. No replica
+    /// reads the clock; the instant is ignored.
+    pub fn new(initial: S, _now: SimTime) -> Replica<S> {
         Replica {
             snapshot: initial,
             synced_upto: 0,
             state: ReplicaState::Frozen,
-            last_checkpoint_at: now,
             checkpoints: 0,
         }
     }
@@ -53,7 +51,7 @@ impl<S: Clone> Replica<S> {
     /// # Panics
     /// Panics if the replica is already active (checkpointing a woken
     /// replica would overwrite live state).
-    pub fn checkpoint(&mut self, primary: &S, counter: u64, now: SimTime) {
+    pub fn checkpoint(&mut self, primary: &S, counter: u64) {
         assert_eq!(
             self.state,
             ReplicaState::Frozen,
@@ -62,7 +60,6 @@ impl<S: Clone> Replica<S> {
         assert!(counter >= self.synced_upto, "watermark must not regress");
         self.snapshot = primary.clone();
         self.synced_upto = counter;
-        self.last_checkpoint_at = now;
         self.checkpoints += 1;
     }
 
@@ -74,13 +71,12 @@ impl<S: Clone> Replica<S> {
     /// Wakes the replica, taking its state for live use. Inputs with
     /// counters `>= synced_upto()` must be replayed into the returned
     /// state by the caller.
-    pub fn unfreeze(&mut self, now: SimTime) -> S
+    pub fn unfreeze(&mut self) -> S
     where
         S: Clone,
     {
         assert_eq!(self.state, ReplicaState::Frozen, "replica already active");
         self.state = ReplicaState::Active;
-        self.last_checkpoint_at = now;
         self.snapshot.clone()
     }
 }
@@ -125,7 +121,7 @@ mod tests {
             primary.counter_applied = c + 1;
             primary.items.push(c);
         }
-        rep.checkpoint(&primary, 5, SimTime::ZERO + SimDuration::from_millis(10));
+        rep.checkpoint(&primary, 5);
         assert_eq!(rep.synced_upto(), 5);
         assert_eq!(rep.checkpoints, 1);
 
@@ -135,7 +131,7 @@ mod tests {
             primary.counter_applied = c + 1;
             primary.items.push(c);
         }
-        let woken = rep.unfreeze(SimTime::ZERO + SimDuration::from_millis(20));
+        let woken = rep.unfreeze();
         assert_eq!(woken.counter_applied, 5, "tail not yet applied");
         assert_eq!(rep.state, ReplicaState::Active);
         // Replaying 5..8 reconstructs the primary's final state.
@@ -157,14 +153,13 @@ mod tests {
             },
             SimTime::ZERO,
         );
-        rep.unfreeze(SimTime::ZERO);
+        rep.unfreeze();
         rep.checkpoint(
             &Toy {
                 counter_applied: 9,
                 items: vec![],
             },
             1,
-            SimTime::ZERO,
         );
     }
 
@@ -178,8 +173,8 @@ mod tests {
             },
             SimTime::ZERO,
         );
-        rep.unfreeze(SimTime::ZERO);
-        rep.unfreeze(SimTime::ZERO);
+        rep.unfreeze();
+        rep.unfreeze();
     }
 
     #[test]

@@ -95,12 +95,12 @@ proptest! {
                     // everything below the watermark is processed.
                     if pending.is_empty() {
                         let watermark = logger.next_counter();
-                        replica.checkpoint(&primary, watermark, now);
+                        replica.checkpoint(&primary, watermark);
                         logger.release_upto(watermark);
                     }
                 }
                 _ => {
-                    let mut woken = replica.unfreeze(now);
+                    let mut woken = replica.unfreeze();
                     let burst = logger.replay();
                     prop_assert!(
                         burst.windows(2).all(|w| w[0].counter < w[1].counter),
@@ -165,10 +165,10 @@ proptest! {
         }
         let mut replica = Replica::new(Applied::new(), SimTime::ZERO);
         let checkpointed: Applied = (0..watermark).collect();
-        replica.checkpoint(&checkpointed, watermark, SimTime::ZERO);
+        replica.checkpoint(&checkpointed, watermark);
         logger.release_upto(watermark);
 
-        let woken = replica.unfreeze(SimTime::ZERO);
+        let woken = replica.unfreeze();
         prop_assert_eq!(&woken, &checkpointed);
         let burst: Vec<u64> = logger.replay().iter().map(|e| e.counter).collect();
         prop_assert_eq!(&burst, &(watermark..n as u64).collect::<Vec<_>>());

@@ -22,7 +22,7 @@ impl TimeSeries {
 
     /// Appends a sample. Samples may be recorded out of order; readers that
     /// need order should call [`TimeSeries::sorted`].
-    pub fn record(&mut self, t: SimTime, value: f64) {
+    pub(crate) fn record(&mut self, t: SimTime, value: f64) {
         self.samples.push((t, value));
     }
 

@@ -1,5 +1,7 @@
 //! Ablations of the design choices DESIGN.md §6 calls out.
 
+use std::cell::Cell;
+use std::rc::Rc;
 use std::time::Instant;
 
 use l25gc_classifier::{
@@ -143,12 +145,11 @@ pub fn checkpoint_sweep(intervals_ms: &[u64]) -> Vec<CheckpointRow> {
                 w.start_cbr(1, 0, 10_000, 200, SimDuration::from_secs(1), ctx);
             });
             // Capture the logger backlog right at the failure instant.
-            eng.schedule_in(SimDuration::from_millis(500), |w: &mut World, ctx| {
-                let backlog = w.res.as_ref().expect("harness").logger.len();
+            let backlog = Rc::new(Cell::new(0));
+            let at_failure = Rc::clone(&backlog);
+            eng.schedule_in(SimDuration::from_millis(500), move |w: &mut World, ctx| {
+                at_failure.set(w.res.as_ref().expect("harness").logger.len());
                 w.fail_primary(ctx);
-                // Stash the instantaneous backlog where the harness can
-                // read it after the run.
-                w.ran.counters.add("ablate_backlog", backlog as u64);
             });
             eng.run();
             let w = eng.world();
@@ -156,7 +157,7 @@ pub fn checkpoint_sweep(intervals_ms: &[u64]) -> Vec<CheckpointRow> {
             CheckpointRow {
                 interval_ms: ms,
                 checkpoints: w.res.as_ref().expect("harness").replica.checkpoints,
-                replay_backlog: w.ran.counters.get("ablate_backlog") as usize,
+                replay_backlog: backlog.get(),
                 max_rtt_ms: flow.max_rtt().unwrap_or(0.0) / 1000.0,
                 lost: flow.lost(),
             }

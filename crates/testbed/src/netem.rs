@@ -71,8 +71,6 @@ pub struct NetEm {
     pub(crate) dl: Shaper,
     /// UPF → DN (uplink/acks).
     pub(crate) ul: Shaper,
-    /// Downlink packets dropped at the shaper queue.
-    pub(crate) dl_drops: u64,
 }
 
 impl NetEm {
@@ -81,7 +79,6 @@ impl NetEm {
         NetEm {
             dl: Shaper::unshaped(),
             ul: Shaper::unshaped(),
-            dl_drops: 0,
         }
     }
 
@@ -94,7 +91,6 @@ impl NetEm {
         NetEm {
             dl: Shaper::new(30e6, prop, Some(600)),
             ul: Shaper::new(30e6, prop, None),
-            dl_drops: 0,
         }
     }
 
@@ -104,7 +100,6 @@ impl NetEm {
         NetEm {
             dl: Shaper::new(100e6, prop, Some(1000)),
             ul: Shaper::new(100e6, prop, None),
-            dl_drops: 0,
         }
     }
 
@@ -114,7 +109,6 @@ impl NetEm {
         NetEm {
             dl: Shaper::new(30e6, prop, Some(300)),
             ul: Shaper::new(30e6, prop, None),
-            dl_drops: 0,
         }
     }
 }

@@ -46,8 +46,6 @@ pub struct Apps {
     pub echo_at_ue: bool,
     /// Pending RTO tick per TCP flow.
     tcp_tick: HashMap<u32, SimTime>,
-    /// UL packets that reached the DN.
-    pub(crate) dn_received: u64,
     /// DL packets delivered to UEs.
     pub ue_received: u64,
 }
@@ -229,7 +227,7 @@ impl World {
         let quiescent = self.in_flight_internal == 0;
         if quiescent {
             let watermark = res.logger.next_counter();
-            res.replica.checkpoint(&self.core, watermark, ctx.now());
+            res.replica.checkpoint(&self.core, watermark);
             res.logger.release_upto(watermark);
             res.released.clear();
         } else {
@@ -257,7 +255,7 @@ impl World {
         let res = self.res.as_mut().expect("resilience enabled");
         let timeline = res.timeline;
         // Wake the replica with the checkpointed state.
-        self.core = res.replica.unfreeze(ctx.now());
+        self.core = res.replica.unfreeze();
         res.replay = Replay::Running;
         self.incarnation += 1;
         self.in_flight_internal = 0;
@@ -548,7 +546,6 @@ impl World {
     }
 
     fn dn_data(&mut self, pkt: DataPacket, ctx: &mut Ctx<'_, World>) {
-        self.apps.dn_received += 1;
         if let Some(ack) = pkt.ack_seq {
             // An ack for a CBR probe or a TCP segment.
             if let Some(flow) = self
@@ -573,7 +570,7 @@ impl World {
         let mut to_send = sender.on_ack(ack, now);
         to_send.extend(sender.pump(now));
         let deadline = sender.next_timeout();
-        self.emit_tcp(flow, to_send, ctx);
+        self.emit_tcp(to_send, ctx);
         self.arm_tcp_tick(flow, deadline, ctx);
         if let Some(mut pl) = self.apps.page.take() {
             pl.update(&self.apps.tcp, now);
@@ -581,19 +578,17 @@ impl World {
         }
     }
 
-    /// Sends DL TCP segments through the shaped N6 link into the core.
-    fn emit_tcp(&mut self, _flow: u32, segs: Vec<DataPacket>, ctx: &mut Ctx<'_, World>) {
+    /// Sends DL TCP segments through the shaped N6 link into the core;
+    /// a segment that finds the shaper's queue full is lost.
+    fn emit_tcp(&mut self, segs: Vec<DataPacket>, ctx: &mut Ctx<'_, World>) {
         let path = self.core.cost.path_lat;
         for seg in segs {
-            match self.netem.dl.transit(ctx.now(), seg.size) {
-                Some(d) => {
-                    self.send_after(
-                        ctx,
-                        d + path,
-                        Envelope::new(Endpoint::Dn, Endpoint::UpfU, Msg::Data(seg)),
-                    );
-                }
-                None => self.netem.dl_drops += 1,
+            if let Some(d) = self.netem.dl.transit(ctx.now(), seg.size) {
+                self.send_after(
+                    ctx,
+                    d + path,
+                    Envelope::new(Endpoint::Dn, Endpoint::UpfU, Msg::Data(seg)),
+                );
             }
         }
     }
@@ -621,7 +616,7 @@ impl World {
         let mut segs = sender.on_tick(now);
         segs.extend(sender.pump(now));
         let deadline = sender.next_timeout();
-        self.emit_tcp(flow, segs, ctx);
+        self.emit_tcp(segs, ctx);
         self.arm_tcp_tick(flow, deadline, ctx);
     }
 
@@ -638,7 +633,7 @@ impl World {
         let deadline = sender.next_timeout();
         self.apps.tcp.insert(flow, sender);
         self.apps.tcp_rx.insert(flow, TcpReceiver::new());
-        self.emit_tcp(flow, segs, ctx);
+        self.emit_tcp(segs, ctx);
         self.arm_tcp_tick(flow, deadline, ctx);
     }
 
@@ -673,15 +668,12 @@ impl World {
         }
         let pkt = self.apps.cbr[idx].next_packet(ctx.now());
         let path = self.core.cost.path_lat;
-        match self.netem.dl.transit(ctx.now(), pkt.size) {
-            Some(d) => {
-                self.send_after(
-                    ctx,
-                    d + path,
-                    Envelope::new(Endpoint::Dn, Endpoint::UpfU, Msg::Data(pkt)),
-                );
-            }
-            None => self.netem.dl_drops += 1,
+        if let Some(d) = self.netem.dl.transit(ctx.now(), pkt.size) {
+            self.send_after(
+                ctx,
+                d + path,
+                Envelope::new(Endpoint::Dn, Endpoint::UpfU, Msg::Data(pkt)),
+            );
         }
         ctx.schedule_in(interval, move |w, ctx| w.cbr_emit(idx, interval, end, ctx));
     }

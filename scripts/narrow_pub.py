@@ -17,6 +17,8 @@ compiler as the judge, so `dead_code` can see what nothing uses.
     scripts/narrow_pub.py count    non-test lines of crates/**/src: every line
                                    outside a `#[cfg(test)]` item (all crates,
                                    then without crates/shims)
+    scripts/narrow_pub.py writeonly  report the named struct fields of
+                                   crates/**/src that no non-test code reads
 
 A full pass is `narrow`, `fix`, `tidy` on a clean tree; `git diff` then shows
 what it narrowed, and `cargo check --workspace` (the non-test build) lists
@@ -29,6 +31,18 @@ one privacy layer per round, and a crate that fails hides its dependents.
 `..Default::default()` (E0451), on what `benchmark/src` uses, and on shim
 items reached through `$crate::` paths in macro expansions. Three spots get
 no diagnostic and are kept by hand (KEEP below).
+
+`dead_code` counts a write as a use, and a test's read as a read, so a field
+that only tests read stays invisible to it; `writeonly` lists those. Readers
+are the non-test lines of crates/**/src (bins included), the crates'
+benches, examples/ and benchmark/src. A field counts as read where `.name`
+appears other than as an assignment target or as the receiver of a
+`push*`/`record*`/`insert*`/`inc` call, or where a `let` / `match` pattern
+of its struct names it. Fields match by name alone, so one read of `.len`
+anywhere clears every field called `len`: the list can miss write-only
+fields, and a field read only through a macro, a derive or a channel it
+pushes into shows up in it. `_`-prefixed fields are held on purpose and
+skipped. It changes no file.
 """
 import json
 import os
@@ -299,37 +313,92 @@ def tidy():
     subprocess.run(['cargo', 'fmt', '--all'], cwd=ROOT, check=True)
 
 
-def count():
-    def code(line):
-        line = re.sub(r'"(\\.|[^"\\])*"', '""', line)
-        return re.sub(r"'(\\.|[^'\\])'", "''", line).split('//')[0]
+def code(line):
+    """`line` without its comment and with string and char literals blanked."""
+    line = re.sub(r'"(\\.|[^"\\])*"', '""', line)
+    return re.sub(r"'(\\.|[^'\\])'", "''", line).split('//')[0]
 
+
+def non_test(lines):
+    """Indices of the lines outside `#[cfg(test)]` items."""
+    i = 0
+    while i < len(lines):
+        if lines[i].strip() != '#[cfg(test)]':
+            yield i
+            i += 1
+            continue
+        # skip the attributed item: to its closing brace, or to the
+        # `;` / `,` that ends a braceless one
+        j, depth, braced = i + 1, 0, False
+        while j < len(lines) and lines[j].strip().startswith(('#[', '///')):
+            j += 1
+        while j < len(lines):
+            c = code(lines[j])
+            depth += sum(c.count(x) for x in '{([') - sum(c.count(x) for x in '})]')
+            braced = braced or '{' in c
+            if depth == 0 and (braced or c.rstrip().endswith((';', ','))):
+                break
+            j += 1
+        i = j + 1
+
+
+def count():
     total = without_shims = 0
     for p in sources(bins=True):
-        lines, n, i = open(p).read().split('\n'), 0, 0
-        while i < len(lines):
-            if lines[i].strip() != '#[cfg(test)]':
-                n += 1
-                i += 1
-                continue
-            # skip the attributed item: to its closing brace, or to the
-            # `;` / `,` that ends a braceless one
-            j, depth, braced = i + 1, 0, False
-            while j < len(lines) and lines[j].strip().startswith(('#[', '///')):
-                j += 1
-            while j < len(lines):
-                c = code(lines[j])
-                depth += sum(c.count(x) for x in '{([') - sum(c.count(x) for x in '})]')
-                braced = braced or '{' in c
-                if depth == 0 and (braced or c.rstrip().endswith((';', ','))):
-                    break
-                j += 1
-            i = j + 1
+        n = sum(1 for _ in non_test(open(p).read().split('\n')))
         total += n
         if '/shims/' not in p:
             without_shims += n
     print(total, without_shims)
 
 
+STRUCT = re.compile(r'^\s*(pub(\([^)]*\))? )?struct (\w+)\b[^;(]*\{\s*$')
+NAMED_FIELD = re.compile(r'^\s*(pub(\([^)]*\))? )?(\w+)\s*:')
+NOT_A_READ = re.compile(r'\s*(\[[^\]]*\]\s*)*([-+*/%&|^]|<<|>>)?=(?!=)'
+                        r'|\s*\.\s*(push\w*|record\w*|insert\w*|inc)\s*\(')
+PATTERN = re.compile(r'\b(\w+)\s*\{([^{}]*)\}\s*(=>|=(?!=)|\|)')
+
+
+def writeonly():
+    fields = []
+    for p in sources():
+        lines = open(p).read().split('\n')
+        struct = None
+        for i in non_test(lines):
+            c = code(lines[i])
+            if struct is None:
+                m = STRUCT.match(c)
+                struct = m and m.group(3)
+            elif c.strip().startswith('}'):
+                struct = None
+            elif (m := NAMED_FIELD.match(c)) and not m.group(3).startswith('_'):
+                fields.append((rel(p), i + 1, struct, m.group(3)))
+    readers = list(sources(bins=True))
+    for d in ('examples', 'benchmark/src'):
+        readers += [os.path.join(ROOT, d, f) for f in sorted(os.listdir(os.path.join(ROOT, d)))
+                    if f.endswith('.rs')]
+    for c in sorted(os.listdir(os.path.join(ROOT, 'crates'))):
+        b = os.path.join(ROOT, 'crates', c, 'benches')
+        if os.path.isdir(b):
+            readers += [os.path.join(b, f) for f in sorted(os.listdir(b)) if f.endswith('.rs')]
+    read, patterns = set(), []
+    for p in readers:
+        lines = open(p).read().split('\n')
+        text = '\n'.join(code(lines[i]) for i in non_test(lines))
+        for m in re.finditer(r'\.\s*(\w+)\b(?!\s*(::\s*<[^>]*>\s*)?\()', text):
+            if not NOT_A_READ.match(text, m.end()):
+                read.add(m.group(1))
+        for m in PATTERN.finditer(text):
+            before = text[max(0, m.start() - 12):m.start()]
+            if m.group(3) != '=' or re.search(r'\blet\s+$', before):
+                patterns.append((m.group(1), set(re.findall(r'\b(\w+)\b', m.group(2)))))
+    unread = [f for f in fields
+              if f[3] not in read and not any(s == f[2] and f[3] in names for s, names in patterns)]
+    for path, n, struct, field in unread:
+        print(f'{path}:{n}: {struct}::{field}')
+    print(len(unread), 'fields no non-test code reads')
+
+
 if __name__ == '__main__':
-    {'narrow': narrow, 'fix': fix, 'tidy': tidy, 'count': count}[sys.argv[1]]()
+    {'narrow': narrow, 'fix': fix, 'tidy': tidy, 'count': count,
+     'writeonly': writeonly}[sys.argv[1]]()
