@@ -822,11 +822,8 @@ impl CoreNetwork {
             MsgType::SessionReportRequest => {
                 // Downlink data notification: ack to the UPF and alert the
                 // AMF so it pages the UE.
-                let s = self.smf.sessions.get_mut(&ue).expect("session exists");
-                let seq = m.seq;
-                s.pfcp_seq = s.pfcp_seq.max(seq);
-                let ul_teid = s.ul_teid;
-                outs.n4(accepted(MsgType::SessionReportResponse, seid, seq));
+                let ul_teid = self.smf.sessions[&ue].ul_teid;
+                outs.n4(accepted(MsgType::SessionReportResponse, seid, m.seq));
                 outs.sbi(SbiOp::N1N2MessageTransferReq { ul_teid }, ue);
             }
             other => panic!("SMF cannot handle N4 {other:?}"),
@@ -1001,11 +998,8 @@ impl CoreNetwork {
             Verdict::Buffered { report, seid } => {
                 if report {
                     // UPF-U alerts UPF-C, which sends the PFCP report.
-                    let s = self
-                        .smf
-                        .ue_of_seid(seid)
-                        .and_then(|ue| self.smf.sessions.get(&ue));
-                    let seq = s.map(|s| s.pfcp_seq + 1).unwrap_or(1);
+                    self.upf.pfcp_seq += 1;
+                    let seq = self.upf.pfcp_seq;
                     vec![Output {
                         delay: svc,
                         env: Envelope::new(

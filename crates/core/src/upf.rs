@@ -203,6 +203,10 @@ pub struct Upf {
     /// arriving while a previous packet is in service queue behind it
     /// (the contention that separates experiment (ii) from (i)).
     pub(crate) busy_until: SimTime,
+    /// Sequence number of the last PFCP request this node originated
+    /// (downlink-data reports). TS 29.244 numbers each sender's requests
+    /// in its own space, so it is node-wide, not per session.
+    pub(crate) pfcp_seq: u32,
 }
 
 impl Upf {
@@ -216,6 +220,7 @@ impl Upf {
             counters: Counters::new(),
             flight: FlightRecorder::with_default_capacity(),
             busy_until: SimTime::ZERO,
+            pfcp_seq: 0,
         }
     }
 

@@ -777,11 +777,6 @@ impl MetricsTimeline {
         }
         out
     }
-
-    /// Header plus this timeline's rows — the single-series convenience.
-    pub fn to_csv(&self, series: &str) -> String {
-        format!("{}{}", timeline_csv_header(), self.to_csv_rows(series))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1070,16 +1065,6 @@ impl MetricsTimeline {
         );
         out
     }
-
-    /// Header plus this timeline's samples — the single-series
-    /// convenience.
-    pub fn to_prometheus(&self, series: &str) -> String {
-        format!(
-            "{}{}",
-            prometheus_header(),
-            self.to_prometheus_samples(series)
-        )
-    }
 }
 
 /// Checks a Prometheus text exposition: every line is a well-formed
@@ -1263,6 +1248,20 @@ mod tests {
 
     fn ms(n: u64) -> SimTime {
         SimTime::from_nanos(n * 1_000_000)
+    }
+
+    /// One series' CSV export, as `reproduce --metrics-out` writes it.
+    fn csv(tl: &MetricsTimeline, series: &str) -> String {
+        format!("{}{}", timeline_csv_header(), tl.to_csv_rows(series))
+    }
+
+    /// One series' Prometheus exposition, as `reproduce --metrics-out` writes it.
+    fn prometheus(tl: &MetricsTimeline, series: &str) -> String {
+        format!(
+            "{}{}",
+            prometheus_header(),
+            tl.to_prometheus_samples(series)
+        )
     }
 
     fn sample_timeline() -> MetricsTimeline {
@@ -1487,7 +1486,7 @@ mod tests {
     fn csv_has_one_row_per_window() {
         let mut tl = sample_timeline();
         tl.record_busy(0, ms(10), ms(20));
-        let text = tl.to_csv("s");
+        let text = csv(&tl, "s");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], timeline_csv_header().trim_end());
         assert_eq!(lines.len(), 1 + 2 + 3);
@@ -1582,7 +1581,7 @@ mod tests {
     #[test]
     fn prometheus_output_validates_and_sums_match() {
         let tl = sample_timeline();
-        let text = tl.to_prometheus("free5GC@1x");
+        let text = prometheus(&tl, "free5GC@1x");
         let samples = validate_prometheus(&text).expect("exposition is well-formed");
         // 8+ samples per shard (4 counters + peak + 3 quantiles) plus the
         // per-stage histogram series — count structurally, not exactly.
@@ -1631,7 +1630,7 @@ mod tests {
         assert_eq!(merged.batch_fill().count(), 6);
 
         // CSV: the two batch columns land in the right windows.
-        let csv = tl.to_csv("b");
+        let csv = csv(&tl, "b");
         assert!(
             csv.lines()
                 .any(|l| l.starts_with("b,0,0,") && l.ends_with(",1,32")),
@@ -1676,7 +1675,7 @@ mod tests {
 
         // Prometheus: per-shard counters plus a conformant run-wide
         // fill histogram.
-        let prom = tl.to_prometheus("b");
+        let prom = prometheus(&tl, "b");
         validate_prometheus(&prom).expect("well-formed with batch lanes");
         assert!(prom.contains("l25gc_dispatch_batch_flushes_total{series=\"b\",shard=\"0\"} 2"));
         assert!(prom.contains("l25gc_dispatch_batch_events_total{series=\"b\",shard=\"1\"} 8"));

@@ -7,7 +7,7 @@
 //! `cargo test -p l25gc-obs --test timeline_golden -- --ignored` — and
 //! say so in the commit.
 
-use l25gc_obs::timeline::MetricsTimeline;
+use l25gc_obs::timeline::{prometheus_header, timeline_csv_header, MetricsTimeline};
 use l25gc_sim::{SimDuration, SimTime};
 
 /// A label that needs every `prom_escape` arm (and JSON escaping).
@@ -56,12 +56,24 @@ fn golden_timeline() -> MetricsTimeline {
     tl
 }
 
+/// The CSV export of one series, as `reproduce --metrics-out` writes it.
+fn csv(tl: &MetricsTimeline) -> String {
+    format!("{}{}", timeline_csv_header(), tl.to_csv_rows(SERIES))
+}
+
 fn exports() -> [(&'static str, String); 3] {
     let tl = golden_timeline();
     [
-        ("timeline_golden.csv", tl.to_csv(SERIES)),
+        ("timeline_golden.csv", csv(&tl)),
         ("timeline_golden.jsonl", tl.to_jsonl(SERIES)),
-        ("timeline_golden.prom", tl.to_prometheus(SERIES)),
+        (
+            "timeline_golden.prom",
+            format!(
+                "{}{}",
+                prometheus_header(),
+                tl.to_prometheus_samples(SERIES)
+            ),
+        ),
     ]
 }
 
@@ -81,7 +93,7 @@ fn exports_match_the_committed_bytes() {
 
 #[test]
 fn golden_timeline_exercises_every_lane() {
-    let csv = golden_timeline().to_csv(SERIES);
+    let csv = csv(&golden_timeline());
     let mut lines = csv.lines();
     let header: Vec<&str> = lines.next().unwrap().split(',').collect();
     // The series label holds a newline, so rows are not lines: split on

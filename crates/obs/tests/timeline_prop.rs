@@ -5,12 +5,22 @@
 
 use l25gc_codec::json;
 use l25gc_obs::timeline::{
-    parse_timeline_jsonl_line, timeline_csv_header, validate_prometheus, MetricsTimeline,
+    parse_timeline_jsonl_line, prometheus_header, timeline_csv_header, validate_prometheus,
+    MetricsTimeline,
 };
 use l25gc_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 const SHARDS: u16 = 3;
+
+/// One series' Prometheus exposition, as `reproduce --metrics-out` writes it.
+fn prometheus(tl: &MetricsTimeline, series: &str) -> String {
+    format!(
+        "{}{}",
+        prometheus_header(),
+        tl.to_prometheus_samples(series)
+    )
+}
 
 /// One recorder call: `(recorder, shard, at_ns, a, b)`.
 type Op = (usize, u16, u64, u64, u64);
@@ -136,7 +146,7 @@ proptest! {
         ops in ops(), parked in 0.0f64..1.0,
     ) {
         let tl = finished(&ops, parked);
-        let prom = tl.to_prometheus("s");
+        let prom = prometheus(&tl, "s");
         prop_assert!(validate_prometheus(&prom).is_ok(), "{:?}", validate_prometheus(&prom));
         let header: Vec<&str> = timeline_csv_header().trim_end().split(',').collect();
         let csv = tl.to_csv_rows("s");
@@ -183,7 +193,7 @@ proptest! {
                 }
             }
         }
-        let prom = tl.to_prometheus(&series);
+        let prom = prometheus(&tl, &series);
         for bad in damaged(&prom, at, byte) {
             let _ = validate_prometheus(&bad);
         }

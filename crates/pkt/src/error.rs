@@ -13,8 +13,6 @@ pub enum Error {
     /// A field holds a value that is structurally invalid (bad length
     /// field, unknown mandatory IE, reserved bits set where forbidden).
     Malformed,
-    /// A checksum did not verify.
-    BadChecksum,
     /// The message type is not one this implementation understands.
     UnknownType,
     /// The output buffer is too small for the value being emitted.
@@ -27,7 +25,6 @@ impl fmt::Display for Error {
             Error::Truncated => "buffer truncated",
             Error::BadVersion => "unsupported protocol version",
             Error::Malformed => "malformed field",
-            Error::BadChecksum => "checksum mismatch",
             Error::UnknownType => "unknown message type",
             Error::BufferTooSmall => "output buffer too small",
         };

@@ -1,49 +1,40 @@
-//! # l25gc-pkt — wire formats for the L²5GC reproduction
+//! # l25gc-pkt — control-plane wire formats for the L²5GC reproduction
 //!
-//! Zero-copy packet views in the smoltcp idiom: a `Packet<T: AsRef<[u8]>>`
-//! wrapper with typed accessors, plus an owned `Repr` with `parse`/`emit`
-//! for each format. The formats are those the 5G core datapath and N-plane
-//! interfaces actually carry:
+//! Each format is an owned message type with `encode`/`decode`. The
+//! encoders size every control message the core sends (`Envelope::wire_len`);
+//! the decoders are the round-trip oracle the property tests check the
+//! encoders against. The user plane carries typed packet descriptors, not
+//! header bytes, so it needs no codec here.
 //!
-//! - [`ether`], [`ipv4`], [`udp`], [`tcp`] — the classic stack; inner user
-//!   packets and outer tunnel headers.
-//! - [`gtpu`] — GTP-U tunnels on N3 (gNB ↔ UPF), keyed by TEID.
 //! - [`pfcp`] — the N4 protocol (SMF ↔ UPF): session establishment,
 //!   modification (UpdateFAR — the handover/paging workhorse), and
 //!   downlink-data reports, with PDR/FAR rule IEs.
 //! - [`nas`], [`ngap`] — simplified N1/N2 signalling used by the UE/RAN
 //!   simulator, covering registration, PDU session setup, N2 handover,
 //!   paging and context release.
+//! - [`Ipv4Addr`] — the address type the IEs and session tables carry.
 //!
 //! ```
-//! use l25gc_pkt::gtpu;
+//! use l25gc_pkt::pfcp::{IeSet, Message, MsgType};
 //!
-//! let repr = gtpu::Repr {
-//!     msg_type: gtpu::MessageType::GPdu,
-//!     teid: 0x42,
-//!     seq: None,
-//!     payload_len: 4,
-//! };
-//! let mut buf = vec![0u8; repr.total_len()];
-//! let mut pkt = gtpu::Packet::new_unchecked(&mut buf[..]);
-//! repr.emit(&mut pkt);
-//! pkt.payload_mut().copy_from_slice(b"user");
-//!
-//! let parsed = gtpu::Packet::new_checked(&buf[..]).unwrap();
-//! assert_eq!(parsed.teid(), 0x42);
-//! assert_eq!(parsed.payload(), b"user");
+//! let report = Message::session(
+//!     MsgType::SessionReportRequest,
+//!     0x42,
+//!     1,
+//!     IeSet {
+//!         report_downlink_data: true,
+//!         downlink_data_pdr: Some(2),
+//!         ..IeSet::default()
+//!     },
+//! );
+//! let bytes = report.encode();
+//! assert_eq!(Message::decode(&bytes).unwrap(), report);
 //! ```
 
-mod checksum;
 mod error;
-pub mod ether;
-pub mod gtpu;
 pub mod ipv4;
 pub mod nas;
 pub mod ngap;
-pub mod pcap;
 pub mod pfcp;
-pub mod tcp;
-pub mod udp;
 
 pub use ipv4::Ipv4Addr;

@@ -14,7 +14,7 @@ use l25gc_core::net::Output;
 use l25gc_nfv::cost::CostModel;
 use l25gc_pkt::nas::NasMessage;
 use l25gc_pkt::ngap::{NgapMessage, TunnelInfo};
-use l25gc_sim::{Counters, SimDuration, SimTime};
+use l25gc_sim::{SimDuration, SimTime};
 
 /// A UE's RAN-side state.
 #[derive(Debug, Clone)]
@@ -87,8 +87,6 @@ pub struct Ran {
     pub gnbs: HashMap<GnbId, RanGnb>,
     /// Shared cost model (air-interface and SCTP delays).
     pub(crate) cost: CostModel,
-    /// Drop/delivery counters.
-    pub(crate) counters: Counters,
     /// Data-plane delay gNB ↔ UE (the paper's "UE" is the traffic
     /// generator on the RAN server, so this is intra-host).
     pub ue_data_hop: SimDuration,
@@ -102,7 +100,6 @@ impl Ran {
             guti_to_ue: HashMap::new(),
             gnbs: (1..=gnb_count).map(|id| (id, RanGnb::default())).collect(),
             cost,
-            counters: Counters::new(),
             ue_data_hop: SimDuration::from_micros(1),
         }
     }
@@ -308,7 +305,6 @@ impl Ran {
                         .map(|u| u.ue)
                 });
                 let Some(ue) = found else {
-                    self.counters.inc("paging_unknown_guti");
                     return Vec::new();
                 };
                 vec![Output {
@@ -477,10 +473,8 @@ impl Ran {
                 // From the UPF, tunneled with this gNB's DL TEID.
                 let teid = pkt.tunnel_teid.expect("DL data arrives tunneled");
                 let Some(&ue) = g.dl_teid_to_ue.get(&teid) else {
-                    self.counters.inc("gnb_drop_unknown_teid");
                     return Vec::new();
                 };
-                self.counters.inc("gnb_dl_delivered");
                 vec![Output {
                     delay: self.ue_data_hop,
                     env: Envelope::new(
@@ -496,10 +490,8 @@ impl Ran {
             Direction::Uplink => {
                 // From the UE: GTP-encapsulate toward the UPF.
                 let Some(&teid) = g.ul_teid.get(&pkt.ue) else {
-                    self.counters.inc("gnb_drop_no_ul_tunnel");
                     return Vec::new();
                 };
-                self.counters.inc("gnb_ul_forwarded");
                 vec![Output {
                     delay: self.cost.path_lat,
                     env: Envelope::new(
@@ -703,14 +695,12 @@ mod tests {
         // UE 1 was added but never registered: not indexed, still paged.
         assert!(!r.guti_to_ue.contains_key(&guti_of(101)));
         assert_eq!(page(&mut r, guti_of(101))[0].env.to, Endpoint::Ue(1));
-        assert_eq!(r.counters.get("paging_unknown_guti"), 0);
     }
 
     #[test]
     fn paging_an_unknown_guti_is_counted_not_fatal() {
         let mut r = ran();
         assert!(page(&mut r, guti_of(999)).is_empty());
-        assert_eq!(r.counters.get("paging_unknown_guti"), 1);
     }
 
     fn setup_tunnel(r: &mut Ran, gnb: GnbId, ue: UeId) -> u32 {

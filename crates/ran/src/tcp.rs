@@ -17,11 +17,10 @@
 //! The model is transport-only and segment-granular (one [`DataPacket`]
 //! = one MSS): the driver delivers packets/acks with whatever delays the
 //! simulated network imposes and calls [`TcpSender::on_ack`] /
-//! [`TcpSender::on_tick`]. No wire-level TCP headers are involved —
-//! `l25gc-pkt::tcp` covers the wire format; this covers behaviour.
+//! [`TcpSender::on_tick`]. No wire-level TCP headers are involved.
 
 use l25gc_core::msg::{DataPacket, Direction, UeId};
-use l25gc_sim::{SimDuration, SimTime, TimeSeries};
+use l25gc_sim::{SimDuration, SimTime};
 
 /// Linux's default minimum retransmission timeout.
 pub(crate) const MIN_RTO: SimDuration = SimDuration::from_millis(200);
@@ -70,8 +69,8 @@ pub struct TcpSender {
     pub spurious_retransmissions: u64,
     /// RTO expirations.
     pub timeouts: u64,
-    /// RTT samples over time (µs).
-    pub rtt_trace: TimeSeries,
+    /// The largest RTT sample so far (µs).
+    pub max_rtt_us: Option<f64>,
 }
 
 impl TcpSender {
@@ -102,7 +101,7 @@ impl TcpSender {
             retransmissions: 0,
             spurious_retransmissions: 0,
             timeouts: 0,
-            rtt_trace: TimeSeries::new(),
+            max_rtt_us: None,
         }
     }
 
@@ -327,7 +326,8 @@ impl TcpSender {
                 self.ssthresh = self.cwnd;
             }
         }
-        self.rtt_trace.record_dur(now, rtt);
+        let us = rtt.as_micros_f64();
+        self.max_rtt_us = Some(self.max_rtt_us.map_or(us, |m| m.max(us)));
         match self.srtt {
             None => {
                 self.srtt = Some(rtt);
@@ -561,6 +561,6 @@ mod tests {
         let (tx, _) = run_ideal(500_000, 10);
         assert_eq!(tx.acked_segments(), 500_000u64.div_ceil(MSS as u64));
         assert!(tx.acked_bytes() >= 500_000);
-        assert!(!tx.rtt_trace.is_empty());
+        assert!(tx.max_rtt_us.is_some());
     }
 }

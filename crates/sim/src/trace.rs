@@ -31,11 +31,6 @@ impl TimeSeries {
         self.record(t, d.as_micros_f64());
     }
 
-    /// All samples, in recording order.
-    pub fn samples(&self) -> &[(SimTime, f64)] {
-        &self.samples
-    }
-
     /// Samples sorted by time (stable, preserving recording order on ties).
     pub fn sorted(&self) -> Vec<(SimTime, f64)> {
         let mut v = self.samples.clone();
@@ -47,11 +42,6 @@ impl TimeSeries {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.samples.len()
-    }
-
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
     }
 
     /// Largest sample value, or `None` if empty.
@@ -305,6 +295,6 @@ mod tests {
     fn record_dur_stores_microseconds() {
         let mut ts = TimeSeries::new();
         ts.record_dur(SimTime::ZERO, SimDuration::from_micros(250));
-        assert_eq!(ts.samples()[0].1, 250.0);
+        assert_eq!(ts.sorted()[0].1, 250.0);
     }
 }

@@ -184,7 +184,7 @@ pub(crate) fn run_failover_data(
         transferred_mb: (tx.acked_segments() * MSS as u64) as f64 / 1e6,
         packets_dropped: w.outage_drops,
         timeouts: tx.timeouts,
-        max_rtt_ms: tx.rtt_trace.max().unwrap_or(0.0) / 1000.0,
+        max_rtt_ms: tx.max_rtt_us.unwrap_or(0.0) / 1000.0,
     }
 }
 

@@ -12,7 +12,7 @@
 //! don't shadow each other. The wildcard-heavy `Mixed` profile drives
 //! the §5.3 update comparison only.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use l25gc_classifier::{
     Classifier, Generator, LinearList, PacketKey, PartitionSort, PdrRule, Profile, TupleSpace,
@@ -34,10 +34,17 @@ pub struct PdrRow {
     pub mpps: f64,
 }
 
-/// Lookups each [`fig11`] point times; the tests spend a tenth of it.
+/// Most lookups each [`fig11`] point times; the tests spend a tenth of it.
 const LOOKUP_BUDGET: usize = 200_000;
+/// A point stops early once it has done at least this many lookups...
+const MIN_LOOKUPS: usize = 1_000;
+/// ...and spent at least this long on them. A slow structure (PDR-TSS_Worst
+/// at ~400 µs per lookup) would otherwise take 80 s per point.
+const MIN_WALL: Duration = Duration::from_millis(100);
 
-/// Mean latency of one lookup, over about `budget` of them.
+/// Mean latency of one lookup, over at most `budget` of them. The clock is
+/// read after whole passes over `keys`, at doubling lookup counts from
+/// [`MIN_LOOKUPS`], so reading it adds nothing measurable to fast lookups.
 fn measure_lookups<C: Classifier>(c: &C, keys: &[PacketKey], budget: usize) -> f64 {
     let reps = (budget / keys.len()).max(1);
     // Warm up.
@@ -45,12 +52,20 @@ fn measure_lookups<C: Classifier>(c: &C, keys: &[PacketKey], budget: usize) -> f
         std::hint::black_box(c.lookup(key));
     }
     let start = Instant::now();
+    let (mut done, mut check) = (0, MIN_LOOKUPS);
     for _ in 0..reps {
         for key in keys {
             std::hint::black_box(c.lookup(key));
         }
+        done += keys.len();
+        if done >= check {
+            if start.elapsed() >= MIN_WALL {
+                break;
+            }
+            check = done * 2;
+        }
     }
-    start.elapsed().as_nanos() as f64 / (reps * keys.len()) as f64
+    start.elapsed().as_nanos() as f64 / done as f64
 }
 
 /// Installs `rules` into `c` and measures it on `keys`.

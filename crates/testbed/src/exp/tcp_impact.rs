@@ -71,7 +71,7 @@ pub(crate) fn run_tcp_impact(
         .sum();
     let max_rtt_us = senders
         .values()
-        .filter_map(|s| s.rtt_trace.max())
+        .filter_map(|s| s.max_rtt_us)
         .fold(0.0f64, f64::max);
     let handovers = w
         .core

@@ -58,7 +58,7 @@ pub(crate) fn run_plt(deployment: Deployment, ho_interval: SimDuration) -> PltRo
     let senders = &w.apps.tcp;
     let max_stall_us = senders
         .values()
-        .filter_map(|s| s.rtt_trace.max())
+        .filter_map(|s| s.max_rtt_us)
         .fold(0.0f64, f64::max);
     PltRow {
         system: match deployment {

@@ -10,6 +10,9 @@ compiler as the judge, so `dead_code` can see what nothing uses.
                                    and benchmark/ (--locked) until no privacy
                                    error is left, putting `pub` back on every
                                    narrowed line a privacy diagnostic names
+    scripts/narrow_pub.py fix-runs  `fix`, but the workspace is checked as
+                                   --lib --bins: only what runs reach (and
+                                   benchmark/) keeps its `pub`
     scripts/narrow_pub.py tidy     drop the `pub(crate) use` re-exports nothing
                                    uses, re-merge the split ones, make
                                    crate-root `pub(crate) mod` plain `mod`,
@@ -24,6 +27,11 @@ A full pass is `narrow`, `fix`, `tidy` on a clean tree; `git diff` then shows
 what it narrowed, and `cargo check --workspace` (the non-test build) lists
 what is dead. `fix` may need several runs of up to 40 rounds: rustc reports
 one privacy layer per round, and a crate that fails hides its dependents.
+
+`dead_code` counts a use in a test, an example or a bench as a use. To see
+what only those name, run `narrow`, `fix-runs`, then `cargo check
+--workspace` in a scratch copy: the tests no longer compile there, and what
+the check reports is reached by no library, binary or benchmark/ code.
 
 `pub` stays where the compiler needs it: on types a `pub` signature exposes
 (the `private_interfaces` / `private_bounds` lints), on re-exported items
@@ -221,10 +229,10 @@ def find_field(state, struct, field):
     return hits
 
 
-def fix(rounds=40):
+def fix(targets=('--all-targets',), rounds=40):
     state = json.load(open(STATE))
     for it in range(rounds):
-        diags = diagnostics(['--workspace', '--all-targets'])
+        diags = diagnostics(['--workspace', *targets])
         diags += diagnostics(['--locked', '--manifest-path', 'benchmark/Cargo.toml', '--all-targets'])
         todo, unresolved = set(), []
         for d in diags:
@@ -400,5 +408,5 @@ def writeonly():
 
 
 if __name__ == '__main__':
-    {'narrow': narrow, 'fix': fix, 'tidy': tidy, 'count': count,
-     'writeonly': writeonly}[sys.argv[1]]()
+    {'narrow': narrow, 'fix': fix, 'fix-runs': lambda: fix(('--lib', '--bins')),
+     'tidy': tidy, 'count': count, 'writeonly': writeonly}[sys.argv[1]]()

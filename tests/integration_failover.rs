@@ -207,7 +207,7 @@ fn reattach_baseline_drops_and_recovers() {
     // Traffic resumed after the reattach.
     let after = flow
         .rtt
-        .samples()
+        .sorted()
         .iter()
         .filter(|(t, _)| t.as_secs_f64() > 1.5)
         .count();
