@@ -103,7 +103,7 @@ fn bench_driver_dispatch_batch(c: &mut Criterion) {
     for &n in &BATCHES {
         g.bench_function(format!("threaded_open_1s_batch_{n}"), |b| {
             let driver = Driver::new(cfg_for(n)).unwrap();
-            b.iter(|| std::hint::black_box(driver.run(&profiles).completed))
+            b.iter(|| std::hint::black_box(driver.run(&profiles).completed_total))
         });
     }
     g.finish();

@@ -136,19 +136,19 @@ fn bench_driver_backends(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("analytic_open_1s", |b| {
         let driver = Driver::new(cfg_for(ExecBackend::Analytic, 0)).unwrap();
-        b.iter(|| std::hint::black_box(driver.run(&profiles).completed))
+        b.iter(|| std::hint::black_box(driver.run(&profiles).completed_total))
     });
     g.bench_function("analytic_open_1s_traced", |b| {
         let driver = Driver::new(cfg_for(ExecBackend::Analytic, 64)).unwrap();
-        b.iter(|| std::hint::black_box(driver.run(&profiles).completed))
+        b.iter(|| std::hint::black_box(driver.run(&profiles).completed_total))
     });
     g.bench_function("threaded_open_1s", |b| {
         let driver = Driver::new(cfg_for(ExecBackend::Threaded, 0)).unwrap();
-        b.iter(|| std::hint::black_box(driver.run(&profiles).completed))
+        b.iter(|| std::hint::black_box(driver.run(&profiles).completed_total))
     });
     g.bench_function("threaded_open_1s_traced", |b| {
         let driver = Driver::new(cfg_for(ExecBackend::Threaded, 64)).unwrap();
-        b.iter(|| std::hint::black_box(driver.run(&profiles).completed))
+        b.iter(|| std::hint::black_box(driver.run(&profiles).completed_total))
     });
     g.finish();
 }

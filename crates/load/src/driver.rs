@@ -563,12 +563,11 @@ pub struct LoadReport {
     /// Arrivals that found no eligible UE (e.g. a paging arrival with an
     /// empty idle pool).
     pub infeasible: u64,
-    /// Dispatched procedures that completed within the horizon.
-    pub completed: u64,
     /// Every completion the run observed, inside the horizon or not.
     /// Loss-freedom invariant: `completed_total == dispatched`.
     pub completed_total: u64,
-    /// `completed` per second of horizon — the sustained rate.
+    /// Dispatched procedures that completed within the horizon, per
+    /// second of horizon — the sustained rate.
     pub achieved_eps: f64,
     /// Latency quantiles over every dispatched procedure.
     pub p50: SimDuration,
@@ -1133,7 +1132,6 @@ fn report(
         shed: totals.shed,
         backpressure: totals.backpressure,
         infeasible,
-        completed,
         completed_total,
         achieved_eps: completed as f64 / cfg.duration.as_secs_f64(),
         p50: quantile(HIST_ALL, 0.50),

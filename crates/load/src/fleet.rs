@@ -233,6 +233,8 @@ impl Fleet {
     /// and the target sets only, and the records are rewritten afterwards
     /// in one pass per set.
     pub fn warm_start(&mut self, rng: &mut SimRng, registered: f64, session: f64, idle: f64) {
+        // Prefetch distance, in random accesses.
+        const AHEAD: usize = 16;
         debug_assert!(registered + session + idle <= 1.0 + 1e-9);
         let n = self.len() as f64;
         let targets = [
@@ -246,11 +248,28 @@ impl Fleet {
             let set = &mut sets[state as usize - 1];
             let first = set.len();
             // A draw that finds the deregistered set empty is skipped
-            // without consuming the RNG, so the rest would be too.
-            for _ in 0..want.min(dereg.len()) {
-                set.push(dereg.swap_remove(rng.index(dereg.len())));
+            // without consuming the RNG, so the rest would be too. Draw
+            // `j` picks among `len - j` UEs whatever came before it, so
+            // each index is drawn `AHEAD` swaps early, in the same order,
+            // and its slot prefetched.
+            let (draws, len) = (want.min(dereg.len()), dereg.len());
+            let mut ahead = [0; AHEAD];
+            for (j, p) in ahead.iter_mut().enumerate().take(draws) {
+                *p = rng.index(len - j);
+                l25gc_nfv::prefetch(dereg, *p);
+            }
+            for j in 0..draws {
+                let p = ahead[j % AHEAD];
+                if j + AHEAD < draws {
+                    ahead[j % AHEAD] = rng.index(len - j - AHEAD);
+                    l25gc_nfv::prefetch(dereg, ahead[j % AHEAD]);
+                }
+                set.push(dereg.swap_remove(p));
             }
             for (p, &ue) in set.iter().enumerate().skip(first) {
+                if let Some(&next) = set.get(p + AHEAD) {
+                    l25gc_nfv::prefetch(&self.recs, next as usize);
+                }
                 let r = &mut self.recs[ue as usize];
                 r.state = state as u8;
                 r.pos = p as u32;
@@ -261,6 +280,9 @@ impl Fleet {
             }
         }
         for (p, &ue) in dereg.iter().enumerate() {
+            if let Some(&next) = dereg.get(p + AHEAD) {
+                l25gc_nfv::prefetch(&self.recs, next as usize);
+            }
             self.recs[ue as usize].pos = p as u32;
         }
     }

@@ -798,7 +798,7 @@ mod tests {
         assert_eq!(a.offered, t.offered);
         assert_eq!(a.dispatched, t.dispatched);
         assert_eq!(a.infeasible, t.infeasible);
-        assert_eq!(a.completed, t.completed);
+        assert_eq!(a.achieved_eps, t.achieved_eps);
         assert_eq!(a.p50, t.p50, "same latency multiset → same quantiles");
         assert_eq!(a.p99, t.p99);
         assert_eq!(a.active_ues, t.active_ues);
@@ -1374,7 +1374,7 @@ mod tests {
             .run(&profiles);
         assert_eq!(a.offered, t.offered);
         assert_eq!(a.dispatched, t.dispatched);
-        assert_eq!(a.completed, t.completed);
+        assert_eq!(a.achieved_eps, t.achieved_eps);
         assert_eq!(a.p50, t.p50, "same latency multiset → same quantiles");
         assert_eq!(a.p99, t.p99);
         let (ad, td) = (a.disruption.unwrap(), t.disruption.unwrap());
@@ -1427,7 +1427,7 @@ mod tests {
             assert_eq!(one.offered, b.offered, "batch {batch}");
             assert_eq!(one.dispatched, b.dispatched, "batch {batch}");
             assert_eq!(one.infeasible, b.infeasible, "batch {batch}");
-            assert_eq!(one.completed, b.completed, "batch {batch}");
+            assert_eq!(one.achieved_eps, b.achieved_eps, "batch {batch}");
             assert_eq!(b.completed_total, b.dispatched, "batch {batch}: loss-free");
             assert_eq!(one.p50, b.p50, "batch {batch}: same latency multiset");
             assert_eq!(one.p99, b.p99, "batch {batch}");
@@ -1479,7 +1479,7 @@ mod tests {
         .run(&profiles);
         assert_eq!(a.shed + a.backpressure + t.shed + t.backpressure, 0);
         assert_eq!(a.dispatched, t.dispatched);
-        assert_eq!(a.completed, t.completed);
+        assert_eq!(a.achieved_eps, t.achieved_eps);
         assert_eq!(a.p50, t.p50, "same latency multiset → same quantiles");
         assert_eq!(a.p99, t.p99);
         assert_eq!(a.queue_wait_p99, t.queue_wait_p99);

@@ -57,7 +57,7 @@ proptest! {
         prop_assert_eq!(one.offered, b.offered);
         prop_assert_eq!(one.dispatched, b.dispatched);
         prop_assert_eq!(one.infeasible, b.infeasible);
-        prop_assert_eq!(one.completed, b.completed);
+        prop_assert_eq!(one.achieved_eps, b.achieved_eps);
         prop_assert_eq!(b.completed_total, b.dispatched, "loss-free at any batch");
         prop_assert_eq!(one.p50, b.p50);
         prop_assert_eq!(one.p95, b.p95);
@@ -90,7 +90,7 @@ proptest! {
         let b = run(batch);
         prop_assert_eq!(one.shed + one.backpressure + b.shed + b.backpressure, 0);
         prop_assert_eq!(one.dispatched, b.dispatched);
-        prop_assert_eq!(one.completed, b.completed);
+        prop_assert_eq!(one.achieved_eps, b.achieved_eps);
         prop_assert_eq!(b.completed_total, b.dispatched, "loss-free across the kill");
         prop_assert_eq!(one.p50, b.p50);
         prop_assert_eq!(one.p99, b.p99);

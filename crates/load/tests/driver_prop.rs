@@ -98,7 +98,8 @@ proptest! {
             r.dispatched + r.shed + r.backpressure + r.infeasible
         );
         prop_assert_eq!(r.completed_total, r.dispatched);
-        prop_assert!(r.completed <= r.dispatched);
+        // Over the 1 s horizon the rate is the in-horizon count.
+        prop_assert!(r.achieved_eps <= r.dispatched as f64);
     }
 }
 

@@ -26,5 +26,5 @@ pub mod topology;
 
 pub use cost::{CostModel, DataPath};
 pub use mempool::Mempool;
-pub use ring::ring;
+pub use ring::{prefetch, ring};
 pub use session_table::DualKeyTable;

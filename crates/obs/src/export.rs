@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 
 use l25gc_codec::json;
-use l25gc_codec::value::Value;
+use l25gc_codec::value::{ObjectBuilder, Value};
 use l25gc_sim::SimTime;
 
 use crate::events::{DropCode, Event, EventKind};
@@ -29,6 +29,10 @@ pub struct TraceBundle {
     pub segments: Vec<Segment>,
     /// Events lost to ring overwrites, summed over sources.
     pub dropped_events: u64,
+    /// Spans past the span logs' bound, counted but not kept.
+    pub dropped_spans: u64,
+    /// Segments past the span logs' bound, counted but not kept.
+    pub dropped_segments: u64,
 }
 
 impl TraceBundle {
@@ -49,8 +53,8 @@ impl TraceBundle {
 // JSON Lines
 // ---------------------------------------------------------------------------
 
-fn obj() -> l25gc_codec::value::ObjectBuilder {
-    l25gc_codec::value::ObjectBuilder::new()
+fn obj() -> ObjectBuilder {
+    ObjectBuilder::new()
 }
 
 /// One event as a self-describing JSON value.
@@ -104,6 +108,22 @@ pub(crate) fn span_to_value(s: &Span) -> Value {
         .build()
 }
 
+/// The span and segment drop counts that are non-zero, as fields of `b`.
+fn span_drops(b: ObjectBuilder, spans: u64, segments: u64) -> ObjectBuilder {
+    let nonzero = |n: u64| (n > 0).then_some(Value::U64(n));
+    b.opt("dropped_spans", nonzero(spans))
+        .opt("dropped_segments", nonzero(segments))
+}
+
+/// The `meta` line: the event drop count, then the span and segment drop
+/// counts when non-zero.
+fn meta_value(events: u64, spans: u64, segments: u64) -> Value {
+    let b = obj()
+        .field("t", Value::Str("meta".into()))
+        .field("dropped_events", Value::U64(events));
+    span_drops(b, spans, segments).build()
+}
+
 /// One segment as a self-describing JSON value.
 pub(crate) fn segment_to_value(s: &Segment) -> Value {
     obj()
@@ -116,7 +136,9 @@ pub(crate) fn segment_to_value(s: &Segment) -> Value {
 }
 
 /// The whole bundle as JSON Lines: one object per event, span, and
-/// segment, plus a trailing `meta` line carrying the drop count.
+/// segment, plus a trailing `meta` line carrying the drop counts (the
+/// span and segment counts only when non-zero, so an untruncated trace
+/// reads as it always has).
 pub fn to_jsonl(bundle: &TraceBundle) -> String {
     let mut out = String::new();
     for e in &bundle.events {
@@ -131,10 +153,11 @@ pub fn to_jsonl(bundle: &TraceBundle) -> String {
         out.push_str(&json::to_string(&segment_to_value(s)));
         out.push('\n');
     }
-    let meta = obj()
-        .field("t", Value::Str("meta".into()))
-        .field("dropped_events", Value::U64(bundle.dropped_events))
-        .build();
+    let meta = meta_value(
+        bundle.dropped_events,
+        bundle.dropped_spans,
+        bundle.dropped_segments,
+    );
     out.push_str(&json::to_string(&meta));
     out.push('\n');
     out
@@ -179,6 +202,10 @@ pub enum ParsedLine {
     Meta {
         /// Events lost to ring overwrites.
         dropped_events: u64,
+        /// Spans past the span logs' bound; 0 when the key is absent.
+        dropped_spans: u64,
+        /// Segments past the span logs' bound; 0 when the key is absent.
+        dropped_segments: u64,
     },
 }
 
@@ -255,9 +282,17 @@ pub fn parse_jsonl_line(line: &str) -> Result<ParsedLine, JsonlError> {
             start_ns: v.u64_of("start_ns")?,
             dur_ns: v.u64_of("dur_ns")?,
         }),
-        "meta" => Ok(ParsedLine::Meta {
-            dropped_events: v.u64_of("dropped_events")?,
-        }),
+        "meta" => {
+            let absent_is_zero = |key| {
+                v.get(key)
+                    .map_or(Ok(0), |n| n.as_u64().ok_or(JsonlError::BadShape))
+            };
+            Ok(ParsedLine::Meta {
+                dropped_events: v.u64_of("dropped_events")?,
+                dropped_spans: absent_is_zero("dropped_spans")?,
+                dropped_segments: absent_is_zero("dropped_segments")?,
+            })
+        }
         _ => Err(JsonlError::BadShape),
     }
 }
@@ -310,10 +345,11 @@ impl ParsedLine {
                 .field("start_ns", Value::U64(*start_ns))
                 .field("dur_ns", Value::U64(*dur_ns))
                 .build(),
-            ParsedLine::Meta { dropped_events } => obj()
-                .field("t", Value::Str("meta".into()))
-                .field("dropped_events", Value::U64(*dropped_events))
-                .build(),
+            ParsedLine::Meta {
+                dropped_events,
+                dropped_spans,
+                dropped_segments,
+            } => meta_value(*dropped_events, *dropped_spans, *dropped_segments),
         }
     }
 }
@@ -450,7 +486,14 @@ pub fn to_chrome_trace(bundle: &TraceBundle) -> String {
         );
     }
 
-    format!("{{\"traceEvents\":[\n{body}\n]}}\n")
+    // Span-log truncation, when there was any, as trace metadata.
+    match span_drops(obj(), bundle.dropped_spans, bundle.dropped_segments).build() {
+        Value::Object(f) if f.is_empty() => format!("{{\"traceEvents\":[\n{body}\n]}}\n"),
+        meta => format!(
+            "{{\"traceEvents\":[\n{body}\n],\"metadata\":{}}}\n",
+            json::to_string(&meta)
+        ),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -617,7 +660,11 @@ mod tests {
             other => panic!("expected event, got {other:?}"),
         }
         match parse_jsonl_line(lines.last().unwrap()).unwrap() {
-            ParsedLine::Meta { dropped_events } => assert_eq!(dropped_events, 5),
+            ParsedLine::Meta {
+                dropped_events,
+                dropped_spans,
+                dropped_segments,
+            } => assert_eq!((dropped_events, dropped_spans, dropped_segments), (5, 0, 0)),
             other => panic!("expected meta, got {other:?}"),
         }
     }

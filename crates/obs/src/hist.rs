@@ -10,35 +10,65 @@
 //!
 //! # Canonical form
 //!
-//! Exact zeros are a count of their own, outside the stored range. A
+//! Exact zeros are a count of their own, outside the stored buckets. A
 //! latency stage is often exactly 0 (no queue-wait behind an idle shard,
-//! no transit beyond occupancy), and a zero in the range would stretch it
-//! from bucket 0 up to the distribution's tail — several hundred empty
-//! buckets between. The stored range holds the counts of the non-zero
-//! samples only: the 64-bucket pages, aligned to 64, that cover the
-//! bucket of the smallest non-zero sample through the bucket of the
-//! largest, grown a page at a time at either end when a sample falls
-//! outside them. Whole pages keep range extensions (a reallocation plus,
-//! at the front, a shift) to a fraction of what bucket-exact ends cost.
+//! no transit beyond occupancy), and a zero among the buckets would
+//! stretch their range from bucket 0 up to the distribution's tail —
+//! several hundred empty buckets between.
 //!
-//! An empty or all-zero histogram owns no heap, a typical latency
-//! distribution spans a few pages, and the worst case (a `1` and a
-//! `u64::MAX`) is the dense `(65 - DEFAULT_BITS) << DEFAULT_BITS` array —
-//! exactly 30 pages, 15 KiB. Recording allocates only when it widens the
-//! range, and never for a 0. The zero count and the stored range are a
-//! function of the recorded multiset alone, so two histograms holding the
-//! same samples compare equal however they were built, and two histograms
-//! merge by adding their zero counts and element-wise addition over the
-//! union of their ranges — which is what lets per-NF recorders be
-//! combined into a fleet-wide distribution at export time. Bucket 0 holds
-//! exactly the value 0, so every read treats the zero count as bucket 0
-//! and the exports are those of the dense histogram.
+//! The non-zero samples are stored in one of two forms, chosen by how
+//! many there are:
+//!
+//! - **Log.** While at most [`LOG_MAX`] non-zero samples are recorded,
+//!   `buckets` is an append-only log of their bucket indices, four `u16`
+//!   to a `u64` word, in record order. A timeline window's histogram holds
+//!   about a hundred samples in as many buckets spread over a thousand;
+//!   the log keeps 2 bytes per sample where the bucket range keeps 8 per
+//!   bucket, most of them zero.
+//! - **Pages.** The record that would overflow the log folds it, once
+//!   and for good, into bucket counts: the 64-bucket pages, aligned to
+//!   64, that cover the bucket of the smallest non-zero sample through
+//!   the bucket of the largest, grown a page at a time at either end when
+//!   a sample falls outside them. Whole pages keep range extensions (a
+//!   reallocation plus, at the front, a shift) to a fraction of what
+//!   bucket-exact ends cost. A run-wide histogram reaches this form after
+//!   its first [`LOG_MAX`] non-zero samples and records in O(1) from then
+//!   on.
+//!
+//! An empty or all-zero histogram owns no heap, a full log is 1 KiB, and
+//! the worst page range (a `1` and a `u64::MAX`) is the dense
+//! `(65 - DEFAULT_BITS) << DEFAULT_BITS` array — exactly 30 pages,
+//! 15 KiB. Recording allocates only when the log grows or the pages
+//! widen, and never for a 0.
+//!
+//! The form, the zero count and the stored pages are a function of the
+//! recorded multiset alone (the log's order is not, so `==` compares logs
+//! sorted): two histograms holding the same samples compare equal however
+//! they were built, and two histograms merge by adding their zero counts
+//! and concatenating their logs, or, past [`LOG_MAX`], by element-wise
+//! addition over the union of their pages — which is what lets per-NF
+//! recorders be combined into a fleet-wide distribution at export time.
+//! Bucket 0 holds exactly the value 0, so every read treats the zero
+//! count as bucket 0, reads a log by sorting a copy of it, and returns
+//! what the dense histogram returns.
 
 /// Precision: 2^5 = 32 sub-buckets per power-of-two group.
 pub const DEFAULT_BITS: u32 = 5;
 
+/// Buckets of the full `u64` line at the default precision.
+const BUCKETS: usize = (65 - DEFAULT_BITS as usize) << DEFAULT_BITS;
+
 /// Buckets per page of the stored range; both ends are multiples of it.
 const PAGE: usize = 64;
+
+/// Most non-zero samples a histogram keeps as a bucket-index log.
+const LOG_MAX: usize = 512;
+
+/// Log entries per `u64` word of `buckets`.
+const PER_WORD: usize = 4;
+
+// Every bucket index fits a log entry.
+const _: () = assert!(BUCKETS <= 1 << (64 / PER_WORD));
 
 /// Bucket index for a value. Values below `2^DEFAULT_BITS` are exact.
 fn index(v: u64) -> usize {
@@ -71,18 +101,25 @@ fn bucket_bounds(i: usize) -> (u64, u64) {
     }
 }
 
+/// The first `n` bucket indices of a log packed into `words`.
+fn log_entries(words: &[u64], n: usize) -> impl Iterator<Item = usize> + '_ {
+    let lanes = |w: u64| (0..PER_WORD).map(move |k| usize::from((w >> (16 * k)) as u16));
+    words.iter().flat_map(move |&w| lanes(w)).take(n)
+}
+
 /// A mergeable log2-bucket histogram over `u64` samples (nanoseconds, byte
 /// counts, queue depths — any non-negative magnitude).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Log2Histogram {
-    /// Samples that were exactly 0 (bucket 0, kept out of the range).
+    /// Samples that were exactly 0 (bucket 0, kept out of `buckets`).
     zeros: u64,
-    /// Bucket index of `buckets[0]`, a multiple of [`PAGE`]; 0 while no
-    /// non-zero sample is recorded.
+    /// Bucket index of `buckets[0]` in the page form, a multiple of
+    /// [`PAGE`]; 0 in the log form.
     lo: usize,
-    /// Counts of the pages covering buckets `index(smallest non-zero)
-    /// ..= index(max)` — a function of the samples, so equal multisets
-    /// store equal vectors.
+    /// The log form: the bucket indices of the non-zero samples, four to
+    /// a word in record order. The page form: the counts of the pages
+    /// covering buckets `index(smallest non-zero) ..= index(max)`. Which
+    /// one is [`Log2Histogram::is_log`].
     buckets: Vec<u64>,
     count: u64,
     sum: u128,
@@ -92,7 +129,8 @@ pub struct Log2Histogram {
 
 impl Log2Histogram {
     /// An empty histogram. Nothing is allocated until the first non-zero
-    /// sample; memory is then the occupied pages, at worst all
+    /// sample; memory is then the log, at most [`LOG_MAX`] × 2 bytes =
+    /// 1 KiB, and past it the occupied pages, at worst all
     /// `(65 - DEFAULT_BITS) << DEFAULT_BITS` buckets (1920 × 8 bytes =
     /// 15 KiB).
     pub fn new() -> Log2Histogram {
@@ -104,6 +142,59 @@ impl Log2Histogram {
             sum: 0,
             min: u64::MAX,
             max: 0,
+        }
+    }
+
+    /// Non-zero samples recorded: the log's length while it is one.
+    fn nonzero(&self) -> u64 {
+        self.count - self.zeros
+    }
+
+    /// Whether `buckets` is the log (else the pages): a function of the
+    /// recorded multiset.
+    fn is_log(&self) -> bool {
+        self.nonzero() <= LOG_MAX as u64
+    }
+
+    /// The log's bucket indices, in record order.
+    fn log(&self) -> impl Iterator<Item = usize> + '_ {
+        log_entries(&self.buckets, self.nonzero() as usize)
+    }
+
+    /// A copy of the log on the stack, and its length.
+    fn log_copy(&self) -> ([u16; LOG_MAX], usize) {
+        let mut buf = [0u16; LOG_MAX];
+        for (slot, i) in buf.iter_mut().zip(self.log()) {
+            *slot = i as u16;
+        }
+        (buf, self.nonzero() as usize)
+    }
+
+    /// Appends bucket `i` as the log's entry `n` (its current length).
+    fn log_push(&mut self, n: usize, i: usize) {
+        let entry = (i as u64) << (16 * (n % PER_WORD));
+        match self.buckets.get_mut(n / PER_WORD) {
+            Some(word) => *word |= entry,
+            None => self.buckets.push(entry),
+        }
+    }
+
+    /// Turns the log into the pages covering it, once and for good.
+    #[cold]
+    fn fold(&mut self) {
+        let words = std::mem::take(&mut self.buckets);
+        self.count_log(&words, self.nonzero() as usize);
+    }
+
+    /// Adds the first `n` bucket indices logged in `words` to the page
+    /// form, widening it once to cover them all.
+    fn count_log(&mut self, words: &[u64], n: usize) {
+        let (first, last) = (log_entries(words, n).min(), log_entries(words, n).max());
+        if let (Some(first), Some(last)) = (first, last) {
+            self.cover(first, last);
+            for i in log_entries(words, n) {
+                self.buckets[i - self.lo] += 1;
+            }
         }
     }
 
@@ -127,18 +218,26 @@ impl Log2Histogram {
         self.buckets.resize(end - lo, 0);
     }
 
-    /// Records one sample. Allocates only when a non-zero `v` falls
-    /// outside the pages recorded so far.
+    /// Records one sample. Allocates only when a non-zero `v` grows the
+    /// log or falls outside the pages recorded so far.
     pub fn record(&mut self, v: u64) {
         if v == 0 {
             self.zeros += 1;
         } else {
             let i = index(v);
-            // A bucket below `lo` wraps to a huge offset and widens too.
-            if i.wrapping_sub(self.lo) >= self.buckets.len() {
-                self.cover(i, i);
+            let n = self.nonzero();
+            if n < LOG_MAX as u64 {
+                self.log_push(n as usize, i);
+            } else {
+                if n == LOG_MAX as u64 {
+                    self.fold();
+                }
+                // A bucket below `lo` wraps to a huge offset and widens too.
+                if i.wrapping_sub(self.lo) >= self.buckets.len() {
+                    self.cover(i, i);
+                }
+                self.buckets[i - self.lo] += 1;
             }
-            self.buckets[i - self.lo] += 1;
         }
         self.count += 1;
         self.sum += u128::from(v);
@@ -167,7 +266,7 @@ impl Log2Histogram {
     }
 
     /// Exact arithmetic mean, or 0.0 when empty.
-    pub(crate) fn mean(&self) -> f64 {
+    pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -194,6 +293,14 @@ impl Log2Histogram {
         if seen >= rank {
             return 0;
         }
+        if self.is_log() {
+            // The rank falls among the `n >= 1` logged samples: the
+            // bucket is the log's (rank - zeros)-th smallest entry.
+            let (mut log, n) = self.log_copy();
+            let k = ((rank - seen) as usize).min(n) - 1;
+            let (_, &mut i, _) = log[..n].select_nth_unstable(k);
+            return bucket_bounds(usize::from(i)).1.min(self.max);
+        }
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
@@ -218,11 +325,24 @@ impl Log2Histogram {
     /// (whose cumulative count is [`Log2Histogram::count`]); skipping
     /// empty buckets keeps the series compact without changing what a
     /// cumulative-histogram consumer reconstructs.
-    pub(crate) fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut cum = self.zeros;
         if cum > 0 {
             out.push((0, cum));
+        }
+        if self.is_log() {
+            let (mut log, n) = self.log_copy();
+            let log = &mut log[..n];
+            log.sort_unstable();
+            for (k, &i) in log.iter().enumerate() {
+                cum += 1;
+                // The last entry of each run of equal buckets.
+                if log.get(k + 1) != Some(&i) {
+                    out.push((bucket_bounds(usize::from(i)).1, cum));
+                }
+            }
+            return out;
         }
         for (i, &c) in self.buckets.iter().enumerate() {
             if c > 0 {
@@ -237,20 +357,52 @@ impl Log2Histogram {
     /// Merges another histogram into this one. Equivalent to having
     /// recorded both sample streams into one.
     pub fn merge(&mut self, other: &Log2Histogram) {
-        self.zeros += other.zeros;
-        if !other.buckets.is_empty() {
-            self.cover(other.lo, other.lo + other.buckets.len() - 1);
-            let at = other.lo - self.lo;
-            for (a, b) in self.buckets[at..].iter_mut().zip(&other.buckets) {
-                *a += b;
+        let (n, m) = (self.nonzero(), other.nonzero());
+        if n + m <= LOG_MAX as u64 {
+            for (k, i) in other.log().enumerate() {
+                self.log_push(n as usize + k, i);
+            }
+        } else {
+            if self.is_log() {
+                self.fold();
+            }
+            if other.is_log() {
+                self.count_log(&other.buckets, m as usize);
+            } else {
+                self.cover(other.lo, other.lo + other.buckets.len() - 1);
+                let at = other.lo - self.lo;
+                for (a, b) in self.buckets[at..].iter_mut().zip(&other.buckets) {
+                    *a += b;
+                }
             }
         }
+        self.zeros += other.zeros;
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
 }
+
+/// Same multiset: the scalars, and the logs sorted or the pages as they
+/// are (equal scalars put both sides in the same form).
+impl PartialEq for Log2Histogram {
+    fn eq(&self, other: &Log2Histogram) -> bool {
+        let scalars = |h: &Log2Histogram| (h.zeros, h.count, h.sum, h.min, h.max);
+        if scalars(self) != scalars(other) {
+            return false;
+        }
+        if !self.is_log() {
+            return self.lo == other.lo && self.buckets == other.buckets;
+        }
+        let ((mut a, n), (mut b, _)) = (self.log_copy(), other.log_copy());
+        a[..n].sort_unstable();
+        b[..n].sort_unstable();
+        a[..n] == b[..n]
+    }
+}
+
+impl Eq for Log2Histogram {}
 
 impl Default for Log2Histogram {
     fn default() -> Log2Histogram {
@@ -262,9 +414,6 @@ impl Default for Log2Histogram {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    /// Buckets of the full `u64` line at the default precision.
-    const DENSE_LEN: usize = (65 - DEFAULT_BITS as usize) << DEFAULT_BITS;
 
     /// Exact nearest-rank quantile over a sorted copy, for comparison.
     fn exact_quantile(samples: &[u64], q: f64) -> u64 {
@@ -290,7 +439,7 @@ mod tests {
     #[test]
     fn bucket_bounds_partition_the_u64_line() {
         let mut next = 0u64;
-        for i in 0..DENSE_LEN {
+        for i in 0..BUCKETS {
             let (low, high) = bucket_bounds(i);
             assert_eq!(low, next, "bucket {i} starts where the last ended");
             assert!(high >= low);
@@ -400,17 +549,25 @@ mod tests {
         }
         assert_eq!(h.buckets.capacity(), 0);
         assert_eq!((h.count(), h.quantile(1.0)), (1000, 0));
-        // Nor does anything else once the pages are covered: here by the
-        // two non-zero extremes of the sample stream.
+        // The log grows to at most 1 KiB, then folds into the pages
+        // covering it: here the two non-zero extremes of the sample
+        // stream, the first recorded over and over.
         let sample = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let (lo, hi) = (0..100_000)
             .map(sample)
             .filter(|&v| v != 0)
             .fold((u64::MAX, 0), |(lo, hi), v| (lo.min(v), hi.max(v)));
-        h.record(lo);
         h.record(hi);
+        for _ in 1..LOG_MAX {
+            h.record(lo);
+        }
+        assert!(h.is_log());
+        assert!(h.buckets.capacity() <= LOG_MAX / PER_WORD);
+        h.record(lo);
+        assert!(!h.is_log());
+        // Nothing else allocates once the pages are covered.
         let cap = h.buckets.capacity();
-        assert!(cap <= DENSE_LEN);
+        assert!(cap <= BUCKETS);
         for i in 0..100_000 {
             h.record(sample(i));
         }
@@ -423,11 +580,19 @@ mod tests {
         // Bucket 582 (5 ms) and bucket 729 (120 ms) are pages 9 and 11:
         // three pages, 192 buckets. Stored bucket-exact from bucket 0,
         // as a zero used to force, the range was 730 buckets.
+        // The log holds the two non-zero samples' indices only.
         let mut h = Log2Histogram::new();
         for v in [0, 5_000_000, 120_000_000] {
             h.record(v);
         }
         assert_eq!((index(5_000_000), index(120_000_000)), (582, 729));
+        assert_eq!(h.log().collect::<Vec<_>>(), [582, 729]);
+        assert_eq!(h.buckets.len(), 1);
+        assert_eq!(h.cumulative_buckets()[0], (0, 1));
+        // Folded into pages, it keeps the same three.
+        for _ in 0..LOG_MAX {
+            h.record(5_000_000);
+        }
         assert_eq!((h.lo, h.buckets.len()), (576, 192));
         assert_eq!(h.buckets.capacity(), 192);
         assert_eq!(h.cumulative_buckets()[0], (0, 1));
@@ -442,7 +607,7 @@ mod tests {
         assert_eq!(std::mem::size_of::<Log2Histogram>(), 80);
     }
 
-    /// The dense `(65 - bits) << bits` layout the range form replaced:
+    /// The dense `(65 - bits) << bits` layout the log and page forms replaced:
     /// one slot per bucket, allocated up front.
     struct Dense {
         buckets: Vec<u64>,
@@ -455,7 +620,7 @@ mod tests {
     impl Dense {
         fn new() -> Dense {
             Dense {
-                buckets: vec![0; DENSE_LEN],
+                buckets: vec![0; BUCKETS],
                 count: 0,
                 sum: 0,
                 min: u64::MAX,
@@ -518,24 +683,36 @@ mod tests {
             assert_eq!(h.quantile(q), d.quantile(q), "q={q}");
         }
         assert_eq!(h.cumulative_buckets(), d.cumulative_buckets());
-        // The canonical form: zeros counted apart, and exactly the
-        // aligned pages covering the non-zero samples, nothing else,
-        // at exact capacity.
+        // The canonical form: zeros counted apart; up to `LOG_MAX`
+        // non-zero samples, a log of exactly their bucket indices packed
+        // four to a word; past it, exactly the aligned pages covering
+        // them, nothing else, at exact capacity.
         assert_eq!(h.zeros, d.buckets[0]);
-        assert_eq!(h.buckets.capacity(), h.buckets.len());
-        match d.buckets.iter().skip(1).position(|&c| c > 0) {
-            None => assert!(h.buckets.is_empty() && h.lo == 0),
-            Some(first) => {
-                assert_eq!(h.lo, (first + 1) / PAGE * PAGE);
-                assert_eq!(h.lo + h.buckets.len(), (index(d.max) / PAGE + 1) * PAGE);
+        let nonzero = d.count - d.buckets[0];
+        assert_eq!(h.is_log(), nonzero <= LOG_MAX as u64);
+        if h.is_log() {
+            let mut logged = vec![0u64; BUCKETS];
+            for i in h.log() {
+                logged[i] += 1;
             }
+            assert_eq!(logged[0], 0);
+            assert_eq!(&logged[1..], &d.buckets[1..]);
+            assert_eq!(h.buckets.len(), (nonzero as usize).div_ceil(PER_WORD));
+            assert_eq!(h.lo, 0);
+        } else {
+            assert_eq!(h.buckets.capacity(), h.buckets.len());
+            let first = d.buckets.iter().skip(1).position(|&c| c > 0).unwrap() + 1;
+            assert_eq!(h.lo, first / PAGE * PAGE);
+            assert_eq!(h.lo + h.buckets.len(), (index(d.max) / PAGE + 1) * PAGE);
         }
     }
 
     /// Samples that stretch the range every way: the exact-zero bucket,
     /// the top bucket, anything between, ascending / descending runs
     /// that widen one end a bucket at a time, and zero-heavy streams
-    /// (one sample in three is 0) like the timeline's stage histograms.
+    /// (one sample in three is 0) like the timeline's stage histograms,
+    /// and streams about `LOG_MAX` long, which fold the log as they are
+    /// recorded or merged.
     fn samples() -> impl Strategy<Value = Vec<u64>> {
         let run = (0u64..1 << 40, 1u64..1 << 20, 1usize..40);
         prop_oneof![
@@ -549,6 +726,11 @@ mod tests {
             run.clone()
                 .prop_map(|(base, step, n)| (0..n as u64).map(|i| base + i * step).collect()),
             run.prop_map(|(base, step, n)| (0..n as u64).rev().map(|i| base + i * step).collect()),
+            proptest::collection::vec(1u64..5_000_000, LOG_MAX - 4..LOG_MAX + 4),
+            proptest::collection::vec(
+                prop_oneof![Just(0u64), 1u64..5_000_000, 1u64..=1 << 40],
+                LOG_MAX - 60..LOG_MAX + 120
+            ),
         ]
     }
 
@@ -567,10 +749,14 @@ mod tests {
             let mut leaves = Vec::new();
             for part in &parts {
                 let (mut h, mut d) = (Log2Histogram::new(), Dense::new());
-                for &v in part {
+                for (k, &v) in part.iter().enumerate() {
                     h.record(v);
                     d.record(v);
-                    assert_matches_dense(&h, &d, q);
+                    // Every record of a short part; of a long one, the
+                    // first, the last and those either side of the fold.
+                    if k < 64 || k + 1 == part.len() || h.nonzero().abs_diff(LOG_MAX as u64) <= 1 {
+                        assert_matches_dense(&h, &d, q);
+                    }
                 }
                 folded.merge(&h);
                 dense.merge(&d);

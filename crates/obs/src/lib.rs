@@ -5,8 +5,9 @@
 //! and the failover timeline (§5.5). This crate is the shared
 //! instrumentation substrate the other crates record into:
 //!
-//! - [`hist::Log2Histogram`] — range-compact latency distributions with a
-//!   bounded relative error, mergeable across NFs;
+//! - [`hist::Log2Histogram`] — compact latency distributions (a bucket
+//!   log while small, bucket pages past it) with a bounded relative
+//!   error, mergeable across NFs;
 //! - [`events::FlightRecorder`] — a bounded ring of typed, timestamped
 //!   events (stalls, drops, PFCP ops, handover phases, gauges) that
 //!   overwrites its oldest entry and counts what it lost;
@@ -152,6 +153,8 @@ impl Obs {
     /// [`TraceBundle`] for export.
     pub fn drain_into(&mut self, out: &mut TraceBundle) {
         out.dropped_events += self.flight.dropped();
+        out.dropped_spans += self.spans.dropped_spans();
+        out.dropped_segments += self.spans.dropped_segments();
         self.flight.drain_into(&mut out.events);
         out.spans.extend(self.spans.spans().iter().copied());
         out.segments.extend(self.spans.segments().iter().copied());
@@ -256,5 +259,50 @@ mod tests {
         assert_eq!(bundle.events.len(), 1);
         assert_eq!(bundle.spans.len(), 1);
         assert!(obs.flight.is_empty(), "events drained");
+    }
+
+    #[test]
+    fn a_truncated_span_log_says_so_in_the_trace() {
+        use l25gc_codec::{json, value::Value};
+        use l25gc_sim::SimDuration;
+
+        /// The meta line's drop counts and the Chrome trace's metadata.
+        fn drops(bundle: &TraceBundle) -> ((u64, u64, u64), Option<Value>) {
+            let jsonl = to_jsonl(bundle);
+            let meta = match parse_jsonl_line(jsonl.lines().last().unwrap()).unwrap() {
+                export::ParsedLine::Meta {
+                    dropped_events,
+                    dropped_spans,
+                    dropped_segments,
+                } => (dropped_events, dropped_spans, dropped_segments),
+                other => panic!("expected meta, got {other:?}"),
+            };
+            let chrome = json::parse(&to_chrome_trace(bundle)).unwrap();
+            (meta, chrome.get("metadata").cloned())
+        }
+
+        let mut obs = Obs::new();
+        obs.spans = SpanLog::with_capacity(1, 2);
+        let mut whole = TraceBundle::new();
+        obs.clone().drain_into(&mut whole);
+        assert_eq!(drops(&whole), ((0, 0, 0), None), "untruncated: no keys");
+        assert!(!to_jsonl(&whole).contains("dropped_spans"));
+
+        for i in 0..4u64 {
+            let at = SimTime::from_nanos(i);
+            obs.spans.record_completed(ProcKind::Paging, i, at, at);
+            obs.spans
+                .record_segment("amf", "x", at, SimDuration::from_nanos(1));
+        }
+        let mut cut = TraceBundle::new();
+        obs.drain_into(&mut cut);
+        let (meta, chrome) = drops(&cut);
+        assert_eq!(meta, (0, 3, 2));
+        let chrome = chrome.expect("truncated: metadata written");
+        assert_eq!(chrome.get("dropped_spans").and_then(Value::as_u64), Some(3));
+        assert_eq!(
+            chrome.get("dropped_segments").and_then(Value::as_u64),
+            Some(2)
+        );
     }
 }

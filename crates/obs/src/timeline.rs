@@ -15,10 +15,10 @@
 //!   is attributable to queueing delay, service time, or ring transit;
 //! - **a depth gauge** — the deepest in-flight queue observed.
 //!
-//! Recording is allocation-free once a window exists (windows allocate
-//! lazily, capped at [`MAX_WINDOWS`]; past the cap samples land in the
-//! last window and are counted in [`MetricsTimeline::clamped`], never
-//! silently lost). Timelines follow the same cross-thread discipline as
+//! Recording allocates only when it creates a window or grows one of its
+//! histograms (windows allocate lazily, capped at [`MAX_WINDOWS`]; past
+//! the cap samples land in the last window and are counted in
+//! [`MetricsTimeline::clamped`], never silently lost). Timelines follow the same cross-thread discipline as
 //! `Obs`: worker threads record into private timelines and the
 //! dispatcher merges them window-wise at join via
 //! [`MetricsTimeline::absorb`].
@@ -67,12 +67,14 @@ use crate::export::JsonlError;
 use crate::hist::Log2Histogram;
 
 /// Hard cap on windows per shard lane. A window is 416 bytes of counters
-/// and histogram headers plus, per histogram, the 64-bucket pages (512 B
-/// each) its non-zero samples occupy — exact zeros are a count in the
+/// and histogram headers plus, per histogram, a log of 2 bytes per
+/// non-zero sample up to 512 of them (1 KiB), past that the 64-bucket
+/// pages (512 B each) its samples occupy — exact zeros are a count in the
 /// header. A lane idle-finalized to the cap without a sample is 27 MB,
 /// one with every histogram stretched over the whole `u64` line 4 GB; in
 /// practice a lane holds a run's horizon divided by its interval, a few
-/// hundred windows of a few pages per histogram.
+/// hundred windows of about a hundred samples per histogram (1.4 KB a
+/// window on `analytic_timeline`).
 pub(crate) const MAX_WINDOWS: usize = 1 << 16;
 
 /// One stage of the dispatch→completion pipeline, as decomposed by the
