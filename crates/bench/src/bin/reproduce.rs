@@ -618,6 +618,32 @@ mod tests {
         assert_eq!(run_report("/no/such/manifest.json"), 2);
     }
 
+    /// `report` names the knee `capacity` marks with `*`: the last row
+    /// with under 1% loss, at least 90% of its offered rate achieved and
+    /// p99 within 3x the lightest row's.
+    #[test]
+    fn report_knee_keeps_the_sweeps_p99_budget() {
+        let mut manifest = tiny_manifest(1.0);
+        let row = manifest.metrics[0].clone();
+        manifest.metrics = [(0.25, 1.0), (0.5, 1.5), (0.75, 4.0), (0.9, 6.0)]
+            .into_iter()
+            .map(|(frac, p99_ms)| l25gc_bench::MetricRow {
+                name: format!("L25GC@{frac}x"),
+                offered_eps: 1000.0 * frac,
+                achieved_eps: 1000.0 * frac,
+                p99_ms,
+                ..row.clone()
+            })
+            .collect();
+        // No row loses anything or falls behind its offered rate; only the
+        // 3 ms p99 budget rules out 0.75x and 0.9x.
+        let digest = render_report(&manifest);
+        assert!(
+            digest.contains("L25GC: knee at L25GC@0.5x"),
+            "digest: {digest}"
+        );
+    }
+
     #[test]
     fn run_validate_prom_checks_expositions() {
         let valid = write_tmp("scrape-valid.prom", &l25gc_obs::prometheus_header());

@@ -8,7 +8,7 @@ use l25gc_load::{ExecBackend, ScenarioSpec};
 use l25gc_nfv::CostModel;
 use l25gc_obs::TraceBundle;
 use l25gc_testbed::exp;
-use l25gc_testbed::exp::capacity::{CapacityParams, CapacityPoint};
+use l25gc_testbed::exp::capacity::{detect_knee, CapacityParams, CapacityPoint};
 
 use crate::spec::Args;
 use crate::{
@@ -99,8 +99,7 @@ pub fn render_report(m: &RunManifest) -> String {
     );
     if m.scenarios.is_empty() {
         // Capacity manifest: rows are named `<deployment>@<frac>x`.
-        // Re-derive each deployment's knee with the sweep's rule (last
-        // point still healthy: <1% loss and >=90% of offered achieved).
+        // Re-derive each deployment's knee with the sweep's rule.
         let mut deployments: Vec<&str> = Vec::new();
         for (dep, _) in m.metrics.iter().filter_map(|r| r.name.split_once('@')) {
             if !deployments.contains(&dep) {
@@ -114,9 +113,17 @@ pub fn render_report(m: &RunManifest) -> String {
                 .iter()
                 .filter(|r| r.name.starts_with(&prefix))
                 .collect();
-            let healthy =
-                |r: &&MetricRow| r.loss_pct < 1.0 && r.achieved_eps >= 0.9 * r.offered_eps;
-            let knee = rows.iter().rposition(healthy).unwrap_or(0);
+            let points: Vec<CapacityPoint> = rows
+                .iter()
+                .map(|r| CapacityPoint {
+                    offered_eps: r.offered_eps,
+                    achieved_eps: r.achieved_eps,
+                    p99_ms: r.p99_ms,
+                    loss_pct: r.loss_pct,
+                    ..CapacityPoint::default()
+                })
+                .collect();
+            let knee = detect_knee(&points);
             let k = rows[knee];
             let _ = writeln!(
                 out,

@@ -19,96 +19,86 @@ pub(crate) enum CmState {
     Connected,
 }
 
-/// Progress of the registration procedure at the AMF.
+/// The one procedure the AMF runs for a UE, at the step it waits in.
+/// Each step names what it waits for and carries only the data that
+/// step needs. A message that no (step, message) arm of the AMF takes is
+/// a protocol race, and it panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RegPhase {
-    /// No registration in progress.
+pub enum Proc {
+    /// No procedure in progress.
     #[default]
     None,
+    // ---- Registration (TS 23.502 §4.2.2.2) ----
     /// Waiting for the AUSF authentication context.
-    AwaitAuthCtx,
-    /// Challenge sent to the UE; waiting for its response.
-    AwaitUeAuthResponse,
+    RegAuthCtx,
+    /// Challenge sent; waiting for the UE's response, which must equal
+    /// the expected 5G-AKA response held here.
+    RegAuthResponse([u8; 16]),
     /// Waiting for AUSF to confirm the 5G-AKA result.
-    AwaitAkaConfirm,
+    RegAkaConfirm,
     /// Security mode command sent; waiting for completion.
-    AwaitSecurityMode,
+    RegSecurityMode,
     /// Waiting for UDM UECM registration.
-    AwaitUecm,
+    RegUecm,
     /// Waiting for UDM subscription data.
-    AwaitSdmData,
+    RegSdmData,
     /// Waiting for the PCF AM policy.
-    AwaitAmPolicy,
-    /// Initial context setup sent to the gNB; waiting for completion.
-    AwaitContextSetup,
-}
-
-/// Progress of PDU session establishment at the AMF/SMF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SessPhase {
-    /// No establishment in progress.
-    #[default]
-    None,
-    /// AMF: waiting for SMF's CreateSmContext response.
-    AwaitSmContext,
-    /// AMF: waiting for SMF's N1N2 transfer (session accept + N2 info).
-    AwaitN1N2,
-    /// AMF: waiting for the gNB's resource-setup response.
-    AwaitAnSetup,
-    /// AMF: waiting for SMF to bind the AN tunnel.
-    AwaitTunnelBind,
-}
-
-/// Progress of the N2 handover at the AMF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HoPhase {
-    /// No handover in progress.
-    #[default]
-    None,
+    RegAmPolicy,
+    /// Initial context setup sent; waiting for the gNB's response and the
+    /// UE's RegistrationComplete.
+    RegContextSetup,
+    // ---- PDU session establishment (TS 23.502 §4.3.2.2) ----
+    /// Waiting for SMF's CreateSmContext response.
+    SessSmContext,
+    /// Waiting for SMF's N1N2 transfer (session accept + N2 info).
+    SessN1N2,
+    /// Waiting for the gNB's resource-setup response.
+    SessAnSetup,
+    /// Waiting for SMF to bind the AN tunnel.
+    SessTunnelBind,
+    // ---- N2 handover (TS 23.502 §4.9.1.3); preparation holds the
+    // target gNB, the steps after the UE arrived the source gNB, whose
+    // UE context is released at the end ----
     /// Waiting for NRF discovery before preparation.
-    AwaitPrepDiscovery,
-    /// Preparation: waiting for SMF (buffering decision + new UL TEID).
-    AwaitSmPrepare,
+    HoPrepDiscovery(GnbId),
+    /// Waiting for SMF: the context, then the buffering decision and the
+    /// new UL TEID.
+    HoSmPrepare(GnbId),
     /// Waiting for the target gNB's resource allocation.
-    AwaitTargetAck,
+    HoTargetAck(GnbId),
     /// Waiting for SMF to record the target's DL tunnel.
-    AwaitSmPrepared,
-    /// Handover command issued; UE is moving (radio interruption).
-    Executing,
+    HoSmPrepared(GnbId),
+    /// Handover command issued; the UE is moving (radio interruption).
+    HoExecuting,
     /// UE arrived; waiting for NRF re-validation before the path switch.
-    AwaitCompleteDiscovery,
+    HoCompleteDiscovery(GnbId),
     /// Waiting for SMF to switch the DL path.
-    AwaitSmComplete,
-    /// Mobility registration update transactions after path switch.
-    AwaitMobilityUpdate(u8),
-}
-
-/// Progress of the paging / service-request procedure at the AMF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PagingPhase {
-    /// Nothing pending.
-    #[default]
-    None,
-    /// Paging sent to the gNB; waiting for the UE's service request.
-    AwaitServiceRequest,
+    HoSmComplete(GnbId),
+    /// Mobility registration update: waiting for UDM UECM registration.
+    HoUecm(GnbId),
+    /// Mobility registration update: waiting for the PCF AM policy.
+    HoAmPolicy(GnbId),
+    // ---- Paging / service request (TS 23.502 §4.2.3.3) ----
+    /// Paging sent; waiting for the UE's service request.
+    PagingServiceRequest,
     /// Waiting for SMF to reactivate the UP path.
-    AwaitSmActivate,
-    /// Waiting for the gNB's context-setup response (new DL tunnel).
-    AwaitAnSetup,
+    PagingSmActivate,
+    /// Waiting for the gNB's resource-setup response (new DL tunnel).
+    PagingAnSetup,
     /// Waiting for SMF to bind the new tunnel and flush the buffer.
-    AwaitTunnelBind,
-}
-
-/// Progress of the AN-release (active → idle) procedure at the AMF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IdlePhase {
-    /// Nothing pending.
-    #[default]
-    None,
+    PagingTunnelBind,
+    // ---- AN release, active → idle (TS 23.502 §4.2.6); the flag says an
+    // N1N2 transfer arrived meanwhile, to page for once the release ends
+    // (TS 23.502 §4.2.3.3) ----
     /// Waiting for SMF to switch the session to buffering.
-    AwaitSmIdle,
+    IdleSmIdle(bool),
     /// Waiting for the gNB to confirm context release.
-    AwaitReleaseComplete,
+    IdleReleaseComplete(bool),
+    // ---- Deregistration (TS 23.502 §4.2.2.3) ----
+    /// Waiting for SMF to release the SM context.
+    DeregSmRelease,
+    /// Waiting for the gNB to confirm context release.
+    DeregAnRelease,
 }
 
 /// The AMF's per-UE context.
@@ -119,52 +109,23 @@ pub struct AmfUeCtx {
     pub(crate) guti: u64,
     /// The gNB currently serving this UE.
     pub(crate) serving_gnb: GnbId,
-    /// Handover target while one is in progress.
-    pub target_gnb: Option<GnbId>,
-    /// The gNB the UE just left (context released after the mobility
-    /// update completes).
-    pub(crate) prev_gnb: Option<GnbId>,
     /// Connection management state.
     pub(crate) cm: CmState,
-    /// Registration procedure progress.
-    pub reg: RegPhase,
-    /// Session establishment progress.
-    pub sess: SessPhase,
-    /// Handover progress.
-    pub ho: HoPhase,
-    /// Paging progress.
-    pub paging: PagingPhase,
-    /// Idle-transition progress.
-    pub idle: IdlePhase,
-    /// Deregistration progress.
-    pub dereg: DeregPhase,
+    /// The procedure in progress and its step.
+    pub proc: Proc,
     /// When the in-flight procedure started (for completion metrics).
     pub(crate) proc_start: SimTime,
-    /// Expected 5G-AKA response while authentication is in flight.
-    pub(crate) expected_res: Option<[u8; 16]>,
-    /// An N1N2 transfer that arrived during the AN release, held until
-    /// the release ends (TS 23.502 §4.2.3.3).
-    pub(crate) n1n2_held: bool,
 }
 
 impl AmfUeCtx {
-    /// Fresh context for a UE first seen at `gnb`.
+    /// Fresh context for a UE that starts registering at `gnb`.
     pub(crate) fn new(supi: u64, gnb: GnbId, now: SimTime) -> AmfUeCtx {
         AmfUeCtx {
             guti: 0xF000_0000_0000_0000 | supi,
             serving_gnb: gnb,
-            target_gnb: None,
-            prev_gnb: None,
             cm: CmState::Connected,
-            reg: RegPhase::None,
-            sess: SessPhase::None,
-            ho: HoPhase::None,
-            paging: PagingPhase::None,
-            idle: IdlePhase::None,
-            dereg: DeregPhase::None,
+            proc: Proc::RegAuthCtx,
             proc_start: now,
-            expected_res: None,
-            n1n2_held: false,
         }
     }
 }
@@ -187,18 +148,6 @@ pub struct SmfSession {
     /// The answer to the SM-context update whose N4 modification is in
     /// flight, sent when the UPF acknowledges it.
     pub(crate) pending_ack: Option<SmContextUpdate>,
-}
-
-/// Progress of deregistration at the AMF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeregPhase {
-    /// Nothing pending.
-    #[default]
-    None,
-    /// Waiting for SMF to release the SM context.
-    AwaitSmRelease,
-    /// Waiting for the gNB to confirm context release.
-    AwaitAnRelease,
 }
 
 /// What kind of UE event completed (for Fig 8 accounting).

@@ -25,10 +25,7 @@ use l25gc_pkt::pfcp::{
 };
 use l25gc_sim::{FastMap, SimDuration, SimTime};
 
-use crate::context::{
-    proc_kind, AmfUeCtx, CmState, DeregPhase, EventRecord, HoPhase, IdlePhase, PagingPhase,
-    RegPhase, SessPhase, SmfSession, UeEvent,
-};
+use crate::context::{proc_kind, AmfUeCtx, CmState, EventRecord, Proc, SmfSession, UeEvent};
 use crate::deploy::Deployment;
 use crate::msg::{DataPacket, Endpoint, Envelope, GnbId, Msg, SbiOp, SmContextUpdate, UeId};
 use crate::udr::{AuthVector, Udr};
@@ -232,7 +229,7 @@ impl CoreNetwork {
                 }
                 (to, None, op) => panic!("core cannot handle {op:?} at {to:?}"),
             },
-            (Endpoint::Amf, Msg::Ngap(m)) => self.amf_ngap(m, now, &mut outs),
+            (Endpoint::Amf, Msg::Ngap(m)) => self.amf_ngap(env.from, m, now, &mut outs),
             (Endpoint::Smf, Msg::N4(m)) => self.smf_n4(m, &mut outs),
             (Endpoint::UpfC, Msg::N4(m)) => self.upfc_n4(m, &mut outs),
             (Endpoint::UpfU, Msg::Data(p)) => return self.upfu_data(p),
@@ -264,338 +261,291 @@ impl CoreNetwork {
 
     // ================= AMF =================
 
-    fn amf_ngap(&mut self, m: NgapMessage, now: SimTime, outs: &mut Outs) {
-        match m {
-            // ---- Registration (TS 23.502 §4.2.2.2) ----
-            NgapMessage::InitialUeMessage {
-                ue,
+    /// The AMF's N2 side: one arm per (step, message) pair the
+    /// procedures of TS 23.502 take. A registration request creates the
+    /// context; every other message needs one.
+    fn amf_ngap(&mut self, from: Endpoint, m: NgapMessage, now: SimTime, outs: &mut Outs) {
+        use NasMessage as Nas;
+        use NgapMessage as N;
+        let ue = match &m {
+            N::InitialUeMessage { ue, .. }
+            | N::UplinkNasTransport { ue, .. }
+            | N::InitialContextSetupResponse { ue }
+            | N::PduSessionResourceSetupResponse { ue, .. }
+            | N::UeContextReleaseRequest { ue }
+            | N::UeContextReleaseComplete { ue }
+            | N::HandoverRequired { ue, .. }
+            | N::HandoverRequestAcknowledge { ue, .. }
+            | N::HandoverNotify { ue, .. } => *ue,
+            other => panic!("AMF cannot handle {other:?}"),
+        };
+        let step = self.amf.ues.get(&ue).map_or(Proc::None, |c| c.proc);
+        // ---- Registration (TS 23.502 §4.2.2.2) ----
+        if let (
+            Proc::None,
+            &N::InitialUeMessage {
                 gnb,
-                nas: NasMessage::RegistrationRequest { supi },
-            } => {
-                let mut ctx = AmfUeCtx::new(supi, gnb, now);
-                ctx.reg = RegPhase::AwaitAuthCtx;
-                self.amf.ues.insert(ue, ctx);
-                outs.sbi(SbiOp::UeAuthCtxCreateReq { supi }, ue);
-            }
-            NgapMessage::UplinkNasTransport {
-                ue,
-                nas: NasMessage::AuthenticationResponse { res },
-            } => {
-                let ctx = self.ue_ctx(ue);
-                debug_assert_eq!(ctx.reg, RegPhase::AwaitUeAuthResponse);
-                let expected = ctx.expected_res.take().expect("challenge outstanding");
+                nas: Nas::RegistrationRequest { supi },
+                ..
+            },
+        ) = (step, &m)
+        {
+            self.amf.ues.insert(ue, AmfUeCtx::new(supi, gnb, now));
+            outs.sbi(SbiOp::UeAuthCtxCreateReq { supi }, ue);
+            return;
+        }
+        let ctx = self.ue_ctx(ue);
+        match (step, m) {
+            (
+                Proc::RegAuthResponse(expected),
+                N::UplinkNasTransport {
+                    nas: Nas::AuthenticationResponse { res },
+                    ..
+                },
+            ) => {
                 if res != expected {
                     // Authentication failure: abort the registration (a
                     // real AMF would send a NAS reject; the UE never
                     // becomes registered either way).
-                    ctx.reg = RegPhase::None;
+                    ctx.proc = Proc::None;
                     return;
                 }
-                ctx.reg = RegPhase::AwaitAkaConfirm;
+                ctx.proc = Proc::RegAkaConfirm;
                 outs.sbi(SbiOp::Auth5gAkaConfirmReq, ue);
             }
-            NgapMessage::UplinkNasTransport {
-                ue,
-                nas: NasMessage::SecurityModeComplete,
-            } => {
-                let ctx = self.ue_ctx(ue);
-                debug_assert_eq!(ctx.reg, RegPhase::AwaitSecurityMode);
-                ctx.reg = RegPhase::AwaitUecm;
+            (
+                Proc::RegSecurityMode,
+                N::UplinkNasTransport {
+                    nas: Nas::SecurityModeComplete,
+                    ..
+                },
+            ) => {
+                ctx.proc = Proc::RegUecm;
                 outs.sbi(SbiOp::UecmRegistrationReq, ue);
             }
-            NgapMessage::InitialContextSetupResponse { ue } => {
-                // Either registration finishing or a paging/service
-                // request context re-setup would use PduSessionResource
-                // messages; here only registration uses ICS.
-                let ctx = self.ue_ctx(ue);
-                debug_assert_eq!(ctx.reg, RegPhase::AwaitContextSetup);
-                // Registration completes when the UE's RegistrationComplete
-                // arrives (UplinkNasTransport below).
-            }
-            NgapMessage::UplinkNasTransport {
-                ue,
-                nas: NasMessage::RegistrationComplete,
-            } => {
-                self.ue_ctx(ue).reg = RegPhase::None;
+            // Registration completes with the UE's RegistrationComplete,
+            // not with the gNB's context-setup response.
+            (Proc::RegContextSetup, N::InitialContextSetupResponse { .. }) => {}
+            (
+                Proc::RegContextSetup,
+                N::UplinkNasTransport {
+                    nas: Nas::RegistrationComplete,
+                    ..
+                },
+            ) => {
+                ctx.proc = Proc::None;
                 self.complete(ue, UeEvent::Registration, now);
             }
 
             // ---- PDU session establishment (TS 23.502 §4.3.2.2) ----
-            NgapMessage::UplinkNasTransport {
-                ue,
-                nas: NasMessage::PduSessionEstablishmentRequest { .. },
-            } => {
-                let ctx = self.ue_ctx(ue);
+            (
+                Proc::None,
+                N::UplinkNasTransport {
+                    nas: Nas::PduSessionEstablishmentRequest { .. },
+                    ..
+                },
+            ) => {
                 ctx.proc_start = now;
-                ctx.sess = SessPhase::AwaitSmContext;
+                ctx.proc = Proc::SessSmContext;
                 outs.sbi(SbiOp::CreateSmContextReq, ue);
             }
-            NgapMessage::PduSessionResourceSetupResponse {
-                ue,
-                downlink_tunnel,
-                ..
-            } => {
-                let ctx = self.ue_ctx(ue);
-                let update = if ctx.paging == PagingPhase::AwaitAnSetup {
-                    ctx.paging = PagingPhase::AwaitTunnelBind;
-                    SmContextUpdate::Active {
-                        an_tunnel: downlink_tunnel,
-                    }
-                } else {
-                    debug_assert_eq!(ctx.sess, SessPhase::AwaitAnSetup);
-                    ctx.sess = SessPhase::AwaitTunnelBind;
-                    SmContextUpdate::AnTunnelInfo(downlink_tunnel)
-                };
+            (
+                Proc::SessAnSetup,
+                N::PduSessionResourceSetupResponse {
+                    downlink_tunnel, ..
+                },
+            ) => {
+                ctx.proc = Proc::SessTunnelBind;
+                let update = SmContextUpdate::AnTunnelInfo(downlink_tunnel);
                 outs.sbi(SbiOp::UpdateSmContextReq(update), ue);
             }
 
+            // After a handover, the source gNB's release completion needs
+            // no action, whatever the UE does meanwhile; matched ahead of
+            // the release arms below, so it never ends one of them.
+            (_, N::UeContextReleaseComplete { .. }) if from != Endpoint::Gnb(ctx.serving_gnb) => {}
+
             // ---- Idle transition (AN release, TS 23.502 §4.2.6) ----
-            NgapMessage::UeContextReleaseRequest { ue } => {
-                let ctx = self.ue_ctx(ue);
+            (Proc::None, N::UeContextReleaseRequest { .. }) => {
                 ctx.proc_start = now;
-                ctx.idle = IdlePhase::AwaitSmIdle;
+                ctx.proc = Proc::IdleSmIdle(false);
                 outs.sbi(SbiOp::UpdateSmContextReq(SmContextUpdate::Idle), ue);
             }
-            NgapMessage::UeContextReleaseComplete { ue } => {
-                let ctx = self.ue_ctx(ue);
-                if ctx.dereg == DeregPhase::AwaitAnRelease {
-                    ctx.dereg = DeregPhase::None;
-                    ctx.cm = CmState::Idle;
-                    self.complete(ue, UeEvent::Deregistration, now);
-                } else if ctx.idle == IdlePhase::AwaitReleaseComplete {
-                    ctx.idle = IdlePhase::None;
-                    ctx.cm = CmState::Idle;
-                    let held = std::mem::take(&mut ctx.n1n2_held);
-                    self.complete(ue, UeEvent::IdleTransition, now);
-                    if held {
-                        // The release has ended: page for the transfer
-                        // held meanwhile (TS 23.502 §4.2.3.3).
-                        page(self.ue_ctx(ue), now, outs);
-                    }
+            (Proc::IdleReleaseComplete(held), N::UeContextReleaseComplete { .. }) => {
+                ctx.proc = Proc::None;
+                ctx.cm = CmState::Idle;
+                self.complete(ue, UeEvent::IdleTransition, now);
+                if held {
+                    // The release has ended: page for the transfer held
+                    // meanwhile (TS 23.502 §4.2.3.3).
+                    page(self.ue_ctx(ue), now, outs);
                 }
-                // After a handover, the source gNB's release completion
-                // needs no further action.
             }
 
             // ---- Paging: service request from the woken UE ----
-            NgapMessage::InitialUeMessage {
-                ue,
-                gnb,
-                nas: NasMessage::ServiceRequest { .. },
-            } => {
-                let ctx = self.ue_ctx(ue);
-                debug_assert_eq!(ctx.paging, PagingPhase::AwaitServiceRequest);
+            (
+                Proc::PagingServiceRequest,
+                N::InitialUeMessage {
+                    gnb,
+                    nas: Nas::ServiceRequest { .. },
+                    ..
+                },
+            ) => {
                 ctx.serving_gnb = gnb;
                 ctx.cm = CmState::Connected;
-                ctx.paging = PagingPhase::AwaitSmActivate;
+                ctx.proc = Proc::PagingSmActivate;
                 // TS 23.502 §4.2.3.2 step 4: activate the UP connection at
                 // the SMF before setting up the AN resources.
                 outs.sbi(SbiOp::UpdateSmContextReq(SmContextUpdate::ActivateUp), ue);
             }
+            (
+                Proc::PagingAnSetup,
+                N::PduSessionResourceSetupResponse {
+                    downlink_tunnel, ..
+                },
+            ) => {
+                ctx.proc = Proc::PagingTunnelBind;
+                let update = SmContextUpdate::Active {
+                    an_tunnel: downlink_tunnel,
+                };
+                outs.sbi(SbiOp::UpdateSmContextReq(update), ue);
+            }
 
             // ---- Deregistration (TS 23.502 §4.2.2.3) ----
-            NgapMessage::UplinkNasTransport {
-                ue,
-                nas: NasMessage::DeregistrationRequest { .. },
-            } => {
-                let ctx = self.ue_ctx(ue);
+            (
+                Proc::None,
+                N::UplinkNasTransport {
+                    nas: Nas::DeregistrationRequest { .. },
+                    ..
+                },
+            ) => {
                 ctx.proc_start = now;
-                ctx.dereg = DeregPhase::AwaitSmRelease;
+                ctx.proc = Proc::DeregSmRelease;
                 outs.sbi(SbiOp::ReleaseSmContextReq, ue);
+            }
+            (Proc::DeregAnRelease, N::UeContextReleaseComplete { .. }) => {
+                ctx.proc = Proc::None;
+                ctx.cm = CmState::Idle;
+                self.complete(ue, UeEvent::Deregistration, now);
             }
 
             // ---- N2 handover (TS 23.502 §4.9.1.3) ----
-            NgapMessage::HandoverRequired { ue, target_gnb } => {
-                let ctx = self.ue_ctx(ue);
+            (Proc::None, N::HandoverRequired { target_gnb, .. }) => {
                 ctx.proc_start = now;
-                ctx.target_gnb = Some(target_gnb);
-                ctx.ho = HoPhase::AwaitPrepDiscovery;
+                ctx.proc = Proc::HoPrepDiscovery(target_gnb);
                 self.ho_event(ue, "prepare", now);
                 // free5GC (re)discovers the target-side serving NFs at the
                 // NRF before touching the SM context.
                 outs.sbi(SbiOp::NfDiscoveryReq, ue);
             }
-            NgapMessage::HandoverRequestAcknowledge {
-                ue,
-                downlink_tunnel,
-                ..
-            } => {
-                let ctx = self.ue_ctx(ue);
-                debug_assert_eq!(ctx.ho, HoPhase::AwaitTargetAck);
-                ctx.ho = HoPhase::AwaitSmPrepared;
+            (
+                Proc::HoTargetAck(target),
+                N::HandoverRequestAcknowledge {
+                    downlink_tunnel, ..
+                },
+            ) => {
+                ctx.proc = Proc::HoSmPrepared(target);
                 self.ho_event(ue, "target_ack", now);
                 let update = SmContextUpdate::HoPrepared {
                     target_dl: downlink_tunnel,
                 };
                 outs.sbi(SbiOp::UpdateSmContextReq(update), ue);
             }
-            NgapMessage::HandoverNotify { ue, gnb } => {
-                let ctx = self.ue_ctx(ue);
-                debug_assert_eq!(ctx.ho, HoPhase::Executing);
-                ctx.prev_gnb = Some(ctx.serving_gnb);
+            (Proc::HoExecuting, N::HandoverNotify { gnb, .. }) => {
+                ctx.proc = Proc::HoCompleteDiscovery(ctx.serving_gnb);
                 ctx.serving_gnb = gnb;
-                ctx.ho = HoPhase::AwaitCompleteDiscovery;
                 self.ho_event(ue, "path_switch", now);
                 // Path-switch: re-validate the UPF/SMF selection at the NRF
                 // before updating the SM context (free5GC behaviour).
                 outs.sbi(SbiOp::NfDiscoveryReq, ue);
             }
 
-            other => panic!("AMF cannot handle {other:?}"),
+            (step, m) => panic!("AMF: UE {ue} at step {step:?} cannot take {m:?}"),
         }
     }
 
+    /// The AMF's SBI side: one arm per (step, operation) pair, the
+    /// answers to the SM-context updates included.
     fn amf_sbi(&mut self, op: SbiOp, ue: UeId, now: SimTime, outs: &mut Outs) {
+        use SbiOp::UpdateSmContextResp as Updated;
         let ctx = self.ue_ctx(ue);
-        match op {
-            // ---- Registration responses ----
-            SbiOp::UeAuthCtxCreateResp { rand, sqn, xres } => {
-                debug_assert_eq!(ctx.reg, RegPhase::AwaitAuthCtx);
-                ctx.reg = RegPhase::AwaitUeAuthResponse;
-                ctx.expected_res = Some(xres);
+        match (ctx.proc, op) {
+            // ---- Registration ----
+            (Proc::RegAuthCtx, SbiOp::UeAuthCtxCreateResp { rand, sqn, xres }) => {
+                ctx.proc = Proc::RegAuthResponse(xres);
                 let nas = NasMessage::AuthenticationRequest { rand, sqn };
                 outs.ngap(
                     ctx.serving_gnb,
                     NgapMessage::DownlinkNasTransport { ue, nas },
                 );
             }
-            SbiOp::Auth5gAkaConfirmResp => {
-                debug_assert_eq!(ctx.reg, RegPhase::AwaitAkaConfirm);
-                ctx.reg = RegPhase::AwaitSecurityMode;
+            (Proc::RegAkaConfirm, SbiOp::Auth5gAkaConfirmResp) => {
+                ctx.proc = Proc::RegSecurityMode;
                 let nas = NasMessage::SecurityModeCommand;
                 outs.ngap(
                     ctx.serving_gnb,
                     NgapMessage::DownlinkNasTransport { ue, nas },
                 );
             }
-            SbiOp::UecmRegistrationResp => {
-                if ctx.ho == HoPhase::AwaitMobilityUpdate(0) {
-                    // Handover's mobility registration update, step 2.
-                    ctx.ho = HoPhase::AwaitMobilityUpdate(1);
-                    outs.sbi(SbiOp::AmPolicyCreateReq, ue);
-                } else {
-                    debug_assert_eq!(ctx.reg, RegPhase::AwaitUecm);
-                    ctx.reg = RegPhase::AwaitSdmData;
-                    outs.sbi(SbiOp::SdmGetAmDataReq, ue);
-                }
+            (Proc::RegUecm, SbiOp::UecmRegistrationResp) => {
+                ctx.proc = Proc::RegSdmData;
+                outs.sbi(SbiOp::SdmGetAmDataReq, ue);
             }
-            SbiOp::SdmGetAmDataResp => {
-                debug_assert_eq!(ctx.reg, RegPhase::AwaitSdmData);
-                ctx.reg = RegPhase::AwaitAmPolicy;
+            (Proc::RegSdmData, SbiOp::SdmGetAmDataResp) => {
+                ctx.proc = Proc::RegAmPolicy;
                 outs.sbi(SbiOp::AmPolicyCreateReq, ue);
             }
-            SbiOp::AmPolicyCreateResp => {
-                if let HoPhase::AwaitMobilityUpdate(1) = ctx.ho {
-                    // Mobility update done: the handover event completes,
-                    // and the source gNB's UE context is released.
-                    ctx.ho = HoPhase::None;
-                    ctx.target_gnb = None;
-                    let prev = ctx.prev_gnb.take();
-                    self.ho_event(ue, "complete", now);
-                    self.complete(ue, UeEvent::Handover, now);
-                    if let Some(src) = prev {
-                        outs.ngap(src, NgapMessage::UeContextReleaseCommand { ue });
-                    }
-                } else {
-                    debug_assert_eq!(ctx.reg, RegPhase::AwaitAmPolicy);
-                    ctx.reg = RegPhase::AwaitContextSetup;
-                    let nas = NasMessage::RegistrationAccept { guti: ctx.guti };
-                    outs.ngap(
-                        ctx.serving_gnb,
-                        NgapMessage::InitialContextSetupRequest { ue, nas },
-                    );
-                }
+            (Proc::RegAmPolicy, SbiOp::AmPolicyCreateResp) => {
+                ctx.proc = Proc::RegContextSetup;
+                let nas = NasMessage::RegistrationAccept { guti: ctx.guti };
+                outs.ngap(
+                    ctx.serving_gnb,
+                    NgapMessage::InitialContextSetupRequest { ue, nas },
+                );
             }
 
-            // ---- Session establishment responses ----
-            SbiOp::CreateSmContextResp => {
-                debug_assert_eq!(ctx.sess, SessPhase::AwaitSmContext);
-                ctx.sess = SessPhase::AwaitN1N2;
+            // ---- Session establishment ----
+            (Proc::SessSmContext, SbiOp::CreateSmContextResp) => {
                 // Nothing to send: the SMF continues (UDM, PCF, UPF) and
                 // calls back with N1N2MessageTransfer.
+                ctx.proc = Proc::SessN1N2;
             }
-            SbiOp::N1N2MessageTransferReq { ul_teid } => {
+            (Proc::SessN1N2, SbiOp::N1N2MessageTransferReq { ul_teid }) => {
                 outs.sbi(SbiOp::N1N2MessageTransferResp, ue);
-                if ctx.idle != IdlePhase::None {
-                    // TS 23.502 §4.2.3.3: the AN release, an N2 procedure,
-                    // is still running. Keep the transfer pending and page
-                    // once the release ends.
-                    ctx.n1n2_held = true;
-                } else if ctx.cm == CmState::Idle {
-                    // Downlink-data notification for an idle UE: page it.
-                    page(ctx, now, outs);
-                } else {
-                    debug_assert_eq!(ctx.sess, SessPhase::AwaitN1N2);
-                    ctx.sess = SessPhase::AwaitAnSetup;
-                    outs.ngap(
-                        ctx.serving_gnb,
-                        NgapMessage::PduSessionResourceSetupRequest {
-                            ue,
+                ctx.proc = Proc::SessAnSetup;
+                outs.ngap(
+                    ctx.serving_gnb,
+                    NgapMessage::PduSessionResourceSetupRequest {
+                        ue,
+                        session_id: 1,
+                        uplink_tunnel: n3_tunnel(ul_teid),
+                        nas: NasMessage::PduSessionEstablishmentAccept {
                             session_id: 1,
-                            uplink_tunnel: n3_tunnel(ul_teid),
-                            nas: NasMessage::PduSessionEstablishmentAccept {
-                                session_id: 1,
-                                ue_ip: ue_ip_for(ue),
-                            },
+                            ue_ip: ue_ip_for(ue),
                         },
-                    );
-                }
+                    },
+                );
             }
-            SbiOp::ReleaseSmContextResp => {
-                debug_assert_eq!(ctx.dereg, DeregPhase::AwaitSmRelease);
-                ctx.dereg = DeregPhase::AwaitAnRelease;
-                let gnb = ctx.serving_gnb;
-                let nas = NasMessage::DeregistrationAccept;
-                outs.ngap(gnb, NgapMessage::DownlinkNasTransport { ue, nas });
-                outs.ngap(gnb, NgapMessage::UeContextReleaseCommand { ue });
+            (Proc::SessTunnelBind, Updated(SmContextUpdate::AnTunnelInfo(_))) => {
+                // The NAS accept already rode in the resource setup
+                // request; the session is up.
+                ctx.proc = Proc::None;
+                self.complete(ue, UeEvent::SessionRequest, now);
             }
-            SbiOp::UpdateSmContextResp(update) => self.amf_sm_update_done(ue, update, now, outs),
 
-            // ---- Handover responses ----
-            SbiOp::NfDiscoveryResp => match ctx.ho {
-                HoPhase::AwaitPrepDiscovery => {
-                    ctx.ho = HoPhase::AwaitSmPrepare;
-                    outs.sbi(SbiOp::SmContextRetrieveReq, ue);
-                }
-                HoPhase::AwaitCompleteDiscovery => {
-                    ctx.ho = HoPhase::AwaitSmComplete;
-                    let update = SmContextUpdate::HoComplete;
-                    outs.sbi(SbiOp::UpdateSmContextReq(update), ue);
-                }
-                other => panic!("unexpected discovery response in {other:?}"),
-            },
-            SbiOp::SmContextRetrieveResp => {
-                debug_assert_eq!(ctx.ho, HoPhase::AwaitSmPrepare);
-                let target_gnb = ctx.target_gnb.expect("handover target chosen");
+            // ---- Handover ----
+            (Proc::HoPrepDiscovery(target), SbiOp::NfDiscoveryResp) => {
+                ctx.proc = Proc::HoSmPrepare(target);
+                outs.sbi(SbiOp::SmContextRetrieveReq, ue);
+            }
+            (Proc::HoSmPrepare(target_gnb), SbiOp::SmContextRetrieveResp) => {
                 let update = SmContextUpdate::HoPrepare { target_gnb };
                 outs.sbi(SbiOp::UpdateSmContextReq(update), ue);
             }
-
-            other => panic!("AMF cannot handle SBI {other:?}"),
-        }
-    }
-
-    fn amf_sm_update_done(
-        &mut self,
-        ue: UeId,
-        update: SmContextUpdate,
-        now: SimTime,
-        outs: &mut Outs,
-    ) {
-        let ctx = self.ue_ctx(ue);
-        match update {
-            SmContextUpdate::AnTunnelInfo(_) => {
-                debug_assert_eq!(ctx.sess, SessPhase::AwaitTunnelBind);
-                ctx.sess = SessPhase::None;
-                // The NAS accept already rode in the resource setup
-                // request; the session is up.
-                self.complete(ue, UeEvent::SessionRequest, now);
-            }
-            SmContextUpdate::HoPrepareAck { new_ul_teid } => {
-                debug_assert_eq!(ctx.ho, HoPhase::AwaitSmPrepare);
-                ctx.ho = HoPhase::AwaitTargetAck;
+            (Proc::HoSmPrepare(target), Updated(SmContextUpdate::HoPrepareAck { new_ul_teid })) => {
+                ctx.proc = Proc::HoTargetAck(target);
                 outs.ngap(
-                    ctx.target_gnb.expect("target chosen"),
+                    target,
                     NgapMessage::HandoverRequest {
                         ue,
                         session_id: 1,
@@ -603,27 +553,60 @@ impl CoreNetwork {
                     },
                 );
             }
-            SmContextUpdate::HoPrepared { .. } => {
-                debug_assert_eq!(ctx.ho, HoPhase::AwaitSmPrepared);
-                ctx.ho = HoPhase::Executing;
-                let (src, target_gnb) = (ctx.serving_gnb, ctx.target_gnb.expect("target chosen"));
+            (Proc::HoSmPrepared(target_gnb), Updated(SmContextUpdate::HoPrepared { .. })) => {
+                ctx.proc = Proc::HoExecuting;
+                let src = ctx.serving_gnb;
                 self.ho_event(ue, "execute", now);
                 outs.ngap(src, NgapMessage::HandoverCommand { ue, target_gnb });
             }
-            SmContextUpdate::HoComplete => {
+            (Proc::HoCompleteDiscovery(source), SbiOp::NfDiscoveryResp) => {
+                ctx.proc = Proc::HoSmComplete(source);
+                let update = SmContextUpdate::HoComplete;
+                outs.sbi(SbiOp::UpdateSmContextReq(update), ue);
+            }
+            (Proc::HoSmComplete(source), Updated(SmContextUpdate::HoComplete)) => {
                 // DL path switched; start the mobility registration update.
-                debug_assert_eq!(ctx.ho, HoPhase::AwaitSmComplete);
-                ctx.ho = HoPhase::AwaitMobilityUpdate(0);
+                ctx.proc = Proc::HoUecm(source);
                 outs.sbi(SbiOp::UecmRegistrationReq, ue);
             }
-            SmContextUpdate::Idle => {
-                debug_assert_eq!(ctx.idle, IdlePhase::AwaitSmIdle);
-                ctx.idle = IdlePhase::AwaitReleaseComplete;
+            (Proc::HoUecm(source), SbiOp::UecmRegistrationResp) => {
+                ctx.proc = Proc::HoAmPolicy(source);
+                outs.sbi(SbiOp::AmPolicyCreateReq, ue);
+            }
+            (Proc::HoAmPolicy(source), SbiOp::AmPolicyCreateResp) => {
+                // Mobility update done: the handover event completes, and
+                // the source gNB's UE context is released.
+                ctx.proc = Proc::None;
+                self.ho_event(ue, "complete", now);
+                self.complete(ue, UeEvent::Handover, now);
+                outs.ngap(source, NgapMessage::UeContextReleaseCommand { ue });
+            }
+
+            // ---- Idle transition ----
+            (Proc::IdleSmIdle(held), Updated(SmContextUpdate::Idle)) => {
+                ctx.proc = Proc::IdleReleaseComplete(held);
                 outs.ngap(ctx.serving_gnb, NgapMessage::UeContextReleaseCommand { ue });
             }
-            SmContextUpdate::ActivateUpAck { ul_teid } => {
-                debug_assert_eq!(ctx.paging, PagingPhase::AwaitSmActivate);
-                ctx.paging = PagingPhase::AwaitAnSetup;
+            // TS 23.502 §4.2.3.3: the AN release, an N2 procedure, is still
+            // running. Keep the transfer pending and page once the release
+            // ends.
+            (Proc::IdleSmIdle(_), SbiOp::N1N2MessageTransferReq { .. }) => {
+                outs.sbi(SbiOp::N1N2MessageTransferResp, ue);
+                ctx.proc = Proc::IdleSmIdle(true);
+            }
+            (Proc::IdleReleaseComplete(_), SbiOp::N1N2MessageTransferReq { .. }) => {
+                outs.sbi(SbiOp::N1N2MessageTransferResp, ue);
+                ctx.proc = Proc::IdleReleaseComplete(true);
+            }
+
+            // ---- Paging ----
+            (Proc::None, SbiOp::N1N2MessageTransferReq { .. }) if ctx.cm == CmState::Idle => {
+                // Downlink-data notification for an idle UE: page it.
+                outs.sbi(SbiOp::N1N2MessageTransferResp, ue);
+                page(ctx, now, outs);
+            }
+            (Proc::PagingSmActivate, Updated(SmContextUpdate::ActivateUpAck { ul_teid })) => {
+                ctx.proc = Proc::PagingAnSetup;
                 outs.ngap(
                     ctx.serving_gnb,
                     NgapMessage::PduSessionResourceSetupRequest {
@@ -634,14 +617,21 @@ impl CoreNetwork {
                     },
                 );
             }
-            SmContextUpdate::Active { .. } => {
-                debug_assert_eq!(ctx.paging, PagingPhase::AwaitTunnelBind);
-                ctx.paging = PagingPhase::None;
+            (Proc::PagingTunnelBind, Updated(SmContextUpdate::Active { .. })) => {
+                ctx.proc = Proc::None;
                 self.complete(ue, UeEvent::Paging, now);
             }
-            SmContextUpdate::HoPrepare { .. } | SmContextUpdate::ActivateUp => {
-                unreachable!("the SMF answers {update:?} with its ack")
+
+            // ---- Deregistration ----
+            (Proc::DeregSmRelease, SbiOp::ReleaseSmContextResp) => {
+                ctx.proc = Proc::DeregAnRelease;
+                let gnb = ctx.serving_gnb;
+                let nas = NasMessage::DeregistrationAccept;
+                outs.ngap(gnb, NgapMessage::DownlinkNasTransport { ue, nas });
+                outs.ngap(gnb, NgapMessage::UeContextReleaseCommand { ue });
             }
+
+            (step, op) => panic!("AMF: UE {ue} at step {step:?} cannot take {op:?}"),
         }
     }
 
@@ -1030,7 +1020,7 @@ impl CoreNetwork {
 /// procedure starts now.
 fn page(ctx: &mut AmfUeCtx, now: SimTime, outs: &mut Outs) {
     ctx.proc_start = now;
-    ctx.paging = PagingPhase::AwaitServiceRequest;
+    ctx.proc = Proc::PagingServiceRequest;
     outs.ngap(ctx.serving_gnb, NgapMessage::Paging { guti: ctx.guti });
 }
 
@@ -1358,6 +1348,49 @@ mod tests {
                     q.push(at + out.delay, out.env);
                 }
             }
+        }
+    }
+
+    /// A core with UE 1 registered at gNB 1, at `now` after it.
+    fn registered() -> (CoreNetwork, SimTime) {
+        let mut core = CoreNetwork::new(Deployment::L25gc);
+        let mut now = SimTime::ZERO;
+        core.provision_subscriber(101);
+        let nas = NasMessage::RegistrationRequest { supi: 101 };
+        let first = NgapMessage::InitialUeMessage { ue: 1, gnb: 1, nas };
+        settle(&mut core, &mut now, first);
+        assert_eq!(core.amf.ues[&1].proc, Proc::None);
+        (core, now)
+    }
+
+    #[test]
+    #[should_panic(expected = "UE 1 at step SessSmContext cannot take Auth5gAkaConfirmResp")]
+    fn an_sbi_answer_out_of_step_panics() {
+        let (mut core, now) = registered();
+        let nas = NasMessage::PduSessionEstablishmentRequest { session_id: 1 };
+        let req = NgapMessage::UplinkNasTransport { ue: 1, nas };
+        core.handle(
+            Envelope::new(Endpoint::Gnb(1), Endpoint::Amf, Msg::Ngap(req)),
+            now,
+        );
+        assert_eq!(core.amf.ues[&1].proc, Proc::SessSmContext);
+        let op = SbiOp::Auth5gAkaConfirmResp;
+        let stray = Envelope::new(Endpoint::Ausf, Endpoint::Amf, Msg::Sbi { op, ue: 1 });
+        core.handle(stray, now);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "UE 1 at step HoPrepDiscovery(2) cannot take HandoverRequired { ue: 1, target_gnb: 3 }"
+    )]
+    fn a_second_handover_mid_handover_panics() {
+        let (mut core, now) = registered();
+        for target_gnb in [2, 3] {
+            let m = NgapMessage::HandoverRequired { ue: 1, target_gnb };
+            core.handle(
+                Envelope::new(Endpoint::Gnb(1), Endpoint::Amf, Msg::Ngap(m)),
+                now,
+            );
         }
     }
 

@@ -162,25 +162,7 @@ pub enum Verdict {
     },
     /// Dropped: no session, no matching PDR, DROP action, or buffer
     /// overflow.
-    Drop(DropReason),
-}
-
-/// Why a packet was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// No session matched the TEID / UE IP.
-    NoSession,
-    /// No PDR matched within the session.
-    NoPdr,
-    /// The FAR said DROP.
-    FarDrop,
-    /// The smart buffer was full.
-    BufferOverflow,
-    /// A QoS Enforcement Rule policed the packet (MBR exceeded).
-    QerPoliced,
-    /// Downlink FAR says FORW but no tunnel is bound (transient
-    /// misconfiguration; real UPFs drop here too).
-    NoTunnel,
+    Drop(DropCode),
 }
 
 /// The UPF: shared session table + counters.
@@ -429,10 +411,9 @@ impl Upf {
     pub fn forward(&mut self, pkt: DataPacket, tunnel_teid: Option<u32>, now: SimTime) -> Verdict {
         self.route(pkt, tunnel_teid, now)
             .unwrap_or_else(|(why, seid)| {
-                let (counter, reason) = why.accounting();
-                self.counters.inc(counter);
+                self.counters.inc(drop_counter(why));
                 self.flight
-                    .record(now, EventKind::PacketDrop { reason, seid });
+                    .record(now, EventKind::PacketDrop { reason: why, seid });
                 Verdict::Drop(why)
             })
     }
@@ -445,7 +426,7 @@ impl Upf {
         pkt: DataPacket,
         tunnel_teid: Option<u32>,
         now: SimTime,
-    ) -> Result<Verdict, (DropReason, u64)> {
+    ) -> Result<Verdict, (DropCode, u64)> {
         let uplink = pkt.dir == Direction::Uplink;
         let (session, teid) = if uplink {
             let teid = tunnel_teid.expect("uplink packets arrive in a GTP tunnel");
@@ -453,16 +434,16 @@ impl Upf {
         } else {
             (self.sessions.by_ue_ip_mut(ue_ip_for(pkt.ue)), 0)
         };
-        let s = session.ok_or((DropReason::NoSession, 0))?;
+        let s = session.ok_or((DropCode::NoSession, 0))?;
         let seid = s.seid;
         let key = packet_key(&pkt, s.ue_ip, teid);
-        let matched = s.pdrs.lookup(&key).ok_or((DropReason::NoPdr, seid))?;
+        let matched = s.pdrs.lookup(&key).ok_or((DropCode::NoPdr, seid))?;
         if !s.qers.police(&s.qer_ids[matched.qers], now, pkt.size) {
-            return Err((DropReason::QerPoliced, seid));
+            return Err((DropCode::QerPoliced, seid));
         }
         let action = if uplink { s.ul_far } else { s.dl_far.action };
         if action.drop {
-            return Err((DropReason::FarDrop, seid));
+            return Err((DropCode::FarDrop, seid));
         }
         if uplink {
             self.counters.inc("ul_forwarded");
@@ -470,7 +451,7 @@ impl Upf {
         }
         if action.buffer {
             if s.buffer.len() >= self.buffer_cap {
-                return Err((DropReason::BufferOverflow, seid));
+                return Err((DropCode::BufferOverflow, seid));
             }
             if s.buffer.is_empty() {
                 let start = EventKind::UpfBufferStart { seid, depth: 1 };
@@ -482,23 +463,22 @@ impl Upf {
             s.ddn_reported |= report;
             return Ok(Verdict::Buffered { report, seid });
         }
-        let tun = s.dl_far.tunnel.ok_or((DropReason::NoTunnel, seid))?;
+        let tun = s.dl_far.tunnel.ok_or((DropCode::NoTunnel, seid))?;
         self.counters.inc("dl_forwarded");
         Ok(Verdict::ToGnb(tun, pkt))
     }
 }
 
-impl DropReason {
-    /// The counter a drop for this reason bumps and its `PacketDrop` code.
-    fn accounting(self) -> (&'static str, DropCode) {
-        match self {
-            DropReason::NoSession => ("drop_no_session", DropCode::NoSession),
-            DropReason::NoPdr => ("drop_no_pdr", DropCode::NoPdr),
-            DropReason::FarDrop => ("drop_far", DropCode::FarDrop),
-            DropReason::BufferOverflow => ("drop_buffer_overflow", DropCode::BufferOverflow),
-            DropReason::QerPoliced => ("drop_qer", DropCode::QerPoliced),
-            DropReason::NoTunnel => ("drop_no_tunnel", DropCode::NoTunnel),
-        }
+/// The counter a UPF drop bumps.
+fn drop_counter(why: DropCode) -> &'static str {
+    match why {
+        DropCode::NoSession => "drop_no_session",
+        DropCode::NoPdr => "drop_no_pdr",
+        DropCode::FarDrop => "drop_far",
+        DropCode::BufferOverflow => "drop_buffer_overflow",
+        DropCode::QerPoliced => "drop_qer",
+        DropCode::NoTunnel => "drop_no_tunnel",
+        other => unreachable!("the UPF never drops for {other:?}"),
     }
 }
 
@@ -718,11 +698,11 @@ mod tests {
         let mut upf = Upf::new(PdrBackend::PartitionSort);
         assert_eq!(
             upf.forward(ul_pkt(9, 0), Some(0x999), SimTime::ZERO),
-            Verdict::Drop(DropReason::NoSession)
+            Verdict::Drop(DropCode::NoSession)
         );
         assert_eq!(
             upf.forward(dl_pkt(9, 0), None, SimTime::ZERO),
-            Verdict::Drop(DropReason::NoSession)
+            Verdict::Drop(DropCode::NoSession)
         );
         assert_eq!(upf.counters.get("drop_no_session"), 2);
     }
@@ -789,7 +769,7 @@ mod tests {
         }
         assert_eq!(
             upf.forward(dl_pkt(ue, 3), None, SimTime::ZERO),
-            Verdict::Drop(DropReason::BufferOverflow)
+            Verdict::Drop(DropCode::BufferOverflow)
         );
         assert_eq!(upf.counters.get("drop_buffer_overflow"), 1);
     }
@@ -818,7 +798,7 @@ mod tests {
         // Old tunnel stops matching; new one works.
         assert!(matches!(
             upf.forward(ul_pkt(ue, 0), Some(0x103), SimTime::ZERO),
-            Verdict::Drop(DropReason::NoSession)
+            Verdict::Drop(DropCode::NoSession)
         ));
         // DL packets buffer during the handover.
         assert!(matches!(
@@ -875,7 +855,7 @@ mod tests {
         assert!(!upf.delete(0x99));
         assert_eq!(
             upf.forward(ul_pkt(ue, 0), Some(0x105), SimTime::ZERO),
-            Verdict::Drop(DropReason::NoSession)
+            Verdict::Drop(DropCode::NoSession)
         );
     }
 
@@ -945,10 +925,9 @@ mod proptests {
         now: SimTime,
     ) -> Verdict {
         model_route(upf, pkt, tunnel_teid, now).unwrap_or_else(|(why, seid)| {
-            let (counter, reason) = why.accounting();
-            upf.counters.inc(counter);
+            upf.counters.inc(drop_counter(why));
             upf.flight
-                .record(now, EventKind::PacketDrop { reason, seid });
+                .record(now, EventKind::PacketDrop { reason: why, seid });
             Verdict::Drop(why)
         })
     }
@@ -958,7 +937,7 @@ mod proptests {
         pkt: DataPacket,
         tunnel_teid: Option<u32>,
         now: SimTime,
-    ) -> Result<Verdict, (DropReason, u64)> {
+    ) -> Result<Verdict, (DropCode, u64)> {
         let uplink = pkt.dir == Direction::Uplink;
         let (session, teid) = if uplink {
             let teid = tunnel_teid.expect("uplink packets arrive in a GTP tunnel");
@@ -966,18 +945,18 @@ mod proptests {
         } else {
             (upf.sessions.by_ue_ip_mut(ue_ip_for(pkt.ue)), 0)
         };
-        let s = session.ok_or((DropReason::NoSession, 0))?;
+        let s = session.ok_or((DropCode::NoSession, 0))?;
         let seid = s.seid;
         let key = packet_key(&pkt, s.ue_ip, teid);
-        let rule = s.pdrs.0.lookup(&key).ok_or((DropReason::NoPdr, seid))?;
+        let rule = s.pdrs.0.lookup(&key).ok_or((DropCode::NoPdr, seid))?;
         if let Some(qer_ids) = s.qer_bindings.get(&rule.id) {
             if !s.qers.police(qer_ids, now, pkt.size) {
-                return Err((DropReason::QerPoliced, seid));
+                return Err((DropCode::QerPoliced, seid));
             }
         }
         let action = if uplink { s.ul_far } else { s.dl_far.action };
         if action.drop {
-            return Err((DropReason::FarDrop, seid));
+            return Err((DropCode::FarDrop, seid));
         }
         if uplink {
             upf.counters.inc("ul_forwarded");
@@ -985,7 +964,7 @@ mod proptests {
         }
         if action.buffer {
             if s.buffer.len() >= upf.buffer_cap {
-                return Err((DropReason::BufferOverflow, seid));
+                return Err((DropCode::BufferOverflow, seid));
             }
             if s.buffer.is_empty() {
                 let start = EventKind::UpfBufferStart { seid, depth: 1 };
@@ -997,7 +976,7 @@ mod proptests {
             s.ddn_reported |= report;
             return Ok(Verdict::Buffered { report, seid });
         }
-        let tun = s.dl_far.tunnel.ok_or((DropReason::NoTunnel, seid))?;
+        let tun = s.dl_far.tunnel.ok_or((DropCode::NoTunnel, seid))?;
         upf.counters.inc("dl_forwarded");
         Ok(Verdict::ToGnb(tun, pkt))
     }

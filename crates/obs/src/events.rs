@@ -8,8 +8,7 @@
 
 use l25gc_sim::SimTime;
 
-/// Why a packet was dropped (mirrors `l25gc_core::upf::DropReason` plus
-/// the non-UPF drop sites; obs cannot depend on core, core depends on obs).
+/// Why a packet was dropped: the UPF's verdicts and the non-UPF drop sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropCode {
     /// No session matched the packet (UPF lookup miss).

@@ -30,9 +30,9 @@ pub struct TraceBundle {
     /// Events lost to ring overwrites, summed over sources.
     pub dropped_events: u64,
     /// Spans past the span logs' bound, counted but not kept.
-    pub dropped_spans: u64,
+    pub(crate) dropped_spans: u64,
     /// Segments past the span logs' bound, counted but not kept.
-    pub dropped_segments: u64,
+    pub(crate) dropped_segments: u64,
 }
 
 impl TraceBundle {

@@ -43,7 +43,7 @@ pub const SWEEP_FRACTIONS: [f64; 6] = [0.25, 0.5, 0.75, 0.9, 1.0, 1.2];
 pub(crate) const BURST_LEVELS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
 
 /// One sweep point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CapacityPoint {
     /// Offered load, events/s.
     pub offered_eps: f64,
@@ -352,8 +352,9 @@ pub fn dispatch_ladder(params: &CapacityParams) -> Vec<(usize, CapacityPoint)> {
 }
 
 /// The last point that still behaves: low loss, near-offered throughput,
-/// p99 within 3× the lightest point's.
-pub(crate) fn detect_knee(points: &[CapacityPoint]) -> usize {
+/// p99 within 3× the lightest point's. `reproduce report` applies the
+/// same rule to a manifest's rows.
+pub fn detect_knee(points: &[CapacityPoint]) -> usize {
     let base_p99 = points.first().map(|p| p.p99_ms).unwrap_or(0.0).max(1e-6);
     let mut knee = 0;
     for (i, p) in points.iter().enumerate() {

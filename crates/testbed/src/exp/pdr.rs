@@ -233,12 +233,15 @@ mod tests {
 
     #[test]
     fn update_ordering_matches_paper() {
-        let rows = pdr_update();
+        // Each structure's best of five timings: one preempted run of 100
+        // updates must not decide the order.
+        let runs: Vec<Vec<UpdateRow>> = (0..5).map(|_| pdr_update()).collect();
         let get = |s: &str| {
-            rows.iter()
-                .find(|r| r.structure == s)
-                .expect("row")
-                .update_us
+            runs.iter()
+                .flatten()
+                .filter(|r| r.structure == s)
+                .map(|r| r.update_us)
+                .fold(f64::INFINITY, f64::min)
         };
         let ll = get("PDR-LL");
         let tss = get("PDR-TSS");

@@ -21,6 +21,7 @@
 
 use std::collections::HashMap;
 
+use l25gc_core::context::Proc;
 use l25gc_core::msg::{DataPacket, Direction, Endpoint, Envelope, Msg, UeId};
 use l25gc_core::net::CoreNetwork;
 use l25gc_core::Deployment;
@@ -369,11 +370,7 @@ impl World {
         for ue in ues {
             // Clear any interrupted procedure at the AMF.
             if let Some(ctx) = self.core.amf.ues.get_mut(&ue) {
-                ctx.ho = l25gc_core::context::HoPhase::None;
-                ctx.paging = l25gc_core::context::PagingPhase::None;
-                ctx.sess = l25gc_core::context::SessPhase::None;
-                ctx.idle = l25gc_core::context::IdlePhase::None;
-                ctx.target_gnb = None;
+                ctx.proc = Proc::None;
             }
             // Re-point the user plane at the UE's current serving gNB.
             let gnb = self.ran.ues[&ue].serving_gnb;
@@ -859,11 +856,10 @@ mod tests {
             assert_eq!(done(UeEvent::IdleTransition), 1, "{dep:?}");
             assert_eq!(done(UeEvent::Paging), 1, "{dep:?}: the held data pages");
             assert_eq!(done(UeEvent::SessionRequest), 1, "{dep:?}: no second setup");
-            let ctx = &w.core.amf.ues[&1];
             assert_eq!(
-                (ctx.reg, ctx.sess, ctx.ho, ctx.paging, ctx.idle, ctx.dereg),
-                Default::default(),
-                "{dep:?}: every AMF phase is back to None"
+                w.core.amf.ues[&1].proc,
+                Proc::None,
+                "{dep:?}: the AMF's procedure slot is back to None"
             );
             assert!(w.ran.ues[&1].connected, "{dep:?}: the paged UE is awake");
             let flow = &w.apps.cbr[0];

@@ -23,6 +23,9 @@ if grep -q '^crates/' <<<"$changed" &&
 fi
 
 cargo fmt --all --check
+# Struct fields only tests read: each one listed has its reason in the
+# script's keep list, or the gate fails.
+scripts/narrow_pub.py writeonly
 cargo clippy --workspace --all-targets -- -D warnings
 # benchmark/ is its own workspace over crates/: a narrowed API that breaks
 # it must fail here, not only in the GitHub job. --locked fails on a stale

@@ -20,8 +20,10 @@ compiler as the judge, so `dead_code` can see what nothing uses.
     scripts/narrow_pub.py count    non-test lines of crates/**/src: every line
                                    outside a `#[cfg(test)]` item (all crates,
                                    then without crates/shims)
-    scripts/narrow_pub.py writeonly  report the named struct fields of
-                                   crates/**/src that no non-test code reads
+    scripts/narrow_pub.py writeonly  list the named struct fields of
+                                   crates/**/src that no non-test code reads;
+                                   exit 1 if one is not in WRITEONLY_KEEP, or
+                                   a kept one is read (or gone)
 
 A full pass is `narrow`, `fix`, `tidy` on a clean tree; `git diff` then shows
 what it narrowed, and `cargo check --workspace` (the non-test build) lists
@@ -50,7 +52,8 @@ of its struct names it. Fields match by name alone, so one read of `.len`
 anywhere clears every field called `len`: the list can miss write-only
 fields, and a field read only through a macro, a derive or a channel it
 pushes into shows up in it. `_`-prefixed fields are held on purpose and
-skipped. It changes no file.
+skipped. It changes no file. `scripts/ci.sh` runs it: a new entry is either
+deleted or given its reason in WRITEONLY_KEEP.
 """
 import json
 import os
@@ -72,6 +75,23 @@ KEEP = [
     ('crates/nfv/src/ring.rs', re.compile(r'^\s*pub fn is_empty\(')),
     ('crates/obs/src/events.rs', re.compile(r'^\s*pub fn is_empty\(')),
 ]
+
+# The fields `writeonly` lists that stay, each with why.
+WRITEONLY_KEEP = {
+    'DuplexWorker::complete': 'the worker pushes completions into it; read on the ring\'s far side',
+    'Disruption::completions_lost': 'the loss-freedom check',
+    'Qer::passed': 'the policer check, folded into the forward_transcript digest',
+    'Apps::ue_received': 'integration tests and proptests observe the run through it',
+    'RanUe::connected': 'integration tests and proptests observe the run through it',
+    'Resilience::checkpoints_deferred': 'integration tests and proptests observe the run through it',
+    'TcpReceiver::duplicates': 'integration tests and proptests observe the run through it',
+    'SloReport::windows': 'integration tests and proptests observe the run through it',
+    'WindowVerdict::p99_ns': 'integration tests and proptests observe the run through it',
+    'WindowVerdict::shed_pct': 'integration tests and proptests observe the run through it',
+    'WindowVerdict::violated': 'integration tests and proptests observe the run through it',
+    'ProcedureProfile::messages': 'pinned in calibrated_profiles.txt; deleting it edits that fixture',
+    'CpuInfo::siblings': 'one sysfs read per CPU for a #[cfg(test)] SMT check',
+}
 
 ITEM = re.compile(r'^(\s*)pub (?=(fn|struct|enum|trait|type|const|static|mod|use|union|unsafe|async|extern)\b)')
 FIELD = re.compile(r'^(\s*)pub (?=(r#)?[a-z_][a-z0-9_]*\s*:)')
@@ -402,9 +422,19 @@ def writeonly():
                 patterns.append((m.group(1), set(re.findall(r'\b(\w+)\b', m.group(2)))))
     unread = [f for f in fields
               if f[3] not in read and not any(s == f[2] and f[3] in names for s, names in patterns)]
+    listed = set()
     for path, n, struct, field in unread:
-        print(f'{path}:{n}: {struct}::{field}')
+        name = f'{struct}::{field}'
+        listed.add(name)
+        why = WRITEONLY_KEEP.get(name, 'NEW: delete it, or give its reason in WRITEONLY_KEEP')
+        print(f'{path}:{n}: {name} ({why})')
     print(len(unread), 'fields no non-test code reads')
+    new = listed - WRITEONLY_KEEP.keys()
+    stale = WRITEONLY_KEEP.keys() - listed
+    for name in sorted(stale):
+        print(f'{name}: kept in WRITEONLY_KEEP but no longer listed; drop the entry')
+    if new or stale:
+        sys.exit(1)
 
 
 if __name__ == '__main__':

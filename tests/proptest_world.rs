@@ -7,9 +7,7 @@
 //! two-UE run and checks external synchrony on the failover path every
 //! figure runs: `World`'s resiliency harness.
 
-use l25gc_core::context::{
-    DeregPhase, HoPhase, IdlePhase, PagingPhase, RegPhase, SessPhase, UeEvent,
-};
+use l25gc_core::context::{Proc, UeEvent};
 use l25gc_core::Deployment;
 use l25gc_sim::{Engine, SimDuration};
 use l25gc_testbed::World;
@@ -168,9 +166,7 @@ proptest! {
         let pagings = w.core.events.iter().filter(|e| e.event == UeEvent::Paging).count();
         prop_assert!(pagings >= idles.saturating_sub(1), "idles {idles} pagings {pagings}");
         // No procedure left half-done at the AMF.
-        let ctx = &w.core.amf.ues[&1];
-        prop_assert_eq!(ctx.ho, HoPhase::None);
-        prop_assert_eq!(ctx.paging, PagingPhase::None);
+        prop_assert_eq!(w.core.amf.ues[&1].proc, Proc::None);
     }
 
     /// Identical inputs replay identical histories (whole-system
@@ -220,15 +216,10 @@ proptest! {
             "{steps:?}, fail {fail_after} into step {fail_step}, data capacity {data_capacity}"
         );
         for ue in 1..=2 {
-            let ctx = &w.core.amf.ues[&ue];
+            let step = w.core.amf.ues[&ue].proc;
             prop_assert!(
-                ctx.reg == RegPhase::None
-                    && ctx.sess == SessPhase::None
-                    && ctx.ho == HoPhase::None
-                    && ctx.paging == PagingPhase::None
-                    && ctx.idle == IdlePhase::None
-                    && ctx.dereg == DeregPhase::None,
-                "UE {ue} has a procedure left half-done: {case}"
+                step == Proc::None,
+                "UE {ue} has a procedure left half-done at {step:?}: {case}"
             );
         }
         let sent: u64 = w.apps.cbr.iter().map(|f| f.sent).sum();
