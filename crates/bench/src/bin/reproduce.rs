@@ -346,17 +346,21 @@ mod tests {
             "--pin",
             "--repeats",
             "5",
-            "--saturate",
+            "--workers",
+            "32",
         ])
         .unwrap();
         assert!(args.cap.pin);
         assert_eq!(args.cap.repeats, 5);
-        assert!(args.saturate);
+        assert_eq!(args.cap.workers, Some(32), "--workers runs the search");
 
         let args = parse(&[]).unwrap();
         assert!(!args.cap.pin, "pinning is opt-in");
         assert_eq!(args.cap.repeats, 1);
-        assert!(!args.saturate);
+        assert_eq!(args.cap.workers, None);
+        assert!(parse(&["capacity", "--saturate"])
+            .unwrap_err()
+            .contains("unknown flag"));
 
         assert!(parse(&["--pin", "--pin"])
             .unwrap_err()
@@ -642,6 +646,40 @@ mod tests {
             digest.contains("L25GC: knee at L25GC@0.5x"),
             "digest: {digest}"
         );
+    }
+
+    #[test]
+    fn report_without_a_healthy_row_names_no_knee() {
+        let mut manifest = tiny_manifest(1.0);
+        let row = manifest.metrics[0].clone();
+        // Each row fails one rule: achieved share, loss, the p99 budget.
+        manifest.metrics = [
+            (0.25, 300.0, 0.0, 1.0),
+            (0.5, 1000.0, 5.0, 1.0),
+            (0.75, 1500.0, 0.0, 9.0),
+        ]
+        .into_iter()
+        .map(
+            |(frac, achieved_eps, loss_pct, p99_ms)| l25gc_bench::MetricRow {
+                name: format!("L25GC@{frac}x"),
+                offered_eps: 2000.0 * frac,
+                achieved_eps,
+                loss_pct,
+                p99_ms,
+                util: Some(0.5),
+                peak_shard: Some(1),
+                peak_shard_util: Some(0.9),
+                ..row.clone()
+            },
+        )
+        .collect();
+        let digest = render_report(&manifest);
+        assert!(
+            digest.contains("L25GC: no healthy point\n"),
+            "digest: {digest}"
+        );
+        assert!(!digest.contains("knee at"), "digest: {digest}");
+        assert!(!digest.contains("at the knee"), "digest: {digest}");
     }
 
     #[test]

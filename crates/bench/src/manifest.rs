@@ -21,10 +21,8 @@ use l25gc_codec::json;
 use l25gc_codec::{ObjectBuilder, Value};
 use l25gc_core::Deployment;
 use l25gc_load::{OverloadPolicy, ScenarioSpec};
-use l25gc_obs::DEFAULT_BITS;
-use l25gc_testbed::exp::capacity::{
-    slo_reports, CapacityCurve, CapacityParams, CapacityPoint, SWEEP_FRACTIONS,
-};
+use l25gc_obs::{slo, DEFAULT_BITS};
+use l25gc_testbed::exp::capacity::{CapacityCurve, CapacityParams, CapacityPoint, SWEEP_FRACTIONS};
 use l25gc_testbed::exp::scenario::{peak_shard_util, ScenarioOutcome, ScenarioParams};
 
 /// The `kind` discriminator stored in every manifest.
@@ -132,7 +130,7 @@ pub struct ScenarioEntry {
 }
 
 /// The saturation-search result carried on a manifest when the run was
-/// invoked with `--saturate`: the smallest closed-loop worker count that
+/// invoked with `--workers`: the smallest closed-loop worker count that
 /// reaches the throughput plateau.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SaturationRow {
@@ -182,7 +180,7 @@ pub struct RunManifest {
     /// for scenario manifests, one per scenario × admission policy.
     pub metrics: Vec<MetricRow>,
     /// Saturation-search result when the run was invoked with
-    /// `--saturate`.
+    /// `--workers`.
     pub saturation: Option<SaturationRow>,
     /// The declarative scenario specs behind a `reproduce scenarios`
     /// run, in matrix order. Empty on capacity manifests.
@@ -364,9 +362,10 @@ impl RunManifest {
             // against the same budget. Only sweeps that carried
             // timelines (one per point) can report it.
             let gate = l25gc_obs::SloSpec::default_gate();
-            let reports = (c.timelines.len() == c.points.len()).then(|| slo_reports(c, &gate));
+            let timelines = c.timelines.len() == c.points.len();
             for (i, (frac, p)) in SWEEP_FRACTIONS.iter().zip(&c.points).enumerate() {
-                let slo = reports.as_ref().map(|r| &r[i]);
+                let report = timelines.then(|| slo::evaluate(&c.timelines[i], &gate));
+                let slo = report.as_ref();
                 metrics.push(MetricRow {
                     recovery_ms: slo.map(|r| r.recovery_ns_or_horizon() as f64 / 1e6),
                     time_to_first_violation_ms: slo
@@ -1122,6 +1121,35 @@ mod tests {
         assert!(!legacy.contains("\"fault\""), "field really stripped");
         let parsed = RunManifest::from_json(&legacy).unwrap();
         assert_eq!(parsed.scenarios[0].fault, None);
+    }
+
+    /// `report` reads a written manifest back and names the row the
+    /// sweep starred, or says there is none: seed 7 has a knee on both
+    /// deployments, seed 23 on neither.
+    #[test]
+    fn report_names_the_point_capacity_starred() {
+        for seed in [7, 23] {
+            let params = CapacityParams {
+                ues: 10_000,
+                duration_s: 1.0,
+                seed,
+                ..CapacityParams::default()
+            };
+            let curves = l25gc_testbed::exp::capacity::sweep(&params);
+            let json = RunManifest::from_capacity(&params, &curves).to_json();
+            let digest = crate::run::render_report(&RunManifest::from_json(&json).unwrap());
+            for c in &curves {
+                let name = deployment_name(c.deployment);
+                let line = match c.knee {
+                    Some(k) => format!("{name}: knee at {name}@{}x — ", SWEEP_FRACTIONS[k]),
+                    None => format!("{name}: no healthy point\n"),
+                };
+                assert!(digest.contains(&line), "seed {seed}: {line:?} in {digest}");
+            }
+            let knees = curves.iter().filter(|c| c.knee.is_some()).count();
+            assert_eq!(knees, if seed == 7 { 2 } else { 0 }, "seed {seed}");
+            assert_eq!(digest.matches("knee at").count(), knees, "seed {seed}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use l25gc_load::{ExecBackend, ScenarioSpec};
 use l25gc_nfv::CostModel;
 use l25gc_obs::TraceBundle;
 use l25gc_testbed::exp;
-use l25gc_testbed::exp::capacity::{detect_knee, CapacityParams, CapacityPoint};
+use l25gc_testbed::exp::capacity::{knee, knee_anatomy, CapacityParams, CapacityPoint};
 
 use crate::spec::Args;
 use crate::{
@@ -99,7 +99,7 @@ pub fn render_report(m: &RunManifest) -> String {
     );
     if m.scenarios.is_empty() {
         // Capacity manifest: rows are named `<deployment>@<frac>x`.
-        // Re-derive each deployment's knee with the sweep's rule.
+        // Each deployment's rows go through the sweep's own knee.
         let mut deployments: Vec<&str> = Vec::new();
         for (dep, _) in m.metrics.iter().filter_map(|r| r.name.split_once('@')) {
             if !deployments.contains(&dep) {
@@ -120,36 +120,36 @@ pub fn render_report(m: &RunManifest) -> String {
                     achieved_eps: r.achieved_eps,
                     p99_ms: r.p99_ms,
                     loss_pct: r.loss_pct,
+                    queue_wait_p99_ms: r.queue_wait_p99_ms.unwrap_or_default(),
+                    service_p99_ms: r.service_p99_ms.unwrap_or_default(),
                     ..CapacityPoint::default()
                 })
                 .collect();
-            let knee = detect_knee(&points);
-            let k = rows[knee];
-            let _ = writeln!(
-                out,
-                "{dep}: knee at {} — {} ev/s offered, {} achieved, p99 {} ms, loss {:.2}%",
-                k.name,
-                f(k.offered_eps),
-                f(k.achieved_eps),
-                f(k.p99_ms),
-                k.loss_pct,
-            );
-            let past = rows[(knee + 1).min(rows.len() - 1)];
-            if let (Some(qw), Some(svc)) = (past.queue_wait_p99_ms, past.service_p99_ms) {
-                let anatomy = if qw > svc {
-                    "queueing-dominated (arrivals stack up behind busy shards)"
-                } else {
-                    "service-dominated (the work itself is the cost)"
-                };
+            let knee = knee(&points);
+            let _ = match knee.map(|i| rows[i]) {
+                Some(k) => writeln!(
+                    out,
+                    "{dep}: knee at {} — {} ev/s offered, {} achieved, p99 {} ms, loss {:.2}%",
+                    k.name,
+                    f(k.offered_eps),
+                    f(k.achieved_eps),
+                    f(k.p99_ms),
+                    k.loss_pct,
+                ),
+                None => writeln!(out, "{dep}: no healthy point"),
+            };
+            let (anatomy, i) = knee_anatomy(&points, knee);
+            if let (Some(qw), Some(svc)) = (rows[i].queue_wait_p99_ms, rows[i].service_p99_ms) {
                 let _ = writeln!(
                     out,
-                    "{dep}: anatomy past the knee: {anatomy} — queue-wait p99 {} ms vs service \
-                     p99 {} ms",
+                    "{dep}: anatomy {}: {anatomy} — queue-wait p99 {} ms vs service p99 {} ms",
+                    knee.map_or("at the lightest point", |_| "past the knee"),
                     f(qw),
                     f(svc),
                 );
             }
-            if let (Some(util), Some(ps), Some(pu)) = (k.util, k.peak_shard, k.peak_shard_util) {
+            let shards = |k: &MetricRow| Some((k.util?, k.peak_shard?, k.peak_shard_util?));
+            if let Some((util, ps, pu)) = knee.and_then(|i| shards(rows[i])) {
                 let _ = writeln!(
                     out,
                     "{dep}: utilization at the knee: mean {:.0}%, peak shard {ps} at {:.0}% — \
@@ -424,53 +424,66 @@ pub(crate) fn capacity(args: &Args) {
                 "Capacity: {name} load-latency sweep ({} UEs, {} shards, {:.0} s/point, * = knee)",
                 params.ues, params.shards, params.duration_s
             ),
-            c.points.iter().enumerate().map(|(i, p)| (i == c.knee, p)),
+            c.points
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (Some(i) == c.knee, p)),
             &columns,
         );
+        let occupancy = f(c.mean_occupancy_ms);
+        match c.sustainable_eps().zip(c.knee_p99_ms()) {
+            Some((eps, p99)) => println!(
+                "{name} sustainable: {} events/s at p99 {} ms (shard occupancy {occupancy} \
+                 ms/event)",
+                f(eps),
+                f(p99),
+            ),
+            None => println!("{name}: no healthy point (shard occupancy {occupancy} ms/event)"),
+        }
+        let (anatomy, past) = knee_anatomy(&c.points, c.knee);
+        let past = &c.points[past];
         println!(
-            "{name} sustainable: {} events/s at p99 {} ms (shard occupancy {} ms/event)",
-            f(c.sustainable_eps()),
-            f(c.knee_p99_ms()),
-            f(c.mean_occupancy_ms),
-        );
-        let past = &c.points[(c.knee + 1).min(c.points.len().saturating_sub(1))];
-        println!(
-            "{name} knee anatomy: {} (past the knee, queue-wait p99 {} ms vs service p99 {} ms)",
-            exp::capacity::knee_anatomy(c),
+            "{name} knee anatomy: {anatomy} ({}, queue-wait p99 {} ms vs service p99 {} ms)",
+            c.knee.map_or("at the lightest point", |_| "past the knee"),
             f(past.queue_wait_p99_ms),
             f(past.service_p99_ms),
         );
-        let (peak_shard, peak_util) = c.peak_shard_at_knee();
-        println!(
-            "{name} knee utilization: mean {:.0}%, peak shard {peak_shard} at {:.0}%",
-            c.points[c.knee].utilisation * 100.0,
-            peak_util * 100.0,
-        );
-        if let Some(wall) = c.points[c.knee].wall_eps {
+        if let (Some(knee), Some((peak_shard, peak_util))) = (c.knee, c.peak_shard_at_knee()) {
             println!(
-                "{name} threaded knee point moved {} events/s of wall-clock throughput \
-                 through the shard rings",
-                f(wall)
+                "{name} knee utilization: mean {:.0}%, peak shard {peak_shard} at {:.0}%",
+                c.points[knee].utilisation * 100.0,
+                peak_util * 100.0,
             );
+            if let Some(wall) = c.points[knee].wall_eps {
+                println!(
+                    "{name} threaded knee point moved {} events/s of wall-clock throughput \
+                     through the shard rings",
+                    f(wall)
+                );
+            }
         }
         if let Some(tk) = exp::capacity::timeline_knee(c) {
+            let (reason, value) = match tk.reason {
+                exp::capacity::KneeReason::SheddingStarted => (
+                    "shedding started",
+                    format!("{:.2}% of its arrivals shed", tk.value),
+                ),
+                exp::capacity::KneeReason::P99OverBudget => (
+                    "p99 over budget",
+                    format!("windowed p99 {} ms", f(tk.value)),
+                ),
+            };
             println!(
-                "{name} timeline knee: {} at {:.2} s into the {}x point (window {}, {})",
-                tk.reason,
+                "{name} timeline knee: {reason} at {:.2} s into the {}x point (window {}, {value})",
                 tk.at_s,
                 exp::capacity::SWEEP_FRACTIONS[tk.point],
                 tk.window,
-                match tk.reason {
-                    exp::capacity::KneeReason::SheddingStarted =>
-                        format!("{:.0} events shed", tk.value),
-                    exp::capacity::KneeReason::P99OverBudget =>
-                        format!("windowed p99 {} ms", f(tk.value)),
-                }
             );
         }
         if let Some(spec) = args.slo.as_ref() {
-            for (i, report) in exp::capacity::slo_reports(c, spec).iter().enumerate() {
-                let label = format!("{name}/{}x", exp::capacity::SWEEP_FRACTIONS[i]);
+            for (frac, tl) in exp::capacity::SWEEP_FRACTIONS.iter().zip(&c.timelines) {
+                let report = l25gc_obs::slo::evaluate(tl, spec);
+                let label = format!("{name}/{frac}x");
                 let recovery = match report.recovery_ns {
                     Some(0) => "clean (no violation)".to_string(),
                     Some(ns) => format!("recovered in {} ms", f(ns as f64 / 1e6)),
@@ -505,47 +518,81 @@ pub(crate) fn capacity(args: &Args) {
         write_or_exit(path, &text);
         println!("wrote {path}: {n} per-point SLO reports");
     }
-    let saturation = args.saturate.then(|| {
-        let max_workers = params.workers.unwrap_or(256);
-        let sat = exp::capacity::saturation_search(params, max_workers);
-        println!(
-            "saturation: L25GC closed-loop throughput plateaus from {} workers \
-             ({} ev/s, p99 {} ms, {:.0}% util; {} probes, cap {max_workers})",
-            sat.workers,
-            f(sat.achieved_eps),
-            f(sat.p99_ms),
-            sat.utilisation * 100.0,
-            sat.probes,
-        );
-        sat
-    });
+    let saturation = params
+        .workers
+        .map(|max_workers| saturation(params, max_workers));
     write_manifest(args, "run manifest", || {
         let mut manifest = RunManifest::from_capacity(params, &curves);
-        manifest.saturation = saturation.as_ref().map(|s| SaturationRow {
-            workers: s.workers as u64,
-            achieved_eps: s.achieved_eps,
-            p99_ms: s.p99_ms,
-            probes: s.probes as u64,
-        });
+        manifest.saturation = saturation;
         manifest
     });
     if params.trace_sample > 0 {
         if let Some(path) = args.trace_out.as_deref() {
-            let bundle = curves
-                .iter()
-                .find(|c| c.deployment == Deployment::L25gc)
-                .and_then(|c| c.knee_trace.as_ref())
-                .expect("trace_sample > 0 collects a knee trace");
+            let l25 = curves.iter().find(|c| c.deployment == Deployment::L25gc);
+            let l25 = l25.expect("the sweep runs L25GC");
+            let bundle = l25
+                .knee_trace
+                .as_ref()
+                .expect("a sampled sweep keeps a trace");
             write_bundle(path, bundle);
             println!(
-                "wrote {path}: L25GC knee-point trace, {} spans (1 in {} UEs sampled)",
+                "wrote {path}: L25GC {} trace, {} spans (1 in {} UEs sampled)",
+                l25.knee
+                    .map_or("lightest-point (no healthy point)", |_| "knee-point"),
                 bundle.spans.len(),
                 params.trace_sample
             );
         }
     }
-    if let Some(max_workers) = params.workers {
-        closed_loop(params, max_workers);
+}
+
+/// `--workers n`: the closed-loop saturation search capped at `n`. Prints
+/// every probe, by worker count, with the plateau start starred, and
+/// returns the manifest's `saturation` row.
+fn saturation(params: &CapacityParams, max_workers: usize) -> SaturationRow {
+    let sat = exp::capacity::saturation_search(params, max_workers);
+    let mut columns: Vec<Column<(bool, &(usize, CapacityPoint))>> = vec![
+        ("workers", |(plateau, (w, _))| {
+            format!("{w}{}", if *plateau { " *" } else { "" })
+        }),
+        ("achieved (ev/s)", |(_, (_, p))| f(p.achieved_eps)),
+        ("p50 (ms)", |(_, (_, p))| f(p.p50_ms)),
+        ("p99 (ms)", |(_, (_, p))| f(p.p99_ms)),
+        ("util", |(_, (_, p))| {
+            format!("{:.0}%", p.utilisation * 100.0)
+        }),
+    ];
+    if params.backend == ExecBackend::Threaded {
+        columns.push(("wall (ev/s)", |(_, (_, p))| {
+            p.wall_eps.map(f).unwrap_or_default()
+        }));
+    }
+    print_table(
+        &format!(
+            "Capacity: L25GC closed loop, think {} ms ({} backend, * = plateau start)",
+            f(params.think_ms),
+            params.backend
+        ),
+        sat.probes
+            .iter()
+            .enumerate()
+            .map(|(i, probe)| (i == sat.plateau, probe)),
+        &columns,
+    );
+    let (workers, p) = &sat.probes[sat.plateau];
+    println!(
+        "saturation: L25GC closed-loop throughput plateaus from {workers} workers \
+         ({} ev/s, p99 {} ms, {:.0}% util; {} probes, cap {max_workers})",
+        f(p.achieved_eps),
+        f(p.p99_ms),
+        p.utilisation * 100.0,
+        sat.probes.len(),
+    );
+    SaturationRow {
+        workers: *workers as u64,
+        achieved_eps: p.achieved_eps,
+        p99_ms: p.p99_ms,
+        probes: sat.probes.len() as u64,
     }
 }
 
@@ -623,49 +670,6 @@ pub(crate) fn scenarios(args: &Args) {
     write_manifest(args, "scenario run manifest", || {
         RunManifest::from_scenarios(&params, &specs, &outcomes)
     });
-}
-
-fn closed_loop(params: &CapacityParams, max_workers: usize) {
-    let mut columns: Vec<Column<exp::capacity::ClosedLoopRow>> = vec![
-        ("workers", |r| r.workers.to_string()),
-        ("achieved (ev/s)", |r| f(r.achieved_eps)),
-        ("p50 (ms)", |r| f(r.p50_ms)),
-        ("p99 (ms)", |r| f(r.p99_ms)),
-        ("util", |r| format!("{:.0}%", r.utilisation * 100.0)),
-    ];
-    if params.backend == ExecBackend::Threaded {
-        columns.push(("wall (ev/s)", |r| r.wall_eps.map(f).unwrap_or_default()));
-    }
-    print_table(
-        &format!(
-            "Capacity: L25GC closed loop, think {} ms ({} backend)",
-            f(params.think_ms),
-            params.backend
-        ),
-        exp::capacity::closed_loop_table(params, max_workers),
-        &columns,
-    );
-}
-
-/// `capacity-burst`: burstiness × admission policy at 0.9x capacity.
-pub(crate) fn capacity_burst(args: &Args) {
-    let params = &args.cap;
-    print_table(
-        &format!(
-            "Capacity: L25GC burstiness x admission policy at 0.9x capacity \
-             ({} shards, {:.0} s/point, {} backend)",
-            params.shards, params.duration_s, params.backend
-        ),
-        exp::capacity::burst_policy_table(params),
-        &[
-            ("burst", |r| format!("{:.0}x", r.burst)),
-            ("policy", |r| format!("{:?}", r.policy)),
-            ("achieved (ev/s)", |r| f(r.achieved_eps)),
-            ("p99 (ms)", |r| f(r.p99_ms)),
-            ("loss", |r| format!("{:.2}%", r.loss_pct)),
-            ("peak depth", |r| r.peak_depth.to_string()),
-        ],
-    );
 }
 
 /// Prints the staged-dispatch ladder table plus the lines CI greps: the

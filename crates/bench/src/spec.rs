@@ -93,9 +93,9 @@ fn positive(flag: &str, v: &str, what: &str) -> Result<f64, String> {
 pub struct Args {
     /// `--help` / `-h` / `help`.
     pub help: bool,
-    /// `--seed`: seeds the load-engine runs (capacity, capacity-burst,
-    /// dispatch, scenarios, `--scale-shards`); the other experiments
-    /// draw nothing or use a fixed seed.
+    /// `--seed`: seeds the load-engine runs (capacity, dispatch,
+    /// scenarios, `--scale-shards`); the other experiments draw nothing
+    /// or use a fixed seed.
     pub seed: u64,
     /// `--csv`: directory for the Fig 13/14 RTT series.
     pub(crate) csv: Option<String>,
@@ -116,8 +116,6 @@ pub struct Args {
     pub report: Option<String>,
     /// `validate-prom <file|->`: validate a Prometheus exposition.
     pub validate_prom: Option<String>,
-    /// `--saturate`: closed-loop saturation search on the capacity run.
-    pub saturate: bool,
     /// `--slo p99=<N>ms,shed=<P>%[,clean=<K>]`: evaluate every capacity
     /// sweep point's timeline against this SLO and print violation
     /// spans, burn rate, and recovery time. Implies a metrics timeline.
@@ -158,8 +156,9 @@ pub enum Kind {
     ),
     /// A finite duration > 0 — its unit, units per second, and the
     /// setter (which stores the value in its own unit) — that still is
-    /// one as a [`SimDuration`]: a value that rounds to zero nanoseconds
-    /// is rejected here rather than deep in a sweep.
+    /// one as a [`SimDuration`]: a value that rounds to zero nanoseconds,
+    /// or whose nanoseconds overflow a `u64`, is rejected here rather
+    /// than deep in a sweep.
     Duration(&'static str, f64, fn(&mut Args, f64)),
     /// A finite ratio >= 1.
     Ratio(fn(&mut Args, f64)),
@@ -226,6 +225,12 @@ impl Flag {
                         "{flag} must be positive (`{v}` rounds to zero nanoseconds)"
                     ));
                 }
+                // `u64::MAX as f64` is 2^64, the first value that overflows.
+                if (x / per_s * 1e9).round() >= u64::MAX as f64 {
+                    return Err(format!(
+                        "{flag} is too long (`{v}` {what} overflows u64 nanoseconds)"
+                    ));
+                }
                 set(args, x);
             }
             Kind::Ratio(set) => {
@@ -243,13 +248,13 @@ impl Flag {
 }
 
 /// Every flag, in `--help` order.
-pub const FLAGS: [Flag; 25] = [
+pub const FLAGS: [Flag; 24] = [
     flag(
         "--seed <u64>",
-        "seed the load-engine runs: capacity, capacity-burst,\n\
-         dispatch, scenarios, --scale-shards (default 0: paper\n\
-         tables; any fixed seed is byte-identical across runs);\n\
-         the other experiments draw nothing or a fixed seed",
+        "seed the load-engine runs: capacity, dispatch,\n\
+         scenarios, --scale-shards (default 0: paper tables;\n\
+         any fixed seed is byte-identical across runs); the\n\
+         other experiments draw nothing or a fixed seed",
         Kind::Spec(|a, v| num("--seed", v, "a u64").map(|seed| a.seed = seed)),
     ),
     flag(
@@ -286,7 +291,9 @@ pub const FLAGS: [Flag; 25] = [
     ),
     flag(
         "--workers <n>",
-        "capacity: also sweep a closed loop up to n workers",
+        "capacity: also search the closed-loop worker count\n\
+         where throughput plateaus, up to n workers; prints\n\
+         every probe, recorded in the manifest",
         count(|a, n| n.try_into().map(|n| a.cap.workers = Some(n))),
     ),
     flag(
@@ -315,13 +322,6 @@ pub const FLAGS: [Flag; 25] = [
         "shard scaling: rerun each point n times, report\n\
          mean +/- CV of the wall-clock rate (default 1)",
         count(|a, n| n.try_into().map(|n| a.cap.repeats = n)),
-    ),
-    flag(
-        "--saturate",
-        "capacity: binary-search the closed-loop worker\n\
-         count where throughput plateaus; recorded in the\n\
-         manifest",
-        Kind::Switch(|a| a.saturate = true),
     ),
     flag(
         "--scale-shards l..h",
@@ -360,9 +360,9 @@ pub const FLAGS: [Flag; 25] = [
     .needs(TIMELINE_CONSUMERS),
     flag(
         "--serve-metrics <addr>",
-        "serve live telemetry while capacity, scenarios,\n\
-         or --saturate runs: GET /metrics returns the\n\
-         current Prometheus exposition (refreshed every\n\
+        "serve live telemetry while capacity or scenarios\n\
+         runs: GET /metrics returns the current\n\
+         Prometheus exposition (refreshed every\n\
          timeline window and on failover transitions),\n\
          GET /healthz the run phase. Port 0 picks a free\n\
          port; the resolved address is advertised on\n\
@@ -522,7 +522,7 @@ pub struct Experiment {
 }
 
 /// Every experiment, in `--help` and execution order.
-pub const EXPERIMENTS: [Experiment; 24] = {
+pub const EXPERIMENTS: [Experiment; 23] = {
     const fn e(id: &'static str, help: &'static str, run: fn(&Args)) -> Experiment {
         Experiment {
             id,
@@ -594,11 +594,6 @@ pub const EXPERIMENTS: [Experiment; 24] = {
             "capacity",
             "fleet-scale load-latency sweep (l25gc-load engine)",
             run::capacity,
-        ),
-        explicit(
-            "capacity-burst",
-            "MMPP burstiness x admission policy (not part of `all`)",
-            run::capacity_burst,
         ),
         explicit(
             "scenarios",

@@ -1,7 +1,7 @@
 //! The `reproduce` command line as its registries declare it: `--help`
 //! and the parser agree with `FLAGS` / `SUBCOMMANDS` / `EXPERIMENTS`,
-//! no token sequence panics the parser, and bad output paths or
-//! degenerate durations exit 2 with one stderr line.
+//! no token sequence panics the parser, and bad output paths,
+//! degenerate durations or hostile inputs exit 2 with one stderr line.
 
 use std::process::Command;
 
@@ -55,7 +55,7 @@ fn help_lists_every_registry_entry_exactly_once() {
     let ids: Vec<&str> = EXPERIMENT_IDS.to_vec();
     assert_eq!(help_labels("experiments"), ids);
     let mut flags: Vec<&str> = FLAGS.iter().map(|f| f.name()).collect();
-    assert_eq!(flags.len(), 25, "flag count is part of the CLI contract");
+    assert_eq!(flags.len(), 24, "flag count is part of the CLI contract");
     flags.push("--help");
     assert_eq!(help_labels("flags"), flags);
     let help = spec::help();
@@ -118,6 +118,25 @@ fn durations_that_round_to_zero_nanoseconds_are_rejected() {
     // The smallest representable durations still pass.
     assert!(parse(&["--duration-s", "1e-9"]).is_ok());
     assert!(parse(&["--think-ms", "0.000001"]).is_ok());
+}
+
+#[test]
+fn durations_whose_nanoseconds_overflow_u64_are_rejected() {
+    for line in [
+        ["--duration-s", "1e300"],
+        ["--duration-s", "18446744074"],
+        ["--think-ms", "1e20"],
+    ] {
+        let err = parse(&line).unwrap_err();
+        assert!(err.starts_with(line[0]), "names the flag: {err}");
+        assert!(err.contains("overflows u64 nanoseconds"), "{line:?}: {err}");
+        assert!(!err.contains('\n'), "{err}");
+    }
+    // The longest duration a u64 of nanoseconds holds still parses.
+    assert!(parse(&["--duration-s", "18446744073"]).is_ok());
+    // Refused at parse time: the run never starts.
+    let stderr = assert_exit_2_with_one_line(&["capacity", "--ues", "1", "--duration-s", "1e300"]);
+    assert!(stderr.contains("--duration-s"), "{stderr}");
 }
 
 /// Tokens a user (or a fuzzer) might type: every registered name, the
@@ -241,4 +260,22 @@ fn unreadable_inputs_and_bad_usage_exit_2() {
     // The wait discipline was a flag once; it is an unknown one now.
     let stderr = assert_exit_2_with_one_line(&["--wait", "adaptive"]);
     assert!(stderr.contains("unknown flag `--wait`"), "{stderr}");
+    // So are the saturation switch (`--workers` runs the search) and the
+    // burst x policy study (Shed and Queue printed identical rows).
+    let stderr = assert_exit_2_with_one_line(&["capacity", "--saturate"]);
+    assert!(stderr.contains("unknown flag `--saturate`"), "{stderr}");
+    let stderr = assert_exit_2_with_one_line(&["capacity-burst"]);
+    assert!(
+        stderr.contains("unknown experiment id `capacity-burst`"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn deeply_nested_json_to_report_exits_2() {
+    let path = std::env::temp_dir().join(format!("reproduce-deep-{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(50_000) + &"]".repeat(50_000)).unwrap();
+    let stderr = assert_exit_2_with_one_line(&["report", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert!(stderr.contains("TooDeep"), "{stderr}");
 }

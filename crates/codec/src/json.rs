@@ -99,13 +99,21 @@ pub enum ParseError {
     BadNumber,
     /// Trailing bytes after the top-level value.
     TrailingInput,
+    /// Arrays and objects nested deeper than `MAX_DEPTH` (128) levels.
+    TooDeep,
 }
+
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so the bound is what keeps hostile
+/// input (`[` × 50 000) off the end of the stack.
+const MAX_DEPTH: usize = 128;
 
 /// Parses JSON text into a [`Value`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -119,6 +127,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -170,11 +180,22 @@ impl<'a> Parser<'a> {
                 self.literal(b"alse", Value::Bool(false))
             }
             b'"' => Ok(Value::Str(self.string()?)),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' | b'{' if self.depth == MAX_DEPTH => Err(ParseError::TooDeep),
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
             b'0'..=b'9' => self.number(),
             c => Err(ParseError::UnexpectedChar(c as char)),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Value, ParseError> {
@@ -391,6 +412,25 @@ mod tests {
     fn empty_containers() {
         assert_eq!(parse("[]").unwrap(), Value::Array(vec![]));
         assert_eq!(parse("{}").unwrap(), Value::Object(vec![]));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"a\":", "}", MAX_DEPTH - 1).replace(":}", ":{}}")).is_ok());
+        assert_eq!(
+            parse(&nest("[", "]", MAX_DEPTH + 1)),
+            Err(ParseError::TooDeep)
+        );
+        assert_eq!(
+            parse(&nest("{\"a\":", "}", MAX_DEPTH + 1)),
+            Err(ParseError::TooDeep)
+        );
+        // Siblings do not add up: depth is nesting, not count.
+        let wide = format!("[{}]", vec![nest("[", "]", MAX_DEPTH - 1); 3].join(","));
+        assert!(parse(&wide).is_ok());
+        assert_eq!(parse(&nest("[", "]", 50_000)), Err(ParseError::TooDeep));
     }
 
     #[test]

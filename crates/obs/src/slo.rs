@@ -111,13 +111,11 @@ impl SloSpec {
 pub struct WindowVerdict {
     /// Window index (start = `window × interval`).
     pub window: usize,
-    /// Window start, nanoseconds.
-    pub(crate) start_ns: u64,
     /// The window's p99 across all shard lanes, nanoseconds (0 when the
     /// window completed nothing).
-    pub(crate) p99_ns: u64,
+    pub p99_ns: u64,
     /// Percent of the window's arrivals shed by admission control.
-    pub(crate) shed_pct: f64,
+    pub shed_pct: f64,
     /// Budget multiples this window consumed:
     /// `max(p99/p99_budget, shed/shed_budget)` (infinite when any shed
     /// occurs against a zero shed budget).
@@ -236,17 +234,9 @@ pub fn evaluate(tl: &MetricsTimeline, spec: &SloSpec) -> SloReport {
                 shed += win.shed;
             }
         }
-        let p99_ns = if lat.count() > 0 {
-            lat.quantile(0.99)
-        } else {
-            0
-        };
-        let offered = dispatched + shed;
-        let shed_pct = if offered == 0 {
-            0.0
-        } else {
-            100.0 * shed as f64 / offered as f64
-        };
+        // An empty window has p99 0 and sheds 0 % of nothing.
+        let p99_ns = lat.quantile(0.99);
+        let shed_pct = 100.0 * shed as f64 / (dispatched + shed).max(1) as f64;
         let lat_burn = p99_ns as f64 / spec.p99_budget_ns.max(1) as f64;
         let shed_burn = if spec.shed_budget_pct > 0.0 {
             shed_pct / spec.shed_budget_pct
@@ -267,28 +257,20 @@ pub fn evaluate(tl: &MetricsTimeline, spec: &SloSpec) -> SloReport {
         burn_sum += burn_rate;
         windows.push(WindowVerdict {
             window: w,
-            start_ns: w as u64 * interval_ns,
             p99_ns,
             shed_pct,
             burn_rate,
             violated,
         });
     }
-    let burn_rate = if count == 0 {
-        0.0
-    } else {
-        burn_sum / count as f64
-    };
+    let burn_rate = burn_sum / count.max(1) as f64;
     let recovery_windows = match (spans.first(), spans.last()) {
-        (None, _) | (_, None) => Some(0),
         (Some(first), Some(last)) => {
             let clean_after = count - 1 - last.last;
-            if clean_after >= spec.clean_windows as usize {
-                Some((last.last - first.first + 1) as u64)
-            } else {
-                None
-            }
+            (clean_after >= spec.clean_windows as usize)
+                .then(|| (last.last - first.first + 1) as u64)
         }
+        _ => Some(0),
     };
     SloReport {
         spec: *spec,

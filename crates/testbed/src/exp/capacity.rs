@@ -14,33 +14,27 @@
 //! SPSC rings and additionally reports wall-clock sustained events/s
 //! ([`CapacityPoint::wall_eps`]).
 //!
-//! **Knee detection**: the sustainable rate is the last sweep point that
-//! (a) sheds < 1% of arrivals, (b) achieves ≥ 90% of its offered rate,
-//! and (c) keeps p99 under 3× the lightest point's p99. Past the knee
-//! the open-loop curve does what queueing theory says: latency departs
-//! for the asymptote and admission control sheds the excess.
+//! **Health**: one `Budget` judges every point and every window; the
+//! knee is the last healthy point, or none. Past the knee the open-loop
+//! curve does what queueing theory says: latency departs for the
+//! asymptote and admission control sheds the excess.
 //!
-//! Satellite studies share the calibration machinery:
-//! [`burst_policy_table`] crosses MMPP-2 burstiness against the
-//! admission policy at a fixed near-knee operating point;
-//! [`shard_scaling`] walks shard counts and compares analytic
-//! achieved-rate scaling against the threaded backend's wall-clock
-//! sustained rate; [`closed_loop_table`] sweeps the closed-loop worker
-//! population.
+//! Side studies share the calibration machinery: [`shard_scaling`]
+//! walks shard counts and compares analytic achieved-rate scaling
+//! against the threaded backend's wall-clock sustained rate;
+//! [`saturation_search`] finds the closed-loop worker count where
+//! throughput plateaus.
 
 use l25gc_core::Deployment;
 use l25gc_load::{
     calibrate, Driver, EventMix, ExecBackend, LoadConfig, LoadConfigBuilder, LoadReport,
     OverloadPolicy, ProfileSet, ShardConfig,
 };
-use l25gc_obs::{Log2Histogram, MetricsTimeline, TraceBundle};
+use l25gc_obs::{slo, MetricsTimeline, SloSpec, TraceBundle};
 use l25gc_sim::SimDuration;
 
 /// Offered-load fractions of theoretical capacity the sweep visits.
 pub const SWEEP_FRACTIONS: [f64; 6] = [0.25, 0.5, 0.75, 0.9, 1.0, 1.2];
-
-/// Burstiness ratios the MMPP study crosses with the admission policy.
-pub(crate) const BURST_LEVELS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
 
 /// One sweep point.
 #[derive(Debug, Clone, Default)]
@@ -105,32 +99,34 @@ pub struct CapacityCurve {
     pub mean_occupancy_ms: f64,
     /// The sweep points, in [`SWEEP_FRACTIONS`] order.
     pub points: Vec<CapacityPoint>,
-    /// Index into `points` of the detected knee.
-    pub knee: usize,
+    /// Index into `points` of the knee, the last healthy point; `None`
+    /// when no point is healthy.
+    pub knee: Option<usize>,
     /// Per-point metrics timelines, in [`SWEEP_FRACTIONS`] order
     /// (empty unless [`CapacityParams::metrics_interval_ms`] is set).
     pub timelines: Vec<MetricsTimeline>,
-    /// Sampled spans/events of the knee point, ready for the
-    /// Chrome-trace exporter (`None` unless
-    /// [`CapacityParams::trace_sample`] is set).
+    /// Sampled spans/events of the knee point (of the lightest point
+    /// when there is no knee), ready for the Chrome-trace exporter
+    /// (`None` unless [`CapacityParams::trace_sample`] is set).
     pub knee_trace: Option<TraceBundle>,
 }
 
 impl CapacityCurve {
     /// The sustainable events/s: achieved rate at the knee.
-    pub fn sustainable_eps(&self) -> f64 {
-        self.points[self.knee].achieved_eps
+    pub fn sustainable_eps(&self) -> Option<f64> {
+        Some(self.points[self.knee?].achieved_eps)
     }
 
     /// p99 at the knee, ms.
-    pub fn knee_p99_ms(&self) -> f64 {
-        self.points[self.knee].p99_ms
+    pub fn knee_p99_ms(&self) -> Option<f64> {
+        Some(self.points[self.knee?].p99_ms)
     }
 
     /// Which shard saturated: index and busy fraction of the busiest
     /// shard at the knee point.
-    pub fn peak_shard_at_knee(&self) -> (u16, f64) {
-        super::scenario::peak_shard_util(&self.points[self.knee].shard_utilization)
+    pub fn peak_shard_at_knee(&self) -> Option<(u16, f64)> {
+        let point = &self.points[self.knee?];
+        Some(super::scenario::peak_shard_util(&point.shard_utilization))
     }
 }
 
@@ -149,7 +145,8 @@ pub struct CapacityParams {
     pub backend: ExecBackend,
     /// MMPP-2 burstiness ratio (1.0 = Poisson).
     pub burst: f64,
-    /// When set, [`closed_loop_table`] sweeps up to this many workers.
+    /// When set, [`saturation_search`] probes up to this many
+    /// closed-loop workers.
     pub workers: Option<usize>,
     /// Closed-loop mean think time, ms.
     pub think_ms: f64,
@@ -197,15 +194,6 @@ impl Default for CapacityParams {
     }
 }
 
-fn shard_cfg(shards: u16) -> ShardConfig {
-    ShardConfig {
-        shards,
-        high_water: 192,
-        policy: OverloadPolicy::Shed,
-        ring_capacity: 256,
-    }
-}
-
 /// Distinct deterministic seed per point (and per deployment, via the
 /// calibration-independent tag), preserved exactly from the original
 /// sweep so analytic output stays byte-identical across releases.
@@ -213,14 +201,23 @@ fn point_seed(params: &CapacityParams, deployment: Deployment, i: usize) -> u64 
     params
         .seed
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(deployment_tag(deployment))
+        .wrapping_add(match deployment {
+            Deployment::Free5gc => 101,
+            Deployment::OnvmUpf => 202,
+            Deployment::L25gc => 303,
+        })
         .wrapping_add(i as u64)
 }
 
 fn base_builder(params: &CapacityParams, mix: &EventMix) -> LoadConfigBuilder {
     let mut b = LoadConfig::builder()
         .ues(params.ues)
-        .shard_cfg(shard_cfg(params.shards))
+        .shard_cfg(ShardConfig {
+            shards: params.shards,
+            high_water: 192,
+            policy: OverloadPolicy::Shed,
+            ring_capacity: 256,
+        })
         .mix(mix.clone())
         .burst(params.burst)
         .duration(SimDuration::from_secs_f64(params.duration_s))
@@ -274,12 +271,8 @@ pub fn sweep_deployment(deployment: Deployment, params: &CapacityParams) -> Capa
             traces.push(bundle);
         }
     }
-    let knee = detect_knee(&points);
-    let knee_trace = if traces.is_empty() {
-        None
-    } else {
-        Some(traces.swap_remove(knee))
-    };
+    let knee = knee(&points);
+    let knee_trace = (!traces.is_empty()).then(|| traces.swap_remove(knee.unwrap_or(0)));
     CapacityCurve {
         deployment,
         mean_occupancy_ms: occ.as_millis_f64(),
@@ -287,14 +280,6 @@ pub fn sweep_deployment(deployment: Deployment, params: &CapacityParams) -> Capa
         knee,
         timelines,
         knee_trace,
-    }
-}
-
-fn deployment_tag(d: Deployment) -> u64 {
-    match d {
-        Deployment::Free5gc => 101,
-        Deployment::OnvmUpf => 202,
-        Deployment::L25gc => 303,
     }
 }
 
@@ -351,21 +336,49 @@ pub fn dispatch_ladder(params: &CapacityParams) -> Vec<(usize, CapacityPoint)> {
         .collect()
 }
 
-/// The last point that still behaves: low loss, near-offered throughput,
-/// p99 within 3× the lightest point's. `reproduce report` applies the
-/// same rule to a manifest's rows.
-pub fn detect_knee(points: &[CapacityPoint]) -> usize {
-    let base_p99 = points.first().map(|p| p.p99_ms).unwrap_or(0.0).max(1e-6);
-    let mut knee = 0;
-    for (i, p) in points.iter().enumerate() {
-        let healthy = p.loss_pct < 1.0
-            && p.achieved_eps >= 0.90 * p.offered_eps
-            && p.p99_ms <= 3.0 * base_p99;
-        if healthy {
-            knee = i;
+/// The one health verdict of a sweep, built from its lightest point. A
+/// point passes on its whole-run loss, achieved share and p99; a window
+/// passes [`Budget::window`]: no shed, and the same p99 limit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Budget {
+    /// The window verdict; its `p99_budget_ns` is the whole-run limit too.
+    pub(crate) window: SloSpec,
+}
+
+impl Budget {
+    /// Whole-run loss (shed + backpressure) must stay under this, percent.
+    const MAX_LOSS_PCT: f64 = 1.0;
+    /// Share of the offered rate a point must achieve.
+    const MIN_ACHIEVED: f64 = 0.90;
+    /// The p99 limit as a multiple of the lightest point's p99.
+    const P99_FACTOR: u64 = 3;
+
+    /// The budget of a sweep whose lightest point is `points[0]`.
+    pub(crate) fn of(points: &[CapacityPoint]) -> Budget {
+        let base_ns = points.first().map_or(0, |p| ms_to_ns(p.p99_ms)).max(1);
+        Budget {
+            window: SloSpec::new(base_ns.saturating_mul(Self::P99_FACTOR), 0.0),
         }
     }
-    knee
+
+    /// Whether a point's whole-run numbers pass.
+    pub(crate) fn passes(&self, p: &CapacityPoint) -> bool {
+        p.loss_pct < Self::MAX_LOSS_PCT
+            && p.achieved_eps >= Self::MIN_ACHIEVED * p.offered_eps
+            && ms_to_ns(p.p99_ms) <= self.window.p99_budget_ns
+    }
+}
+
+/// A quantile back in the integer nanoseconds it was measured in.
+fn ms_to_ns(ms: f64) -> u64 {
+    (ms * 1e6).round() as u64
+}
+
+/// The knee: the last point `Budget::of(points)` passes, or `None`
+/// when none does. `reproduce report` applies it to a manifest's rows.
+pub fn knee(points: &[CapacityPoint]) -> Option<usize> {
+    let budget = Budget::of(points);
+    points.iter().rposition(|p| budget.passes(p))
 }
 
 /// What first pushed a run past its budget inside a window.
@@ -373,18 +386,8 @@ pub fn detect_knee(points: &[CapacityPoint]) -> usize {
 pub enum KneeReason {
     /// Admission control started shedding in this window.
     SheddingStarted,
-    /// The window's p99 crossed the latency budget (3× the lightest
-    /// sweep point's whole-run p99, the same budget [`detect_knee`] uses).
+    /// The window's p99 crossed the sweep's p99 limit.
     P99OverBudget,
-}
-
-impl std::fmt::Display for KneeReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            KneeReason::SheddingStarted => "shedding started",
-            KneeReason::P99OverBudget => "p99 over budget",
-        })
-    }
 }
 
 /// Where overload first shows *inside* a run, from the per-window
@@ -401,53 +404,31 @@ pub struct TimelineKnee {
     /// What was detected.
     pub reason: KneeReason,
     /// The window's p99 (ms) when [`KneeReason::P99OverBudget`], or the
-    /// window's shed count when [`KneeReason::SheddingStarted`].
+    /// percent of its arrivals shed when [`KneeReason::SheddingStarted`].
     pub value: f64,
 }
 
-/// Scans each sweep point's [`MetricsTimeline`] in offered-load order
-/// for the first window where shedding starts or the windowed p99
-/// (merged across shards) crosses the budget. Returns `None` when the
-/// sweep carried no timelines or every window stayed healthy.
+/// The first window, scanning the sweep points in offered-load order,
+/// that `Budget::window` marks violated. `None` when the sweep carried
+/// no timelines or every window stayed healthy.
 pub fn timeline_knee(curve: &CapacityCurve) -> Option<TimelineKnee> {
-    let budget_ms = 3.0
-        * curve
-            .points
-            .first()
-            .map(|p| p.p99_ms)
-            .unwrap_or(0.0)
-            .max(1e-6);
-    for (pi, tl) in curve.timelines.iter().enumerate() {
-        let interval_s = tl.interval().as_secs_f64();
-        for w in 0..tl.window_count() {
-            let mut shed = 0u64;
-            let mut lat = Log2Histogram::new();
-            for s in 0..tl.shards() {
-                if let Some(win) = tl.lane(s).get(w) {
-                    shed += win.shed;
-                    lat.merge(&win.latency);
-                }
-            }
-            let reason = if shed > 0 {
-                Some((KneeReason::SheddingStarted, shed as f64))
-            } else if lat.count() > 0 {
-                let p99_ms = lat.quantile(0.99) as f64 / 1e6;
-                (p99_ms > budget_ms).then_some((KneeReason::P99OverBudget, p99_ms))
-            } else {
-                None
-            };
-            if let Some((reason, value)) = reason {
-                return Some(TimelineKnee {
-                    point: pi,
-                    window: w,
-                    at_s: w as f64 * interval_s,
-                    reason,
-                    value,
-                });
-            }
-        }
-    }
-    None
+    let spec = Budget::of(&curve.points).window;
+    curve.timelines.iter().enumerate().find_map(|(point, tl)| {
+        let report = slo::evaluate(tl, &spec);
+        let w = report.windows.iter().find(|w| w.violated)?;
+        let (reason, value) = if w.shed_pct > 0.0 {
+            (KneeReason::SheddingStarted, w.shed_pct)
+        } else {
+            (KneeReason::P99OverBudget, w.p99_ns as f64 / 1e6)
+        };
+        Some(TimelineKnee {
+            point,
+            window: w.window,
+            at_s: w.window as f64 * tl.interval().as_secs_f64(),
+            reason,
+            value,
+        })
+    })
 }
 
 /// Which latency stage dominates the tail past the knee — the anatomy of
@@ -478,27 +459,18 @@ impl std::fmt::Display for KneeAnatomy {
     }
 }
 
-/// Classifies the first sweep point past the knee (or the knee point
-/// itself when nothing lies past it) by its dominant latency stage.
-pub fn knee_anatomy(curve: &CapacityCurve) -> KneeAnatomy {
-    let idx = (curve.knee + 1).min(curve.points.len().saturating_sub(1));
-    let p = &curve.points[idx];
-    if p.queue_wait_p99_ms > p.service_p99_ms {
+/// Classifies the first point past `knee` (the knee itself when nothing
+/// lies past it; the lightest point when there is no knee) by its
+/// dominant latency stage. Returns the verdict and the point it read.
+pub fn knee_anatomy(points: &[CapacityPoint], knee: Option<usize>) -> (KneeAnatomy, usize) {
+    let idx = knee.map_or(0, |k| (k + 1).min(points.len().saturating_sub(1)));
+    let p = &points[idx];
+    let anatomy = if p.queue_wait_p99_ms > p.service_p99_ms {
         KneeAnatomy::WaitDominated
     } else {
         KneeAnatomy::ServiceDominated
-    }
-}
-
-/// Evaluates `spec` against every per-point timeline the sweep carried,
-/// in [`SWEEP_FRACTIONS`] order. Empty when the sweep ran without
-/// [`CapacityParams::metrics_interval_ms`].
-pub fn slo_reports(curve: &CapacityCurve, spec: &l25gc_obs::SloSpec) -> Vec<l25gc_obs::SloReport> {
-    curve
-        .timelines
-        .iter()
-        .map(|tl| l25gc_obs::slo::evaluate(tl, spec))
-        .collect()
+    };
+    (anatomy, idx)
 }
 
 /// The full experiment: Free5GC (kernel/HTTP) vs L²5GC (shm).
@@ -510,82 +482,23 @@ pub fn sweep(params: &CapacityParams) -> Vec<CapacityCurve> {
 }
 
 /// At the baseline's knee-p99 operating budget, the events/s each system
-/// sustains — the "equal p99" comparison line.
+/// sustains — the "equal p99" comparison line. `None` without a free5GC
+/// knee.
 pub fn equal_p99_comparison(curves: &[CapacityCurve]) -> Option<(f64, f64, f64)> {
     let free = curves
         .iter()
         .find(|c| c.deployment == Deployment::Free5gc)?;
     let l25 = curves.iter().find(|c| c.deployment == Deployment::L25gc)?;
-    let budget_ms = free.knee_p99_ms();
+    let budget_ms = free.knee_p99_ms()?;
     // Highest achieved rate whose p99 fits the budget, per system.
     let best_under = |c: &CapacityCurve| {
         c.points
             .iter()
-            .filter(|p| p.p99_ms <= budget_ms && p.loss_pct < 1.0)
+            .filter(|p| p.p99_ms <= budget_ms && p.loss_pct < Budget::MAX_LOSS_PCT)
             .map(|p| p.achieved_eps)
             .fold(0.0f64, f64::max)
     };
     Some((budget_ms, best_under(free), best_under(l25)))
-}
-
-/// One row of the burstiness × admission-policy study.
-#[derive(Debug, Clone)]
-pub struct BurstPolicyRow {
-    /// MMPP-2 high/low rate ratio (1.0 = Poisson).
-    pub burst: f64,
-    /// Admission policy past the high-water mark.
-    pub policy: OverloadPolicy,
-    /// Achieved events/s.
-    pub achieved_eps: f64,
-    /// 99th-percentile latency, ms.
-    pub p99_ms: f64,
-    /// Percent of arrivals shed or backpressured.
-    pub loss_pct: f64,
-    /// Deepest shard queue observed.
-    pub peak_depth: usize,
-}
-
-/// Crosses [`BURST_LEVELS`] against Shed/Queue on L²5GC at a fixed
-/// near-knee operating point (0.9× capacity, tight high-water mark so
-/// bursts actually hit the admission controller). Shows the trade the
-/// paper's admission design makes: shedding caps tail latency at the
-/// cost of loss; queueing keeps everything at the cost of the tail.
-pub fn burst_policy_table(params: &CapacityParams) -> Vec<BurstPolicyRow> {
-    let deployment = Deployment::L25gc;
-    let profiles = calibrate(deployment);
-    let mix = EventMix::default();
-    let occ = profiles.mean_occupancy(&mix.weights);
-    let capacity_eps = f64::from(params.shards) / occ.as_secs_f64();
-    let offered = capacity_eps * 0.9;
-
-    let mut rows = Vec::with_capacity(BURST_LEVELS.len() * 2);
-    for (i, &burst) in BURST_LEVELS.iter().enumerate() {
-        for policy in [OverloadPolicy::Shed, OverloadPolicy::Queue] {
-            let cfg = base_builder(params, &mix)
-                .shard_cfg(ShardConfig {
-                    shards: params.shards,
-                    high_water: 64,
-                    policy,
-                    ring_capacity: 128,
-                })
-                .burst(burst)
-                .offered_eps(offered)
-                .seed(point_seed(params, deployment, 600 + i))
-                .build()
-                .expect("burst study config is valid");
-            let r = run(cfg, &profiles);
-            let denom = r.offered.max(1) as f64;
-            rows.push(BurstPolicyRow {
-                burst,
-                policy,
-                achieved_eps: r.achieved_eps,
-                p99_ms: r.p99.as_millis_f64(),
-                loss_pct: 100.0 * (r.shed + r.backpressure) as f64 / denom,
-                peak_depth: r.peak_depth,
-            });
-        }
-    }
-    rows
 }
 
 /// One row of the shard-count scaling study.
@@ -681,67 +594,13 @@ pub fn shard_scaling(params: &CapacityParams, lo: u16, hi: u16) -> Vec<ShardScal
     rows
 }
 
-/// One row of the closed-loop worker-population sweep.
+/// What a [`saturation_search`] ran and found.
 #[derive(Debug, Clone)]
-pub struct ClosedLoopRow {
-    /// Concurrent worker count.
-    pub workers: usize,
-    /// Achieved events/s.
-    pub achieved_eps: f64,
-    /// Median latency, ms.
-    pub p50_ms: f64,
-    /// 99th percentile, ms.
-    pub p99_ms: f64,
-    /// Mean shard CPU utilisation.
-    pub utilisation: f64,
-    /// Wall-clock sustained events/s (threaded backend only).
-    pub wall_eps: Option<f64>,
-}
-
-/// Sweeps the closed-loop worker population over [`SWEEP_FRACTIONS`] of
-/// `max_workers`: throughput self-limits, so instead of a knee the curve
-/// shows saturation — added workers stop buying events/s once the shards
-/// are busy.
-pub fn closed_loop_table(params: &CapacityParams, max_workers: usize) -> Vec<ClosedLoopRow> {
-    let deployment = Deployment::L25gc;
-    let profiles = calibrate(deployment);
-    let mix = EventMix::default();
-    let think = SimDuration::from_secs_f64(params.think_ms.max(0.001) / 1e3);
-
-    let mut rows = Vec::with_capacity(SWEEP_FRACTIONS.len());
-    for (i, frac) in SWEEP_FRACTIONS.iter().enumerate() {
-        let workers = ((max_workers as f64 * frac).round() as usize).max(1);
-        let cfg = base_builder(params, &mix)
-            .closed_loop(workers, think)
-            .seed(point_seed(params, deployment, 800 + i))
-            .build()
-            .expect("closed-loop config is valid");
-        let r = run(cfg, &profiles);
-        rows.push(ClosedLoopRow {
-            workers,
-            achieved_eps: r.achieved_eps,
-            p50_ms: r.p50.as_millis_f64(),
-            p99_ms: r.p99.as_millis_f64(),
-            utilisation: r.busy_fraction,
-            wall_eps: r.wall.map(|w| w.sustained_eps),
-        });
-    }
-    rows
-}
-
-/// The saturation point a [`saturation_search`] converged on.
-#[derive(Debug, Clone, Copy)]
-pub struct SaturationPoint {
-    /// Smallest closed-loop worker count on the throughput plateau.
-    pub workers: usize,
-    /// Achieved events/s at that count.
-    pub achieved_eps: f64,
-    /// p99 latency at that count, ms.
-    pub p99_ms: f64,
-    /// Mean shard CPU utilisation at that count.
-    pub utilisation: f64,
-    /// Closed-loop runs the search spent converging.
-    pub probes: usize,
+pub struct Saturation {
+    /// Every closed-loop run, `(workers, point)`, by worker count.
+    pub probes: Vec<(usize, CapacityPoint)>,
+    /// Index into `probes` of the first count on the throughput plateau.
+    pub plateau: usize,
 }
 
 /// Closed-loop saturation search on L25GC: instead of sweeping fixed
@@ -751,75 +610,63 @@ pub struct SaturationPoint {
 /// the smallest count achieving ≥ 98% of the plateau rate. Deterministic:
 /// each worker count probes with a seed derived from the count, so
 /// re-probing a count replays the identical run.
-pub fn saturation_search(params: &CapacityParams, max_workers: usize) -> SaturationPoint {
+pub fn saturation_search(params: &CapacityParams, max_workers: usize) -> Saturation {
     let deployment = Deployment::L25gc;
     let profiles = calibrate(deployment);
     let mix = EventMix::default();
     let think = SimDuration::from_secs_f64(params.think_ms.max(0.001) / 1e3);
     let max_workers = max_workers.max(1);
 
-    let mut cache: Vec<(usize, SaturationPoint)> = Vec::new();
-    let mut probes = 0usize;
-    let mut probe = |workers: usize, probes: &mut usize| -> SaturationPoint {
-        if let Some((_, p)) = cache.iter().find(|(w, _)| *w == workers) {
-            return *p;
+    let mut probes: Vec<(usize, CapacityPoint)> = Vec::new();
+    // Achieved events/s at `workers`, running each count once.
+    let mut probe = |workers: usize| -> f64 {
+        if let Some((_, p)) = probes.iter().find(|(w, _)| *w == workers) {
+            return p.achieved_eps;
         }
-        *probes += 1;
         let cfg = base_builder(params, &mix)
             .closed_loop(workers, think)
             .seed(point_seed(params, deployment, 2_000 + workers))
             .build()
             .expect("saturation probe config is valid");
         let r = run(cfg, &profiles);
-        let p = SaturationPoint {
-            workers,
-            achieved_eps: r.achieved_eps,
-            p99_ms: r.p99.as_millis_f64(),
-            utilisation: r.busy_fraction,
-            probes: 0,
-        };
-        cache.push((workers, p));
-        p
+        let p = CapacityPoint::from_report(r.offered as f64 / params.duration_s, &r);
+        probes.push((workers, p));
+        r.achieved_eps
     };
 
     // Exponential climb: stop when a doubling buys < 2%.
     const PLATEAU_GAIN: f64 = 1.02;
-    let mut below = probe(1, &mut probes);
+    let mut below = probe(1);
     let mut lo = 1usize;
     let mut hi = lo;
     while hi < max_workers {
         let next = (hi * 2).min(max_workers);
-        let p = probe(next, &mut probes);
-        if p.achieved_eps < below.achieved_eps * PLATEAU_GAIN {
+        let eps = probe(next);
+        if eps < below * PLATEAU_GAIN {
             hi = next;
             break;
         }
         lo = next;
-        below = p;
+        below = eps;
         hi = next;
     }
     // The plateau rate is the best seen; binary search for the smallest
     // count in (lo, hi] achieving 98% of it. If the climb never
     // plateaued, lo == hi == max_workers and the loop is skipped.
-    let plateau_eps = below.achieved_eps.max(probe(hi, &mut probes).achieved_eps);
-    let target = 0.98 * plateau_eps;
-    let (mut lo, mut hi) = (lo, hi);
+    let target = 0.98 * below.max(probe(hi));
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if probe(mid, &mut probes).achieved_eps >= target {
+        if probe(mid) >= target {
             hi = mid;
         } else {
             lo = mid;
         }
     }
-    let found = if probe(lo, &mut probes).achieved_eps >= target {
-        lo
-    } else {
-        hi
-    };
-    let mut result = probe(found, &mut probes);
-    result.probes = probes;
-    result
+    let found = if probe(lo) >= target { lo } else { hi };
+    probes.sort_by_key(|(w, _)| *w);
+    let plateau = probes.iter().position(|(w, _)| *w == found);
+    let plateau = plateau.expect("the search probed the count it found");
+    Saturation { probes, plateau }
 }
 
 #[cfg(test)]
@@ -842,7 +689,8 @@ mod tests {
         assert_eq!(curves.len(), 2);
         for c in &curves {
             assert_eq!(c.points.len(), SWEEP_FRACTIONS.len());
-            assert!(c.knee < c.points.len());
+            let knee = c.knee.expect("a light sweep has a healthy point");
+            assert!(knee < c.points.len());
             // The lightest point must be healthy; the knee can't be 0
             // unless everything past it overloaded.
             assert!(c.points[0].loss_pct < 1.0, "{:?}", c.deployment);
@@ -862,18 +710,21 @@ mod tests {
             }
             // Past the knee the tail must be congestion, not slower
             // procedures: the sweep holds the profiles fixed.
-            assert_eq!(knee_anatomy(c), KneeAnatomy::WaitDominated);
+            assert_eq!(
+                knee_anatomy(&c.points, c.knee).0,
+                KneeAnatomy::WaitDominated
+            );
             // Utilization anatomy: one busy fraction per shard at every
             // point, and the knee names its busiest shard.
             for p in &c.points {
                 assert_eq!(p.shard_utilization.len(), 4, "{:?}", c.deployment);
                 assert!(p.shard_utilization.iter().all(|&u| u > 0.0 && u <= 1.0));
             }
-            let (peak_shard, peak_util) = c.peak_shard_at_knee();
+            let (peak_shard, peak_util) = c.peak_shard_at_knee().expect("knee above");
             assert!(peak_shard < 4);
             assert_eq!(
                 peak_util,
-                c.points[c.knee]
+                c.points[knee]
                     .shard_utilization
                     .iter()
                     .cloned()
@@ -891,10 +742,16 @@ mod tests {
             ..small_params()
         };
         let curve = sweep_deployment(Deployment::L25gc, &params);
-        // A budget at the lightest point's whole-run p99: light points
-        // hold it, the 1.2× point cannot.
-        let budget_ns = (curve.points[0].p99_ms * 3.0 * 1e6) as u64;
-        let spec = l25gc_obs::SloSpec::new(budget_ns.max(1), 0.5);
+        // The knee's p99 limit with some shed allowed: light points hold
+        // it, the 1.2× point cannot.
+        let budget_ns = Budget::of(&curve.points).window.p99_budget_ns;
+        let spec = SloSpec::new(budget_ns, 0.5);
+        let slo_reports = |c: &CapacityCurve, spec: &SloSpec| -> Vec<slo::SloReport> {
+            c.timelines
+                .iter()
+                .map(|tl| slo::evaluate(tl, spec))
+                .collect()
+        };
         let reports = slo_reports(&curve, &spec);
         assert_eq!(reports.len(), SWEEP_FRACTIONS.len());
         let first = &reports[0];
@@ -926,7 +783,10 @@ mod tests {
             assert!(p.service_p99_ms > 0.0, "threaded stage hists merged");
             assert!(p.service_p99_ms <= p.p99_ms + 1e-9);
         }
-        assert_eq!(knee_anatomy(&curve), KneeAnatomy::WaitDominated);
+        assert_eq!(
+            knee_anatomy(&curve.points, curve.knee).0,
+            KneeAnatomy::WaitDominated
+        );
     }
 
     #[test]
@@ -996,37 +856,6 @@ mod tests {
         let plain = sweep_deployment(Deployment::L25gc, &small_params());
         assert!(plain.timelines.is_empty());
         assert!(plain.knee_trace.is_none());
-    }
-
-    #[test]
-    fn burstier_arrivals_cost_shed_loss_or_queue_tail() {
-        let params = CapacityParams {
-            ues: 10_000,
-            duration_s: 2.0,
-            ..small_params()
-        };
-        let rows = burst_policy_table(&params);
-        assert_eq!(rows.len(), BURST_LEVELS.len() * 2);
-        for r in &rows {
-            if r.policy == OverloadPolicy::Queue {
-                assert_eq!(r.loss_pct, 0.0, "queue policy never sheds at high water");
-            }
-        }
-        // At the burstiest level, queueing pays in tail latency relative
-        // to shedding.
-        let at = |burst: f64, policy: OverloadPolicy| {
-            rows.iter()
-                .find(|r| r.burst == burst && r.policy == policy)
-                .unwrap()
-        };
-        let shed8 = at(8.0, OverloadPolicy::Shed);
-        let queue8 = at(8.0, OverloadPolicy::Queue);
-        assert!(
-            queue8.p99_ms >= shed8.p99_ms,
-            "queueing tail {} must be >= shedding tail {}",
-            queue8.p99_ms,
-            shed8.p99_ms
-        );
     }
 
     #[test]
@@ -1108,8 +937,8 @@ mod tests {
         // The aggregate knee says "last healthy point"; the timeline knee
         // points at the first *unhealthy* one, so it can't sit before it.
         assert!(
-            knee.point >= curve.knee,
-            "timeline knee {} vs aggregate {}",
+            Some(knee.point) >= curve.knee,
+            "timeline knee {} vs aggregate {:?}",
             knee.point,
             curve.knee
         );
@@ -1126,15 +955,16 @@ mod tests {
             ..small_params()
         };
         let sat = saturation_search(&params, 256);
-        assert!(sat.workers >= 1 && sat.workers <= 256);
-        assert!(sat.achieved_eps > 0.0);
-        assert!(sat.probes >= 2, "search must actually probe");
+        let (workers, at) = &sat.probes[sat.plateau];
+        assert!(*workers >= 1 && *workers <= 256);
+        assert!(at.achieved_eps > 0.0);
+        assert!(sat.probes.len() >= 2, "search must actually probe");
         // The found count really is on the plateau: doubling it (within
         // bounds) buys < 5% more throughput.
         let think = SimDuration::from_secs_f64(params.think_ms / 1e3);
         let mix = EventMix::default();
         let profiles = calibrate(Deployment::L25gc);
-        let double = (sat.workers * 2).min(256);
+        let double = (workers * 2).min(256);
         let cfg = base_builder(&params, &mix)
             .closed_loop(double, think)
             .seed(point_seed(&params, Deployment::L25gc, 2_000 + double))
@@ -1142,31 +972,106 @@ mod tests {
             .unwrap();
         let r = run(cfg, &profiles);
         assert!(
-            r.achieved_eps <= sat.achieved_eps * 1.05,
+            r.achieved_eps <= at.achieved_eps * 1.05,
             "doubling {} → {} buys {} vs {}",
-            sat.workers,
+            workers,
             double,
             r.achieved_eps,
-            sat.achieved_eps
+            at.achieved_eps
         );
         // Deterministic: same params, same answer.
         let again = saturation_search(&params, 256);
-        assert_eq!(again.workers, sat.workers);
-        assert_eq!(again.achieved_eps, sat.achieved_eps);
+        assert_eq!(again.probes[again.plateau].0, *workers);
+        assert_eq!(again.probes[again.plateau].1.achieved_eps, at.achieved_eps);
     }
 
     #[test]
-    fn closed_loop_table_saturates() {
+    fn saturation_probe_table_is_sorted_and_holds_the_plateau() {
         let params = CapacityParams {
             ues: 10_000,
             duration_s: 2.0,
             ..small_params()
         };
-        let rows = closed_loop_table(&params, 64);
-        assert_eq!(rows.len(), SWEEP_FRACTIONS.len());
-        assert!(rows.iter().all(|r| r.achieved_eps > 0.0));
+        let sat = saturation_search(&params, 32);
+        let workers: Vec<usize> = sat.probes.iter().map(|(w, _)| *w).collect();
+        assert!(workers.windows(2).all(|w| w[0] < w[1]), "{workers:?}");
+        assert_eq!(workers.first(), Some(&1), "the climb starts at one worker");
+        assert!(*workers.last().unwrap() <= 32, "capped: {workers:?}");
+        assert!(sat.plateau < sat.probes.len());
+        assert!(sat.probes.iter().all(|(_, p)| p.achieved_eps > 0.0));
         // More workers never reduce throughput by much (self-limiting).
-        assert!(rows.last().unwrap().achieved_eps >= rows[0].achieved_eps * 0.9);
+        let (first, last) = (&sat.probes[0].1, &sat.probes.last().unwrap().1);
+        assert!(last.achieved_eps >= first.achieved_eps * 0.9);
+    }
+
+    fn point(offered_eps: f64, achieved_eps: f64, p99_ms: f64, loss_pct: f64) -> CapacityPoint {
+        CapacityPoint {
+            offered_eps,
+            achieved_eps,
+            p99_ms,
+            loss_pct,
+            ..CapacityPoint::default()
+        }
+    }
+
+    #[test]
+    fn knee_is_none_when_no_point_is_healthy() {
+        // Each point fails one rule: achieved share, loss, p99 limit.
+        let points = [
+            point(10.0, 5.0, 100.0, 0.0),
+            point(20.0, 20.0, 100.0, 2.0),
+            point(30.0, 30.0, 301.0, 0.0),
+        ];
+        assert_eq!(knee(&points), None);
+        assert_eq!(knee(&[]), None);
+        // The p99 limit is inclusive and in whole nanoseconds.
+        let budget = Budget::of(&points);
+        assert_eq!(budget.window.p99_budget_ns, 300_000_000);
+        assert_eq!(budget.window.shed_budget_pct, 0.0);
+        assert!(budget.passes(&point(30.0, 30.0, 300.0, 0.0)));
+        // The knee is the last passing point, not the last of a run.
+        let points = [
+            points[0].clone(),
+            point(20.0, 20.0, 250.0, 0.0),
+            points[2].clone(),
+        ];
+        assert_eq!(knee(&points), Some(1));
+        let curve = CapacityCurve {
+            deployment: Deployment::L25gc,
+            mean_occupancy_ms: 1.0,
+            points: vec![points[0].clone()],
+            knee: None,
+            timelines: Vec::new(),
+            knee_trace: None,
+        };
+        assert_eq!(curve.sustainable_eps(), None);
+        assert_eq!(curve.peak_shard_at_knee(), None);
+        // Without a knee the anatomy reads the lightest point.
+        assert_eq!(knee_anatomy(&points, None).1, 0);
+        assert_eq!(knee_anatomy(&points, Some(1)).1, 2);
+        assert_eq!(knee_anatomy(&points, Some(2)).1, 2);
+    }
+
+    #[test]
+    fn equal_p99_needs_a_free5gc_knee() {
+        let curve = |deployment, knee| CapacityCurve {
+            deployment,
+            mean_occupancy_ms: 1.0,
+            points: vec![point(10.0, 10.0, 100.0, 0.0)],
+            knee,
+            timelines: Vec::new(),
+            knee_trace: None,
+        };
+        let both = [
+            curve(Deployment::Free5gc, None),
+            curve(Deployment::L25gc, Some(0)),
+        ];
+        assert_eq!(equal_p99_comparison(&both), None);
+        let both = [
+            curve(Deployment::Free5gc, Some(0)),
+            curve(Deployment::L25gc, None),
+        ];
+        assert_eq!(equal_p99_comparison(&both), Some((100.0, 10.0, 10.0)));
     }
 
     #[test]

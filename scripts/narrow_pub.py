@@ -85,10 +85,6 @@ WRITEONLY_KEEP = {
     'RanUe::connected': 'integration tests and proptests observe the run through it',
     'Resilience::checkpoints_deferred': 'integration tests and proptests observe the run through it',
     'TcpReceiver::duplicates': 'integration tests and proptests observe the run through it',
-    'SloReport::windows': 'integration tests and proptests observe the run through it',
-    'WindowVerdict::p99_ns': 'integration tests and proptests observe the run through it',
-    'WindowVerdict::shed_pct': 'integration tests and proptests observe the run through it',
-    'WindowVerdict::violated': 'integration tests and proptests observe the run through it',
     'ProcedureProfile::messages': 'pinned in calibrated_profiles.txt; deleting it edits that fixture',
     'CpuInfo::siblings': 'one sysfs read per CPU for a #[cfg(test)] SMT check',
 }
