@@ -44,7 +44,7 @@ mod tests {
     use l25gc_bench::run::{render_report, run_compare, run_report, run_validate_prom};
     use l25gc_bench::spec::EXPERIMENT_IDS as EXPERIMENTS;
     use l25gc_bench::RunManifest;
-    use l25gc_load::ExecBackend;
+    use l25gc_load::{ExecBackend, MAX_THREADED_SHARDS};
 
     fn parse(args: &[&str]) -> Result<Args, String> {
         let raw: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -121,6 +121,15 @@ mod tests {
     fn out_of_range_values_are_rejected() {
         assert!(parse(&["--ues", "0"]).unwrap_err().contains("positive"));
         assert!(parse(&["--shards", "0"]).unwrap_err().contains("positive"));
+        // Checked at parse time, never by spawning the threads.
+        let cap = MAX_THREADED_SHARDS.to_string();
+        let over = (MAX_THREADED_SHARDS + 1).to_string();
+        let threaded = |n: &str| parse(&["capacity", "--backend", "threaded", "--shards", n]);
+        assert!(threaded(&cap).is_ok());
+        assert!(threaded(&over)
+            .unwrap_err()
+            .starts_with("--shards: the threaded backend runs at most"));
+        assert!(parse(&["capacity", "--shards", &over]).is_ok());
         assert!(parse(&["--burst", "0.5"]).unwrap_err().contains(">= 1"));
         assert!(parse(&["--workers", "0"]).unwrap_err().contains("positive"));
         assert!(parse(&["--seed", "banana"]).unwrap_err().contains("u64"));

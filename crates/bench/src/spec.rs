@@ -22,7 +22,7 @@
 
 use std::num::TryFromIntError;
 
-use l25gc_load::{ExecBackend, FaultPlan, ScenarioSpec, SCENARIO_NAMES};
+use l25gc_load::{ExecBackend, FaultPlan, LoadConfig, ScenarioSpec, SCENARIO_NAMES};
 use l25gc_obs::SloSpec;
 use l25gc_sim::SimDuration;
 use l25gc_testbed::exp::capacity::CapacityParams;
@@ -710,6 +710,13 @@ impl Args {
             return Err(format!("{} needs {what}", flag.name()));
         }
         args.cap.seed = args.seed;
+        // The load engine's shard cap, checked before any run spawns a
+        // thread per shard.
+        LoadConfig::builder()
+            .backend(args.cap.backend)
+            .shards(args.cap.shards)
+            .build()
+            .map_err(|e| format!("--shards: {e}"))?;
         if let Some(fault) = &args.fault {
             // Structural fit is checkable right here: the override must
             // suit every scenario it will ride (each has its own

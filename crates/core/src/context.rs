@@ -130,24 +130,44 @@ impl AmfUeCtx {
     }
 }
 
-/// The SMF's per-session context.
+/// The one procedure the SMF runs for a session, at the step it waits
+/// in; each step carries only its data. A message that no (step,
+/// message) arm of the SMF takes is a protocol race, and it panics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SmfProc {
+    /// No procedure in progress.
+    #[default]
+    None,
+    /// Establishment: waiting for the PCF's SM policy.
+    EstPolicy,
+    /// Establishment: waiting for the UPF to install the session.
+    EstN4,
+    /// Waiting for the UPF to acknowledge a modification; holds the
+    /// answer then owed to the AMF.
+    Modify(SmContextUpdate),
+    /// Handover, holding the UL TEID pre-allocated for the target until
+    /// the path switch commits it: waiting for the target's DL tunnel,
+    HoTargetDl(u32),
+    /// then for the UPF to record that tunnel,
+    HoTargetDlN4(u32, TunnelInfo),
+    /// then for the path switch.
+    HoPathSwitch(u32, TunnelInfo),
+    /// Release: waiting for the UPF to delete the session.
+    Release,
+}
+
+/// The SMF's per-session context. The session's UE address is
+/// [`ue_ip_for`](crate::upf::ue_ip_for) its UE.
 #[derive(Debug, Clone)]
 pub struct SmfSession {
     /// PFCP session endpoint id shared with the UPF.
     pub seid: u64,
-    /// UE IP address allocated for the session (u32 form).
-    pub(crate) ue_ip: u32,
     /// UPF-side uplink TEID.
     pub(crate) ul_teid: u32,
-    /// UL TEID pre-allocated for a handover target, if any.
-    pub(crate) pending_ul_teid: Option<u32>,
-    /// Current AN-side (gNB) downlink tunnel.
-    pub an_tunnel: Option<TunnelInfo>,
     /// Next PFCP sequence number for this session's transactions.
     pub(crate) pfcp_seq: u32,
-    /// The answer to the SM-context update whose N4 modification is in
-    /// flight, sent when the UPF acknowledges it.
-    pub(crate) pending_ack: Option<SmContextUpdate>,
+    /// The procedure in progress and its step.
+    pub proc: SmfProc,
 }
 
 /// What kind of UE event completed (for Fig 8 accounting).

@@ -25,7 +25,9 @@ use l25gc_pkt::pfcp::{
 };
 use l25gc_sim::{FastMap, SimDuration, SimTime};
 
-use crate::context::{proc_kind, AmfUeCtx, CmState, EventRecord, Proc, SmfSession, UeEvent};
+use crate::context::{
+    proc_kind, AmfUeCtx, CmState, EventRecord, Proc, SmfProc, SmfSession, UeEvent,
+};
 use crate::deploy::Deployment;
 use crate::msg::{DataPacket, Endpoint, Envelope, GnbId, Msg, SbiOp, SmContextUpdate, UeId};
 use crate::udr::{AuthVector, Udr};
@@ -78,15 +80,21 @@ impl Smf {
         0x100 + self.next_teid
     }
 
-    fn ue_of_seid(&self, seid: u64) -> Option<UeId> {
-        self.by_seid.get(&seid).copied()
+    fn ue_of_seid(&self, seid: u64) -> UeId {
+        let ue = self.by_seid.get(&seid).copied();
+        ue.unwrap_or_else(|| panic!("no session has SEID {seid}"))
+    }
+
+    fn session(&mut self, ue: UeId) -> &mut SmfSession {
+        let s = self.sessions.get_mut(&ue);
+        s.unwrap_or_else(|| panic!("SMF: UE {ue} has no SM context"))
     }
 }
 
 /// N4 association state between SMF and UPF-C (node-level PFCP).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum N4Association {
-    /// No association yet; session procedures would be refused.
+    /// No association yet.
     #[default]
     Idle,
     /// Setup request sent, awaiting the UPF's response.
@@ -685,208 +693,146 @@ impl CoreNetwork {
 
     // ================= SMF =================
 
+    /// The SMF's SBI side: one arm per (step, operation) pair. Every
+    /// SM-context update but `ActivateUp` modifies the UPF, and the step
+    /// it enters holds the answer owed until the UPF acknowledges.
     fn smf_sbi(&mut self, op: SbiOp, ue: UeId, outs: &mut Outs) {
-        match op {
-            SbiOp::CreateSmContextReq => {
+        use SbiOp::UpdateSmContextReq as Update;
+        use SmContextUpdate as U;
+        let step = self.smf.sessions.get(&ue).map_or(SmfProc::None, |s| s.proc);
+        let next = match (step, op) {
+            // The AMF's acknowledgment of an N1/N2 transfer needs no
+            // action, in any step.
+            (_, SbiOp::N1N2MessageTransferResp) => return,
+
+            // ---- Establishment (TS 23.502 §4.3.2.2) ----
+            (SmfProc::None, SbiOp::CreateSmContextReq) => {
                 let seid = self.smf.alloc_seid();
-                let ul_teid = self.smf.alloc_teid();
                 let session = SmfSession {
                     seid,
-                    ue_ip: ue_ip_for(ue),
-                    ul_teid,
-                    pending_ul_teid: None,
-                    an_tunnel: None,
+                    ul_teid: self.smf.alloc_teid(),
                     pfcp_seq: 0,
-                    pending_ack: None,
+                    proc: SmfProc::EstPolicy,
                 };
                 self.smf.sessions.insert(ue, session);
                 self.smf.by_seid.insert(seid, ue);
                 outs.sbi(SbiOp::CreateSmContextResp, ue);
                 outs.sbi(SbiOp::SdmGetSmDataReq, ue);
+                return;
             }
-            SbiOp::SmPolicyCreateResp => {
+            (SmfProc::EstPolicy, SbiOp::SmPolicyCreateResp) => {
                 // Provision the UPF: Session Establishment with UL/DL PDRs.
-                let msg = self.build_establishment(ue);
-                outs.n4(msg);
+                outs.n4(build_establishment(self.smf.session(ue), ue));
+                SmfProc::EstN4
             }
-            SbiOp::N1N2MessageTransferResp => {
-                // AMF acknowledged the N1/N2 transfer; nothing further.
-            }
-            SbiOp::ReleaseSmContextReq => {
-                let s = self.smf.sessions.get_mut(&ue).expect("session exists");
-                s.pfcp_seq += 1;
-                let msg = pfcp::Message::session(
-                    MsgType::SessionDeletionRequest,
-                    s.seid,
-                    s.pfcp_seq,
-                    IeSet::default(),
-                );
-                outs.n4(msg);
-            }
-            SbiOp::UpdateSmContextReq(update) => self.smf_update(ue, update, outs),
-            other => panic!("SMF cannot handle SBI {other:?}"),
-        }
-    }
 
-    /// Applies an SM-context update: each one but `ActivateUp` modifies
-    /// the UPF, and the answer waits in `pending_ack` for its response.
-    fn smf_update(&mut self, ue: UeId, update: SmContextUpdate, outs: &mut Outs) {
-        if update == SmContextUpdate::ActivateUp {
-            // Pure SM-context state change: ack without touching the UPF
-            // (the FAR flips when the AN tunnel arrives). The ack carries
-            // the CN N3 tunnel (TS 23.502 §4.2.3.2).
-            let ul_teid = self.smf.sessions.get(&ue).map_or(0, |s| s.ul_teid);
-            let ack = SmContextUpdate::ActivateUpAck { ul_teid };
-            outs.sbi(SbiOp::UpdateSmContextResp(ack), ue);
-            return;
-        }
-        let new_teid =
-            matches!(update, SmContextUpdate::HoPrepare { .. }).then(|| self.smf.alloc_teid());
-        let s = self.smf.sessions.get_mut(&ue).expect("session exists");
-        let (kind, ack) = match update {
-            SmContextUpdate::AnTunnelInfo(tun) | SmContextUpdate::Active { an_tunnel: tun } => {
-                s.an_tunnel = Some(tun);
-                (ModKind::ForwardTo(tun), update)
+            // ---- SM-context updates ----
+            (SmfProc::None, Update(u @ (U::AnTunnelInfo(tun) | U::Active { an_tunnel: tun }))) => {
+                let far = dl_far(Some(ApplyAction::FORW), Some(tun));
+                outs.n4(build_modification(self.smf.session(ue), far, None));
+                SmfProc::Modify(u)
             }
-            SmContextUpdate::Idle => {
-                s.an_tunnel = None;
-                (ModKind::IdleBuffer, update)
+            (SmfProc::None, Update(u @ U::Idle)) => {
+                let far = dl_far(Some(ApplyAction::BUFF_NOCP), None);
+                outs.n4(build_modification(self.smf.session(ue), far, None));
+                SmfProc::Modify(u)
             }
-            SmContextUpdate::HoPrepare { .. } => {
-                let new_teid = new_teid.expect("allocated above");
-                s.pending_ul_teid = Some(new_teid);
-                let ack = SmContextUpdate::HoPrepareAck {
-                    new_ul_teid: new_teid,
-                };
-                (ModKind::HoPrepare { new_teid }, ack)
+            (SmfProc::None, Update(U::ActivateUp)) => {
+                // Ack without touching the UPF: the FAR flips when the AN
+                // tunnel arrives. The ack carries the CN N3 tunnel
+                // (TS 23.502 §4.2.3.2).
+                let ul_teid = self.smf.session(ue).ul_teid;
+                let ack = U::ActivateUpAck { ul_teid };
+                outs.sbi(SbiOp::UpdateSmContextResp(ack), ue);
+                SmfProc::None
             }
-            SmContextUpdate::HoPrepared { target_dl } => {
-                s.an_tunnel = Some(target_dl);
-                (ModKind::HoPrepared { target_dl }, update)
+
+            // ---- Handover: the UL TEID for the target is allocated at
+            // preparation and committed at the path switch ----
+            (SmfProc::None, Update(U::HoPrepare { .. })) => {
+                // The §3.3 piggyback: the new UL TEID and BUFF share one
+                // message, so smart buffering costs no extra one.
+                let new_ul_teid = self.smf.alloc_teid();
+                let far = dl_far(Some(ApplyAction::BUFF), None);
+                let s = self.smf.session(ue);
+                outs.n4(build_modification(s, far, Some(new_ul_teid)));
+                SmfProc::Modify(U::HoPrepareAck { new_ul_teid })
             }
-            SmContextUpdate::HoComplete => {
-                if let Some(t) = s.pending_ul_teid.take() {
-                    s.ul_teid = t;
-                }
-                let tun = s.an_tunnel.expect("target tunnel recorded at HoPrepared");
-                (ModKind::ForwardTo(tun), update)
+            (SmfProc::HoTargetDl(ul_teid), Update(U::HoPrepared { target_dl })) => {
+                // Record the target tunnel but keep buffering.
+                let far = dl_far(None, Some(target_dl));
+                outs.n4(build_modification(self.smf.session(ue), far, None));
+                SmfProc::HoTargetDlN4(ul_teid, target_dl)
             }
-            SmContextUpdate::ActivateUp
-            | SmContextUpdate::HoPrepareAck { .. }
-            | SmContextUpdate::ActivateUpAck { .. } => {
-                unreachable!("{update:?} is not a modifying request")
+            (SmfProc::HoPathSwitch(ul_teid, target_dl), Update(u @ U::HoComplete)) => {
+                let s = self.smf.session(ue);
+                s.ul_teid = ul_teid;
+                let far = dl_far(Some(ApplyAction::FORW), Some(target_dl));
+                outs.n4(build_modification(s, far, None));
+                SmfProc::Modify(u)
             }
+
+            // ---- Release (TS 23.502 §4.3.4.2) ----
+            (SmfProc::None, SbiOp::ReleaseSmContextReq) => {
+                let s = self.smf.session(ue);
+                let msg = pfcp_request(s, MsgType::SessionDeletionRequest, IeSet::default());
+                outs.n4(msg);
+                SmfProc::Release
+            }
+
+            (step, op) => panic!("SMF: UE {ue} at step {step:?} cannot take {op:?}"),
         };
-        debug_assert!(s.pending_ack.is_none(), "one modification in flight");
-        s.pending_ack = Some(ack);
-        outs.n4(build_modification(s, kind));
+        self.smf.session(ue).proc = next;
     }
 
+    /// The SMF's N4 side: one arm per (step, message) pair. The UPF's
+    /// downlink-data report is its own, and it is taken in any step.
     fn smf_n4(&mut self, m: pfcp::Message, outs: &mut Outs) {
+        use MsgType::SessionModificationResponse as Modified;
+        use SbiOp::UpdateSmContextResp as Answer;
+        use SmContextUpdate as U;
         if m.msg_type == MsgType::AssociationSetupResponse {
-            debug_assert_eq!(self.smf.n4_association, N4Association::Pending);
-            self.smf.n4_association = N4Association::Established;
+            let was = std::mem::replace(&mut self.smf.n4_association, N4Association::Established);
+            let msg = "SMF: an AssociationSetupResponse with no setup in flight";
+            assert_eq!(was, N4Association::Pending, "{msg}");
             return;
         }
         let seid = m.seid.expect("session-scoped N4");
-        let ue = self
-            .smf
-            .ue_of_seid(seid)
-            .expect("SEID belongs to a session");
-        match m.msg_type {
-            MsgType::SessionEstablishmentResponse => {
-                let ul_teid = self.smf.sessions[&ue].ul_teid;
-                outs.sbi(SbiOp::N1N2MessageTransferReq { ul_teid }, ue);
+        let ue = self.smf.ue_of_seid(seid);
+        let s = self.smf.session(ue);
+        s.proc = match (s.proc, m.msg_type) {
+            (step, MsgType::SessionReportRequest) => {
+                // Downlink data notification: ack to the UPF and alert
+                // the AMF so it pages the UE.
+                outs.n4(accepted(MsgType::SessionReportResponse, seid, m.seq));
+                outs.sbi(SbiOp::N1N2MessageTransferReq { ul_teid: s.ul_teid }, ue);
+                step
             }
-            MsgType::SessionModificationResponse => {
-                // Answer the update this modification was made for.
-                let s = self.smf.sessions.get_mut(&ue).expect("session exists");
-                let ack = s.pending_ack.take().expect("a modification is pending");
-                outs.sbi(SbiOp::UpdateSmContextResp(ack), ue);
+            (SmfProc::EstN4, MsgType::SessionEstablishmentResponse) => {
+                outs.sbi(SbiOp::N1N2MessageTransferReq { ul_teid: s.ul_teid }, ue);
+                SmfProc::None
             }
-            MsgType::SessionDeletionResponse => {
+            // Answer the update each modification was made for.
+            (SmfProc::Modify(ack @ U::HoPrepareAck { new_ul_teid }), Modified) => {
+                outs.sbi(Answer(ack), ue);
+                SmfProc::HoTargetDl(new_ul_teid)
+            }
+            (SmfProc::HoTargetDlN4(ul_teid, target_dl), Modified) => {
+                outs.sbi(Answer(U::HoPrepared { target_dl }), ue);
+                SmfProc::HoPathSwitch(ul_teid, target_dl)
+            }
+            (SmfProc::Modify(ack), Modified) => {
+                outs.sbi(Answer(ack), ue);
+                SmfProc::None
+            }
+            (SmfProc::Release, MsgType::SessionDeletionResponse) => {
                 self.smf.sessions.remove(&ue);
                 self.smf.by_seid.remove(&seid);
                 outs.sbi(SbiOp::ReleaseSmContextResp, ue);
+                return;
             }
-            MsgType::SessionReportRequest => {
-                // Downlink data notification: ack to the UPF and alert the
-                // AMF so it pages the UE.
-                let ul_teid = self.smf.sessions[&ue].ul_teid;
-                outs.n4(accepted(MsgType::SessionReportResponse, seid, m.seq));
-                outs.sbi(SbiOp::N1N2MessageTransferReq { ul_teid }, ue);
-            }
-            other => panic!("SMF cannot handle N4 {other:?}"),
-        }
-    }
-
-    fn build_establishment(&mut self, ue: UeId) -> pfcp::Message {
-        let s = self.smf.sessions.get_mut(&ue).expect("session exists");
-        s.pfcp_seq += 1;
-        let ies = IeSet {
-            node_id: Some(Ipv4Addr::new(10, 200, 200, 1)),
-            f_seid: Some((s.seid, Ipv4Addr::new(10, 200, 200, 1))),
-            create_pdrs: vec![
-                CreatePdr {
-                    pdr_id: 1,
-                    precedence: 255,
-                    pdi: Pdi {
-                        source_interface: Some(Interface::Access),
-                        f_teid: Some(FTeid {
-                            teid: s.ul_teid,
-                            addr: UPF_N3_ADDR,
-                        }),
-                        ..Pdi::default()
-                    },
-                    outer_header_removal: true,
-                    far_id: 1,
-                    qer_ids: vec![1],
-                },
-                CreatePdr {
-                    pdr_id: 2,
-                    precedence: 255,
-                    pdi: Pdi {
-                        source_interface: Some(Interface::Core),
-                        ue_ip: Some(UeIpAddress {
-                            addr: Ipv4Addr::from_u32(s.ue_ip),
-                            is_destination: true,
-                        }),
-                        ..Pdi::default()
-                    },
-                    outer_header_removal: false,
-                    far_id: 2,
-                    qer_ids: vec![1],
-                },
-            ],
-            create_fars: vec![
-                CreateFar {
-                    far_id: 1,
-                    apply_action: ApplyAction::FORW,
-                    forwarding: Some(ForwardingParameters {
-                        dest_interface: Interface::Core,
-                        outer_header_creation: None,
-                    }),
-                },
-                // DL buffers until the AN tunnel is bound.
-                CreateFar {
-                    far_id: 2,
-                    apply_action: ApplyAction::BUFF,
-                    forwarding: None,
-                },
-            ],
-            // Default best-effort QoS flow: unlimited MBR.
-            create_qers: vec![pfcp::CreateQer {
-                qer_id: 1,
-                mbr_bps: 0,
-            }],
-            ..IeSet::default()
+            (step, other) => panic!("SMF: UE {ue} at step {step:?} cannot take {other:?}"),
         };
-        pfcp::Message::session(
-            MsgType::SessionEstablishmentRequest,
-            s.seid,
-            s.pfcp_seq,
-            ies,
-        )
     }
 
     // ================= UPF =================
@@ -907,7 +853,7 @@ impl CoreNetwork {
         let seid = m.seid.expect("session-scoped N4");
         match m.msg_type {
             MsgType::SessionEstablishmentRequest => {
-                let ue = self.smf.ue_of_seid(seid).expect("SMF created the session");
+                let ue = self.smf.ue_of_seid(seid);
                 self.upf.establish(seid, ue, &m.ies);
                 self.obs
                     .event(self.upf_now, EventKind::PfcpEstablish { seid });
@@ -932,22 +878,12 @@ impl CoreNetwork {
                 let lat =
                     self.cost.datapath_latency(self.deployment.datapath()) + self.cost.path_lat;
                 for (i, (tun, pkt)) in released.into_iter().enumerate() {
-                    outs.raw(
-                        lat + svc * (i as u64 + 1),
-                        Envelope::new(
-                            Endpoint::UpfU,
-                            Endpoint::Gnb(tun.addr),
-                            Msg::Data(DataPacket {
-                                tunnel_teid: Some(tun.teid),
-                                ..pkt
-                            }),
-                        ),
-                    );
+                    outs.raw(lat + svc * (i as u64 + 1), to_gnb(tun, pkt));
                 }
             }
             MsgType::SessionDeletionRequest => {
                 let deleted = self.upf.delete(seid);
-                debug_assert!(deleted, "deletion targets a live session");
+                assert!(deleted, "UPF-C: no live session for SEID {seid} to delete");
                 self.obs.event(self.upf_now, EventKind::PfcpDelete { seid });
                 outs.n4(accepted(MsgType::SessionDeletionResponse, seid, m.seq));
             }
@@ -976,42 +912,28 @@ impl CoreNetwork {
             }],
             Verdict::ToGnb(tun, p) => vec![Output {
                 delay: lat,
-                env: Envelope::new(
-                    Endpoint::UpfU,
-                    Endpoint::Gnb(tun.addr),
-                    Msg::Data(DataPacket {
-                        tunnel_teid: Some(tun.teid),
-                        ..p
-                    }),
-                ),
+                env: to_gnb(tun, p),
             }],
-            Verdict::Buffered { report, seid } => {
-                if report {
-                    // UPF-U alerts UPF-C, which sends the PFCP report.
-                    self.upf.pfcp_seq += 1;
-                    let seq = self.upf.pfcp_seq;
-                    vec![Output {
-                        delay: svc,
-                        env: Envelope::new(
-                            Endpoint::UpfC,
-                            Endpoint::Smf,
-                            Msg::N4(pfcp::Message::session(
-                                MsgType::SessionReportRequest,
-                                seid,
-                                seq,
-                                IeSet {
-                                    report_downlink_data: true,
-                                    downlink_data_pdr: Some(2),
-                                    ..IeSet::default()
-                                },
-                            )),
-                        ),
-                    }]
-                } else {
-                    Vec::new()
-                }
+            Verdict::Buffered { report: true, seid } => {
+                // UPF-U alerts UPF-C, which sends the PFCP report.
+                self.upf.pfcp_seq += 1;
+                let ies = IeSet {
+                    report_downlink_data: true,
+                    downlink_data_pdr: Some(2),
+                    ..IeSet::default()
+                };
+                let m = pfcp::Message::session(
+                    MsgType::SessionReportRequest,
+                    seid,
+                    self.upf.pfcp_seq,
+                    ies,
+                );
+                vec![Output {
+                    delay: svc,
+                    env: Envelope::new(Endpoint::UpfC, Endpoint::Smf, Msg::N4(m)),
+                }]
             }
-            Verdict::Drop(_) => Vec::new(),
+            Verdict::Buffered { report: false, .. } | Verdict::Drop(_) => Vec::new(),
         }
     }
 }
@@ -1022,6 +944,15 @@ fn page(ctx: &mut AmfUeCtx, now: SimTime, outs: &mut Outs) {
     ctx.proc_start = now;
     ctx.proc = Proc::PagingServiceRequest;
     outs.ngap(ctx.serving_gnb, NgapMessage::Paging { guti: ctx.guti });
+}
+
+/// A DL packet from UPF-U into the gNB tunnel `tun`.
+fn to_gnb(tun: TunnelInfo, p: DataPacket) -> Envelope {
+    let p = DataPacket {
+        tunnel_teid: Some(tun.teid),
+        ..p
+    };
+    Envelope::new(Endpoint::UpfU, Endpoint::Gnb(tun.addr), Msg::Data(p))
 }
 
 /// The UPF's N3 tunnel endpoint for an uplink TEID.
@@ -1117,73 +1048,118 @@ pub(crate) fn msg_label(msg: &Msg) -> &'static str {
     }
 }
 
-/// What a Session Modification is doing (internal to the SMF builder).
-enum ModKind {
-    ForwardTo(TunnelInfo),
-    IdleBuffer,
-    HoPrepare { new_teid: u32 },
-    HoPrepared { target_dl: TunnelInfo },
+/// The Session Establishment that provisions `ue`'s session at the UPF:
+/// UL and DL PDRs, the DL FAR buffering until the AN tunnel is bound.
+fn build_establishment(s: &mut SmfSession, ue: UeId) -> pfcp::Message {
+    let ies = IeSet {
+        node_id: Some(Ipv4Addr::new(10, 200, 200, 1)),
+        f_seid: Some((s.seid, Ipv4Addr::new(10, 200, 200, 1))),
+        create_pdrs: vec![
+            CreatePdr {
+                pdr_id: 1,
+                precedence: 255,
+                pdi: Pdi {
+                    source_interface: Some(Interface::Access),
+                    f_teid: Some(FTeid {
+                        teid: s.ul_teid,
+                        addr: UPF_N3_ADDR,
+                    }),
+                    ..Pdi::default()
+                },
+                outer_header_removal: true,
+                far_id: 1,
+                qer_ids: vec![1],
+            },
+            CreatePdr {
+                pdr_id: 2,
+                precedence: 255,
+                pdi: Pdi {
+                    source_interface: Some(Interface::Core),
+                    ue_ip: Some(UeIpAddress {
+                        addr: Ipv4Addr::from_u32(ue_ip_for(ue)),
+                        is_destination: true,
+                    }),
+                    ..Pdi::default()
+                },
+                outer_header_removal: false,
+                far_id: 2,
+                qer_ids: vec![1],
+            },
+        ],
+        create_fars: vec![
+            CreateFar {
+                far_id: 1,
+                apply_action: ApplyAction::FORW,
+                forwarding: Some(ForwardingParameters {
+                    dest_interface: Interface::Core,
+                    outer_header_creation: None,
+                }),
+            },
+            // DL buffers until the AN tunnel is bound.
+            CreateFar {
+                far_id: 2,
+                apply_action: ApplyAction::BUFF,
+                forwarding: None,
+            },
+        ],
+        // Default best-effort QoS flow: unlimited MBR.
+        create_qers: vec![pfcp::CreateQer {
+            qer_id: 1,
+            mbr_bps: 0,
+        }],
+        ..IeSet::default()
+    };
+    pfcp_request(s, MsgType::SessionEstablishmentRequest, ies)
 }
 
-fn build_modification(s: &mut SmfSession, kind: ModKind) -> pfcp::Message {
+/// A request of `s`'s PFCP session, on its next sequence number.
+fn pfcp_request(s: &mut SmfSession, msg_type: MsgType, ies: IeSet) -> pfcp::Message {
     s.pfcp_seq += 1;
-    let far_forward = |tun: TunnelInfo| UpdateFar {
+    pfcp::Message::session(msg_type, s.seid, s.pfcp_seq, ies)
+}
+
+/// A Session Modification of `s`'s DL FAR; `new_ul_teid` also moves the
+/// UL PDR to that N3 TEID.
+fn build_modification(
+    s: &mut SmfSession,
+    far: UpdateFar,
+    new_ul_teid: Option<u32>,
+) -> pfcp::Message {
+    let update_pdrs = new_ul_teid.map(|teid| UpdatePdr {
+        pdr_id: 1,
+        precedence: None,
+        pdi: Some(Pdi {
+            source_interface: Some(Interface::Access),
+            f_teid: Some(FTeid {
+                teid,
+                addr: UPF_N3_ADDR,
+            }),
+            ..Pdi::default()
+        }),
+        far_id: None,
+    });
+    let ies = IeSet {
+        update_pdrs: update_pdrs.into_iter().collect(),
+        update_fars: vec![far],
+        ..IeSet::default()
+    };
+    pfcp_request(s, MsgType::SessionModificationRequest, ies)
+}
+
+/// An update of the DL FAR: its apply action (`None` keeps it) and the
+/// gNB tunnel it forwards to, if any.
+fn dl_far(apply_action: Option<ApplyAction>, to: Option<TunnelInfo>) -> UpdateFar {
+    UpdateFar {
         far_id: 2,
-        apply_action: Some(ApplyAction::FORW),
-        forwarding: Some(ForwardingParameters {
+        apply_action,
+        forwarding: to.map(|tun| ForwardingParameters {
             dest_interface: Interface::Access,
             outer_header_creation: Some(pfcp::OuterHeaderCreation {
                 teid: tun.teid,
                 addr: Ipv4Addr::from_u32(tun.addr),
             }),
         }),
-    };
-    let ies = match kind {
-        ModKind::ForwardTo(tun) => IeSet {
-            update_fars: vec![far_forward(tun)],
-            ..IeSet::default()
-        },
-        ModKind::IdleBuffer => IeSet {
-            update_fars: vec![UpdateFar {
-                far_id: 2,
-                apply_action: Some(ApplyAction::BUFF_NOCP),
-                forwarding: None,
-            }],
-            ..IeSet::default()
-        },
-        // The §3.3 piggyback: TEID allocation + BUFF in one message, so
-        // smart buffering costs no extra control message.
-        ModKind::HoPrepare { new_teid } => IeSet {
-            update_pdrs: vec![UpdatePdr {
-                pdr_id: 1,
-                precedence: None,
-                pdi: Some(Pdi {
-                    source_interface: Some(Interface::Access),
-                    f_teid: Some(FTeid {
-                        teid: new_teid,
-                        addr: UPF_N3_ADDR,
-                    }),
-                    ..Pdi::default()
-                }),
-                far_id: None,
-            }],
-            update_fars: vec![UpdateFar {
-                far_id: 2,
-                apply_action: Some(ApplyAction::BUFF),
-                forwarding: None,
-            }],
-            ..IeSet::default()
-        },
-        // Record the target tunnel but keep buffering.
-        ModKind::HoPrepared { target_dl } => IeSet {
-            update_fars: vec![UpdateFar {
-                apply_action: None,
-                ..far_forward(target_dl)
-            }],
-            ..IeSet::default()
-        },
-    };
-    pfcp::Message::session(MsgType::SessionModificationRequest, s.seid, s.pfcp_seq, ies)
+    }
 }
 
 /// The envelopes one NF emits while handling one message; every send
@@ -1394,10 +1370,40 @@ mod tests {
         }
     }
 
+    #[test]
+    #[should_panic(expected = "SMF: UE 1 at step None cannot take SessionModificationResponse")]
+    fn a_modification_response_with_none_in_flight_panics() {
+        let (mut core, mut now) = registered();
+        let nas = NasMessage::PduSessionEstablishmentRequest { session_id: 1 };
+        settle(
+            &mut core,
+            &mut now,
+            NgapMessage::UplinkNasTransport { ue: 1, nas },
+        );
+        let seid = core.smf.sessions[&1].seid;
+        assert_eq!(core.smf.sessions[&1].proc, SmfProc::None);
+        let m = accepted(MsgType::SessionModificationResponse, seid, 9);
+        core.handle(
+            Envelope::new(Endpoint::UpfC, Endpoint::Smf, Msg::N4(m)),
+            now,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "SMF: an AssociationSetupResponse with no setup in flight")]
+    fn a_second_association_response_panics() {
+        let mut core = CoreNetwork::new(Deployment::L25gc);
+        let req = core.start_n4_association();
+        let resp = core.handle(req, SimTime::ZERO).remove(0).env;
+        core.handle(resp.clone(), SimTime::ZERO);
+        assert_eq!(core.smf.n4_association, N4Association::Established);
+        core.handle(resp, SimTime::ZERO);
+    }
+
     fn assert_seid_index_exact(smf: &Smf) {
         assert_eq!(smf.by_seid.len(), smf.sessions.len());
         for (&ue, s) in smf.sessions.iter() {
-            assert_eq!(smf.ue_of_seid(s.seid), Some(ue));
+            assert_eq!(smf.ue_of_seid(s.seid), ue);
         }
     }
 

@@ -70,6 +70,12 @@ pub const HIST_SERVICE: &str = "stage_service";
 /// completion).
 pub const HIST_TRANSIT: &str = "stage_transit";
 
+/// The most worker shards the threaded backend runs. It spawns one OS
+/// thread per shard, so a count far past any host's cores asks the
+/// system for threads, not for a measurement; the shard-scaling study
+/// stops at 64.
+pub const MAX_THREADED_SHARDS: u16 = 256;
+
 /// Which execution engine runs the load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
@@ -129,6 +135,8 @@ pub enum LoadError {
     FleetTooLarge(usize),
     /// At least one worker shard is required.
     ZeroShards,
+    /// The threaded backend runs at most [`MAX_THREADED_SHARDS`] shards.
+    TooManyThreadedShards(u16),
     /// A zero high-water mark would shed every arrival.
     ZeroHighWater,
     /// A zero-capacity in-flight ring cannot hold any procedure.
@@ -171,6 +179,11 @@ impl std::fmt::Display for LoadError {
                 write!(f, "fleet of {n} UEs exceeds the u32 index space")
             }
             LoadError::ZeroShards => write!(f, "at least one worker shard is required"),
+            LoadError::TooManyThreadedShards(n) => write!(
+                f,
+                "the threaded backend runs at most {MAX_THREADED_SHARDS} shards, one OS thread \
+                 each; got {n}"
+            ),
             LoadError::ZeroHighWater => {
                 write!(f, "high-water mark of 0 would shed every arrival")
             }
@@ -301,6 +314,9 @@ impl LoadConfig {
         }
         if self.shard_cfg.shards == 0 {
             return Err(LoadError::ZeroShards);
+        }
+        if self.backend == ExecBackend::Threaded && self.shard_cfg.shards > MAX_THREADED_SHARDS {
+            return Err(LoadError::TooManyThreadedShards(self.shard_cfg.shards));
         }
         if self.shard_cfg.high_water == 0 {
             return Err(LoadError::ZeroHighWater);
@@ -583,8 +599,6 @@ pub struct LoadReport {
     pub transit_p99: SimDuration,
     /// UEs attached in any form at the end of the run.
     pub active_ues: usize,
-    /// Deepest any shard's in-flight queue got.
-    pub peak_depth: usize,
     /// Mean shard CPU utilisation over the horizon.
     pub busy_fraction: f64,
     /// Per-shard CPU-busy fraction over the horizon, 0..1 — the worker
@@ -881,8 +895,6 @@ pub(crate) struct ExecTotals {
     pub(crate) shed: u64,
     /// Arrivals rejected by ring backpressure.
     pub(crate) backpressure: u64,
-    /// Deepest any shard's in-flight queue got.
-    pub(crate) peak_depth: usize,
     /// Arrivals shed while their shard was inside a scripted outage.
     pub(crate) lost_in_outage: u64,
     /// Each shard's final FIFO server (a killed shard's primary and its
@@ -1141,7 +1153,6 @@ fn report(
         service_p99: quantile(HIST_SERVICE, 0.99),
         transit_p99: quantile(HIST_TRANSIT, 0.99),
         active_ues: fleet.active(),
-        peak_depth: totals.peak_depth,
         busy_fraction,
         shard_utilization,
         wall: totals.elapsed.map(|elapsed| WallClock {
@@ -1245,13 +1256,20 @@ mod tests {
             .duration(SimDuration::from_secs(3))
             .seed(5)
             .closed_loop(32, SimDuration::from_millis(10))
+            .metrics_interval(SimDuration::from_millis(100))
             .build()
             .expect("valid closed-loop config");
         let r = Driver::new(cfg).unwrap().run(&profiles);
         assert!(r.dispatched > 0);
         assert_eq!(r.backpressure, 0, "closed loop cannot overrun the ring");
         // 32 workers can never have more than 32 in flight.
-        assert!(r.peak_depth <= 32, "peak {}", r.peak_depth);
+        let tl = r.timeline.as_ref().expect("timeline was requested");
+        let peak = (0..tl.shards())
+            .flat_map(|shard| tl.lane(shard))
+            .map(|w| w.peak_depth)
+            .max()
+            .expect("windows were recorded");
+        assert!((1..=32).contains(&peak), "peak {peak}");
     }
 
     #[test]
@@ -1264,6 +1282,19 @@ mod tests {
             LoadConfig::builder().shards(0).build().unwrap_err(),
             LoadError::ZeroShards
         );
+        // Checked without running: a threaded run spawns one OS thread
+        // per shard. The analytic backend has no cap.
+        let threaded = |n| {
+            LoadConfig::builder()
+                .backend(ExecBackend::Threaded)
+                .shards(n)
+        };
+        assert!(threaded(MAX_THREADED_SHARDS).build().is_ok());
+        assert_eq!(
+            threaded(MAX_THREADED_SHARDS + 1).build().unwrap_err(),
+            LoadError::TooManyThreadedShards(MAX_THREADED_SHARDS + 1)
+        );
+        assert!(LoadConfig::builder().shards(u16::MAX).build().is_ok());
         assert_eq!(
             LoadConfig::builder().offered_eps(-1.0).build().unwrap_err(),
             LoadError::NonPositiveRate(-1.0)

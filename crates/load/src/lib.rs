@@ -81,7 +81,7 @@ pub use arrival::{ArrivalProcess, ArrivalStream, EventMix, RateSegment};
 pub use dispatch::{calibrate, ProcedureProfile, ProfileSet};
 pub use driver::{
     Driver, ExecBackend, LoadConfig, LoadConfigBuilder, LoadError, LoadReport, HIST_ALL,
-    HIST_QUEUE_WAIT, HIST_SERVICE, HIST_TRANSIT,
+    HIST_QUEUE_WAIT, HIST_SERVICE, HIST_TRANSIT, MAX_THREADED_SHARDS,
 };
 pub use fault::FaultPlan;
 pub use fleet::{Fleet, UeState};

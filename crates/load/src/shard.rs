@@ -94,8 +94,6 @@ struct Shard {
     /// no peek; FIFO service makes completions monotone, so one slot of
     /// lookahead is exact).
     stashed: Option<u64>,
-    /// Peak in-flight depth observed.
-    peak_depth: usize,
     /// Arrivals shed while an outage was in progress on this shard.
     lost_in_outage: u64,
 }
@@ -163,7 +161,6 @@ impl ShardSet {
                     tx,
                     rx,
                     stashed: None,
-                    peak_depth: 0,
                     lost_in_outage: 0,
                 }
             })
@@ -223,7 +220,6 @@ impl ShardSet {
         let svc = s.fifo.serve(now, prof);
         s.tx.push(svc.done_cpu.as_nanos())
             .expect("room was checked above");
-        s.peak_depth = s.peak_depth.max(s.depth());
         Admission::Dispatched {
             completes_at: svc.completes_at,
             queue_wait: svc.start.duration_since(now),
@@ -307,7 +303,6 @@ impl ShardExec for ShardSet {
         ExecTotals {
             shed: self.shed,
             backpressure: self.backpressure,
-            peak_depth: self.shards.iter().map(|s| s.peak_depth).max().unwrap_or(0),
             lost_in_outage: self.shards.iter().map(|s| s.lost_in_outage).sum(),
             gauges: self
                 .shards

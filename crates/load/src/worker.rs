@@ -109,8 +109,6 @@ struct WorkerStats {
     shard: u16,
     /// Procedures this worker served.
     served: u64,
-    /// Deepest submit-ring occupancy the worker observed at poll time.
-    peak_depth: usize,
     /// Whether this worker is actually pinned to its planned CPU.
     pinned: bool,
     /// Wait-ladder counters from both of the worker's wait sites.
@@ -134,7 +132,6 @@ struct ShardWorker {
     /// latency distributions match event-for-event when nothing is shed.
     fifo: FifoServer,
     served: u64,
-    peak_depth: usize,
     obs: Obs,
     timeline: Option<MetricsTimeline>,
     /// Completions accumulated while serving a burst, pushed with
@@ -177,7 +174,6 @@ impl ShardWorker {
                 continue;
             }
             self.idle_wait.reset();
-            self.peak_depth = self.peak_depth.max(self.port.submissions.len() + n);
             for s in buf.drain(..) {
                 if s.seq == STOP_SEQ {
                     break 'serve;
@@ -192,7 +188,6 @@ impl ShardWorker {
         let stats = WorkerStats {
             shard: self.shard,
             served: self.served,
-            peak_depth: self.peak_depth,
             pinned,
             wait,
             obs: self.obs,
@@ -270,7 +265,6 @@ impl Respawn<'_> {
             shard: i as u16,
             fifo,
             served: 0,
-            peak_depth: 0,
             obs: Obs::new(),
             // Each worker gets a full-width timeline and records only its
             // own lane; `MetricsTimeline::absorb` then merges them into
@@ -312,7 +306,6 @@ pub(crate) struct Pool<'a> {
     /// and match the analytic backend's.
     lanes: Vec<FifoServer>,
     shed: u64,
-    peak_depth: usize,
     /// Sequence number of the next dispatch = procedures dispatched.
     next_seq: u64,
     comp_buf: Vec<Completion>,
@@ -398,7 +391,6 @@ impl<'a> Pool<'a> {
             handles: handles.into_iter().map(Some).collect(),
             lanes,
             shed: 0,
-            peak_depth: 0,
             next_seq: 0,
             comp_buf: Vec::with_capacity(BURST),
             dispatcher_pinned,
@@ -509,10 +501,7 @@ impl<'a> Pool<'a> {
         let fill = self.staged[i].len() as u64;
         loop {
             let (submit, staged) = (&mut self.hosts[i].submit, &mut self.staged[i]);
-            // One occupancy reading per ring crossing serves both the
-            // depth peak and the wake decision.
             let queued = submit.len();
-            self.peak_depth = self.peak_depth.max(queued + staged.len());
             let pushed = submit.push_burst(staged);
             // Empty → non-empty transition: the worker may be parked in
             // its idle wait; wake it so the burst is served now, not
@@ -671,7 +660,6 @@ impl ShardExec for Pool<'_> {
         let mut per_shard_wait = vec![WaitStats::default(); servers.len()];
         let (mut served, mut pinned_workers) = (0u64, 0u64);
         for stats in all {
-            self.peak_depth = self.peak_depth.max(stats.peak_depth);
             served += stats.served;
             pinned_workers += u64::from(stats.pinned);
             per_shard_wait[stats.shard as usize].absorb(&stats.wait);
@@ -690,7 +678,6 @@ impl ShardExec for Pool<'_> {
             shed: self.shed,
             // A full ring blocks the flush; it never drops.
             backpressure: 0,
-            peak_depth: self.peak_depth,
             lost_in_outage: self.lost_in_outage,
             servers,
             // Effective placement: pinning is best-effort, so report it.

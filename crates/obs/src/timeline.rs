@@ -126,7 +126,7 @@ pub struct TimelineWindow {
     /// Arrivals rejected by ring backpressure.
     pub(crate) backpressure: u64,
     /// Deepest in-flight queue observed during the window.
-    pub(crate) peak_depth: u64,
+    pub peak_depth: u64,
     /// Virtual time the shard server spent executing charged service
     /// time inside this window, nanoseconds
     /// ([`MetricsTimeline::record_busy`], overlap-split across window

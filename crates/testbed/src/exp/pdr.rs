@@ -196,11 +196,25 @@ mod tests {
             .expect("row")
     }
 
+    /// Each row's best of five runs of `rows`: one preempted run must not
+    /// decide a wall-clock comparison.
+    fn best_of_five(rows: impl Fn() -> Vec<PdrRow>) -> Vec<PdrRow> {
+        let mut best = rows();
+        for _ in 1..5 {
+            for (b, r) in best.iter_mut().zip(rows()) {
+                if r.lookup_ns < b.lookup_ns {
+                    *b = r;
+                }
+            }
+        }
+        best
+    }
+
     #[test]
     fn fig11_shape_holds_at_1k_rules() {
         // Reduced sweep and lookup budget to keep the test fast; the
         // bench runs the full one.
-        let rows = fig11_rows(&[1_000], Profile::Pinholes, LOOKUP_BUDGET / 10);
+        let rows = best_of_five(|| fig11_rows(&[1_000], Profile::Pinholes, LOOKUP_BUDGET / 10));
         let ll = rows_for(&rows, "PDR-LL", 1_000);
         let ps = rows_for(&rows, "PDR-PS", 1_000);
         let best = rows_for(&rows, "PDR-TSS_Best", 1_000);
@@ -226,8 +240,13 @@ mod tests {
     fn tss_best_is_flat_across_scale() {
         // Only the TSS_Best structure is under test: the other three
         // at 5 000 rules are minutes of unoptimised lookups.
-        let small = tss_best_row(100, LOOKUP_BUDGET / 10).lookup_ns;
-        let large = tss_best_row(5_000, LOOKUP_BUDGET / 10).lookup_ns;
+        let rows = best_of_five(|| {
+            vec![
+                tss_best_row(100, LOOKUP_BUDGET / 10),
+                tss_best_row(5_000, LOOKUP_BUDGET / 10),
+            ]
+        });
+        let (small, large) = (rows[0].lookup_ns, rows[1].lookup_ns);
         assert!(large < small * 3.0, "near-constant: {small} → {large}");
     }
 

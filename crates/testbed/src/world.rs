@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 
-use l25gc_core::context::Proc;
+use l25gc_core::context::{Proc, SmfProc};
 use l25gc_core::msg::{DataPacket, Direction, Endpoint, Envelope, Msg, UeId};
 use l25gc_core::net::CoreNetwork;
 use l25gc_core::Deployment;
@@ -368,21 +368,16 @@ impl World {
         self.primary_alive = true;
         let ues: Vec<_> = self.core.smf.sessions.keys().copied().collect();
         for ue in ues {
-            // Clear any interrupted procedure at the AMF.
+            // Clear any interrupted procedure at the AMF and the SMF.
             if let Some(ctx) = self.core.amf.ues.get_mut(&ue) {
                 ctx.proc = Proc::None;
             }
+            let s = self.core.smf.sessions.get_mut(&ue).expect("session");
+            s.proc = SmfProc::None;
+            let seid = s.seid;
             // Re-point the user plane at the UE's current serving gNB.
             let gnb = self.ran.ues[&ue].serving_gnb;
-            let dl_teid = self.ran.gnbs[&gnb].dl_teid_of(ue);
-            let (seid, far_tunnel) = {
-                let s = &self.core.smf.sessions[&ue];
-                (
-                    s.seid,
-                    dl_teid.map(|teid| l25gc_pkt::ngap::TunnelInfo { teid, addr: gnb }),
-                )
-            };
-            if let Some(tun) = far_tunnel {
+            if let Some(teid) = self.ran.gnbs[&gnb].dl_teid_of(ue) {
                 use l25gc_pkt::pfcp;
                 let ies = pfcp::IeSet {
                     update_fars: vec![pfcp::UpdateFar {
@@ -391,8 +386,8 @@ impl World {
                         forwarding: Some(pfcp::ForwardingParameters {
                             dest_interface: pfcp::Interface::Access,
                             outer_header_creation: Some(pfcp::OuterHeaderCreation {
-                                teid: tun.teid,
-                                addr: l25gc_pkt::Ipv4Addr::from_u32(tun.addr),
+                                teid,
+                                addr: l25gc_pkt::Ipv4Addr::from_u32(gnb),
                             }),
                         }),
                     }],
@@ -404,12 +399,6 @@ impl World {
                     sess.buffer.clear();
                 }
                 self.core.upf.modify(seid, &ies);
-                self.core
-                    .smf
-                    .sessions
-                    .get_mut(&ue)
-                    .expect("session")
-                    .an_tunnel = Some(tun);
             }
         }
     }

@@ -2,7 +2,7 @@
 //! checkpoints, failover, replay, output suppression — under live
 //! control and data traffic.
 
-use l25gc_core::context::UeEvent;
+use l25gc_core::context::{SmfProc, UeEvent};
 use l25gc_core::Deployment;
 use l25gc_resilience::ReplicaState;
 use l25gc_sim::{Engine, SimDuration};
@@ -194,6 +194,11 @@ fn reattach_baseline_drops_and_recovers() {
     });
     eng.schedule_in(SimDuration::from_millis(900), |w: &mut World, _| {
         w.reattach_recover();
+        // The reattach leaves no procedure half-done at the SMF.
+        assert!(!w.core.smf.sessions.is_empty());
+        for (ue, s) in w.core.smf.sessions.iter() {
+            assert_eq!(s.proc, SmfProc::None, "UE {ue}");
+        }
     });
     eng.run();
     let w = eng.world();

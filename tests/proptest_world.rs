@@ -7,7 +7,7 @@
 //! two-UE run and checks external synchrony on the failover path every
 //! figure runs: `World`'s resiliency harness.
 
-use l25gc_core::context::{Proc, UeEvent};
+use l25gc_core::context::{Proc, SmfProc, UeEvent};
 use l25gc_core::Deployment;
 use l25gc_sim::{Engine, SimDuration};
 use l25gc_testbed::World;
@@ -165,8 +165,11 @@ proptest! {
         let idles = w.core.events.iter().filter(|e| e.event == UeEvent::IdleTransition).count();
         let pagings = w.core.events.iter().filter(|e| e.event == UeEvent::Paging).count();
         prop_assert!(pagings >= idles.saturating_sub(1), "idles {idles} pagings {pagings}");
-        // No procedure left half-done at the AMF.
+        // No procedure left half-done at the AMF or the SMF.
         prop_assert_eq!(w.core.amf.ues[&1].proc, Proc::None);
+        for s in w.core.smf.sessions.values() {
+            prop_assert_eq!(s.proc, SmfProc::None);
+        }
     }
 
     /// Identical inputs replay identical histories (whole-system
@@ -220,6 +223,13 @@ proptest! {
             prop_assert!(
                 step == Proc::None,
                 "UE {ue} has a procedure left half-done at {step:?}: {case}"
+            );
+        }
+        for (ue, s) in w.core.smf.sessions.iter() {
+            prop_assert!(
+                s.proc == SmfProc::None,
+                "UE {ue}'s session has a procedure left half-done at {:?}: {case}",
+                s.proc
             );
         }
         let sent: u64 = w.apps.cbr.iter().map(|f| f.sent).sum();
